@@ -66,7 +66,6 @@ class RateReport:
     lambda0: float | None = None
     lambda0_asymptotic: float | None = None
     status: str = "ok"
-    t1_form_disagreements: int = 0
     monotone_check: bool | None = None
 
 
@@ -200,10 +199,7 @@ def threshold_bounds(model: SystemModel, agents: list[AgentSpec],
         )
     A = model.A_at(0)
     Ainv = np.linalg.inv(A)
-    info_y = [a.H.T @ np.linalg.solve(a.R, a.H) if a.has_measurement
-              else np.zeros((n, n)) for a in agents]
-    info_d = [(a.D.T @ a.D) / a.eps if a.has_constraint else np.zeros((n, n))
-              for a in agents]
+    info_y, info_d = _info_blocks(model, agents)
 
     M = np.zeros((N, N, n, n))
     Mbar = np.zeros((N, n, n))
@@ -361,18 +357,23 @@ def _zbar_table(t_max: int, model: SystemModel, agents, topology: Topology,
 
 def delta_correction(t: int, model: SystemModel, beta: float) -> np.ndarray:
     """S_t = Σ_{τ=2..t} β^τ (A^{-τ})ᵀ A^{-τ} (zero for t < 2)."""
+    return _delta_corrections(max(t, 0), model, beta)[-1]
+
+
+def _delta_corrections(t_max: int, model: SystemModel, beta: float) -> list:
+    """[S_0, ..., S_{t_max}] of `delta_correction`, from one running sum."""
     n = model.n
+    out = [np.zeros((n, n)) for _ in range(min(t_max, 1) + 1)]   # S_0 = S_1 = 0
     S = np.zeros((n, n))
-    if t < 2:
-        return S
     Ainv = np.linalg.inv(model.A_at(0))
     A_pow = Ainv @ Ainv
     coef = beta * beta
-    for _tau in range(2, t + 1):
+    for _tau in range(2, t_max + 1):
         S += coef * (A_pow.T @ A_pow)
+        out.append(0.5 * (S + S.T))
         A_pow = A_pow @ Ainv
         coef *= beta
-    return 0.5 * (S + S.T)
+    return out
 
 
 def f_upper(t: int, i: int, model: SystemModel, agents: list[AgentSpec],
@@ -394,11 +395,6 @@ def z_lower(t: int, i: int, delta: float, model: SystemModel,
 def _fbar_proof(f_ti, zbar_ti, S_t, delta, n) -> float:
     corr = zbar_ti + delta * (np.eye(n) - S_t)
     return float(np.linalg.eigvalsh(f_ti - eig_pos(corr)).max())
-
-
-def _fbar_lemma(f_ti, zbar_ti, S_t, delta) -> float:
-    z = zbar_ti - delta * S_t
-    return float(np.linalg.eigvalsh(f_ti - eig_pos(z)).max()) - delta
 
 
 def solve_T1(delta: float, i: int, model: SystemModel, agents: list[AgentSpec],
@@ -453,7 +449,7 @@ def solve_T2(delta: float, i: int, model: SystemModel, agents: list[AgentSpec],
 def _rate_tables(T, model, agents, topology, beta, beta_bar):
     f_tab = _f_table(T, model, agents, topology, beta_bar)
     zbar_tab = _zbar_table(T, model, agents, topology, beta, 0.0)
-    S_list = [delta_correction(t, model, beta) for t in range(T + 1)]
+    S_list = _delta_corrections(T, model, beta)
     return f_tab, zbar_tab, S_list
 
 
@@ -468,22 +464,16 @@ def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
     """
     if not model.time_invariant:
         raise ValueError("rate analysis requires a time-invariant model")
-    N, n = topology.N, model.n
+    N = topology.N
     tables = _rate_tables(T, model, agents, topology, beta, beta_bar)
-    f_tab, zbar_tab, S_list = tables
+    S_list = tables[2]
 
     report = RateReport(delta=delta, horizon=T, beta=beta, beta_bar=beta_bar)
-    disagreements = 0
     for i in range(N):
         t1 = solve_T1(delta, i, model, agents, topology, T, beta, beta_bar,
                       _tables=tables)
         t2 = solve_T2(delta, i, model, agents, topology, T, beta, beta_bar,
                       _tables=tables)
-        for t in range(T + 1):
-            proof = _fbar_proof(f_tab[t][i], zbar_tab[t][i], S_list[t], delta, n) > 0
-            lemma = _fbar_lemma(f_tab[t][i], zbar_tab[t][i], S_list[t], delta) > 0
-            if proof != lemma:
-                disagreements += 1
         cond1 = t1 is not None
         if t1 is not None and t1 >= 2:
             cond1 = bool(np.linalg.eigvalsh(S_list[t1]).max() <= 1.0 + 1e-12)
@@ -494,7 +484,6 @@ def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
         report.condition2_ok.append(cond2)
         if t1 is not None and t2 is not None and cond1:
             report.V1.append(i)
-    report.t1_form_disagreements = disagreements
 
     out_deg = np.array([topology.out_degree0(i) for i in range(N)], dtype=float)
     total = out_deg.sum()

@@ -17,8 +17,6 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from . import analysis, sim
 
 EXIT_OK = 0
@@ -127,23 +125,11 @@ def _parse_beta(args, cfg) -> tuple:
     if args.beta is not None:
         vals = [float(v) for v in args.beta.split(",")]
         if len(vals) == 1:
-            beta = vals[0]
-            _, beta_bar = _pilot_betas(cfg)
-            return beta, beta_bar
+            return vals[0], sim.pilot_betas(cfg)[1]
         if len(vals) == 2:
             return vals[0], vals[1]
         raise ValueError("--beta takes one or two comma-separated values")
-    return _pilot_betas(cfg)
-
-
-def _pilot_betas(cfg) -> tuple:
-    pilot = dataclasses.replace(cfg, T=min(cfg.T, 50), mode="time",
-                                L=max(cfg.L, 1))
-    steps = sim._tpdkf_path(pilot)
-    mats = [p for _, p in cfg.initial_pairs()]
-    mats += [p for st in steps for p in st.P]
-    return analysis.pilot_contraction_factors(
-        mats, cfg.model.A_at(0), cfg.model.Q_at(0))
+    return sim.pilot_betas(cfg)
 
 
 def _emit(out, cfg, overrides, metrics=None, triggers=False) -> None:
@@ -185,6 +171,7 @@ def _cmd_mc(args, cfg, overrides, out) -> int:
     if cfg.mode == "event":
         print(f"lambda: {metrics.lambda_:.6g}")
     print(f"final mse: {metrics.mse[-1]:.6g}")
+    print(f"wrote metrics.csv to {out}")
     return EXIT_OK
 
 
@@ -248,21 +235,12 @@ def main(argv=None) -> int:
             return _cmd_run(args, cfg, overrides, out, "time")
         if args.command == "run-epdkf":
             return _cmd_run(args, cfg, overrides, out, "event")
-        if args.command == "mc":
+        if args.command in ("mc", "case1", "case2"):
             return _cmd_mc(args, cfg, overrides, out)
         if args.command == "threshold-bound":
             return _cmd_threshold(args, cfg, overrides, out)
         if args.command == "rate-bound":
             return _cmd_rate(args, cfg, overrides, out)
-        if args.command in ("case1", "case2"):
-            mode = cfg.mode
-            metrics = sim.monte_carlo(cfg)
-            _emit(out, cfg, overrides, metrics, triggers=(mode == "event"))
-            if mode == "event":
-                print(f"lambda: {metrics.lambda_:.6g}")
-            print(f"final mse: {metrics.mse[-1]:.6g}")
-            print(f"wrote metrics.csv to {out}")
-            return EXIT_OK
         raise ValueError(f"unknown command {args.command!r}")
     except _Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

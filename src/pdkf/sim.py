@@ -27,7 +27,7 @@ import scipy.linalg
 import yaml
 
 from . import filter as filt
-from .analysis import space_decomposition
+from .analysis import pilot_contraction_factors, space_decomposition
 from .model import (AgentSpec, GlobalConstraint, SystemModel, Topology,
                     build_global_constraint, metropolis_weights)
 
@@ -71,6 +71,9 @@ class ScenarioConfig:
             raise ValueError("L must be at least 1 in time-based mode")
         if len(self.agents) != self.topology.N:
             raise ValueError("one AgentSpec per topology node required")
+        if self.sim_r is not None and len(self.sim_r) != len(self.agents):
+            raise ValueError(f"sim_r needs one entry per agent ({len(self.agents)}), "
+                             f"got {len(self.sim_r)}")
         for attr in ("x0_hat", "P0_init", "x0_cov", "sim_q"):
             v = getattr(self, attr)
             if v is not None:
@@ -263,102 +266,71 @@ def _projection_maps(Pc, agent, n):
     return G, c, Pp
 
 
-def _fusion_maps(P_list, topology, n):
-    """Per-agent CI coefficients: [(j, C_ij)] with C_ij = P̌_i a_ij P_j^{-1}."""
-    infos = [np.linalg.inv(P) for P in P_list]
+def _fusion_maps(P_own, P_nbr, topology, n):
+    """Per-agent CI coefficients [(j, C_ij)] with C_ij = P̌_i a_ij P_j^{-1}, and
+    the fused covariances P̌_i.  Agent i fuses its own P_own[i] with P_nbr[j]
+    of every other in-neighbor j, summed in index order."""
+    info_own = [np.linalg.inv(P) for P in P_own]
+    info_nbr = info_own if P_nbr is P_own else [np.linalg.inv(P) for P in P_nbr]
     coeffs = []
     Pcs = []
     for i in range(topology.N):
         omega = np.zeros((n, n))
         terms = []
         for j in topology.in_neighbors(i):
-            w = topology.weights[i, j]
-            omega += w * infos[j]
-            terms.append((j, w * infos[j]))
+            M = topology.weights[i, j] * (info_own[j] if j == i else info_nbr[j])
+            omega += M
+            terms.append((j, M))
         Pc = filt.symmetrize(np.linalg.inv(omega))
         coeffs.append([(j, Pc @ M) for j, M in terms])
         Pcs.append(Pc)
     return coeffs, Pcs
 
 
-def _tpdkf_path(cfg: ScenarioConfig) -> list:
-    """Covariance-side pass of the time-based filter; one _Step per k."""
-    model, topo, agents, n = cfg.model, cfg.topology, cfg.agents, cfg.model.n
-    P = [p for _, p in cfg.initial_pairs()]
-    steps = []
-    for k in range(1, cfg.T + 1):
-        Ks = []
-        Pt = []
-        for i, a in enumerate(agents):
-            p, Kg = _predict_update_P(P[i], model, a, k)
-            Pt.append(p)
-            Ks.append(Kg)
-        rounds = []
-        for _l in range(cfg.L):
-            coeffs, Pcs = _fusion_maps(Pt, topo, n)
-            Gs, cs, Pp = [], [], []
-            for i, a in enumerate(agents):
-                G, c, p = _projection_maps(Pcs[i], a, n)
-                Gs.append(G)
-                cs.append(c)
-                Pp.append(p)
-            rounds.append((coeffs, Gs, cs))
-            Pt = Pp
-        P = Pt
-        steps.append(_Step(K=Ks, rounds=rounds, P=[p.copy() for p in P]))
-    return steps
+def _covariance_path(cfg: ScenarioConfig, mode: str) -> list:
+    """Covariance-side pass of either filter; one _Step per k.
 
-
-def _epdkf_path(cfg: ScenarioConfig) -> list:
-    """Covariance-side pass of the event-triggered filter (trigger pattern
-    is measurement-free, so it is fully decided here)."""
+    Time mode runs L fusion-projection rounds on the fresh pairs.  Event mode
+    decides the trigger pattern here (it is measurement-free) and runs one
+    round in which neighbors contribute their held pairs, extrapolated since
+    the last broadcast.
+    """
     model, topo, agents, n = cfg.model, cfg.topology, cfg.agents, cfg.model.n
-    if not model.time_invariant:
+    event = mode == "event"
+    if event and not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")
-    A, Q = model.A_at(0), model.Q_at(0)
-    pairs = cfg.initial_pairs()
-    P = [p for _, p in pairs]
-    held_P = [p.copy() for _, p in pairs]   # anchors: initial time is a broadcast
+    P = [p for _, p in cfg.initial_pairs()]
+    held_P = [p.copy() for p in P]   # anchors: initial time is a broadcast
     steps = []
     for k in range(1, cfg.T + 1):
-        held_P = [filt.symmetrize(A @ hp @ A.T + Q) for hp in held_P]
         Ks, Pt = [], []
         for i, a in enumerate(agents):
             p, Kg = _predict_update_P(P[i], model, a, k)
             Pt.append(p)
             Ks.append(Kg)
-        gs, fired = [], []
-        for i in range(topo.N):
-            diff = filt.symmetrize(np.linalg.inv(Pt[i]) - np.linalg.inv(held_P[i]))
-            g = float(np.linalg.eigvalsh(diff).max()) - agents[i].delta
-            gs.append(g)
-            fired.append(g > 0.0)
-            if g > 0.0:
-                held_P[i] = Pt[i].copy()
-
-        coeffs, Pcs = [], []
-        for i in range(topo.N):
-            omega = topo.weights[i, i] * np.linalg.inv(Pt[i])
-            terms = [(i, omega.copy())]
-            for j in topo.in_neighbors(i):
-                if j == i:
-                    continue
-                # fired neighbors were re-anchored above, so held_P is fresh
-                M = topo.weights[i, j] * np.linalg.inv(held_P[j])
-                omega = omega + M
-                terms.append((j, M))
-            Pc = filt.symmetrize(np.linalg.inv(omega))
-            coeffs.append([(j, Pc @ M) for j, M in terms])
-            Pcs.append(Pc)
-        Gs, cs, Pp = [], [], []
-        for i, a in enumerate(agents):
-            G, c, p = _projection_maps(Pcs[i], a, n)
-            Gs.append(G)
-            cs.append(c)
-            Pp.append(p)
-        P = Pp
-        steps.append(_Step(K=Ks, rounds=[(coeffs, Gs, cs)],
-                           P=[p.copy() for p in P], g=gs, fired=fired))
+        st = _Step(K=Ks, rounds=[], P=[])
+        if event:
+            A, Q = model.A_at(k - 1), model.Q_at(k - 1)
+            held_P = [filt.symmetrize(A @ hp @ A.T + Q) for hp in held_P]
+            for i in range(topo.N):
+                diff = filt.symmetrize(np.linalg.inv(Pt[i]) - np.linalg.inv(held_P[i]))
+                g = float(np.linalg.eigvalsh(diff).max()) - agents[i].delta
+                st.g.append(g)
+                st.fired.append(g > 0.0)
+                if g > 0.0:
+                    held_P[i] = Pt[i].copy()
+        for _l in range(1 if event else cfg.L):
+            coeffs, Pcs = _fusion_maps(Pt, held_P if event else Pt, topo, n)
+            Gs, cs, Pt = [], [], []
+            for i, a in enumerate(agents):
+                G, c, p = _projection_maps(Pcs[i], a, n)
+                Gs.append(G)
+                cs.append(c)
+                Pt.append(p)
+            st.rounds.append((coeffs, Gs, cs))
+        P = Pt
+        st.P = [p.copy() for p in P]
+        steps.append(st)
     return steps
 
 
@@ -425,7 +397,7 @@ def _run_core(cfg: ScenarioConfig, mode: str, trials: int, seed: int,
               truth_cfg: ScenarioConfig | None = None) -> RunMetrics:
     X, Y, gc = _noise_blocks(cfg, trials, seed, truth_cfg)
     model, topo, n, T = cfg.model, cfg.topology, cfg.model.n, cfg.T
-    steps = _tpdkf_path(cfg) if mode == "time" else _epdkf_path(cfg)
+    steps = _covariance_path(cfg, mode)
 
     own = [(a.D, a.d) if a.has_constraint else None for a in cfg.agents]
     rec = _Recorder(cfg, trials, seed, gc, own)
@@ -459,15 +431,13 @@ def _run_core(cfg: ScenarioConfig, mode: str, trials: int, seed: int,
 
         cur = pred
         for coeffs, Gs, cs in st.rounds:
+            # fired neighbors were re-anchored above, so held == fresh for them
+            nbr = held if mode == "event" else cur
             fused = []
             for i in range(topo.N):
                 acc = np.zeros((n, trials))
                 for j, C in coeffs[i]:
-                    if mode == "event" and j != i:
-                        # fired neighbors were re-anchored, so held == fresh
-                        acc += C @ held[j]
-                    else:
-                        acc += C @ cur[j]
+                    acc += C @ (cur[j] if j == i else nbr[j])
                 fused.append(acc)
             cur = [Gs[i] @ fused[i] + cs[i].reshape(-1, 1) for i in range(topo.N)]
         est = cur
@@ -496,6 +466,16 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None,
     if t < 1:
         raise ValueError("trials must be at least 1")
     return _run_core(cfg, cfg.mode, t, s)
+
+
+def pilot_betas(cfg: ScenarioConfig) -> tuple:
+    """Default (β, β̄) for the design tools: contraction factors covering every
+    covariance of a time-based pilot pass over the first min(T, 50) steps."""
+    pilot = dataclasses.replace(cfg, T=min(cfg.T, 50), mode="time",
+                                L=max(cfg.L, 1))
+    mats = [p for _, p in cfg.initial_pairs()]
+    mats += [p for st in _covariance_path(pilot, "time") for p in st.P]
+    return pilot_contraction_factors(mats, cfg.model.A_at(0), cfg.model.Q_at(0))
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +727,8 @@ def write_triggers_csv(path: str, rm: RunMetrics) -> None:
             fh.write(f"{k},{i},{_fmt(g)},{int(fired)}\n")
 
 
-def write_manifest(path: str, cfg: ScenarioConfig, overrides: dict | None = None,
-                   trials: int | None = None, seed: int | None = None) -> None:
+def write_manifest(path: str, cfg: ScenarioConfig,
+                   overrides: dict | None = None) -> None:
     try:
         from importlib.metadata import version
         pkg_version = version("pdkf")
@@ -757,8 +737,8 @@ def write_manifest(path: str, cfg: ScenarioConfig, overrides: dict | None = None
     manifest = {
         "scenario": cfg.name,
         "scenario_sha256": scenario_hash(cfg),
-        "seed": cfg.seed if seed is None else seed,
-        "trials": cfg.trials if trials is None else trials,
+        "seed": cfg.seed,
+        "trials": cfg.trials,
         "mode": cfg.mode,
         "overrides": overrides or {},
         "versions": {

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from pdkf import analysis, cli, sim
-from pdkf.analysis import eco_check, eig_pos, pilot_contraction_factors, rate_bound
+from pdkf import cli, sim
+from pdkf.analysis import eco_check, eig_pos, rate_bound
 from pdkf.filter import ConsistentEstimate, ci_fuse, project
 from pdkf.model import AgentSpec, SystemModel, Topology, metropolis_weights
 from pdkf.sim import ScenarioConfig, case1
@@ -174,15 +174,6 @@ def _vehicle_unconstrained(delta, seed, T=200):
                           mode="event", seed=seed, P0_init=P0, x0_cov=P0)
 
 
-def _pilot(cfg):
-    pilot = dataclasses.replace(cfg, T=min(cfg.T, 50), mode="time",
-                                L=max(cfg.L, 1))
-    steps = sim._tpdkf_path(pilot)
-    mats = [p for _, p in cfg.initial_pairs()]
-    mats += [p for st in steps for p in st.P]
-    return pilot_contraction_factors(mats, cfg.model.A_at(0), cfg.model.Q_at(0))
-
-
 def test_criterion_08_rate_bound_soundness():
     scenarios = [_scalar_pair(4.0, seed) for seed in (0, 1, 2)]
     scenarios += [_scalar_pair(1.2, 3), _scalar_pair(5.0, 4)]
@@ -190,7 +181,7 @@ def test_criterion_08_rate_bound_soundness():
     rows = []
     sound = True
     for cfg in scenarios:
-        beta, beta_bar = _pilot(cfg)
+        beta, beta_bar = sim.pilot_betas(cfg)
         rep = rate_bound(cfg.agents[0].delta, cfg.model, cfg.agents,
                          cfg.topology, cfg.T, beta, beta_bar)
         lam = sim.run_event(cfg).lambda_
@@ -199,7 +190,7 @@ def test_criterion_08_rate_bound_soundness():
         rows.append(f"{lam:.3f}<={rep.lambda0:.3f}")
 
     grid_cfg = _scalar_pair(4.0, 0)
-    beta, beta_bar = _pilot(grid_cfg)
+    beta, beta_bar = sim.pilot_betas(grid_cfg)
     grid = [rate_bound(d, grid_cfg.model, grid_cfg.agents, grid_cfg.topology,
                        grid_cfg.T, beta, beta_bar).lambda0
             for d in (1.2, 1.6, 2.0, 3.0, 4.0)]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from pdkf import cli, sim
 from pdkf.model import AgentSpec, SystemModel, Topology
@@ -120,6 +121,17 @@ def test_bad_delta_count_exits_two(case1_file, capsys):
     capsys.readouterr()
 
 
+def test_short_sim_r_exits_two(case1_file, tmp_path, capsys):
+    with open(case1_file) as fh:
+        raw = yaml.safe_load(fh)
+    raw["sim"]["sim_r"] = [[[90.0]]]          # one entry for three agents
+    bad = tmp_path / "short_sim_r.scn"
+    bad.write_text(yaml.safe_dump(raw))
+    rc = cli.main(["mc", str(bad), "--out", str(tmp_path / "mc")])
+    assert rc == cli.EXIT_VALIDATION
+    assert "sim_r" in capsys.readouterr().err
+
+
 def test_nonuniform_rate_bound_needs_explicit_delta(case1_file, capsys):
     rc = cli.main(["rate-bound", case1_file])
     assert rc == cli.EXIT_VALIDATION
@@ -131,4 +143,7 @@ def test_case1_subcommand_runs(tmp_path, capsys):
     rc = cli.main(["case1", "--out", str(out), "--seed", "3"])
     assert rc == cli.EXIT_OK
     assert (out / "metrics.csv").exists()
-    assert "lambda:" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "lambda:" in printed
+    # the same lines as `pdkf mc`
+    assert "trials: 1\n" in printed and f"wrote metrics.csv to {out}" in printed

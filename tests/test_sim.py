@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from pdkf import sim
+from pdkf.event import TriggerState, epdkf_round
+from pdkf.filter import AgentState, ConsistentEstimate, tpdkf_round
 from pdkf.model import AgentSpec, SystemModel, Topology, build_global_constraint
 from pdkf.sim import (
     ROAD_D,
@@ -75,6 +77,11 @@ def test_scenario_validation():
         dataclasses.replace(cfg, agents=cfg.agents[:2])
 
 
+def test_sim_r_needs_one_entry_per_agent():
+    with pytest.raises(ValueError, match="sim_r"):
+        dataclasses.replace(case1(), sim_r=[np.array([[90.0]])])
+
+
 # --- truth generation ------------------------------------------------------
 
 def test_truth_respects_heading_constraint():
@@ -141,6 +148,51 @@ def test_ckf_baseline_runs_and_diverges_without_constraint_rows():
     # its covariance keeps growing on the marginally stable vehicle model
     rm = ckf_baseline(case1(mode="time", T=120))
     assert rm.trace_p[120] > 3 * rm.trace_p[40]
+
+
+# --- engine vs. reference rounds ----------------------------------------------
+
+def _reference_run(cfg):
+    """Per-step MSE and fired sets of `tpdkf_round`/`epdkf_round` on trial 0
+    of the engine's noise stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    X, Y = generate_truth(cfg, rng)
+    pairs = cfg.initial_pairs()
+    states = [AgentState(i, ConsistentEstimate(x, P))
+              for i, (x, P) in enumerate(pairs)]
+    trig = [TriggerState(x, P, 0, a.delta) for (x, P), a in zip(pairs, cfg.agents)]
+    args = (cfg.model, cfg.agents, cfg.topology)
+
+    def mse(k):
+        return np.mean([np.sum((s.estimate.x - X[k]) ** 2) for s in states])
+
+    out, fired = [mse(0)], {}
+    for k in range(1, cfg.T + 1):
+        y = [Y[i][k - 1] for i in range(cfg.topology.N)]
+        if cfg.mode == "time":
+            states = tpdkf_round(states, y, *args, cfg.L, k)
+        else:
+            states, f = epdkf_round(states, trig, y, *args, k)
+            if f:
+                fired[k] = f
+        out.append(mse(k))
+    return np.array(out), fired
+
+
+@pytest.mark.parametrize("cfg", [
+    case1(mode="time", L=2, T=60, seed=5),
+    case2(mode="time", L=2, T=60, trials=1, seed=5),
+    case1(mode="event", T=60, seed=5),
+    case1(mode="event", T=60, seed=5, delta=(0.0, 0.0, 0.0)),
+    case2(mode="event", T=60, trials=1, seed=5),
+    case2(mode="event", T=60, trials=1, seed=5, delta=0.0),
+], ids=["case1-time", "case2-time", "case1-event", "case1-event-d0",
+        "case2-event", "case2-event-d0"])
+def test_engine_matches_reference_rounds(cfg):
+    rm = run_time_based(cfg) if cfg.mode == "time" else run_event(cfg)
+    mse, fired = _reference_run(cfg)
+    assert np.all(np.abs(rm.mse - mse) <= 1e-10 * mse)
+    assert rm.fired_sets() == fired
 
 
 # --- event mode ---------------------------------------------------------------
