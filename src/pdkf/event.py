@@ -19,12 +19,18 @@ from .filter import (AgentState, ConsistentEstimate, ci_fuse, measurement_update
 from .model import AgentSpec, SystemModel, Topology
 
 
+_ANCHOR_FIELDS = frozenset({"last_x", "last_P", "last_time"})
+
+
 @dataclass
 class TriggerState:
     """Last broadcast pair of one agent plus its trigger threshold.
 
     The initial state counts as a broadcast at time 0, so extrapolation is
-    always anchored.
+    always anchored.  `held_at` caches the anchor's extrapolation and advances
+    it from the cached step, so a caller that moves k forward by one per round
+    pays one prediction per round whatever the gap since the last broadcast.
+    Assigning any anchor field restarts the cache.
     """
 
     last_x: np.ndarray
@@ -33,10 +39,38 @@ class TriggerState:
     delta: float
 
     def __post_init__(self):
-        self.last_x = np.asarray(self.last_x, dtype=float).ravel()
-        self.last_P = np.asarray(self.last_P, dtype=float)
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        self.last_x = np.array(self.last_x, dtype=float).ravel()
+        self.last_P = np.array(self.last_P, dtype=float)
+        if not 0 <= self.delta < np.inf:
+            raise ValueError("delta must be finite and nonnegative")
+
+    def __setattr__(self, name, value):
+        if name in _ANCHOR_FIELDS:
+            object.__setattr__(self, "_held", None)
+        object.__setattr__(self, name, value)
+
+    def held_at(self, k: int, A, Q) -> tuple[np.ndarray, np.ndarray]:
+        """(x̄̃, P̄̃): the anchor extrapolated to time k.
+
+        Forms the same products as `multi_step_prediction` (x ← A x,
+        P ← A P Aᵀ + Q), so the result is bit-identical to it.  The cache
+        restarts from the anchor when k is below the cached step or A/Q are
+        other objects than last time.  The returned arrays are shared with the
+        cache and must not be modified.
+        """
+        if k < self.last_time:
+            raise ValueError("trigger state is ahead of the current time")
+        A = np.asarray(A, dtype=float)
+        Q = np.asarray(Q, dtype=float)
+        held = self._held
+        if held is None or held[0] > k or held[1] is not A or held[2] is not Q:
+            held = (self.last_time, A, Q, self.last_x, self.last_P)
+        step, _, _, x, P = held
+        for _ in range(k - step):
+            x = A @ x
+            P = A @ P @ A.T + Q
+        self._held = (k, A, Q, x, P)
+        return x, P
 
 
 @dataclass(frozen=True)
@@ -93,15 +127,8 @@ def resolve_neighbor_pair(trigger_state: TriggerState, k: int, A, Q,
         trigger_state.last_x = np.asarray(incoming.x, dtype=float).ravel()
         trigger_state.last_P = np.asarray(incoming.P, dtype=float)
         trigger_state.last_time = k
-        return trigger_state.last_x.copy(), trigger_state.last_P.copy()
-    steps = k - trigger_state.last_time
-    if steps < 0:
-        raise ValueError("trigger state is ahead of the current time")
-    A = np.asarray(A, dtype=float)
-    x = trigger_state.last_x.copy()
-    for _ in range(steps):
-        x = A @ x
-    return x, multi_step_prediction(trigger_state.last_P, A, Q, steps)
+    x, P = trigger_state.held_at(k, A, Q)
+    return x.copy(), P.copy()
 
 
 def epdkf_round(states: list[AgentState], trigger_states: list[TriggerState],
@@ -126,8 +153,7 @@ def epdkf_round(states: list[AgentState], trigger_states: list[TriggerState],
         if spec.has_measurement:
             est = measurement_update(est, measurements[st.id], spec.H, spec.R)
         fresh.append(est)
-        P_held = multi_step_prediction(ts.last_P, A, Q, k - ts.last_time)
-        g, fire = trigger_eval(est.P, P_held, ts.delta)
+        g, fire = trigger_eval(est.P, ts.held_at(k, A, Q)[1], ts.delta)
         if fire:
             fired.add(st.id)
             messages[st.id] = BroadcastMessage(st.id, est.x.copy(), est.P.copy(), k)

@@ -27,6 +27,11 @@ def _as_matrix(M, name: str) -> np.ndarray:
     return M
 
 
+def _check_finite(M: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{name} has non-finite entries")
+
+
 def _check_symmetric(M: np.ndarray, name: str, tol: float = 1e-8) -> None:
     if M.size == 0:
         return
@@ -38,6 +43,17 @@ def _check_symmetric(M: np.ndarray, name: str, tol: float = 1e-8) -> None:
 def _is_psd(M: np.ndarray, tol: float = 1e-10) -> bool:
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
     return bool(w.min() >= -tol * max(1.0, abs(w.max())))
+
+
+def _check_covariance(M: np.ndarray, name: str, m: int) -> None:
+    """A finite, symmetric positive semidefinite (m, m) matrix; zero is legal."""
+    M = np.asarray(M, dtype=float)
+    if M.shape != (m, m):
+        raise ValueError(f"{name} must be ({m}, {m}), got {M.shape}")
+    _check_finite(M, name)
+    _check_symmetric(M, name)
+    if not _is_psd(M):
+        raise ValueError(f"{name} must be positive semidefinite")
 
 
 def matrix_rank(M: np.ndarray) -> int:
@@ -76,6 +92,11 @@ class SystemModel:
         object.__setattr__(self, "Q", Q_seq)
         object.__setattr__(self, "x0_mean", np.asarray(self.x0_mean, dtype=float).ravel())
         object.__setattr__(self, "P0", _as_matrix(self.P0, "P0"))
+        for name, seq in (("A", A_seq), ("Q", Q_seq)):
+            for k, M in enumerate(seq):
+                _check_finite(M, f"{name}[{k}]")
+        _check_finite(self.x0_mean, "x0_mean")
+        _check_finite(self.P0, "P0")
         n = self.n
         if self.x0_mean.shape != (n,):
             raise ValueError("x0_mean length does not match state dimension")
@@ -147,6 +168,8 @@ class AgentSpec:
         object.__setattr__(self, "R", _as_matrix(self.R, "R"))
         object.__setattr__(self, "D", _as_matrix(self.D, "D"))
         object.__setattr__(self, "d", np.asarray(self.d, dtype=float).ravel())
+        for name in ("H", "R", "D", "d"):
+            _check_finite(getattr(self, name), name)
         if self.H.shape[0] != self.R.shape[0]:
             raise ValueError("H and R disagree on measurement dimension")
         _check_symmetric(self.R, "R")
@@ -158,8 +181,8 @@ class AgentSpec:
             raise ValueError("D must be all-zero or have full row rank")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 0 <= self.delta < np.inf:
+            raise ValueError("delta must be finite and nonnegative")
 
     @property
     def has_constraint(self) -> bool:

@@ -29,6 +29,7 @@ import yaml
 from . import filter as filt
 from .analysis import pilot_contraction_factors, space_decomposition
 from .model import (AgentSpec, GlobalConstraint, SystemModel, Topology,
+                    _check_covariance, _check_finite,
                     build_global_constraint, metropolis_weights)
 
 # Road alignment used by the vehicle scenarios: heading 60 degrees, so
@@ -74,10 +75,24 @@ class ScenarioConfig:
         if self.sim_r is not None and len(self.sim_r) != len(self.agents):
             raise ValueError(f"sim_r needs one entry per agent ({len(self.agents)}), "
                              f"got {len(self.sim_r)}")
+        n = self.model.n
+        for i, a in enumerate(self.agents):
+            if a.H.shape[1] != n or a.D.shape[1] != n:
+                raise ValueError(f"agent {i}: H and D need {n} columns")
         for attr in ("x0_hat", "P0_init", "x0_cov", "sim_q"):
             v = getattr(self, attr)
             if v is not None:
                 object.__setattr__(self, attr, np.asarray(v, dtype=float))
+        if self.x0_hat is not None:
+            _check_finite(self.x0_hat, "x0_hat")
+            self.x0_hat_matrix()        # raises on a wrong shape
+        covs = [(attr, getattr(self, attr), n)
+                for attr in ("P0_init", "x0_cov", "sim_q")]
+        covs += [(f"sim_r[{i}]", r, a.H.shape[0])
+                 for i, (r, a) in enumerate(zip(self.sim_r or [], self.agents))]
+        for name, M, m in covs:
+            if M is not None:
+                _check_covariance(M, name, m)
         self.checkpoints = tuple(int(k) for k in self.checkpoints)
 
     # -- derived pieces ----------------------------------------------------
@@ -88,7 +103,7 @@ class ScenarioConfig:
         if self.x0_hat is None:
             return np.tile(self.model.x0_mean, (N, 1))
         x = np.asarray(self.x0_hat, dtype=float)
-        if x.ndim == 1:
+        if x.shape == (n,):
             return np.tile(x, (N, 1))
         if x.shape != (N, n):
             raise ValueError(f"x0_hat must be (n,) or (N, n), got {x.shape}")

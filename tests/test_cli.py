@@ -121,6 +121,14 @@ def test_bad_delta_count_exits_two(case1_file, capsys):
     capsys.readouterr()
 
 
+def test_nan_delta_exits_two(case1_file, tmp_path, capsys):
+    rc = cli.main(["run-epdkf", case1_file, "--delta", "nan",
+                   "--out", str(tmp_path / "ep")])
+    assert rc == cli.EXIT_VALIDATION
+    assert "delta" in capsys.readouterr().err
+    assert not (tmp_path / "ep" / "triggers.csv").exists()
+
+
 def test_short_sim_r_exits_two(case1_file, tmp_path, capsys):
     with open(case1_file) as fh:
         raw = yaml.safe_load(fh)
@@ -130,6 +138,27 @@ def test_short_sim_r_exits_two(case1_file, tmp_path, capsys):
     rc = cli.main(["mc", str(bad), "--out", str(tmp_path / "mc")])
     assert rc == cli.EXIT_VALIDATION
     assert "sim_r" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("agents", 0, "R"), [[float("inf")]], "R"),
+    (("model", "x0_mean", 0), float("nan"), "x0_mean"),
+    (("sim", "P0_init"), np.diag([1.0, -1.0, 1.0, 1.0]).tolist(), "P0_init"),
+], ids=["inf-R", "nan-x0_mean", "indefinite-P0_init"])
+def test_bad_scenario_values_exit_two(case1_file, tmp_path, capsys, path,
+                                      value, field):
+    with open(case1_file) as fh:
+        raw = yaml.safe_load(fh)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.scn"
+    bad.write_text(yaml.safe_dump(raw))
+    rc = cli.main(["mc", str(bad), "--out", str(tmp_path / "mc")])
+    assert rc == cli.EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "mc" / "metrics.csv").exists()
 
 
 def test_nonuniform_rate_bound_needs_explicit_delta(case1_file, capsys):

@@ -79,6 +79,100 @@ def test_resolve_silent_neighbor_extrapolates():
                               3, A, Q, None)
 
 
+# --- the cached extrapolation against the from-anchor reference -------------
+
+def _drift_model(seed=3, n=3):
+    rng = np.random.default_rng(seed)
+    A = 0.9 * np.eye(n) + 0.05 * rng.standard_normal((n, n))
+    return A, oracles.random_psd(rng, n), rng.standard_normal(n), \
+        oracles.random_psd(rng, n)
+
+
+def _from_anchor(x, P, A, Q, steps):
+    for _ in range(steps):
+        x = A @ x
+    return x, multi_step_prediction(P, A, Q, steps)
+
+
+def _assert_pair_equal(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_held_at_matches_reference_without_reanchoring():
+    A, Q, x0, P0 = _drift_model()
+    ts = TriggerState(x0, P0, 0, 0.1)
+    x, P = x0.copy(), P0.copy()
+    for k in range(301):
+        got = ts.held_at(k, A, Q)
+        _assert_pair_equal(got, (x, P))
+        _assert_pair_equal(got, _from_anchor(x0, P0, A, Q, k))
+        x, P = A @ x, A @ P @ A.T + Q
+    assert ts.last_time == 0
+
+
+def test_held_at_restarts_after_message():
+    A, Q, x0, P0 = _drift_model()
+    ts = TriggerState(x0, P0, 0, 0.1)
+    for k in range(6):
+        ts.held_at(k, A, Q)
+    msg = BroadcastMessage(sender=0, x=2.0 * x0, P=3.0 * P0, k=7)
+    _assert_pair_equal(resolve_neighbor_pair(ts, 7, A, Q, msg), (msg.x, msg.P))
+    for k in range(8, 12):
+        _assert_pair_equal(resolve_neighbor_pair(ts, k, A, Q, None),
+                           _from_anchor(msg.x, msg.P, A, Q, k - 7))
+
+
+def test_held_at_restarts_after_assigning_anchor_fields():
+    A, Q, x0, P0 = _drift_model()
+    ts = TriggerState(x0, P0, 0, 0.1)
+    for k in range(6):
+        ts.held_at(k, A, Q)
+    ts.last_P = 2.0 * P0
+    ts.last_time = 4
+    _assert_pair_equal(ts.held_at(8, A, Q), _from_anchor(x0, 2.0 * P0, A, Q, 4))
+    ts.last_x = -x0
+    _assert_pair_equal(ts.held_at(9, A, Q), _from_anchor(-x0, 2.0 * P0, A, Q, 5))
+
+
+def test_trigger_state_copies_its_anchor():
+    A, Q, x0, P0 = _drift_model()
+    want = _from_anchor(x0.copy(), P0.copy(), A, Q, 3)
+    ts = TriggerState(x0, P0, 0, 0.1)
+    x0[:] = 9.0
+    P0[:] = 7.0
+    _assert_pair_equal(resolve_neighbor_pair(ts, 3, A, Q, None), want)
+
+
+def test_trigger_state_rejects_non_finite_delta():
+    with pytest.raises(ValueError, match="delta must be finite"):
+        TriggerState([0.0], [[1.0]], 0, float("nan"))
+
+
+def test_held_at_behind_cache_restarts_and_behind_anchor_raises():
+    A, Q, x0, P0 = _drift_model()
+    ts = TriggerState(x0, P0, 2, 0.1)
+    ts.held_at(10, A, Q)
+    _assert_pair_equal(ts.held_at(4, A, Q), _from_anchor(x0, P0, A, Q, 2))
+    _assert_pair_equal(ts.held_at(5, A, Q), _from_anchor(x0, P0, A, Q, 3))
+    with pytest.raises(ValueError, match="ahead"):
+        ts.held_at(1, A, Q)
+
+
+def test_epdkf_round_never_rebuilds_from_anchor(monkeypatch):
+    def rebuild(*_):
+        raise AssertionError("multi_step_prediction called")
+
+    monkeypatch.setattr("pdkf.event.multi_step_prediction", rebuild)
+    model, agents, top = path3_setup(delta=(5.0, 5.0, 5.0))
+    states = fresh_states(model, agents, np.random.default_rng(0))
+    triggers = [TriggerState(s.estimate.x, s.estimate.P, 0, a.delta)
+                for s, a in zip(states, agents)]
+    for k in range(1, 30):
+        states, _ = epdkf_round(states, triggers, [np.zeros(1)] * 3, model,
+                                agents, top, k)
+
+
 def path3_setup(delta=(0.3, 0.4, 0.8)):
     n = 4
     A = np.array([[1, 0, 0.1, 0], [0, 1, 0, 0.1], [0, 0, 1, 0], [0, 0, 0, 1.0]])

@@ -133,6 +133,14 @@ def test_system_model_rejects_indefinite_Q():
                     x0_mean=np.zeros(2), P0=np.eye(2))
 
 
+@pytest.mark.parametrize("field", ["A", "Q", "x0_mean", "P0"])
+def test_system_model_rejects_non_finite(field):
+    kw = dict(A=np.eye(2), Q=np.eye(2), x0_mean=np.zeros(2), P0=np.eye(2))
+    kw[field] = np.full_like(kw[field], np.nan)
+    with pytest.raises(ValueError, match=f"{field}.*non-finite"):
+        SystemModel(**kw)
+
+
 # --- AgentSpec ----------------------------------------------------------
 
 def test_agent_spec_shape_checks():
@@ -210,3 +218,18 @@ def test_matrix_rank_relative_tolerance():
     M = np.array([[1e6, 2e6], [1e6, 2e6 + 1e-6]])
     assert matrix_rank(M) == 1
     assert matrix_rank(np.array([[1.0, 0.0], [0.0, 1e-3]])) == 2
+
+
+@pytest.mark.parametrize("field", ["H", "R", "D", "d"])
+def test_agent_spec_rejects_non_finite(field):
+    kw = dict(H=np.ones((1, 2)), R=np.eye(1), D=np.array([[1.0, -1.0]]),
+              d=np.zeros(1))
+    kw[field] = np.full_like(kw[field], np.inf)
+    with pytest.raises(ValueError, match=f"{field} has non-finite"):
+        AgentSpec(**kw)
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf])
+def test_agent_spec_rejects_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="delta must be finite"):
+        make_agent(delta=delta)

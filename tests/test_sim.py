@@ -82,6 +82,29 @@ def test_sim_r_needs_one_entry_per_agent():
         dataclasses.replace(case1(), sim_r=[np.array([[90.0]])])
 
 
+@pytest.mark.parametrize("override, field", [
+    (dict(x0_hat=np.array([0.0, np.nan, 0.0, 0.0])), "x0_hat"),
+    (dict(x0_hat=np.zeros(3)), "x0_hat"),
+    (dict(P0_init=np.diag([1.0, -1.0, 1.0, 1.0])), "P0_init"),
+    (dict(x0_cov=np.triu(np.ones((4, 4)))), "x0_cov"),
+    (dict(sim_q=np.full((4, 4), np.inf)), "sim_q"),
+    (dict(sim_q=np.eye(3)), "sim_q"),
+    (dict(sim_r=[None, np.array([[-1.0]]), None]), r"sim_r\[1\]"),
+], ids=["nan-x0_hat", "short-x0_hat", "indefinite-P0_init", "asymmetric-x0_cov",
+        "inf-sim_q", "small-sim_q", "negative-sim_r"])
+def test_scenario_rejects_bad_overrides(override, field):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(case1(), **override)
+
+
+def test_scenario_rejects_agent_of_other_width():
+    cfg = case1()
+    narrow = AgentSpec(H=np.ones((1, 3)), R=np.eye(1), D=np.zeros((0, 3)),
+                       d=np.zeros(0))
+    with pytest.raises(ValueError, match="agent 0"):
+        dataclasses.replace(cfg, agents=[narrow] + cfg.agents[1:])
+
+
 # --- truth generation ------------------------------------------------------
 
 def test_truth_respects_heading_constraint():
@@ -153,8 +176,8 @@ def test_ckf_baseline_runs_and_diverges_without_constraint_rows():
 # --- engine vs. reference rounds ----------------------------------------------
 
 def _reference_run(cfg):
-    """Per-step MSE and fired sets of `tpdkf_round`/`epdkf_round` on trial 0
-    of the engine's noise stream."""
+    """Per-step MSE, fired sets and final (error, P) per agent of
+    `tpdkf_round`/`epdkf_round` on trial 0 of the engine's noise stream."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     X, Y = generate_truth(cfg, rng)
     pairs = cfg.initial_pairs()
@@ -176,7 +199,8 @@ def _reference_run(cfg):
             if f:
                 fired[k] = f
         out.append(mse(k))
-    return np.array(out), fired
+    final = [(s.estimate.x - X[cfg.T], s.estimate.P) for s in states]
+    return np.array(out), fired, final
 
 
 @pytest.mark.parametrize("cfg", [
@@ -189,10 +213,15 @@ def _reference_run(cfg):
 ], ids=["case1-time", "case2-time", "case1-event", "case1-event-d0",
         "case2-event", "case2-event-d0"])
 def test_engine_matches_reference_rounds(cfg):
+    cfg = dataclasses.replace(cfg, checkpoints=(cfg.T,))
     rm = run_time_based(cfg) if cfg.mode == "time" else run_event(cfg)
-    mse, fired = _reference_run(cfg)
+    mse, fired, final = _reference_run(cfg)
     assert np.all(np.abs(rm.mse - mse) <= 1e-10 * mse)
     assert rm.fired_sets() == fired
+    for i, (e, P) in enumerate(final):
+        S = np.outer(e, e)
+        assert np.abs(rm.sample_moment[(cfg.T, i)] - S).max() <= 1e-10 * np.abs(S).max()
+        assert np.abs(rm.P_checkpoint[(cfg.T, i)] - P).max() <= 1e-10 * np.abs(P).max()
 
 
 # --- event mode ---------------------------------------------------------------
