@@ -5,11 +5,11 @@ reproducible simulation harness."""
 
 from .model import (AgentSpec, GlobalConstraint, SystemModel, Topology,
                     build_global_constraint, metropolis_weights)
-from .filter import (AgentState, ConsistentEstimate, ci_fuse, init_consistent,
-                     measurement_update, predict, project, tpdkf_round)
-from .event import (BroadcastMessage, TriggerState, epdkf_round,
-                    information_gain, multi_step_prediction,
-                    resolve_neighbor_pair, trigger_eval)
+from .filter import (AgentState, ConsistentEstimate, ci_fuse, ci_maps,
+                     init_consistent, kalman_gain, measurement_update, predict,
+                     project, projection_map, tpdkf_round)
+from .event import (TriggerState, epdkf_round, information_gain,
+                    trigger_eval, trigger_from_info)
 from .analysis import (EcoReport, RateReport, ThresholdReport, compute_beta,
                        compute_beta_bar, constraint_error, eco_check, eig_pos,
                        f_upper, pilot_contraction_factors, rate_bound,

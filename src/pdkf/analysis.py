@@ -447,6 +447,8 @@ def solve_T2(delta: float, i: int, model: SystemModel, agents: list[AgentSpec],
 
 
 def _rate_tables(T, model, agents, topology, beta, beta_bar):
+    if not (0.0 < beta < 1.0 and 0.0 < beta_bar < 1.0):
+        raise ValueError("beta and beta_bar must lie in (0, 1)")
     f_tab = _f_table(T, model, agents, topology, beta_bar)
     zbar_tab = _zbar_table(T, model, agents, topology, beta, 0.0)
     S_list = _delta_corrections(T, model, beta)

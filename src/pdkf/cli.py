@@ -124,6 +124,9 @@ def _parse_beta(args, cfg) -> tuple:
     """(beta, beta_bar) from --beta or from a pilot covariance run."""
     if args.beta is not None:
         vals = [float(v) for v in args.beta.split(",")]
+        if not all(0.0 < v < 1.0 for v in vals):
+            raise ValueError(f"--beta values must be finite and lie in (0, 1), "
+                             f"got {args.beta!r}")
         if len(vals) == 1:
             return vals[0], sim.pilot_betas(cfg)[1]
         if len(vals) == 2:

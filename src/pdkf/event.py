@@ -52,11 +52,11 @@ class TriggerState:
     def held_at(self, k: int, A, Q) -> tuple[np.ndarray, np.ndarray]:
         """(x̄̃, P̄̃): the anchor extrapolated to time k.
 
-        Forms the same products as `multi_step_prediction` (x ← A x,
-        P ← A P Aᵀ + Q), so the result is bit-identical to it.  The cache
-        restarts from the anchor when k is below the cached step or A/Q are
-        other objects than last time.  The returned arrays are shared with the
-        cache and must not be modified.
+        Applies x ← A x, P ← A P Aᵀ + Q once per step since the anchor, so
+        the result is bit-identical to that loop run from the anchor.  The
+        cache restarts from the anchor when k is below the cached step or A/Q
+        are other objects than last time.  The returned arrays are shared with
+        the cache and must not be modified.
         """
         if k < self.last_time:
             raise ValueError("trigger state is ahead of the current time")
@@ -73,40 +73,28 @@ class TriggerState:
         return x, P
 
 
-@dataclass(frozen=True)
-class BroadcastMessage:
-    sender: int
-    x: np.ndarray
-    P: np.ndarray
-    k: int
-
-
-def multi_step_prediction(P_t, A, Q, steps: int) -> np.ndarray:
-    """Apply P ← A P Aᵀ + Q `steps` times (steps = 0 returns P_t unchanged)."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    P = np.asarray(P_t, dtype=float).copy()
-    A = np.asarray(A, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    for _ in range(steps):
-        P = A @ P @ A.T + Q
-    return P
-
-
-def trigger_eval(P_tilde, P_bar_tilde, delta: float) -> tuple[float, bool]:
-    """Trigger score and decision; fires only on strictly positive score."""
-    g = information_gain(P_tilde, P_bar_tilde) - delta
-    return g, bool(g > 0.0)
-
-
-def information_gain(P_tilde, P_bar_tilde) -> float:
-    """λ_max(P̃⁻¹ − P̄̃⁻¹) of two positive definite matrices."""
-    diff = _inv_pd(P_tilde, "P_tilde") - _inv_pd(P_bar_tilde, "P_bar_tilde")
+def trigger_from_info(info, info_held, delta: float) -> tuple[float, bool]:
+    """Trigger score g = λ_max(Ω − Ω̄) − δ from the information matrices of
+    the fresh pair (Ω = P̃⁻¹) and of the held extrapolation (Ω̄ = P̄̃⁻¹); fires
+    only on a strictly positive score."""
+    diff = info - info_held
     sym = symmetrize(diff)
     scale = max(1.0, float(np.abs(sym).max()))
     if np.abs(diff - diff.T).max() > 1e-8 * scale:
         raise ValueError("information difference lost symmetry beyond tolerance")
-    return float(np.linalg.eigvalsh(sym).max())
+    g = float(np.linalg.eigvalsh(sym).max()) - delta
+    return g, bool(g > 0.0)
+
+
+def trigger_eval(P_tilde, P_bar_tilde, delta: float) -> tuple[float, bool]:
+    """Trigger score and decision; fires only on strictly positive score."""
+    return trigger_from_info(_inv_pd(P_tilde, "P_tilde"),
+                             _inv_pd(P_bar_tilde, "P_bar_tilde"), delta)
+
+
+def information_gain(P_tilde, P_bar_tilde) -> float:
+    """λ_max(P̃⁻¹ − P̄̃⁻¹) of two positive definite matrices."""
+    return trigger_eval(P_tilde, P_bar_tilde, 0.0)[0]
 
 
 def _inv_pd(M, name: str) -> np.ndarray:
@@ -114,21 +102,6 @@ def _inv_pd(M, name: str) -> np.ndarray:
     if np.linalg.eigvalsh(M).min() <= 0:
         raise ValueError(f"{name} must be positive definite")
     return np.linalg.inv(M)
-
-
-def resolve_neighbor_pair(trigger_state: TriggerState, k: int, A, Q,
-                          incoming: BroadcastMessage | None) -> tuple[np.ndarray, np.ndarray]:
-    """Pair a receiver uses for one neighbor at time k.
-
-    A fresh broadcast is used verbatim (and becomes the new anchor); otherwise
-    the last anchor is extrapolated forward k − t steps.
-    """
-    if incoming is not None:
-        trigger_state.last_x = np.asarray(incoming.x, dtype=float).ravel()
-        trigger_state.last_P = np.asarray(incoming.P, dtype=float)
-        trigger_state.last_time = k
-    x, P = trigger_state.held_at(k, A, Q)
-    return x.copy(), P.copy()
 
 
 def epdkf_round(states: list[AgentState], trigger_states: list[TriggerState],
@@ -147,7 +120,6 @@ def epdkf_round(states: list[AgentState], trigger_states: list[TriggerState],
     # Phase 1: local updates and trigger decisions against an immutable snapshot.
     fresh: list[ConsistentEstimate] = []
     fired: set[int] = set()
-    messages: dict[int, BroadcastMessage] = {}
     for st, spec, ts in zip(states, agents, trigger_states):
         est = predict(st.estimate, A, Q)
         if spec.has_measurement:
@@ -156,26 +128,15 @@ def epdkf_round(states: list[AgentState], trigger_states: list[TriggerState],
         g, fire = trigger_eval(est.P, ts.held_at(k, A, Q)[1], ts.delta)
         if fire:
             fired.add(st.id)
-            messages[st.id] = BroadcastMessage(st.id, est.x.copy(), est.P.copy(), k)
-            # the sender re-anchors on its own broadcast even if nobody listens
+            # the broadcast becomes the anchor every receiver extrapolates
             ts.last_x, ts.last_P, ts.last_time = est.x.copy(), est.P.copy(), k
 
-    # Phase 2: fusion with resolved neighbor pairs, one projection.
+    # Phase 2: fusion with the held neighbor pairs, one projection.
     new_states = []
     for i, spec in enumerate(agents):
-        pairs = [(fresh[i].x, fresh[i].P)]
-        weights = [topology.weights[i, i]]
-        for j in _in_neighbors0(topology, i):
-            x_j, P_j = resolve_neighbor_pair(trigger_states[j], k, A, Q,
-                                             messages.get(j))
-            pairs.append((x_j, P_j))
-            weights.append(topology.weights[i, j])
-        est = ci_fuse(pairs, weights)
-        est = project(est, spec.D, spec.d, spec.eps)
-        new_states.append(AgentState(i, est))
+        nbrs = [j for j in topology.in_neighbors(i) if j != i]
+        pairs = [(fresh[i].x, fresh[i].P)] + [trigger_states[j].held_at(k, A, Q)
+                                             for j in nbrs]
+        est = ci_fuse(pairs, topology.weights[i, [i] + nbrs])
+        new_states.append(AgentState(i, project(est, spec.D, spec.d, spec.eps)))
     return new_states, fired
-
-
-def _in_neighbors0(topology: Topology, i: int) -> np.ndarray:
-    nbrs = topology.in_neighbors(i)
-    return nbrs[nbrs != i]

@@ -80,6 +80,14 @@ def predict(est: ConsistentEstimate, A: np.ndarray, Q: np.ndarray) -> Consistent
     return ConsistentEstimate(A @ est.x, A @ est.P @ A.T + Q)
 
 
+def kalman_gain(P, H, R) -> tuple[np.ndarray, np.ndarray]:
+    """(K, P⁺) of one Kalman update: K = P Hᵀ (H P Hᵀ + R)⁻¹ and
+    P⁺ = (I − K H) P symmetrized; the updated state is x + K (y − H x)."""
+    S = H @ P @ H.T + R
+    K = np.linalg.solve(S.T, (P @ H.T).T).T
+    return K, symmetrize((np.eye(P.shape[0]) - K @ H) @ P)
+
+
 def measurement_update(est: ConsistentEstimate, y, H, R) -> ConsistentEstimate:
     """Kalman measurement update; a zero H leaves the estimate untouched."""
     H = np.asarray(H, dtype=float)
@@ -87,16 +95,24 @@ def measurement_update(est: ConsistentEstimate, y, H, R) -> ConsistentEstimate:
         return ConsistentEstimate(est.x.copy(), est.P.copy())
     y = np.asarray(y, dtype=float).ravel()
     R = np.asarray(R, dtype=float)
-    S = H @ est.P @ H.T + R
-    cond = np.linalg.cond(S)
+    cond = np.linalg.cond(H @ est.P @ H.T + R)
     if not np.isfinite(cond) or cond > 1e14:
         raise np.linalg.LinAlgError(
             f"innovation matrix is numerically singular (cond={cond:.3e})"
         )
-    K = np.linalg.solve(S.T, (est.P @ H.T).T).T
-    x = est.x + K @ (y - H @ est.x)
-    P = (np.eye(est.P.shape[0]) - K @ H) @ est.P
-    return ConsistentEstimate(x, P)
+    K, P = kalman_gain(est.P, H, R)
+    return ConsistentEstimate(est.x + K @ (y - H @ est.x), P)
+
+
+def ci_maps(infos, weights) -> tuple[np.ndarray, list]:
+    """Covariance intersection as a linear map of the fused states.
+
+    From information matrices Ω_j = P_j⁻¹ and weights a_j: P = (Σ a_j Ω_j)⁻¹
+    and C_j = P a_j Ω_j, so the fused state is x = Σ_j C_j x_j.
+    """
+    terms = [a_j * info for a_j, info in zip(weights, infos)]
+    P = symmetrize(np.linalg.inv(sum(terms)))
+    return P, [P @ M for M in terms]
 
 
 def ci_fuse(pairs, weights) -> ConsistentEstimate:
@@ -113,38 +129,40 @@ def ci_fuse(pairs, weights) -> ConsistentEstimate:
         raise ValueError("fusion weights must be positive")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("fusion weights must sum to 1")
-    n = np.asarray(pairs[0][0]).size
-    info = np.zeros((n, n))
-    info_state = np.zeros(n)
-    for a_j, (x_j, P_j) in zip(weights, pairs):
-        P_j = np.asarray(P_j, dtype=float)
-        if np.linalg.eigvalsh(symmetrize(P_j)).min() <= 0:
-            raise ValueError("ci_fuse requires positive definite inputs")
-        Pinv = np.linalg.inv(P_j)
-        info += a_j * Pinv
-        info_state += a_j * (Pinv @ np.asarray(x_j, dtype=float).ravel())
-    P = np.linalg.inv(info)
-    return ConsistentEstimate(P @ info_state, P)
+    Ps = [np.asarray(P_j, dtype=float) for _, P_j in pairs]
+    if any(np.linalg.eigvalsh(symmetrize(P_j)).min() <= 0 for P_j in Ps):
+        raise ValueError("ci_fuse requires positive definite inputs")
+    P, Cs = ci_maps([np.linalg.inv(P_j) for P_j in Ps], weights)
+    x = sum(C @ np.asarray(x_j, dtype=float).ravel() for C, (x_j, _) in zip(Cs, pairs))
+    return ConsistentEstimate(x, P)
+
+
+def projection_map(P, D, d, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constraint projection as an affine state map: (G, c, P⁺).
+
+    The state x ↦ G x + c is the exact oblique projection onto {x : D x = d}
+    (pseudo-inverse of D P Dᵀ), so D x = d holds to machine precision; P is
+    shrunk through (D P Dᵀ + eps·I)⁻¹, which keeps it positive definite and
+    equals information addition DᵀD/eps.
+    """
+    PDt = P @ D.T
+    DP = D @ P
+    S = DP @ D.T  # s×s, PD because P is
+    M = PDt @ pinv(S)
+    P_new = symmetrize(P - PDt @ np.linalg.solve(S + eps * np.eye(S.shape[0]), DP))
+    return np.eye(P.shape[0]) - M @ D, M @ d, P_new
 
 
 def project(est: ConsistentEstimate, D, d, eps: float) -> ConsistentEstimate:
-    """Project the estimate onto {x : D x = d} with a regularized P update.
-
-    The state uses the exact oblique projection (pseudo-inverse), so D x̂ = d
-    holds to machine precision; P is shrunk through (D P Dᵀ + eps·I)⁻¹, which
-    keeps it positive definite and equals information addition DᵀD/eps.
-    """
+    """Project the estimate onto {x : D x = d} through `projection_map`; an
+    all-zero D leaves the estimate untouched."""
     D = np.asarray(D, dtype=float)
     if D.size == 0 or not np.any(D != 0.0):
         return ConsistentEstimate(est.x.copy(), est.P.copy())
     if matrix_rank(D) < D.shape[0]:
         raise ValueError("D must be all-zero or have full row rank")
-    d = np.asarray(d, dtype=float).ravel()
-    PDt = est.P @ D.T
-    S = D @ PDt  # s×s, PD because P is
-    x = est.x - PDt @ (pinv(S) @ (D @ est.x - d))
-    P = est.P - PDt @ np.linalg.solve(S + eps * np.eye(S.shape[0]), PDt.T)
-    return ConsistentEstimate(x, P)
+    G, c, P = projection_map(est.P, D, np.asarray(d, dtype=float).ravel(), eps)
+    return ConsistentEstimate(G @ est.x + c, P)
 
 
 def tpdkf_round(states: list[AgentState], measurements, model: SystemModel,

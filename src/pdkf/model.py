@@ -179,8 +179,8 @@ class AgentSpec:
             raise ValueError("D and d disagree on constraint dimension")
         if self.has_constraint and matrix_rank(self.D) < self.D.shape[0]:
             raise ValueError("D must be all-zero or have full row rank")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be finite and positive")
         if not 0 <= self.delta < np.inf:
             raise ValueError("delta must be finite and nonnegative")
 

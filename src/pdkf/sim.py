@@ -28,6 +28,7 @@ import yaml
 
 from . import filter as filt
 from .analysis import pilot_contraction_factors, space_decomposition
+from .event import trigger_from_info
 from .model import (AgentSpec, GlobalConstraint, SystemModel, Topology,
                     _check_covariance, _check_finite,
                     build_global_constraint, metropolis_weights)
@@ -68,8 +69,8 @@ class ScenarioConfig:
             raise ValueError("trials must be at least 1")
         if self.mode not in ("time", "event"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "time" and self.L < 1:
-            raise ValueError("L must be at least 1 in time-based mode")
+        if self.L < 1:
+            raise ValueError(f"L must be at least 1, got {self.L}")
         if len(self.agents) != self.topology.N:
             raise ValueError("one AgentSpec per topology node required")
         if self.sim_r is not None and len(self.sim_r) != len(self.agents):
@@ -256,48 +257,16 @@ class _Step:
     fired: list = field(default_factory=list)  # event mode fired flags
 
 
-def _predict_update_P(P, model, agent, k):
-    A, Q = model.A_at(k - 1), model.Q_at(k - 1)
-    Pb = filt.symmetrize(A @ P @ A.T + Q)
-    if not agent.has_measurement:
-        return Pb, None
-    H, R = agent.H, agent.R
-    S = H @ Pb @ H.T + R
-    K = np.linalg.solve(S.T, (Pb @ H.T).T).T
-    Pt = filt.symmetrize((np.eye(model.n) - K @ H) @ Pb)
-    return Pt, K
-
-
-def _projection_maps(Pc, agent, n):
-    """Affine state map (G, c) and posterior covariance of one projection."""
-    if not agent.has_constraint:
-        return np.eye(n), np.zeros(n), Pc
-    D, d, eps = agent.D, agent.d, agent.eps
-    Mstate = Pc @ D.T @ filt.pinv(D @ Pc @ D.T)
-    G = np.eye(n) - Mstate @ D
-    c = Mstate @ d
-    Pp = filt.symmetrize(Pc - Pc @ D.T @ np.linalg.solve(
-        D @ Pc @ D.T + eps * np.eye(D.shape[0]), D @ Pc))
-    return G, c, Pp
-
-
-def _fusion_maps(P_own, P_nbr, topology, n):
-    """Per-agent CI coefficients [(j, C_ij)] with C_ij = P̌_i a_ij P_j^{-1}, and
-    the fused covariances P̌_i.  Agent i fuses its own P_own[i] with P_nbr[j]
-    of every other in-neighbor j, summed in index order."""
-    info_own = [np.linalg.inv(P) for P in P_own]
-    info_nbr = info_own if P_nbr is P_own else [np.linalg.inv(P) for P in P_nbr]
-    coeffs = []
-    Pcs = []
+def _fusion_maps(info_own, info_nbr, topology):
+    """Per-agent CI coefficients [(j, C_ij)] and fused covariances P̌_i.  Agent
+    i fuses its own information info_own[i] with info_nbr[j] of every other
+    in-neighbor j, in index order."""
+    coeffs, Pcs = [], []
     for i in range(topology.N):
-        omega = np.zeros((n, n))
-        terms = []
-        for j in topology.in_neighbors(i):
-            M = topology.weights[i, j] * (info_own[j] if j == i else info_nbr[j])
-            omega += M
-            terms.append((j, M))
-        Pc = filt.symmetrize(np.linalg.inv(omega))
-        coeffs.append([(j, Pc @ M) for j, M in terms])
+        nbrs = topology.in_neighbors(i)
+        Pc, Cs = filt.ci_maps([info_own[j] if j == i else info_nbr[j] for j in nbrs],
+                              topology.weights[i, nbrs])
+        coeffs.append(list(zip(nbrs, Cs)))
         Pcs.append(Pc)
     return coeffs, Pcs
 
@@ -308,7 +277,8 @@ def _covariance_path(cfg: ScenarioConfig, mode: str) -> list:
     Time mode runs L fusion-projection rounds on the fresh pairs.  Event mode
     decides the trigger pattern here (it is measurement-free) and runs one
     round in which neighbors contribute their held pairs, extrapolated since
-    the last broadcast.
+    the last broadcast.  Each covariance is inverted once per round, for the
+    trigger and the fusion alike.
     """
     model, topo, agents, n = cfg.model, cfg.topology, cfg.agents, cfg.model.n
     event = mode == "event"
@@ -318,30 +288,31 @@ def _covariance_path(cfg: ScenarioConfig, mode: str) -> list:
     held_P = [p.copy() for p in P]   # anchors: initial time is a broadcast
     steps = []
     for k in range(1, cfg.T + 1):
-        Ks, Pt = [], []
-        for i, a in enumerate(agents):
-            p, Kg = _predict_update_P(P[i], model, a, k)
+        A, Q = model.A_at(k - 1), model.Q_at(k - 1)
+        st = _Step(K=[], rounds=[], P=[])
+        Pt = []
+        for a, p in zip(agents, P):
+            Pb = filt.symmetrize(A @ p @ A.T + Q)
+            Kg, p = filt.kalman_gain(Pb, a.H, a.R) if a.has_measurement else (None, Pb)
+            st.K.append(Kg)
             Pt.append(p)
-            Ks.append(Kg)
-        st = _Step(K=Ks, rounds=[], P=[])
+        info = [np.linalg.inv(p) for p in Pt]
         if event:
-            A, Q = model.A_at(k - 1), model.Q_at(k - 1)
             held_P = [filt.symmetrize(A @ hp @ A.T + Q) for hp in held_P]
-            for i in range(topo.N):
-                diff = filt.symmetrize(np.linalg.inv(Pt[i]) - np.linalg.inv(held_P[i]))
-                g = float(np.linalg.eigvalsh(diff).max()) - agents[i].delta
-                st.g.append(g)
-                st.fired.append(g > 0.0)
-                if g > 0.0:
-                    held_P[i] = Pt[i].copy()
-        for _l in range(1 if event else cfg.L):
-            coeffs, Pcs = _fusion_maps(Pt, held_P if event else Pt, topo, n)
-            Gs, cs, Pt = [], [], []
+            held_info = [np.linalg.inv(hp) for hp in held_P]
             for i, a in enumerate(agents):
-                G, c, p = _projection_maps(Pcs[i], a, n)
-                Gs.append(G)
-                cs.append(c)
-                Pt.append(p)
+                g, fire = trigger_from_info(info[i], held_info[i], a.delta)
+                st.g.append(g)
+                st.fired.append(fire)
+                if fire:
+                    held_P[i], held_info[i] = Pt[i].copy(), info[i]
+        for r in range(1 if event else cfg.L):
+            if r:
+                info = [np.linalg.inv(p) for p in Pt]
+            coeffs, Pcs = _fusion_maps(info, held_info if event else info, topo)
+            maps = [filt.projection_map(Pc, a.D, a.d, a.eps) if a.has_constraint
+                    else (np.eye(n), np.zeros(n), Pc) for Pc, a in zip(Pcs, agents)]
+            Gs, cs, Pt = (list(m) for m in zip(*maps))
             st.rounds.append((coeffs, Gs, cs))
         P = Pt
         st.P = [p.copy() for p in P]
@@ -486,8 +457,7 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None,
 def pilot_betas(cfg: ScenarioConfig) -> tuple:
     """Default (β, β̄) for the design tools: contraction factors covering every
     covariance of a time-based pilot pass over the first min(T, 50) steps."""
-    pilot = dataclasses.replace(cfg, T=min(cfg.T, 50), mode="time",
-                                L=max(cfg.L, 1))
+    pilot = dataclasses.replace(cfg, T=min(cfg.T, 50), mode="time")
     mats = [p for _, p in cfg.initial_pairs()]
     mats += [p for st in _covariance_path(pilot, "time") for p in st.P]
     return pilot_contraction_factors(mats, cfg.model.A_at(0), cfg.model.Q_at(0))
@@ -521,11 +491,8 @@ def ckf_baseline(cfg: ScenarioConfig) -> RunMetrics:
         x = A @ x
         P = filt.symmetrize(A @ P @ A.T + Q)
         if idx:
-            yk = np.vstack([Y[i][k - 1] for i in idx])
-            S = Hs @ P @ Hs.T + Rs
-            K = np.linalg.solve(S.T, (P @ Hs.T).T).T
-            x = x + K @ (yk - Hs @ x)
-            P = filt.symmetrize((np.eye(n) - K @ Hs) @ P)
+            K, P = filt.kalman_gain(P, Hs, Rs)
+            x = x + K @ (np.vstack([Y[i][k - 1] for i in idx]) - Hs @ x)
         rec.record(k, [x], X[k], [P])
     rec.metrics.lambda_ = 1.0
     return rec.metrics
@@ -678,8 +645,22 @@ def load_scenario(path: str) -> ScenarioConfig:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ValueError(f"scenario file {path} is not valid YAML: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"malformed scenario file {path!r}: not a mapping")
+
+    def section(key, default=None):
+        val = raw.get(key, default)
+        if not isinstance(val, dict):
+            raise ValueError(f"malformed scenario file {path!r}: section "
+                             f"{key!r} must be a mapping")
+        return val
+
+    md, sim = section("model"), section("sim", {})
+    specs = raw.get("agents")
+    if not (isinstance(specs, list) and all(isinstance(a, dict) for a in specs)):
+        raise ValueError(f"malformed scenario file {path!r}: section 'agents' "
+                         f"must be a list of mappings")
     try:
-        md = raw["model"]
         A = np.asarray(md["A"], dtype=float)
         Q = np.asarray(md["Q"], dtype=float)
         model = SystemModel(A, Q, np.asarray(md["x0_mean"], dtype=float),
@@ -687,7 +668,7 @@ def load_scenario(path: str) -> ScenarioConfig:
                             beta1=md.get("beta1"), beta2=md.get("beta2"))
         n = model.n
         agents = []
-        for spec in raw["agents"]:
+        for spec in specs:
             D = np.asarray(spec.get("D") or [], dtype=float)
             if D.size == 0:
                 D = np.zeros((0, n))
@@ -697,8 +678,7 @@ def load_scenario(path: str) -> ScenarioConfig:
                 np.asarray(spec["R"], dtype=float),
                 D, dvec, float(spec.get("eps", 0.01)),
                 float(spec.get("delta", 0.0))))
-        topo = Topology(np.asarray(raw["topology"]["weights"], dtype=float))
-        sim = raw.get("sim", {})
+        topo = Topology(np.asarray(section("topology")["weights"], dtype=float))
         return ScenarioConfig(
             model=model, agents=agents, topology=topo,
             T=int(sim.get("T", 250)), L=int(sim.get("L", 1)),

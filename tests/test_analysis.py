@@ -503,3 +503,17 @@ def test_rate_bound_report_ranges():
         assert t is None or 0 <= t <= 50
     if rep.lambda0 is not None:
         assert 0.0 <= rep.lambda0 <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("beta, beta_bar", [
+    (1.0, 0.8), (0.0, 0.8), (0.5, 2.0), (0.5, 1.0), (float("nan"), 0.8),
+    (0.5, float("nan")), (0.5, float("inf")),
+])
+def test_rate_analysis_rejects_factors_outside_unit_interval(beta, beta_bar):
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        rate_bound(0.7, scalar_model(), two_scalar_agents(), PAIR, T=20,
+                   beta=beta, beta_bar=beta_bar)
+    for solve in (solve_T1, solve_T2):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            solve(0.7, 0, scalar_model(), BLIND, SINGLE, T=20, beta=beta,
+                  beta_bar=beta_bar)

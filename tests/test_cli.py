@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from pdkf import cli, sim
 from pdkf.model import AgentSpec, SystemModel, Topology
@@ -176,3 +177,59 @@ def test_case1_subcommand_runs(tmp_path, capsys):
     assert "lambda:" in printed
     # the same lines as `pdkf mc`
     assert "trials: 1\n" in printed and f"wrote metrics.csv to {out}" in printed
+
+
+def test_zero_rounds_exit_two_in_every_mode(case1_file, tmp_path, capsys):
+    # case1 is an event scenario, and run-tpdkf runs time mode regardless
+    rc = cli.main(["run-tpdkf", case1_file, "--L", "0",
+                   "--out", str(tmp_path / "tp")])
+    assert rc == cli.EXIT_VALIDATION
+    assert "L must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "tp" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold-bound", "--beta", "nan,nan"],
+    ["threshold-bound", "--beta", "inf"],
+    ["threshold-bound", "--beta", "0"],
+    ["rate-bound", "--delta", "1.0", "--beta", "nan", "--horizon", "30"],
+    ["rate-bound", "--delta", "1.0", "--beta", "0.5,2", "--horizon", "30"],
+    ["rate-bound", "--delta", "1.0", "--beta", "1,0.5", "--horizon", "30"],
+], ids=["nan-pair", "inf", "zero", "nan", "beta_bar-2", "beta-1"])
+def test_bad_beta_exits_two(case1_file, tmp_path, capsys, argv):
+    rc = cli.main([argv[0], case1_file, *argv[1:], "--out", str(tmp_path / "b")])
+    assert rc == cli.EXIT_VALIDATION
+    assert "--beta" in capsys.readouterr().err
+
+
+# --- fuzz: one section or field of a saved scenario replaced ----------------
+
+FUZZ_PATHS = [
+    ("model",), ("agents",), ("topology",), ("sim",), ("name",),
+    ("model", "A"), ("model", "Q"), ("model", "x0_mean"), ("model", "P0"),
+    ("agents", 0), ("agents", 1, "H"), ("agents", 0, "R"), ("agents", 0, "D"),
+    ("agents", 2, "d"), ("agents", 0, "eps"), ("agents", 1, "delta"),
+    ("topology", "weights"), ("sim", "T"), ("sim", "L"), ("sim", "mode"),
+    ("sim", "trials"), ("sim", "seed"), ("sim", "theta"), ("sim", "checkpoints"),
+    ("sim", "P0_init"), ("sim", "x0_cov"),
+]
+FUZZ_VALUES = [None, -1, 0, 0.5, 3, "", "abc", "inf", "nan", "event",
+               [], [1, 2, 3], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0, 3.0, 4.0]]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(path=st.sampled_from(FUZZ_PATHS), value=st.sampled_from(FUZZ_VALUES))
+def test_mutated_scenario_exits_zero_with_finite_csv_or_two(tmp_path_factory,
+                                                            path, value):
+    raw = yaml.safe_load(yaml.safe_dump(sim._cfg_to_dict(sim.case1(T=5))))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "bad.scn").write_text(yaml.safe_dump(raw))
+    rc = cli.main(["run-tpdkf", str(work / "bad.scn"), "--out", str(work / "out")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+    if rc == cli.EXIT_OK:
+        rows = np.loadtxt(work / "out" / "metrics.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(rows))

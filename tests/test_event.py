@@ -2,41 +2,17 @@ import numpy as np
 import pytest
 
 from pdkf.event import (
-    BroadcastMessage,
     TriggerState,
     epdkf_round,
     information_gain,
-    multi_step_prediction,
-    resolve_neighbor_pair,
     trigger_eval,
+    trigger_from_info,
 )
-from pdkf.filter import AgentState, ConsistentEstimate, tpdkf_round
+from pdkf.filter import (AgentState, ConsistentEstimate, measurement_update,
+                         predict, tpdkf_round)
 from pdkf.model import AgentSpec, SystemModel, Topology, metropolis_weights
 
 import oracles
-
-
-def test_multi_step_prediction_scalar():
-    P = multi_step_prediction(np.array([[1.0]]), np.array([[2.0]]),
-                              np.array([[1.0]]), steps=2)
-    # 1 -> 4*1+1=5 -> 4*5+1=21
-    assert P[0, 0] == pytest.approx(21.0)
-
-
-def test_multi_step_prediction_zero_steps():
-    P0 = np.array([[3.0]])
-    assert multi_step_prediction(P0, np.eye(1), np.eye(1), 0)[0, 0] == 3.0
-    with pytest.raises(ValueError):
-        multi_step_prediction(P0, np.eye(1), np.eye(1), -1)
-
-
-def test_multi_step_matches_oracle():
-    rng = np.random.default_rng(0)
-    P = oracles.random_psd(rng, 3)
-    A = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
-    Q = oracles.random_psd(rng, 3)
-    assert np.allclose(multi_step_prediction(P, A, Q, 5),
-                       oracles.multi_step(P, A, Q, 5))
 
 
 def test_information_gain_scalar():
@@ -55,28 +31,23 @@ def test_trigger_exact_tie_stays_silent():
     assert not fired
     g, fired = trigger_eval([[0.4]], [[1.0]], delta=1.0)
     assert g > 0 and fired
+    # the same tie in information form, on the inverses
+    assert trigger_from_info(np.array([[2.0]]), np.array([[1.0]]), 1.0) == (0.0, False)
 
 
-def test_resolve_fresh_message_reanchors():
-    ts = TriggerState(last_x=[0.0], last_P=[[1.0]], last_time=0, delta=0.1)
-    msg = BroadcastMessage(sender=0, x=np.array([5.0]),
-                           P=np.array([[2.0]]), k=3)
-    x, P = resolve_neighbor_pair(ts, 3, np.eye(1), np.eye(1), msg)
-    assert x[0] == 5.0 and P[0, 0] == 2.0
-    assert ts.last_time == 3 and ts.last_x[0] == 5.0
+@pytest.mark.parametrize("seed", range(5))
+def test_trigger_from_info_matches_trigger_eval(seed):
+    rng = np.random.default_rng(seed)
+    P, P_bar = oracles.random_psd(rng, 4), oracles.random_psd(rng, 4)
+    info = np.linalg.inv(0.5 * (P + P.T))
+    info_bar = np.linalg.inv(0.5 * (P_bar + P_bar.T))
+    for delta in (0.0, 0.1, 10.0):
+        assert trigger_from_info(info, info_bar, delta) == trigger_eval(P, P_bar, delta)
 
 
-def test_resolve_silent_neighbor_extrapolates():
-    A = np.array([[2.0]])
-    Q = np.array([[1.0]])
-    ts = TriggerState(last_x=[1.0], last_P=[[1.0]], last_time=0, delta=0.1)
-    x, P = resolve_neighbor_pair(ts, 3, A, Q, None)
-    assert x[0] == pytest.approx(8.0)  # 2^3 * 1
-    assert P[0, 0] == pytest.approx(oracles.multi_step([[1.0]], A, Q, 3)[0, 0])
-    assert ts.last_time == 0  # extrapolation does not move the anchor
-    with pytest.raises(ValueError):
-        resolve_neighbor_pair(TriggerState([0.0], [[1.0]], 5, 0.1),
-                              3, A, Q, None)
+def test_trigger_from_info_rejects_asymmetric_difference():
+    with pytest.raises(ValueError, match="symmetry"):
+        trigger_from_info(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), 0.0)
 
 
 # --- the cached extrapolation against the from-anchor reference -------------
@@ -91,7 +62,7 @@ def _drift_model(seed=3, n=3):
 def _from_anchor(x, P, A, Q, steps):
     for _ in range(steps):
         x = A @ x
-    return x, multi_step_prediction(P, A, Q, steps)
+    return x, oracles.multi_step(P, A, Q, steps)
 
 
 def _assert_pair_equal(got, want):
@@ -112,15 +83,26 @@ def test_held_at_matches_reference_without_reanchoring():
 
 
 def test_held_at_restarts_after_message():
-    A, Q, x0, P0 = _drift_model()
-    ts = TriggerState(x0, P0, 0, 0.1)
-    for k in range(6):
-        ts.held_at(k, A, Q)
-    msg = BroadcastMessage(sender=0, x=2.0 * x0, P=3.0 * P0, k=7)
-    _assert_pair_equal(resolve_neighbor_pair(ts, 7, A, Q, msg), (msg.x, msg.P))
+    # a broadcast in epdkf_round re-anchors the sender's trigger state on its
+    # fresh pair, and the held pair restarts from there
+    model, agents, top = path3_setup(delta=(50.0, 50.0, 50.0))
+    A, Q = model.A_at(0), model.Q_at(0)
+    states = fresh_states(model, agents, np.random.default_rng(0))
+    triggers = [TriggerState(s.estimate.x, s.estimate.P, 0, a.delta)
+                for s, a in zip(states, agents)]
+    ys = [np.ones(1)] * 3
+    for k in range(1, 7):
+        states, fired = epdkf_round(states, triggers, ys, model, agents, top, k)
+        assert not fired
+    triggers[0].delta = 0.0
+    prev = states[0].estimate
+    states, fired = epdkf_round(states, triggers, ys, model, agents, top, 7)
+    assert 0 in fired and triggers[0].last_time == 7
+    fresh = measurement_update(predict(prev, A, Q), ys[0], agents[0].H, agents[0].R)
+    _assert_pair_equal(triggers[0].held_at(7, A, Q), (fresh.x, fresh.P))
     for k in range(8, 12):
-        _assert_pair_equal(resolve_neighbor_pair(ts, k, A, Q, None),
-                           _from_anchor(msg.x, msg.P, A, Q, k - 7))
+        _assert_pair_equal(triggers[0].held_at(k, A, Q),
+                           _from_anchor(fresh.x, fresh.P, A, Q, k - 7))
 
 
 def test_held_at_restarts_after_assigning_anchor_fields():
@@ -141,7 +123,7 @@ def test_trigger_state_copies_its_anchor():
     ts = TriggerState(x0, P0, 0, 0.1)
     x0[:] = 9.0
     P0[:] = 7.0
-    _assert_pair_equal(resolve_neighbor_pair(ts, 3, A, Q, None), want)
+    _assert_pair_equal(ts.held_at(3, A, Q), want)
 
 
 def test_trigger_state_rejects_non_finite_delta():
@@ -157,20 +139,6 @@ def test_held_at_behind_cache_restarts_and_behind_anchor_raises():
     _assert_pair_equal(ts.held_at(5, A, Q), _from_anchor(x0, P0, A, Q, 3))
     with pytest.raises(ValueError, match="ahead"):
         ts.held_at(1, A, Q)
-
-
-def test_epdkf_round_never_rebuilds_from_anchor(monkeypatch):
-    def rebuild(*_):
-        raise AssertionError("multi_step_prediction called")
-
-    monkeypatch.setattr("pdkf.event.multi_step_prediction", rebuild)
-    model, agents, top = path3_setup(delta=(5.0, 5.0, 5.0))
-    states = fresh_states(model, agents, np.random.default_rng(0))
-    triggers = [TriggerState(s.estimate.x, s.estimate.P, 0, a.delta)
-                for s, a in zip(states, agents)]
-    for k in range(1, 30):
-        states, _ = epdkf_round(states, triggers, [np.zeros(1)] * 3, model,
-                                agents, top, k)
 
 
 def path3_setup(delta=(0.3, 0.4, 0.8)):

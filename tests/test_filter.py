@@ -6,11 +6,14 @@ from pdkf.filter import (
     AgentState,
     ConsistentEstimate,
     ci_fuse,
+    ci_maps,
     init_consistent,
+    kalman_gain,
     measurement_update,
     pinv,
     predict,
     project,
+    projection_map,
     symmetrize,
     tpdkf_round,
 )
@@ -220,6 +223,57 @@ def test_project_sandwiched_between_exact_and_none(seed):
     eigs = np.sort(np.linalg.eigvalsh(symmetrize(exact)))
     assert np.all(np.abs(eigs[:s]) < 1e-8 * max(1.0, eigs[-1]))
     assert eigs[s] > 1e-8
+
+
+# --- the shared kernels against the oracles, state side applied ----------
+
+def _close(got, want, rtol=1e-8):
+    return np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=RNG_PROPERTY_RUNS, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_kalman_gain_matches_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 4, 2
+    P = oracles.random_psd(rng, n)
+    H = rng.standard_normal((m, n))
+    R = oracles.random_psd(rng, m, jitter=0.1)
+    x, y = rng.standard_normal(n), rng.standard_normal(m)
+    K, P_new = kalman_gain(P, H, R)
+    x_want, P_want = oracles.kf_update(x, P, y, H, R)
+    assert _close(x + K @ (y - H @ x), x_want)
+    assert _close(P_new, P_want)
+    assert np.array_equal(P_new, P_new.T)
+
+
+@settings(max_examples=RNG_PROPERTY_RUNS, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_ci_maps_matches_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n, J = 3, 4
+    pairs = [(rng.standard_normal(n), oracles.random_psd(rng, n)) for _ in range(J)]
+    w = rng.dirichlet(np.ones(J))
+    P, Cs = ci_maps([np.linalg.inv(P_j) for _, P_j in pairs], w)
+    x_want, P_want = oracles.ci_combine(pairs, w)
+    assert _close(sum(C @ x_j for C, (x_j, _) in zip(Cs, pairs)), x_want)
+    assert _close(P, P_want)
+
+
+@settings(max_examples=RNG_PROPERTY_RUNS, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_projection_map_matches_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n, s = 4, 2
+    P = oracles.random_psd(rng, n)
+    x = rng.standard_normal(n)
+    D = rng.standard_normal((s, n))
+    d = rng.standard_normal(s)
+    eps = 10.0 ** rng.uniform(-3, 0)
+    G, c, P_new = projection_map(P, D, d, eps)
+    x_want, P_want = oracles.constrain(x, P, D, d, eps)
+    assert _close(G @ x + c, x_want)
+    assert _close(P_new, P_want)
 
 
 # --- full step -----------------------------------------------------------

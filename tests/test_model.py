@@ -233,3 +233,9 @@ def test_agent_spec_rejects_non_finite(field):
 def test_agent_spec_rejects_non_finite_delta(delta):
     with pytest.raises(ValueError, match="delta must be finite"):
         make_agent(delta=delta)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0])
+def test_agent_spec_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        make_agent(eps=eps)

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
 from pdkf import sim
 from pdkf.event import TriggerState, epdkf_round
@@ -73,6 +74,8 @@ def test_scenario_validation():
         dataclasses.replace(cfg, mode="sometimes")
     with pytest.raises(ValueError):
         dataclasses.replace(cfg, mode="time", L=0)
+    with pytest.raises(ValueError, match="L must be at least 1"):
+        dataclasses.replace(cfg, mode="event", L=0)
     with pytest.raises(ValueError):
         dataclasses.replace(cfg, agents=cfg.agents[:2])
 
@@ -318,6 +321,23 @@ def test_load_scenario_rejects_garbage(tmp_path):
     p2.write_text("model: {}\n")
     with pytest.raises(ValueError):
         load_scenario(str(p2))
+    p2.write_text("- just a list\n")
+    with pytest.raises(ValueError, match="not a mapping"):
+        load_scenario(str(p2))
+
+
+@pytest.mark.parametrize("key, value, section", [
+    ("sim", None, "sim"), ("sim", 5, "sim"), ("model", [1.0], "model"),
+    ("topology", "W", "topology"), ("agents", [1, 2, 3], "agents"),
+    ("agents", {"H": [[1.0]]}, "agents"),
+])
+def test_load_scenario_names_malformed_section(tmp_path, key, value, section):
+    raw = yaml.safe_load(yaml.safe_dump(sim._cfg_to_dict(case1(T=5))))
+    raw[key] = value
+    p = tmp_path / "bad.scn"
+    p.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ValueError, match=f"section '{section}'"):
+        load_scenario(str(p))
 
 
 def test_metrics_csv_deterministic(tmp_path):
