@@ -8,13 +8,11 @@ from .model import (AgentSpec, GlobalConstraint, SystemModel, Topology,
 from .filter import (AgentState, ConsistentEstimate, ci_fuse, ci_maps,
                      init_consistent, kalman_gain, measurement_update, predict,
                      project, projection_map, tpdkf_round)
-from .event import (TriggerState, epdkf_round, information_gain,
-                    trigger_eval, trigger_from_info)
+from .event import TriggerState, epdkf_round, trigger_eval, trigger_from_info
 from .analysis import (EcoReport, RateReport, ThresholdReport, compute_beta,
                        compute_beta_bar, constraint_error, eco_check, eig_pos,
-                       f_upper, pilot_contraction_factors, rate_bound,
-                       solve_T1, solve_T2, space_decomposition,
-                       threshold_bounds, z_lower)
+                       pilot_contraction_factors, rate_bound, solve_T1,
+                       solve_T2, space_decomposition, threshold_bounds)
 from .sim import (RunMetrics, ScenarioConfig, case1, case2, ckf_baseline,
                   consensus_baseline, generate_truth, load_scenario,
                   monte_carlo, run_event, run_time_based, save_scenario)

@@ -7,9 +7,10 @@ Contents:
     (`compute_beta`, `compute_beta_bar`),
   * triggering-threshold design bounds (`threshold_bounds`),
   * constraint-subspace coordinates (`space_decomposition`, `constraint_error`),
-  * worst-case information recursions under successive triggering / silence
-    (`f_upper`, `z_lower`) and the communication-rate bound built on them
-    (`solve_T1`, `solve_T2`, `rate_bound`).
+  * worst-case information recursions under successive triggering / silence,
+    built in one pass over t as stacked (T+1, N, n, n) tables
+    (`_rate_tables`), and the communication-rate bound that scans them one
+    agent at a time (`solve_T1`, `solve_T2`, `rate_bound`).
 
 Everything here is a pure function of the model/topology; nothing simulates.
 """
@@ -17,10 +18,12 @@ Everything here is a pure function of the model/topology; nothing simulates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
+from .filter import symmetrize
 from .model import AgentSpec, SystemModel, Topology, matrix_rank
 
 _OBS_TOL = 1e-10
@@ -208,13 +211,9 @@ def threshold_bounds(model: SystemModel, agents: list[AgentSpec],
     W_prev = np.eye(N)                 # 𝒜^{τ-1}
     coef = 1.0                         # β^{τ-1}
     for _tau in range(1, kstar + 1):
-        G = A_pow.T @ A_pow
-        for i in range(N):
-            mid = np.zeros((n, n))
-            for j in range(N):
-                M[i, j] += coef * W_pow[i, j] * G
-                mid += W_pow[i, j] * info_y[j] + W_prev[i, j] * info_d[j]
-            Mbar[i] += coef * (A_pow.T @ mid @ A_pow)
+        M += (coef * W_pow)[:, :, None, None] * (A_pow.T @ A_pow)
+        mid = _nbr_sum((W_pow, info_y), (W_prev, info_d))
+        Mbar += coef * (A_pow.T @ mid @ A_pow)
         A_pow = A_pow @ Ainv
         W_prev = W_pow
         W_pow = W_pow @ topology.weights
@@ -265,11 +264,11 @@ def space_decomposition(Dbar) -> tuple[np.ndarray, np.ndarray]:
 def constraint_error(x_hat, x, F, s_bar: int) -> np.ndarray:
     """Estimation-error components along the constrained directions.
 
-    The last s_bar coordinates of F⁻¹(x̂ − x).
+    The last s_bar coordinates of F⁻¹(x̂ − x) = Fᵀ(x̂ − x) (F is orthonormal);
+    x̂ and x may be (n,) vectors or (n, trials) blocks.
     """
-    diff = np.asarray(x_hat, dtype=float).ravel() - np.asarray(x, dtype=float).ravel()
-    e = np.linalg.solve(F, diff)
-    return e[e.size - s_bar:] if s_bar > 0 else np.zeros(0)
+    diff = np.asarray(x_hat, dtype=float) - np.asarray(x, dtype=float)
+    return (F.T @ diff)[F.shape[1] - s_bar:]
 
 
 # ---------------------------------------------------------------------------
@@ -277,124 +276,87 @@ def constraint_error(x_hat, x, F, s_bar: int) -> np.ndarray:
 
 
 def eig_pos(M) -> np.ndarray:
-    """Positive part of a symmetric matrix: V·diag(max(λ, 0))·Vᵀ ⪰ M."""
+    """Positive part V·diag(max(λ, 0))·Vᵀ ⪰ M of a symmetric matrix, or of each
+    matrix of a stack."""
     M = np.asarray(M, dtype=float)
-    scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - M.T).max() > 1e-8 * scale:
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+    if np.any(np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-8 * scale):
         raise ValueError("eig_pos requires a symmetric matrix")
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    return (V * np.maximum(w, 0.0)) @ V.T
+    w, V = np.linalg.eigh(symmetrize(M))
+    return (V * np.maximum(w, 0.0)[..., None, :]) @ V.swapaxes(-1, -2)
 
 
 def _info_blocks(model, agents):
+    """(N, n, n) stacks of H_iᵀR_i⁻¹H_i and D_iᵀD_i/ε_i (zero where absent)."""
     n = model.n
     info_y = [a.H.T @ np.linalg.solve(a.R, a.H) if a.has_measurement
               else np.zeros((n, n)) for a in agents]
     info_d = [(a.D.T @ a.D) / a.eps if a.has_constraint else np.zeros((n, n))
               for a in agents]
-    return info_y, info_d
+    return np.array(info_y), np.array(info_d)
 
 
-def _f_table(t_max: int, model: SystemModel, agents, topology: Topology,
-             beta_bar: float) -> list[list[np.ndarray]]:
-    """f[t][i]: upper bound on the post-update information after t steps.
+def _nbr_sum(*terms) -> np.ndarray:
+    """Row i of Σ_j Σ_(W, X) W[i, j]·X[j] for every agent i at once.
 
-    Seed: Q⁻¹ + H_iᵀR_i⁻¹H_i.  Step: conjugate the weighted neighborhood sum
-    plus the projection information through β̄·A⁻ᵀ(·)A⁻¹ and re-add the own
-    measurement information.
+    The sum over j is a cumulative sum in index order, and zero weights add
+    exact zeros, so each row is bit-identical to agent i's own loop over its
+    neighbours (a reshaped W @ X would reorder the sum).
     """
-    A = model.A_at(0)
-    Ainv = np.linalg.inv(A)
-    Qinv = np.linalg.inv(model.Q_at(0))
-    W = topology.weights
-    info_y, info_d = _info_blocks(model, agents)
-    N = topology.N
-    table = [[0.5 * ((Qinv + info_y[i]) + (Qinv + info_y[i]).T) for i in range(N)]]
-    for _s in range(1, t_max + 1):
-        prev = table[-1]
-        cur = []
-        for i in range(N):
-            acc = np.zeros_like(Qinv)
-            for j in range(N):
-                if W[i, j] > 0:
-                    acc += W[i, j] * prev[j]
-            f = beta_bar * (Ainv.T @ (acc + info_d[i]) @ Ainv) + info_y[i]
-            cur.append(0.5 * (f + f.T))
-        table.append(cur)
-    return table
+    per_j = sum(W.T[:, :, None, None] * X[:, None] for W, X in terms)
+    return np.cumsum(per_j, axis=0)[-1]
 
 
-def _zbar_table(t_max: int, model: SystemModel, agents, topology: Topology,
-                beta: float, delta: float = 0.0) -> list[list[np.ndarray]]:
-    """z[t][i]: lower bound on the extrapolated information after t silent steps.
+class _RateTables(NamedTuple):
+    f: np.ndarray          # (T+1, N, n, n)
+    zbar: np.ndarray       # (T+1, N, n, n)
+    S: np.ndarray          # (T+1, n, n)
+    beta_pow: np.ndarray   # (T+1,): β^τ for τ = 1..T+1
+    Ainv_pow: np.ndarray   # (T+1, n, n): A^{-τ} for τ = 1..T+1
+    info_y: np.ndarray     # (N, n, n)
 
-    With delta = 0 this is the threshold-free part; the full bound is obtained
-    from it by the separable delta correction (`delta_correction`).
+
+def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
+                 beta: float, beta_bar: float) -> _RateTables:
+    """Worst-case information recursions of the rate analysis, one pass over t.
+
+    f[t, i] bounds agent i's post-update information after t steps from
+    above: seed Q⁻¹ + H_iᵀR_i⁻¹H_i; step β̄·A⁻ᵀ(Σ_j a_ij f_j + D_iᵀD_i/ε_i)A⁻¹
+    plus the own measurement information.  zbar[t, i] is the threshold-free
+    lower bound on the extrapolated information after t silent steps (zero at
+    t = 0); at threshold δ the bound is zbar[t, i] − δ·S[t], with
+    S[t] = Σ_{τ=2..t} β^τ (A^{-τ})ᵀ A^{-τ} (zero for t < 2).  The running
+    powers (β^τ, A^{-τ}) feed both S and `solve_T2`.
     """
-    A = model.A_at(0)
-    Ainv = np.linalg.inv(A)
-    n = model.n
-    W = topology.weights
-    info_y, info_d = _info_blocks(model, agents)
-    N = topology.N
-    u = [info_y[i].copy() for i in range(N)]           # bound on updated info
-    z: list[list[np.ndarray]] = [[np.zeros((n, n)) for _ in range(N)]]
-    for t in range(1, t_max + 1):
-        z.append([0.5 * ((beta * (Ainv.T @ u[i] @ Ainv))
-                         + (beta * (Ainv.T @ u[i] @ Ainv)).T) for i in range(N)])
-        w = []
-        for i in range(N):
-            acc = np.zeros((n, n))
-            for j in range(N):
-                if W[i, j] > 0:
-                    acc += W[i, j] * u[j]
-            w.append(acc - delta * np.eye(n) + info_d[i])
-        u = [0.5 * ((beta * (Ainv.T @ w[i] @ Ainv) + info_y[i])
-                    + (beta * (Ainv.T @ w[i] @ Ainv) + info_y[i]).T)
-             for i in range(N)]
-    return z
-
-
-def delta_correction(t: int, model: SystemModel, beta: float) -> np.ndarray:
-    """S_t = Σ_{τ=2..t} β^τ (A^{-τ})ᵀ A^{-τ} (zero for t < 2)."""
-    return _delta_corrections(max(t, 0), model, beta)[-1]
-
-
-def _delta_corrections(t_max: int, model: SystemModel, beta: float) -> list:
-    """[S_0, ..., S_{t_max}] of `delta_correction`, from one running sum."""
-    n = model.n
-    out = [np.zeros((n, n)) for _ in range(min(t_max, 1) + 1)]   # S_0 = S_1 = 0
-    S = np.zeros((n, n))
+    if not (0.0 < beta < 1.0 and 0.0 < beta_bar < 1.0):
+        raise ValueError("beta and beta_bar must lie in (0, 1)")
     Ainv = np.linalg.inv(model.A_at(0))
-    A_pow = Ainv @ Ainv
-    coef = beta * beta
-    for _tau in range(2, t_max + 1):
-        S += coef * (A_pow.T @ A_pow)
-        out.append(0.5 * (S + S.T))
-        A_pow = A_pow @ Ainv
-        coef *= beta
-    return out
+    Qinv = np.linalg.inv(model.Q_at(0))
+    W, N, n = topology.weights, topology.N, model.n
+    info_y, info_d = _info_blocks(model, agents)
 
+    beta_pow = np.empty(T + 1)
+    Ainv_pow = np.empty((T + 1, n, n))
+    beta_pow[0], Ainv_pow[0] = beta, Ainv
+    for tau in range(1, T + 1):
+        beta_pow[tau] = beta_pow[tau - 1] * beta
+        Ainv_pow[tau] = Ainv_pow[tau - 1] @ Ainv
+    S = np.zeros((T + 1, n, n))
+    terms = beta_pow[1:T, None, None] * (Ainv_pow[1:T].swapaxes(-1, -2)
+                                         @ Ainv_pow[1:T])
+    S[2:] = symmetrize(np.cumsum(terms, axis=0))
 
-def f_upper(t: int, i: int, model: SystemModel, agents: list[AgentSpec],
-            topology: Topology, beta_bar: float) -> np.ndarray:
-    """Uniform upper bound on agent i's post-update information after t steps."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return _f_table(t, model, agents, topology, beta_bar)[t][i]
-
-
-def z_lower(t: int, i: int, delta: float, model: SystemModel,
-            agents: list[AgentSpec], topology: Topology, beta: float) -> np.ndarray:
-    """Uniform lower bound on the t-step extrapolated information of agent i."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return _zbar_table(t, model, agents, topology, beta, delta)[t][i]
-
-
-def _fbar_proof(f_ti, zbar_ti, S_t, delta, n) -> float:
-    corr = zbar_ti + delta * (np.eye(n) - S_t)
-    return float(np.linalg.eigvalsh(f_ti - eig_pos(corr)).max())
+    f = np.empty((T + 1, N, n, n))
+    zbar = np.zeros((T + 1, N, n, n))
+    f[0] = symmetrize(Qinv + info_y)
+    u = info_y                         # lower bound on the updated information
+    for t in range(1, T + 1):
+        f[t] = symmetrize(beta_bar * (Ainv.T @ (_nbr_sum((W, f[t - 1])) + info_d)
+                                      @ Ainv) + info_y)
+        zbar[t] = symmetrize(beta * (Ainv.T @ u @ Ainv))
+        u = symmetrize(beta * (Ainv.T @ (_nbr_sum((W, u)) + info_d) @ Ainv)
+                       + info_y)
+    return _RateTables(f, zbar, S, beta_pow, Ainv_pow, info_y)
 
 
 def solve_T1(delta: float, i: int, model: SystemModel, agents: list[AgentSpec],
@@ -402,20 +364,20 @@ def solve_T1(delta: float, i: int, model: SystemModel, agents: list[AgentSpec],
              _tables=None) -> int | None:
     """Largest t ≤ T at which successive triggering cannot yet be excluded.
 
-    Scans the necessary condition for a run of consecutive broadcasts; returns
-    None when it holds through the whole horizon (no finite bound), and 0 when
-    it fails everywhere (triggering excluded outright).
+    Scans the necessary condition λ_max(f_t − [z̄_t + δ(I − S_t)]₊) > 0 for a
+    run of consecutive broadcasts; returns None when it holds through the
+    whole horizon (no finite bound), and 0 when it fails everywhere
+    (triggering excluded outright).
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    f_tab, zbar_tab, S_list = _tables or _rate_tables(T, model, agents, topology,
-                                                      beta, beta_bar)
-    n = model.n
-    hits = [t for t in range(T + 1)
-            if _fbar_proof(f_tab[t][i], zbar_tab[t][i], S_list[t], delta, n) > 0.0]
-    if len(hits) == T + 1:
+    tb = _tables or _rate_tables(T, model, agents, topology, beta, beta_bar)
+    corr = tb.zbar[:, i] + delta * (np.eye(model.n) - tb.S)
+    proof = np.linalg.eigvalsh(tb.f[:, i] - eig_pos(corr)).max(axis=-1)
+    hits = np.flatnonzero(proof > 0.0)
+    if hits.size == T + 1:
         return None
-    return max(hits) if hits else 0
+    return int(hits[-1]) if hits.size else 0
 
 
 def solve_T2(delta: float, i: int, model: SystemModel, agents: list[AgentSpec],
@@ -423,36 +385,20 @@ def solve_T2(delta: float, i: int, model: SystemModel, agents: list[AgentSpec],
              _tables=None) -> int | None:
     """Largest t ≤ T such that silence is guaranteed at every step up to t.
 
-    Prefix semantics: the sufficient condition must hold for all s ≤ t.
-    Returns None when not even one silent step is guaranteed.
+    Prefix semantics: the sufficient condition
+    λ_max(f_s − β^{s+1}(A^{-(s+1)})ᵀH_iᵀR_i⁻¹H_i A^{-(s+1)}) ≤ δ must hold for
+    every s ≤ t.  Returns None when not even one silent step is guaranteed.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    f_tab, _, _ = _tables or _rate_tables(T, model, agents, topology, beta, beta_bar)
-    A = model.A_at(0)
-    Ainv = np.linalg.inv(A)
-    info_y, _ = _info_blocks(model, agents)
-    best = None
-    A_pow = Ainv.copy()          # A^{-t-1} at t = 0
-    coef = beta                  # β^{t+1} at t = 0
-    for t in range(T + 1):
-        l_t = coef * (A_pow.T @ info_y[i] @ A_pow)
-        gbar = float(np.linalg.eigvalsh(f_tab[t][i] - l_t).max()) - delta
-        if gbar > 0.0:
-            break
-        best = t
-        A_pow = A_pow @ Ainv
-        coef *= beta
-    return best
-
-
-def _rate_tables(T, model, agents, topology, beta, beta_bar):
-    if not (0.0 < beta < 1.0 and 0.0 < beta_bar < 1.0):
-        raise ValueError("beta and beta_bar must lie in (0, 1)")
-    f_tab = _f_table(T, model, agents, topology, beta_bar)
-    zbar_tab = _zbar_table(T, model, agents, topology, beta, 0.0)
-    S_list = _delta_corrections(T, model, beta)
-    return f_tab, zbar_tab, S_list
+    tb = _tables or _rate_tables(T, model, agents, topology, beta, beta_bar)
+    l = tb.beta_pow[:, None, None] * (tb.Ainv_pow.swapaxes(-1, -2) @ tb.info_y[i]
+                                       @ tb.Ainv_pow)
+    gbar = np.linalg.eigvalsh(tb.f[:, i] - l).max(axis=-1) - delta
+    fails = np.flatnonzero(gbar > 0.0)
+    if not fails.size:
+        return T
+    return int(fails[0]) - 1 if fails[0] > 0 else None
 
 
 def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
@@ -468,7 +414,6 @@ def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
         raise ValueError("rate analysis requires a time-invariant model")
     N = topology.N
     tables = _rate_tables(T, model, agents, topology, beta, beta_bar)
-    S_list = tables[2]
 
     report = RateReport(delta=delta, horizon=T, beta=beta, beta_bar=beta_bar)
     for i in range(N):
@@ -478,7 +423,7 @@ def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
                       _tables=tables)
         cond1 = t1 is not None
         if t1 is not None and t1 >= 2:
-            cond1 = bool(np.linalg.eigvalsh(S_list[t1]).max() <= 1.0 + 1e-12)
+            cond1 = bool(np.linalg.eigvalsh(tables.S[t1]).max() <= 1.0 + 1e-12)
         cond2 = t1 is not None and t2 is not None and 0 <= t2
         report.T1.append(t1)
         report.T2.append(t2)

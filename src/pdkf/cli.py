@@ -74,8 +74,15 @@ def _out_dir(args) -> str:
     return out
 
 
+def _numbers(flag: str, text: str) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
 def _parse_delta(text: str, N: int) -> list:
-    vals = [float(v) for v in text.split(",")]
+    vals = _numbers("--delta", text)
     if len(vals) == 1:
         vals = vals * N
     if len(vals) != N:
@@ -123,7 +130,7 @@ def _load_config(args) -> tuple:
 def _parse_beta(args, cfg) -> tuple:
     """(beta, beta_bar) from --beta or from a pilot covariance run."""
     if args.beta is not None:
-        vals = [float(v) for v in args.beta.split(",")]
+        vals = _numbers("--beta", args.beta)
         if not all(0.0 < v < 1.0 for v in vals):
             raise ValueError(f"--beta values must be finite and lie in (0, 1), "
                              f"got {args.beta!r}")
@@ -136,6 +143,8 @@ def _parse_beta(args, cfg) -> tuple:
 
 
 def _emit(out, cfg, overrides, metrics=None, triggers=False) -> None:
+    if metrics is not None:
+        sim._require_finite(metrics)
     sim.write_manifest(os.path.join(out, "manifest.json"), cfg, overrides)
     sim.save_scenario(cfg, os.path.join(out, "scenario.scn"))
     if metrics is not None:

@@ -92,11 +92,6 @@ def trigger_eval(P_tilde, P_bar_tilde, delta: float) -> tuple[float, bool]:
                              _inv_pd(P_bar_tilde, "P_bar_tilde"), delta)
 
 
-def information_gain(P_tilde, P_bar_tilde) -> float:
-    """λ_max(P̃⁻¹ − P̄̃⁻¹) of two positive definite matrices."""
-    return trigger_eval(P_tilde, P_bar_tilde, 0.0)[0]
-
-
 def _inv_pd(M, name: str) -> np.ndarray:
     M = symmetrize(np.asarray(M, dtype=float))
     if np.linalg.eigvalsh(M).min() <= 0:

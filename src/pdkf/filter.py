@@ -20,7 +20,8 @@ _PINV_RTOL = 1e-9
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    """Symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def _ensure_pd(P: np.ndarray) -> np.ndarray:

@@ -72,8 +72,7 @@ class SystemModel:
 
     A and Q may be single (n, n) matrices (time-invariant) or sequences of
     them, one per step.  `beta1`/`beta2` bound the squared singular values of
-    every A_k and `q_lo`/`q_hi` sandwich every Q_k; when supplied they are
-    *validated*, never inferred.
+    every A_k; when supplied they are *validated*, never inferred.
     """
 
     A: np.ndarray | list
@@ -82,8 +81,6 @@ class SystemModel:
     P0: np.ndarray
     beta1: float | None = None
     beta2: float | None = None
-    q_lo: np.ndarray | None = None
-    q_hi: np.ndarray | None = None
 
     def __post_init__(self):
         A_seq = self._to_seq(self.A, "A")
@@ -92,12 +89,14 @@ class SystemModel:
         object.__setattr__(self, "Q", Q_seq)
         object.__setattr__(self, "x0_mean", np.asarray(self.x0_mean, dtype=float).ravel())
         object.__setattr__(self, "P0", _as_matrix(self.P0, "P0"))
+        n = self.n
         for name, seq in (("A", A_seq), ("Q", Q_seq)):
             for k, M in enumerate(seq):
                 _check_finite(M, f"{name}[{k}]")
+                if M.shape != (n, n):
+                    raise ValueError(f"{name}[{k}] must be ({n}, {n}), got {M.shape}")
         _check_finite(self.x0_mean, "x0_mean")
         _check_finite(self.P0, "P0")
-        n = self.n
         if self.x0_mean.shape != (n,):
             raise ValueError("x0_mean length does not match state dimension")
         if self.P0.shape != (n, n):
@@ -118,10 +117,6 @@ class SystemModel:
             _check_symmetric(Qk, f"Q[{k}]")
             if not _is_psd(Qk):
                 raise ValueError(f"Q[{k}] must be positive semidefinite")
-            if self.q_lo is not None and not _is_psd(Qk - np.asarray(self.q_lo)):
-                raise ValueError(f"Q[{k}] violates the declared lower bound q_lo")
-            if self.q_hi is not None and not _is_psd(np.asarray(self.q_hi) - Qk):
-                raise ValueError(f"Q[{k}] violates the declared upper bound q_hi")
 
     @staticmethod
     def _to_seq(M, name):

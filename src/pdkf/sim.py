@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -27,7 +28,8 @@ import scipy.linalg
 import yaml
 
 from . import filter as filt
-from .analysis import pilot_contraction_factors, space_decomposition
+from .analysis import (constraint_error, pilot_contraction_factors,
+                       space_decomposition)
 from .event import trigger_from_info
 from .model import (AgentSpec, GlobalConstraint, SystemModel, Topology,
                     _check_covariance, _check_finite,
@@ -72,7 +74,10 @@ class ScenarioConfig:
         if self.L < 1:
             raise ValueError(f"L must be at least 1, got {self.L}")
         if len(self.agents) != self.topology.N:
-            raise ValueError("one AgentSpec per topology node required")
+            raise ValueError(f"agents: one AgentSpec per topology node required "
+                             f"({self.topology.N}), got {len(self.agents)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.sim_r is not None and len(self.sim_r) != len(self.agents):
             raise ValueError(f"sim_r needs one entry per agent ({len(self.agents)}), "
                              f"got {len(self.sim_r)}")
@@ -370,7 +375,7 @@ class _Recorder:
                 self.metrics.sample_moment[(k, i)] = e @ e.T / trials
                 self.metrics.P_checkpoint[(k, i)] = P[i].copy()
                 if self.F is not None:
-                    comp = (self.F.T @ e)[-self.s_bar:, :]
+                    comp = constraint_error(est[i], x_k, self.F, self.s_bar)
                     self.metrics.constraint_sq[(k, i)] = float(
                         np.mean(np.sum(comp * comp, axis=0)))
 
@@ -639,59 +644,75 @@ def save_scenario(cfg: ScenarioConfig, path: str) -> None:
         yaml.safe_dump(_cfg_to_dict(cfg), fh, sort_keys=True)
 
 
+def _floats(v) -> np.ndarray:
+    return np.asarray(v, dtype=float)
+
+
+def _optional(convert):
+    return lambda v: None if v is None else convert(v)
+
+
 def load_scenario(path: str) -> ScenarioConfig:
+    """Read a scenario written by `save_scenario`.
+
+    Every malformed entry raises a ValueError that names the file and the
+    entry (`sim.T`, `agents[0].R`) or the section that rejected it.
+    """
     with open(path) as fh:
         try:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ValueError(f"scenario file {path} is not valid YAML: {exc}") from exc
+    bad = f"malformed scenario file {path!r}"
     if not isinstance(raw, dict):
-        raise ValueError(f"malformed scenario file {path!r}: not a mapping")
+        raise ValueError(f"{bad}: not a mapping")
 
     def section(key, default=None):
         val = raw.get(key, default)
         if not isinstance(val, dict):
-            raise ValueError(f"malformed scenario file {path!r}: section "
-                             f"{key!r} must be a mapping")
+            raise ValueError(f"{bad}: section {key!r} must be a mapping")
         return val
+
+    def fields(sec, where, converters) -> dict:
+        out = {}
+        for key, convert in converters.items():
+            if key in sec:
+                try:
+                    out[key] = convert(sec[key])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{bad}: {where}.{key}: {exc}") from exc
+        return out
+
+    def build(where, cls, **kwargs):
+        try:
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{bad}: {where}{exc}") from exc
 
     md, sim = section("model"), section("sim", {})
     specs = raw.get("agents")
     if not (isinstance(specs, list) and all(isinstance(a, dict) for a in specs)):
-        raise ValueError(f"malformed scenario file {path!r}: section 'agents' "
-                         f"must be a list of mappings")
-    try:
-        A = np.asarray(md["A"], dtype=float)
-        Q = np.asarray(md["Q"], dtype=float)
-        model = SystemModel(A, Q, np.asarray(md["x0_mean"], dtype=float),
-                            np.asarray(md["P0"], dtype=float),
-                            beta1=md.get("beta1"), beta2=md.get("beta2"))
-        n = model.n
-        agents = []
-        for spec in specs:
-            D = np.asarray(spec.get("D") or [], dtype=float)
-            if D.size == 0:
-                D = np.zeros((0, n))
-            dvec = np.asarray(spec.get("d") or [], dtype=float).ravel()
-            agents.append(AgentSpec(
-                np.asarray(spec["H"], dtype=float),
-                np.asarray(spec["R"], dtype=float),
-                D, dvec, float(spec.get("eps", 0.01)),
-                float(spec.get("delta", 0.0))))
-        topo = Topology(np.asarray(section("topology")["weights"], dtype=float))
-        return ScenarioConfig(
-            model=model, agents=agents, topology=topo,
-            T=int(sim.get("T", 250)), L=int(sim.get("L", 1)),
-            mode=sim.get("mode", "time"), trials=int(sim.get("trials", 1)),
-            seed=int(sim.get("seed", 0)), theta=float(sim.get("theta", 1.0)),
-            x0_hat=sim.get("x0_hat"), P0_init=sim.get("P0_init"),
-            x0_cov=sim.get("x0_cov"), sim_q=sim.get("sim_q"),
-            sim_r=sim.get("sim_r"),
-            checkpoints=tuple(sim.get("checkpoints", (50, 150, 250))),
-            name=raw.get("name", "scenario"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed scenario file {path!r}: {exc}") from exc
+        raise ValueError(f"{bad}: section 'agents' must be a list of mappings")
+    model = build("model: ", SystemModel, **fields(md, "model", {
+        "A": _floats, "Q": _floats, "x0_mean": _floats, "P0": _floats,
+        "beta1": _optional(float), "beta2": _optional(float)}))
+    agent_fields = {"H": _floats, "R": _floats,
+                    "D": lambda v: _floats(v or np.zeros((0, model.n))),
+                    "d": lambda v: _floats(v or []), "eps": float, "delta": float}
+    agents = [build(f"agents[{i}]: ", AgentSpec, **fields(
+                  {"D": None, "d": None, **spec}, f"agents[{i}]", agent_fields))
+              for i, spec in enumerate(specs)]
+    topo = build("topology: ", Topology,
+                 **fields(section("topology"), "topology", {"weights": _floats}))
+    matrix = _optional(_floats)
+    run = fields({"T": 250, **sim}, "sim", {
+        "T": int, "L": int, "mode": str, "trials": int, "seed": int,
+        "theta": float, "x0_hat": matrix, "P0_init": matrix, "x0_cov": matrix,
+        "sim_q": matrix, "sim_r": _optional(lambda v: [matrix(r) for r in v]),
+        "checkpoints": lambda v: tuple(int(k) for k in v)})
+    # ScenarioConfig's own messages name the field they reject
+    return build("", ScenarioConfig, model=model, agents=agents, topology=topo,
+                 name=raw.get("name", "scenario"), **run)
 
 
 def scenario_hash(cfg: ScenarioConfig) -> str:
@@ -703,16 +724,34 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _metric_columns(rm: RunMetrics) -> dict:
+    """The columns of metrics.csv after `step`."""
+    return {"mse": rm.mse, "trace_p": rm.trace_p,
+            "lambda_running": rm.lambda_running,
+            "max_constraint_residual": rm.constraint_residuals,
+            "mean_error_norm": rm.mean_error_norm}
+
+
+def _require_finite(rm: RunMetrics) -> None:
+    """Raise a ValueError naming the earliest non-finite value that
+    metrics.csv or triggers.csv would hold: its column and its step."""
+    cols = _metric_columns(rm)
+    bad = np.argwhere(~np.isfinite(np.column_stack(list(cols.values()))))
+    found = [(int(k), f"metrics.csv column {list(cols)[c]!r}") for k, c in bad[:1]]
+    found += [(k, f"triggers.csv column 'g' (agent {i})")
+              for k, i, g, _ in rm.trigger_log if not math.isfinite(g)][:1]
+    if found:
+        k, column = min(found, key=lambda kc: kc[0])
+        raise ValueError(f"the run diverged: {column} is not finite at step {k}")
+
+
 def write_metrics_csv(path: str, rm: RunMetrics) -> None:
-    cols = ("step", "mse", "trace_p", "lambda_running",
-            "max_constraint_residual", "mean_error_norm")
+    cols = _metric_columns(rm)
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join(["step", *cols]) + "\n")
         for k in range(rm.mse.shape[0]):
-            fh.write(",".join([str(k), _fmt(rm.mse[k]), _fmt(rm.trace_p[k]),
-                               _fmt(rm.lambda_running[k]),
-                               _fmt(rm.constraint_residuals[k]),
-                               _fmt(rm.mean_error_norm[k])]) + "\n")
+            fh.write(",".join([str(k), *(_fmt(v[k]) for v in cols.values())])
+                     + "\n")
 
 
 def write_triggers_csv(path: str, rm: RunMetrics) -> None:

@@ -7,17 +7,14 @@ from pdkf.analysis import (
     compute_beta,
     compute_beta_bar,
     constraint_error,
-    delta_correction,
     eco_check,
     eig_pos,
-    f_upper,
     pilot_contraction_factors,
     rate_bound,
     solve_T1,
     solve_T2,
     space_decomposition,
     threshold_bounds,
-    z_lower,
 )
 from pdkf.model import (
     AgentSpec,
@@ -296,6 +293,17 @@ def test_constraint_error_selects_constrained_components():
     assert constraint_error([1.0], [0.0], np.eye(1), 0).size == 0
 
 
+def test_constraint_error_takes_trial_blocks():
+    rng = np.random.default_rng(5)
+    F, _ = space_decomposition(rng.standard_normal((2, 4)))
+    x_hat, x = rng.standard_normal((4, 7)), rng.standard_normal((4, 7))
+    block = constraint_error(x_hat, x, F, 2)
+    assert block.shape == (2, 7)
+    for c in range(7):
+        assert np.allclose(block[:, c], np.linalg.solve(F, x_hat[:, c] - x[:, c])[2:],
+                           atol=1e-12)
+
+
 def test_constraint_error_vanishes_for_feasible_pairs():
     D = np.array([[1.0, -np.sqrt(3.0), 0, 0], [0, 0, 1.0, -np.sqrt(3.0)]])
     F, Dt = space_decomposition(D / 2.0)
@@ -317,6 +325,16 @@ def test_eig_pos_rejects_asymmetric():
         eig_pos(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eig_pos_on_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((6, 4, 4))
+    stack = 0.5 * (B + B.swapaxes(1, 2))
+    assert np.array_equal(eig_pos(stack), np.array([eig_pos(M) for M in stack]))
+    stack[4, 0, 1] += 1e-3          # one asymmetric member spoils the stack
+    with pytest.raises(ValueError, match="symmetric"):
+        eig_pos(stack)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_eig_pos_dominates(seed):
@@ -330,64 +348,103 @@ def test_eig_pos_dominates(seed):
 
 # --- information recursions ----------------------------------------------------
 
+def tables(model, agents, top, T, beta=0.4, beta_bar=0.7):
+    return analysis._rate_tables(T, model, agents, top, beta, beta_bar)
+
+
 def test_f_upper_seed_term():
-    f0 = f_upper(0, 0, scalar_model(), [scalar_agent()], SINGLE, beta_bar=0.8)
+    f0 = tables(scalar_model(), [scalar_agent()], SINGLE, 0, beta_bar=0.8).f[0, 0]
     assert f0[0, 0] == pytest.approx(2.0)  # Q^-1 + H^T R^-1 H
 
 
 def test_f_upper_blind_agent_decays_geometrically():
     agents = [AgentSpec(H=np.zeros((1, 1)), R=np.eye(1),
                         D=np.zeros((0, 1)), d=np.zeros(0))]
+    f = tables(scalar_model(), agents, SINGLE, 4, beta_bar=0.8).f
     for t in (0, 1, 4):
-        f = f_upper(t, 0, scalar_model(), agents, SINGLE, beta_bar=0.8)
-        assert f[0, 0] == pytest.approx(0.8 ** t)
+        assert f[t, 0, 0, 0] == pytest.approx(0.8 ** t)
 
 
 def test_f_upper_matches_loop_oracle():
     model, agents, top = path3_setup()
     info_y, info_d = info_blocks(model, agents)
-    for t in (0, 1, 3):
+    f = tables(model, agents, top, 6).f
+    assert f.shape == (7, 3, 4, 4)
+    for t in range(7):
         for i in range(3):
-            got = f_upper(t, i, model, agents, top, beta_bar=0.7)
             expect = oracles.f_recursion(t, i, model.A_at(0), model.Q_at(0),
                                          top.weights, info_y, info_d, 0.7)
-            assert np.allclose(got, expect, atol=1e-9)
+            assert np.allclose(f[t, i], expect, atol=1e-9)
 
 
 def test_z_lower_starts_at_zero():
-    z0 = z_lower(0, 0, 0.3, scalar_model(), [scalar_agent()], SINGLE, beta=0.5)
-    assert np.allclose(z0, 0.0)
+    zbar = tables(scalar_model(), [scalar_agent()], SINGLE, 3, beta=0.5).zbar
+    assert np.allclose(zbar[0], 0.0)
 
 
 def test_z_lower_matches_loop_oracle():
     model, agents, top = path3_setup()
     info_y, info_d = info_blocks(model, agents)
-    for t in (1, 2, 4):
+    zbar = tables(model, agents, top, 6).zbar
+    assert zbar.shape == (7, 3, 4, 4)
+    for t in range(7):
         for i in range(3):
-            got = z_lower(t, i, 0.2, model, agents, top, beta=0.4)
-            expect = oracles.z_recursion(t, i, 0.2, model.A_at(0), top.weights,
+            expect = oracles.z_recursion(t, i, 0.0, model.A_at(0), top.weights,
                                          info_y, info_d, 0.4)
-            assert np.allclose(got, expect, atol=1e-9)
+            assert np.allclose(zbar[t, i], expect, atol=1e-9)
 
 
 def test_z_lower_threshold_term_separates():
     # z(delta) = z(0) - delta * S_t for t >= 2: the penalty enters linearly
     model, agents, top = path3_setup()
+    info_y, info_d = info_blocks(model, agents)
+    tb = tables(model, agents, top, 6)
     delta = 0.35
-    for t in (2, 3, 5):
-        z_d = z_lower(t, 1, delta, model, agents, top, beta=0.4)
-        z_0 = z_lower(t, 1, 0.0, model, agents, top, beta=0.4)
-        S = delta_correction(t, model, beta=0.4)
-        assert np.allclose(z_d, z_0 - delta * S, atol=1e-10)
-        assert np.allclose(S, oracles.s_correction(t, model.A_at(0), 0.4),
-                           atol=1e-12)
+    for t in range(2, 7):
+        for i in range(3):
+            z_d = oracles.z_recursion(t, i, delta, model.A_at(0), top.weights,
+                                      info_y, info_d, 0.4)
+            assert np.allclose(z_d, tb.zbar[t, i] - delta * tb.S[t], atol=1e-10)
 
 
 def test_delta_correction_zero_below_two_steps():
-    model = scalar_model()
-    assert np.allclose(delta_correction(0, model, 0.5), 0.0)
-    assert np.allclose(delta_correction(1, model, 0.5), 0.0)
-    assert delta_correction(2, model, 0.5)[0, 0] == pytest.approx(0.25)
+    S = tables(scalar_model(), [scalar_agent()], SINGLE, 2, beta=0.5).S
+    assert np.allclose(S[:2], 0.0)
+    assert S[2, 0, 0] == pytest.approx(0.25)
+    model, agents, top = path3_setup()
+    S = tables(model, agents, top, 6).S
+    for t in range(7):
+        assert np.allclose(S[t], oracles.s_correction(t, model.A_at(0), 0.4),
+                           atol=1e-12)
+
+
+def test_neighbourhood_sum_is_bit_identical_to_the_per_agent_loop():
+    # zero weights must add exact zeros and j must run in index order, so
+    # that T1/T2 cannot move with the stacking
+    rng = np.random.default_rng(11)
+    N = 20                      # numpy sums pairwise from 8 terms up
+    Ws = [np.where(rng.random((N, N)) < 0.5, rng.random((N, N)), 0.0)
+          for _ in range(2)]
+    Xs = [rng.standard_normal((N, 4, 4)) * 10.0 ** rng.integers(-3, 4, (N, 1, 1))
+          for _ in range(2)]
+    got = analysis._nbr_sum(*zip(Ws, Xs))
+    for i in range(N):
+        acc = np.zeros((4, 4))
+        for j in range(N):
+            acc += Ws[0][i, j] * Xs[0][j] + Ws[1][i, j] * Xs[1][j]
+        assert np.array_equal(got[i], acc)
+
+
+def test_rate_tables_powers_feed_the_silence_term():
+    model, agents, top = path3_setup()
+    info_y, _ = info_blocks(model, agents)
+    tb = tables(model, agents, top, 5)
+    for t in range(6):
+        Ap = tb.Ainv_pow[t]
+        for i in range(3):
+            assert np.allclose(tb.beta_pow[t] * Ap.T @ tb.info_y[i] @ Ap,
+                               oracles.l_matrix(t, i, model.A_at(0), info_y, 0.4),
+                               atol=1e-12)
 
 
 # --- trigger-horizon solvers -----------------------------------------------------
@@ -442,6 +499,34 @@ def test_solve_T2_prefix_semantics():
     model = scalar_model()
     assert solve_T2(0.9, 0, model, BLIND, SINGLE, T=30,
                     beta=0.5, beta_bar=0.8) is None
+
+
+def test_scans_match_loops_over_the_oracle_recursions():
+    model, agents, top = path3_setup()
+    info_y, info_d = info_blocks(model, agents)
+    A, W, T, n = model.A_at(0), top.weights, 8, model.n
+
+    def positive_part(M):
+        w, V = np.linalg.eigh(M)
+        return V @ np.diag(np.maximum(w, 0.0)) @ V.T
+
+    for delta in (0.8, 5.0, 500.0, 2000.0, 1e4):
+        for i in range(3):
+            f = [oracles.f_recursion(t, i, A, model.Q_at(0), W, info_y, info_d, 0.7)
+                 for t in range(T + 1)]
+            hits = [t for t in range(T + 1) if np.linalg.eigvalsh(
+                f[t] - positive_part(oracles.z_recursion(
+                    t, i, delta, A, W, info_y, info_d, 0.4) + delta * np.eye(n))
+            ).max() > 0]
+            t1 = None if len(hits) == T + 1 else max(hits, default=0)
+            t2 = T
+            for t in range(T + 1):    # prefix: stop at the first failing step
+                l_t = oracles.l_matrix(t, i, A, info_y, 0.4)
+                if np.linalg.eigvalsh(f[t] - l_t).max() - delta > 0:
+                    t2 = t - 1 if t > 0 else None
+                    break
+            assert solve_T1(delta, i, model, agents, top, T, 0.4, 0.7) == t1
+            assert solve_T2(delta, i, model, agents, top, T, 0.4, 0.7) == t2
 
 
 # --- silence-rate bound -----------------------------------------------------------

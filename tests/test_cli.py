@@ -1,3 +1,7 @@
+import contextlib
+import io
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -145,7 +149,12 @@ def test_short_sim_r_exits_two(case1_file, tmp_path, capsys):
     (("agents", 0, "R"), [[float("inf")]], "R"),
     (("model", "x0_mean", 0), float("nan"), "x0_mean"),
     (("sim", "P0_init"), np.diag([1.0, -1.0, 1.0, 1.0]).tolist(), "P0_init"),
-], ids=["inf-R", "nan-x0_mean", "indefinite-P0_init"])
+    (("sim", "T"), "abc", "sim.T"),
+    (("sim", "seed"), "x", "sim.seed"),
+    (("sim", "theta"), "x", "sim.theta"),
+    (("model", "A"), "abc", "model.A"),
+], ids=["inf-R", "nan-x0_mean", "indefinite-P0_init", "text-T", "text-seed",
+        "text-theta", "text-A"])
 def test_bad_scenario_values_exit_two(case1_file, tmp_path, capsys, path,
                                       value, field):
     with open(case1_file) as fh:
@@ -158,7 +167,8 @@ def test_bad_scenario_values_exit_two(case1_file, tmp_path, capsys, path,
     bad.write_text(yaml.safe_dump(raw))
     rc = cli.main(["mc", str(bad), "--out", str(tmp_path / "mc")])
     assert rc == cli.EXIT_VALIDATION
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert field in err and str(bad) in err
     assert not (tmp_path / "mc" / "metrics.csv").exists()
 
 
@@ -195,11 +205,55 @@ def test_zero_rounds_exit_two_in_every_mode(case1_file, tmp_path, capsys):
     ["rate-bound", "--delta", "1.0", "--beta", "nan", "--horizon", "30"],
     ["rate-bound", "--delta", "1.0", "--beta", "0.5,2", "--horizon", "30"],
     ["rate-bound", "--delta", "1.0", "--beta", "1,0.5", "--horizon", "30"],
-], ids=["nan-pair", "inf", "zero", "nan", "beta_bar-2", "beta-1"])
+    ["threshold-bound", "--beta", "abc"],
+    ["rate-bound", "--delta", "1.0", "--beta", "0.5,abc", "--horizon", "30"],
+], ids=["nan-pair", "inf", "zero", "nan", "beta_bar-2", "beta-1", "text",
+        "text-beta_bar"])
 def test_bad_beta_exits_two(case1_file, tmp_path, capsys, argv):
     rc = cli.main([argv[0], case1_file, *argv[1:], "--out", str(tmp_path / "b")])
     assert rc == cli.EXIT_VALIDATION
     assert "--beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-epdkf", "--delta", "x"],
+    ["rate-bound", "--delta", "0.3,x,0.8", "--beta", "0.5,0.9"],
+], ids=["run", "rate-bound"])
+def test_bad_delta_text_exits_two(case1_file, tmp_path, capsys, argv):
+    rc = cli.main([argv[0], case1_file, *argv[1:], "--out", str(tmp_path / "d")])
+    assert rc == cli.EXIT_VALIDATION
+    assert "--delta" in capsys.readouterr().err
+    assert not (tmp_path / "d" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run-tpdkf", "mc"])
+def test_diverging_run_exits_two_before_writing(tmp_path, capsys, command):
+    # A scaled by 50: the state overflows near step 95 and the MSE turns NaN
+    cfg = sim.case1(T=200, mode="time")
+    m = cfg.model
+    cfg.model = SystemModel(50 * m.A[0], m.Q[0], m.x0_mean, m.P0)
+    scn = tmp_path / "unstable.scn"
+    save_scenario(cfg, str(scn))
+    with np.errstate(all="ignore"):
+        rc = cli.main([command, str(scn), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "column 'mse'" in err and "at step 94" in err
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_non_finite_trigger_score_is_named():
+    rm = sim.run_event(sim.case1(T=5))
+    k, i, _g, fired = rm.trigger_log[7]
+    rm.trigger_log[7] = (k, i, float("inf"), fired)
+    with pytest.raises(ValueError, match=rf"column 'g' \(agent {i}\) is not "
+                                         rf"finite at step {k}"):
+        sim._require_finite(rm)
+    rm.trace_p[k - 1] = float("nan")
+    with pytest.raises(ValueError, match=rf"column 'trace_p' is not finite at "
+                                         rf"step {k - 1}"):
+        sim._require_finite(rm)
 
 
 # --- fuzz: one section or field of a saved scenario replaced ----------------
@@ -228,8 +282,15 @@ def test_mutated_scenario_exits_zero_with_finite_csv_or_two(tmp_path_factory,
     node[path[-1]] = value
     work = tmp_path_factory.mktemp("fuzz")
     (work / "bad.scn").write_text(yaml.safe_dump(raw))
-    rc = cli.main(["run-tpdkf", str(work / "bad.scn"), "--out", str(work / "out")])
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = cli.main(["run-tpdkf", str(work / "bad.scn"), "--out", str(work / "out")])
     assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+    if rc == cli.EXIT_VALIDATION:
+        # the message names the file and the mutated field or its section
+        msg = err.getvalue()
+        assert str(work / "bad.scn") in msg
+        assert path[0] in msg or (isinstance(path[-1], str)
+                                  and re.search(rf"\b{path[-1]}\b", msg))
     if rc == cli.EXIT_OK:
         rows = np.loadtxt(work / "out" / "metrics.csv", delimiter=",", skiprows=1)
         assert np.all(np.isfinite(rows))

@@ -4,7 +4,6 @@ import pytest
 from pdkf.event import (
     TriggerState,
     epdkf_round,
-    information_gain,
     trigger_eval,
     trigger_from_info,
 )
@@ -16,12 +15,13 @@ import oracles
 
 
 def test_information_gain_scalar():
-    assert information_gain([[0.5]], [[1.0]]) == pytest.approx(1.0)
+    # at delta = 0 the trigger score is the information gain itself
+    assert trigger_eval([[0.5]], [[1.0]], 0.0)[0] == pytest.approx(1.0)
 
 
 def test_information_gain_rejects_indefinite():
     with pytest.raises(ValueError, match="positive definite"):
-        information_gain([[-1.0]], [[1.0]])
+        trigger_eval([[-1.0]], [[1.0]], 0.0)
 
 
 def test_trigger_exact_tie_stays_silent():

@@ -133,6 +133,15 @@ def test_system_model_rejects_indefinite_Q():
                     x0_mean=np.zeros(2), P0=np.eye(2))
 
 
+@pytest.mark.parametrize("A, Q, field", [
+    (np.eye(2), np.eye(3), r"Q\[0\]"),
+    (np.ones((2, 3)), np.eye(2), r"A\[0\]"),
+], ids=["Q", "A"])
+def test_system_model_rejects_wrong_shapes(A, Q, field):
+    with pytest.raises(ValueError, match=f"{field} must be \\(2, 2\\)"):
+        SystemModel(A=A, Q=Q, x0_mean=np.zeros(2), P0=np.eye(2))
+
+
 @pytest.mark.parametrize("field", ["A", "Q", "x0_mean", "P0"])
 def test_system_model_rejects_non_finite(field):
     kw = dict(A=np.eye(2), Q=np.eye(2), x0_mean=np.zeros(2), P0=np.eye(2))

@@ -93,8 +93,10 @@ def test_sim_r_needs_one_entry_per_agent():
     (dict(sim_q=np.full((4, 4), np.inf)), "sim_q"),
     (dict(sim_q=np.eye(3)), "sim_q"),
     (dict(sim_r=[None, np.array([[-1.0]]), None]), r"sim_r\[1\]"),
+    (dict(seed=-1), "seed"),
+    (dict(agents=[]), "agents"),
 ], ids=["nan-x0_hat", "short-x0_hat", "indefinite-P0_init", "asymmetric-x0_cov",
-        "inf-sim_q", "small-sim_q", "negative-sim_r"])
+        "inf-sim_q", "small-sim_q", "negative-sim_r", "negative-seed", "no-agents"])
 def test_scenario_rejects_bad_overrides(override, field):
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(case1(), **override)
