@@ -17,12 +17,17 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from . import analysis, sim
 
 EXIT_OK = 0
 EXIT_CRASH = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
+
+# the single-run commands and the filter each runs
+_RUN_MODES = {"run-tpdkf": "time", "run-epdkf": "event"}
 
 
 class _Infeasible(Exception):
@@ -109,6 +114,11 @@ def _load_config(args) -> tuple:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
         overrides["seed"] = args.seed
+    if args.command in _RUN_MODES:
+        if args.trials is not None:
+            raise ValueError(f"--trials does not apply to {args.command}, which "
+                             f"makes one run; use mc for several trials")
+        cfg = dataclasses.replace(cfg, mode=_RUN_MODES[args.command], trials=1)
     if args.trials is not None:
         cfg = dataclasses.replace(cfg, trials=args.trials)
         overrides["trials"] = args.trials
@@ -166,18 +176,10 @@ def _cmd_eco_check(args, cfg, overrides, out) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args, cfg, overrides, out, mode: str) -> int:
-    metrics = sim.run_time_based(cfg) if mode == "time" else sim.run_event(cfg)
-    _emit(out, cfg, overrides, metrics, triggers=(mode == "event"))
-    if mode == "event":
-        print(f"lambda: {metrics.lambda_:.6g}")
-    print(f"final mse: {metrics.mse[-1]:.6g}")
-    print(f"wrote metrics.csv to {out}")
-    return EXIT_OK
-
-
 def _cmd_mc(args, cfg, overrides, out) -> int:
-    metrics = sim.monte_carlo(cfg)
+    # a diverging run is reported once, as a ValueError naming its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics = sim.monte_carlo(cfg)
     _emit(out, cfg, overrides, metrics, triggers=(cfg.mode == "event"))
     print(f"trials: {metrics.trials}")
     if cfg.mode == "event":
@@ -243,11 +245,7 @@ def main(argv=None) -> int:
         out = _out_dir(args)
         if args.command == "eco-check":
             return _cmd_eco_check(args, cfg, overrides, out)
-        if args.command == "run-tpdkf":
-            return _cmd_run(args, cfg, overrides, out, "time")
-        if args.command == "run-epdkf":
-            return _cmd_run(args, cfg, overrides, out, "event")
-        if args.command in ("mc", "case1", "case2"):
+        if args.command in ("run-tpdkf", "run-epdkf", "mc", "case1", "case2"):
             return _cmd_mc(args, cfg, overrides, out)
         if args.command == "threshold-bound":
             return _cmd_threshold(args, cfg, overrides, out)

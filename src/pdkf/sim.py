@@ -1,11 +1,13 @@
 """Synchronous-round network simulator and Monte Carlo harness.
 
-The propagation engine exploits the fact that, conditional on the trigger
-pattern (which never depends on measured data), every filter step is an
-affine map of the previous estimates and the current measurements.  All
-covariance-side quantities -- gains, fusion coefficients, projection maps,
-trigger decisions -- are computed once per scenario, and the per-trial state
-vectors are then pushed through as (n, trials) blocks.
+The engine exploits the fact that, once the covariance recursion and the
+trigger pattern (which never depends on measured data) are fixed, every
+filter step is an affine map of the previous estimates and the current
+measurements.  One pass, `_filter_path`, advances each agent's covariance
+and its (n, trials) block of state vectors together: each step's gains,
+fusion coefficients and projection maps are computed once and applied to all
+trials at once, then dropped.  The Monte Carlo runs and the design pilot
+(`pilot_betas`, on zero trials) share that pass.
 
 Reproducibility contract: the master seed is split with
 ``np.random.SeedSequence(seed).spawn(trials)`` and trial j draws from
@@ -250,79 +252,83 @@ def _noise_blocks(cfg: ScenarioConfig, trials: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# precomputed per-step filter maps
+# the filter pass
 
 
-@dataclass
-class _Step:
-    K: list                 # per agent: gain or None
-    rounds: list            # per fusion-projection round: (coeffs, G, c)
-    P: list                 # per agent posterior covariance after the step
-    g: list = field(default_factory=list)      # event mode trigger statistics
-    fired: list = field(default_factory=list)  # event mode fired flags
+def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
+    """One pass of either filter: yields (est, P, g, fired) for k = 0..T.
 
-
-def _fusion_maps(info_own, info_nbr, topology):
-    """Per-agent CI coefficients [(j, C_ij)] and fused covariances P̌_i.  Agent
-    i fuses its own information info_own[i] with info_nbr[j] of every other
-    in-neighbor j, in index order."""
-    coeffs, Pcs = [], []
-    for i in range(topology.N):
-        nbrs = topology.in_neighbors(i)
-        Pc, Cs = filt.ci_maps([info_own[j] if j == i else info_nbr[j] for j in nbrs],
-                              topology.weights[i, nbrs])
-        coeffs.append(list(zip(nbrs, Cs)))
-        Pcs.append(Pc)
-    return coeffs, Pcs
-
-
-def _covariance_path(cfg: ScenarioConfig, mode: str) -> list:
-    """Covariance-side pass of either filter; one _Step per k.
+    est and P are new lists holding each agent's (n, trials) state block and
+    covariance after step k; g and fired hold the trigger scores and
+    decisions of step k in event mode, and are empty otherwise and at k = 0.
+    Y holds each agent's (T, m_i, trials) measurement block; trials may be 0.
 
     Time mode runs L fusion-projection rounds on the fresh pairs.  Event mode
-    decides the trigger pattern here (it is measurement-free) and runs one
-    round in which neighbors contribute their held pairs, extrapolated since
-    the last broadcast.  Each covariance is inverted once per round, for the
-    trigger and the fusion alike.
+    runs one round in which each neighbor contributes its held pair: its last
+    broadcast, extrapolated to step k.  Each covariance is inverted once
+    per round, for the trigger and the fusion alike.  A LinAlgError from an
+    overflowed covariance is raised as a ValueError naming agent and step.
     """
-    model, topo, agents, n = cfg.model, cfg.topology, cfg.agents, cfg.model.n
+    model, topo, agents = cfg.model, cfg.topology, cfg.agents
     event = mode == "event"
     if event and not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")
-    P = [p for _, p in cfg.initial_pairs()]
-    held_P = [p.copy() for p in P]   # anchors: initial time is a broadcast
-    steps = []
+    pairs = cfg.initial_pairs()
+    est = [np.tile(x.reshape(-1, 1), (1, Y[0].shape[2])) for x, _ in pairs]
+    P = [p for _, p in pairs]
+    held = [(x, p, None) for x, p in zip(est, P)]   # initial time is a broadcast
+    yield est, P, [], []
     for k in range(1, cfg.T + 1):
         A, Q = model.A_at(k - 1), model.Q_at(k - 1)
-        st = _Step(K=[], rounds=[], P=[])
-        Pt = []
-        for a, p in zip(agents, P):
-            Pb = filt.symmetrize(A @ p @ A.T + Q)
-            Kg, p = filt.kalman_gain(Pb, a.H, a.R) if a.has_measurement else (None, Pb)
-            st.K.append(Kg)
-            Pt.append(p)
-        info = [np.linalg.inv(p) for p in Pt]
-        if event:
-            held_P = [filt.symmetrize(A @ hp @ A.T + Q) for hp in held_P]
-            held_info = [np.linalg.inv(hp) for hp in held_P]
+        est, P = est[:], P[:]     # the lists yielded last step stay as they were
+        try:
             for i, a in enumerate(agents):
-                g, fire = trigger_from_info(info[i], held_info[i], a.delta)
-                st.g.append(g)
-                st.fired.append(fire)
-                if fire:
-                    held_P[i], held_info[i] = Pt[i].copy(), info[i]
-        for r in range(1 if event else cfg.L):
-            if r:
-                info = [np.linalg.inv(p) for p in Pt]
-            coeffs, Pcs = _fusion_maps(info, held_info if event else info, topo)
-            maps = [filt.projection_map(Pc, a.D, a.d, a.eps) if a.has_constraint
-                    else (np.eye(n), np.zeros(n), Pc) for Pc, a in zip(Pcs, agents)]
-            Gs, cs, Pt = (list(m) for m in zip(*maps))
-            st.rounds.append((coeffs, Gs, cs))
-        P = Pt
-        st.P = [p.copy() for p in P]
-        steps.append(st)
-    return steps
+                x, p = A @ est[i], filt.symmetrize(A @ P[i] @ A.T + Q)
+                if a.has_measurement:
+                    K, p = filt.kalman_gain(p, a.H, a.R)
+                    x = x + K @ (Y[i][k - 1] - a.H @ x)
+                est[i], P[i] = x, p
+            info = [np.linalg.inv(p) for p in P]
+            g, fired = [], []
+            if event:
+                for i, a in enumerate(agents):
+                    hx, hp, _ = held[i]
+                    hp = filt.symmetrize(A @ hp @ A.T + Q)
+                    hinfo = np.linalg.inv(hp)
+                    gi, fire = trigger_from_info(info[i], hinfo, a.delta)
+                    # a broadcast becomes the anchor every receiver extrapolates
+                    held[i] = (est[i], P[i], info[i]) if fire else (A @ hx, hp, hinfo)
+                    g.append(gi)
+                    fired.append(fire)
+            for r in range(1 if event else cfg.L):
+                if r:
+                    info = [np.linalg.inv(p) for p in P]
+                nbr = held if event else list(zip(est, P, info))
+                fused = []
+                for i, a in enumerate(agents):
+                    nbrs = topo.in_neighbors(i)
+                    Pc, Cs = filt.ci_maps([info[j] if j == i else nbr[j][2] for j in nbrs],
+                                          topo.weights[i, nbrs])
+                    x = np.zeros_like(est[i])
+                    for j, C in zip(nbrs, Cs):
+                        x += C @ (est[j] if j == i else nbr[j][0])
+                    if a.has_constraint:
+                        G, c, Pc = filt.projection_map(Pc, a.D, a.d, a.eps)
+                        x = G @ x + c.reshape(-1, 1)
+                    fused.append((x, Pc))
+                est, P = [x for x, _ in fused], [p for _, p in fused]
+        except np.linalg.LinAlgError as exc:
+            raise _diverged(k, P, [p for _, p, _ in held], exc) from None
+        yield est, P, g, fired
+
+
+def _diverged(k: int, P: list, held_P: list, exc: Exception) -> ValueError:
+    """The error for step k, whose matrix algebra failed: it names the first
+    agent whose covariance or held covariance is not finite."""
+    bad = [f"the {kind}covariance of agent {i} is not finite"
+           for kind, Ps in (("", P), ("held ", held_P))
+           for i, p in enumerate(Ps) if not np.isfinite(p).all()]
+    return ValueError(f"the run diverged: {bad[0] if bad else exc} at step {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -387,55 +393,21 @@ class _Recorder:
 def _run_core(cfg: ScenarioConfig, mode: str, trials: int, seed: int,
               truth_cfg: ScenarioConfig | None = None) -> RunMetrics:
     X, Y, gc = _noise_blocks(cfg, trials, seed, truth_cfg)
-    model, topo, n, T = cfg.model, cfg.topology, cfg.model.n, cfg.T
-    steps = _covariance_path(cfg, mode)
-
+    topo = cfg.topology
     own = [(a.D, a.d) if a.has_constraint else None for a in cfg.agents]
     rec = _Recorder(cfg, trials, seed, gc, own)
-    pairs = cfg.initial_pairs()
-    est = [np.tile(x.reshape(-1, 1), (1, trials)) for x, _ in pairs]
-    held = [e.copy() for e in est] if mode == "event" else None
-    rec.record(0, est, X[0], [p for _, p in pairs])
-
-    out_deg = np.array([topo.out_degree0(i) for i in range(topo.N)], dtype=float)
-    total_deg = out_deg.sum()
+    out_deg = [topo.out_degree0(i) for i in range(topo.N)]
+    total_deg = float(sum(out_deg))
     saved = 0.0
-    for k in range(1, T + 1):
-        A = model.A_at(k - 1)
-        st = steps[k - 1]
-        if mode == "event":
-            held = [A @ h for h in held]
-        pred = []
-        for i, a in enumerate(cfg.agents):
-            xb = A @ est[i]
-            if st.K[i] is not None:
-                xb = xb + st.K[i] @ (Y[i][k - 1] - a.H @ xb)
-            pred.append(xb)
-        if mode == "event":
-            for i in range(topo.N):
-                if st.fired[i]:
-                    held[i] = pred[i].copy()
-                rec.metrics.trigger_log.append((k, i, st.g[i], bool(st.fired[i])))
-            saved += sum(out_deg[i] for i in range(topo.N) if not st.fired[i])
+    for k, (est, P, g, fired) in enumerate(_filter_path(cfg, mode, Y)):
+        rec.record(k, est, X[k], P)
+        if mode == "event" and k:
+            rec.metrics.trigger_log += [(k, i, g[i], fired[i]) for i in range(topo.N)]
+            saved += sum(d for d, f in zip(out_deg, fired) if not f)
             if total_deg > 0:
                 rec.lambda_running[k] = 1.0 - saved / (k * total_deg)
-
-        cur = pred
-        for coeffs, Gs, cs in st.rounds:
-            # fired neighbors were re-anchored above, so held == fresh for them
-            nbr = held if mode == "event" else cur
-            fused = []
-            for i in range(topo.N):
-                acc = np.zeros((n, trials))
-                for j, C in coeffs[i]:
-                    acc += C @ (cur[j] if j == i else nbr[j])
-                fused.append(acc)
-            cur = [Gs[i] @ fused[i] + cs[i].reshape(-1, 1) for i in range(topo.N)]
-        est = cur
-        rec.record(k, est, X[k], st.P)
-
-    if mode == "event" and total_deg > 0 and T > 0:
-        rec.metrics.lambda_ = float(1.0 - saved / (T * total_deg))
+    if mode == "event" and total_deg > 0:
+        rec.metrics.lambda_ = float(1.0 - saved / (cfg.T * total_deg))
     return rec.metrics
 
 
@@ -463,8 +435,8 @@ def pilot_betas(cfg: ScenarioConfig) -> tuple:
     """Default (β, β̄) for the design tools: contraction factors covering every
     covariance of a time-based pilot pass over the first min(T, 50) steps."""
     pilot = dataclasses.replace(cfg, T=min(cfg.T, 50), mode="time")
-    mats = [p for _, p in cfg.initial_pairs()]
-    mats += [p for st in _covariance_path(pilot, "time") for p in st.P]
+    Y = [np.zeros((pilot.T, a.H.shape[0], 0)) for a in cfg.agents]
+    mats = [p for _, P, _, _ in _filter_path(pilot, "time", Y) for p in P]
     return pilot_contraction_factors(mats, cfg.model.A_at(0), cfg.model.Q_at(0))
 
 
@@ -518,57 +490,43 @@ def consensus_baseline(cfg: ScenarioConfig) -> RunMetrics:
 # canonical scenarios
 
 
-def case1(mode: str = "event", L: int = 1, trials: int = 1, seed: int = 0,
-          delta: tuple = (0.3, 0.4, 0.8), T: int = 250) -> ScenarioConfig:
-    """Three-agent road-constrained vehicle scenario on a path graph."""
+def _vehicle_scenario(name: str, sensors: list, W: np.ndarray,
+                      **run) -> ScenarioConfig:
+    """The vehicle model shared by case1 and case2.  sensors holds one
+    (H, on_road, delta) per agent: the 1×4 measurement row (R = 90), whether
+    the agent knows the road constraint, and its trigger threshold."""
     A = np.array([[1.0, 0.0, 0.1, 0.0],
                   [0.0, 1.0, 0.0, 0.1],
                   [0.0, 0.0, 1.0, 0.0],
                   [0.0, 0.0, 0.0, 1.0]])
-    Q = np.diag([4.0, 4.0, 1.0, 1.0])
     P0 = np.diag([100.0, 100.0, 4.0, 4.0])
-    model = SystemModel(A, Q, np.zeros(4), P0)
-    H_pos = np.array([[1.0, 0.0, 0.0, 0.0]])
-    R = np.array([[90.0]])
-    no_D = np.zeros((0, 4))
-    agents = [
-        AgentSpec(H_pos, R, ROAD_D.copy(), np.zeros(2), 0.01, float(delta[0])),
-        AgentSpec(np.zeros((1, 4)), R, no_D, np.zeros(0), 0.01, float(delta[1])),
-        AgentSpec(H_pos, R, ROAD_D.copy(), np.zeros(2), 0.01, float(delta[2])),
-    ]
+    model = SystemModel(A, np.diag([4.0, 4.0, 1.0, 1.0]), np.zeros(4), P0)
+    agents = [AgentSpec(np.asarray(H, dtype=float), np.array([[90.0]]),
+                        ROAD_D.copy() if road else np.zeros((0, 4)),
+                        np.zeros(2 if road else 0), 0.01, float(delta))
+              for H, road, delta in sensors]
+    return ScenarioConfig(model=model, agents=agents, topology=Topology(W),
+                          P0_init=P0.copy(), x0_cov=np.diag([100.0, 100.0, 3.0, 1.0]),
+                          name=name, **run)
+
+
+def case1(mode: str = "event", L: int = 1, trials: int = 1, seed: int = 0,
+          delta: tuple = (0.3, 0.4, 0.8), T: int = 250) -> ScenarioConfig:
+    """Three-agent road-constrained vehicle scenario on a path graph."""
+    H_pos = [[1.0, 0.0, 0.0, 0.0]]
+    sensors = [(H_pos, True, delta[0]), ([[0.0] * 4], False, delta[1]),
+               (H_pos, True, delta[2])]
     adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
-    topo = Topology(metropolis_weights(adj))
-    return ScenarioConfig(
-        model=model, agents=agents, topology=topo, T=T, L=L, mode=mode,
-        trials=trials, seed=seed,
-        P0_init=P0.copy(),
-        x0_cov=np.diag([100.0, 100.0, 3.0, 1.0]),
-        name="case1",
-    )
+    return _vehicle_scenario("case1", sensors, metropolis_weights(adj), T=T, L=L,
+                             mode=mode, trials=trials, seed=seed)
 
 
 def case2(mode: str = "time", L: int = 1, trials: int = 100, seed: int = 0,
           delta: float = 0.4, T: int = 250, N: int = 20) -> ScenarioConfig:
     """Twenty-agent variant: random connected graph, heterogeneous sensing,
     constraints known to every other agent."""
-    A = np.array([[1.0, 0.0, 0.1, 0.0],
-                  [0.0, 1.0, 0.0, 0.1],
-                  [0.0, 0.0, 1.0, 0.0],
-                  [0.0, 0.0, 0.0, 1.0]])
-    Q = np.diag([4.0, 4.0, 1.0, 1.0])
-    P0 = np.diag([100.0, 100.0, 4.0, 4.0])
-    model = SystemModel(A, Q, np.zeros(4), P0)
-    H_types = [np.array([[1.0, 0.0, 0.0, 0.0]]),
-               np.array([[0.0, 0.3, 0.0, 0.0]]),
-               np.array([[0.0, 1.0, 0.0, 0.0]])]
-    R = np.array([[90.0]])
-    no_D = np.zeros((0, 4))
-    agents = []
-    for i in range(N):
-        D = ROAD_D.copy() if i % 2 == 0 else no_D
-        d = np.zeros(2) if i % 2 == 0 else np.zeros(0)
-        agents.append(AgentSpec(H_types[i % 3], R, D, d, 0.01, float(delta)))
-
+    H_types = [[[1.0, 0.0, 0.0, 0.0]], [[0.0, 0.3, 0.0, 0.0]], [[0.0, 1.0, 0.0, 0.0]]]
+    sensors = [(H_types[i % 3], i % 2 == 0, delta) for i in range(N)]
     graph_rng = np.random.default_rng(2020)
     for _attempt in range(1000):
         adj = (graph_rng.random((N, N)) < 0.15).astype(float)
@@ -581,14 +539,8 @@ def case2(mode: str = "time", L: int = 1, trials: int = 100, seed: int = 0,
             continue
     else:
         raise RuntimeError("could not draw a connected topology")
-    topo = Topology(W)
-    return ScenarioConfig(
-        model=model, agents=agents, topology=topo, T=T, L=L, mode=mode,
-        trials=trials, seed=seed,
-        P0_init=P0.copy(),
-        x0_cov=np.diag([100.0, 100.0, 3.0, 1.0]),
-        name="case2",
-    )
+    return _vehicle_scenario("case2", sensors, W, T=T, L=L, mode=mode,
+                             trials=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------

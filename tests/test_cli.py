@@ -1,6 +1,8 @@
 import contextlib
 import io
+import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +243,53 @@ def test_diverging_run_exits_two_before_writing(tmp_path, capsys, command):
     assert "column 'mse'" in err and "at step 94" in err
     assert not (tmp_path / "o" / "metrics.csv").exists()
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run-tpdkf"], "metrics.csv column 'mse' is not finite at step 94"),
+    (["run-epdkf", "--delta", "0.4"], "the covariance of agent 1 is not finite "
+                                      "at step 90"),
+], ids=["time", "event"])
+def test_diverging_run_reports_once_naming_the_step(tmp_path, capsys, argv, message):
+    # A scaled by 50; the event run inverts an overflowed covariance at step 90
+    cfg = sim.case1(T=200, mode="time")
+    m = cfg.model
+    cfg.model = SystemModel(50 * m.A[0], m.Q[0], m.x0_mean, m.P0)
+    scn = tmp_path / "unstable.scn"
+    save_scenario(cfg, str(scn))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([argv[0], str(scn), *argv[1:], "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: the run diverged: {message}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run-tpdkf", "run-epdkf"])
+def test_single_run_rejects_trials(case1_file, tmp_path, capsys, command):
+    rc = cli.main([command, case1_file, "--trials", "5", "--out", str(tmp_path / "r")])
+    assert rc == cli.EXIT_VALIDATION
+    assert "--trials" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["run-tpdkf", "--L", "2"], ["run-epdkf"]],
+                         ids=["time", "event"])
+def test_single_run_writes_the_scenario_it_ran(tmp_path, argv):
+    # case2 is a 100-trial time scenario; each run-* command makes one run
+    scn = tmp_path / "case2.scn"
+    save_scenario(sim.case2(T=20, delta=0.8), str(scn))
+    run, again = tmp_path / "run", tmp_path / "mc"
+    assert cli.main([argv[0], str(scn), *argv[1:], "--out", str(run)]) == cli.EXIT_OK
+    manifest = json.loads((run / "manifest.json").read_text())
+    mode = "time" if argv[0] == "run-tpdkf" else "event"
+    assert (manifest["mode"], manifest["trials"]) == (mode, 1)
+    assert cli.main(["mc", str(run / "scenario.scn"), "--out", str(again)]) == cli.EXIT_OK
+    files = ["metrics.csv"] + (["triggers.csv"] if mode == "event" else [])
+    for name in files:
+        assert (run / name).read_bytes() == (again / name).read_bytes()
+    assert (run / "triggers.csv").exists() == (mode == "event")
 
 
 def test_non_finite_trigger_score_is_named():

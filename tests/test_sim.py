@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from pdkf import sim
+from pdkf.analysis import pilot_contraction_factors
 from pdkf.event import TriggerState, epdkf_round
 from pdkf.filter import AgentState, ConsistentEstimate, tpdkf_round
 from pdkf.model import AgentSpec, SystemModel, Topology, build_global_constraint
@@ -289,6 +290,29 @@ def test_monte_carlo_seed_changes_data():
 def test_trials_override_used():
     rm = monte_carlo(case1(trials=1), trials=3, seed=11)
     assert rm.trials == 3 and rm.seed == 11
+
+
+@pytest.mark.parametrize("cfg", [
+    case1(mode="time", L=2, T=60),
+    case1(mode="event", T=60),
+    case2(mode="event", T=30, delta=0.0),
+], ids=["case1-time", "case1-event", "case2-event-d0"])
+def test_covariance_side_does_not_depend_on_trials(cfg):
+    # the benchmark's reference values come from one-trial runs
+    one, five = monte_carlo(cfg, trials=1), monte_carlo(cfg, trials=5)
+    assert np.array_equal(one.trace_p, five.trace_p)
+    assert np.array_equal(one.trace_p_agent, five.trace_p_agent)
+    assert one.trigger_log == five.trigger_log
+    assert len(one.trigger_log) == (cfg.T * cfg.topology.N if cfg.mode == "event" else 0)
+
+
+def test_pilot_betas_cover_the_first_fifty_steps_of_a_time_run():
+    cfg = case1(mode="event")
+    rm = run_time_based(dataclasses.replace(cfg, checkpoints=range(1, 51)))
+    mats = [P for _, P in cfg.initial_pairs()]
+    mats += [rm.P_checkpoint[(k, i)] for k in range(1, 51) for i in range(3)]
+    expect = pilot_contraction_factors(mats, cfg.model.A_at(0), cfg.model.Q_at(0))
+    assert sim.pilot_betas(cfg) == expect
 
 
 # --- persistence ------------------------------------------------------------------
