@@ -166,8 +166,8 @@ def pilot_contraction_factors(P_mats, A, Q) -> tuple[float, float]:
     Feeds c_lo·I / c_hi·I with the extreme eigenvalues over the collection to
     compute_beta / compute_beta_bar so both inequalities cover the whole run.
     """
-    c_lo = min(float(np.linalg.eigvalsh(0.5 * (P + P.T)).min()) for P in P_mats)
-    c_hi = max(float(np.linalg.eigvalsh(0.5 * (P + P.T)).max()) for P in P_mats)
+    eigs = np.linalg.eigvalsh(symmetrize(np.asarray(P_mats, dtype=float)))
+    c_lo, c_hi = float(eigs.min()), float(eigs.max())
     if c_lo <= 0:
         raise ValueError("pilot matrices must be positive definite")
     n = np.asarray(A).shape[0]

@@ -155,8 +155,8 @@ def _parse_beta(args, cfg) -> tuple:
 def _emit(out, cfg, overrides, metrics=None, triggers=False) -> None:
     if metrics is not None:
         sim._require_finite(metrics)
-    sim.write_manifest(os.path.join(out, "manifest.json"), cfg, overrides)
-    sim.save_scenario(cfg, os.path.join(out, "scenario.scn"))
+    text = sim.save_scenario(cfg, os.path.join(out, "scenario.scn"))
+    sim.write_manifest(os.path.join(out, "manifest.json"), cfg, overrides, text)
     if metrics is not None:
         sim.write_metrics_csv(os.path.join(out, "metrics.csv"), metrics)
         if triggers:

@@ -73,17 +73,19 @@ class TriggerState:
         return x, P
 
 
-def trigger_from_info(info, info_held, delta: float) -> tuple[float, bool]:
+def trigger_from_info(info, info_held, delta):
     """Trigger score g = λ_max(Ω − Ω̄) − δ from the information matrices of
     the fresh pair (Ω = P̃⁻¹) and of the held extrapolation (Ω̄ = P̄̃⁻¹); fires
-    only on a strictly positive score."""
+    only on a strictly positive score.  On stacks over a leading agent axis
+    (δ one value per agent) it returns arrays of scores and decisions."""
     diff = info - info_held
     sym = symmetrize(diff)
-    scale = max(1.0, float(np.abs(sym).max()))
-    if np.abs(diff - diff.T).max() > 1e-8 * scale:
+    scale = np.abs(sym).max(axis=(-2, -1), initial=1.0)
+    if np.count_nonzero(np.abs(diff - diff.swapaxes(-1, -2)).max(axis=(-2, -1))
+                        > 1e-8 * scale):
         raise ValueError("information difference lost symmetry beyond tolerance")
-    g = float(np.linalg.eigvalsh(sym).max()) - delta
-    return g, bool(g > 0.0)
+    g = np.linalg.eigvalsh(sym)[..., -1] - delta     # eigvalsh sorts ascending
+    return (float(g), bool(g > 0.0)) if g.ndim == 0 else (g, g > 0.0)
 
 
 def trigger_eval(P_tilde, P_bar_tilde, delta: float) -> tuple[float, bool]:

@@ -83,10 +83,12 @@ def predict(est: ConsistentEstimate, A: np.ndarray, Q: np.ndarray) -> Consistent
 
 def kalman_gain(P, H, R) -> tuple[np.ndarray, np.ndarray]:
     """(K, P⁺) of one Kalman update: K = P Hᵀ (H P Hᵀ + R)⁻¹ and
-    P⁺ = (I − K H) P symmetrized; the updated state is x + K (y − H x)."""
-    S = H @ P @ H.T + R
-    K = np.linalg.solve(S.T, (P @ H.T).T).T
-    return K, symmetrize((np.eye(P.shape[0]) - K @ H) @ P)
+    P⁺ = (I − K H) P symmetrized; the updated state is x + K (y − H x).
+    P, H and R may be single matrices or stacks over a leading agent axis."""
+    Ht = H.swapaxes(-1, -2)
+    S = H @ P @ Ht + R
+    K = np.linalg.solve(S.swapaxes(-1, -2), (P @ Ht).swapaxes(-1, -2)).swapaxes(-1, -2)
+    return K, symmetrize((np.eye(P.shape[-1]) - K @ H) @ P)
 
 
 def measurement_update(est: ConsistentEstimate, y, H, R) -> ConsistentEstimate:
@@ -105,15 +107,19 @@ def measurement_update(est: ConsistentEstimate, y, H, R) -> ConsistentEstimate:
     return ConsistentEstimate(est.x + K @ (y - H @ est.x), P)
 
 
-def ci_maps(infos, weights) -> tuple[np.ndarray, list]:
+def ci_maps(infos, weights) -> tuple[np.ndarray, np.ndarray]:
     """Covariance intersection as a linear map of the fused states.
 
     From information matrices Ω_j = P_j⁻¹ and weights a_j: P = (Σ a_j Ω_j)⁻¹
-    and C_j = P a_j Ω_j, so the fused state is x = Σ_j C_j x_j.
+    and C_j = P a_j Ω_j, so the fused state is x = Σ_j C_j x_j.  infos holds
+    the d matrices Ω_j, or a stack (N, d, n, n) with weights (N, d), where a
+    slot of zero weight (and a finite matrix) pads an agent with fewer
+    neighbors.  The sum runs over the slots in order, so each agent's P is
+    the same whether it is fused alone or in a stack.
     """
-    terms = [a_j * info for a_j, info in zip(weights, infos)]
-    P = symmetrize(np.linalg.inv(sum(terms)))
-    return P, [P @ M for M in terms]
+    terms = np.asarray(weights)[..., None, None] * np.asarray(infos)
+    P = symmetrize(np.linalg.inv(sum(terms.swapaxes(0, -3))))
+    return P, P[..., None, :, :] @ terms
 
 
 def ci_fuse(pairs, weights) -> ConsistentEstimate:
@@ -138,20 +144,23 @@ def ci_fuse(pairs, weights) -> ConsistentEstimate:
     return ConsistentEstimate(x, P)
 
 
-def projection_map(P, D, d, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def projection_map(P, D, d, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Constraint projection as an affine state map: (G, c, P⁺).
 
     The state x ↦ G x + c is the exact oblique projection onto {x : D x = d}
     (pseudo-inverse of D P Dᵀ), so D x = d holds to machine precision; P is
     shrunk through (D P Dᵀ + eps·I)⁻¹, which keeps it positive definite and
-    equals information addition DᵀD/eps.
+    equals information addition DᵀD/eps.  For a stack of N agents, P and D
+    carry a leading agent axis, d is (N, s, 1) and eps (N, 1, 1); c is then
+    (N, n, 1), a column for each agent.
     """
-    PDt = P @ D.T
+    Dt = D.swapaxes(-1, -2)
+    PDt = P @ Dt
     DP = D @ P
-    S = DP @ D.T  # s×s, PD because P is
+    S = DP @ Dt  # s×s, PD because P is
     M = PDt @ pinv(S)
-    P_new = symmetrize(P - PDt @ np.linalg.solve(S + eps * np.eye(S.shape[0]), DP))
-    return np.eye(P.shape[0]) - M @ D, M @ d, P_new
+    P_new = symmetrize(P - PDt @ np.linalg.solve(S + eps * np.eye(S.shape[-1]), DP))
+    return np.eye(P.shape[-1]) - M @ D, M @ d, P_new
 
 
 def project(est: ConsistentEstimate, D, d, eps: float) -> ConsistentEstimate:

@@ -3,10 +3,11 @@
 The engine exploits the fact that, once the covariance recursion and the
 trigger pattern (which never depends on measured data) are fixed, every
 filter step is an affine map of the previous estimates and the current
-measurements.  One pass, `_filter_path`, advances each agent's covariance
-and its (n, trials) block of state vectors together: each step's gains,
-fusion coefficients and projection maps are computed once and applied to all
-trials at once, then dropped.  The Monte Carlo runs and the design pilot
+measurements.  One pass, `_filter_path`, advances the (N, n, n) covariance
+stack and the (N, n, trials) state stack together: each step runs every
+`filter`/`event` kernel once on the agent stack, fusing neighbor pairs
+gathered into padded slots in neighbor order, applies the maps to all trials
+at once, then drops them.  The Monte Carlo runs and the design pilot
 (`pilot_betas`, on zero trials) share that pass.
 
 Reproducibility contract: the master seed is split with
@@ -108,9 +109,7 @@ class ScenarioConfig:
     def x0_hat_matrix(self) -> np.ndarray:
         """(N, n) initial estimates; a single vector is shared by all agents."""
         N, n = self.topology.N, self.model.n
-        if self.x0_hat is None:
-            return np.tile(self.model.x0_mean, (N, 1))
-        x = np.asarray(self.x0_hat, dtype=float)
+        x = self.model.x0_mean if self.x0_hat is None else self.x0_hat
         if x.shape == (n,):
             return np.tile(x, (N, 1))
         if x.shape != (N, n):
@@ -121,15 +120,11 @@ class ScenarioConfig:
         """Per-agent (x0_hat_i, P0_i); P0 from the explicit override when given,
         otherwise from the consistent-initialization rule."""
         xs = self.x0_hat_matrix()
-        out = []
-        for i in range(self.topology.N):
-            if self.P0_init is not None:
-                out.append((xs[i], np.array(self.P0_init, dtype=float)))
-            else:
-                est = filt.init_consistent(xs[i], self.model.P0, self.theta,
-                                           self.model.x0_mean)
-                out.append((est.x, est.P))
-        return out
+        if self.P0_init is not None:
+            return [(x, np.array(self.P0_init, dtype=float)) for x in xs]
+        ests = [filt.init_consistent(x, self.model.P0, self.theta, self.model.x0_mean)
+                for x in xs]
+        return [(e.x, e.P) for e in ests]
 
     def sim_q_at(self, k: int) -> np.ndarray:
         return self.sim_q if self.sim_q is not None else self.model.Q_at(k)
@@ -255,71 +250,85 @@ def _noise_blocks(cfg: ScenarioConfig, trials: int, seed: int,
 # the filter pass
 
 
+def _grouped(entries: list) -> list:
+    """(indices, *stacked fields) per group of non-None entries of equal shapes."""
+    groups: dict = {}
+    for i, e in enumerate(entries):
+        if e is not None:
+            groups.setdefault(tuple(np.shape(v) for v in e), []).append(i)
+    return [(np.array(idx), *(np.stack(f) for f in zip(*(entries[i] for i in idx))))
+            for idx in groups.values()]
+
+
 def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     """One pass of either filter: yields (est, P, g, fired) for k = 0..T.
 
-    est and P are new lists holding each agent's (n, trials) state block and
-    covariance after step k; g and fired hold the trigger scores and
-    decisions of step k in event mode, and are empty otherwise and at k = 0.
-    Y holds each agent's (T, m_i, trials) measurement block; trials may be 0.
+    est (N, n, trials) and P (N, n, n) are new stacks of each agent's state
+    block and covariance after step k; g and fired list the trigger scores
+    and decisions of step k in event mode, and are empty otherwise and at
+    k = 0.  Y holds the (T, m_i, trials) measurement blocks; trials may be 0.
 
     Time mode runs L fusion-projection rounds on the fresh pairs.  Event mode
     runs one round in which each neighbor contributes its held pair: its last
-    broadcast, extrapolated to step k.  Each covariance is inverted once
-    per round, for the trigger and the fusion alike.  A LinAlgError from an
-    overflowed covariance is raised as a ValueError naming agent and step.
+    broadcast, extrapolated to step k.  Each kernel runs once per round on the
+    agent stack (gain and projection once per shape of H and D).  A
+    LinAlgError from an overflowed covariance is raised as a ValueError
+    naming agent and step.
     """
-    model, topo, agents = cfg.model, cfg.topology, cfg.agents
+    model, topo, agents, N = cfg.model, cfg.topology, cfg.agents, cfg.topology.N
     event = mode == "event"
     if event and not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")
-    pairs = cfg.initial_pairs()
-    est = [np.tile(x.reshape(-1, 1), (1, Y[0].shape[2])) for x, _ in pairs]
-    P = [p for _, p in pairs]
-    held = [(x, p, None) for x, p in zip(est, P)]   # initial time is a broadcast
+    meas = _grouped([(a.H, a.R, Y[i]) if a.has_measurement else None
+                     for i, a in enumerate(agents)])
+    proj = _grouped([(a.D, a.d[:, None], np.full((1, 1), a.eps)) if a.has_constraint
+                     else None for a in agents])
+    deltas = np.array([a.delta for a in agents])
+    # slot s of agent i indexes its s-th in-neighbor in [fresh pairs, held pairs]:
+    # its own fresh pair or, in event mode, j's held one; empty slots repeat i at weight 0
+    nbrs = [topo.in_neighbors(i) for i in range(N)]
+    slot = np.repeat(np.arange(N)[:, None], max(map(len, nbrs)), axis=1)
+    weights = np.zeros(slot.shape)
+    for i, js in enumerate(nbrs):
+        slot[i, :len(js)] = np.where(event & (js != i), N + js, js)
+        weights[i, :len(js)] = topo.weights[i, js]
+
+    def gather(fresh, held):
+        return (np.concatenate([fresh, held]) if event else fresh)[slot]
+
+    x0, P = map(np.stack, zip(*cfg.initial_pairs()))
+    est = np.repeat(x0[:, :, None], Y[0].shape[2], axis=2)
+    hx, hP = est, P         # the initial time is a broadcast
     yield est, P, [], []
     for k in range(1, cfg.T + 1):
         A, Q = model.A_at(k - 1), model.Q_at(k - 1)
-        est, P = est[:], P[:]     # the lists yielded last step stay as they were
         try:
-            for i, a in enumerate(agents):
-                x, p = A @ est[i], filt.symmetrize(A @ P[i] @ A.T + Q)
-                if a.has_measurement:
-                    K, p = filt.kalman_gain(p, a.H, a.R)
-                    x = x + K @ (Y[i][k - 1] - a.H @ x)
-                est[i], P[i] = x, p
-            info = [np.linalg.inv(p) for p in P]
-            g, fired = [], []
+            est, P = A @ est, filt.symmetrize(A @ P @ A.T + Q)
+            for idx, H, R, Yi in meas:
+                K, P[idx] = filt.kalman_gain(P[idx], H, R)
+                est[idx] += K @ (Yi[:, k - 1] - H @ est[idx])
+            info, hinfo = np.linalg.inv(P), None
+            g = fired = np.zeros(0)
             if event:
-                for i, a in enumerate(agents):
-                    hx, hp, _ = held[i]
-                    hp = filt.symmetrize(A @ hp @ A.T + Q)
-                    hinfo = np.linalg.inv(hp)
-                    gi, fire = trigger_from_info(info[i], hinfo, a.delta)
-                    # a broadcast becomes the anchor every receiver extrapolates
-                    held[i] = (est[i], P[i], info[i]) if fire else (A @ hx, hp, hinfo)
-                    g.append(gi)
-                    fired.append(fire)
+                hP = filt.symmetrize(A @ hP @ A.T + Q)
+                hinfo = np.linalg.inv(hP)
+                g, fired = trigger_from_info(info, hinfo, deltas)
+                # a broadcast becomes the anchor every receiver extrapolates
+                f = fired[:, None, None]
+                hx, hP, hinfo = (np.where(f, est, A @ hx), np.where(f, P, hP),
+                                 np.where(f, info, hinfo))
             for r in range(1 if event else cfg.L):
                 if r:
-                    info = [np.linalg.inv(p) for p in P]
-                nbr = held if event else list(zip(est, P, info))
-                fused = []
-                for i, a in enumerate(agents):
-                    nbrs = topo.in_neighbors(i)
-                    Pc, Cs = filt.ci_maps([info[j] if j == i else nbr[j][2] for j in nbrs],
-                                          topo.weights[i, nbrs])
-                    x = np.zeros_like(est[i])
-                    for j, C in zip(nbrs, Cs):
-                        x += C @ (est[j] if j == i else nbr[j][0])
-                    if a.has_constraint:
-                        G, c, Pc = filt.projection_map(Pc, a.D, a.d, a.eps)
-                        x = G @ x + c.reshape(-1, 1)
-                    fused.append((x, Pc))
-                est, P = [x for x, _ in fused], [p for _, p in fused]
+                    info = np.linalg.inv(P)
+                Pc, C = filt.ci_maps(gather(info, hinfo), weights)
+                x = sum((C @ gather(est, hx)).swapaxes(0, 1))    # in slot order
+                for idx, D, d, eps in proj:
+                    G, c, Pc[idx] = filt.projection_map(Pc[idx], D, d, eps)
+                    x[idx] = G @ x[idx] + c
+                est, P = x, Pc
         except np.linalg.LinAlgError as exc:
-            raise _diverged(k, P, [p for _, p, _ in held], exc) from None
-        yield est, P, g, fired
+            raise _diverged(k, P, hP, exc) from None
+        yield est, P, g.tolist(), fired.tolist()
 
 
 def _diverged(k: int, P: list, held_P: list, exc: Exception) -> ValueError:
@@ -341,49 +350,34 @@ class _Recorder:
         """`constraints` holds one (D, d) pair or None per recorded estimate;
         residuals are evaluated against these."""
         T = cfg.T
-        self.constraints = constraints
-        self.mse = np.zeros(T + 1)
-        self.trace_p = np.zeros(T + 1)
-        self.lambda_running = np.ones(T + 1)
-        self.residuals = np.zeros(T + 1)
-        self.bias = np.zeros(T + 1)
+        self.constraints = _grouped(constraints)
         self.metrics = RunMetrics(
-            mse=self.mse, trace_p=self.trace_p, lambda_=1.0,
-            lambda_running=self.lambda_running,
-            constraint_residuals=self.residuals,
-            mean_error_norm=self.bias, trials=trials, seed=seed,
+            mse=np.zeros(T + 1), trace_p=np.zeros(T + 1), lambda_=1.0,
+            lambda_running=np.ones(T + 1), constraint_residuals=np.zeros(T + 1),
+            mean_error_norm=np.zeros(T + 1), trials=trials, seed=seed,
             checkpoints=tuple(k for k in cfg.checkpoints if k <= T),
-        )
-        self.F = None
-        self.s_bar = 0
-        if not gc.empty:
-            self.F, _ = space_decomposition(gc.Dbar)
-            self.s_bar = gc.s_bar
+            trace_p_agent=np.zeros((T + 1, len(constraints))))
+        self.gc = gc
+        self.F = None if gc.empty else space_decomposition(gc.Dbar)[0]
 
-    def record(self, k: int, est: list, x_k: np.ndarray, P: list):
-        trials = est[0].shape[1]
-        errs = [e - x_k for e in est]
-        self.mse[k] = float(np.mean([np.mean(np.sum(e * e, axis=0)) for e in errs]))
-        if self.metrics.trace_p_agent is None:
-            self.metrics.trace_p_agent = np.zeros((self.mse.shape[0], len(est)))
-        self.metrics.trace_p_agent[k] = [np.trace(p) for p in P]
-        self.trace_p[k] = float(np.mean([np.trace(p) for p in P]))
-        mean_vec = np.mean([e.mean(axis=1) for e in errs], axis=0)
-        self.bias[k] = float(np.linalg.norm(mean_vec))
-        res = 0.0
-        for pair, e_i in zip(self.constraints, est):
-            if pair is not None:
-                D, d = pair
-                res = max(res, float(np.abs(D @ e_i - d.reshape(-1, 1)).max()))
-        self.residuals[k] = res
-        if k in self.metrics.checkpoints:
+    def record(self, k: int, est: np.ndarray, x_k: np.ndarray, P: np.ndarray):
+        """Step k from the (N, n, trials) state and (N, n, n) covariance stacks."""
+        m = self.metrics
+        errs = est - x_k
+        m.mse[k] = np.mean(np.mean(np.sum(errs * errs, axis=1), axis=1))
+        m.trace_p_agent[k] = np.trace(P, axis1=1, axis2=2)
+        m.trace_p[k] = np.mean(m.trace_p_agent[k])
+        m.mean_error_norm[k] = np.linalg.norm(np.mean(np.mean(errs, axis=2), axis=0))
+        m.constraint_residuals[k] = max(
+            [0.0] + [float(np.abs(D @ est[idx] - d[..., None]).max())
+                     for idx, D, d in self.constraints])
+        if k in m.checkpoints:
             for i, e in enumerate(errs):
-                self.metrics.sample_moment[(k, i)] = e @ e.T / trials
-                self.metrics.P_checkpoint[(k, i)] = P[i].copy()
+                m.sample_moment[(k, i)] = e @ e.T / est.shape[2]
+                m.P_checkpoint[(k, i)] = P[i].copy()
                 if self.F is not None:
-                    comp = constraint_error(est[i], x_k, self.F, self.s_bar)
-                    self.metrics.constraint_sq[(k, i)] = float(
-                        np.mean(np.sum(comp * comp, axis=0)))
+                    comp = constraint_error(est[i], x_k, self.F, self.gc.s_bar)
+                    m.constraint_sq[(k, i)] = float(np.mean(np.sum(comp * comp, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +399,8 @@ def _run_core(cfg: ScenarioConfig, mode: str, trials: int, seed: int,
             rec.metrics.trigger_log += [(k, i, g[i], fired[i]) for i in range(topo.N)]
             saved += sum(d for d, f in zip(out_deg, fired) if not f)
             if total_deg > 0:
-                rec.lambda_running[k] = 1.0 - saved / (k * total_deg)
-    if mode == "event" and total_deg > 0:
-        rec.metrics.lambda_ = float(1.0 - saved / (cfg.T * total_deg))
+                rec.metrics.lambda_running[k] = 1.0 - saved / (k * total_deg)
+    rec.metrics.lambda_ = float(rec.metrics.lambda_running[-1])
     return rec.metrics
 
 
@@ -436,7 +429,7 @@ def pilot_betas(cfg: ScenarioConfig) -> tuple:
     covariance of a time-based pilot pass over the first min(T, 50) steps."""
     pilot = dataclasses.replace(cfg, T=min(cfg.T, 50), mode="time")
     Y = [np.zeros((pilot.T, a.H.shape[0], 0)) for a in cfg.agents]
-    mats = [p for _, P, _, _ in _filter_path(pilot, "time", Y) for p in P]
+    mats = np.concatenate([P for _, P, _, _ in _filter_path(pilot, "time", Y)])
     return pilot_contraction_factors(mats, cfg.model.A_at(0), cfg.model.Q_at(0))
 
 
@@ -462,7 +455,7 @@ def ckf_baseline(cfg: ScenarioConfig) -> RunMetrics:
     # violation the unconstrained filter accumulates
     pairs = [None if gc.empty else (gc.Dbar, gc.dbar)]
     rec = _Recorder(cfg, trials, cfg.seed, gc, pairs)
-    rec.record(0, [x], X[0], [P])
+    rec.record(0, x[None], X[0], P[None])
     for k in range(1, T + 1):
         A, Q = model.A_at(k - 1), model.Q_at(k - 1)
         x = A @ x
@@ -470,7 +463,7 @@ def ckf_baseline(cfg: ScenarioConfig) -> RunMetrics:
         if idx:
             K, P = filt.kalman_gain(P, Hs, Rs)
             x = x + K @ (np.vstack([Y[i][k - 1] for i in idx]) - Hs @ x)
-        rec.record(k, [x], X[k], [P])
+        rec.record(k, x[None], X[k], P[None])
     rec.metrics.lambda_ = 1.0
     return rec.metrics
 
@@ -577,23 +570,29 @@ def _cfg_to_dict(cfg: ScenarioConfig) -> dict:
     for key, val in (("beta1", m.beta1), ("beta2", m.beta2)):
         if val is not None:
             d["model"][key] = float(val)
-    sim = d["sim"]
-    if cfg.x0_hat is not None:
-        sim["x0_hat"] = _mat(cfg.x0_hat)
-    if cfg.P0_init is not None:
-        sim["P0_init"] = _mat(cfg.P0_init)
-    if cfg.x0_cov is not None:
-        sim["x0_cov"] = _mat(cfg.x0_cov)
-    if cfg.sim_q is not None:
-        sim["sim_q"] = _mat(cfg.sim_q)
+    for key in ("x0_hat", "P0_init", "x0_cov", "sim_q"):
+        if getattr(cfg, key) is not None:
+            d["sim"][key] = _mat(getattr(cfg, key))
     if cfg.sim_r is not None:
-        sim["sim_r"] = [None if r is None else _mat(r) for r in cfg.sim_r]
+        d["sim"]["sim_r"] = [None if r is None else _mat(r) for r in cfg.sim_r]
     return d
 
 
-def save_scenario(cfg: ScenarioConfig, path: str) -> None:
+# libyaml where PyYAML was built with it: the same documents, several times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def _scenario_text(cfg: ScenarioConfig) -> str:
+    return yaml.dump(_cfg_to_dict(cfg), Dumper=_YAML_DUMPER, sort_keys=True)
+
+
+def save_scenario(cfg: ScenarioConfig, path: str) -> str:
+    """Write the scenario file; returns its text, for `write_manifest`."""
+    text = _scenario_text(cfg)
     with open(path, "w") as fh:
-        yaml.safe_dump(_cfg_to_dict(cfg), fh, sort_keys=True)
+        fh.write(text)
+    return text
 
 
 def _floats(v) -> np.ndarray:
@@ -612,7 +611,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     """
     with open(path) as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ValueError(f"scenario file {path} is not valid YAML: {exc}") from exc
     bad = f"malformed scenario file {path!r}"
@@ -667,9 +666,10 @@ def load_scenario(path: str) -> ScenarioConfig:
                  name=raw.get("name", "scenario"), **run)
 
 
-def scenario_hash(cfg: ScenarioConfig) -> str:
-    blob = yaml.safe_dump(_cfg_to_dict(cfg), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+def scenario_hash(cfg: ScenarioConfig | str) -> str:
+    """SHA-256 of the scenario file's text; pass the text when it is at hand."""
+    text = cfg if isinstance(cfg, str) else _scenario_text(cfg)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _fmt(v: float) -> str:
@@ -713,8 +713,8 @@ def write_triggers_csv(path: str, rm: RunMetrics) -> None:
             fh.write(f"{k},{i},{_fmt(g)},{int(fired)}\n")
 
 
-def write_manifest(path: str, cfg: ScenarioConfig,
-                   overrides: dict | None = None) -> None:
+def write_manifest(path: str, cfg: ScenarioConfig, overrides: dict | None = None,
+                   scenario_text: str | None = None) -> None:
     try:
         from importlib.metadata import version
         pkg_version = version("pdkf")
@@ -722,7 +722,7 @@ def write_manifest(path: str, cfg: ScenarioConfig,
         pkg_version = "unknown"
     manifest = {
         "scenario": cfg.name,
-        "scenario_sha256": scenario_hash(cfg),
+        "scenario_sha256": scenario_hash(scenario_text or cfg),
         "seed": cfg.seed,
         "trials": cfg.trials,
         "mode": cfg.mode,

@@ -233,3 +233,27 @@ def test_epdkf_rejects_time_varying_model():
                 for a in agents]
     with pytest.raises(ValueError, match="time-invariant"):
         epdkf_round(states, triggers, [np.zeros(1)] * 3, tv, agents, top, 1)
+
+
+# --- the trigger on stacks over an agent axis -------------------------------
+
+@pytest.mark.parametrize("N", [1, 7])
+def test_stacked_trigger_equals_single_calls(N):
+    rng = np.random.default_rng(N)
+    info = np.linalg.inv(np.stack([oracles.random_psd(rng, 4) for _ in range(N)]))
+    held = np.linalg.inv(np.stack([oracles.random_psd(rng, 4) for _ in range(N)]))
+    delta = rng.uniform(0.0, 2.0, N)
+    # member 0 is an exact tie at delta = 0: a zero score that stays silent
+    held[0], delta[0] = info[0], 0.0
+    g, fired = trigger_from_info(info, held, delta)
+    assert g.shape == fired.shape == (N,)
+    assert (g[0], fired[0]) == (0.0, False)
+    assert list(zip(g.tolist(), fired.tolist())) == [
+        trigger_from_info(info[i], held[i], delta[i]) for i in range(N)]
+
+
+def test_stacked_trigger_rejects_one_asymmetric_member():
+    info = np.stack([np.eye(2)] * 3)
+    info[1, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetry"):
+        trigger_from_info(info, np.stack([np.eye(2)] * 3), np.zeros(3))

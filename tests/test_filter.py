@@ -363,3 +363,64 @@ def test_pinv_cuts_tiny_singular_values():
     Mi = pinv(M)
     assert Mi[0, 0] == pytest.approx(1.0)
     assert Mi[1, 1] == 0.0
+
+
+# --- the kernels on stacks over an agent axis, against single-matrix calls ----
+
+def _stack(rng, N, rows):
+    """N random PD 4×4 covariances and N random matrices of `rows` rows; for
+    N > 1 the first matrix is zero (a blind or unconstrained agent)."""
+    P = np.stack([oracles.random_psd(rng, 4) for _ in range(N)])
+    M = rng.standard_normal((N, rows, 4))
+    if N > 1:
+        M[0] = 0.0
+    return P, M
+
+
+@pytest.mark.parametrize("N", [1, 7])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_stacked_kalman_gain_equals_single_calls(N, rows):
+    rng = np.random.default_rng(10 * N + rows)
+    P, H = _stack(rng, N, rows)
+    R = np.stack([oracles.random_psd(rng, rows, jitter=0.1) for _ in range(N)])
+    K, P_new = kalman_gain(P, H, R)
+    assert K.shape == (N, 4, rows) and P_new.shape == (N, 4, 4)
+    for i in range(N):
+        K_i, P_i = kalman_gain(P[i], H[i], R[i])
+        assert np.array_equal(K[i], K_i)
+        assert np.array_equal(P_new[i], P_i)
+
+
+@pytest.mark.parametrize("N", [1, 7])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_stacked_projection_map_equals_single_calls(N, rows):
+    rng = np.random.default_rng(20 * N + rows)
+    P, D = _stack(rng, N, rows)
+    d = rng.standard_normal((N, rows, 1))
+    eps = 10.0 ** rng.uniform(-3, 0, (N, 1, 1))
+    G, c, P_new = projection_map(P, D, d, eps)
+    assert G.shape == (N, 4, 4) and c.shape == (N, 4, 1)
+    for i in range(N):
+        G_i, c_i, P_i = projection_map(P[i], D[i], d[i, :, 0], eps[i, 0, 0])
+        assert np.array_equal(G[i], G_i)
+        assert np.array_equal(c[i, :, 0], c_i)
+        assert np.array_equal(P_new[i], P_i)
+
+
+@pytest.mark.parametrize("N", [1, 7])
+def test_stacked_ci_maps_equals_single_calls_on_padded_slots(N):
+    rng = np.random.default_rng(N)
+    d_max = 4
+    counts = rng.integers(1, d_max + 1, N)
+    infos = np.zeros((N, d_max, 4, 4))
+    weights = np.zeros((N, d_max))
+    for i, c in enumerate(counts):
+        infos[i, :c] = [np.linalg.inv(oracles.random_psd(rng, 4)) for _ in range(c)]
+        weights[i, :c] = rng.dirichlet(np.ones(c))
+    P, C = ci_maps(infos, weights)
+    assert P.shape == (N, 4, 4) and C.shape == (N, d_max, 4, 4)
+    for i, c in enumerate(counts):
+        P_i, C_i = ci_maps(list(infos[i, :c]), weights[i, :c])
+        assert np.array_equal(P[i], P_i)
+        assert np.array_equal(C[i, :c], C_i)
+        assert not C[i, c:].any()

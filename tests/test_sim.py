@@ -400,3 +400,63 @@ def test_manifest_deterministic_and_complete(tmp_path):
     assert doc["seed"] == 4 and doc["trials"] == 2
     assert "numpy" in doc["versions"] and "python" in doc["versions"]
     assert not any("time" in key or "date" in key for key in doc)
+
+
+# --- the stacked engine on agents of mixed shapes -------------------------------
+
+def heterogeneous_cfg(mode, T=40, seed=2):
+    """Five agents with 1- and 2-row H and D (an offset road), a blind agent
+    and two unconstrained ones (one with an all-zero 2-row D), on a ring with a
+    chord, so agents fuse 3 or 4 pairs.  Time mode runs a time-varying A."""
+    n = 4
+    A0 = np.array([[1.0, 0.0, 0.1, 0.0], [0.0, 1.0, 0.0, 0.1],
+                   [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    A = A0 if mode == "event" else [
+        A0 @ np.diag([1.0, 1.0, 1.0 + 0.02 * np.sin(k), 1.0 - 0.02 * np.cos(k)])
+        for k in range(T)]
+    model = SystemModel(A, np.diag([4.0, 4.0, 1.0, 1.0]), np.zeros(n),
+                        np.diag([100.0, 100.0, 4.0, 4.0]))
+    e = np.eye(n)
+    agents = [
+        AgentSpec(e[:1], [[2.0]], ROAD_D[:1], [1.0], 0.01, 0.3),
+        AgentSpec(e[1:3], np.diag([3.0, 1.0]), ROAD_D, [1.0, -0.5], 0.02, 0.0),
+        AgentSpec(np.zeros((1, n)), [[1.0]], np.zeros((0, n)), [], 0.01, 0.5),
+        AgentSpec(e[[0, 3]], np.diag([2.0, 0.5]), ROAD_D[1:], [-0.5], 0.05, 0.2),
+        AgentSpec(0.3 * e[1:2], [[4.0]], np.zeros((2, n)), [0.0, 0.0], 0.01, 1.0),
+    ]
+    adj = np.zeros((5, 5))
+    for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]:
+        adj[i, j] = adj[j, i] = 1.0
+    return ScenarioConfig(model=model, agents=agents,
+                          topology=Topology(sim.metropolis_weights(adj)), T=T,
+                          L=2, mode=mode, seed=seed, checkpoints=(T,))
+
+
+@pytest.mark.parametrize("mode", ["time", "event"])
+def test_engine_matches_reference_rounds_on_mixed_shapes(mode):
+    cfg = heterogeneous_cfg(mode)
+    rm = run_time_based(cfg) if mode == "time" else run_event(cfg)
+    mse, fired, final = _reference_run(cfg)
+    assert np.all(np.abs(rm.mse - mse) <= 1e-10 * mse)
+    assert rm.fired_sets() == fired
+    if mode == "event":
+        assert 0.0 < rm.lambda_ < 1.0
+    for i, (e, P) in enumerate(final):
+        S = np.outer(e, e)
+        assert np.abs(rm.sample_moment[(cfg.T, i)] - S).max() <= 1e-10 * np.abs(S).max()
+        assert np.abs(rm.P_checkpoint[(cfg.T, i)] - P).max() <= 1e-10 * np.abs(P).max()
+
+
+@pytest.mark.parametrize("mode", ["time", "event"])
+def test_filter_path_never_changes_what_it_yielded(mode):
+    # pilot_betas keeps every yielded covariance, and the recorder reads each
+    # step's stacks only after the next step may have started
+    cfg = heterogeneous_cfg(mode, T=12)
+    _X, Y, _gc = sim._noise_blocks(cfg, 2, 3)
+    kept = []
+    for out in sim._filter_path(cfg, mode, Y):
+        for arrays, copies in kept:
+            assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
+        arrays = [np.asarray(v) for v in out]
+        kept.append((arrays, [a.copy() for a in arrays]))
+    assert len(kept) == cfg.T + 1
