@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .filter import symmetrize
+from .filter import _check_pd, symmetrize
 from .model import AgentSpec, SystemModel, Topology, matrix_rank
 
 _OBS_TOL = 1e-10
@@ -88,52 +88,33 @@ def eco_check(model: SystemModel, agents: list[AgentSpec], N_bar: int,
     if N_bar < 0:
         raise ValueError("window length must be nonnegative")
     n = model.n
-    info_y = np.zeros((n, n))
-    info_d = np.zeros((n, n))
+    info_y, info_d = np.zeros((n, n)), np.zeros((n, n))
     for a in agents:
         if a.has_measurement:
             info_y += a.H.T @ np.linalg.solve(a.R, a.H)
         if a.has_constraint:
             info_d += a.D.T @ a.D
-    G = np.zeros((n, n))
-    G0 = np.zeros((n, n))
-    Phi = np.eye(n)
+    G, G0, Phi = np.zeros((n, n)), np.zeros((n, n)), np.eye(n)
     for j in range(k0, k0 + N_bar + 1):
         G += Phi.T @ (info_y + info_d) @ Phi
         G0 += Phi.T @ info_y @ Phi
         Phi = model.A_at(j) @ Phi
-    G = 0.5 * (G + G.T)
-    G0 = 0.5 * (G0 + G0.T)
-    alpha = float(np.linalg.eigvalsh(G).min())
-    alpha0 = float(np.linalg.eigvalsh(G0).min())
-    return EcoReport(
-        N_bar=N_bar,
-        gramian=G,
-        alpha=alpha,
-        gramian_without_constraints=G0,
-        alpha_without_constraints=alpha0,
-        observable_with_constraints=alpha > _OBS_TOL,
-        observable_without_constraints=alpha0 > _OBS_TOL,
-    )
+    G, G0 = symmetrize(G), symmetrize(G0)
+    alpha, alpha0 = (float(np.linalg.eigvalsh(M).min()) for M in (G, G0))
+    return EcoReport(N_bar=N_bar, gramian=G, alpha=alpha,
+                     gramian_without_constraints=G0, alpha_without_constraints=alpha0,
+                     observable_with_constraints=alpha > _OBS_TOL,
+                     observable_without_constraints=alpha0 > _OBS_TOL)
 
 
 # ---------------------------------------------------------------------------
 # contraction factors
 
 
-def _pd_check(M: np.ndarray, name: str) -> np.ndarray:
-    M = 0.5 * (M + M.T)
-    if M.size and np.linalg.eigvalsh(M).min() <= 0:
-        raise ValueError(f"{name} must be positive definite")
-    return M
-
-
 def _prediction_spectrum(P_ref, A, Q) -> np.ndarray:
     """Eigenvalues of X(X+Q)⁻¹ with X = A·P_ref·Aᵀ (all lie in [0, 1])."""
-    A = np.asarray(A, dtype=float)
-    Q = 0.5 * (np.asarray(Q, dtype=float) + np.asarray(Q, dtype=float).T)
-    X = A @ _pd_check(np.asarray(P_ref, dtype=float), "P_ref") @ A.T
-    X = 0.5 * (X + X.T)
+    A, Q = np.asarray(A, dtype=float), symmetrize(np.asarray(Q, dtype=float))
+    X = symmetrize(A @ _check_pd(P_ref, "P_ref") @ A.T)
     return scipy.linalg.eigh(X, X + Q, eigvals_only=True)
 
 
@@ -195,11 +176,8 @@ def threshold_bounds(model: SystemModel, agents: list[AgentSpec],
         raise ValueError("beta must lie in (0, 1)")
     N, n = topology.N, model.n
     if kstar < N + n:
-        raise ValueError(
-            f"kstar must be at least N + n = {N + n} for the information sum "
-            "to be provably positive definite; got "
-            f"{kstar}"
-        )
+        raise ValueError(f"kstar must be at least N + n = {N + n} for the information "
+                         f"sum to be provably positive definite; got {kstar}")
     A = model.A_at(0)
     Ainv = np.linalg.inv(A)
     info_y, info_d = _info_blocks(model, agents)
@@ -219,20 +197,13 @@ def threshold_bounds(model: SystemModel, agents: list[AgentSpec],
         W_pow = W_pow @ topology.weights
         coef *= beta
 
-    per_agent = np.zeros(N)
-    mbar_pos = np.zeros(N, dtype=bool)
-    for i in range(N):
-        Mi = 0.5 * (M[i].sum(axis=0) + M[i].sum(axis=0).T)
-        Mbari = 0.5 * (Mbar[i] + Mbar[i].T)
-        mbar_pos[i] = bool(np.linalg.eigvalsh(Mbari).min() > 0)
-        lam = scipy.linalg.eigh(Mbari, Mi, eigvals_only=True).min()
-        per_agent[i] = max(float(lam), 0.0)
-    return ThresholdReport(
-        beta=beta, kstar=kstar, M=M, Mbar=Mbar,
-        per_agent_bound=per_agent,
-        network_bound=float(per_agent.min()) if N else 0.0,
-        mbar_positive=mbar_pos,
-    )
+    M_sum, Mbar_sym = symmetrize(M.sum(axis=1)), symmetrize(Mbar)
+    mbar_pos = np.linalg.eigvalsh(Mbar_sym)[:, 0] > 0          # ascending
+    per_agent = np.array([max(float(scipy.linalg.eigh(Mb, Ms, eigvals_only=True).min()),
+                              0.0) for Mb, Ms in zip(Mbar_sym, M_sum)])
+    return ThresholdReport(beta=beta, kstar=kstar, M=M, Mbar=Mbar,
+                           per_agent_bound=per_agent, mbar_positive=mbar_pos,
+                           network_bound=float(per_agent.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +270,12 @@ def _info_blocks(model, agents):
 def _nbr_sum(*terms) -> np.ndarray:
     """Row i of Σ_j Σ_(W, X) W[i, j]·X[j] for every agent i at once.
 
-    The sum over j is a cumulative sum in index order, and zero weights add
-    exact zeros, so each row is bit-identical to agent i's own loop over its
-    neighbours (a reshaped W @ X would reorder the sum).
+    The sum over j is a reduction along the outer axis, which numpy runs in
+    index order, and zero weights add exact zeros, so each row is bit-identical
+    to agent i's own loop over its neighbours (W @ X would reorder the sum).
     """
     per_j = sum(W.T[:, :, None, None] * X[:, None] for W, X in terms)
-    return np.cumsum(per_j, axis=0)[-1]
+    return per_j.sum(axis=0)
 
 
 class _RateTables(NamedTuple):

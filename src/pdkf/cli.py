@@ -164,8 +164,7 @@ def _emit(out, cfg, overrides, metrics=None, triggers=False) -> None:
 
 
 def _cmd_eco_check(args, cfg, overrides, out) -> int:
-    window = args.horizon if args.horizon is not None \
-        else cfg.topology.N + cfg.model.n
+    window = args.horizon if args.horizon is not None else cfg.topology.N + cfg.model.n
     rep = analysis.eco_check(cfg.model, cfg.agents, window)
     _emit(out, cfg, overrides)
     wo = "pass" if rep.observable_without_constraints else "fail"
@@ -191,8 +190,7 @@ def _cmd_mc(args, cfg, overrides, out) -> int:
 
 def _cmd_threshold(args, cfg, overrides, out) -> int:
     beta, _ = _parse_beta(args, cfg)
-    kstar = args.kstar if args.kstar is not None \
-        else cfg.topology.N + cfg.model.n
+    kstar = args.kstar if args.kstar is not None else cfg.topology.N + cfg.model.n
     try:
         rep = analysis.threshold_bounds(cfg.model, cfg.agents, cfg.topology,
                                         beta, kstar)
@@ -207,18 +205,13 @@ def _cmd_threshold(args, cfg, overrides, out) -> int:
 
 
 def _cmd_rate(args, cfg, overrides, out) -> int:
-    if args.delta is not None:
-        vals = _parse_delta(args.delta, cfg.topology.N)
-        if len(set(vals)) != 1:
-            raise ValueError("rate-bound analyzes a uniform threshold; pass "
-                             "a single --delta value")
-        delta = vals[0]
-    else:
-        deltas = {a.delta for a in cfg.agents}
-        if len(deltas) != 1:
-            raise ValueError("scenario has non-uniform thresholds; pass "
-                             "--delta for the uniform analysis")
-        delta = deltas.pop()
+    deltas = {a.delta for a in cfg.agents}      # --delta is already applied
+    if len(deltas) != 1:
+        raise ValueError("rate-bound analyzes a uniform threshold; pass a single "
+                         "--delta value" if args.delta is not None else
+                         "scenario has non-uniform thresholds; pass --delta for "
+                         "the uniform analysis")
+    delta = deltas.pop()
     beta, beta_bar = _parse_beta(args, cfg)
     T = args.horizon if args.horizon is not None else cfg.T
     rep = analysis.rate_bound(delta, cfg.model, cfg.agents, cfg.topology,

@@ -1,11 +1,13 @@
-"""Event-triggered communication layer and filter round (time-invariant model).
+"""Event-triggered communication layer and the stacked filter step.
 
 An agent broadcasts its measurement-updated pair only when the information
 gain over what its neighbors can already extrapolate exceeds a threshold:
 g = λ_max(P̃⁻¹ − P̄̃⁻¹) − δ with P̄̃ the multi-step prediction of the last
 broadcast.  Silent neighbors are substituted by that same extrapolation, so
 the whole communication pattern is a deterministic function of the model and
-thresholds — it never depends on measured data.
+thresholds — it never depends on measured data.  `filter_step`, a step of
+either filter on the stack of all agents, serves the Monte Carlo engine and
+the step-by-step rounds `tpdkf_round` and `epdkf_round` alike.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter import (AgentState, ConsistentEstimate, ci_fuse, measurement_update,
-                     predict, project, symmetrize)
+from .filter import (AgentState, _check_pd, _ensure_pd, _estimate, ci_maps,
+                     kalman_gain, projection_map, symmetrize)
 from .model import AgentSpec, SystemModel, Topology
 
 
@@ -60,15 +62,13 @@ class TriggerState:
         """
         if k < self.last_time:
             raise ValueError("trigger state is ahead of the current time")
-        A = np.asarray(A, dtype=float)
-        Q = np.asarray(Q, dtype=float)
+        A, Q = np.asarray(A, dtype=float), np.asarray(Q, dtype=float)
         held = self._held
         if held is None or held[0] > k or held[1] is not A or held[2] is not Q:
             held = (self.last_time, A, Q, self.last_x, self.last_P)
         step, _, _, x, P = held
         for _ in range(k - step):
-            x = A @ x
-            P = A @ P @ A.T + Q
+            x, P = A @ x, A @ P @ A.T + Q
         self._held = (k, A, Q, x, P)
         return x, P
 
@@ -90,15 +90,134 @@ def trigger_from_info(info, info_held, delta):
 
 def trigger_eval(P_tilde, P_bar_tilde, delta: float) -> tuple[float, bool]:
     """Trigger score and decision; fires only on strictly positive score."""
-    return trigger_from_info(_inv_pd(P_tilde, "P_tilde"),
-                             _inv_pd(P_bar_tilde, "P_bar_tilde"), delta)
+    return trigger_from_info(np.linalg.inv(_check_pd(P_tilde, "P_tilde")),
+                             np.linalg.inv(_check_pd(P_bar_tilde, "P_bar_tilde")), delta)
 
 
-def _inv_pd(M, name: str) -> np.ndarray:
-    M = symmetrize(np.asarray(M, dtype=float))
-    if np.linalg.eigvalsh(M).min() <= 0:
-        raise ValueError(f"{name} must be positive definite")
-    return np.linalg.inv(M)
+def _grouped(entries: list) -> list:
+    """(indices, *stacked fields) per group of non-None entries of equal shapes."""
+    groups: dict = {}
+    for i, e in enumerate(entries):
+        if e is not None:
+            groups.setdefault(tuple(np.shape(v) for v in e), []).append(i)
+    return [(np.array(idx), *(np.stack(f) for f in zip(*(entries[i] for i in idx))))
+            for idx in groups.values()]
+
+
+def step_layout(agents: list[AgentSpec], topology: Topology, event: bool) -> tuple:
+    """What `filter_step` needs of a network: (meas, proj, slot, weights), with
+    meas (indices, H, R) and proj (indices, D, d, eps) per H, or D, shape group
+    of measuring, or constrained, agents.  slot[i, s] is i's s-th in-neighbor
+    j, or N + j for j's held pair in event mode; spare slots are i at weight 0."""
+    N = topology.N
+    meas = _grouped([(a.H, a.R) if a.has_measurement else None for a in agents])
+    proj = _grouped([(a.D, a.d[:, None], np.full((1, 1), a.eps)) if a.has_constraint
+                     else None for a in agents])
+    nbrs = [topology.in_neighbors(i) for i in range(N)]
+    slot = np.repeat(np.arange(N)[:, None], max(map(len, nbrs)), axis=1)
+    weights = np.zeros(slot.shape)
+    for i, js in enumerate(nbrs):
+        slot[i, :len(js)] = np.where(event & (js != i), N + js, js)
+        weights[i, :len(js)] = topology.weights[i, js]
+    return meas, proj, slot, weights
+
+
+def filter_step(layout: tuple, est, P, ys: list, A, Q, rounds: int = 1,
+                held: tuple | None = None, deltas=None) -> tuple:
+    """One step of either filter on the agent stack: new (est, P, g, fired, held).
+
+    est (N, n, c) holds c state columns (trials) per agent, P the (N, n, n)
+    covariances, ys one (g, m, c) block per H group.  Time mode (held None)
+    runs `rounds` fusion-projection rounds on the fresh pairs.  Event mode
+    fires where the trigger score g against held = (hx, hP), each last
+    broadcast extrapolated to this step, exceeds deltas, fuses each neighbor's
+    held pair (fresh if it fired) and returns the pairs then held.  Guards,
+    once per stack and bit-neutral where Cholesky succeeds: `_ensure_pd` on
+    every covariance stack made, definiteness before each inverse, cond(S) ≤
+    1e14 before each gain.  A LinAlgError carries `covariances` = (P, held P).
+    """
+    meas, proj, slot, weights = layout
+    event = held is not None
+    hx, hP = held if event else (None, None)
+    hinfo, g, fired = None, np.zeros(0), np.zeros(0, dtype=bool)
+
+    def gather(fresh, kept):
+        return np.take(np.concatenate([fresh, kept]) if event else fresh, slot, 0)
+
+    try:
+        est, P = A @ est, _ensure_pd(A @ P @ A.T + Q)
+        for (idx, H, R), y in zip(meas, ys):
+            K, P_upd = kalman_gain(P[idx], H, R)
+            est[idx] += K @ (y - H @ est[idx])
+            P[idx] = _ensure_pd(P_upd)
+        info = np.linalg.inv(_check_pd(P, "covariance of agent"))
+        if event:
+            hinfo = np.linalg.inv(_check_pd(hP, "held covariance of agent"))
+            g, fired = trigger_from_info(info, hinfo, deltas)
+            # a broadcast becomes the anchor every receiver extrapolates
+            f = fired[:, None, None]
+            hx, hP, hinfo = (np.where(f, est, hx), np.where(f, P, hP),
+                             np.where(f, info, hinfo))
+        for r in range(rounds):
+            if r:
+                info = np.linalg.inv(_check_pd(P, "covariance of agent"))
+            Pc, C = ci_maps(gather(info, hinfo), weights)
+            x = (C @ gather(est, hx)).sum(axis=1)    # slot by slot, in order
+            Pc = _ensure_pd(Pc)
+            for idx, D, d, eps in proj:
+                G, c, P_proj = projection_map(Pc[idx], D, d, eps)
+                Pc[idx] = _ensure_pd(P_proj)
+                x[idx] = G @ x[idx] + c
+            est, P = x, Pc
+    except np.linalg.LinAlgError as exc:
+        exc.covariances = (P, hP)
+        raise
+    return est, P, g, fired, (hx, hP) if event else None
+
+
+def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
+           k=None) -> tuple:
+    """`filter_step` on the stacked arguments of a round: (states, fired)."""
+    N = topology.N
+    named = dict(states=states, measurements=measurements, agents=agents,
+                 **({} if triggers is None else {"trigger_states": triggers}))
+    for name, seq in named.items():
+        if len(seq) != N:
+            raise ValueError(f"{name} has {len(seq)} entries for {N} agents")
+    if [st.id for st in states] != list(range(N)):
+        raise ValueError(f"states must have ids 0..{N - 1} in order, "
+                         f"got {[st.id for st in states]}")
+    layout = step_layout(agents, topology, triggers is not None)
+    held = deltas = None
+    if triggers is not None:
+        hx, hP = map(np.stack, zip(*(ts.held_at(k, A, Q) for ts in triggers)))
+        held, deltas = (hx[:, :, None], hP), np.array([ts.delta for ts in triggers])
+    est, P, _, fired, held = filter_step(
+        layout, np.stack([st.estimate.x for st in states])[:, :, None],
+        np.stack([st.estimate.P for st in states]),
+        [np.array([np.ravel(measurements[i]) for i in idx], dtype=float)[:, :, None]
+         for idx, *_ in layout[0]], A, Q, rounds, held, deltas)
+    for i in np.flatnonzero(fired):      # re-anchored on copies of the fresh pair
+        ts = triggers[i]
+        ts.last_x, ts.last_P, ts.last_time = held[0][i, :, 0].copy(), held[1][i].copy(), k
+    return ([AgentState(i, _estimate(x[:, 0], p)) for i, (x, p) in enumerate(zip(est, P))],
+            set(np.flatnonzero(fired).tolist()))
+
+
+def tpdkf_round(states: list[AgentState], measurements, model: SystemModel,
+                agents: list[AgentSpec], topology: Topology, L: int,
+                k: int = 1) -> list[AgentState]:
+    """Advance every agent one time step of the time-based filter.
+
+    measurements: per-agent measurement vectors (entries for zero-H agents are
+    ignored and may be None).  The L fusion-projection rounds are barrier
+    synchronized: round l of every agent consumes round-l outputs of its
+    in-neighbors, never mixed rounds.  One `filter_step` on the stacked states.
+    """
+    if L < 1:
+        raise ValueError("L must be at least 1")
+    return _round(states, measurements, agents, topology, model.A_at(k - 1),
+                  model.Q_at(k - 1), L)[0]
 
 
 def epdkf_round(states: list[AgentState], trigger_states: list[TriggerState],
@@ -109,31 +228,9 @@ def epdkf_round(states: list[AgentState], trigger_states: list[TriggerState],
     Phase 1 (all agents, then barrier): predict, measurement-update, evaluate
     own trigger and broadcast on fire.  Phase 2: fuse the own fresh pair with
     neighbor pairs (fresh if fired, extrapolated otherwise), then project once.
+    One `filter_step` on the stacked states and `TriggerState.held_at(k)` pairs.
     """
     if not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")
-    A, Q = model.A_at(0), model.Q_at(0)
-
-    # Phase 1: local updates and trigger decisions against an immutable snapshot.
-    fresh: list[ConsistentEstimate] = []
-    fired: set[int] = set()
-    for st, spec, ts in zip(states, agents, trigger_states):
-        est = predict(st.estimate, A, Q)
-        if spec.has_measurement:
-            est = measurement_update(est, measurements[st.id], spec.H, spec.R)
-        fresh.append(est)
-        g, fire = trigger_eval(est.P, ts.held_at(k, A, Q)[1], ts.delta)
-        if fire:
-            fired.add(st.id)
-            # the broadcast becomes the anchor every receiver extrapolates
-            ts.last_x, ts.last_P, ts.last_time = est.x.copy(), est.P.copy(), k
-
-    # Phase 2: fusion with the held neighbor pairs, one projection.
-    new_states = []
-    for i, spec in enumerate(agents):
-        nbrs = [j for j in topology.in_neighbors(i) if j != i]
-        pairs = [(fresh[i].x, fresh[i].P)] + [trigger_states[j].held_at(k, A, Q)
-                                             for j in nbrs]
-        est = ci_fuse(pairs, topology.weights[i, [i] + nbrs])
-        new_states.append(AgentState(i, project(est, spec.D, spec.d, spec.eps)))
-    return new_states, fired
+    return _round(states, measurements, agents, topology, model.A_at(0),
+                  model.Q_at(0), 1, trigger_states, k)

@@ -1,10 +1,11 @@
-"""Time-based projected distributed Kalman filter.
+"""The filter formulas of the projected distributed Kalman filter.
 
-One filter step per agent is: predict → measurement update → L synchronized
-rounds of {covariance-intersection fusion over in-neighbors; constraint
-projection}.  The carried pair (x̂, P) is kept *consistent*: the true error
-second moment stays dominated by P in the PSD order, which covariance
-intersection preserves under unknown cross-correlations.
+One step per agent is: predict → measurement update → L synchronized rounds
+of {covariance-intersection fusion over in-neighbors; constraint projection}.
+The carried pair (x̂, P) is kept *consistent*: the true error second moment
+stays dominated by P in the PSD order, which covariance intersection
+preserves under unknown cross-correlations.  `event.filter_step` composes
+these kernels on the stack of all agents.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AgentSpec, SystemModel, Topology, matrix_rank
+from .model import matrix_rank
 
 _JITTER = 1e-9
 _PINV_RTOL = 1e-9
@@ -25,13 +26,35 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
 
 
 def _ensure_pd(P: np.ndarray) -> np.ndarray:
-    """Symmetrize and, only if a Cholesky factorization fails, add jitter."""
+    """Symmetrize a matrix, or each of a stack, and add jitter where Cholesky
+    fails: one Cholesky over the stack, and one per member only if that fails."""
     P = symmetrize(P)
     try:
         np.linalg.cholesky(P)
-        return P
     except np.linalg.LinAlgError:
-        return P + _JITTER * np.eye(P.shape[0])
+        for M in P.reshape(-1, *P.shape[-2:]):
+            try:
+                np.linalg.cholesky(M)
+            except np.linalg.LinAlgError:
+                M += _JITTER * np.eye(len(M))
+    return P
+
+
+def _check_pd(M, name: str) -> np.ndarray:
+    """M symmetrized, or each matrix of a stack, once checked positive
+    definite: one Cholesky over the stack, and `eigvalsh` (LinAlgError on NaN)
+    only if that fails or gives a non-finite factor, as it does on NaN input."""
+    M = symmetrize(np.asarray(M, dtype=float))
+    try:
+        ok = np.isfinite(np.linalg.cholesky(M)).all()
+    except np.linalg.LinAlgError:
+        ok = False
+    if not ok:
+        bad = np.flatnonzero(np.linalg.eigvalsh(M)[..., 0] <= 0)   # ascending
+        if bad.size:
+            which = f" {bad[0]}" if M.ndim > 2 else ""
+            raise ValueError(f"{name}{which} must be positive definite")
+    return M
 
 
 def pinv(M: np.ndarray) -> np.ndarray:
@@ -51,6 +74,13 @@ class ConsistentEstimate:
         self.P = _ensure_pd(np.asarray(self.P, dtype=float))
         if self.P.shape != (self.x.size, self.x.size):
             raise ValueError("P shape does not match the state dimension")
+
+
+def _estimate(x: np.ndarray, P: np.ndarray) -> ConsistentEstimate:
+    """A ConsistentEstimate of a pair that `_ensure_pd` has already passed."""
+    est = object.__new__(ConsistentEstimate)
+    est.x, est.P = x, P
+    return est
 
 
 @dataclass
@@ -76,17 +106,23 @@ def init_consistent(x0_hat, P0, theta: float, x0_mean) -> ConsistentEstimate:
 
 
 def predict(est: ConsistentEstimate, A: np.ndarray, Q: np.ndarray) -> ConsistentEstimate:
-    A = np.asarray(A, dtype=float)
-    Q = np.asarray(Q, dtype=float)
+    A, Q = np.asarray(A, dtype=float), np.asarray(Q, dtype=float)
     return ConsistentEstimate(A @ est.x, A @ est.P @ A.T + Q)
 
 
 def kalman_gain(P, H, R) -> tuple[np.ndarray, np.ndarray]:
     """(K, P⁺) of one Kalman update: K = P Hᵀ (H P Hᵀ + R)⁻¹ and
     P⁺ = (I − K H) P symmetrized; the updated state is x + K (y − H x).
-    P, H and R may be single matrices or stacks over a leading agent axis."""
+    P, H and R may be single matrices or stacks over a leading agent axis.
+    Raises LinAlgError if an innovation matrix S has cond(S) > 1e14."""
     Ht = H.swapaxes(-1, -2)
     S = H @ P @ Ht + R
+    # a 1×1 S has cond 1 unless it is 0 or not finite: no SVD per agent for it
+    cond = np.max(np.linalg.cond(S) if S.shape[-1] > 1 else
+                  np.where(np.isfinite(S) & (S != 0), 1.0, np.inf), initial=0.0)
+    if not cond <= 1e14:
+        raise np.linalg.LinAlgError(
+            f"innovation matrix is numerically singular (cond={cond:.3e})")
     K = np.linalg.solve(S.swapaxes(-1, -2), (P @ Ht).swapaxes(-1, -2)).swapaxes(-1, -2)
     return K, symmetrize((np.eye(P.shape[-1]) - K @ H) @ P)
 
@@ -96,15 +132,8 @@ def measurement_update(est: ConsistentEstimate, y, H, R) -> ConsistentEstimate:
     H = np.asarray(H, dtype=float)
     if H.size == 0 or not np.any(H != 0.0):
         return ConsistentEstimate(est.x.copy(), est.P.copy())
-    y = np.asarray(y, dtype=float).ravel()
-    R = np.asarray(R, dtype=float)
-    cond = np.linalg.cond(H @ est.P @ H.T + R)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise np.linalg.LinAlgError(
-            f"innovation matrix is numerically singular (cond={cond:.3e})"
-        )
-    K, P = kalman_gain(est.P, H, R)
-    return ConsistentEstimate(est.x + K @ (y - H @ est.x), P)
+    K, P = kalman_gain(est.P, H, np.asarray(R, dtype=float))
+    return ConsistentEstimate(est.x + K @ (np.ravel(y) - H @ est.x), P)
 
 
 def ci_maps(infos, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -114,11 +143,11 @@ def ci_maps(infos, weights) -> tuple[np.ndarray, np.ndarray]:
     and C_j = P a_j Ω_j, so the fused state is x = Σ_j C_j x_j.  infos holds
     the d matrices Ω_j, or a stack (N, d, n, n) with weights (N, d), where a
     slot of zero weight (and a finite matrix) pads an agent with fewer
-    neighbors.  The sum runs over the slots in order, so each agent's P is
-    the same whether it is fused alone or in a stack.
+    neighbors.  The sum runs over the slots in order (a reduction along an
+    outer axis), so each agent's P is the same fused alone or in a stack.
     """
     terms = np.asarray(weights)[..., None, None] * np.asarray(infos)
-    P = symmetrize(np.linalg.inv(sum(terms.swapaxes(0, -3))))
+    P = symmetrize(np.linalg.inv(terms.sum(axis=-3)))
     return P, P[..., None, :, :] @ terms
 
 
@@ -136,10 +165,8 @@ def ci_fuse(pairs, weights) -> ConsistentEstimate:
         raise ValueError("fusion weights must be positive")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("fusion weights must sum to 1")
-    Ps = [np.asarray(P_j, dtype=float) for _, P_j in pairs]
-    if any(np.linalg.eigvalsh(symmetrize(P_j)).min() <= 0 for P_j in Ps):
-        raise ValueError("ci_fuse requires positive definite inputs")
-    P, Cs = ci_maps([np.linalg.inv(P_j) for P_j in Ps], weights)
+    Ps = np.stack([np.asarray(P_j, dtype=float) for _, P_j in pairs])
+    P, Cs = ci_maps(np.linalg.inv(_check_pd(Ps, "ci_fuse input")), weights)
     x = sum(C @ np.asarray(x_j, dtype=float).ravel() for C, (x_j, _) in zip(Cs, pairs))
     return ConsistentEstimate(x, P)
 
@@ -175,34 +202,5 @@ def project(est: ConsistentEstimate, D, d, eps: float) -> ConsistentEstimate:
     return ConsistentEstimate(G @ est.x + c, P)
 
 
-def tpdkf_round(states: list[AgentState], measurements, model: SystemModel,
-                agents: list[AgentSpec], topology: Topology, L: int,
-                k: int = 1) -> list[AgentState]:
-    """Advance every agent one time step.
-
-    measurements: per-agent measurement vectors (entries for zero-H agents are
-    ignored and may be None).  The L fusion-projection rounds are barrier
-    synchronized: round l of every agent consumes round-l outputs of its
-    in-neighbors, never mixed rounds.
-    """
-    if L < 1:
-        raise ValueError("L must be at least 1")
-    A = model.A_at(k - 1)
-    Q = model.Q_at(k - 1)
-    updated = []
-    for st, spec in zip(states, agents):
-        est = predict(st.estimate, A, Q)
-        if spec.has_measurement:
-            est = measurement_update(est, measurements[st.id], spec.H, spec.R)
-        updated.append(est)
-
-    current = updated
-    for _ in range(L):
-        fused = []
-        for i, spec in enumerate(agents):
-            nbrs = topology.in_neighbors(i)
-            est = ci_fuse([current[j] for j in nbrs], topology.weights[i, nbrs])
-            fused.append(project(est, spec.D, spec.d, spec.eps))
-        current = fused
-
-    return [AgentState(st.id, est) for st, est in zip(states, current)]
+# `event` imports this module, so the rounds' re-export comes last
+from .event import tpdkf_round  # noqa: E402

@@ -96,14 +96,9 @@ class SystemModel:
                 if M.shape != (n, n):
                     raise ValueError(f"{name}[{k}] must be ({n}, {n}), got {M.shape}")
         _check_finite(self.x0_mean, "x0_mean")
-        _check_finite(self.P0, "P0")
         if self.x0_mean.shape != (n,):
             raise ValueError("x0_mean length does not match state dimension")
-        if self.P0.shape != (n, n):
-            raise ValueError("P0 shape does not match state dimension")
-        _check_symmetric(self.P0, "P0")
-        if not _is_psd(self.P0):
-            raise ValueError("P0 must be positive semidefinite")
+        _check_covariance(self.P0, "P0", n)
         for k, Ak in enumerate(A_seq):
             if abs(np.linalg.det(Ak)) < 1e-300:
                 raise ValueError(f"A[{k}] is singular")
@@ -114,9 +109,7 @@ class SystemModel:
                 if self.beta2 is not None and sv2.min() < self.beta2 * (1 - 1e-9):
                     raise ValueError(f"A[{k}] violates the declared lower bound beta2")
         for k, Qk in enumerate(Q_seq):
-            _check_symmetric(Qk, f"Q[{k}]")
-            if not _is_psd(Qk):
-                raise ValueError(f"Q[{k}] must be positive semidefinite")
+            _check_covariance(Qk, f"Q[{k}]", n)
 
     @staticmethod
     def _to_seq(M, name):
@@ -294,11 +287,8 @@ def metropolis_weights(adjacency) -> np.ndarray:
         comps = [list(np.flatnonzero(labels == c)) for c in range(n_comp)]
         raise ValueError(f"graph is disconnected; components: {comps}")
     deg = adj.sum(axis=1)
-    W = np.zeros((N, N))
-    for i in range(N):
-        for j in np.flatnonzero(adj[i]):
-            W[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
-        W[i, i] = 1.0 - W[i].sum()
+    W = np.where(adj, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
+    W[np.diag_indices(N)] = 1.0 - W.sum(axis=1)
     return W
 
 

@@ -33,7 +33,7 @@ import yaml
 from . import filter as filt
 from .analysis import (constraint_error, pilot_contraction_factors,
                        space_decomposition)
-from .event import trigger_from_info
+from .event import _grouped, filter_step, step_layout
 from .model import (AgentSpec, GlobalConstraint, SystemModel, Topology,
                     _check_covariance, _check_finite,
                     build_global_constraint, metropolis_weights)
@@ -250,16 +250,6 @@ def _noise_blocks(cfg: ScenarioConfig, trials: int, seed: int,
 # the filter pass
 
 
-def _grouped(entries: list) -> list:
-    """(indices, *stacked fields) per group of non-None entries of equal shapes."""
-    groups: dict = {}
-    for i, e in enumerate(entries):
-        if e is not None:
-            groups.setdefault(tuple(np.shape(v) for v in e), []).append(i)
-    return [(np.array(idx), *(np.stack(f) for f in zip(*(entries[i] for i in idx))))
-            for idx in groups.values()]
-
-
 def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     """One pass of either filter: yields (est, P, g, fired) for k = 0..T.
 
@@ -267,75 +257,38 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     block and covariance after step k; g and fired list the trigger scores
     and decisions of step k in event mode, and are empty otherwise and at
     k = 0.  Y holds the (T, m_i, trials) measurement blocks; trials may be 0.
-
-    Time mode runs L fusion-projection rounds on the fresh pairs.  Event mode
-    runs one round in which each neighbor contributes its held pair: its last
-    broadcast, extrapolated to step k.  Each kernel runs once per round on the
-    agent stack (gain and projection once per shape of H and D).  A
-    LinAlgError from an overflowed covariance is raised as a ValueError
-    naming agent and step.
+    Each step is one `event.filter_step` (held pairs advanced here); a
+    LinAlgError from an overflowed covariance becomes a ValueError naming
+    agent and step.
     """
-    model, topo, agents, N = cfg.model, cfg.topology, cfg.agents, cfg.topology.N
-    event = mode == "event"
+    model, agents, event = cfg.model, cfg.agents, mode == "event"
     if event and not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")
-    meas = _grouped([(a.H, a.R, Y[i]) if a.has_measurement else None
-                     for i, a in enumerate(agents)])
-    proj = _grouped([(a.D, a.d[:, None], np.full((1, 1), a.eps)) if a.has_constraint
-                     else None for a in agents])
+    layout = step_layout(agents, cfg.topology, event)
+    Ys = [np.stack([Y[i] for i in idx]) for idx, *_ in layout[0]]
     deltas = np.array([a.delta for a in agents])
-    # slot s of agent i indexes its s-th in-neighbor in [fresh pairs, held pairs]:
-    # its own fresh pair or, in event mode, j's held one; empty slots repeat i at weight 0
-    nbrs = [topo.in_neighbors(i) for i in range(N)]
-    slot = np.repeat(np.arange(N)[:, None], max(map(len, nbrs)), axis=1)
-    weights = np.zeros(slot.shape)
-    for i, js in enumerate(nbrs):
-        slot[i, :len(js)] = np.where(event & (js != i), N + js, js)
-        weights[i, :len(js)] = topo.weights[i, js]
-
-    def gather(fresh, held):
-        return (np.concatenate([fresh, held]) if event else fresh)[slot]
-
     x0, P = map(np.stack, zip(*cfg.initial_pairs()))
     est = np.repeat(x0[:, :, None], Y[0].shape[2], axis=2)
-    hx, hP = est, P         # the initial time is a broadcast
+    held = (est, P) if event else None     # the initial time is a broadcast
     yield est, P, [], []
     for k in range(1, cfg.T + 1):
         A, Q = model.A_at(k - 1), model.Q_at(k - 1)
+        if held is not None:
+            held = (A @ held[0], filt.symmetrize(A @ held[1] @ A.T + Q))
         try:
-            est, P = A @ est, filt.symmetrize(A @ P @ A.T + Q)
-            for idx, H, R, Yi in meas:
-                K, P[idx] = filt.kalman_gain(P[idx], H, R)
-                est[idx] += K @ (Yi[:, k - 1] - H @ est[idx])
-            info, hinfo = np.linalg.inv(P), None
-            g = fired = np.zeros(0)
-            if event:
-                hP = filt.symmetrize(A @ hP @ A.T + Q)
-                hinfo = np.linalg.inv(hP)
-                g, fired = trigger_from_info(info, hinfo, deltas)
-                # a broadcast becomes the anchor every receiver extrapolates
-                f = fired[:, None, None]
-                hx, hP, hinfo = (np.where(f, est, A @ hx), np.where(f, P, hP),
-                                 np.where(f, info, hinfo))
-            for r in range(1 if event else cfg.L):
-                if r:
-                    info = np.linalg.inv(P)
-                Pc, C = filt.ci_maps(gather(info, hinfo), weights)
-                x = sum((C @ gather(est, hx)).swapaxes(0, 1))    # in slot order
-                for idx, D, d, eps in proj:
-                    G, c, Pc[idx] = filt.projection_map(Pc[idx], D, d, eps)
-                    x[idx] = G @ x[idx] + c
-                est, P = x, Pc
+            est, P, g, fired, held = filter_step(
+                layout, est, P, [Yg[:, k - 1] for Yg in Ys], A, Q,
+                1 if event else cfg.L, held, deltas)
         except np.linalg.LinAlgError as exc:
-            raise _diverged(k, P, hP, exc) from None
+            raise _diverged(k, *exc.covariances, exc) from None
         yield est, P, g.tolist(), fired.tolist()
 
 
-def _diverged(k: int, P: list, held_P: list, exc: Exception) -> ValueError:
+def _diverged(k: int, P, held_P, exc: Exception) -> ValueError:
     """The error for step k, whose matrix algebra failed: it names the first
     agent whose covariance or held covariance is not finite."""
     bad = [f"the {kind}covariance of agent {i} is not finite"
-           for kind, Ps in (("", P), ("held ", held_P))
+           for kind, Ps in (("", P), ("held ", () if held_P is None else held_P))
            for i, p in enumerate(Ps) if not np.isfinite(p).all()]
     return ValueError(f"the run diverged: {bad[0] if bad else exc} at step {k}")
 
@@ -447,9 +400,8 @@ def ckf_baseline(cfg: ScenarioConfig) -> RunMetrics:
     Rs = scipy.linalg.block_diag(*[cfg.agents[i].R for i in idx]) \
         if idx else np.zeros((0, 0))
 
-    x0, P0 = cfg.initial_pairs()[0]
+    x0, P = cfg.initial_pairs()[0]      # a new array; each step rebinds P
     x = np.tile(x0.reshape(-1, 1), (1, trials))
-    P = P0.copy()
 
     # report residuals against the global constraint set, exposing the
     # violation the unconstrained filter accumulates
@@ -522,8 +474,7 @@ def case2(mode: str = "time", L: int = 1, trials: int = 100, seed: int = 0,
     sensors = [(H_types[i % 3], i % 2 == 0, delta) for i in range(N)]
     graph_rng = np.random.default_rng(2020)
     for _attempt in range(1000):
-        adj = (graph_rng.random((N, N)) < 0.15).astype(float)
-        adj = np.triu(adj, 1)
+        adj = np.triu(graph_rng.random((N, N)) < 0.15, 1).astype(float)
         adj = adj + adj.T
         try:
             W = metropolis_weights(adj)

@@ -1,10 +1,22 @@
 """Hand-rolled reference implementations used to pin expected test values.
 
-Everything here is coded straight from the defining formulas, with loops and
-explicit inverses and no imports from the package under test, so that the two
-sides can actually disagree.  Slow and obvious on purpose.
+The formula oracles are coded straight from the defining formulas, with loops
+and explicit inverses and no imports from the package under test, so that the
+two sides can actually disagree.  Slow and obvious on purpose.
+
+The reference rounds at the end (`tpdkf_round`, `epdkf_round`) are the
+per-agent composition of the package's single-pair primitives (`predict`,
+`measurement_update`, `trigger_eval`, `ci_fuse`, `project`,
+`TriggerState.held_at`), each pinned to the formula oracles by its own tests.
+They loop over agents and pairs where the package runs one stacked
+`event.filter_step`, so they are the differential reference for the rounds
+and the batch engine.
 """
 import numpy as np
+
+from pdkf.event import trigger_eval
+from pdkf.filter import (AgentState, ci_fuse, measurement_update, predict,
+                         project)
 
 
 def kf_predict(x, P, A, Q):
@@ -160,3 +172,61 @@ def threshold_matrices(i, A, weights, info_y, info_d_raw, beta, kstar):
 def random_psd(rng, n, scale=1.0, jitter=1e-3):
     B = rng.standard_normal((n, n))
     return scale * (B @ B.T) + jitter * np.eye(n)
+
+
+# --- reference rounds: one agent and one pair at a time ----------------------
+
+def tpdkf_round(states, measurements, model, agents, topology, L, k=1):
+    """One time-based step: per agent predict and update, then L barrier-
+    synchronized rounds of {CI fusion over in-neighbors, projection}."""
+    A = model.A_at(k - 1)
+    Q = model.Q_at(k - 1)
+    updated = []
+    for st, spec in zip(states, agents):
+        est = predict(st.estimate, A, Q)
+        if spec.has_measurement:
+            est = measurement_update(est, measurements[st.id], spec.H, spec.R)
+        updated.append(est)
+
+    current = updated
+    for _ in range(L):
+        fused = []
+        for i, spec in enumerate(agents):
+            nbrs = topology.in_neighbors(i)
+            est = ci_fuse([current[j] for j in nbrs], topology.weights[i, nbrs])
+            fused.append(project(est, spec.D, spec.d, spec.eps))
+        current = fused
+
+    return [AgentState(st.id, est) for st, est in zip(states, current)]
+
+
+def epdkf_round(states, trigger_states, measurements, model, agents, topology, k):
+    """One event-triggered step; returns (states, fired set).  Phase 1: each
+    agent predicts, updates, evaluates its trigger and re-anchors its trigger
+    state on fire.  Phase 2: each fuses its fresh pair with its neighbors' held
+    pairs, then projects once."""
+    A, Q = model.A_at(0), model.Q_at(0)
+
+    # Phase 1: local updates and trigger decisions against an immutable snapshot.
+    fresh = []
+    fired = set()
+    for st, spec, ts in zip(states, agents, trigger_states):
+        est = predict(st.estimate, A, Q)
+        if spec.has_measurement:
+            est = measurement_update(est, measurements[st.id], spec.H, spec.R)
+        fresh.append(est)
+        g, fire = trigger_eval(est.P, ts.held_at(k, A, Q)[1], ts.delta)
+        if fire:
+            fired.add(st.id)
+            # the broadcast becomes the anchor every receiver extrapolates
+            ts.last_x, ts.last_P, ts.last_time = est.x.copy(), est.P.copy(), k
+
+    # Phase 2: fusion with the held neighbor pairs, one projection.
+    new_states = []
+    for i, spec in enumerate(agents):
+        nbrs = [j for j in topology.in_neighbors(i) if j != i]
+        pairs = [(fresh[i].x, fresh[i].P)] + [trigger_states[j].held_at(k, A, Q)
+                                             for j in nbrs]
+        est = ci_fuse(pairs, topology.weights[i, [i] + nbrs])
+        new_states.append(AgentState(i, project(est, spec.D, spec.d, spec.eps)))
+    return new_states, fired

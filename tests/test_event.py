@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pdkf import event
 from pdkf.event import (
     TriggerState,
     epdkf_round,
@@ -257,3 +260,128 @@ def test_stacked_trigger_rejects_one_asymmetric_member():
     info[1, 0, 1] = 1.0
     with pytest.raises(ValueError, match="symmetry"):
         trigger_from_info(info, np.stack([np.eye(2)] * 3), np.zeros(3))
+
+
+# --- the rounds' arguments and guards ------------------------------------------
+
+def _round_args(delta=(0.3, 0.4, 0.8)):
+    model, agents, top = path3_setup(delta)
+    states = fresh_states(model, agents, np.random.default_rng(0))
+    triggers = [TriggerState(s.estimate.x, s.estimate.P, 0, a.delta)
+                for s, a in zip(states, agents)]
+    return model, agents, top, states, triggers, [np.ones(1)] * 3
+
+
+@pytest.mark.parametrize("name", ["states", "trigger_states", "measurements",
+                                  "agents"])
+def test_epdkf_round_names_an_argument_without_one_entry_per_agent(name):
+    model, agents, top, states, triggers, ys = _round_args()
+    args = dict(states=states, trigger_states=triggers, measurements=ys,
+                agents=agents)
+    args[name] = args[name][:2]
+    with pytest.raises(ValueError, match=f"^{name} has 2 entries for 3 agents"):
+        epdkf_round(args["states"], args["trigger_states"], args["measurements"],
+                    model, args["agents"], top, 1)
+
+
+@pytest.mark.parametrize("name", ["states", "measurements", "agents"])
+def test_tpdkf_round_names_an_argument_without_one_entry_per_agent(name):
+    model, agents, top, states, _, ys = _round_args()
+    args = dict(states=states, measurements=ys, agents=agents)
+    args[name] = args[name] + args[name][:1]
+    with pytest.raises(ValueError, match=f"^{name} has 4 entries for 3 agents"):
+        tpdkf_round(args["states"], args["measurements"], model, args["agents"],
+                    top, L=1)
+
+
+def test_rounds_reject_states_out_of_agent_order():
+    # agent 1's estimate must not run under agent 0's H and D
+    model, agents, top, states, triggers, ys = _round_args()
+    swapped = [states[1], states[0], states[2]]
+    with pytest.raises(ValueError, match=r"states must have ids 0\.\.2 in order"):
+        epdkf_round(swapped, triggers, ys, model, agents, top, 1)
+    with pytest.raises(ValueError, match=r"states must have ids 0\.\.2 in order"):
+        tpdkf_round(swapped, ys, model, agents, top, L=1)
+    assert all(ts.last_time == 0 for ts in triggers)
+
+
+def test_epdkf_round_rejects_a_held_covariance_that_is_not_positive_definite():
+    model, agents, top, states, triggers, ys = _round_args()
+    triggers[1].last_P = -100.0 * np.eye(4)
+    with pytest.raises(ValueError, match="held covariance of agent 1 must be "
+                                         "positive definite"):
+        epdkf_round(states, triggers, ys, model, agents, top, 1)
+
+
+@pytest.mark.parametrize("mode", ["time", "event"])
+def test_rounds_reject_a_covariance_that_is_not_finite(mode):
+    # numpy's Cholesky returns NaN for a NaN matrix instead of raising, so the
+    # definiteness guard must not let the blind agent's NaN covariance through
+    # (unconstrained agents: no projection's pseudo-inverse fails on it later)
+    model, agents, top, states, triggers, ys = _round_args()
+    agents = [dataclasses.replace(a, D=np.zeros((0, 4)), d=np.zeros(0))
+              for a in agents]
+    states[1].estimate.P = np.full((4, 4), np.nan)
+    with pytest.raises(np.linalg.LinAlgError):
+        if mode == "time":
+            tpdkf_round(states, ys, model, agents, top, L=1)
+        else:
+            epdkf_round(states, triggers, ys, model, agents, top, 1)
+
+
+def test_rounds_reject_a_numerically_singular_innovation():
+    # tiny R under a huge, badly scaled P: cond(S) is about 1e16
+    model = SystemModel(A=np.eye(2), Q=1e-12 * np.eye(2), x0_mean=np.zeros(2),
+                        P0=np.diag([1e16, 1.0]))
+    agent = AgentSpec(H=np.eye(2), R=1e-12 * np.eye(2), D=np.zeros((0, 2)),
+                      d=np.zeros(0), delta=0.5)
+    top = Topology(np.array([[1.0]]))
+    states = [AgentState(0, ConsistentEstimate(np.zeros(2), model.P0))]
+    y = [np.zeros(2)]
+    with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+        tpdkf_round(states, y, model, [agent], top, L=1)
+    with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+        epdkf_round(states, [TriggerState(np.zeros(2), model.P0, 0, 0.5)], y,
+                    model, [agent], top, 1)
+
+
+def _arrays(obj):
+    """Every ndarray in nested tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for o in obj for a in _arrays(o)]
+    return []
+
+
+@pytest.mark.parametrize("mode", ["time", "event"])
+def test_rounds_never_change_what_they_returned(mode, monkeypatch):
+    # at delta 0 nearly every agent broadcasts, so anchors move every round
+    model, agents, top, states, triggers, _ = _round_args(delta=(0.0, 0.0, 0.0))
+    stacks = []
+    step = event.filter_step
+
+    def spy(*args):
+        out = step(*args)
+        stacks.extend(_arrays(args) + _arrays(out))
+        return out
+
+    monkeypatch.setattr(event, "filter_step", spy)
+    rng = np.random.default_rng(4)
+    kept = []
+    for k in range(1, 7):
+        ys = [rng.standard_normal(1) for _ in range(3)]
+        if mode == "time":
+            states = tpdkf_round(states, ys, model, agents, top, L=2, k=k)
+        else:
+            states, fired = epdkf_round(states, triggers, ys, model, agents, top, k)
+            assert fired and all(triggers[i].last_time == k for i in fired)
+        for arrays, copies in kept:
+            assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
+        arrays = [a for s in states for a in (s.estimate.x, s.estimate.P)]
+        kept.append((arrays, [a.copy() for a in arrays]))
+        returned = [a for arrays, _ in kept for a in arrays]
+        for ts in triggers:
+            for anchor in (ts.last_x, ts.last_P):
+                assert not any(np.shares_memory(anchor, a) for a in returned + stacks)
+    assert len(stacks) > 0

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from pdkf.filter import (
     AgentState,
     ConsistentEstimate,
+    _ensure_pd,
     ci_fuse,
     ci_maps,
     init_consistent,
@@ -424,3 +425,29 @@ def test_stacked_ci_maps_equals_single_calls_on_padded_slots(N):
         assert np.array_equal(P[i], P_i)
         assert np.array_equal(C[i, :c], C_i)
         assert not C[i, c:].any()
+
+
+def test_stacked_ensure_pd_equals_single_calls():
+    # member 2 is indefinite, so its Cholesky fails and only it gets jitter
+    rng = np.random.default_rng(8)
+    stack = np.stack([oracles.random_psd(rng, 3) for _ in range(5)])
+    stack[2] = np.diag([1.0, -1e-12, 2.0])
+    stack[4, 0, 1] += 1e-13                        # slightly asymmetric
+    got = _ensure_pd(stack)
+    assert np.array_equal(got, np.stack([_ensure_pd(M) for M in stack]))
+    assert np.array_equal(got[2], symmetrize(stack[2]) + 1e-9 * np.eye(3))
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(got[i], symmetrize(stack[i]))
+    assert not np.shares_memory(got, stack)
+
+
+def test_innovation_guard_checks_every_stack_member():
+    P = np.stack([np.eye(2), np.diag([1e16, 1.0])])
+    with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+        kalman_gain(P, np.stack([np.eye(2)] * 2), np.stack([1e-12 * np.eye(2)] * 2))
+    # one-row H: S is 1×1, singular only when zero or not finite
+    H = np.array([[[1.0, 0.0]], [[0.0, 0.0]]])
+    kalman_gain(P, H, np.ones((2, 1, 1)))
+    for bad_R in (np.zeros((2, 1, 1)), np.full((2, 1, 1), np.nan)):
+        with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+            kalman_gain(P, H, bad_R)

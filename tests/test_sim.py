@@ -179,11 +179,12 @@ def test_ckf_baseline_runs_and_diverges_without_constraint_rows():
     assert rm.trace_p[120] > 3 * rm.trace_p[40]
 
 
-# --- engine vs. reference rounds ----------------------------------------------
+# --- engine and public rounds vs. the reference rounds -------------------------
 
-def _reference_run(cfg):
-    """Per-step MSE, fired sets and final (error, P) per agent of
-    `tpdkf_round`/`epdkf_round` on trial 0 of the engine's noise stream."""
+def _round_steps(cfg, tpdkf, epdkf):
+    """Per step k = 0..T: the states and the fired set (None at k = 0 and in
+    time mode) of the rounds `tpdkf`/`epdkf` on trial 0 of the engine's noise
+    stream, with the truth X."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     X, Y = generate_truth(cfg, rng)
     pairs = cfg.initial_pairs()
@@ -191,33 +192,41 @@ def _reference_run(cfg):
               for i, (x, P) in enumerate(pairs)]
     trig = [TriggerState(x, P, 0, a.delta) for (x, P), a in zip(pairs, cfg.agents)]
     args = (cfg.model, cfg.agents, cfg.topology)
-
-    def mse(k):
-        return np.mean([np.sum((s.estimate.x - X[k]) ** 2) for s in states])
-
-    out, fired = [mse(0)], {}
+    steps = [(states, None)]
     for k in range(1, cfg.T + 1):
         y = [Y[i][k - 1] for i in range(cfg.topology.N)]
         if cfg.mode == "time":
-            states = tpdkf_round(states, y, *args, cfg.L, k)
+            steps.append((tpdkf(states, y, *args, cfg.L, k), None))
         else:
-            states, f = epdkf_round(states, trig, y, *args, k)
-            if f:
-                fired[k] = f
-        out.append(mse(k))
-    final = [(s.estimate.x - X[cfg.T], s.estimate.P) for s in states]
-    return np.array(out), fired, final
+            steps.append(epdkf(states, trig, y, *args, k))
+        states = steps[-1][0]
+    return steps, X
 
 
-@pytest.mark.parametrize("cfg", [
+def _reference_run(cfg):
+    """Per-step MSE, fired sets and final (error, P) per agent of the
+    reference rounds `oracles.tpdkf_round`/`oracles.epdkf_round`."""
+    steps, X = _round_steps(cfg, oracles.tpdkf_round, oracles.epdkf_round)
+    mse = [np.mean([np.sum((s.estimate.x - X[k]) ** 2) for s in states])
+           for k, (states, _) in enumerate(steps)]
+    fired = {k: f for k, (_, f) in enumerate(steps) if f}
+    final = [(s.estimate.x - X[cfg.T], s.estimate.P) for s in steps[-1][0]]
+    return np.array(mse), fired, final
+
+
+ROUND_CASES = [
     case1(mode="time", L=2, T=60, seed=5),
     case2(mode="time", L=2, T=60, trials=1, seed=5),
     case1(mode="event", T=60, seed=5),
     case1(mode="event", T=60, seed=5, delta=(0.0, 0.0, 0.0)),
     case2(mode="event", T=60, trials=1, seed=5),
     case2(mode="event", T=60, trials=1, seed=5, delta=0.0),
-], ids=["case1-time", "case2-time", "case1-event", "case1-event-d0",
-        "case2-event", "case2-event-d0"])
+]
+ROUND_IDS = ["case1-time", "case2-time", "case1-event", "case1-event-d0",
+             "case2-event", "case2-event-d0"]
+
+
+@pytest.mark.parametrize("cfg", ROUND_CASES, ids=ROUND_IDS)
 def test_engine_matches_reference_rounds(cfg):
     cfg = dataclasses.replace(cfg, checkpoints=(cfg.T,))
     rm = run_time_based(cfg) if cfg.mode == "time" else run_event(cfg)
@@ -460,3 +469,20 @@ def test_filter_path_never_changes_what_it_yielded(mode):
         arrays = [np.asarray(v) for v in out]
         kept.append((arrays, [a.copy() for a in arrays]))
     assert len(kept) == cfg.T + 1
+
+
+# `heterogeneous_cfg` is defined above, so the mixed shapes join the list here
+@pytest.mark.parametrize("cfg", ROUND_CASES + [heterogeneous_cfg("time"),
+                                               heterogeneous_cfg("event")],
+                         ids=ROUND_IDS + ["mixed-time", "mixed-event"])
+def test_public_rounds_match_reference_rounds(cfg):
+    # the stacked rounds against the per-agent composition, step by step
+    got, _ = _round_steps(cfg, tpdkf_round, epdkf_round)
+    want, _ = _round_steps(cfg, oracles.tpdkf_round, oracles.epdkf_round)
+    for (states, fired), (ref, ref_fired) in zip(got, want):
+        assert fired == ref_fired
+        assert [s.id for s in states] == [s.id for s in ref]
+        for s, r in zip(states, ref):
+            for a, b in ((s.estimate.x, r.estimate.x), (s.estimate.P, r.estimate.P)):
+                assert a.shape == b.shape
+                assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
