@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import matrix_rank
+from .model import _check_finite, matrix_rank
 
 _JITTER = 1e-9
 _PINV_RTOL = 1e-9
@@ -64,14 +64,19 @@ def pinv(M: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ConsistentEstimate:
-    """State estimate x with parameter matrix P dominating the error moment."""
+    """State estimate x with parameter matrix P dominating the error moment.
+    A non-finite x or P is rejected: numpy's Cholesky returns a NaN factor for
+    it instead of raising, so `_ensure_pd` would let it through."""
 
     x: np.ndarray
     P: np.ndarray
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float).ravel()
-        self.P = _ensure_pd(np.asarray(self.P, dtype=float))
+        P = np.asarray(self.P, dtype=float)
+        _check_finite(self.x, "x")
+        _check_finite(P, "P")
+        self.P = _ensure_pd(P)
         if self.P.shape != (self.x.size, self.x.size):
             raise ValueError("P shape does not match the state dimension")
 

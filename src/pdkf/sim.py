@@ -15,6 +15,9 @@ Reproducibility contract: the master seed is split with
 ``default_rng(children[j])`` in a fixed order: x0 (n,), the process-noise
 block (T, n), then one measurement-noise block (T, m_i) per agent in agent
 order.  Identical config + seed therefore reproduces bit-identical output.
+The draw order per trial is that of a per-trial loop; the transforms run on
+(n, trials) blocks for all trials at once (`generate_truth`), so states may
+differ from a per-trial loop in the last bit, never a trigger decision.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,61 +176,63 @@ def _psd_sqrt(M: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
 
 
-def _affine_projector(gc: GlobalConstraint):
-    """Returns (project_onto_set, tangent_projector) for the global constraint."""
-    if gc.empty:
-        return (lambda x: x), np.eye(0)
-    Dbar, dbar = gc.Dbar, gc.dbar
-    G = Dbar.T @ np.linalg.inv(Dbar @ Dbar.T)
-
-    def proj(x):
-        return x - G @ (Dbar @ x - dbar.reshape(-1, *([1] * (x.ndim - 1))))
-
-    tangent = np.eye(Dbar.shape[1]) - G @ Dbar
-    return proj, tangent
+def _affine(M: np.ndarray, X: np.ndarray, c) -> np.ndarray:
+    """c + M @ X on a (…, columns of M, trials) block, as one multiply and one
+    add per column of M in index order: each trial gets the same exactly
+    rounded operations whatever the number of trials, where BLAS rounds a GEMV
+    and a GEMM differently."""
+    out = c + M[:, 0, None] * X[..., 0, None, :]
+    for b in range(1, M.shape[1]):
+        out += M[:, b, None] * X[..., b, None, :]
+    return out
 
 
-def generate_truth(cfg: ScenarioConfig, rng: np.random.Generator,
+def generate_truth(cfg: ScenarioConfig,
+                   rng: np.random.Generator | Sequence[np.random.Generator],
                    gc: GlobalConstraint | None = None):
-    """One trial of the true trajectory and all agent measurements.
+    """True trajectories and all agent measurements, of one trial or a block.
 
-    x0 is drawn from the configured initial distribution and projected onto
-    the global constraint set; process noise is projected onto the constraint
-    tangent space so D̄·x_k = d̄ holds at every step.  Returns
-    (states (T+1, n), [per-agent measurements (T, m_i)]); measurement row
-    k-1 belongs to step k.
+    With one Generator `rng`: one trial, (states (T+1, n), [per-agent
+    measurements (T, m_i)]).  With a sequence of Generators: one trial each,
+    ((T+1, n, trials), [(T, m_i, trials)]) blocks.  The one-trial form is the
+    same code on a block of one, so it equals column j of a block drawn on
+    the same generators bit for bit.  Each trial draws from its own generator
+    in the order of the module docstring.  x0 is drawn from the configured
+    initial distribution and projected onto the global constraint set;
+    process noise is projected onto the constraint tangent space so
+    D̄·x_k = d̄ holds at every step.  Measurement row k-1 belongs to step k;
+    an agent without a measurement gets exact zeros.
     """
+    single = hasattr(rng, "standard_normal")
+    rngs = [rng] if single else list(rng)
     model, T, n = cfg.model, cfg.T, cfg.model.n
     if gc is None:
         gc = build_global_constraint(cfg.agents)
-    proj, tangent = _affine_projector(gc)
+    X = np.empty((T + 1, n, len(rngs)))
+    Y = [np.empty((T, a.H.shape[0], len(rngs))) for a in cfg.agents]
+    for j, r in enumerate(rngs):        # the raw draws, straight into the blocks
+        X[0, :, j] = r.standard_normal(n)
+        X[1:, :, j] = r.standard_normal((T, n))
+        for Yi in Y:                    # drawn even if unused: fixed stream order
+            Yi[:, :, j] = r.standard_normal(Yi.shape[:2])
 
-    x0_cov = cfg.x0_cov if cfg.x0_cov is not None else cfg.model.P0
-    x0 = model.x0_mean + _psd_sqrt(x0_cov) @ rng.standard_normal(n)
-    x0 = proj(x0)
-
-    W = rng.standard_normal((T, n))
-    if cfg.sim_q is not None or model.time_invariant:
-        W = W @ _psd_sqrt(cfg.sim_q_at(0)).T
-    else:
-        W = np.vstack([W[k] @ _psd_sqrt(cfg.sim_q_at(k)).T for k in range(T)])
+    # the projection x ↦ tangent x + c, folded into each noise factor and A_k
+    tangent, c = np.eye(n), np.zeros((n, 1))
     if not gc.empty:
-        W = W @ tangent.T
-
-    X = np.empty((T + 1, n))
-    X[0] = x0
-    for k in range(T):
-        X[k + 1] = proj(model.A_at(k) @ X[k] + W[k])
-
-    Y = []
-    for i, a in enumerate(cfg.agents):
-        m = a.H.shape[0]
-        V = rng.standard_normal((T, m))   # drawn even if unused: fixed stream order
-        if a.has_measurement:
-            Y.append(X[1:] @ a.H.T + V @ _psd_sqrt(cfg.sim_r_of(i)).T)
-        else:
-            Y.append(np.zeros((T, m)))
-    return X, Y
+        G = gc.Dbar.T @ np.linalg.inv(gc.Dbar @ gc.Dbar.T)
+        tangent, c = tangent - G @ gc.Dbar, G @ gc.dbar[:, None]
+    x0_cov = cfg.x0_cov if cfg.x0_cov is not None else model.P0
+    X[0] = _affine(tangent @ _psd_sqrt(x0_cov), X[0],
+                   tangent @ model.x0_mean[:, None] + c)
+    qs = [cfg.sim_q] if cfg.sim_q is not None else model.Q
+    TA, TS = [tangent @ A for A in model.A], [tangent @ _psd_sqrt(q) for q in qs]
+    for k in range(T):                  # X[k + 1] holds z_k until it is overwritten
+        x = _affine(TA[min(k, len(TA) - 1)], X[k], c)
+        X[k + 1] = _affine(TS[min(k, len(TS) - 1)], X[k + 1], x)
+    for i, (a, Yi) in enumerate(zip(cfg.agents, Y)):
+        Yi[...] = (_affine(_psd_sqrt(cfg.sim_r_of(i)), Yi, _affine(a.H, X[1:], 0.0))
+                   if a.has_measurement else 0.0)
+    return (X[..., 0], [Yi[..., 0] for Yi in Y]) if single else (X, Y)
 
 
 def _noise_blocks(cfg: ScenarioConfig, trials: int, seed: int,
@@ -234,16 +240,8 @@ def _noise_blocks(cfg: ScenarioConfig, trials: int, seed: int,
     """Stacked truth/measurement blocks: X (T+1, n, trials), Y_i (T, m_i, trials)."""
     src = truth_cfg if truth_cfg is not None else cfg
     gc = build_global_constraint(src.agents)
-    T, n = src.T, src.model.n
-    X = np.empty((T + 1, n, trials))
-    Y = [np.empty((T, a.H.shape[0], trials)) for a in src.agents]
-    for j, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(child)
-        Xj, Yj = generate_truth(src, rng, gc)
-        X[:, :, j] = Xj
-        for i in range(len(src.agents)):
-            Y[i][:, :, j] = Yj[i]
-    return X, Y, gc
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(trials)]
+    return (*generate_truth(src, rngs, gc), gc)
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,24 @@ The formula oracles are coded straight from the defining formulas, with loops
 and explicit inverses and no imports from the package under test, so that the
 two sides can actually disagree.  Slow and obvious on purpose.
 
-The reference rounds at the end (`tpdkf_round`, `epdkf_round`) are the
+The reference rounds (`tpdkf_round`, `epdkf_round`) are the
 per-agent composition of the package's single-pair primitives (`predict`,
 `measurement_update`, `trigger_eval`, `ci_fuse`, `project`,
 `TriggerState.held_at`), each pinned to the formula oracles by its own tests.
 They loop over agents and pairs where the package runs one stacked
 `event.filter_step`, so they are the differential reference for the rounds
 and the batch engine.
+
+`generate_truth`, last, is the per-trial truth generator the package ran
+before it drew all trials on one block: one generator, one trial, the state
+stepped row by row.  It is the differential reference for `sim.generate_truth`.
 """
 import numpy as np
 
 from pdkf.event import trigger_eval
 from pdkf.filter import (AgentState, ci_fuse, measurement_update, predict,
                          project)
+from pdkf.model import build_global_constraint
 
 
 def kf_predict(x, P, A, Q):
@@ -230,3 +235,71 @@ def epdkf_round(states, trigger_states, measurements, model, agents, topology, k
         est = ci_fuse(pairs, topology.weights[i, [i] + nbrs])
         new_states.append(AgentState(i, project(est, spec.D, spec.d, spec.eps)))
     return new_states, fired
+
+
+# --- the per-trial truth generator ----------------------------------------------
+# `sim.generate_truth` before it ran all trials on one (n, trials) block, with
+# its two helpers: one trial from one generator, stepped row by row.
+
+def _psd_sqrt(M: np.ndarray) -> np.ndarray:
+    M = 0.5 * (M + M.T)
+    w, V = np.linalg.eigh(M)
+    if w.min() < -1e-10 * max(w.max(), 1.0):
+        raise ValueError("covariance matrix must be positive semidefinite")
+    return (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
+
+
+def _affine_projector(gc):
+    """Returns (project_onto_set, tangent_projector) for the global constraint."""
+    if gc.empty:
+        return (lambda x: x), np.eye(0)
+    Dbar, dbar = gc.Dbar, gc.dbar
+    G = Dbar.T @ np.linalg.inv(Dbar @ Dbar.T)
+
+    def proj(x):
+        return x - G @ (Dbar @ x - dbar.reshape(-1, *([1] * (x.ndim - 1))))
+
+    tangent = np.eye(Dbar.shape[1]) - G @ Dbar
+    return proj, tangent
+
+
+def generate_truth(cfg, rng, gc=None):
+    """One trial of the true trajectory and all agent measurements.
+
+    x0 is drawn from the configured initial distribution and projected onto
+    the global constraint set; process noise is projected onto the constraint
+    tangent space so D̄·x_k = d̄ holds at every step.  Returns
+    (states (T+1, n), [per-agent measurements (T, m_i)]); measurement row
+    k-1 belongs to step k.
+    """
+    model, T, n = cfg.model, cfg.T, cfg.model.n
+    if gc is None:
+        gc = build_global_constraint(cfg.agents)
+    proj, tangent = _affine_projector(gc)
+
+    x0_cov = cfg.x0_cov if cfg.x0_cov is not None else cfg.model.P0
+    x0 = model.x0_mean + _psd_sqrt(x0_cov) @ rng.standard_normal(n)
+    x0 = proj(x0)
+
+    W = rng.standard_normal((T, n))
+    if cfg.sim_q is not None or model.time_invariant:
+        W = W @ _psd_sqrt(cfg.sim_q_at(0)).T
+    else:
+        W = np.vstack([W[k] @ _psd_sqrt(cfg.sim_q_at(k)).T for k in range(T)])
+    if not gc.empty:
+        W = W @ tangent.T
+
+    X = np.empty((T + 1, n))
+    X[0] = x0
+    for k in range(T):
+        X[k + 1] = proj(model.A_at(k) @ X[k] + W[k])
+
+    Y = []
+    for i, a in enumerate(cfg.agents):
+        m = a.H.shape[0]
+        V = rng.standard_normal((T, m))   # drawn even if unused: fixed stream order
+        if a.has_measurement:
+            Y.append(X[1:] @ a.H.T + V @ _psd_sqrt(cfg.sim_r_of(i)).T)
+        else:
+            Y.append(np.zeros((T, m)))
+    return X, Y

@@ -29,6 +29,18 @@ def scalar_est(x, p):
     return ConsistentEstimate(np.array([x]), np.array([[p]]))
 
 
+@pytest.mark.parametrize("x, P, field", [
+    (np.zeros(2), np.full((2, 2), np.nan), "P"),
+    (np.zeros(2), np.array([[np.inf, 0.0], [0.0, 1.0]]), "P"),
+    (np.array([0.0, np.nan]), np.eye(2), "x"),
+    (np.array([-np.inf, 0.0]), np.eye(2), "x"),
+], ids=["nan-P", "inf-P", "nan-x", "inf-x"])
+def test_consistent_estimate_rejects_non_finite(x, P, field):
+    # numpy's Cholesky returns a NaN factor for such a P instead of raising
+    with pytest.raises(ValueError, match=f"^{field} has non-finite entries"):
+        ConsistentEstimate(x, P)
+
+
 # --- initialization ------------------------------------------------------
 
 def test_init_no_bias_doubles_prior():

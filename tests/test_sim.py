@@ -142,6 +142,88 @@ def test_truth_same_rng_same_draw():
     assert all(np.array_equal(a, b) for a, b in zip(Y1, Y2))
 
 
+def time_varying_cfg(T=40, seed=5):
+    """A time-varying A (one per step) and three Q matrices for T steps, so
+    Q_at holds the last one from step 2 on; two agents, one constrained."""
+    A = [np.array([[1.0, 0.0, dt, 0.0], [0.0, 1.0, 0.0, dt],
+                   [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+         for dt in np.linspace(0.05, 0.2, T)]
+    Q = [np.diag([4.0, 4.0, 1.0, 1.0]), np.diag([1.0, 2.0, 0.5, 0.5]),
+         np.array([[2.0, 0.5, 0.0, 0.0], [0.5, 2.0, 0.0, 0.0],
+                   [0.0, 0.0, 1.0, 0.2], [0.0, 0.0, 0.2, 1.0]])]
+    model = SystemModel(A=A, Q=Q, x0_mean=np.array([1.0, 2.0, 0.0, 0.5]),
+                        P0=np.diag([9.0, 9.0, 1.0, 1.0]))
+    agents = [AgentSpec(H=np.eye(4)[:2], R=np.diag([3.0, 5.0]),
+                        D=ROAD_D[:1].copy(), d=np.array([0.5])),
+              AgentSpec(H=np.array([[0.0, 0.0, 1.0, 1.0]]), R=np.array([[2.0]]),
+                        D=np.zeros((0, 4)), d=np.zeros(0))]
+    return ScenarioConfig(model=model, agents=agents,
+                          topology=Topology(np.array([[0.5, 0.5], [0.5, 0.5]])),
+                          T=T, seed=seed)
+
+
+TRUTH_CASES = {
+    "case1": case1(),
+    "case2": case2(),
+    "case2-n60": case2(N=60, T=60),
+    "time-varying": time_varying_cfg(),
+    "overrides": dataclasses.replace(
+        case1(T=60), x0_cov=np.diag([50.0, 20.0, 2.0, 2.0]),
+        sim_q=np.diag([2.0, 1.0, 0.5, 0.25]),
+        sim_r=[np.array([[40.0]]), None, np.array([[10.0]])]),
+    "unconstrained-single": single_agent_cfg(),
+}
+
+
+def _close(a, b, rtol):
+    return a.shape == b.shape and np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+@pytest.mark.parametrize("cfg", TRUTH_CASES.values(), ids=TRUTH_CASES.keys())
+def test_truth_blocks_match_the_per_trial_generator(cfg):
+    children = np.random.SeedSequence(cfg.seed).spawn(3)
+    gc = build_global_constraint(cfg.agents)
+    X, Y = generate_truth(cfg, [np.random.default_rng(c) for c in children], gc)
+    for j, child in enumerate(children):
+        Xo, Yo = oracles.generate_truth(cfg, np.random.default_rng(child), gc)
+        assert _close(X[..., j], Xo, 1e-12)
+        for Yi, Yoi in zip(Y, Yo):
+            assert _close(Yi[..., j], Yoi, 1e-12)
+        # the one-trial form is the block code on a block of one
+        Xs, Ys = generate_truth(cfg, np.random.default_rng(child), gc)
+        assert np.array_equal(Xs, X[..., j])
+        assert all(np.array_equal(a, b[..., j]) for a, b in zip(Ys, Y))
+    for a, Yi in zip(cfg.agents, Y):
+        if not a.has_measurement:
+            assert not Yi.any()
+    if not gc.empty:
+        assert np.abs(np.tensordot(gc.Dbar, X, (1, 1)) - gc.dbar[:, None, None]).max() < 1e-9
+
+
+@pytest.mark.parametrize("cfg", TRUTH_CASES.values(), ids=TRUTH_CASES.keys())
+def test_truth_trial_does_not_depend_on_the_block_size(cfg):
+    X3, Y3, _ = sim._noise_blocks(cfg, 3, 7)
+    X50, Y50, _ = sim._noise_blocks(cfg, 50, 7)
+    assert X50.shape[2] == 50
+    assert np.array_equal(X50[..., :3], X3)
+    assert all(np.array_equal(a[..., :3], b) for a, b in zip(Y50, Y3))
+
+
+@pytest.mark.parametrize("cfg", TRUTH_CASES.values(), ids=TRUTH_CASES.keys())
+def test_truth_draws_each_trials_stream_in_order(cfg):
+    # x0 (n,), process noise (T, n), one (T, m_i) block per agent: each
+    # generator ends where a fresh one does after that many normals
+    children = np.random.SeedSequence(11).spawn(4)
+    rngs = [np.random.default_rng(c) for c in children]
+    generate_truth(cfg, rngs)
+    n, T = cfg.model.n, cfg.T
+    draws = n + T * n + sum(T * a.H.shape[0] for a in cfg.agents)
+    for rng, child in zip(rngs, children):
+        fresh = np.random.default_rng(child)
+        fresh.standard_normal(draws)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+
 # --- engine vs. plain Kalman filter -----------------------------------------
 
 def test_single_agent_covariances_match_kf():
