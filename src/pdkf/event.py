@@ -7,7 +7,9 @@ broadcast.  Silent neighbors are substituted by that same extrapolation, so
 the whole communication pattern is a deterministic function of the model and
 thresholds — it never depends on measured data.  `filter_step`, a step of
 either filter on the stack of all agents, serves the Monte Carlo engine and
-the step-by-step rounds `tpdkf_round` and `epdkf_round` alike.
+the step-by-step rounds `tpdkf_round` and `epdkf_round` alike; both read the
+network's `step_layout`, built once per network and fused over its real
+edges only.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filter import (AgentState, _check_pd, _ensure_pd, _estimate, ci_maps,
-                     kalman_gain, projection_map, symmetrize)
+                     kalman_gain, projection_map, slot_sum, symmetrize)
 from .model import AgentSpec, SystemModel, Topology
 
 
@@ -104,25 +106,71 @@ def _grouped(entries: list) -> list:
             for idx in groups.values()]
 
 
-def step_layout(agents: list[AgentSpec], topology: Topology, event: bool) -> tuple:
-    """What `filter_step` needs of a network: (meas, proj, slot, weights), with
-    meas (indices, H, R) and proj (indices, D, d, eps) per H, or D, shape group
-    of measuring, or constrained, agents.  slot[i, s] is i's s-th in-neighbor
-    j, or N + j for j's held pair in event mode; spare slots are i at weight 0."""
-    N = topology.N
+@dataclass(frozen=True)
+class StepLayout:
+    """What `filter_step` needs of a network.
+
+    meas holds (indices, H, R) and proj (indices, D, d, eps) per H, or D,
+    shape group of measuring, or constrained, agents.  The fusion runs over
+    the E in-edges only, as a slot-major edge list: with the agents ordered
+    by in-degree (descending, stable), slot s holds the s-th in-neighbor of
+    each of the first sizes[s] agents, and rank[i] is agent i's row in that
+    order.  src is each edge's sender j, or N + j for j's held pair in event
+    mode, and weights its fusion weight; slots = (sizes, dst), with dst the
+    receiver's row, is what `ci_maps` takes.
+    """
+
+    meas: list
+    proj: list
+    rank: np.ndarray
+    src: np.ndarray
+    weights: np.ndarray
+    slots: tuple
+
+
+def _build_layout(agents: list[AgentSpec], topology: Topology, event: bool) -> StepLayout:
     meas = _grouped([(a.H, a.R) if a.has_measurement else None for a in agents])
     proj = _grouped([(a.D, a.d[:, None], np.full((1, 1), a.eps)) if a.has_constraint
                      else None for a in agents])
-    nbrs = [topology.in_neighbors(i) for i in range(N)]
-    slot = np.repeat(np.arange(N)[:, None], max(map(len, nbrs)), axis=1)
-    weights = np.zeros(slot.shape)
-    for i, js in enumerate(nbrs):
-        slot[i, :len(js)] = np.where(event & (js != i), N + js, js)
-        weights[i, :len(js)] = topology.weights[i, js]
-    return meas, proj, slot, weights
+    N, edges = topology.N, topology.edges
+    deg = edges.sum(axis=1)
+    order = np.argsort(-deg, kind="stable")
+    sizes = tuple(int(np.count_nonzero(deg > s)) for s in range(deg.max()))
+    # row r of nbr lists the in-neighbors of agent order[r], column s is slot
+    # s, and nonzero on the transpose runs slot by slot, rows ascending
+    nbr = np.zeros((N, len(sizes)), dtype=int)
+    in_slot = np.arange(len(sizes)) < deg[order, None]
+    nbr[in_slot] = np.nonzero(edges[order])[1]
+    slot, dst = np.nonzero(in_slot.T)
+    src = nbr[dst, slot]
+    receiver = order[dst]
+    weights = topology.weights[receiver, src]
+    if event:
+        src = np.where(src != receiver, N + src, src)
+    return StepLayout(meas, proj, np.argsort(order), src, weights, (sizes, dst))
 
 
-def filter_step(layout: tuple, est, P, ys: list, A, Q, rounds: int = 1,
+# (mode, id(topology), *ids of agents) -> (topology, agents, layout): holding
+# the objects keeps their ids from being reused while the entry is cached
+_LAYOUTS: dict = {}
+_LAYOUT_CACHE = 4
+
+
+def step_layout(agents: list[AgentSpec], topology: Topology, event: bool) -> StepLayout:
+    """The `StepLayout` of a network, built once per agent objects, topology
+    object and mode and then returned from a cache of the last few networks.
+    Sound because `AgentSpec` and `Topology` hold read-only arrays."""
+    key = (event, id(topology), *map(id, agents))
+    hit = _LAYOUTS.get(key)
+    if hit is None:
+        if len(_LAYOUTS) >= _LAYOUT_CACHE:
+            del _LAYOUTS[next(iter(_LAYOUTS))]
+        hit = _LAYOUTS[key] = (topology, list(agents),
+                               _build_layout(agents, topology, event))
+    return hit[-1]
+
+
+def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
                 held: tuple | None = None, deltas=None) -> tuple:
     """One step of either filter on the agent stack: new (est, P, g, fired, held).
 
@@ -136,17 +184,16 @@ def filter_step(layout: tuple, est, P, ys: list, A, Q, rounds: int = 1,
     every covariance stack made, definiteness before each inverse, cond(S) ≤
     1e14 before each gain.  A LinAlgError carries `covariances` = (P, held P).
     """
-    meas, proj, slot, weights = layout
     event = held is not None
     hx, hP = held if event else (None, None)
     hinfo, g, fired = None, np.zeros(0), np.zeros(0, dtype=bool)
 
     def gather(fresh, kept):
-        return np.take(np.concatenate([fresh, kept]) if event else fresh, slot, 0)
+        return np.take(np.concatenate([fresh, kept]) if event else fresh, layout.src, 0)
 
     try:
         est, P = A @ est, _ensure_pd(A @ P @ A.T + Q)
-        for (idx, H, R), y in zip(meas, ys):
+        for (idx, H, R), y in zip(layout.meas, ys):
             K, P_upd = kalman_gain(P[idx], H, R)
             est[idx] += K @ (y - H @ est[idx])
             P[idx] = _ensure_pd(P_upd)
@@ -161,10 +208,11 @@ def filter_step(layout: tuple, est, P, ys: list, A, Q, rounds: int = 1,
         for r in range(rounds):
             if r:
                 info = np.linalg.inv(_check_pd(P, "covariance of agent"))
-            Pc, C = ci_maps(gather(info, hinfo), weights)
-            x = (C @ gather(est, hx)).sum(axis=1)    # slot by slot, in order
-            Pc = _ensure_pd(Pc)
-            for idx, D, d, eps in proj:
+            Pc, C = ci_maps(gather(info, hinfo), layout.weights, layout.slots)
+            # rows follow the layout's order until this one un-permutation
+            x = slot_sum(gather(est, hx), layout.slots[0], C)[layout.rank]
+            Pc = _ensure_pd(Pc[layout.rank])
+            for idx, D, d, eps in layout.proj:
                 G, c, P_proj = projection_map(Pc[idx], D, d, eps)
                 Pc[idx] = _ensure_pd(P_proj)
                 x[idx] = G @ x[idx] + c
@@ -196,7 +244,7 @@ def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
         layout, np.stack([st.estimate.x for st in states])[:, :, None],
         np.stack([st.estimate.P for st in states]),
         [np.array([np.ravel(measurements[i]) for i in idx], dtype=float)[:, :, None]
-         for idx, *_ in layout[0]], A, Q, rounds, held, deltas)
+         for idx, *_ in layout.meas], A, Q, rounds, held, deltas)
     for i in np.flatnonzero(fired):      # re-anchored on copies of the fresh pair
         ts = triggers[i]
         ts.last_x, ts.last_P, ts.last_time = held[0][i, :, 0].copy(), held[1][i].copy(), k

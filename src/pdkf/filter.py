@@ -141,19 +141,37 @@ def measurement_update(est: ConsistentEstimate, y, H, R) -> ConsistentEstimate:
     return ConsistentEstimate(est.x + K @ (np.ravel(y) - H @ est.x), P)
 
 
-def ci_maps(infos, weights) -> tuple[np.ndarray, np.ndarray]:
+def slot_sum(terms: np.ndarray, sizes, maps=None) -> np.ndarray:
+    """Row sums of a slot-major edge list: slot s holds one term for each of
+    rows 0..sizes[s]-1, in row order, and the rows are added to slot by slot,
+    so each row's terms are summed in slot order, as a loop over them would.
+    With maps, one matrix per edge, the terms summed are maps[e] @ terms[e],
+    formed one slot at a time."""
+    start = sizes[0]
+    acc = terms[:start].copy() if maps is None else maps[:start] @ terms[:start]
+    for size in sizes[1:]:
+        end = start + size
+        acc[:size] += terms[start:end] if maps is None else maps[start:end] @ terms[start:end]
+        start = end
+    return acc
+
+
+def ci_maps(infos, weights, slots=None) -> tuple[np.ndarray, np.ndarray]:
     """Covariance intersection as a linear map of the fused states.
 
     From information matrices Ω_j = P_j⁻¹ and weights a_j: P = (Σ a_j Ω_j)⁻¹
     and C_j = P a_j Ω_j, so the fused state is x = Σ_j C_j x_j.  infos holds
-    the d matrices Ω_j, or a stack (N, d, n, n) with weights (N, d), where a
-    slot of zero weight (and a finite matrix) pads an agent with fewer
-    neighbors.  The sum runs over the slots in order (a reduction along an
-    outer axis), so each agent's P is the same fused alone or in a stack.
+    the d matrices Ω_j of one agent, or, with slots = (sizes, dst), the E
+    in-edges of a stack of agents as a slot-major edge list (`slot_sum`)
+    with dst the row of each edge's receiver; P is then one matrix per row
+    and C one per edge.  Each row's sum runs over its edges in order, so an
+    agent's P is the same fused alone or in a stack.
     """
-    terms = np.asarray(weights)[..., None, None] * np.asarray(infos)
-    P = symmetrize(np.linalg.inv(terms.sum(axis=-3)))
-    return P, P[..., None, :, :] @ terms
+    terms = np.asarray(weights)[:, None, None] * np.asarray(infos)
+    sizes, dst = slots or ((1,) * len(terms), np.zeros(len(terms), dtype=int))
+    P = symmetrize(np.linalg.inv(slot_sum(terms, sizes)))
+    C = P[dst] @ terms
+    return (P, C) if slots else (P[0], C)
 
 
 def ci_fuse(pairs, weights) -> ConsistentEstimate:

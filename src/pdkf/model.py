@@ -27,6 +27,14 @@ def _as_matrix(M, name: str) -> np.ndarray:
     return M
 
 
+def _readonly(M: np.ndarray) -> np.ndarray:
+    """A read-only copy: later edits of the caller's array, or of the field,
+    cannot change a network that a cached step layout was built from."""
+    M = np.array(M)
+    M.flags.writeable = False
+    return M
+
+
 def _check_finite(M: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} has non-finite entries")
@@ -141,7 +149,8 @@ class AgentSpec:
 
     H may be all-zero (a blind agent) and D may be all-zero (unconstrained).
     `eps` regularizes the covariance projection; `delta` is the event trigger
-    threshold used by the event-triggered filter.
+    threshold used by the event-triggered filter.  H, R, D and d are read-only
+    copies of the arrays passed in.
     """
 
     H: np.ndarray
@@ -152,10 +161,9 @@ class AgentSpec:
     delta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "H", _as_matrix(self.H, "H"))
-        object.__setattr__(self, "R", _as_matrix(self.R, "R"))
-        object.__setattr__(self, "D", _as_matrix(self.D, "D"))
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=float).ravel())
+        for name in ("H", "R", "D"):
+            object.__setattr__(self, name, _readonly(_as_matrix(getattr(self, name), name)))
+        object.__setattr__(self, "d", _readonly(np.asarray(self.d, dtype=float).ravel()))
         for name in ("H", "R", "D", "d"):
             _check_finite(getattr(self, name), name)
         if self.H.shape[0] != self.R.shape[0]:
@@ -187,7 +195,8 @@ class Topology:
 
     `weights[i, j] > 0` means agent i uses (receives) agent j's estimate.  The
     diagonal must be positive and the off-diagonal support must be strongly
-    connected.  `edges` holds the boolean support of `weights`.
+    connected.  `edges` holds the boolean support of `weights`; both are
+    read-only and `weights` is a copy of the array passed in.
     """
 
     weights: np.ndarray
@@ -205,8 +214,8 @@ class Topology:
             raise ValueError("weight rows must each sum to 1")
         if np.any(np.diag(W) <= 0):
             raise ValueError("diagonal weights must be positive")
-        object.__setattr__(self, "weights", W)
-        object.__setattr__(self, "edges", W > 0)
+        object.__setattr__(self, "weights", _readonly(W))
+        object.__setattr__(self, "edges", _readonly(W > 0))
         n_comp, _ = connected_components(csr_matrix(self.edges), directed=True,
                                          connection="strong")
         if n_comp != 1:

@@ -5,9 +5,10 @@ trigger pattern (which never depends on measured data) are fixed, every
 filter step is an affine map of the previous estimates and the current
 measurements.  One pass, `_filter_path`, advances the (N, n, n) covariance
 stack and the (N, n, trials) state stack together: each step runs every
-`filter`/`event` kernel once on the agent stack, fusing neighbor pairs
-gathered into padded slots in neighbor order, applies the maps to all trials
-at once, then drops them.  The Monte Carlo runs and the design pilot
+`filter`/`event` kernel once on the agent stack, fusing the pairs gathered
+over the network's real edges (the cached, slot-major `event.step_layout`,
+each agent's neighbors in order), applies the maps to all trials at once,
+then drops them.  The Monte Carlo runs and the design pilot
 (`pilot_betas`, on zero trials) share that pass.
 
 Reproducibility contract: the master seed is split with
@@ -154,7 +155,11 @@ class RunMetrics:
     trace_p_agent: np.ndarray | None = None               # (T+1, N)
     sample_moment: dict = field(default_factory=dict)     # (k, i) -> (n, n)
     P_checkpoint: dict = field(default_factory=dict)      # (k, i) -> (n, n)
-    constraint_sq: dict = field(default_factory=dict)     # (k, i) -> scalar
+    # (k, i) -> mean squared constraint-direction error.  For an agent whose
+    # estimate already lies on the constraint set it is rounding noise (1e-30
+    # to 1e-27): estimate and truth both satisfy the constraint, so only last
+    # bits differ.  Only the mean over agents is meaningful.
+    constraint_sq: dict = field(default_factory=dict)
 
     def fired_sets(self) -> dict:
         out: dict = {}
@@ -263,7 +268,7 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     if event and not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")
     layout = step_layout(agents, cfg.topology, event)
-    Ys = [np.stack([Y[i] for i in idx]) for idx, *_ in layout[0]]
+    Ys = [np.stack([Y[i] for i in idx]) for idx, *_ in layout.meas]
     deltas = np.array([a.delta for a in agents])
     x0, P = map(np.stack, zip(*cfg.initial_pairs()))
     est = np.repeat(x0[:, :, None], Y[0].shape[2], axis=2)

@@ -346,9 +346,11 @@ def test_rounds_reject_a_numerically_singular_innovation():
 
 
 def _arrays(obj):
-    """Every ndarray in nested tuples and lists."""
+    """Every ndarray in nested tuples, lists and dataclasses (the layout)."""
     if isinstance(obj, np.ndarray):
         return [obj]
+    if dataclasses.is_dataclass(obj):
+        obj = list(vars(obj).values())
     if isinstance(obj, (tuple, list)):
         return [a for o in obj for a in _arrays(o)]
     return []
@@ -385,3 +387,62 @@ def test_rounds_never_change_what_they_returned(mode, monkeypatch):
             for anchor in (ts.last_x, ts.last_P):
                 assert not any(np.shares_memory(anchor, a) for a in returned + stacks)
     assert len(stacks) > 0
+
+
+# --- the step layout: built once per network ------------------------------------
+
+def test_rounds_build_each_network_layout_once(monkeypatch):
+    model, agents, top, states, triggers, _ = _round_args()
+    built = []
+    build = event._build_layout
+
+    def spy(agents, topology, mode):
+        built.append(mode)
+        return build(agents, topology, mode)
+
+    monkeypatch.setattr(event, "_build_layout", spy)
+    rng = np.random.default_rng(6)
+    st_e = st_t = states
+    for k in range(1, 31):
+        ys = [rng.standard_normal(1) for _ in range(3)]
+        st_e, _ = epdkf_round(st_e, triggers, ys, model, agents, top, k)
+        st_t = tpdkf_round(st_t, ys, model, agents, top, L=2, k=k)
+    assert built == [True, False]
+
+
+def _copied_triggers(triggers):
+    return [TriggerState(ts.last_x.copy(), ts.last_P.copy(), ts.last_time, ts.delta)
+            for ts in triggers]
+
+
+def test_rounds_on_interleaved_networks_match_reference_rounds():
+    # a path and a complete graph of three agents, each round run in turn on
+    # both, in both modes: each cached layout must serve only its own network
+    nets = []
+    for delta, adj in [((0.3, 0.4, 0.8), [[0, 1, 0], [1, 0, 1], [0, 1, 0]]),
+                       ((0.1, 0.2, 0.6), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])]:
+        model, agents, _, states, triggers, _ = _round_args(delta)
+        top = Topology(metropolis_weights(np.array(adj)))
+        nets.append(dict(args=(model, agents, top), event=states, time=states,
+                         trig=triggers, ref_event=states, ref_time=states,
+                         ref_trig=_copied_triggers(triggers)))
+    rng = np.random.default_rng(9)
+    broadcasts = 0
+    for k in range(1, 21):
+        for net in nets:
+            ys = [rng.standard_normal(1) for _ in range(3)]
+            net["event"], fired = epdkf_round(net["event"], net["trig"], ys,
+                                              *net["args"], k)
+            net["ref_event"], ref_fired = oracles.epdkf_round(
+                net["ref_event"], net["ref_trig"], ys, *net["args"], k)
+            assert fired == ref_fired
+            broadcasts += len(fired)
+            net["time"] = tpdkf_round(net["time"], ys, *net["args"], L=2, k=k)
+            net["ref_time"] = oracles.tpdkf_round(net["ref_time"], ys, *net["args"],
+                                                  L=2, k=k)
+            for mode in ("event", "time"):
+                for s, r in zip(net[mode], net["ref_" + mode]):
+                    for a, b in ((s.estimate.x, r.estimate.x),
+                                 (s.estimate.P, r.estimate.P)):
+                        assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+    assert 0 < broadcasts < 2 * 20 * 3

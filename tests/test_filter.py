@@ -421,22 +421,22 @@ def test_stacked_projection_map_equals_single_calls(N, rows):
 
 
 @pytest.mark.parametrize("N", [1, 7])
-def test_stacked_ci_maps_equals_single_calls_on_padded_slots(N):
+def test_stacked_ci_maps_equals_single_calls_on_slot_major_edges(N):
+    # rows sorted by in-degree, descending: slot s covers the first sizes[s]
     rng = np.random.default_rng(N)
-    d_max = 4
-    counts = rng.integers(1, d_max + 1, N)
-    infos = np.zeros((N, d_max, 4, 4))
-    weights = np.zeros((N, d_max))
+    counts = np.sort(rng.integers(1, 5, N))[::-1]
+    sizes = tuple(int(np.count_nonzero(counts > s)) for s in range(counts[0]))
+    own = [[np.linalg.inv(oracles.random_psd(rng, 4)) for _ in range(c)] for c in counts]
+    own_w = [rng.dirichlet(np.ones(c)) for c in counts]
+    edges = [(i, s) for s, size in enumerate(sizes) for i in range(size)]
+    dst = np.array([i for i, _ in edges])
+    P, C = ci_maps([own[i][s] for i, s in edges], [own_w[i][s] for i, s in edges],
+                   (sizes, dst))
+    assert P.shape == (N, 4, 4) and C.shape == (len(edges), 4, 4)
     for i, c in enumerate(counts):
-        infos[i, :c] = [np.linalg.inv(oracles.random_psd(rng, 4)) for _ in range(c)]
-        weights[i, :c] = rng.dirichlet(np.ones(c))
-    P, C = ci_maps(infos, weights)
-    assert P.shape == (N, 4, 4) and C.shape == (N, d_max, 4, 4)
-    for i, c in enumerate(counts):
-        P_i, C_i = ci_maps(list(infos[i, :c]), weights[i, :c])
+        P_i, C_i = ci_maps(own[i], own_w[i])
         assert np.array_equal(P[i], P_i)
-        assert np.array_equal(C[i, :c], C_i)
-        assert not C[i, c:].any()
+        assert np.array_equal(C[dst == i], C_i)
 
 
 def test_stacked_ensure_pd_equals_single_calls():

@@ -98,6 +98,35 @@ def test_topology_neighbor_sets():
     assert top.out_degree0(1) == 2
 
 
+def _network():
+    arrays = dict(H=np.eye(4)[:1], R=np.eye(1), D=np.eye(4)[:2], d=np.ones(2),
+                  weights=metropolis_weights(np.array([[0, 1, 0], [1, 0, 1],
+                                                       [0, 1, 0]])))
+    agent = AgentSpec(*(arrays[k] for k in "HRDd"))
+    return arrays, agent, Topology(arrays["weights"])
+
+
+@pytest.mark.parametrize("field", ["H", "R", "D", "d", "weights", "edges"])
+def test_network_arrays_are_read_only(field):
+    # a cached step layout is keyed on these objects, so their arrays are final
+    _, agent, top = _network()
+    M = getattr(top if field in ("weights", "edges") else agent, field)
+    with pytest.raises(ValueError, match="read-only"):
+        M[0] = 0
+    assert not M.flags.writeable
+
+
+def test_network_arrays_do_not_alias_the_arrays_passed_in():
+    arrays, agent, top = _network()
+    kept = {k: v.copy() for k, v in arrays.items()}
+    for M in arrays.values():
+        M += 1.0
+    for k in "HRDd":
+        assert np.array_equal(getattr(agent, k), kept[k])
+    assert np.array_equal(top.weights, kept["weights"])
+    assert np.array_equal(top.edges, kept["weights"] > 0)
+
+
 def test_topology_rejects_bad_rows():
     with pytest.raises(ValueError, match="sum"):
         Topology(np.array([[0.5, 0.2], [0.5, 0.5]]))

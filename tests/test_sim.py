@@ -553,6 +553,32 @@ def test_filter_path_never_changes_what_it_yielded(mode):
     assert len(kept) == cfg.T + 1
 
 
+PADDED_CASES = {
+    "case1-time": case1(mode="time", L=2, T=60, trials=5, seed=5),
+    "case1-event": case1(mode="event", T=60, trials=5, seed=5),
+    "case2-time": case2(mode="time", L=2, T=60, trials=3, seed=5),
+    "case2-event": case2(mode="event", T=60, trials=3, seed=5),
+    "case2-n60-event": case2(mode="event", N=60, T=30, trials=3, seed=5),
+    "case2-n200-event": case2(mode="event", N=200, T=30, trials=2, seed=5),
+    "mixed-time": heterogeneous_cfg("time"),
+    "mixed-event": heterogeneous_cfg("event"),
+}
+
+
+@pytest.mark.parametrize("cfg", PADDED_CASES.values(), ids=PADDED_CASES.keys())
+def test_filter_path_equals_the_padded_fusion_bit_for_bit(cfg):
+    # the slot-major edge list adds each agent's terms in the padded order
+    _X, Y, _gc = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
+    got = list(sim._filter_path(cfg, cfg.mode, Y))
+    want = list(oracles.padded_filter_path(cfg, cfg.mode, Y))
+    assert len(got) == len(want) == cfg.T + 1
+    for step, ref in zip(got, want):
+        for a, b in zip(step, ref):
+            a, b = np.asarray(a), np.asarray(b)
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 # `heterogeneous_cfg` is defined above, so the mixed shapes join the list here
 @pytest.mark.parametrize("cfg", ROUND_CASES + [heterogeneous_cfg("time"),
                                                heterogeneous_cfg("event")],
