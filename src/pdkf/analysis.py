@@ -88,12 +88,7 @@ def eco_check(model: SystemModel, agents: list[AgentSpec], N_bar: int,
     if N_bar < 0:
         raise ValueError("window length must be nonnegative")
     n = model.n
-    info_y, info_d = np.zeros((n, n)), np.zeros((n, n))
-    for a in agents:
-        if a.has_measurement:
-            info_y += a.H.T @ np.linalg.solve(a.R, a.H)
-        if a.has_constraint:
-            info_d += a.D.T @ a.D
+    info_y, info_d = (blocks.sum(axis=0) for blocks in _info_blocks(model, agents))
     G, G0, Phi = np.zeros((n, n)), np.zeros((n, n)), np.eye(n)
     for j in range(k0, k0 + N_bar + 1):
         G += Phi.T @ (info_y + info_d) @ Phi
@@ -181,6 +176,7 @@ def threshold_bounds(model: SystemModel, agents: list[AgentSpec],
     A = model.A_at(0)
     Ainv = np.linalg.inv(A)
     info_y, info_d = _info_blocks(model, agents)
+    info_d = info_d / np.reshape([a.eps for a in agents], (-1, 1, 1))
 
     M = np.zeros((N, N, n, n))
     Mbar = np.zeros((N, n, n))
@@ -258,12 +254,12 @@ def eig_pos(M) -> np.ndarray:
 
 
 def _info_blocks(model, agents):
-    """(N, n, n) stacks of H_iᵀR_i⁻¹H_i and D_iᵀD_i/ε_i (zero where absent)."""
+    """(N, n, n) stacks of H_iᵀR_i⁻¹H_i and D_iᵀD_i (zero where absent); the
+    design recursions weigh D_iᵀD_i by 1/ε_i."""
     n = model.n
     info_y = [a.H.T @ np.linalg.solve(a.R, a.H) if a.has_measurement
               else np.zeros((n, n)) for a in agents]
-    info_d = [(a.D.T @ a.D) / a.eps if a.has_constraint else np.zeros((n, n))
-              for a in agents]
+    info_d = [a.D.T @ a.D if a.has_constraint else np.zeros((n, n)) for a in agents]
     return np.array(info_y), np.array(info_d)
 
 
@@ -305,6 +301,7 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
     Qinv = np.linalg.inv(model.Q_at(0))
     W, N, n = topology.weights, topology.N, model.n
     info_y, info_d = _info_blocks(model, agents)
+    info_d = info_d / np.reshape([a.eps for a in agents], (-1, 1, 1))
 
     beta_pow = np.empty(T + 1)
     Ainv_pow = np.empty((T + 1, n, n))

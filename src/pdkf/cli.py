@@ -189,8 +189,11 @@ def _cmd_mc(args, cfg, overrides, out) -> int:
 
 
 def _cmd_threshold(args, cfg, overrides, out) -> int:
+    least = cfg.topology.N + cfg.model.n
+    kstar = args.kstar if args.kstar is not None else least
+    if kstar < least:
+        raise ValueError(f"--kstar must be at least N + n = {least}, got {kstar}")
     beta, _ = _parse_beta(args, cfg)
-    kstar = args.kstar if args.kstar is not None else cfg.topology.N + cfg.model.n
     try:
         rep = analysis.threshold_bounds(cfg.model, cfg.agents, cfg.topology,
                                         beta, kstar)
@@ -214,8 +217,11 @@ def _cmd_rate(args, cfg, overrides, out) -> int:
     delta = deltas.pop()
     beta, beta_bar = _parse_beta(args, cfg)
     T = args.horizon if args.horizon is not None else cfg.T
-    rep = analysis.rate_bound(delta, cfg.model, cfg.agents, cfg.topology,
-                              T, beta, beta_bar)
+    try:
+        rep = analysis.rate_bound(delta, cfg.model, cfg.agents, cfg.topology,
+                                  T, beta, beta_bar)
+    except ValueError as exc:
+        raise _Infeasible(str(exc)) from exc
     _emit(out, cfg, dict(overrides, delta=delta, beta=beta,
                          beta_bar=beta_bar, horizon=T))
     print(f"delta: {delta:.6g}  beta: {beta:.6g}  beta_bar: {beta_bar:.6g}")

@@ -14,6 +14,7 @@ edges only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +129,8 @@ class StepLayout:
     slots: tuple
 
 
-def _build_layout(agents: list[AgentSpec], topology: Topology, event: bool) -> StepLayout:
+@functools.lru_cache(maxsize=4)
+def _build_layout(event: bool, topology: Topology, *agents: AgentSpec) -> StepLayout:
     meas = _grouped([(a.H, a.R) if a.has_measurement else None for a in agents])
     proj = _grouped([(a.D, a.d[:, None], np.full((1, 1), a.eps)) if a.has_constraint
                      else None for a in agents])
@@ -150,24 +152,12 @@ def _build_layout(agents: list[AgentSpec], topology: Topology, event: bool) -> S
     return StepLayout(meas, proj, np.argsort(order), src, weights, (sizes, dst))
 
 
-# (mode, id(topology), *ids of agents) -> (topology, agents, layout): holding
-# the objects keeps their ids from being reused while the entry is cached
-_LAYOUTS: dict = {}
-_LAYOUT_CACHE = 4
-
-
 def step_layout(agents: list[AgentSpec], topology: Topology, event: bool) -> StepLayout:
     """The `StepLayout` of a network, built once per agent objects, topology
-    object and mode and then returned from a cache of the last few networks.
-    Sound because `AgentSpec` and `Topology` hold read-only arrays."""
-    key = (event, id(topology), *map(id, agents))
-    hit = _LAYOUTS.get(key)
-    if hit is None:
-        if len(_LAYOUTS) >= _LAYOUT_CACHE:
-            del _LAYOUTS[next(iter(_LAYOUTS))]
-        hit = _LAYOUTS[key] = (topology, list(agents),
-                               _build_layout(agents, topology, event))
-    return hit[-1]
+    object and mode and then returned from a cache of the four networks used
+    last.  `AgentSpec` and `Topology` compare by identity and hold read-only
+    arrays, so a cached layout cannot go stale."""
+    return _build_layout(event, topology, *agents)
 
 
 def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,

@@ -223,7 +223,3 @@ def project(est: ConsistentEstimate, D, d, eps: float) -> ConsistentEstimate:
         raise ValueError("D must be all-zero or have full row rank")
     G, c, P = projection_map(est.P, D, np.asarray(d, dtype=float).ravel(), eps)
     return ConsistentEstimate(G @ est.x + c, P)
-
-
-# `event` imports this module, so the rounds' re-export comes last
-from .event import tpdkf_round  # noqa: E402

@@ -143,14 +143,14 @@ class SystemModel:
         return self.Q[0] if len(self.Q) == 1 else self.Q[min(k, len(self.Q) - 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentSpec:
     """Per-agent observation (H, R) and equality constraint (D, d, eps) blocks.
 
     H may be all-zero (a blind agent) and D may be all-zero (unconstrained).
     `eps` regularizes the covariance projection; `delta` is the event trigger
     threshold used by the event-triggered filter.  H, R, D and d are read-only
-    copies of the arrays passed in.
+    copies of the arrays passed in; specs compare and hash by identity.
     """
 
     H: np.ndarray
@@ -189,14 +189,15 @@ class AgentSpec:
         return self.H.size > 0 and np.any(self.H != 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Directed communication graph with row-stochastic fusion weights.
 
     `weights[i, j] > 0` means agent i uses (receives) agent j's estimate.  The
     diagonal must be positive and the off-diagonal support must be strongly
     connected.  `edges` holds the boolean support of `weights`; both are
-    read-only and `weights` is a copy of the array passed in.
+    read-only and `weights` is a copy of the array passed in.  Topologies
+    compare and hash by identity.
     """
 
     weights: np.ndarray

@@ -260,9 +260,10 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     block and covariance after step k; g and fired list the trigger scores
     and decisions of step k in event mode, and are empty otherwise and at
     k = 0.  Y holds the (T, m_i, trials) measurement blocks; trials may be 0.
-    Each step is one `event.filter_step` (held pairs advanced here); a
-    LinAlgError from an overflowed covariance becomes a ValueError naming
-    agent and step.
+    Each step is one `event.filter_step`, with the held pairs advanced here
+    by `TriggerState.held_at`'s recursion, so a one-trial pass is the rounds'
+    arithmetic bit for bit; a LinAlgError from an overflowed covariance
+    becomes a ValueError naming agent and step.
     """
     model, agents, event = cfg.model, cfg.agents, mode == "event"
     if event and not model.time_invariant:
@@ -277,7 +278,7 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     for k in range(1, cfg.T + 1):
         A, Q = model.A_at(k - 1), model.Q_at(k - 1)
         if held is not None:
-            held = (A @ held[0], filt.symmetrize(A @ held[1] @ A.T + Q))
+            held = (A @ held[0], A @ held[1] @ A.T + Q)
         try:
             est, P, g, fired, held = filter_step(
                 layout, est, P, [Yg[:, k - 1] for Yg in Ys], A, Q,

@@ -22,7 +22,6 @@ reproduce it bit for bit.
 """
 import numpy as np
 
-from pdkf import filter as filt
 from pdkf import sim
 from pdkf.event import _grouped, trigger_eval, trigger_from_info
 from pdkf.filter import (AgentState, _check_pd, _ensure_pd, ci_fuse, kalman_gain,
@@ -318,7 +317,8 @@ def generate_truth(cfg, rng, gc=None):
 # `sim._filter_path` as they were before the fusion ran on a slot-major edge
 # list: every agent fuses over as many slots as the largest in-degree, a spare
 # slot is the agent itself at weight 0, and the layout is built on every call.
-# The differential reference for the slot-major fusion, bit for bit.
+# The held pairs advance by `TriggerState.held_at`'s recursion, as the engine's
+# do.  The differential reference for the slot-major fusion, bit for bit.
 
 def padded_layout(agents: list[AgentSpec], topology: Topology, event: bool) -> tuple:
     """What `filter_step` needs of a network: (meas, proj, slot, weights), with
@@ -430,7 +430,7 @@ def padded_filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     for k in range(1, cfg.T + 1):
         A, Q = model.A_at(k - 1), model.Q_at(k - 1)
         if held is not None:
-            held = (A @ held[0], filt.symmetrize(A @ held[1] @ A.T + Q))
+            held = (A @ held[0], A @ held[1] @ A.T + Q)
         try:
             est, P, g, fired, held = padded_filter_step(
                 layout, est, P, [Yg[:, k - 1] for Yg in Ys], A, Q,

@@ -116,6 +116,33 @@ def test_rate_bound_infeasible_exits_three(case1_file, tmp_path, capsys):
     assert "infeasible:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kstar", ["-5", "0", "2"])
+def test_threshold_bound_kstar_below_n_plus_n_exits_two(scalar_file, tmp_path,
+                                                        capsys, kstar):
+    # N + n = 3 on the scalar scenario: a window too short is a bad argument
+    rc = cli.main(["threshold-bound", scalar_file, "--beta", "0.5,0.8",
+                   "--kstar", kstar, "--out", str(tmp_path / "th")])
+    assert rc == cli.EXIT_VALIDATION
+    assert "--kstar must be at least N + n = 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["threshold-bound", "rate-bound"])
+def test_design_commands_on_a_time_varying_model_exit_three(tmp_path, capsys,
+                                                            command):
+    model = SystemModel(A=[[[1.0]], [[0.9]]], Q=[[1.0]], x0_mean=[0.0],
+                        P0=[[2.0]])
+    agents = [AgentSpec(H=np.ones((1, 1)), R=[[1.0]], D=np.zeros((0, 1)),
+                        d=np.zeros(0), delta=0.5) for _ in range(2)]
+    cfg = ScenarioConfig(model=model, agents=agents,
+                         topology=Topology(np.full((2, 2), 0.5)), T=20)
+    path = tmp_path / "tv.scn"
+    save_scenario(cfg, str(path))
+    rc = cli.main([command, str(path), "--beta", "0.5,0.8",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_INFEASIBLE
+    assert "time-invariant model" in capsys.readouterr().err
+
+
 def test_missing_scenario_exits_two(tmp_path, capsys):
     rc = cli.main(["run-tpdkf", str(tmp_path / "nope.scn")])
     assert rc == cli.EXIT_VALIDATION

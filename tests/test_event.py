@@ -7,11 +7,11 @@ from pdkf import event
 from pdkf.event import (
     TriggerState,
     epdkf_round,
+    tpdkf_round,
     trigger_eval,
     trigger_from_info,
 )
-from pdkf.filter import (AgentState, ConsistentEstimate, measurement_update,
-                         predict, tpdkf_round)
+from pdkf.filter import AgentState, ConsistentEstimate, measurement_update, predict
 from pdkf.model import AgentSpec, SystemModel, Topology, metropolis_weights
 
 import oracles
@@ -391,23 +391,18 @@ def test_rounds_never_change_what_they_returned(mode, monkeypatch):
 
 # --- the step layout: built once per network ------------------------------------
 
-def test_rounds_build_each_network_layout_once(monkeypatch):
+def test_rounds_build_each_network_layout_once():
     model, agents, top, states, triggers, _ = _round_args()
-    built = []
-    build = event._build_layout
-
-    def spy(agents, topology, mode):
-        built.append(mode)
-        return build(agents, topology, mode)
-
-    monkeypatch.setattr(event, "_build_layout", spy)
+    before = event._build_layout.cache_info()
     rng = np.random.default_rng(6)
     st_e = st_t = states
     for k in range(1, 31):
         ys = [rng.standard_normal(1) for _ in range(3)]
         st_e, _ = epdkf_round(st_e, triggers, ys, model, agents, top, k)
         st_t = tpdkf_round(st_t, ys, model, agents, top, L=2, k=k)
-    assert built == [True, False]
+    after = event._build_layout.cache_info()
+    # one build per mode, every later round a hit
+    assert (after.misses - before.misses, after.hits - before.hits) == (2, 58)
 
 
 def _copied_triggers(triggers):

@@ -16,8 +16,8 @@ from pdkf.filter import (
     project,
     projection_map,
     symmetrize,
-    tpdkf_round,
 )
+from pdkf.event import tpdkf_round
 from pdkf.model import AgentSpec, SystemModel, Topology, metropolis_weights
 
 import oracles

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,3 +279,15 @@ def test_agent_spec_rejects_non_finite_delta(delta):
 def test_agent_spec_rejects_bad_eps(eps):
     with pytest.raises(ValueError, match="eps must be finite and positive"):
         make_agent(eps=eps)
+
+
+@pytest.mark.parametrize("make", [make_agent, lambda: Topology(metropolis_weights(
+    np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])))], ids=["agent", "topology"])
+def test_specs_compare_and_hash_by_identity(make):
+    # the step-layout cache keys on these objects: equal values are not the
+    # same network, and comparing must not ask numpy for an array's truth
+    a = make()
+    twin = dataclasses.replace(a)
+    assert a == a and hash(a) == hash(a)
+    assert a != twin and twin != a
+    assert len({a, twin}) == 2

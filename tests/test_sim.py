@@ -7,8 +7,8 @@ import yaml
 
 from pdkf import sim
 from pdkf.analysis import pilot_contraction_factors
-from pdkf.event import TriggerState, epdkf_round
-from pdkf.filter import AgentState, ConsistentEstimate, tpdkf_round
+from pdkf.event import TriggerState, epdkf_round, tpdkf_round
+from pdkf.filter import AgentState, ConsistentEstimate
 from pdkf.model import AgentSpec, SystemModel, Topology, build_global_constraint
 from pdkf.sim import (
     ROAD_D,
@@ -577,6 +577,33 @@ def test_filter_path_equals_the_padded_fusion_bit_for_bit(cfg):
             a, b = np.asarray(a), np.asarray(b)
             assert np.array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+ENGINE_CASES = {
+    "case1-time": case1(mode="time", L=2, T=60, seed=5),
+    "case2-time": case2(mode="time", L=3, T=60, trials=1, seed=5),
+    "case1-event": case1(mode="event", T=60, seed=5),
+    "case1-event-d0": case1(mode="event", T=60, seed=5, delta=(0.0, 0.0, 0.0)),
+    "case2-event": case2(mode="event", T=60, trials=1, seed=5, delta=0.4),
+    "case2-event-d1.2": case2(mode="event", T=60, trials=1, seed=5, delta=1.2),
+    "case2-n60-event": case2(mode="event", N=60, T=60, trials=1, seed=5),
+}
+
+
+@pytest.mark.parametrize("cfg", ENGINE_CASES.values(), ids=ENGINE_CASES.keys())
+def test_public_rounds_equal_the_engine_bit_for_bit(cfg):
+    # the rounds and a one-trial engine pass are one program: same kernels,
+    # same held-pair recursion, so every step's numbers are the same bits
+    steps, _X = _round_steps(cfg, tpdkf_round, epdkf_round)
+    _X, Y, _gc = sim._noise_blocks(cfg, 1, cfg.seed)
+    path = list(sim._filter_path(cfg, cfg.mode, Y))
+    assert len(steps) == len(path) == cfg.T + 1
+    for (states, fired), (est, P, _g, engine_fired) in zip(steps[1:], path[1:]):
+        if cfg.mode == "event":
+            assert fired == set(np.flatnonzero(engine_fired).tolist())
+        for s, x, p in zip(states, est[:, :, 0], P):
+            assert np.array_equal(s.estimate.x, x)
+            assert np.array_equal(s.estimate.P, p)
 
 
 # `heterogeneous_cfg` is defined above, so the mixed shapes join the list here
