@@ -13,6 +13,9 @@ Contents:
     agent at a time (`solve_T1`, `solve_T2`, `rate_bound`).
 
 Everything here is a pure function of the model/topology; nothing simulates.
+pdkf computes with scipy only here: the generalized symmetric eigenproblems
+of β, β̄ and the threshold bounds (`_eigh_pencil`) import `scipy.linalg` on
+their first call, so `import pdkf` and the filters load none of it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .filter import _check_pd, symmetrize
 from .model import AgentSpec, SystemModel, Topology, matrix_rank
@@ -106,11 +108,24 @@ def eco_check(model: SystemModel, agents: list[AgentSpec], N_bar: int,
 # contraction factors
 
 
+def _eigh_pencil(X, Y) -> np.ndarray:
+    """Eigenvalues of the symmetric-definite pencil (X, Y), ascending.
+
+    scipy.linalg is imported here, on the first design call, so that
+    `import pdkf` and the filters never load it.  It stays scipy: reducing
+    the pencil in numpy (Cholesky of Y, then eigvalsh of L⁻¹XL⁻ᵀ) moved the
+    per-agent threshold bounds of case2 N=60 by up to 5e-6 relative, far
+    above the last-bit agreement the design outputs are held to.
+    """
+    import scipy.linalg
+    return scipy.linalg.eigh(X, Y, eigvals_only=True)
+
+
 def _prediction_spectrum(P_ref, A, Q) -> np.ndarray:
     """Eigenvalues of X(X+Q)⁻¹ with X = A·P_ref·Aᵀ (all lie in [0, 1])."""
     A, Q = np.asarray(A, dtype=float), symmetrize(np.asarray(Q, dtype=float))
     X = symmetrize(A @ _check_pd(P_ref, "P_ref") @ A.T)
-    return scipy.linalg.eigh(X, X + Q, eigvals_only=True)
+    return _eigh_pencil(X, X + Q)
 
 
 def compute_beta(P_lo, A, Q) -> float:
@@ -195,8 +210,8 @@ def threshold_bounds(model: SystemModel, agents: list[AgentSpec],
 
     M_sum, Mbar_sym = symmetrize(M.sum(axis=1)), symmetrize(Mbar)
     mbar_pos = np.linalg.eigvalsh(Mbar_sym)[:, 0] > 0          # ascending
-    per_agent = np.array([max(float(scipy.linalg.eigh(Mb, Ms, eigvals_only=True).min()),
-                              0.0) for Mb, Ms in zip(Mbar_sym, M_sum)])
+    per_agent = np.array([max(float(_eigh_pencil(Mb, Ms).min()), 0.0)
+                          for Mb, Ms in zip(Mbar_sym, M_sum)])
     return ThresholdReport(beta=beta, kstar=kstar, M=M, Mbar=Mbar,
                            per_agent_bound=per_agent, mbar_positive=mbar_pos,
                            network_bound=float(per_agent.min()))

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 _RANK_RTOL = 1e-9  # relative singular-value cutoff for rank decisions
 
@@ -62,6 +60,29 @@ def _check_covariance(M: np.ndarray, name: str, m: int) -> None:
     _check_symmetric(M, name)
     if not _is_psd(M):
         raise ValueError(f"{name} must be positive semidefinite")
+
+
+def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
+    """Boolean mask of the nodes reachable from `start` along the edges
+    i → j with adj[i, j] true, start included (one frontier step per hop)."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = seen
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
+
+
+def _components(adj: np.ndarray) -> list[list[int]]:
+    """Connected components of a symmetric adjacency as index lists; the
+    lowest node not yet in one starts the next (scipy's labelling order)."""
+    comps, todo = [], np.ones(adj.shape[0], dtype=bool)
+    while todo.any():
+        comp = _reachable(adj, int(np.argmax(todo)))
+        comps.append(np.flatnonzero(comp).tolist())
+        todo &= ~comp
+    return comps
 
 
 def matrix_rank(M: np.ndarray) -> int:
@@ -194,10 +215,11 @@ class Topology:
     """Directed communication graph with row-stochastic fusion weights.
 
     `weights[i, j] > 0` means agent i uses (receives) agent j's estimate.  The
-    diagonal must be positive and the off-diagonal support must be strongly
-    connected.  `edges` holds the boolean support of `weights`; both are
-    read-only and `weights` is a copy of the array passed in.  Topologies
-    compare and hash by identity.
+    matrix must be non-empty, the diagonal positive and the off-diagonal
+    support strongly connected: every agent reaches agent 0 and is reached
+    from it (numpy reachability, no graph library).  `edges` holds the
+    boolean support of `weights`; both are read-only and `weights` is a copy
+    of the array passed in.  Topologies compare and hash by identity.
     """
 
     weights: np.ndarray
@@ -207,6 +229,8 @@ class Topology:
         W = _as_matrix(self.weights, "weights")
         if W.shape[0] != W.shape[1]:
             raise ValueError("weights must be square")
+        if W.size == 0:
+            raise ValueError("weights must be non-empty")
         if np.any(W < -1e-15):
             raise ValueError("weights must be nonnegative")
         W = np.where(W < 0, 0.0, W)
@@ -217,9 +241,7 @@ class Topology:
             raise ValueError("diagonal weights must be positive")
         object.__setattr__(self, "weights", _readonly(W))
         object.__setattr__(self, "edges", _readonly(W > 0))
-        n_comp, _ = connected_components(csr_matrix(self.edges), directed=True,
-                                         connection="strong")
-        if n_comp != 1:
+        if not (_reachable(self.edges, 0).all() and _reachable(self.edges.T, 0).all()):
             raise ValueError("communication graph must be strongly connected")
 
     @property
@@ -282,7 +304,8 @@ def metropolis_weights(adjacency) -> np.ndarray:
 
     adjacency: symmetric boolean/0-1 matrix without self-loops.  Off-diagonal
     weight for an edge {i, j} is 1/(1 + max(deg(i), deg(j))); the diagonal
-    takes the remaining mass.  Rejects disconnected graphs.
+    takes the remaining mass.  Rejects disconnected graphs, listing the
+    components as plain index lists in `_components`' order.
     """
     adj = np.asarray(adjacency, dtype=bool)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
@@ -292,9 +315,8 @@ def metropolis_weights(adjacency) -> np.ndarray:
     if np.any(np.diag(adj)):
         raise ValueError("adjacency must not contain self-loops")
     N = adj.shape[0]
-    n_comp, labels = connected_components(csr_matrix(adj), directed=False)
-    if n_comp != 1 and N > 1:
-        comps = [list(np.flatnonzero(labels == c)) for c in range(n_comp)]
+    comps = _components(adj)
+    if len(comps) > 1:
         raise ValueError(f"graph is disconnected; components: {comps}")
     deg = adj.sum(axis=1)
     W = np.where(adj, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)

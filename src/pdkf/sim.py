@@ -32,7 +32,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import yaml
 
 from . import filter as filt
@@ -401,8 +400,12 @@ def ckf_baseline(cfg: ScenarioConfig) -> RunMetrics:
     model, n, T, trials = cfg.model, cfg.model.n, cfg.T, cfg.trials
     idx = [i for i, a in enumerate(cfg.agents) if a.has_measurement]
     Hs = np.vstack([cfg.agents[i].H for i in idx]) if idx else np.zeros((0, n))
-    Rs = scipy.linalg.block_diag(*[cfg.agents[i].R for i in idx]) \
-        if idx else np.zeros((0, 0))
+    Rs = np.zeros((Hs.shape[0],) * 2)
+    at = 0
+    for i in idx:
+        m = cfg.agents[i].R.shape[0]
+        Rs[at:at + m, at:at + m] = cfg.agents[i].R
+        at += m
 
     x0, P = cfg.initial_pairs()[0]      # a new array; each step rebinds P
     x = np.tile(x0.reshape(-1, 1), (1, trials))
@@ -670,10 +673,12 @@ def write_triggers_csv(path: str, rm: RunMetrics) -> None:
 
 def write_manifest(path: str, cfg: ScenarioConfig, overrides: dict | None = None,
                    scenario_text: str | None = None) -> None:
+    import importlib.metadata
+    import scipy                        # the top-level package only: ~13 ms
+
     try:
-        from importlib.metadata import version
-        pkg_version = version("pdkf")
-    except Exception:
+        pkg_version = importlib.metadata.version("pdkf")
+    except importlib.metadata.PackageNotFoundError:
         pkg_version = "unknown"
     manifest = {
         "scenario": cfg.name,

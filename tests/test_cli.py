@@ -370,3 +370,21 @@ def test_mutated_scenario_exits_zero_with_finite_csv_or_two(tmp_path_factory,
     if rc == cli.EXIT_OK:
         rows = np.loadtxt(work / "out" / "metrics.csv", delimiter=",", skiprows=1)
         assert np.all(np.isfinite(rows))
+
+
+@pytest.mark.parametrize("weights, reason", [
+    ([], "weights must be a 2-D array"),
+    ([[]], "weights must be square"),
+    # a one-way chain 0 -> 1 -> 2
+    ([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],
+     "communication graph must be strongly connected"),
+])
+def test_mc_rejects_bad_topology_weights(tmp_path, weights, reason):
+    raw = yaml.safe_load(yaml.safe_dump(sim._cfg_to_dict(sim.case1(T=5))))
+    raw["topology"]["weights"] = weights
+    path = tmp_path / "bad.scn"
+    path.write_text(yaml.safe_dump(raw))
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = cli.main(["mc", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"'{path}': topology: {reason}" in err.getvalue()

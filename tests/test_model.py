@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdkf import model
 from pdkf.model import (
     AgentSpec,
     GlobalConstraint,
@@ -58,11 +59,15 @@ def test_metropolis_complete_three():
 
 
 def test_metropolis_rejects_disconnected():
-    adj = np.zeros((4, 4))
-    adj[0, 1] = adj[1, 0] = 1
-    adj[2, 3] = adj[3, 2] = 1
-    with pytest.raises(ValueError, match="disconnected"):
-        metropolis_weights(adj)
+    # plain ints, each component started by the lowest agent not yet listed
+    for edges, comps in (([(0, 1), (2, 3)], "[[0, 1], [2, 3]]"),
+                         ([(0, 3), (1, 4)], "[[0, 3], [1, 4], [2]]")):
+        adj = np.zeros((max(map(max, edges)) + 1,) * 2)
+        for a, b in edges:
+            adj[a, b] = adj[b, a] = 1
+        with pytest.raises(ValueError) as info:
+            metropolis_weights(adj)
+        assert str(info.value) == f"graph is disconnected; components: {comps}"
 
 
 def test_metropolis_rejects_self_loops():
@@ -127,6 +132,62 @@ def test_network_arrays_do_not_alias_the_arrays_passed_in():
         assert np.array_equal(getattr(agent, k), kept[k])
     assert np.array_equal(top.weights, kept["weights"])
     assert np.array_equal(top.edges, kept["weights"] > 0)
+
+
+def _stochastic(edges):
+    """Row-stochastic weights on `edges` plus the diagonal."""
+    W = np.asarray(edges, dtype=float) + np.eye(len(edges))
+    return W / W.sum(axis=1, keepdims=True)
+
+
+def test_topology_rejects_a_one_way_chain():
+    # 0 -> 1 -> 2: weakly connected, but nothing reaches agent 0
+    chain = np.zeros((3, 3))
+    chain[1, 0] = chain[2, 1] = 1          # weights[i, j] > 0: i receives j
+    with pytest.raises(ValueError, match="strongly connected"):
+        Topology(_stochastic(chain))
+    with pytest.raises(ValueError, match="strongly connected"):
+        Topology(_stochastic(chain.T))
+
+
+def test_topology_accepts_a_directed_cycle():
+    cycle = np.roll(np.eye(4), 1, axis=1)  # i receives i + 1
+    top = Topology(_stochastic(cycle))
+    assert [list(top.out_neighbors0(i)) for i in range(4)] == [[3], [0], [1], [2]]
+
+
+def test_topology_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="weights must be non-empty"):
+        Topology(np.zeros((0, 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.floats(0.0, 0.5),
+       st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_connectivity_matches_scipy(N, p, undirected, seed):
+    # scipy is a test-only oracle here: pdkf itself does not import it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    adj = np.random.default_rng(seed).random((N, N)) < p
+    np.fill_diagonal(adj, False)
+    if undirected:
+        adj |= adj.T
+    n_strong, _ = connected_components(csr_matrix(adj), directed=True,
+                                       connection="strong")
+    if n_strong == 1:
+        assert Topology(_stochastic(adj)).N == N
+    else:
+        with pytest.raises(ValueError, match="strongly connected"):
+            Topology(_stochastic(adj))
+    sym = adj | adj.T
+    n_comp, labels = connected_components(csr_matrix(sym), directed=False)
+    expected = [np.flatnonzero(labels == c).tolist() for c in range(n_comp)]
+    assert model._components(sym) == expected
+    if undirected and n_comp > 1:
+        with pytest.raises(ValueError) as info:
+            metropolis_weights(adj)
+        assert str(info.value).endswith(f"components: {expected}")
 
 
 def test_topology_rejects_bad_rows():
