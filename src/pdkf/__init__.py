@@ -5,11 +5,9 @@ reproducible simulation harness."""
 
 from .model import (AgentSpec, GlobalConstraint, SystemModel, Topology,
                     build_global_constraint, metropolis_weights)
-from .filter import (AgentState, ConsistentEstimate, ci_fuse, ci_maps,
-                     init_consistent, kalman_gain, measurement_update, predict,
-                     project, projection_map)
-from .event import (TriggerState, epdkf_round, tpdkf_round, trigger_eval,
-                    trigger_from_info)
+from .filter import (AgentState, ConsistentEstimate, ci_maps, init_consistent,
+                     kalman_gain, projection_map)
+from .event import TriggerState, epdkf_round, tpdkf_round, trigger_from_info
 from .analysis import (EcoReport, RateReport, ThresholdReport, compute_beta,
                        compute_beta_bar, constraint_error, eco_check, eig_pos,
                        pilot_contraction_factors, rate_bound, solve_T1,

@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name not in ("case1", "case2"):
             sp.add_argument("scenario_pos", nargs="?", metavar="SCENARIO",
                             help="scenario file (alternative to --scenario)")
-        sp.add_argument("--scenario", help="scenario file path")
+            sp.add_argument("--scenario", help="scenario file path")
         sp.add_argument("--out", help="output directory (default $PDKF_OUT or .)")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--trials", type=int, default=None)

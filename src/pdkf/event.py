@@ -77,10 +77,10 @@ class TriggerState:
 
 
 def trigger_from_info(info, info_held, delta):
-    """Trigger score g = λ_max(Ω − Ω̄) − δ from the information matrices of
-    the fresh pair (Ω = P̃⁻¹) and of the held extrapolation (Ω̄ = P̄̃⁻¹); fires
-    only on a strictly positive score.  On stacks over a leading agent axis
-    (δ one value per agent) it returns arrays of scores and decisions."""
+    """Trigger scores g = λ_max(Ω − Ω̄) − δ from the information matrices of
+    the fresh pairs (Ω = P̃⁻¹) and of the held extrapolations (Ω̄ = P̄̃⁻¹),
+    stacks over a leading agent axis with δ one value per agent; an agent
+    fires only on a strictly positive score.  Returns (g, fired) arrays."""
     diff = info - info_held
     sym = symmetrize(diff)
     scale = np.abs(sym).max(axis=(-2, -1), initial=1.0)
@@ -88,13 +88,7 @@ def trigger_from_info(info, info_held, delta):
                         > 1e-8 * scale):
         raise ValueError("information difference lost symmetry beyond tolerance")
     g = np.linalg.eigvalsh(sym)[..., -1] - delta     # eigvalsh sorts ascending
-    return (float(g), bool(g > 0.0)) if g.ndim == 0 else (g, g > 0.0)
-
-
-def trigger_eval(P_tilde, P_bar_tilde, delta: float) -> tuple[float, bool]:
-    """Trigger score and decision; fires only on strictly positive score."""
-    return trigger_from_info(np.linalg.inv(_check_pd(P_tilde, "P_tilde")),
-                             np.linalg.inv(_check_pd(P_bar_tilde, "P_bar_tilde")), delta)
+    return g, g > 0.0
 
 
 def _grouped(entries: list) -> list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check_finite, matrix_rank
+from .model import _check_finite
 
 _JITTER = 1e-9
 _PINV_RTOL = 1e-9
@@ -110,11 +110,6 @@ def init_consistent(x0_hat, P0, theta: float, x0_mean) -> ConsistentEstimate:
     return ConsistentEstimate(x0_hat, P)
 
 
-def predict(est: ConsistentEstimate, A: np.ndarray, Q: np.ndarray) -> ConsistentEstimate:
-    A, Q = np.asarray(A, dtype=float), np.asarray(Q, dtype=float)
-    return ConsistentEstimate(A @ est.x, A @ est.P @ A.T + Q)
-
-
 def kalman_gain(P, H, R) -> tuple[np.ndarray, np.ndarray]:
     """(K, P⁺) of one Kalman update: K = P Hᵀ (H P Hᵀ + R)⁻¹ and
     P⁺ = (I − K H) P symmetrized; the updated state is x + K (y − H x).
@@ -132,15 +127,6 @@ def kalman_gain(P, H, R) -> tuple[np.ndarray, np.ndarray]:
     return K, symmetrize((np.eye(P.shape[-1]) - K @ H) @ P)
 
 
-def measurement_update(est: ConsistentEstimate, y, H, R) -> ConsistentEstimate:
-    """Kalman measurement update; a zero H leaves the estimate untouched."""
-    H = np.asarray(H, dtype=float)
-    if H.size == 0 or not np.any(H != 0.0):
-        return ConsistentEstimate(est.x.copy(), est.P.copy())
-    K, P = kalman_gain(est.P, H, np.asarray(R, dtype=float))
-    return ConsistentEstimate(est.x + K @ (np.ravel(y) - H @ est.x), P)
-
-
 def slot_sum(terms: np.ndarray, sizes, maps=None) -> np.ndarray:
     """Row sums of a slot-major edge list: slot s holds one term for each of
     rows 0..sizes[s]-1, in row order, and the rows are added to slot by slot,
@@ -156,42 +142,21 @@ def slot_sum(terms: np.ndarray, sizes, maps=None) -> np.ndarray:
     return acc
 
 
-def ci_maps(infos, weights, slots=None) -> tuple[np.ndarray, np.ndarray]:
+def ci_maps(infos, weights, slots) -> tuple[np.ndarray, np.ndarray]:
     """Covariance intersection as a linear map of the fused states.
 
     From information matrices Ω_j = P_j⁻¹ and weights a_j: P = (Σ a_j Ω_j)⁻¹
     and C_j = P a_j Ω_j, so the fused state is x = Σ_j C_j x_j.  infos holds
-    the d matrices Ω_j of one agent, or, with slots = (sizes, dst), the E
-    in-edges of a stack of agents as a slot-major edge list (`slot_sum`)
-    with dst the row of each edge's receiver; P is then one matrix per row
-    and C one per edge.  Each row's sum runs over its edges in order, so an
-    agent's P is the same fused alone or in a stack.
+    the E in-edges of a stack of agents as a slot-major edge list
+    (`slot_sum`), slots = (sizes, dst) with dst the row of each edge's
+    receiver; P is one matrix per row and C one per edge.  Each row's sum
+    runs over its edges in order, so an agent's P is the same fused alone or
+    in a stack.
     """
     terms = np.asarray(weights)[:, None, None] * np.asarray(infos)
-    sizes, dst = slots or ((1,) * len(terms), np.zeros(len(terms), dtype=int))
+    sizes, dst = slots
     P = symmetrize(np.linalg.inv(slot_sum(terms, sizes)))
-    C = P[dst] @ terms
-    return (P, C) if slots else (P[0], C)
-
-
-def ci_fuse(pairs, weights) -> ConsistentEstimate:
-    """Covariance-intersection fusion: P = (Σ a_j P_j⁻¹)⁻¹, x = P Σ a_j P_j⁻¹ x_j.
-
-    pairs: iterable of (x_j, P_j) or ConsistentEstimate; weights must be
-    positive and sum to 1.
-    """
-    pairs = [(p.x, p.P) if isinstance(p, ConsistentEstimate) else p for p in pairs]
-    weights = np.asarray(weights, dtype=float).ravel()
-    if len(pairs) != weights.size:
-        raise ValueError("one weight per fused pair required")
-    if np.any(weights <= 0):
-        raise ValueError("fusion weights must be positive")
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("fusion weights must sum to 1")
-    Ps = np.stack([np.asarray(P_j, dtype=float) for _, P_j in pairs])
-    P, Cs = ci_maps(np.linalg.inv(_check_pd(Ps, "ci_fuse input")), weights)
-    x = sum(C @ np.asarray(x_j, dtype=float).ravel() for C, (x_j, _) in zip(Cs, pairs))
-    return ConsistentEstimate(x, P)
+    return P, P[dst] @ terms
 
 
 def projection_map(P, D, d, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,15 +176,3 @@ def projection_map(P, D, d, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     M = PDt @ pinv(S)
     P_new = symmetrize(P - PDt @ np.linalg.solve(S + eps * np.eye(S.shape[-1]), DP))
     return np.eye(P.shape[-1]) - M @ D, M @ d, P_new
-
-
-def project(est: ConsistentEstimate, D, d, eps: float) -> ConsistentEstimate:
-    """Project the estimate onto {x : D x = d} through `projection_map`; an
-    all-zero D leaves the estimate untouched."""
-    D = np.asarray(D, dtype=float)
-    if D.size == 0 or not np.any(D != 0.0):
-        return ConsistentEstimate(est.x.copy(), est.P.copy())
-    if matrix_rank(D) < D.shape[0]:
-        raise ValueError("D must be all-zero or have full row rank")
-    G, c, P = projection_map(est.P, D, np.asarray(d, dtype=float).ravel(), eps)
-    return ConsistentEstimate(G @ est.x + c, P)

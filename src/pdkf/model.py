@@ -100,16 +100,13 @@ class SystemModel:
     """Linear dynamics x_{k+1} = A_k x_k + w_k with E{w wᵀ} ≤ Q_k.
 
     A and Q may be single (n, n) matrices (time-invariant) or sequences of
-    them, one per step.  `beta1`/`beta2` bound the squared singular values of
-    every A_k; when supplied they are *validated*, never inferred.
+    them, one per step.
     """
 
     A: np.ndarray | list
     Q: np.ndarray | list
     x0_mean: np.ndarray
     P0: np.ndarray
-    beta1: float | None = None
-    beta2: float | None = None
 
     def __post_init__(self):
         A_seq = self._to_seq(self.A, "A")
@@ -131,12 +128,6 @@ class SystemModel:
         for k, Ak in enumerate(A_seq):
             if abs(np.linalg.det(Ak)) < 1e-300:
                 raise ValueError(f"A[{k}] is singular")
-            if self.beta1 is not None or self.beta2 is not None:
-                sv2 = np.linalg.svd(Ak, compute_uv=False) ** 2
-                if self.beta1 is not None and sv2.max() > self.beta1 * (1 + 1e-9):
-                    raise ValueError(f"A[{k}] violates the declared upper bound beta1")
-                if self.beta2 is not None and sv2.min() < self.beta2 * (1 - 1e-9):
-                    raise ValueError(f"A[{k}] violates the declared lower bound beta2")
         for k, Qk in enumerate(Q_seq):
             _check_covariance(Qk, f"Q[{k}]", n)
 

@@ -525,9 +525,6 @@ def _cfg_to_dict(cfg: ScenarioConfig) -> dict:
             "checkpoints": list(cfg.checkpoints),
         },
     }
-    for key, val in (("beta1", m.beta1), ("beta2", m.beta2)):
-        if val is not None:
-            d["model"][key] = float(val)
     for key in ("x0_hat", "P0_init", "x0_cov", "sim_q"):
         if getattr(cfg, key) is not None:
             d["sim"][key] = _mat(getattr(cfg, key))
@@ -603,8 +600,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     if not (isinstance(specs, list) and all(isinstance(a, dict) for a in specs)):
         raise ValueError(f"{bad}: section 'agents' must be a list of mappings")
     model = build("model: ", SystemModel, **fields(md, "model", {
-        "A": _floats, "Q": _floats, "x0_mean": _floats, "P0": _floats,
-        "beta1": _optional(float), "beta2": _optional(float)}))
+        "A": _floats, "Q": _floats, "x0_mean": _floats, "P0": _floats}))
     agent_fields = {"H": _floats, "R": _floats,
                     "D": lambda v: _floats(v or np.zeros((0, model.n))),
                     "d": lambda v: _floats(v or []), "eps": float, "delta": float}

@@ -4,31 +4,22 @@ The formula oracles are coded straight from the defining formulas, with loops
 and explicit inverses and no imports from the package under test, so that the
 two sides can actually disagree.  Slow and obvious on purpose.
 
-The reference rounds (`tpdkf_round`, `epdkf_round`) are the
-per-agent composition of the package's single-pair primitives (`predict`,
-`measurement_update`, `trigger_eval`, `ci_fuse`, `project`,
-`TriggerState.held_at`), each pinned to the formula oracles by its own tests.
-They loop over agents and pairs where the package runs one stacked
-`event.filter_step`, so they are the differential reference for the rounds
-and the batch engine.
+The reference rounds (`tpdkf_round`, `epdkf_round`) compose those oracles
+(`kf_predict`, `kf_update`, `trigger_eval`, `ci_combine`, `constrain`) one agent
+and one pair at a time.  From the package they take only the public state
+types (`AgentState`, `ConsistentEstimate`) and `TriggerState.held_at`, which
+`multi_step` pins bit for bit, so they are an independent differential
+reference for the stacked `event.filter_step` that the rounds and the batch
+engine run.
 
 `generate_truth`, last, is the per-trial truth generator the package ran
 before it drew all trials on one block: one generator, one trial, the state
 stepped row by row.  It is the differential reference for `sim.generate_truth`.
-
-The padded fusion, last, is the engine pass the package ran before it fused
-over a slot-major edge list (`padded_filter_path`); the slot-major pass must
-reproduce it bit for bit.
 """
 import numpy as np
 
-from pdkf import sim
-from pdkf.event import _grouped, trigger_eval, trigger_from_info
-from pdkf.filter import (AgentState, _check_pd, _ensure_pd, ci_fuse, kalman_gain,
-                         measurement_update, predict, project, projection_map,
-                         symmetrize)
-from pdkf.model import AgentSpec, Topology, build_global_constraint
-from pdkf.sim import ScenarioConfig
+from pdkf.filter import AgentState, ConsistentEstimate
+from pdkf.model import build_global_constraint
 
 
 def kf_predict(x, P, A, Q):
@@ -58,6 +49,13 @@ def constrain(x, P, D, d, eps):
     x_new = x - P @ D.T @ np.linalg.pinv(S) @ (D @ x - d)
     P_new = P - P @ D.T @ np.linalg.inv(S + eps * np.eye(D.shape[0])) @ D @ P
     return x_new, P_new
+
+
+def trigger_eval(P_tilde, P_bar_tilde, delta):
+    """Event trigger, direct formula: g = λ_max(P̃⁻¹ − P̄̃⁻¹) − δ, fires on g > 0."""
+    gain = np.linalg.inv(P_tilde) - np.linalg.inv(P_bar_tilde)
+    g = np.linalg.eigvalsh(gain).max() - delta
+    return g, g > 0
 
 
 def info_after_rounds(omegas0, weights, D_list, eps_list, L):
@@ -188,28 +186,32 @@ def random_psd(rng, n, scale=1.0, jitter=1e-3):
 
 # --- reference rounds: one agent and one pair at a time ----------------------
 
+def _local(st, spec, y, A, Q):
+    """An agent's fresh pair: predict, then update if it measures anything."""
+    x, P = kf_predict(st.estimate.x, st.estimate.P, A, Q)
+    return kf_update(x, P, y, spec.H, spec.R) if spec.has_measurement else (x, P)
+
+
+def _fuse_and_constrain(pairs, weights, spec):
+    x, P = ci_combine(pairs, weights)
+    return constrain(x, P, spec.D, spec.d, spec.eps) if spec.has_constraint else (x, P)
+
+
 def tpdkf_round(states, measurements, model, agents, topology, L, k=1):
     """One time-based step: per agent predict and update, then L barrier-
     synchronized rounds of {CI fusion over in-neighbors, projection}."""
-    A = model.A_at(k - 1)
-    Q = model.Q_at(k - 1)
-    updated = []
-    for st, spec in zip(states, agents):
-        est = predict(st.estimate, A, Q)
-        if spec.has_measurement:
-            est = measurement_update(est, measurements[st.id], spec.H, spec.R)
-        updated.append(est)
-
-    current = updated
+    A, Q = model.A_at(k - 1), model.Q_at(k - 1)
+    current = [_local(st, spec, measurements[st.id], A, Q)
+               for st, spec in zip(states, agents)]
     for _ in range(L):
         fused = []
         for i, spec in enumerate(agents):
             nbrs = topology.in_neighbors(i)
-            est = ci_fuse([current[j] for j in nbrs], topology.weights[i, nbrs])
-            fused.append(project(est, spec.D, spec.d, spec.eps))
+            fused.append(_fuse_and_constrain([current[j] for j in nbrs],
+                                             topology.weights[i, nbrs], spec))
         current = fused
-
-    return [AgentState(st.id, est) for st, est in zip(states, current)]
+    return [AgentState(st.id, ConsistentEstimate(x, P))
+            for st, (x, P) in zip(states, current)]
 
 
 def epdkf_round(states, trigger_states, measurements, model, agents, topology, k):
@@ -220,27 +222,22 @@ def epdkf_round(states, trigger_states, measurements, model, agents, topology, k
     A, Q = model.A_at(0), model.Q_at(0)
 
     # Phase 1: local updates and trigger decisions against an immutable snapshot.
-    fresh = []
+    fresh = [_local(st, spec, measurements[st.id], A, Q)
+             for st, spec in zip(states, agents)]
     fired = set()
-    for st, spec, ts in zip(states, agents, trigger_states):
-        est = predict(st.estimate, A, Q)
-        if spec.has_measurement:
-            est = measurement_update(est, measurements[st.id], spec.H, spec.R)
-        fresh.append(est)
-        g, fire = trigger_eval(est.P, ts.held_at(k, A, Q)[1], ts.delta)
-        if fire:
+    for st, (x, P), ts in zip(states, fresh, trigger_states):
+        if trigger_eval(P, ts.held_at(k, A, Q)[1], ts.delta)[1]:
             fired.add(st.id)
             # the broadcast becomes the anchor every receiver extrapolates
-            ts.last_x, ts.last_P, ts.last_time = est.x.copy(), est.P.copy(), k
+            ts.last_x, ts.last_P, ts.last_time = x, P, k
 
     # Phase 2: fusion with the held neighbor pairs, one projection.
     new_states = []
     for i, spec in enumerate(agents):
         nbrs = [j for j in topology.in_neighbors(i) if j != i]
-        pairs = [(fresh[i].x, fresh[i].P)] + [trigger_states[j].held_at(k, A, Q)
-                                             for j in nbrs]
-        est = ci_fuse(pairs, topology.weights[i, [i] + nbrs])
-        new_states.append(AgentState(i, project(est, spec.D, spec.d, spec.eps)))
+        pairs = [fresh[i]] + [trigger_states[j].held_at(k, A, Q) for j in nbrs]
+        x, P = _fuse_and_constrain(pairs, topology.weights[i, [i] + nbrs], spec)
+        new_states.append(AgentState(i, ConsistentEstimate(x, P)))
     return new_states, fired
 
 
@@ -310,131 +307,3 @@ def generate_truth(cfg, rng, gc=None):
         else:
             Y.append(np.zeros((T, m)))
     return X, Y
-
-
-# --- the padded fusion -------------------------------------------------------
-# `event.step_layout`, `event.filter_step`, `filter.ci_maps` and
-# `sim._filter_path` as they were before the fusion ran on a slot-major edge
-# list: every agent fuses over as many slots as the largest in-degree, a spare
-# slot is the agent itself at weight 0, and the layout is built on every call.
-# The held pairs advance by `TriggerState.held_at`'s recursion, as the engine's
-# do.  The differential reference for the slot-major fusion, bit for bit.
-
-def padded_layout(agents: list[AgentSpec], topology: Topology, event: bool) -> tuple:
-    """What `filter_step` needs of a network: (meas, proj, slot, weights), with
-    meas (indices, H, R) and proj (indices, D, d, eps) per H, or D, shape group
-    of measuring, or constrained, agents.  slot[i, s] is i's s-th in-neighbor
-    j, or N + j for j's held pair in event mode; spare slots are i at weight 0."""
-    N = topology.N
-    meas = _grouped([(a.H, a.R) if a.has_measurement else None for a in agents])
-    proj = _grouped([(a.D, a.d[:, None], np.full((1, 1), a.eps)) if a.has_constraint
-                     else None for a in agents])
-    nbrs = [topology.in_neighbors(i) for i in range(N)]
-    slot = np.repeat(np.arange(N)[:, None], max(map(len, nbrs)), axis=1)
-    weights = np.zeros(slot.shape)
-    for i, js in enumerate(nbrs):
-        slot[i, :len(js)] = np.where(event & (js != i), N + js, js)
-        weights[i, :len(js)] = topology.weights[i, js]
-    return meas, proj, slot, weights
-
-
-def padded_ci_maps(infos, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance intersection as a linear map of the fused states.
-
-    From information matrices Ω_j = P_j⁻¹ and weights a_j: P = (Σ a_j Ω_j)⁻¹
-    and C_j = P a_j Ω_j, so the fused state is x = Σ_j C_j x_j.  infos holds
-    the d matrices Ω_j, or a stack (N, d, n, n) with weights (N, d), where a
-    slot of zero weight (and a finite matrix) pads an agent with fewer
-    neighbors.  The sum runs over the slots in order (a reduction along an
-    outer axis), so each agent's P is the same fused alone or in a stack.
-    """
-    terms = np.asarray(weights)[..., None, None] * np.asarray(infos)
-    P = symmetrize(np.linalg.inv(terms.sum(axis=-3)))
-    return P, P[..., None, :, :] @ terms
-
-
-def padded_filter_step(layout: tuple, est, P, ys: list, A, Q, rounds: int = 1,
-                       held: tuple | None = None, deltas=None) -> tuple:
-    """One step of either filter on the agent stack: new (est, P, g, fired, held).
-
-    est (N, n, c) holds c state columns (trials) per agent, P the (N, n, n)
-    covariances, ys one (g, m, c) block per H group.  Time mode (held None)
-    runs `rounds` fusion-projection rounds on the fresh pairs.  Event mode
-    fires where the trigger score g against held = (hx, hP), each last
-    broadcast extrapolated to this step, exceeds deltas, fuses each neighbor's
-    held pair (fresh if it fired) and returns the pairs then held.  Guards,
-    once per stack and bit-neutral where Cholesky succeeds: `_ensure_pd` on
-    every covariance stack made, definiteness before each inverse, cond(S) ≤
-    1e14 before each gain.  A LinAlgError carries `covariances` = (P, held P).
-    """
-    meas, proj, slot, weights = layout
-    event = held is not None
-    hx, hP = held if event else (None, None)
-    hinfo, g, fired = None, np.zeros(0), np.zeros(0, dtype=bool)
-
-    def gather(fresh, kept):
-        return np.take(np.concatenate([fresh, kept]) if event else fresh, slot, 0)
-
-    try:
-        est, P = A @ est, _ensure_pd(A @ P @ A.T + Q)
-        for (idx, H, R), y in zip(meas, ys):
-            K, P_upd = kalman_gain(P[idx], H, R)
-            est[idx] += K @ (y - H @ est[idx])
-            P[idx] = _ensure_pd(P_upd)
-        info = np.linalg.inv(_check_pd(P, "covariance of agent"))
-        if event:
-            hinfo = np.linalg.inv(_check_pd(hP, "held covariance of agent"))
-            g, fired = trigger_from_info(info, hinfo, deltas)
-            # a broadcast becomes the anchor every receiver extrapolates
-            f = fired[:, None, None]
-            hx, hP, hinfo = (np.where(f, est, hx), np.where(f, P, hP),
-                             np.where(f, info, hinfo))
-        for r in range(rounds):
-            if r:
-                info = np.linalg.inv(_check_pd(P, "covariance of agent"))
-            Pc, C = padded_ci_maps(gather(info, hinfo), weights)
-            x = (C @ gather(est, hx)).sum(axis=1)    # slot by slot, in order
-            Pc = _ensure_pd(Pc)
-            for idx, D, d, eps in proj:
-                G, c, P_proj = projection_map(Pc[idx], D, d, eps)
-                Pc[idx] = _ensure_pd(P_proj)
-                x[idx] = G @ x[idx] + c
-            est, P = x, Pc
-    except np.linalg.LinAlgError as exc:
-        exc.covariances = (P, hP)
-        raise
-    return est, P, g, fired, (hx, hP) if event else None
-
-
-def padded_filter_path(cfg: ScenarioConfig, mode: str, Y: list):
-    """One pass of either filter: yields (est, P, g, fired) for k = 0..T.
-
-    est (N, n, trials) and P (N, n, n) are new stacks of each agent's state
-    block and covariance after step k; g and fired list the trigger scores
-    and decisions of step k in event mode, and are empty otherwise and at
-    k = 0.  Y holds the (T, m_i, trials) measurement blocks; trials may be 0.
-    Each step is one `event.filter_step` (held pairs advanced here); a
-    LinAlgError from an overflowed covariance becomes a ValueError naming
-    agent and step.
-    """
-    model, agents, event = cfg.model, cfg.agents, mode == "event"
-    if event and not model.time_invariant:
-        raise ValueError("event-triggered mode requires a time-invariant model")
-    layout = padded_layout(agents, cfg.topology, event)
-    Ys = [np.stack([Y[i] for i in idx]) for idx, *_ in layout[0]]
-    deltas = np.array([a.delta for a in agents])
-    x0, P = map(np.stack, zip(*cfg.initial_pairs()))
-    est = np.repeat(x0[:, :, None], Y[0].shape[2], axis=2)
-    held = (est, P) if event else None     # the initial time is a broadcast
-    yield est, P, [], []
-    for k in range(1, cfg.T + 1):
-        A, Q = model.A_at(k - 1), model.Q_at(k - 1)
-        if held is not None:
-            held = (A @ held[0], A @ held[1] @ A.T + Q)
-        try:
-            est, P, g, fired, held = padded_filter_step(
-                layout, est, P, [Yg[:, k - 1] for Yg in Ys], A, Q,
-                1 if event else cfg.L, held, deltas)
-        except np.linalg.LinAlgError as exc:
-            raise sim._diverged(k, *exc.covariances, exc) from None
-        yield est, P, g.tolist(), fired.tolist()

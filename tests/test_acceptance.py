@@ -12,7 +12,7 @@ import pytest
 
 from pdkf import cli, sim
 from pdkf.analysis import eco_check, eig_pos, rate_bound
-from pdkf.filter import ConsistentEstimate, ci_fuse, project
+from pdkf.filter import ci_maps, projection_map
 from pdkf.model import AgentSpec, SystemModel, Topology, metropolis_weights
 from pdkf.sim import ScenarioConfig, case1
 
@@ -231,10 +231,10 @@ def test_criterion_09_property_suites():
         P = oracles.random_psd(rng, 4)
         D = rng.standard_normal((2, 4))
         eps = 10.0 ** rng.uniform(-3, 0)
-        out = project(ConsistentEstimate(rng.standard_normal(4), P),
-                      D, rng.standard_normal(2), eps)
+        rng.standard_normal(4)          # a state, which the check does not read
+        _G, _c, P_out = projection_map(P, D, rng.standard_normal(2), eps)
         rhs = np.linalg.inv(P) + D.T @ D / eps
-        rel = np.abs(np.linalg.inv(out.P) - rhs).max() / max(1.0, np.abs(rhs).max())
+        rel = np.abs(np.linalg.inv(P_out) - rhs).max() / max(1.0, np.abs(rhs).max())
         if rel > 1e-8:
             failures.append("projection-identity")
             break
@@ -244,11 +244,11 @@ def test_criterion_09_property_suites():
     for _ in range(100):
         P = oracles.random_psd(rng, 4)
         D = rng.standard_normal((2, 4))
-        out = project(ConsistentEstimate(rng.standard_normal(4), P),
-                      D, np.zeros(2), 1e-2)
+        rng.standard_normal(4)          # a state, which the check does not read
+        _G, _c, P_out = projection_map(P, D, np.zeros(2), 1e-2)
         exact = P - P @ D.T @ np.linalg.inv(D @ P @ D.T) @ D @ P
-        lo = np.linalg.eigvalsh(0.5 * ((out.P - exact) + (out.P - exact).T)).min()
-        hi = np.linalg.eigvalsh(0.5 * ((P - out.P) + (P - out.P).T)).min()
+        lo = np.linalg.eigvalsh(0.5 * ((P_out - exact) + (P_out - exact).T)).min()
+        hi = np.linalg.eigvalsh(0.5 * ((P - P_out) + (P - P_out).T)).min()
         eigs = np.sort(np.linalg.eigvalsh(0.5 * (exact + exact.T)))
         zeros = int((np.abs(eigs) < 1e-8 * max(1.0, eigs[-1])).sum())
         if lo < -1e-9 or hi < -1e-9 or zeros != 2:
@@ -258,24 +258,28 @@ def test_criterion_09_property_suites():
     # (e) L rounds of {fuse, constrain} on three agents follow the closed-form
     # information recursion with weight-matrix powers, 1e-8 relative
     W = metropolis_weights(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+    one_agent = ((1, 1, 1), np.zeros(3, dtype=int))     # ci_maps' edge list
     for _ in range(20):
         L = int(rng.integers(1, 5))
         D_list = [rng.standard_normal((1, 3)), np.zeros((0, 3)),
                   rng.standard_normal((2, 3))]
         eps_list = [0.5, 1.0, 0.25]
-        ests = [ConsistentEstimate(rng.standard_normal(3),
-                                   oracles.random_psd(rng, 3))
+        ests = [(rng.standard_normal(3), oracles.random_psd(rng, 3))
                 for _ in range(3)]
-        omegas0 = [np.linalg.inv(e.P) for e in ests]
+        omegas0 = [np.linalg.inv(P) for _, P in ests]
         for _r in range(L):
-            fused = [ci_fuse([ests[j] for j in range(3)], W[i])
-                     for i in range(3)]
-            ests = [project(fused[i], D_list[i],
-                            np.zeros(D_list[i].shape[0]), eps_list[i])
-                    for i in range(3)]
+            infos = [np.linalg.inv(P) for _, P in ests]
+            rounds = []
+            for i in range(3):
+                P, C = ci_maps(infos, W[i], one_agent)
+                x = sum(C_j @ x_j for C_j, (x_j, _) in zip(C, ests))
+                G, c, P = projection_map(P[0], D_list[i],
+                                         np.zeros(D_list[i].shape[0]), eps_list[i])
+                rounds.append((G @ x + c, P))
+            ests = rounds
         expect = oracles.info_after_rounds(omegas0, W, D_list, eps_list, L)
-        for est, omega in zip(ests, expect):
-            rel = np.abs(np.linalg.inv(est.P) - omega).max() \
+        for (_, P), omega in zip(ests, expect):
+            rel = np.abs(np.linalg.inv(P) - omega).max() \
                 / max(1.0, np.abs(omega).max())
             if rel > 1e-8:
                 failures.append("round-identity")

@@ -9,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from pdkf import cli, sim
+from pdkf import analysis, cli, sim
 from pdkf.model import AgentSpec, SystemModel, Topology
 from pdkf.sim import ScenarioConfig, save_scenario
 
@@ -45,6 +45,21 @@ def test_eco_check_reports_both_alphas(case1_file, tmp_path, capsys):
     assert "alpha with constraints:" in captured and "(pass)" in captured
     assert (out / "manifest.json").exists()
     assert (out / "scenario.scn").exists()
+
+
+def test_eco_check_horizon_sets_the_window_only(case1_file, tmp_path, capsys):
+    # for eco-check --horizon is the observability window, not the run's T
+    out = tmp_path / "eco"
+    rc = cli.main(["eco-check", case1_file, "--horizon", "3", "--out", str(out)])
+    printed = capsys.readouterr().out
+    assert rc == cli.EXIT_OK
+    cfg = sim.load_scenario(case1_file)
+    rep = analysis.eco_check(cfg.model, cfg.agents, 3)
+    assert printed.startswith("window: 3\n")
+    assert f"alpha without constraints: {rep.alpha_without_constraints:.6g} (" in printed
+    assert f"alpha with constraints: {rep.alpha:.6g} (" in printed
+    assert sim.load_scenario(str(out / "scenario.scn")).T == cfg.T
+    assert "horizon" not in json.loads((out / "manifest.json").read_text())["overrides"]
 
 
 def test_run_epdkf_lambda_near_reference(case1_file, tmp_path, capsys):
@@ -216,6 +231,17 @@ def test_case1_subcommand_runs(tmp_path, capsys):
     assert "lambda:" in printed
     # the same lines as `pdkf mc`
     assert "trials: 1\n" in printed and f"wrote metrics.csv to {out}" in printed
+
+
+@pytest.mark.parametrize("command", ["case1", "case2"])
+def test_builtin_cases_reject_a_scenario_file(tmp_path, capsys, command):
+    # the built-in cases read no scenario file, so they must not accept one
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--scenario", str(tmp_path / "x.scn"), "--trials", "1",
+                  "--horizon", "5", "--out", str(tmp_path / "out")])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert "--scenario" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_zero_rounds_exit_two_in_every_mode(case1_file, tmp_path, capsys):

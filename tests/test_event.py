@@ -4,53 +4,59 @@ import numpy as np
 import pytest
 
 from pdkf import event
-from pdkf.event import (
-    TriggerState,
-    epdkf_round,
-    tpdkf_round,
-    trigger_eval,
-    trigger_from_info,
-)
-from pdkf.filter import AgentState, ConsistentEstimate, measurement_update, predict
+from pdkf.event import TriggerState, epdkf_round, tpdkf_round, trigger_from_info
+from pdkf.filter import AgentState, ConsistentEstimate, _check_pd, _ensure_pd, kalman_gain
 from pdkf.model import AgentSpec, SystemModel, Topology, metropolis_weights
 
 import oracles
 
 
+def trigger_one(P_tilde, P_bar_tilde, delta):
+    """The engine's trigger on one pair: `_check_pd` and `inv` of each
+    covariance as a stack of one, then `trigger_from_info`."""
+    info, info_bar = (np.linalg.inv(_check_pd([M], "covariance of agent"))
+                      for M in (P_tilde, P_bar_tilde))
+    g, fired = trigger_from_info(info, info_bar, np.array([delta]))
+    return g[0], fired[0]
+
+
 def test_information_gain_scalar():
     # at delta = 0 the trigger score is the information gain itself
-    assert trigger_eval([[0.5]], [[1.0]], 0.0)[0] == pytest.approx(1.0)
+    assert trigger_one([[0.5]], [[1.0]], 0.0)[0] == pytest.approx(1.0)
 
 
 def test_information_gain_rejects_indefinite():
     with pytest.raises(ValueError, match="positive definite"):
-        trigger_eval([[-1.0]], [[1.0]], 0.0)
+        trigger_one([[-1.0]], [[1.0]], 0.0)
 
 
 def test_trigger_exact_tie_stays_silent():
     # gain equals the threshold exactly: strict inequality, no fire
-    g, fired = trigger_eval([[0.5]], [[1.0]], delta=1.0)
+    g, fired = trigger_one([[0.5]], [[1.0]], delta=1.0)
     assert g == pytest.approx(0.0)
     assert not fired
-    g, fired = trigger_eval([[0.4]], [[1.0]], delta=1.0)
+    g, fired = trigger_one([[0.4]], [[1.0]], delta=1.0)
     assert g > 0 and fired
     # the same tie in information form, on the inverses
-    assert trigger_from_info(np.array([[2.0]]), np.array([[1.0]]), 1.0) == (0.0, False)
+    g, fired = trigger_from_info(np.array([[[2.0]]]), np.array([[[1.0]]]), np.ones(1))
+    assert (g.tolist(), fired.tolist()) == ([0.0], [False])
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_trigger_from_info_matches_trigger_eval(seed):
+    # against the hand-rolled covariance-form trigger `oracles.trigger_eval`
     rng = np.random.default_rng(seed)
     P, P_bar = oracles.random_psd(rng, 4), oracles.random_psd(rng, 4)
-    info = np.linalg.inv(0.5 * (P + P.T))
-    info_bar = np.linalg.inv(0.5 * (P_bar + P_bar.T))
     for delta in (0.0, 0.1, 10.0):
-        assert trigger_from_info(info, info_bar, delta) == trigger_eval(P, P_bar, delta)
+        g, fired = trigger_one(P, P_bar, delta)
+        g_want, fired_want = oracles.trigger_eval(P, P_bar, delta)
+        assert g == pytest.approx(g_want, rel=1e-10, abs=1e-10)
+        assert fired == fired_want
 
 
 def test_trigger_from_info_rejects_asymmetric_difference():
     with pytest.raises(ValueError, match="symmetry"):
-        trigger_from_info(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), 0.0)
+        trigger_from_info(np.array([[[1.0, 1.0], [0.0, 1.0]]]), np.eye(2)[None], np.zeros(1))
 
 
 # --- the cached extrapolation against the from-anchor reference -------------
@@ -101,11 +107,13 @@ def test_held_at_restarts_after_message():
     prev = states[0].estimate
     states, fired = epdkf_round(states, triggers, ys, model, agents, top, 7)
     assert 0 in fired and triggers[0].last_time == 7
-    fresh = measurement_update(predict(prev, A, Q), ys[0], agents[0].H, agents[0].R)
-    _assert_pair_equal(triggers[0].held_at(7, A, Q), (fresh.x, fresh.P))
+    # the fresh pair as the engine forms it: prediction, then the gain
+    x, P = A @ prev.x, _ensure_pd(A @ prev.P @ A.T + Q)
+    K, P_upd = kalman_gain(P, agents[0].H, agents[0].R)
+    fresh = (x + K @ (ys[0] - agents[0].H @ x), _ensure_pd(P_upd))
+    _assert_pair_equal(triggers[0].held_at(7, A, Q), fresh)
     for k in range(8, 12):
-        _assert_pair_equal(triggers[0].held_at(k, A, Q),
-                           _from_anchor(fresh.x, fresh.P, A, Q, k - 7))
+        _assert_pair_equal(triggers[0].held_at(k, A, Q), _from_anchor(*fresh, A, Q, k - 7))
 
 
 def test_held_at_restarts_after_assigning_anchor_fields():
@@ -251,8 +259,9 @@ def test_stacked_trigger_equals_single_calls(N):
     g, fired = trigger_from_info(info, held, delta)
     assert g.shape == fired.shape == (N,)
     assert (g[0], fired[0]) == (0.0, False)
-    assert list(zip(g.tolist(), fired.tolist())) == [
-        trigger_from_info(info[i], held[i], delta[i]) for i in range(N)]
+    for i in range(N):
+        g_i, fired_i = trigger_from_info(info[i:i + 1], held[i:i + 1], delta[i:i + 1])
+        assert (g[i], fired[i]) == (g_i[0], fired_i[0])
 
 
 def test_stacked_trigger_rejects_one_asymmetric_member():

@@ -6,14 +6,10 @@ from pdkf.filter import (
     AgentState,
     ConsistentEstimate,
     _ensure_pd,
-    ci_fuse,
     ci_maps,
     init_consistent,
     kalman_gain,
-    measurement_update,
     pinv,
-    predict,
-    project,
     projection_map,
     symmetrize,
 )
@@ -25,8 +21,10 @@ import oracles
 RNG_PROPERTY_RUNS = 100
 
 
-def scalar_est(x, p):
-    return ConsistentEstimate(np.array([x]), np.array([[p]]))
+def ci_one(infos, weights):
+    """`ci_maps` on one agent that fuses every given pair: (P, [C_j])."""
+    P, C = ci_maps(infos, weights, ((1,) * len(infos), np.zeros(len(infos), dtype=int)))
+    return P[0], C
 
 
 @pytest.mark.parametrize("x, P, field", [
@@ -77,33 +75,22 @@ def test_init_dominates_prior_moment(theta, seed):
 # --- predict / update ----------------------------------------------------
 
 def test_predict_scalar():
-    est = predict(scalar_est(1.0, 2.0), A=np.array([[1.0]]), Q=np.array([[3.0]]))
+    # one blind, unconstrained agent: its step is the prediction alone
+    model = SystemModel(A=np.array([[1.0]]), Q=np.array([[3.0]]),
+                        x0_mean=np.zeros(1), P0=np.eye(1))
+    agent = AgentSpec(H=np.zeros((1, 1)), R=np.eye(1), D=np.zeros((0, 1)), d=np.zeros(0))
+    states = [AgentState(0, ConsistentEstimate([1.0], [[2.0]]))]
+    [out] = tpdkf_round(states, [None], model, [agent], Topology(np.array([[1.0]])), L=1)
+    est = out.estimate
     assert est.P[0, 0] == pytest.approx(5.0)
     assert est.x[0] == pytest.approx(1.0)
 
 
 def test_measurement_update_scalar_gain():
     # P=5, H=1, R=90: K = 5/95, P+ = (1-K)*5 = 450/95
-    est = measurement_update(scalar_est(0.0, 5.0), y=[1.0],
-                             H=np.array([[1.0]]), R=np.array([[90.0]]))
-    assert est.x[0] == pytest.approx(5.0 / 95.0)
-    assert est.P[0, 0] == pytest.approx(450.0 / 95.0)
-
-
-def test_measurement_update_zero_H_is_identity():
-    before = ConsistentEstimate([1.0, 2.0], np.diag([3.0, 4.0]))
-    after = measurement_update(before, y=[7.0],
-                               H=np.zeros((1, 2)), R=np.array([[90.0]]))
-    assert np.allclose(after.x, before.x)
-    assert np.allclose(after.P, before.P)
-
-
-def test_measurement_update_empty_H_is_identity():
-    before = ConsistentEstimate([1.0, 2.0], np.diag([3.0, 4.0]))
-    after = measurement_update(before, y=np.zeros(0),
-                               H=np.zeros((0, 2)), R=np.zeros((0, 0)))
-    assert np.allclose(after.x, before.x)
-    assert np.allclose(after.P, before.P)
+    K, P = kalman_gain(np.array([[5.0]]), np.array([[1.0]]), np.array([[90.0]]))
+    assert (K @ [1.0])[0] == pytest.approx(5.0 / 95.0)
+    assert P[0, 0] == pytest.approx(450.0 / 95.0)
 
 
 @settings(max_examples=RNG_PROPERTY_RUNS, deadline=None)
@@ -119,35 +106,28 @@ def test_predict_update_matches_textbook_kf(seed):
     R = oracles.random_psd(rng, m, jitter=0.1)
     y = rng.standard_normal(m)
 
-    got = measurement_update(predict(ConsistentEstimate(x, P), A, Q), y, H, R)
+    # the engine's prediction, then its gain
+    x_got, P_got = A @ x, _ensure_pd(A @ P @ A.T + Q)
+    K, P_got = kalman_gain(P_got, H, R)
+    x_got = x_got + K @ (y - H @ x_got)
     xe, Pe = oracles.kf_predict(x, P, A, Q)
     xe, Pe = oracles.kf_update(xe, Pe, y, H, R)
-    assert np.allclose(got.x, xe, atol=1e-8)
-    assert np.allclose(got.P, Pe, atol=1e-8)
+    assert np.allclose(x_got, xe, atol=1e-8)
+    assert np.allclose(P_got, Pe, atol=1e-8)
 
 
 # --- covariance intersection ---------------------------------------------
 
 def test_ci_fuse_harmonic_scalar():
-    pairs = [(np.array([0.0]), np.array([[1.0]])),
-             (np.array([2.0]), np.array([[3.0]]))]
-    est = ci_fuse(pairs, [0.5, 0.5])
-    assert est.P[0, 0] == pytest.approx(1.5)
-    assert est.x[0] == pytest.approx(0.5)
-
-
-def test_ci_fuse_weight_validation():
-    pairs = [(np.zeros(1), np.eye(1)), (np.zeros(1), np.eye(1))]
-    with pytest.raises(ValueError, match="sum"):
-        ci_fuse(pairs, [0.5, 0.6])
-    with pytest.raises(ValueError, match="positive"):
-        ci_fuse(pairs, [1.5, -0.5])
+    P, C = ci_one([np.array([[1.0]]), np.array([[1.0 / 3.0]])], [0.5, 0.5])
+    assert P[0, 0] == pytest.approx(1.5)
+    assert (C[0] @ [0.0] + C[1] @ [2.0])[0] == pytest.approx(0.5)
 
 
 def test_ci_fuse_single_pair_identity():
-    est = ci_fuse([(np.array([1.0, 2.0]), np.diag([2.0, 3.0]))], [1.0])
-    assert np.allclose(est.x, [1.0, 2.0])
-    assert np.allclose(est.P, np.diag([2.0, 3.0]))
+    P, C = ci_one([np.linalg.inv(np.diag([2.0, 3.0]))], [1.0])
+    assert np.allclose(C[0] @ [1.0, 2.0], [1.0, 2.0])
+    assert np.allclose(P, np.diag([2.0, 3.0]))
 
 
 @settings(max_examples=RNG_PROPERTY_RUNS, deadline=None)
@@ -162,40 +142,32 @@ def test_ci_fuse_consistency_preserved(seed):
              for _ in range(3)]
     w = rng.random(3) + 0.1
     w = w / w.sum()
-    est = ci_fuse(pairs, w)
+    P, C = ci_one([np.linalg.inv(P_j) for _, P_j in pairs], w)
     xo, Po = oracles.ci_combine(pairs, w)
-    assert np.allclose(est.x, xo, atol=1e-8)
-    assert np.allclose(est.P, Po, atol=1e-8)
+    assert np.allclose(sum(C_j @ x_j for C_j, (x_j, _) in zip(C, pairs)), xo, atol=1e-8)
+    assert np.allclose(P, Po, atol=1e-8)
     for (x_j, P_j), w_j in zip(pairs, w):
         # information of the output is at least each scaled input information
-        gap = np.linalg.inv(est.P) - w_j * np.linalg.inv(P_j)
+        gap = np.linalg.inv(P) - w_j * np.linalg.inv(P_j)
         assert np.linalg.eigvalsh(symmetrize(gap)).min() >= -1e-8
 
 
 # --- constraint projection ------------------------------------------------
 
 def test_project_unit_example():
-    est = ConsistentEstimate([1.0, 1.0], np.eye(2))
     eps = 0.01
-    out = project(est, D=np.array([[1.0, 0.0]]), d=np.array([0.0]), eps=eps)
-    assert np.allclose(out.x, [0.0, 1.0], atol=1e-12)
-    assert np.allclose(out.P, np.diag([eps / (1 + eps), 1.0]), atol=1e-12)
+    G, c, P = projection_map(np.eye(2), np.array([[1.0, 0.0]]), np.array([0.0]), eps)
+    assert np.allclose(G @ [1.0, 1.0] + c, [0.0, 1.0], atol=1e-12)
+    assert np.allclose(P, np.diag([eps / (1 + eps), 1.0]), atol=1e-12)
 
 
 def test_project_zero_D_identity():
-    est = ConsistentEstimate([1.0, 2.0], np.diag([1.0, 2.0]))
+    x, P = np.array([1.0, 2.0]), np.diag([1.0, 2.0])
     for D, d in [(np.zeros((0, 2)), np.zeros(0)),
                  (np.zeros((1, 2)), np.zeros(1))]:
-        out = project(est, D, d, eps=0.01)
-        assert np.allclose(out.x, est.x)
-        assert np.allclose(out.P, est.P)
-
-
-def test_project_rejects_rank_deficient():
-    est = ConsistentEstimate(np.zeros(3), np.eye(3))
-    D = np.array([[1.0, 0, 0], [2.0, 0, 0]])
-    with pytest.raises(ValueError, match="full row rank"):
-        project(est, D, np.zeros(2), eps=0.01)
+        G, c, P_new = projection_map(P, D, d, 0.01)
+        assert np.allclose(G @ x + c, x)
+        assert np.allclose(P_new, P)
 
 
 @settings(max_examples=RNG_PROPERTY_RUNS, deadline=None)
@@ -208,11 +180,11 @@ def test_project_feasibility_and_information_identity(seed):
     D = rng.standard_normal((s, n))
     d = rng.standard_normal(s)
     eps = 10.0 ** rng.uniform(-3, 0)
-    out = project(ConsistentEstimate(x, P), D, d, eps)
+    G, c, P_new = projection_map(P, D, d, eps)
     # the state lands exactly on the constraint set
-    assert np.abs(D @ out.x - d).max() < 1e-9
+    assert np.abs(D @ (G @ x + c) - d).max() < 1e-9
     # information form of the covariance update, to 1e-8 relative
-    lhs = np.linalg.inv(out.P)
+    lhs = np.linalg.inv(P_new)
     rhs = np.linalg.inv(P) + D.T @ D / eps
     assert np.abs(lhs - rhs).max() <= 1e-8 * max(1.0, np.abs(rhs).max())
 
@@ -228,11 +200,11 @@ def test_project_sandwiched_between_exact_and_none(seed):
     x = rng.standard_normal(n)
     D = rng.standard_normal((s, n))
     d = rng.standard_normal(s)
-    out = project(ConsistentEstimate(x, P), D, d, eps=1e-2)
+    _G, _c, P_new = projection_map(P, D, d, 1e-2)
     S = D @ P @ D.T
     exact = P - P @ D.T @ np.linalg.inv(S) @ D @ P
-    assert np.linalg.eigvalsh(symmetrize(out.P - exact)).min() >= -1e-9
-    assert np.linalg.eigvalsh(symmetrize(P - out.P)).min() >= -1e-9
+    assert np.linalg.eigvalsh(symmetrize(P_new - exact)).min() >= -1e-9
+    assert np.linalg.eigvalsh(symmetrize(P - P_new)).min() >= -1e-9
     eigs = np.sort(np.linalg.eigvalsh(symmetrize(exact)))
     assert np.all(np.abs(eigs[:s]) < 1e-8 * max(1.0, eigs[-1]))
     assert eigs[s] > 1e-8
@@ -267,7 +239,7 @@ def test_ci_maps_matches_oracle(seed):
     n, J = 3, 4
     pairs = [(rng.standard_normal(n), oracles.random_psd(rng, n)) for _ in range(J)]
     w = rng.dirichlet(np.ones(J))
-    P, Cs = ci_maps([np.linalg.inv(P_j) for _, P_j in pairs], w)
+    P, Cs = ci_one([np.linalg.inv(P_j) for _, P_j in pairs], w)
     x_want, P_want = oracles.ci_combine(pairs, w)
     assert _close(sum(C @ x_j for C, (x_j, _) in zip(Cs, pairs)), x_want)
     assert _close(P, P_want)
@@ -331,22 +303,22 @@ def test_tpdkf_l_round_information_closed_form():
     D_list = [rng.standard_normal((1, n)), np.zeros((0, n)),
               rng.standard_normal((2, n))]
     eps_list = [0.5, 1.0, 0.25]
-    ests = [ConsistentEstimate(rng.standard_normal(n), oracles.random_psd(rng, n))
-            for _ in range(N)]
-    omegas0 = [np.linalg.inv(e.P) for e in ests]
+    ests = [(rng.standard_normal(n), oracles.random_psd(rng, n)) for _ in range(N)]
+    omegas0 = [np.linalg.inv(P) for _, P in ests]
 
     for _ in range(L):
-        fused = []
+        rounds = []
         for i in range(N):
             nbrs = np.flatnonzero(W[i])
-            fused.append(ci_fuse([ests[j] for j in nbrs], W[i, nbrs]))
-        ests = [project(fused[i], D_list[i],
-                        np.zeros(D_list[i].shape[0]), eps_list[i])
-                for i in range(N)]
+            P, C = ci_one([np.linalg.inv(ests[j][1]) for j in nbrs], W[i, nbrs])
+            x = sum(C_j @ ests[j][0] for C_j, j in zip(C, nbrs))
+            G, c, P = projection_map(P, D_list[i], np.zeros(D_list[i].shape[0]), eps_list[i])
+            rounds.append((G @ x + c, P))
+        ests = rounds
 
     expect = oracles.info_after_rounds(omegas0, W, D_list, eps_list, L)
-    for est, omega in zip(ests, expect):
-        got = np.linalg.inv(est.P)
+    for (_, P), omega in zip(ests, expect):
+        got = np.linalg.inv(P)
         assert np.abs(got - omega).max() <= 1e-8 * max(1.0, np.abs(omega).max())
 
 
@@ -434,7 +406,7 @@ def test_stacked_ci_maps_equals_single_calls_on_slot_major_edges(N):
                    (sizes, dst))
     assert P.shape == (N, 4, 4) and C.shape == (len(edges), 4, 4)
     for i, c in enumerate(counts):
-        P_i, C_i = ci_maps(own[i], own_w[i])
+        P_i, C_i = ci_one(own[i], own_w[i])
         assert np.array_equal(P[i], P_i)
         assert np.array_equal(C[dst == i], C_i)
 

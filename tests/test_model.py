@@ -161,6 +161,16 @@ def test_topology_rejects_an_empty_matrix():
         Topology(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([[0.5, 0.6], [0.5, 0.5]], "weight rows must each sum to 1"),
+    ([[1.5, -0.5], [0.5, 0.5]], "weights must be nonnegative"),
+], ids=["row-sum", "negative"])
+def test_topology_rejects_fusion_weights_that_are_not_convex(weights, message):
+    # the fusion weights are checked here, where they enter the program
+    with pytest.raises(ValueError, match=message):
+        Topology(np.array(weights))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=12), st.floats(0.0, 0.5),
        st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))

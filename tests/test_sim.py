@@ -30,6 +30,7 @@ from pdkf.sim import (
 )
 
 import oracles
+import padded
 
 SQRT3 = np.sqrt(3.0)
 
@@ -570,7 +571,7 @@ def test_filter_path_equals_the_padded_fusion_bit_for_bit(cfg):
     # the slot-major edge list adds each agent's terms in the padded order
     _X, Y, _gc = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
     got = list(sim._filter_path(cfg, cfg.mode, Y))
-    want = list(oracles.padded_filter_path(cfg, cfg.mode, Y))
+    want = list(padded.padded_filter_path(cfg, cfg.mode, Y))
     assert len(got) == len(want) == cfg.T + 1
     for step, ref in zip(got, want):
         for a, b in zip(step, ref):
