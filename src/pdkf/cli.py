@@ -1,13 +1,17 @@
 """Command-line entry point.
 
 Subcommands: eco-check, run-tpdkf, run-epdkf, threshold-bound, rate-bound,
-mc, case1, case2.  Every run writes a manifest (scenario hash, seed, library
-versions, explicit overrides) next to its CSV output so it can be reproduced
-exactly.  Output directory resolution: --out flag, then $PDKF_OUT, then the
-current directory.
+mc, case1, case2.  The six file commands take the scenario file as their one
+positional argument; case1/case2 build a bundled scenario.  Each command
+accepts only the flags it reads (`_COMMANDS`), plus --out, so argparse
+rejects any other flag with exit 2.  Every run writes a manifest (scenario
+hash, seed, library versions, explicit overrides) next to its CSV output so
+it can be reproduced exactly.  Output directory resolution: --out flag, then
+$PDKF_OUT, then the current directory.
 
-Exit codes: 0 success, 2 validation/parse failure, 3 infeasible analysis
-preconditions, 1 unexpected crash.
+Exit codes: 0 success, 2 validation/parse failure (an unread flag or an
+unknown scenario key included), 3 infeasible analysis preconditions, 1
+unexpected crash.
 """
 
 from __future__ import annotations
@@ -28,6 +32,42 @@ EXIT_INFEASIBLE = 3
 
 # the single-run commands and the filter each runs
 _RUN_MODES = {"run-tpdkf": "time", "run-epdkf": "event"}
+_BUILTIN = {"case1": sim.case1, "case2": sim.case2}
+
+# every flag a command can read, by argparse dest; eco-check's --horizon is
+# its observability window
+_FLAGS = {
+    "seed": ("--seed", {"type": int}),
+    "trials": ("--trials", {"type": int}),
+    "L": ("--L", {"type": int}),
+    "delta": ("--delta", {"help": "uniform value or comma list, one per agent"}),
+    "horizon": ("--horizon", {"type": int, "help": "steps"}),
+    "window": ("--horizon", {"type": int, "help": "observability window "
+                                                  "(default N + n)"}),
+    "kstar": ("--kstar", {"type": int, "help": "threshold-design window "
+                                               "(default N + n)"}),
+    "beta": ("--beta", {"help": "contraction factor; 'b' or 'b,bbar' "
+                                "(default: derived from a pilot run)"}),
+}
+
+# each command's help and the flags it reads: only those that can change its
+# printed report or CSVs (--L and --horizon reach the design bounds through
+# the pilot run that derives beta); argparse rejects any other with exit 2
+_COMMANDS = {
+    "eco-check": ("report the windowed observability test with and without "
+                  "constraint information", "window"),
+    "run-tpdkf": ("single run of the time-based filter", "seed L horizon"),
+    "run-epdkf": ("single run of the event-triggered filter", "seed delta horizon"),
+    "threshold-bound": ("uniform trigger-threshold design bound",
+                        "kstar beta L horizon"),
+    "rate-bound": ("a-priori communication-rate bound", "delta beta L horizon"),
+    "mc": ("Monte Carlo run using the scenario's mode", "seed trials L delta horizon"),
+    "case1": ("run the built-in 3-agent road scenario", "seed trials delta horizon"),
+    "case2": ("run the built-in 20-agent scenario", "seed trials L horizon"),
+}
+
+# scenario overrides: flag dest -> ScenarioConfig field
+_OVERRIDES = {"seed": "seed", "trials": "trials", "L": "L", "horizon": "T"}
 
 
 class _Infeasible(Exception):
@@ -40,36 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Distributed Kalman filtering with state equality "
                     "constraints: simulation and design tools.")
     sub = p.add_subparsers(dest="command", required=True)
-    commands = {
-        "eco-check": "report the windowed observability test with and "
-                     "without constraint information",
-        "run-tpdkf": "single run of the time-based filter",
-        "run-epdkf": "single run of the event-triggered filter",
-        "threshold-bound": "uniform trigger-threshold design bound",
-        "rate-bound": "a-priori communication-rate bound",
-        "mc": "Monte Carlo run using the scenario's mode",
-        "case1": "run the built-in 3-agent road scenario",
-        "case2": "run the built-in 20-agent scenario",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        if name not in ("case1", "case2"):
-            sp.add_argument("scenario_pos", nargs="?", metavar="SCENARIO",
-                            help="scenario file (alternative to --scenario)")
-            sp.add_argument("--scenario", help="scenario file path")
+        if name not in _BUILTIN:
+            sp.add_argument("scenario", metavar="SCENARIO", help="scenario file")
         sp.add_argument("--out", help="output directory (default $PDKF_OUT or .)")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("--L", type=int, default=None, dest="L")
-        sp.add_argument("--delta", default=None,
-                        help="uniform value or comma list, one per agent")
-        sp.add_argument("--horizon", type=int, default=None,
-                        help="steps (for eco-check: the window length)")
-        sp.add_argument("--kstar", type=int, default=None,
-                        help="threshold-design window (default N + n)")
-        sp.add_argument("--beta", default=None,
-                        help="contraction factor; 'b' or 'b,bbar' "
-                             "(default: derived from a pilot run)")
+        for dest in flags.split():
+            flag, kwargs = _FLAGS[dest]
+            sp.add_argument(flag, dest=dest, **kwargs)
     return p
 
 
@@ -98,37 +116,26 @@ def _parse_delta(text: str, N: int) -> list:
 
 
 def _load_config(args) -> tuple:
-    """Scenario from file or the built-in builders, plus the override record."""
-    overrides: dict = {}
-    if args.command in ("case1", "case2"):
-        cfg = sim.case1() if args.command == "case1" else sim.case2()
-    else:
-        path = args.scenario or getattr(args, "scenario_pos", None)
-        if not path:
-            raise ValueError("a scenario file is required (positional or "
-                             "--scenario)")
-        if not os.path.exists(path):
-            raise ValueError(f"scenario file not found: {path}")
-        cfg = sim.load_scenario(path)
+    """Scenario from file or the built-in builders, plus the override record.
 
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-        overrides["seed"] = args.seed
+    A command's parser holds only the flags it reads, so an unset flag and
+    one the command does not take look alike here: both are absent or None.
+    """
+    if args.command in _BUILTIN:
+        cfg = _BUILTIN[args.command]()
+    elif not os.path.exists(args.scenario):
+        raise ValueError(f"scenario file not found: {args.scenario}")
+    else:
+        cfg = sim.load_scenario(args.scenario)
     if args.command in _RUN_MODES:
-        if args.trials is not None:
-            raise ValueError(f"--trials does not apply to {args.command}, which "
-                             f"makes one run; use mc for several trials")
         cfg = dataclasses.replace(cfg, mode=_RUN_MODES[args.command], trials=1)
-    if args.trials is not None:
-        cfg = dataclasses.replace(cfg, trials=args.trials)
-        overrides["trials"] = args.trials
-    if args.L is not None:
-        cfg = dataclasses.replace(cfg, L=args.L)
-        overrides["L"] = args.L
-    if args.horizon is not None and args.command != "eco-check":
-        cfg = dataclasses.replace(cfg, T=args.horizon)
-        overrides["horizon"] = args.horizon
-    if args.delta is not None:
+    overrides: dict = {}
+    for dest, field in _OVERRIDES.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            cfg = dataclasses.replace(cfg, **{field: value})
+            overrides[dest] = value
+    if getattr(args, "delta", None) is not None:
         vals = _parse_delta(args.delta, cfg.topology.N)
         agents = [dataclasses.replace(a, delta=v)
                   for a, v in zip(cfg.agents, vals)]
@@ -164,7 +171,7 @@ def _emit(out, cfg, overrides, metrics=None, triggers=False) -> None:
 
 
 def _cmd_eco_check(args, cfg, overrides, out) -> int:
-    window = args.horizon if args.horizon is not None else cfg.topology.N + cfg.model.n
+    window = args.window if args.window is not None else cfg.topology.N + cfg.model.n
     rep = analysis.eco_check(cfg.model, cfg.agents, window)
     _emit(out, cfg, overrides)
     wo = "pass" if rep.observable_without_constraints else "fail"
@@ -216,14 +223,13 @@ def _cmd_rate(args, cfg, overrides, out) -> int:
                          "the uniform analysis")
     delta = deltas.pop()
     beta, beta_bar = _parse_beta(args, cfg)
-    T = args.horizon if args.horizon is not None else cfg.T
     try:
         rep = analysis.rate_bound(delta, cfg.model, cfg.agents, cfg.topology,
-                                  T, beta, beta_bar)
+                                  cfg.T, beta, beta_bar)
     except ValueError as exc:
         raise _Infeasible(str(exc)) from exc
     _emit(out, cfg, dict(overrides, delta=delta, beta=beta,
-                         beta_bar=beta_bar, horizon=T))
+                         beta_bar=beta_bar, horizon=cfg.T))
     print(f"delta: {delta:.6g}  beta: {beta:.6g}  beta_bar: {beta_bar:.6g}")
     for i in range(cfg.topology.N):
         print(f"agent {i}: T1={rep.T1[i]}  T2={rep.T2[i]}"
@@ -241,16 +247,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg, overrides = _load_config(args)
-        out = _out_dir(args)
-        if args.command == "eco-check":
-            return _cmd_eco_check(args, cfg, overrides, out)
-        if args.command in ("run-tpdkf", "run-epdkf", "mc", "case1", "case2"):
-            return _cmd_mc(args, cfg, overrides, out)
-        if args.command == "threshold-bound":
-            return _cmd_threshold(args, cfg, overrides, out)
-        if args.command == "rate-bound":
-            return _cmd_rate(args, cfg, overrides, out)
-        raise ValueError(f"unknown command {args.command!r}")
+        run = {"eco-check": _cmd_eco_check, "threshold-bound": _cmd_threshold,
+               "rate-bound": _cmd_rate}.get(args.command, _cmd_mc)
+        return run(args, cfg, overrides, _out_dir(args))
     except _Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

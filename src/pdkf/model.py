@@ -258,7 +258,6 @@ class GlobalConstraint:
 
     Dbar: np.ndarray
     dbar: np.ndarray
-    varpi: float | None = None
 
     def __post_init__(self):
         Dbar = np.asarray(self.Dbar, dtype=float)
@@ -272,14 +271,6 @@ class GlobalConstraint:
             return
         if matrix_rank(Dbar) < Dbar.shape[0]:
             raise ValueError("Dbar must have full row rank")
-        if self.varpi is not None:
-            gram_eigs = np.linalg.eigvalsh(Dbar @ Dbar.T)
-            if gram_eigs.min() < self.varpi * (1 - 1e-9) or gram_eigs.max() > 1 + 1e-9:
-                raise ValueError(
-                    "Dbar·Dbarᵀ violates the declared bounds "
-                    f"[{self.varpi}, 1]: eigenvalues in "
-                    f"[{gram_eigs.min():.3g}, {gram_eigs.max():.3g}]"
-                )
 
     @property
     def s_bar(self) -> int:
@@ -315,8 +306,7 @@ def metropolis_weights(adjacency) -> np.ndarray:
     return W
 
 
-def build_global_constraint(agents: list[AgentSpec],
-                            varpi: float | None = None) -> GlobalConstraint:
+def build_global_constraint(agents: list[AgentSpec]) -> GlobalConstraint:
     """Stack all agents' nonzero constraint rows into one independent system.
 
     Linearly dependent rows are dropped after a consistency check (a dependent
@@ -332,7 +322,7 @@ def build_global_constraint(agents: list[AgentSpec],
                 rhs.append(float(c))
     if not rows:
         n = agents[0].H.shape[1] if agents else 0
-        return GlobalConstraint(np.zeros((0, n)), np.zeros(0), varpi)
+        return GlobalConstraint(np.zeros((0, n)), np.zeros(0))
 
     kept_rows: list[np.ndarray] = []
     kept_rhs: list[float] = []
@@ -362,6 +352,4 @@ def build_global_constraint(agents: list[AgentSpec],
     if smax > 1.0:
         Dbar = Dbar / smax
         dbar = dbar / smax
-    if varpi is None:
-        varpi = float(np.linalg.eigvalsh(Dbar @ Dbar.T).min())
-    return GlobalConstraint(Dbar, dbar, varpi)
+    return GlobalConstraint(Dbar, dbar)

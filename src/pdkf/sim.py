@@ -562,7 +562,8 @@ def load_scenario(path: str) -> ScenarioConfig:
     """Read a scenario written by `save_scenario`.
 
     Every malformed entry raises a ValueError that names the file and the
-    entry (`sim.T`, `agents[0].R`) or the section that rejected it.
+    entry (`sim.T`, `agents[0].R`) or the section that rejected it; so does
+    every key the file's format does not know (`sim.trails`).
     """
     with open(path) as fh:
         try:
@@ -573,6 +574,13 @@ def load_scenario(path: str) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"{bad}: not a mapping")
 
+    def known(sec, where, keys) -> None:
+        for key in sec:
+            if key not in keys:
+                raise ValueError(f"{bad}: {where}{key}: unknown field")
+
+    known(raw, "", ("name", "model", "agents", "topology", "sim"))
+
     def section(key, default=None):
         val = raw.get(key, default)
         if not isinstance(val, dict):
@@ -580,6 +588,7 @@ def load_scenario(path: str) -> ScenarioConfig:
         return val
 
     def fields(sec, where, converters) -> dict:
+        known(sec, f"{where}.", converters)
         out = {}
         for key, convert in converters.items():
             if key in sec:

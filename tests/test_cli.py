@@ -77,8 +77,7 @@ def test_run_epdkf_lambda_near_reference(case1_file, tmp_path, capsys):
 
 def test_run_tpdkf_writes_metrics(case1_file, tmp_path, capsys):
     out = tmp_path / "tp"
-    rc = cli.main(["run-tpdkf", "--scenario", case1_file, "--L", "2",
-                   "--out", str(out)])
+    rc = cli.main(["run-tpdkf", case1_file, "--L", "2", "--out", str(out)])
     assert rc == cli.EXIT_OK
     assert (out / "metrics.csv").exists()
     assert not (out / "triggers.csv").exists()
@@ -197,8 +196,15 @@ def test_short_sim_r_exits_two(case1_file, tmp_path, capsys):
     (("sim", "seed"), "x", "sim.seed"),
     (("sim", "theta"), "x", "sim.theta"),
     (("model", "A"), "abc", "model.A"),
+    # a misspelled or stray key must not load as if it were absent
+    (("sim", "trails"), 5, "sim.trails: unknown field"),
+    (("agents", 0, "delat"), 9.0, "agents[0].delat: unknown field"),
+    (("model", "beta1"), 0.5, "model.beta1: unknown field"),
+    (("topology", "wieghts"), [], "topology.wieghts: unknown field"),
+    (("nmae",), "case1", ": nmae: unknown field"),
 ], ids=["inf-R", "nan-x0_mean", "indefinite-P0_init", "text-T", "text-seed",
-        "text-theta", "text-A"])
+        "text-theta", "text-A", "unknown-sim", "unknown-agent", "unknown-model",
+        "unknown-topology", "unknown-top-level"])
 def test_bad_scenario_values_exit_two(case1_file, tmp_path, capsys, path,
                                       value, field):
     with open(case1_file) as fh:
@@ -321,10 +327,49 @@ def test_diverging_run_reports_once_naming_the_step(tmp_path, capsys, argv, mess
 
 @pytest.mark.parametrize("command", ["run-tpdkf", "run-epdkf"])
 def test_single_run_rejects_trials(case1_file, tmp_path, capsys, command):
-    rc = cli.main([command, case1_file, "--trials", "5", "--out", str(tmp_path / "r")])
-    assert rc == cli.EXIT_VALIDATION
+    # a single run makes one trial, so its parser has no --trials
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, case1_file, "--trials", "5", "--out", str(tmp_path / "r")])
+    assert exc.value.code == cli.EXIT_VALIDATION
     assert "--trials" in capsys.readouterr().err
     assert not (tmp_path / "r" / "manifest.json").exists()
+
+
+# the flags each command reads; README's CLI table lists the same sets
+READ_FLAGS = {
+    "eco-check": {"--horizon"},
+    "run-tpdkf": {"--seed", "--L", "--horizon"},
+    "run-epdkf": {"--seed", "--delta", "--horizon"},
+    "threshold-bound": {"--kstar", "--beta", "--L", "--horizon"},
+    "rate-bound": {"--delta", "--beta", "--L", "--horizon"},
+    "mc": {"--seed", "--trials", "--L", "--delta", "--horizon"},
+    "case1": {"--seed", "--trials", "--delta", "--horizon"},
+    "case2": {"--seed", "--trials", "--L", "--horizon"},
+}
+ALL_FLAGS = ["--scenario", "--seed", "--trials", "--L", "--delta", "--horizon",
+             "--kstar", "--beta"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, read in READ_FLAGS.items()
+    for flag in ALL_FLAGS if flag not in read])
+def test_unread_flag_exits_two(case1_file, tmp_path, capsys, command, flag):
+    # a flag that cannot change a command's output is not one of its options
+    scenario = [] if command in ("case1", "case2") else [case1_file]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *scenario, flag, "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", READ_FLAGS)
+def test_help_lists_exactly_the_read_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"^  (--\w+)", capsys.readouterr().out, re.M))
+    assert listed == READ_FLAGS[command] | {"--out"}
 
 
 @pytest.mark.parametrize("argv", [["run-tpdkf", "--L", "2"], ["run-epdkf"]],
