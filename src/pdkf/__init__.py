@@ -10,8 +10,8 @@ from .filter import (AgentState, ConsistentEstimate, ci_maps, init_consistent,
 from .event import TriggerState, epdkf_round, tpdkf_round, trigger_from_info
 from .analysis import (EcoReport, RateReport, ThresholdReport, compute_beta,
                        compute_beta_bar, constraint_error, eco_check, eig_pos,
-                       pilot_contraction_factors, rate_bound, solve_T1,
-                       solve_T2, space_decomposition, threshold_bounds)
+                       pilot_contraction_factors, rate_bound,
+                       space_decomposition, threshold_bounds)
 from .sim import (RunMetrics, ScenarioConfig, case1, case2, ckf_baseline,
                   consensus_baseline, generate_truth, load_scenario,
                   monte_carlo, run_event, run_time_based, save_scenario)

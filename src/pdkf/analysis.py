@@ -9,8 +9,9 @@ Contents:
   * constraint-subspace coordinates (`space_decomposition`, `constraint_error`),
   * worst-case information recursions under successive triggering / silence,
     built in one pass over t as stacked (T+1, N, n, n) tables
-    (`_rate_tables`), and the communication-rate bound that scans them one
-    agent at a time (`solve_T1`, `solve_T2`, `rate_bound`).
+    (`_rate_tables`) whose neighbour sums run over the real in-edges only,
+    and the communication-rate bound (`rate_bound`), which scans the tables
+    one agent at a time for T1 and T2 (`_scan_agent`).
 
 Everything here is a pure function of the model/topology; nothing simulates.
 pdkf computes with scipy only here: the generalized symmetric eigenproblems
@@ -25,7 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filter import _check_pd, symmetrize
+from .event import step_layout
+from .filter import _check_pd, slot_sum, symmetrize
 from .model import AgentSpec, SystemModel, Topology, matrix_rank
 
 _OBS_TOL = 1e-10
@@ -71,7 +73,6 @@ class RateReport:
     lambda0: float | None = None
     lambda0_asymptotic: float | None = None
     status: str = "ok"
-    monotone_check: bool | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +283,11 @@ def _nbr_sum(*terms) -> np.ndarray:
     """Row i of Σ_j Σ_(W, X) W[i, j]·X[j] for every agent i at once.
 
     The sum over j is a reduction along the outer axis, which numpy runs in
-    index order, and zero weights add exact zeros, so each row is bit-identical
-    to agent i's own loop over its neighbours (W @ X would reorder the sum).
+    index order for n ≥ 2, and zero weights add exact zeros, so each row is
+    bit-identical to agent i's own loop over its neighbours (W @ X would
+    reorder the sum).  With a scalar state (n = 1) numpy sums N ≥ 8 terms
+    pairwise instead.  It runs over all N² pairs because `threshold_bounds`'
+    powers W^τ are dense.
     """
     per_j = sum(W.T[:, :, None, None] * X[:, None] for W, X in terms)
     return per_j.sum(axis=0)
@@ -308,15 +312,22 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
     lower bound on the extrapolated information after t silent steps (zero at
     t = 0); at threshold δ the bound is zbar[t, i] − δ·S[t], with
     S[t] = Σ_{τ=2..t} β^τ (A^{-τ})ᵀ A^{-τ} (zero for t < 2).  The running
-    powers (β^τ, A^{-τ}) feed both S and `solve_T2`.
+    powers (β^τ, A^{-τ}) feed both S and the silence scan of `_scan_agent`.
+    Σ_j a_ij runs over agent i's in-edges in neighbour order (the filters'
+    step layout and `slot_sum`), bit for bit a loop over its neighbours.
     """
     if not (0.0 < beta < 1.0 and 0.0 < beta_bar < 1.0):
         raise ValueError("beta and beta_bar must lie in (0, 1)")
     Ainv = np.linalg.inv(model.A_at(0))
     Qinv = np.linalg.inv(model.Q_at(0))
-    W, N, n = topology.weights, topology.N, model.n
+    N, n = topology.N, model.n
     info_y, info_d = _info_blocks(model, agents)
     info_d = info_d / np.reshape([a.eps for a in agents], (-1, 1, 1))
+    layout = step_layout(agents, topology, False)
+    weights = layout.weights[:, None, None]
+
+    def nbr_sum(X):
+        return slot_sum(weights * X[layout.src], layout.slots[0])[layout.rank]
 
     beta_pow = np.empty(T + 1)
     Ainv_pow = np.empty((T + 1, n, n))
@@ -334,59 +345,45 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
     f[0] = symmetrize(Qinv + info_y)
     u = info_y                         # lower bound on the updated information
     for t in range(1, T + 1):
-        f[t] = symmetrize(beta_bar * (Ainv.T @ (_nbr_sum((W, f[t - 1])) + info_d)
+        f[t] = symmetrize(beta_bar * (Ainv.T @ (nbr_sum(f[t - 1]) + info_d)
                                       @ Ainv) + info_y)
         zbar[t] = symmetrize(beta * (Ainv.T @ u @ Ainv))
-        u = symmetrize(beta * (Ainv.T @ (_nbr_sum((W, u)) + info_d) @ Ainv)
-                       + info_y)
+        u = symmetrize(beta * (Ainv.T @ (nbr_sum(u) + info_d) @ Ainv) + info_y)
     return _RateTables(f, zbar, S, beta_pow, Ainv_pow, info_y)
 
 
-def solve_T1(delta: float, i: int, model: SystemModel, agents: list[AgentSpec],
-             topology: Topology, T: int, beta: float, beta_bar: float,
-             _tables=None) -> int | None:
-    """Largest t ≤ T at which successive triggering cannot yet be excluded.
+def _scan_agent(tables: _RateTables, delta: float, i: int) -> tuple:
+    """(T1, T2) of agent i at threshold δ, each an int ≤ T or None.
 
-    Scans the necessary condition λ_max(f_t − [z̄_t + δ(I − S_t)]₊) > 0 for a
-    run of consecutive broadcasts; returns None when it holds through the
-    whole horizon (no finite bound), and 0 when it fails everywhere
-    (triggering excluded outright).
+    T1 is the largest t at which successive triggering cannot yet be
+    excluded: the scan of the necessary condition
+    λ_max(f_t − [z̄_t + δ(I − S_t)]₊) > 0 for a run of consecutive broadcasts.
+    It is None when the condition holds through the whole horizon (no finite
+    bound), and 0 when it fails everywhere (triggering excluded outright).
+    T2 is the largest t such that silence is guaranteed at every step up to
+    t (prefix semantics): the sufficient condition
+    λ_max(f_s − β^{s+1}(A^{-(s+1)})ᵀH_iᵀR_i⁻¹H_i A^{-(s+1)}) ≤ δ must hold for
+    every s ≤ t.  It is None when not even one silent step is guaranteed.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    tb = _tables or _rate_tables(T, model, agents, topology, beta, beta_bar)
-    corr = tb.zbar[:, i] + delta * (np.eye(model.n) - tb.S)
-    proof = np.linalg.eigvalsh(tb.f[:, i] - eig_pos(corr)).max(axis=-1)
+    T = len(tables.S) - 1
+    corr = tables.zbar[:, i] + delta * (np.eye(tables.S.shape[-1]) - tables.S)
+    proof = np.linalg.eigvalsh(tables.f[:, i] - eig_pos(corr)).max(axis=-1)
     hits = np.flatnonzero(proof > 0.0)
     if hits.size == T + 1:
-        return None
-    return int(hits[-1]) if hits.size else 0
-
-
-def solve_T2(delta: float, i: int, model: SystemModel, agents: list[AgentSpec],
-             topology: Topology, T: int, beta: float, beta_bar: float,
-             _tables=None) -> int | None:
-    """Largest t ≤ T such that silence is guaranteed at every step up to t.
-
-    Prefix semantics: the sufficient condition
-    λ_max(f_s − β^{s+1}(A^{-(s+1)})ᵀH_iᵀR_i⁻¹H_i A^{-(s+1)}) ≤ δ must hold for
-    every s ≤ t.  Returns None when not even one silent step is guaranteed.
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    tb = _tables or _rate_tables(T, model, agents, topology, beta, beta_bar)
-    l = tb.beta_pow[:, None, None] * (tb.Ainv_pow.swapaxes(-1, -2) @ tb.info_y[i]
-                                       @ tb.Ainv_pow)
-    gbar = np.linalg.eigvalsh(tb.f[:, i] - l).max(axis=-1) - delta
+        t1 = None
+    else:
+        t1 = int(hits[-1]) if hits.size else 0
+    Ap = tables.Ainv_pow
+    l = tables.beta_pow[:, None, None] * (Ap.swapaxes(-1, -2) @ tables.info_y[i] @ Ap)
+    gbar = np.linalg.eigvalsh(tables.f[:, i] - l).max(axis=-1) - delta
     fails = np.flatnonzero(gbar > 0.0)
     if not fails.size:
-        return T
-    return int(fails[0]) - 1 if fails[0] > 0 else None
+        return t1, T
+    return t1, int(fails[0]) - 1 if fails[0] > 0 else None
 
 
 def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
-               topology: Topology, T: int, beta: float, beta_bar: float,
-               _self_check: bool = True) -> RateReport:
+               topology: Topology, T: int, beta: float, beta_bar: float) -> RateReport:
     """Upper bound on the measured communication rate at a uniform threshold.
 
     For each agent with a bounded triggering-run length T1 and a guaranteed
@@ -395,15 +392,14 @@ def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
     """
     if not model.time_invariant:
         raise ValueError("rate analysis requires a time-invariant model")
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
     N = topology.N
     tables = _rate_tables(T, model, agents, topology, beta, beta_bar)
 
     report = RateReport(delta=delta, horizon=T, beta=beta, beta_bar=beta_bar)
     for i in range(N):
-        t1 = solve_T1(delta, i, model, agents, topology, T, beta, beta_bar,
-                      _tables=tables)
-        t2 = solve_T2(delta, i, model, agents, topology, T, beta, beta_bar,
-                      _tables=tables)
+        t1, t2 = _scan_agent(tables, delta, i)
         cond1 = t1 is not None
         if t1 is not None and t1 >= 2:
             cond1 = bool(np.linalg.eigvalsh(tables.S[t1]).max() <= 1.0 + 1e-12)
@@ -435,10 +431,4 @@ def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
         asympt += (t2 / cycle) * out_deg[i]
     report.lambda0 = float(1.0 - credited / (T * total))
     report.lambda0_asymptotic = float(1.0 - asympt / total)
-
-    if _self_check:
-        bigger = rate_bound(delta * 1.1 + 1e-6, model, agents, topology, T,
-                            beta, beta_bar, _self_check=False)
-        if bigger.lambda0 is not None:
-            report.monotone_check = bool(report.lambda0 >= bigger.lambda0 - 1e-12)
     return report

@@ -4,10 +4,11 @@ Subcommands: eco-check, run-tpdkf, run-epdkf, threshold-bound, rate-bound,
 mc, case1, case2.  The six file commands take the scenario file as their one
 positional argument; case1/case2 build a bundled scenario.  Each command
 accepts only the flags it reads (`_COMMANDS`), plus --out, so argparse
-rejects any other flag with exit 2.  Every run writes a manifest (scenario
-hash, seed, library versions, explicit overrides) next to its CSV output so
-it can be reproduced exactly.  Output directory resolution: --out flag, then
-$PDKF_OUT, then the current directory.
+rejects any other flag with exit 2; `mc`, once the file is read, rejects
+the one of --L (time mode) and --delta (event mode) its mode does not read.
+Every run writes a manifest (scenario hash, seed, library versions, explicit
+overrides) next to its CSV output so it can be reproduced exactly.  Output
+directory resolution: --out flag, then $PDKF_OUT, then the current directory.
 
 Exit codes: 0 success, 2 validation/parse failure (an unread flag or an
 unknown scenario key included), 3 infeasible analysis preconditions, 1
@@ -127,6 +128,12 @@ def _load_config(args) -> tuple:
         raise ValueError(f"scenario file not found: {args.scenario}")
     else:
         cfg = sim.load_scenario(args.scenario)
+    if args.command == "mc":
+        # the file's mode is known only now: time mode reads --L, event --delta
+        unread = "delta" if cfg.mode == "time" else "L"
+        if getattr(args, unread) is not None:
+            raise ValueError(f"--{unread} has no effect: the scenario runs in "
+                             f"{cfg.mode} mode")
     if args.command in _RUN_MODES:
         cfg = dataclasses.replace(cfg, mode=_RUN_MODES[args.command], trials=1)
     overrides: dict = {}

@@ -15,10 +15,15 @@ engine run.
 `generate_truth`, last, is the per-trial truth generator the package ran
 before it drew all trials on one block: one generator, one trial, the state
 stepped row by row.  It is the differential reference for `sim.generate_truth`.
+
+`dense_rate_tables` is the rate analysis's tables with each neighbour sum
+taken over all N² pairs by `analysis._nbr_sum`, the reference the edge-list
+sums of `analysis._rate_tables` must equal bit for bit.
 """
 import numpy as np
 
-from pdkf.filter import AgentState, ConsistentEstimate
+from pdkf.analysis import _info_blocks, _nbr_sum
+from pdkf.filter import AgentState, ConsistentEstimate, symmetrize
 from pdkf.model import build_global_constraint
 
 
@@ -177,6 +182,40 @@ def threshold_matrices(i, A, weights, info_y, info_d_raw, beta, kstar):
                   for j in range(N))
         Mbar = Mbar + beta ** (tau - 1) * Ap.T @ mid @ Ap
     return M, Mbar
+
+
+def dense_rate_tables(T, model, agents, topology, beta, beta_bar):
+    """(f, z̄, S) of `analysis._rate_tables`, every neighbour sum dense.
+
+    numpy reduces the (N, N, n, n) products of `_nbr_sum` in index order for
+    n ≥ 2; for a scalar state and N ≥ 8 it sums pairwise, so compare on n ≥ 2.
+    """
+    Ainv = np.linalg.inv(model.A_at(0))
+    Qinv = np.linalg.inv(model.Q_at(0))
+    W, N, n = topology.weights, topology.N, model.n
+    info_y, info_d = _info_blocks(model, agents)
+    info_d = info_d / np.reshape([a.eps for a in agents], (-1, 1, 1))
+    beta_pow = np.empty(T + 1)
+    Ainv_pow = np.empty((T + 1, n, n))
+    beta_pow[0], Ainv_pow[0] = beta, Ainv
+    for tau in range(1, T + 1):
+        beta_pow[tau] = beta_pow[tau - 1] * beta
+        Ainv_pow[tau] = Ainv_pow[tau - 1] @ Ainv
+    S = np.zeros((T + 1, n, n))
+    terms = beta_pow[1:T, None, None] * (Ainv_pow[1:T].swapaxes(-1, -2)
+                                         @ Ainv_pow[1:T])
+    S[2:] = symmetrize(np.cumsum(terms, axis=0))
+    f = np.empty((T + 1, N, n, n))
+    zbar = np.zeros((T + 1, N, n, n))
+    f[0] = symmetrize(Qinv + info_y)
+    u = info_y
+    for t in range(1, T + 1):
+        f[t] = symmetrize(beta_bar * (Ainv.T @ (_nbr_sum((W, f[t - 1])) + info_d)
+                                      @ Ainv) + info_y)
+        zbar[t] = symmetrize(beta * (Ainv.T @ u @ Ainv))
+        u = symmetrize(beta * (Ainv.T @ (_nbr_sum((W, u)) + info_d) @ Ainv)
+                       + info_y)
+    return f, zbar, S
 
 
 def random_psd(rng, n, scale=1.0, jitter=1e-3):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdkf import analysis
+from pdkf import analysis, sim
 from pdkf.analysis import (
     compute_beta,
     compute_beta_bar,
@@ -11,8 +11,6 @@ from pdkf.analysis import (
     eig_pos,
     pilot_contraction_factors,
     rate_bound,
-    solve_T1,
-    solve_T2,
     space_decomposition,
     threshold_bounds,
 )
@@ -63,6 +61,19 @@ def path3_setup():
     ]
     top = Topology(metropolis_weights(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])))
     return model, agents, top
+
+
+def directed4_setup():
+    # path3's agents plus a measuring one on a directed, strongly connected
+    # cycle 0 -> 1 -> 2 -> 3 -> 0 with extra edges: in-degrees 2, 3, 4, 2
+    model, agents, _ = path3_setup()
+    extra = AgentSpec(H=np.array([[0, 1.0, 0, 0]]), R=np.array([[40.0]]),
+                      D=np.zeros((0, 4)), d=np.zeros(0), eps=0.01)
+    top = Topology(np.array([[0.5, 0.0, 0.0, 0.5],
+                             [0.2, 0.5, 0.0, 0.3],
+                             [0.1, 0.3, 0.4, 0.2],
+                             [0.0, 0.0, 0.6, 0.4]]))
+    return model, [*agents, extra], top
 
 
 def info_blocks(model, agents):
@@ -435,6 +446,23 @@ def test_neighbourhood_sum_is_bit_identical_to_the_per_agent_loop():
         assert np.array_equal(got[i], acc)
 
 
+def case2_setup():
+    cfg = sim.case2(N=20)
+    return cfg.model, cfg.agents, cfg.topology
+
+
+@pytest.mark.parametrize("setup", [directed4_setup, case2_setup])
+def test_edge_list_tables_are_bit_identical_to_the_dense_sums(setup):
+    # the in-edge sums add the dense form's terms in its order, so f, z̄ and
+    # S match it bit for bit, the sign of every zero included
+    model, agents, top = setup()
+    tb = tables(model, agents, top, 40)
+    for got, ref in zip((tb.f, tb.zbar, tb.S),
+                        oracles.dense_rate_tables(40, model, agents, top, 0.4, 0.7)):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 def test_rate_tables_powers_feed_the_silence_term():
     model, agents, top = path3_setup()
     info_y, _ = info_blocks(model, agents)
@@ -453,29 +481,35 @@ BLIND = [AgentSpec(H=np.zeros((1, 1)), R=np.eye(1),
                    D=np.zeros((0, 1)), d=np.zeros(0))]
 
 
+def scan(delta, i, model, agents, top, T, beta, beta_bar):
+    """(T1, T2) of agent i from freshly built tables."""
+    return analysis._scan_agent(analysis._rate_tables(T, model, agents, top, beta,
+                                                      beta_bar), delta, i)
+
+
 def test_solve_T1_blind_scalar_exact():
     # f = 0.8^t, penalty = delta*(1 - S_t) with S_t = sum_{tau>=2} 0.5^tau:
     # positivity holds through t = 6 and fails from t = 7 on
     model = scalar_model()
-    t1 = solve_T1(0.5, 0, model, BLIND, SINGLE, T=20, beta=0.5, beta_bar=0.8)
+    t1, _ = scan(0.5, 0, model, BLIND, SINGLE, T=20, beta=0.5, beta_bar=0.8)
     assert t1 == 6
 
 
 def test_solve_T1_huge_delta_excludes_triggering():
     model = scalar_model()
-    t1 = solve_T1(1.5, 0, model, BLIND, SINGLE, T=20, beta=0.5, beta_bar=0.8)
+    t1, _ = scan(1.5, 0, model, BLIND, SINGLE, T=20, beta=0.5, beta_bar=0.8)
     assert t1 == 0
 
 
 def test_solve_T1_zero_delta_unbounded():
     model = scalar_model()
-    assert solve_T1(0.0, 0, model, BLIND, SINGLE, T=20,
-                    beta=0.5, beta_bar=0.8) is None
+    assert scan(0.0, 0, model, BLIND, SINGLE, T=20,
+                beta=0.5, beta_bar=0.8)[0] is None
 
 
 def test_solve_T1_monotone_in_delta():
     model = scalar_model()
-    vals = [solve_T1(d, 0, model, BLIND, SINGLE, T=40, beta=0.5, beta_bar=0.8)
+    vals = [scan(d, 0, model, BLIND, SINGLE, T=40, beta=0.5, beta_bar=0.8)[0]
             for d in (0.05, 0.1, 0.3, 0.6, 0.9)]
     assert all(v is not None for v in vals)
     assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -483,35 +517,40 @@ def test_solve_T1_monotone_in_delta():
 
 def test_solve_T2_above_uniform_level_runs_full_horizon():
     model = scalar_model()
-    t2 = solve_T2(1.2, 0, model, BLIND, SINGLE, T=30, beta=0.5, beta_bar=0.8)
+    _, t2 = scan(1.2, 0, model, BLIND, SINGLE, T=30, beta=0.5, beta_bar=0.8)
     assert t2 == 30
 
 
 def test_solve_T2_zero_delta_infeasible():
     model = scalar_model()
-    assert solve_T2(0.0, 0, model, BLIND, SINGLE, T=30,
-                    beta=0.5, beta_bar=0.8) is None
+    assert scan(0.0, 0, model, BLIND, SINGLE, T=30,
+                beta=0.5, beta_bar=0.8)[1] is None
 
 
 def test_solve_T2_prefix_semantics():
     # the guarantee must hold at every step up to the reported horizon, so a
     # positive gap at s=0 kills it even if later gaps are negative
     model = scalar_model()
-    assert solve_T2(0.9, 0, model, BLIND, SINGLE, T=30,
-                    beta=0.5, beta_bar=0.8) is None
+    assert scan(0.9, 0, model, BLIND, SINGLE, T=30,
+                beta=0.5, beta_bar=0.8)[1] is None
 
 
 def test_scans_match_loops_over_the_oracle_recursions():
-    model, agents, top = path3_setup()
+    for setup in (path3_setup, directed4_setup):
+        check_scans_against_the_oracle_recursions(*setup())
+
+
+def check_scans_against_the_oracle_recursions(model, agents, top):
     info_y, info_d = info_blocks(model, agents)
     A, W, T, n = model.A_at(0), top.weights, 8, model.n
+    tb = tables(model, agents, top, T)
 
     def positive_part(M):
         w, V = np.linalg.eigh(M)
         return V @ np.diag(np.maximum(w, 0.0)) @ V.T
 
     for delta in (0.8, 5.0, 500.0, 2000.0, 1e4):
-        for i in range(3):
+        for i in range(len(agents)):
             f = [oracles.f_recursion(t, i, A, model.Q_at(0), W, info_y, info_d, 0.7)
                  for t in range(T + 1)]
             hits = [t for t in range(T + 1) if np.linalg.eigvalsh(
@@ -525,8 +564,7 @@ def test_scans_match_loops_over_the_oracle_recursions():
                 if np.linalg.eigvalsh(f[t] - l_t).max() - delta > 0:
                     t2 = t - 1 if t > 0 else None
                     break
-            assert solve_T1(delta, i, model, agents, top, T, 0.4, 0.7) == t1
-            assert solve_T2(delta, i, model, agents, top, T, 0.4, 0.7) == t2
+            assert analysis._scan_agent(tb, delta, i) == (t1, t2)
 
 
 # --- silence-rate bound -----------------------------------------------------------
@@ -540,10 +578,9 @@ def two_scalar_agents():
 def test_rate_bound_formula_plugin(monkeypatch):
     # pin the crediting formula itself: T1 = T2 = 1 on both agents of a
     # two-node graph with T = 100 must yield exactly one half
-    monkeypatch.setattr(analysis, "solve_T1", lambda *a, **k: 1)
-    monkeypatch.setattr(analysis, "solve_T2", lambda *a, **k: 1)
+    monkeypatch.setattr(analysis, "_scan_agent", lambda *a, **k: (1, 1))
     rep = rate_bound(0.7, scalar_model(), two_scalar_agents(), PAIR, T=100,
-                     beta=0.5, beta_bar=0.8, _self_check=False)
+                     beta=0.5, beta_bar=0.8)
     assert rep.lambda0 == pytest.approx(0.5)
     assert rep.lambda0_asymptotic == pytest.approx(0.5)
     assert rep.V1 == [0, 1]
@@ -551,16 +588,15 @@ def test_rate_bound_formula_plugin(monkeypatch):
 
 
 def test_rate_bound_zero_T2_is_vacuous(monkeypatch):
-    monkeypatch.setattr(analysis, "solve_T1", lambda *a, **k: 1)
-    monkeypatch.setattr(analysis, "solve_T2", lambda *a, **k: 0)
+    monkeypatch.setattr(analysis, "_scan_agent", lambda *a, **k: (1, 0))
     rep = rate_bound(0.7, scalar_model(), two_scalar_agents(), PAIR, T=100,
-                     beta=0.5, beta_bar=0.8, _self_check=False)
+                     beta=0.5, beta_bar=0.8)
     assert rep.lambda0 == pytest.approx(1.0)
 
 
 def test_rate_bound_no_qualifying_agent():
     rep = rate_bound(0.0, scalar_model(), BLIND, SINGLE, T=20,
-                     beta=0.5, beta_bar=0.8, _self_check=False)
+                     beta=0.5, beta_bar=0.8)
     assert rep.status == "no bound available"
     assert rep.lambda0 is None
     assert rep.T1 == [None]
@@ -572,18 +608,21 @@ def test_rate_bound_blind_pair_nontrivial():
                         D=np.zeros((0, 1)), d=np.zeros(0)) for _ in range(2)]
     rep = rate_bound(1.2, scalar_model(), agents, PAIR, T=100,
                      beta=0.5, beta_bar=0.8)
+    bigger = rate_bound(1.2 * 1.1 + 1e-6, scalar_model(), agents, PAIR, T=100,
+                        beta=0.5, beta_bar=0.8)
     assert rep.status == "ok"
     assert rep.lambda0 is not None and 0.0 <= rep.lambda0 <= 1.0
     for t1, t2 in zip(rep.T1, rep.T2):
         assert t1 is not None and 0 <= t1 <= 100
         assert t2 is not None and 0 <= t2 <= 100
-    assert rep.monotone_check is not False
+    # a larger threshold cannot certify more communication
+    assert rep.lambda0 >= bigger.lambda0 - 1e-12
     assert rep.condition2_ok == [True, True]
 
 
 def test_rate_bound_report_ranges():
     rep = rate_bound(0.8, scalar_model(), two_scalar_agents(), PAIR, T=50,
-                     beta=0.5, beta_bar=0.8, _self_check=False)
+                     beta=0.5, beta_bar=0.8)
     for t in rep.T1 + rep.T2:
         assert t is None or 0 <= t <= 50
     if rep.lambda0 is not None:
@@ -598,7 +637,5 @@ def test_rate_analysis_rejects_factors_outside_unit_interval(beta, beta_bar):
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         rate_bound(0.7, scalar_model(), two_scalar_agents(), PAIR, T=20,
                    beta=beta, beta_bar=beta_bar)
-    for solve in (solve_T1, solve_T2):
-        with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            solve(0.7, 0, scalar_model(), BLIND, SINGLE, T=20, beta=beta,
-                  beta_bar=beta_bar)
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        analysis._rate_tables(20, scalar_model(), BLIND, SINGLE, beta, beta_bar)

@@ -363,6 +363,25 @@ def test_unread_flag_exits_two(case1_file, tmp_path, capsys, command, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mode, flag, code", [
+    ("event", "--L", cli.EXIT_VALIDATION), ("time", "--delta", cli.EXIT_VALIDATION),
+    ("time", "--L", cli.EXIT_OK), ("event", "--delta", cli.EXIT_OK),
+])
+def test_mc_takes_only_the_flag_its_mode_reads(tmp_path, capsys, mode, flag, code):
+    # mc's parser has both flags; the mode, read from the file, picks one
+    scn = tmp_path / "s.scn"
+    save_scenario(sim.case1(mode=mode, T=5), str(scn))
+    rc = cli.main(["mc", str(scn), flag, "2", "--out", str(tmp_path / "out")])
+    assert rc == code
+    err = capsys.readouterr().err
+    if code == cli.EXIT_VALIDATION:
+        assert f"{flag} has no effect: the scenario runs in {mode} mode" in err
+        assert not (tmp_path / "out").exists()
+    else:
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert flag.lstrip("-") in manifest["overrides"]
+
+
 @pytest.mark.parametrize("command", READ_FLAGS)
 def test_help_lists_exactly_the_read_flags(capsys, command):
     with pytest.raises(SystemExit) as exc:
