@@ -282,15 +282,15 @@ def _info_blocks(model, agents):
 def _nbr_sum(*terms) -> np.ndarray:
     """Row i of Σ_j Σ_(W, X) W[i, j]·X[j] for every agent i at once.
 
-    The sum over j is a reduction along the outer axis, which numpy runs in
-    index order for n ≥ 2, and zero weights add exact zeros, so each row is
-    bit-identical to agent i's own loop over its neighbours (W @ X would
-    reorder the sum).  With a scalar state (n = 1) numpy sums N ≥ 8 terms
-    pairwise instead.  It runs over all N² pairs because `threshold_bounds`'
-    powers W^τ are dense.
+    The sum over j runs in index order, and zero weights add exact zeros,
+    so each row is bit-identical to agent i's own loop over its neighbours
+    (W @ X, or numpy's pairwise reduction, would reorder the sum).  It runs
+    over all N² pairs because `threshold_bounds`' powers W^τ are dense.
     """
     per_j = sum(W.T[:, :, None, None] * X[:, None] for W, X in terms)
-    return per_j.sum(axis=0)
+    for term in per_j[1:]:      # into per_j[0], a new array: its zeros keep their sign
+        per_j[0] += term
+    return per_j[0]
 
 
 class _RateTables(NamedTuple):

@@ -32,7 +32,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from . import filter as filt
 from .analysis import (constraint_error, pilot_contraction_factors,
@@ -514,8 +513,7 @@ def _cfg_to_dict(cfg: ScenarioConfig) -> dict:
         },
         "agents": [{
             "H": _mat(a.H), "R": _mat(a.R),
-            "D": _mat(a.D) if a.D.size else [],
-            "d": _mat(a.d) if a.d.size else [],
+            "D": _mat(a.D), "d": _mat(a.d),
             "eps": float(a.eps), "delta": float(a.delta),
         } for a in cfg.agents],
         "topology": {"weights": _mat(cfg.topology.weights)},
@@ -533,17 +531,12 @@ def _cfg_to_dict(cfg: ScenarioConfig) -> dict:
     return d
 
 
-# libyaml where PyYAML was built with it: the same documents, several times faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
-
 def _scenario_text(cfg: ScenarioConfig) -> str:
-    return yaml.dump(_cfg_to_dict(cfg), Dumper=_YAML_DUMPER, sort_keys=True)
+    return json.dumps(_cfg_to_dict(cfg), sort_keys=True, indent=1) + "\n"
 
 
 def save_scenario(cfg: ScenarioConfig, path: str) -> str:
-    """Write the scenario file; returns its text, for `write_manifest`."""
+    """Write the scenario file as JSON; returns its text, for `write_manifest`."""
     text = _scenario_text(cfg)
     with open(path, "w") as fh:
         fh.write(text)
@@ -559,18 +552,25 @@ def _optional(convert):
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    """Read a scenario written by `save_scenario`.
+    """Read a scenario file written by `save_scenario`.
 
-    Every malformed entry raises a ValueError that names the file and the
-    entry (`sim.T`, `agents[0].R`) or the section that rejected it; so does
-    every key the file's format does not know (`sim.trails`).
+    Text that is not JSON and every malformed entry, unknown key (`sim.trails`)
+    or repeated key raise a ValueError that names the file and the entry
+    (`sim.T`, `agents[0].R`) or the section that rejected it.
     """
+    bad = f"malformed scenario file {path!r}"
+
+    def unique(pairs) -> dict:
+        keys = [key for key, _ in pairs]
+        if len(set(keys)) < len(keys):
+            raise ValueError(f"{bad}: duplicate key {max(keys, key=keys.count)!r}")
+        return dict(pairs)
+
     with open(path) as fh:
         try:
-            raw = yaml.load(fh, Loader=_YAML_LOADER)
-        except yaml.YAMLError as exc:
-            raise ValueError(f"scenario file {path} is not valid YAML: {exc}") from exc
-    bad = f"malformed scenario file {path!r}"
+            raw = json.load(fh, object_pairs_hook=unique)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"scenario file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{bad}: not a mapping")
 

@@ -185,11 +185,7 @@ def threshold_matrices(i, A, weights, info_y, info_d_raw, beta, kstar):
 
 
 def dense_rate_tables(T, model, agents, topology, beta, beta_bar):
-    """(f, z̄, S) of `analysis._rate_tables`, every neighbour sum dense.
-
-    numpy reduces the (N, N, n, n) products of `_nbr_sum` in index order for
-    n ≥ 2; for a scalar state and N ≥ 8 it sums pairwise, so compare on n ≥ 2.
-    """
+    """(f, z̄, S) of `analysis._rate_tables`, every neighbour sum dense."""
     Ainv = np.linalg.inv(model.A_at(0))
     Qinv = np.linalg.inv(model.Q_at(0))
     W, N, n = topology.weights, topology.N, model.n

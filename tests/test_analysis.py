@@ -429,18 +429,20 @@ def test_delta_correction_zero_below_two_steps():
                            atol=1e-12)
 
 
-def test_neighbourhood_sum_is_bit_identical_to_the_per_agent_loop():
+@pytest.mark.parametrize("n", [4, 1])
+def test_neighbourhood_sum_is_bit_identical_to_the_per_agent_loop(n):
     # zero weights must add exact zeros and j must run in index order, so
-    # that T1/T2 cannot move with the stacking
+    # that T1/T2 cannot move with the stacking; for a scalar state numpy's
+    # own reduction would sum N ≥ 8 terms pairwise
     rng = np.random.default_rng(11)
-    N = 20                      # numpy sums pairwise from 8 terms up
+    N = 20
     Ws = [np.where(rng.random((N, N)) < 0.5, rng.random((N, N)), 0.0)
           for _ in range(2)]
-    Xs = [rng.standard_normal((N, 4, 4)) * 10.0 ** rng.integers(-3, 4, (N, 1, 1))
+    Xs = [rng.standard_normal((N, n, n)) * 10.0 ** rng.integers(-3, 4, (N, 1, 1))
           for _ in range(2)]
     got = analysis._nbr_sum(*zip(Ws, Xs))
     for i in range(N):
-        acc = np.zeros((4, 4))
+        acc = np.zeros((n, n))
         for j in range(N):
             acc += Ws[0][i, j] * Xs[0][j] + Ws[1][i, j] * Xs[1][j]
         assert np.array_equal(got[i], acc)

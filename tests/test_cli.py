@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-import yaml
 from hypothesis import given, settings, strategies as st
 
 from pdkf import analysis, cli, sim
@@ -179,10 +178,10 @@ def test_nan_delta_exits_two(case1_file, tmp_path, capsys):
 
 def test_short_sim_r_exits_two(case1_file, tmp_path, capsys):
     with open(case1_file) as fh:
-        raw = yaml.safe_load(fh)
+        raw = json.load(fh)
     raw["sim"]["sim_r"] = [[[90.0]]]          # one entry for three agents
     bad = tmp_path / "short_sim_r.scn"
-    bad.write_text(yaml.safe_dump(raw))
+    bad.write_text(json.dumps(raw))
     rc = cli.main(["mc", str(bad), "--out", str(tmp_path / "mc")])
     assert rc == cli.EXIT_VALIDATION
     assert "sim_r" in capsys.readouterr().err
@@ -208,17 +207,36 @@ def test_short_sim_r_exits_two(case1_file, tmp_path, capsys):
 def test_bad_scenario_values_exit_two(case1_file, tmp_path, capsys, path,
                                       value, field):
     with open(case1_file) as fh:
-        raw = yaml.safe_load(fh)
+        raw = json.load(fh)
     node = raw
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
     bad = tmp_path / "bad.scn"
-    bad.write_text(yaml.safe_dump(raw))
+    bad.write_text(json.dumps(raw))
     rc = cli.main(["mc", str(bad), "--out", str(tmp_path / "mc")])
     assert rc == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert field in err and str(bad) in err
+    assert not (tmp_path / "mc" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    # a key given twice must not load as if the last one were the only one
+    (lambda text: text.replace('"trials": ', '"trials": 7,\n  "trials": ', 1),
+     "malformed scenario file '{}': duplicate key 'trials'"),
+    # the block-mapping format of earlier releases is not read
+    (lambda text: "agents:\n- H:\n  - - 1.0\nname: case1\nsim:\n  T: 5\n",
+     "scenario file {} is not valid JSON"),
+], ids=["duplicate-key", "not-json"])
+def test_bad_scenario_text_exits_two(case1_file, tmp_path, capsys, edit, message):
+    with open(case1_file) as fh:
+        text = fh.read()
+    bad = tmp_path / "bad.scn"
+    bad.write_text(edit(text))
+    rc = cli.main(["mc", str(bad), "--out", str(tmp_path / "mc")])
+    assert rc == cli.EXIT_VALIDATION
+    assert message.format(bad) in capsys.readouterr().err
     assert not (tmp_path / "mc" / "metrics.csv").exists()
 
 
@@ -441,13 +459,13 @@ FUZZ_VALUES = [None, -1, 0, 0.5, 3, "", "abc", "inf", "nan", "event",
 @given(path=st.sampled_from(FUZZ_PATHS), value=st.sampled_from(FUZZ_VALUES))
 def test_mutated_scenario_exits_zero_with_finite_csv_or_two(tmp_path_factory,
                                                             path, value):
-    raw = yaml.safe_load(yaml.safe_dump(sim._cfg_to_dict(sim.case1(T=5))))
+    raw = sim._cfg_to_dict(sim.case1(T=5))
     node = raw
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
     work = tmp_path_factory.mktemp("fuzz")
-    (work / "bad.scn").write_text(yaml.safe_dump(raw))
+    (work / "bad.scn").write_text(json.dumps(raw))
     with contextlib.redirect_stderr(io.StringIO()) as err:
         rc = cli.main(["run-tpdkf", str(work / "bad.scn"), "--out", str(work / "out")])
     assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION)
@@ -470,10 +488,10 @@ def test_mutated_scenario_exits_zero_with_finite_csv_or_two(tmp_path_factory,
      "communication graph must be strongly connected"),
 ])
 def test_mc_rejects_bad_topology_weights(tmp_path, weights, reason):
-    raw = yaml.safe_load(yaml.safe_dump(sim._cfg_to_dict(sim.case1(T=5))))
+    raw = sim._cfg_to_dict(sim.case1(T=5))
     raw["topology"]["weights"] = weights
     path = tmp_path / "bad.scn"
-    path.write_text(yaml.safe_dump(raw))
+    path.write_text(json.dumps(raw))
     with contextlib.redirect_stderr(io.StringIO()) as err:
         rc = cli.main(["mc", str(path), "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_VALIDATION

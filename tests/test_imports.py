@@ -1,5 +1,7 @@
 """Import hygiene: the filters and the Monte Carlo run without scipy's
 submodules; only the design commands' eigenproblems load `scipy.linalg`.
+No step loads a third-party package that numpy and scipy do not load
+themselves: the scenario file is JSON, read by the standard library.
 
 The checks run in a fresh interpreter, because pytest's own process has
 already imported scipy (the tests use it as an oracle).
@@ -10,19 +12,18 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import pdkf
 
 SCRIPT = r"""
 import contextlib, io, json, sys
 
-def heavy():
-    return sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg")))
-
 seen = {}
 import pdkf
-seen["import pdkf"] = heavy()
+seen["import pdkf"] = sorted(sys.modules)
 from pdkf import cli
-seen["import pdkf.cli"] = heavy()
+seen["import pdkf.cli"] = sorted(sys.modules)
 for argv in (["case1", "--trials", "2", "--horizon", "20", "--out", "a"],
              ["mc", "a/scenario.scn", "--trials", "2", "--out", "b"],
              ["run-epdkf", "a/scenario.scn", "--out", "c"],
@@ -30,23 +31,47 @@ for argv in (["case1", "--trials", "2", "--horizon", "20", "--out", "a"],
              ["threshold-bound", "a/scenario.scn", "--out", "e"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-    seen[argv[0]] = heavy()
+    seen[argv[0]] = sorted(sys.modules)
 print(json.dumps(seen))
 """
 
+# what the two runtime dependencies load on their own, with the design
+# commands' scipy.linalg and the manifest's importlib.metadata
+DEPENDENCIES = r"""
+import importlib.metadata, json, sys, numpy, scipy.linalg
+print(json.dumps(sorted(sys.modules)))
+"""
 
-def _loaded_after_each_step(cwd) -> dict:
+
+def _run(script, cwd):
     src = os.path.dirname(os.path.dirname(os.path.abspath(pdkf.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", SCRIPT], cwd=cwd, env=env,
+    out = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                          capture_output=True, text=True, check=True, timeout=300)
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def test_filters_and_monte_carlo_load_no_scipy_submodule(tmp_path):
-    seen = _loaded_after_each_step(tmp_path)
+@pytest.fixture(scope="module")
+def loaded_after_each_step(tmp_path_factory) -> dict:
+    return _run(SCRIPT, tmp_path_factory.mktemp("steps"))
+
+
+def test_filters_and_monte_carlo_load_no_scipy_submodule(loaded_after_each_step):
+    seen = {step: [m for m in mods if m.startswith(("scipy.sparse", "scipy.linalg"))]
+            for step, mods in loaded_after_each_step.items()}
     for step in ("import pdkf", "import pdkf.cli", "case1", "mc", "run-epdkf",
                  "eco-check"):
         assert seen[step] == [], f"{step} loaded {seen[step][:5]}"
     # the design eigenproblems do load it, so the check above can see a load
     assert "scipy.linalg" in seen["threshold-bound"]
+
+
+def test_no_step_loads_a_package_beyond_numpy_and_scipy(loaded_after_each_step,
+                                                         tmp_path):
+    def packages(mods):
+        return {m.partition(".")[0] for m in mods}
+
+    allowed = (packages(_run(DEPENDENCIES, tmp_path)) | {"pdkf"}
+               | set(sys.stdlib_module_names))
+    for step, mods in loaded_after_each_step.items():
+        assert packages(mods) - allowed == set(), step

@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
-import yaml
+from hypothesis import given, settings, strategies as st
 
 from pdkf import sim
 from pdkf.analysis import pilot_contraction_factors
@@ -430,16 +431,128 @@ def test_scenario_roundtrip_preserves_overrides(tmp_path):
     assert scenario_hash(loaded) == scenario_hash(cfg)
 
 
+def _floats(**kw):
+    return st.floats(allow_nan=False, allow_infinity=False, **kw)
+
+
+def _array(draw, *shape, **kw):
+    size = math.prod(shape)
+    return np.array(draw(st.lists(_floats(**kw), min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
+def _covariance(draw, m):
+    """Diagonal and nonnegative; its off-diagonal zeros are 0.0 or -0.0."""
+    M = np.full((m, m), draw(st.sampled_from([0.0, -0.0])))
+    np.fill_diagonal(M, _array(draw, m, min_value=0.0, max_value=1e6))
+    return M
+
+
+@st.composite
+def scenario_configs(draw):
+    N, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    steps = draw(st.sampled_from([1, 1, 2, 3]))       # A/Q lists when > 1
+
+    def invertible():
+        # triangular with a diagonal bounded away from zero
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        return (np.triu(_array(draw, n, n, min_value=-10.0, max_value=10.0), 1)
+                + sign * np.diag(_array(draw, n, min_value=0.5, max_value=2.0)))
+
+    A = [invertible() for _ in range(steps)]
+    Q = [_covariance(draw, n) for _ in range(draw(st.sampled_from([1, steps])))]
+    model = SystemModel(A=A, Q=Q, x0_mean=_array(draw, n, min_value=-1e3, max_value=1e3),
+                        P0=_covariance(draw, n))
+    agents = []
+    for _ in range(N):
+        m, s = draw(st.integers(1, 2)), draw(st.integers(0, n))
+        # full row rank: the leading s × s block is diagonal and nonsingular
+        D = _array(draw, s, n, min_value=-5.0, max_value=5.0)
+        D[:, :s] = np.diag(_array(draw, s, min_value=0.5, max_value=2.0))
+        R = _covariance(draw, m)
+        R[np.diag_indices(m)] += 1.0
+        agents.append(AgentSpec(
+            H=_array(draw, m, n, min_value=-10.0, max_value=10.0), R=R,
+            D=D, d=_array(draw, s, min_value=-10.0, max_value=10.0),
+            eps=draw(_floats(min_value=1e-6, max_value=1.0)),
+            delta=draw(_floats(min_value=0.0, max_value=10.0))))
+    # a cycle keeps every network strongly connected; extra edges at random
+    support = (np.eye(N, dtype=bool) | np.roll(np.eye(N, dtype=bool), 1, axis=1)
+               | np.array(draw(st.lists(st.booleans(), min_size=N * N,
+                                        max_size=N * N))).reshape(N, N))
+    raw = support * _array(draw, N, N, min_value=0.1, max_value=1.0)
+    weights = raw / raw.sum(axis=1, keepdims=True)
+    x0_hat = draw(st.sampled_from([None, (n,), (N, n)]))
+    opt = {}
+    if x0_hat is not None:
+        opt["x0_hat"] = _array(draw, *x0_hat, min_value=-1e3, max_value=1e3)
+    for key in ("P0_init", "x0_cov", "sim_q"):
+        if draw(st.booleans()):
+            opt[key] = _covariance(draw, n)
+    if draw(st.booleans()):
+        opt["sim_r"] = [None if draw(st.booleans()) else _covariance(draw, a.R.shape[0])
+                        for a in agents]
+    return ScenarioConfig(
+        model=model, agents=agents, topology=Topology(weights),
+        T=draw(st.integers(1, 500)), L=draw(st.integers(1, 5)),
+        mode=draw(st.sampled_from(["time", "event"])),
+        trials=draw(st.integers(1, 1000)), seed=draw(st.integers(0, 2 ** 63)),
+        theta=draw(_floats(min_value=-10.0, max_value=10.0)),
+        checkpoints=tuple(draw(st.lists(st.integers(0, 500), max_size=4))),
+        name=draw(st.text(max_size=12)), **opt)
+
+
+def _config_arrays(cfg):
+    """Every float a scenario file holds, as named arrays (None where unset)."""
+    m = cfg.model
+    out = {"A": np.array(m.A), "Q": np.array(m.Q), "x0_mean": m.x0_mean,
+           "P0": m.P0, "weights": cfg.topology.weights,
+           "theta": np.float64(cfg.theta)}
+    for i, a in enumerate(cfg.agents):
+        for key in ("H", "R", "D", "d", "eps", "delta"):
+            out[f"agents[{i}].{key}"] = np.asarray(getattr(a, key))
+    for key in ("x0_hat", "P0_init", "x0_cov", "sim_q"):
+        out[key] = getattr(cfg, key)
+    for i, r in enumerate(cfg.sim_r or []):
+        out[f"sim_r[{i}]"] = r
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=scenario_configs())
+def test_scenario_file_round_trip_is_exact(tmp_path_factory, cfg):
+    work = tmp_path_factory.mktemp("roundtrip")
+    save_scenario(cfg, str(work / "a.scn"))
+    loaded = load_scenario(str(work / "a.scn"))
+    save_scenario(loaded, str(work / "b.scn"))
+    assert (work / "a.scn").read_bytes() == (work / "b.scn").read_bytes()
+    scalars = ("name", "mode", "T", "L", "trials", "seed", "checkpoints")
+    assert ([getattr(loaded, k) for k in scalars]
+            == [getattr(cfg, k) for k in scalars])
+    want, got = _config_arrays(cfg), _config_arrays(loaded)
+    assert got.keys() == want.keys()
+    for key, ref in want.items():
+        if ref is None:
+            assert got[key] is None, key
+            continue
+        assert got[key].shape == ref.shape, key
+        assert np.array_equal(got[key], ref), key
+        assert np.array_equal(np.signbit(got[key]), np.signbit(ref)), key
+
+
 def test_load_scenario_rejects_garbage(tmp_path):
     p = tmp_path / "bad.scn"
-    p.write_text("agents: [oops\n")
+    p.write_text('{"agents": [oops\n')
+    with pytest.raises(ValueError, match="bad.scn"):
+        load_scenario(str(p))
+    p.write_bytes(b"\xff\xfe{}")            # not UTF-8
     with pytest.raises(ValueError, match="bad.scn"):
         load_scenario(str(p))
     p2 = tmp_path / "empty.scn"
-    p2.write_text("model: {}\n")
+    p2.write_text('{"model": {}}\n')
     with pytest.raises(ValueError):
         load_scenario(str(p2))
-    p2.write_text("- just a list\n")
+    p2.write_text('["just a list"]\n')
     with pytest.raises(ValueError, match="not a mapping"):
         load_scenario(str(p2))
 
@@ -450,10 +563,10 @@ def test_load_scenario_rejects_garbage(tmp_path):
     ("agents", {"H": [[1.0]]}, "agents"),
 ])
 def test_load_scenario_names_malformed_section(tmp_path, key, value, section):
-    raw = yaml.safe_load(yaml.safe_dump(sim._cfg_to_dict(case1(T=5))))
+    raw = sim._cfg_to_dict(case1(T=5))
     raw[key] = value
     p = tmp_path / "bad.scn"
-    p.write_text(yaml.safe_dump(raw))
+    p.write_text(json.dumps(raw))
     with pytest.raises(ValueError, match=f"section '{section}'"):
         load_scenario(str(p))
 
