@@ -166,14 +166,14 @@ def _parse_beta(args, cfg) -> tuple:
     return sim.pilot_betas(cfg)
 
 
-def _emit(out, cfg, overrides, metrics=None, triggers=False) -> None:
+def _emit(out, cfg, overrides, metrics=None) -> None:
     if metrics is not None:
         sim._require_finite(metrics)
     text = sim.save_scenario(cfg, os.path.join(out, "scenario.scn"))
     sim.write_manifest(os.path.join(out, "manifest.json"), cfg, overrides, text)
     if metrics is not None:
         sim.write_metrics_csv(os.path.join(out, "metrics.csv"), metrics)
-        if triggers:
+        if len(metrics.fired):          # event mode: one trigger row per step
             sim.write_triggers_csv(os.path.join(out, "triggers.csv"), metrics)
 
 
@@ -193,7 +193,7 @@ def _cmd_mc(args, cfg, overrides, out) -> int:
     # a diverging run is reported once, as a ValueError naming its step
     with np.errstate(over="ignore", invalid="ignore"):
         metrics = sim.monte_carlo(cfg)
-    _emit(out, cfg, overrides, metrics, triggers=(cfg.mode == "event"))
+    _emit(out, cfg, overrides, metrics)
     print(f"trials: {metrics.trials}")
     if cfg.mode == "event":
         print(f"lambda: {metrics.lambda_:.6g}")

@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -129,9 +128,6 @@ class ScenarioConfig:
                 for x in xs]
         return [(e.x, e.P) for e in ests]
 
-    def sim_q_at(self, k: int) -> np.ndarray:
-        return self.sim_q if self.sim_q is not None else self.model.Q_at(k)
-
     def sim_r_of(self, i: int) -> np.ndarray:
         if self.sim_r is not None and self.sim_r[i] is not None:
             return np.asarray(self.sim_r[i], dtype=float)
@@ -142,11 +138,11 @@ class ScenarioConfig:
 class RunMetrics:
     mse: np.ndarray
     trace_p: np.ndarray
-    lambda_: float
     lambda_running: np.ndarray
     constraint_residuals: np.ndarray      # per-step max_i ||D_i x_hat - d_i||_inf
     mean_error_norm: np.ndarray           # per-step ||mean error||_2 (bias decay)
-    trigger_log: list = field(default_factory=list)   # (step, agent, g, fired)
+    g: np.ndarray        # (T, N) trigger scores of steps 1..T; (0, N) in time mode
+    fired: np.ndarray    # (T, N) bool: who broadcast at each step; (0, N) likewise
     trials: int = 1
     seed: int = 0
     checkpoints: tuple = ()
@@ -159,12 +155,18 @@ class RunMetrics:
     # bits differ.  Only the mean over agents is meaningful.
     constraint_sq: dict = field(default_factory=dict)
 
+    @property
+    def lambda_(self) -> float:
+        return float(self.lambda_running[-1])
+
+    @property
+    def trigger_log(self) -> list:
+        """triggers.csv's rows: (step, agent, g, fired), step-major."""
+        return list(zip(*(v.tolist() for v in _csv_tables(self)["triggers.csv"].values())))
+
     def fired_sets(self) -> dict:
-        out: dict = {}
-        for k, i, _g, fired in self.trigger_log:
-            if fired:
-                out.setdefault(k, set()).add(i)
-        return out
+        return {k: set(np.flatnonzero(row).tolist())
+                for k, row in enumerate(self.fired, 1) if row.any()}
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +257,8 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     """One pass of either filter: yields (est, P, g, fired) for k = 0..T.
 
     est (N, n, trials) and P (N, n, n) are new stacks of each agent's state
-    block and covariance after step k; g and fired list the trigger scores
-    and decisions of step k in event mode, and are empty otherwise and at
+    block and covariance after step k; g and fired are the (N,) trigger
+    scores and decisions of step k in event mode, and empty otherwise and at
     k = 0.  Y holds the (T, m_i, trials) measurement blocks; trials may be 0.
     Each step is one `event.filter_step`, with the held pairs advanced here
     by `TriggerState.held_at`'s recursion, so a one-trial pass is the rounds'
@@ -272,7 +274,7 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     x0, P = map(np.stack, zip(*cfg.initial_pairs()))
     est = np.repeat(x0[:, :, None], Y[0].shape[2], axis=2)
     held = (est, P) if event else None     # the initial time is a broadcast
-    yield est, P, [], []
+    yield est, P, np.zeros(0), np.zeros(0, dtype=bool)
     for k in range(1, cfg.T + 1):
         A, Q = model.A_at(k - 1), model.Q_at(k - 1)
         if held is not None:
@@ -283,7 +285,7 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
                 1 if event else cfg.L, held, deltas)
         except np.linalg.LinAlgError as exc:
             raise _diverged(k, *exc.covariances, exc) from None
-        yield est, P, g.tolist(), fired.tolist()
+        yield est, P, g, fired
 
 
 def _diverged(k: int, P, held_P, exc: Exception) -> ValueError:
@@ -301,23 +303,30 @@ def _diverged(k: int, P, held_P, exc: Exception) -> ValueError:
 
 class _Recorder:
     def __init__(self, cfg: ScenarioConfig, trials: int, seed: int,
-                 gc: GlobalConstraint, constraints: list):
+                 gc: GlobalConstraint, constraints: list, event: bool = False):
         """`constraints` holds one (D, d) pair or None per recorded estimate;
-        residuals are evaluated against these."""
-        T = cfg.T
+        residuals are evaluated against these.  `event` keeps trigger rows."""
+        T, topo = cfg.T, cfg.topology
+        rows = (T if event else 0, topo.N)
         self.constraints = _grouped(constraints)
         self.metrics = RunMetrics(
-            mse=np.zeros(T + 1), trace_p=np.zeros(T + 1), lambda_=1.0,
+            mse=np.zeros(T + 1), trace_p=np.zeros(T + 1),
             lambda_running=np.ones(T + 1), constraint_residuals=np.zeros(T + 1),
-            mean_error_norm=np.zeros(T + 1), trials=trials, seed=seed,
+            mean_error_norm=np.zeros(T + 1), g=np.zeros(rows),
+            fired=np.zeros(rows, dtype=bool), trials=trials, seed=seed,
             checkpoints=tuple(k for k in cfg.checkpoints if k <= T),
             trace_p_agent=np.zeros((T + 1, len(constraints))))
+        self.out_deg = np.array([topo.out_degree0(i) for i in range(topo.N)])
         self.gc = gc
         self.F = None if gc.empty else space_decomposition(gc.Dbar)[0]
 
-    def record(self, k: int, est: np.ndarray, x_k: np.ndarray, P: np.ndarray):
-        """Step k from the (N, n, trials) state and (N, n, n) covariance stacks."""
+    def record(self, k: int, est: np.ndarray, x_k: np.ndarray, P: np.ndarray,
+               g=None, fired=None):
+        """Step k from the (N, n, trials) state and (N, n, n) covariance stacks
+        and, in event mode, the step's (N,) trigger scores and decisions."""
         m = self.metrics
+        if k and len(m.fired):
+            m.g[k - 1], m.fired[k - 1] = g, fired
         errs = est - x_k
         m.mse[k] = np.mean(np.mean(np.sum(errs * errs, axis=1), axis=1))
         m.trace_p_agent[k] = np.trace(P, axis1=1, axis2=2)
@@ -334,6 +343,15 @@ class _Recorder:
                     comp = constraint_error(est[i], x_k, self.F, self.gc.s_bar)
                     m.constraint_sq[(k, i)] = float(np.mean(np.sum(comp * comp, axis=0)))
 
+    def finish(self) -> RunMetrics:
+        """The metrics, with λ_k = 1 − (out-edges silent over steps 1..k) / (k ·
+        Σ out-degree), in exact integers up to the division; 1 without rows or edges."""
+        m, total = self.metrics, float(self.out_deg.sum())
+        if len(m.fired) and total > 0:
+            silent = np.cumsum((~m.fired) @ self.out_deg)
+            m.lambda_running[1:] = 1.0 - silent / (np.arange(1, len(silent) + 1) * total)
+        return m
+
 
 # ---------------------------------------------------------------------------
 # simulation drivers
@@ -342,21 +360,11 @@ class _Recorder:
 def _run_core(cfg: ScenarioConfig, mode: str, trials: int, seed: int,
               truth_cfg: ScenarioConfig | None = None) -> RunMetrics:
     X, Y, gc = _noise_blocks(cfg, trials, seed, truth_cfg)
-    topo = cfg.topology
     own = [(a.D, a.d) if a.has_constraint else None for a in cfg.agents]
-    rec = _Recorder(cfg, trials, seed, gc, own)
-    out_deg = [topo.out_degree0(i) for i in range(topo.N)]
-    total_deg = float(sum(out_deg))
-    saved = 0.0
+    rec = _Recorder(cfg, trials, seed, gc, own, event=mode == "event")
     for k, (est, P, g, fired) in enumerate(_filter_path(cfg, mode, Y)):
-        rec.record(k, est, X[k], P)
-        if mode == "event" and k:
-            rec.metrics.trigger_log += [(k, i, g[i], fired[i]) for i in range(topo.N)]
-            saved += sum(d for d, f in zip(out_deg, fired) if not f)
-            if total_deg > 0:
-                rec.metrics.lambda_running[k] = 1.0 - saved / (k * total_deg)
-    rec.metrics.lambda_ = float(rec.metrics.lambda_running[-1])
-    return rec.metrics
+        rec.record(k, est, X[k], P, g, fired)
+    return rec.finish()
 
 
 def run_time_based(cfg: ScenarioConfig) -> RunMetrics:
@@ -422,8 +430,7 @@ def ckf_baseline(cfg: ScenarioConfig) -> RunMetrics:
             K, P = filt.kalman_gain(P, Hs, Rs)
             x = x + K @ (np.vstack([Y[i][k - 1] for i in idx]) - Hs @ x)
         rec.record(k, x[None], X[k], P[None])
-    rec.metrics.lambda_ = 1.0
-    return rec.metrics
+    return rec.finish()
 
 
 def consensus_baseline(cfg: ScenarioConfig) -> RunMetrics:
@@ -551,6 +558,18 @@ def _optional(convert):
     return lambda v: None if v is None else convert(v)
 
 
+def _integer(v) -> int:
+    if type(v) is not int:              # rejects a bool, a float and a string
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _real(v) -> float:
+    if type(v) not in (int, float):     # rejects a bool and a string
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 def load_scenario(path: str) -> ScenarioConfig:
     """Read a scenario file written by `save_scenario`.
 
@@ -612,7 +631,7 @@ def load_scenario(path: str) -> ScenarioConfig:
         "A": _floats, "Q": _floats, "x0_mean": _floats, "P0": _floats}))
     agent_fields = {"H": _floats, "R": _floats,
                     "D": lambda v: _floats(v or np.zeros((0, model.n))),
-                    "d": lambda v: _floats(v or []), "eps": float, "delta": float}
+                    "d": lambda v: _floats(v or []), "eps": _real, "delta": _real}
     agents = [build(f"agents[{i}]: ", AgentSpec, **fields(
                   {"D": None, "d": None, **spec}, f"agents[{i}]", agent_fields))
               for i, spec in enumerate(specs)]
@@ -620,10 +639,10 @@ def load_scenario(path: str) -> ScenarioConfig:
                  **fields(section("topology"), "topology", {"weights": _floats}))
     matrix = _optional(_floats)
     run = fields({"T": 250, **sim}, "sim", {
-        "T": int, "L": int, "mode": str, "trials": int, "seed": int,
-        "theta": float, "x0_hat": matrix, "P0_init": matrix, "x0_cov": matrix,
+        "T": _integer, "L": _integer, "mode": str, "trials": _integer, "seed": _integer,
+        "theta": _real, "x0_hat": matrix, "P0_init": matrix, "x0_cov": matrix,
         "sim_q": matrix, "sim_r": _optional(lambda v: [matrix(r) for r in v]),
-        "checkpoints": lambda v: tuple(int(k) for k in v)})
+        "checkpoints": lambda v: tuple(map(_integer, v))})
     # ScenarioConfig's own messages name the field they reject
     return build("", ScenarioConfig, model=model, agents=agents, topology=topo,
                  name=raw.get("name", "scenario"), **run)
@@ -635,45 +654,46 @@ def scenario_hash(cfg: ScenarioConfig | str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _metric_columns(rm: RunMetrics) -> dict:
-    """The columns of metrics.csv after `step`."""
-    return {"mse": rm.mse, "trace_p": rm.trace_p,
-            "lambda_running": rm.lambda_running,
-            "max_constraint_residual": rm.constraint_residuals,
-            "mean_error_norm": rm.mean_error_norm}
+def _csv_tables(rm: RunMetrics) -> dict:
+    """What metrics.csv and triggers.csv hold: file -> column -> one value per
+    row.  The float columns, written with `%.17g`, are exactly those that
+    `_require_finite` checks; integer and bool columns are written as integers."""
+    steps, N = rm.fired.shape
+    return {"metrics.csv": {"step": np.arange(len(rm.mse)), "mse": rm.mse,
+                            "trace_p": rm.trace_p, "lambda_running": rm.lambda_running,
+                            "max_constraint_residual": rm.constraint_residuals,
+                            "mean_error_norm": rm.mean_error_norm},
+            "triggers.csv": {"step": np.repeat(np.arange(1, steps + 1), N),
+                             "agent": np.tile(np.arange(N), steps), "g": rm.g.ravel(),
+                             "fired": rm.fired.ravel()}}
 
 
 def _require_finite(rm: RunMetrics) -> None:
     """Raise a ValueError naming the earliest non-finite value that
     metrics.csv or triggers.csv would hold: its column and its step."""
-    cols = _metric_columns(rm)
-    bad = np.argwhere(~np.isfinite(np.column_stack(list(cols.values()))))
-    found = [(int(k), f"metrics.csv column {list(cols)[c]!r}") for k, c in bad[:1]]
-    found += [(k, f"triggers.csv column 'g' (agent {i})")
-              for k, i, g, _ in rm.trigger_log if not math.isfinite(g)][:1]
+    found = [(int(cols["step"][r]), f"{name} column {col!r}"
+              + (f" (agent {cols['agent'][r]})" if "agent" in cols else ""))
+             for name, cols in _csv_tables(rm).items() for col, v in cols.items()
+             if v.dtype.kind == "f" for r in np.flatnonzero(~np.isfinite(v))[:1]]
     if found:
         k, column = min(found, key=lambda kc: kc[0])
         raise ValueError(f"the run diverged: {column} is not finite at step {k}")
 
 
-def write_metrics_csv(path: str, rm: RunMetrics) -> None:
-    cols = _metric_columns(rm)
+def _write_csv(path: str, cols: dict) -> None:
+    row = ",".join("%.17g" if v.dtype.kind == "f" else "%d" for v in cols.values())
+    values = zip(*(v.tolist() for v in cols.values()))
     with open(path, "w") as fh:
-        fh.write(",".join(["step", *cols]) + "\n")
-        for k in range(rm.mse.shape[0]):
-            fh.write(",".join([str(k), *(_fmt(v[k]) for v in cols.values())])
-                     + "\n")
+        fh.write(",".join(cols) + "\n")
+        fh.write("".join([(row + "\n") % r for r in values]))
+
+
+def write_metrics_csv(path: str, rm: RunMetrics) -> None:
+    _write_csv(path, _csv_tables(rm)["metrics.csv"])
 
 
 def write_triggers_csv(path: str, rm: RunMetrics) -> None:
-    with open(path, "w") as fh:
-        fh.write("step,agent,g,fired\n")
-        for k, i, g, fired in rm.trigger_log:
-            fh.write(f"{k},{i},{_fmt(g)},{int(fired)}\n")
+    _write_csv(path, _csv_tables(rm)["triggers.csv"])
 
 
 def write_manifest(path: str, cfg: ScenarioConfig, overrides: dict | None = None,

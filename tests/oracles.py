@@ -320,11 +320,14 @@ def generate_truth(cfg, rng, gc=None):
     x0 = model.x0_mean + _psd_sqrt(x0_cov) @ rng.standard_normal(n)
     x0 = proj(x0)
 
+    def sim_q_at(k):
+        return cfg.sim_q if cfg.sim_q is not None else model.Q_at(k)
+
     W = rng.standard_normal((T, n))
     if cfg.sim_q is not None or model.time_invariant:
-        W = W @ _psd_sqrt(cfg.sim_q_at(0)).T
+        W = W @ _psd_sqrt(sim_q_at(0)).T
     else:
-        W = np.vstack([W[k] @ _psd_sqrt(cfg.sim_q_at(k)).T for k in range(T)])
+        W = np.vstack([W[k] @ _psd_sqrt(sim_q_at(k)).T for k in range(T)])
     if not gc.empty:
         W = W @ tangent.T
 

@@ -201,9 +201,24 @@ def test_short_sim_r_exits_two(case1_file, tmp_path, capsys):
     (("model", "beta1"), 0.5, "model.beta1: unknown field"),
     (("topology", "wieghts"), [], "topology.wieghts: unknown field"),
     (("nmae",), "case1", ": nmae: unknown field"),
+    # integer fields take JSON integers only: no truncated float, no string,
+    # no bool; real fields take JSON numbers only
+    (("sim", "T"), 7.9, "sim.T: expected an integer, got 7.9"),
+    (("sim", "T"), "7", "sim.T: expected an integer, got '7'"),
+    (("sim", "L"), 2.0, "sim.L: expected an integer, got 2.0"),
+    (("sim", "trials"), True, "sim.trials: expected an integer, got True"),
+    (("sim", "seed"), 3.5, "sim.seed: expected an integer, got 3.5"),
+    (("sim", "checkpoints"), [2.9, "3"], "sim.checkpoints: expected an integer, got 2.9"),
+    (("sim", "checkpoints"), [2, "3"], "sim.checkpoints: expected an integer, got '3'"),
+    (("sim", "theta"), "1.0", "sim.theta: expected a number, got '1.0'"),
+    (("sim", "theta"), False, "sim.theta: expected a number, got False"),
+    (("agents", 0, "eps"), "0.5", "agents[0].eps: expected a number, got '0.5'"),
+    (("agents", 2, "delta"), True, "agents[2].delta: expected a number, got True"),
 ], ids=["inf-R", "nan-x0_mean", "indefinite-P0_init", "text-T", "text-seed",
         "text-theta", "text-A", "unknown-sim", "unknown-agent", "unknown-model",
-        "unknown-topology", "unknown-top-level"])
+        "unknown-topology", "unknown-top-level", "float-T", "quoted-T", "float-L",
+        "bool-trials", "float-seed", "float-checkpoint", "quoted-checkpoint",
+        "quoted-theta", "bool-theta", "quoted-eps", "bool-delta"])
 def test_bad_scenario_values_exit_two(case1_file, tmp_path, capsys, path,
                                       value, field):
     with open(case1_file) as fh:
@@ -219,6 +234,19 @@ def test_bad_scenario_values_exit_two(case1_file, tmp_path, capsys, path,
     err = capsys.readouterr().err
     assert field in err and str(bad) in err
     assert not (tmp_path / "mc" / "metrics.csv").exists()
+
+
+def test_scenario_numbers_need_no_decimal_point(case1_file, tmp_path):
+    # a real field may hold a JSON integer: it loads as that float
+    with open(case1_file) as fh:
+        raw = json.load(fh)
+    raw["sim"]["theta"], raw["agents"][1]["eps"], raw["agents"][0]["delta"] = 2, 1, 0
+    p = tmp_path / "ints.scn"
+    p.write_text(json.dumps(raw))
+    cfg = sim.load_scenario(str(p))
+    assert (cfg.theta, cfg.agents[1].eps, cfg.agents[0].delta) == (2.0, 1.0, 0.0)
+    assert all(type(v) is float for v in (cfg.theta, cfg.agents[1].eps,
+                                          cfg.agents[0].delta))
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -429,8 +457,9 @@ def test_single_run_writes_the_scenario_it_ran(tmp_path, argv):
 
 def test_non_finite_trigger_score_is_named():
     rm = sim.run_event(sim.case1(T=5))
-    k, i, _g, fired = rm.trigger_log[7]
-    rm.trigger_log[7] = (k, i, float("inf"), fired)
+    k, i = 3, 1                         # row 7 of triggers.csv
+    rm.g[k - 1, i] = float("inf")
+    assert rm.trigger_log[7][:3] == (k, i, float("inf"))
     with pytest.raises(ValueError, match=rf"column 'g' \(agent {i}\) is not "
                                          rf"finite at step {k}"):
         sim._require_finite(rm)
