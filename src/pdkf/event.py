@@ -9,7 +9,7 @@ thresholds — it never depends on measured data.  `filter_step`, a step of
 either filter on the stack of all agents, serves the Monte Carlo engine and
 the step-by-step rounds `tpdkf_round` and `epdkf_round` alike; both read the
 network's `step_layout`, built once per network and fused over its real
-edges only.
+edges only.  `filter_step` also holds the one held-pair recursion they share.
 """
 
 from __future__ import annotations
@@ -21,59 +21,33 @@ import numpy as np
 
 from .filter import (AgentState, _check_pd, _ensure_pd, _estimate, ci_maps,
                      kalman_gain, projection_map, slot_sum, symmetrize)
-from .model import AgentSpec, SystemModel, Topology
-
-
-_ANCHOR_FIELDS = frozenset({"last_x", "last_P", "last_time"})
+from .model import AgentSpec, SystemModel, Topology, _check_finite
 
 
 @dataclass
 class TriggerState:
-    """Last broadcast pair of one agent plus its trigger threshold.
-
-    The initial state counts as a broadcast at time 0, so extrapolation is
-    always anchored.  `held_at` caches the anchor's extrapolation and advances
-    it from the cached step, so a caller that moves k forward by one per round
-    pays one prediction per round whatever the gap since the last broadcast.
-    Assigning any anchor field restarts the cache.
+    """What an agent's neighbors hold of it, plus its trigger threshold: the
+    held pair (x, P) of step `time`, its last broadcast extrapolated to that
+    step.  The initial state counts as a broadcast at time 0; each event round
+    advances the pair in `filter_step` and re-anchors it where the agent
+    fires.  x and P are copied and, as in `ConsistentEstimate`, must be
+    finite with P of shape (len(x), len(x)).
     """
 
-    last_x: np.ndarray
-    last_P: np.ndarray
-    last_time: int
+    x: np.ndarray
+    P: np.ndarray
+    time: int
     delta: float
 
     def __post_init__(self):
-        self.last_x = np.array(self.last_x, dtype=float).ravel()
-        self.last_P = np.array(self.last_P, dtype=float)
+        self.x = np.array(self.x, dtype=float).ravel()
+        self.P = np.array(self.P, dtype=float)
+        _check_finite(self.x, "x")
+        _check_finite(self.P, "P")
+        if self.P.shape != (self.x.size, self.x.size):
+            raise ValueError(f"P shape {self.P.shape} does not match the state dimension")
         if not 0 <= self.delta < np.inf:
             raise ValueError("delta must be finite and nonnegative")
-
-    def __setattr__(self, name, value):
-        if name in _ANCHOR_FIELDS:
-            object.__setattr__(self, "_held", None)
-        object.__setattr__(self, name, value)
-
-    def held_at(self, k: int, A, Q) -> tuple[np.ndarray, np.ndarray]:
-        """(x̄̃, P̄̃): the anchor extrapolated to time k.
-
-        Applies x ← A x, P ← A P Aᵀ + Q once per step since the anchor, so
-        the result is bit-identical to that loop run from the anchor.  The
-        cache restarts from the anchor when k is below the cached step or A/Q
-        are other objects than last time.  The returned arrays are shared with
-        the cache and must not be modified.
-        """
-        if k < self.last_time:
-            raise ValueError("trigger state is ahead of the current time")
-        A, Q = np.asarray(A, dtype=float), np.asarray(Q, dtype=float)
-        held = self._held
-        if held is None or held[0] > k or held[1] is not A or held[2] is not Q:
-            held = (self.last_time, A, Q, self.last_x, self.last_P)
-        step, _, _, x, P = held
-        for _ in range(k - step):
-            x, P = A @ x, A @ P @ A.T + Q
-        self._held = (k, A, Q, x, P)
-        return x, P
 
 
 def trigger_from_info(info, info_held, delta):
@@ -161,8 +135,9 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
     est (N, n, c) holds c state columns (trials) per agent, P the (N, n, n)
     covariances, ys one (g, m, c) block per H group.  Time mode (held None)
     runs `rounds` fusion-projection rounds on the fresh pairs.  Event mode
-    fires where the trigger score g against held = (hx, hP), each last
-    broadcast extrapolated to this step, exceeds deltas, fuses each neighbor's
+    takes held = (hx, hP), the pairs held after the previous step, advances
+    them to this step (x ← A x, P ← A P Aᵀ + Q, not symmetrized), fires where
+    the trigger score g against them exceeds deltas, fuses each neighbor's
     held pair (fresh if it fired) and returns the pairs then held.  Guards,
     once per stack and bit-neutral where Cholesky succeeds: `_ensure_pd` on
     every covariance stack made, definiteness before each inverse, cond(S) ≤
@@ -176,6 +151,8 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
         return np.take(np.concatenate([fresh, kept]) if event else fresh, layout.src, 0)
 
     try:
+        if event:
+            hx, hP = A @ hx, A @ hP @ A.T + Q
         est, P = A @ est, _ensure_pd(A @ P @ A.T + Q)
         for (idx, H, R), y in zip(layout.meas, ys):
             K, P_upd = kalman_gain(P[idx], H, R)
@@ -222,16 +199,20 @@ def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
     layout = step_layout(agents, topology, triggers is not None)
     held = deltas = None
     if triggers is not None:
-        hx, hP = map(np.stack, zip(*(ts.held_at(k, A, Q) for ts in triggers)))
-        held, deltas = (hx[:, :, None], hP), np.array([ts.delta for ts in triggers])
+        for i, ts in enumerate(triggers):
+            if ts.time != k - 1 or ts.x.shape != (len(A),):
+                raise ValueError(f"trigger state of agent {i} holds {ts.x.size} states at "
+                                 f"step {ts.time}, not {len(A)} at step {k - 1}")
+        held = (np.stack([ts.x for ts in triggers])[:, :, None],
+                np.stack([ts.P for ts in triggers]))
+        deltas = np.array([ts.delta for ts in triggers])
     est, P, _, fired, held = filter_step(
         layout, np.stack([st.estimate.x for st in states])[:, :, None],
         np.stack([st.estimate.P for st in states]),
         [np.array([np.ravel(measurements[i]) for i in idx], dtype=float)[:, :, None]
          for idx, *_ in layout.meas], A, Q, rounds, held, deltas)
-    for i in np.flatnonzero(fired):      # re-anchored on copies of the fresh pair
-        ts = triggers[i]
-        ts.last_x, ts.last_P, ts.last_time = held[0][i, :, 0].copy(), held[1][i].copy(), k
+    for i, ts in enumerate(triggers or ()):     # copies: shared with nothing returned
+        ts.x, ts.P, ts.time = held[0][i, :, 0].copy(), held[1][i].copy(), k
     return ([AgentState(i, _estimate(x[:, 0], p)) for i, (x, p) in enumerate(zip(est, P))],
             set(np.flatnonzero(fired).tolist()))
 
@@ -260,7 +241,8 @@ def epdkf_round(states: list[AgentState], trigger_states: list[TriggerState],
     Phase 1 (all agents, then barrier): predict, measurement-update, evaluate
     own trigger and broadcast on fire.  Phase 2: fuse the own fresh pair with
     neighbor pairs (fresh if fired, extrapolated otherwise), then project once.
-    One `filter_step` on the stacked states and `TriggerState.held_at(k)` pairs.
+    One `filter_step` on the stacked states and held pairs; every trigger
+    state must hold step k − 1 and is left holding step k.
     """
     if not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")

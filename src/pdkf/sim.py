@@ -70,6 +70,8 @@ class ScenarioConfig:
     name: str = "scenario"
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if self.T < 1:
             raise ValueError("horizon T must be at least 1")
         if self.trials < 1:
@@ -260,10 +262,10 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     block and covariance after step k; g and fired are the (N,) trigger
     scores and decisions of step k in event mode, and empty otherwise and at
     k = 0.  Y holds the (T, m_i, trials) measurement blocks; trials may be 0.
-    Each step is one `event.filter_step`, with the held pairs advanced here
-    by `TriggerState.held_at`'s recursion, so a one-trial pass is the rounds'
-    arithmetic bit for bit; a LinAlgError from an overflowed covariance
-    becomes a ValueError naming agent and step.
+    Each step is one `event.filter_step`, which also advances the held pairs
+    it returned the step before, as it does for the rounds, so a one-trial
+    pass is the rounds' arithmetic bit for bit; a LinAlgError from an
+    overflowed covariance becomes a ValueError naming agent and step.
     """
     model, agents, event = cfg.model, cfg.agents, mode == "event"
     if event and not model.time_invariant:
@@ -276,13 +278,10 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     held = (est, P) if event else None     # the initial time is a broadcast
     yield est, P, np.zeros(0), np.zeros(0, dtype=bool)
     for k in range(1, cfg.T + 1):
-        A, Q = model.A_at(k - 1), model.Q_at(k - 1)
-        if held is not None:
-            held = (A @ held[0], A @ held[1] @ A.T + Q)
         try:
             est, P, g, fired, held = filter_step(
-                layout, est, P, [Yg[:, k - 1] for Yg in Ys], A, Q,
-                1 if event else cfg.L, held, deltas)
+                layout, est, P, [Yg[:, k - 1] for Yg in Ys], model.A_at(k - 1),
+                model.Q_at(k - 1), 1 if event else cfg.L, held, deltas)
         except np.linalg.LinAlgError as exc:
             raise _diverged(k, *exc.covariances, exc) from None
         yield est, P, g, fired
@@ -551,7 +550,13 @@ def save_scenario(cfg: ScenarioConfig, path: str) -> str:
 
 
 def _floats(v) -> np.ndarray:
-    return np.asarray(v, dtype=float)
+    """A JSON number or nested lists of them as a float array; every entry is
+    checked, as `np.asarray` reads a bool or a numeric string as a number."""
+    out = np.asarray(v, dtype=float)                     # a ragged list fails here
+    for leaf in np.asarray(v, dtype=object).ravel():     # in file order
+        if type(leaf) not in (int, float):
+            raise TypeError(f"expected a number or a list of numbers, got {leaf!r}")
+    return out
 
 
 def _optional(convert):
@@ -630,8 +635,10 @@ def load_scenario(path: str) -> ScenarioConfig:
     model = build("model: ", SystemModel, **fields(md, "model", {
         "A": _floats, "Q": _floats, "x0_mean": _floats, "P0": _floats}))
     agent_fields = {"H": _floats, "R": _floats,
-                    "D": lambda v: _floats(v or np.zeros((0, model.n))),
-                    "d": lambda v: _floats(v or []), "eps": _real, "delta": _real}
+                    # no constraint: D and d absent, null or []
+                    "D": lambda v: np.zeros((0, model.n)) if v in (None, []) else _floats(v),
+                    "d": lambda v: _floats([] if v is None else v),
+                    "eps": _real, "delta": _real}
     agents = [build(f"agents[{i}]: ", AgentSpec, **fields(
                   {"D": None, "d": None, **spec}, f"agents[{i}]", agent_fields))
               for i, spec in enumerate(specs)]

@@ -6,11 +6,13 @@ two sides can actually disagree.  Slow and obvious on purpose.
 
 The reference rounds (`tpdkf_round`, `epdkf_round`) compose those oracles
 (`kf_predict`, `kf_update`, `trigger_eval`, `ci_combine`, `constrain`) one agent
-and one pair at a time.  From the package they take only the public state
-types (`AgentState`, `ConsistentEstimate`) and `TriggerState.held_at`, which
-`multi_step` pins bit for bit, so they are an independent differential
-reference for the stacked `event.filter_step` that the rounds and the batch
-engine run.
+and one pair at a time.  The event round keeps each agent's last broadcast as
+an `Anchor` and rebuilds the held pair from it at every step (`Anchor.held`,
+a loop of x ← A x and `multi_step`), where the package advances the held
+pairs one step per round.  From the package they take only the public state
+types (`AgentState`, `ConsistentEstimate`), so they are an independent
+differential reference for the stacked `event.filter_step` that the rounds
+and the batch engine run.
 
 `generate_truth`, last, is the per-trial truth generator the package ran
 before it drew all trials on one block: one generator, one trial, the state
@@ -20,6 +22,8 @@ stepped row by row.  It is the differential reference for `sim.generate_truth`.
 taken over all N² pairs by `analysis._nbr_sum`, the reference the edge-list
 sums of `analysis._rate_tables` must equal bit for bit.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
 from pdkf.analysis import _info_blocks, _nbr_sum
@@ -249,28 +253,45 @@ def tpdkf_round(states, measurements, model, agents, topology, L, k=1):
             for st, (x, P) in zip(states, current)]
 
 
-def epdkf_round(states, trigger_states, measurements, model, agents, topology, k):
-    """One event-triggered step; returns (states, fired set).  Phase 1: each
-    agent predicts, updates, evaluates its trigger and re-anchors its trigger
-    state on fire.  Phase 2: each fuses its fresh pair with its neighbors' held
-    pairs, then projects once."""
+@dataclass
+class Anchor:
+    """An agent's last broadcast pair, the step it was sent at and the
+    agent's trigger threshold; the initial pair counts as sent at step 0."""
+    x: np.ndarray
+    P: np.ndarray
+    time: int
+    delta: float
+
+    def held(self, k, A, Q):
+        """The broadcast extrapolated from its own step to step k."""
+        x = self.x
+        for _ in range(k - self.time):
+            x = A @ x
+        return x, multi_step(self.P, A, Q, k - self.time)
+
+
+def epdkf_round(states, anchors, measurements, model, agents, topology, k):
+    """One event-triggered step on a list of `Anchor`s; returns (states, fired
+    set).  Phase 1: each agent predicts, updates, evaluates its trigger against
+    its anchor extrapolated to step k and re-anchors on fire.  Phase 2: each
+    fuses its fresh pair with its neighbors' held pairs, then projects once."""
     A, Q = model.A_at(0), model.Q_at(0)
 
     # Phase 1: local updates and trigger decisions against an immutable snapshot.
     fresh = [_local(st, spec, measurements[st.id], A, Q)
              for st, spec in zip(states, agents)]
     fired = set()
-    for st, (x, P), ts in zip(states, fresh, trigger_states):
-        if trigger_eval(P, ts.held_at(k, A, Q)[1], ts.delta)[1]:
+    for st, (x, P), a in zip(states, fresh, anchors):
+        if trigger_eval(P, a.held(k, A, Q)[1], a.delta)[1]:
             fired.add(st.id)
             # the broadcast becomes the anchor every receiver extrapolates
-            ts.last_x, ts.last_P, ts.last_time = x, P, k
+            a.x, a.P, a.time = x, P, k
 
     # Phase 2: fusion with the held neighbor pairs, one projection.
     new_states = []
     for i, spec in enumerate(agents):
         nbrs = [j for j in topology.in_neighbors(i) if j != i]
-        pairs = [fresh[i]] + [trigger_states[j].held_at(k, A, Q) for j in nbrs]
+        pairs = [fresh[i]] + [anchors[j].held(k, A, Q) for j in nbrs]
         x, P = _fuse_and_constrain(pairs, topology.weights[i, [i] + nbrs], spec)
         new_states.append(AgentState(i, ConsistentEstimate(x, P)))
     return new_states, fired

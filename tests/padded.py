@@ -2,8 +2,8 @@
 `filter.ci_maps` and `sim._filter_path` as they were before the fusion ran on
 a slot-major edge list.  Every agent fuses over as many slots as the largest
 in-degree, a spare slot is the agent itself at weight 0, and the layout is
-built on every call.  The held pairs advance by `TriggerState.held_at`'s
-recursion, as the engine's do.  It runs the package's kernels, so it is the
+built on every call.  The held pairs advance inside the step, as they do in
+`event.filter_step`.  It runs the package's kernels, so it is the
 differential reference for the slot-major fusion bit for bit, not for the
 formulas (`oracles.py` holds those).
 """
@@ -56,8 +56,9 @@ def padded_filter_step(layout: tuple, est, P, ys: list, A, Q, rounds: int = 1,
     est (N, n, c) holds c state columns (trials) per agent, P the (N, n, n)
     covariances, ys one (g, m, c) block per H group.  Time mode (held None)
     runs `rounds` fusion-projection rounds on the fresh pairs.  Event mode
-    fires where the trigger score g against held = (hx, hP), each last
-    broadcast extrapolated to this step, exceeds deltas, fuses each neighbor's
+    takes held = (hx, hP), the pairs held after the previous step, advances
+    them to this step (x ← A x, P ← A P Aᵀ + Q, not symmetrized), fires where
+    the trigger score g against them exceeds deltas, fuses each neighbor's
     held pair (fresh if it fired) and returns the pairs then held.  Guards,
     once per stack and bit-neutral where Cholesky succeeds: `_ensure_pd` on
     every covariance stack made, definiteness before each inverse, cond(S) ≤
@@ -72,6 +73,8 @@ def padded_filter_step(layout: tuple, est, P, ys: list, A, Q, rounds: int = 1,
         return np.take(np.concatenate([fresh, kept]) if event else fresh, slot, 0)
 
     try:
+        if event:
+            hx, hP = A @ hx, A @ hP @ A.T + Q
         est, P = A @ est, _ensure_pd(A @ P @ A.T + Q)
         for (idx, H, R), y in zip(meas, ys):
             K, P_upd = kalman_gain(P[idx], H, R)
@@ -109,7 +112,7 @@ def padded_filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     block and covariance after step k; g and fired list the trigger scores
     and decisions of step k in event mode, and are empty otherwise and at
     k = 0.  Y holds the (T, m_i, trials) measurement blocks; trials may be 0.
-    Each step is one `event.filter_step` (held pairs advanced here); a
+    Each step is one `padded_filter_step`, which advances the held pairs; a
     LinAlgError from an overflowed covariance becomes a ValueError naming
     agent and step.
     """
@@ -124,12 +127,10 @@ def padded_filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     held = (est, P) if event else None     # the initial time is a broadcast
     yield est, P, [], []
     for k in range(1, cfg.T + 1):
-        A, Q = model.A_at(k - 1), model.Q_at(k - 1)
-        if held is not None:
-            held = (A @ held[0], A @ held[1] @ A.T + Q)
         try:
             est, P, g, fired, held = padded_filter_step(
-                layout, est, P, [Yg[:, k - 1] for Yg in Ys], A, Q,
+                layout, est, P, [Yg[:, k - 1] for Yg in Ys],
+                model.A_at(k - 1), model.Q_at(k - 1),
                 1 if event else cfg.L, held, deltas)
         except np.linalg.LinAlgError as exc:
             raise sim._diverged(k, *exc.covariances, exc) from None

@@ -214,11 +214,30 @@ def test_short_sim_r_exits_two(case1_file, tmp_path, capsys):
     (("sim", "theta"), False, "sim.theta: expected a number, got False"),
     (("agents", 0, "eps"), "0.5", "agents[0].eps: expected a number, got '0.5'"),
     (("agents", 2, "delta"), True, "agents[2].delta: expected a number, got True"),
+    # matrix fields take JSON numbers or nested lists of them, checked at the
+    # leaves: numpy reads a bool as 0/1 and a numeric string as its number
+    (("agents", 0, "R"), [["90"]], "agents[0].R: expected a number or a list of "
+                                   "numbers, got '90'"),
+    (("model", "x0_mean"), [True, 0, "0", 0.0], "model.x0_mean: expected a number "
+                                                "or a list of numbers, got True"),
+    (("topology", "weights", 0, 0), False, "topology.weights: expected a number"),
+    (("sim", "x0_hat"), [0, 0, "0", 0], "sim.x0_hat: expected a number"),
+    (("sim", "sim_r"), [[[True]], None, [[90.0]]], "sim.sim_r: expected a number"),
+    # an unconstrained agent's D and d are absent, null or [], never another
+    # falsy value
+    (("agents", 1, "D"), 0, "agents[1]: D must be a 2-D array"),
+    (("agents", 1, "D"), False, "agents[1].D: expected a number or a list of "
+                                "numbers, got False"),
+    (("agents", 1, "d"), False, "agents[1].d: expected a number"),
+    # the name reaches manifest.json as it is
+    (("name",), 17, ": name must be a string, got 17"),
 ], ids=["inf-R", "nan-x0_mean", "indefinite-P0_init", "text-T", "text-seed",
         "text-theta", "text-A", "unknown-sim", "unknown-agent", "unknown-model",
         "unknown-topology", "unknown-top-level", "float-T", "quoted-T", "float-L",
         "bool-trials", "float-seed", "float-checkpoint", "quoted-checkpoint",
-        "quoted-theta", "bool-theta", "quoted-eps", "bool-delta"])
+        "quoted-theta", "bool-theta", "quoted-eps", "bool-delta", "quoted-R",
+        "mixed-x0_mean", "bool-weight", "quoted-x0_hat", "bool-sim_r", "zero-D",
+        "false-D", "false-d", "number-name"])
 def test_bad_scenario_values_exit_two(case1_file, tmp_path, capsys, path,
                                       value, field):
     with open(case1_file) as fh:

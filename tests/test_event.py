@@ -7,6 +7,7 @@ from pdkf import event
 from pdkf.event import TriggerState, epdkf_round, tpdkf_round, trigger_from_info
 from pdkf.filter import AgentState, ConsistentEstimate, _check_pd, _ensure_pd, kalman_gain
 from pdkf.model import AgentSpec, SystemModel, Topology, metropolis_weights
+from pdkf.sim import case1
 
 import oracles
 
@@ -59,82 +60,15 @@ def test_trigger_from_info_rejects_asymmetric_difference():
         trigger_from_info(np.array([[[1.0, 1.0], [0.0, 1.0]]]), np.eye(2)[None], np.zeros(1))
 
 
-# --- the cached extrapolation against the from-anchor reference -------------
-
-def _drift_model(seed=3, n=3):
-    rng = np.random.default_rng(seed)
-    A = 0.9 * np.eye(n) + 0.05 * rng.standard_normal((n, n))
-    return A, oracles.random_psd(rng, n), rng.standard_normal(n), \
-        oracles.random_psd(rng, n)
-
-
-def _from_anchor(x, P, A, Q, steps):
-    for _ in range(steps):
-        x = A @ x
-    return x, oracles.multi_step(P, A, Q, steps)
-
-
-def _assert_pair_equal(got, want):
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-
-
-def test_held_at_matches_reference_without_reanchoring():
-    A, Q, x0, P0 = _drift_model()
-    ts = TriggerState(x0, P0, 0, 0.1)
-    x, P = x0.copy(), P0.copy()
-    for k in range(301):
-        got = ts.held_at(k, A, Q)
-        _assert_pair_equal(got, (x, P))
-        _assert_pair_equal(got, _from_anchor(x0, P0, A, Q, k))
-        x, P = A @ x, A @ P @ A.T + Q
-    assert ts.last_time == 0
-
-
-def test_held_at_restarts_after_message():
-    # a broadcast in epdkf_round re-anchors the sender's trigger state on its
-    # fresh pair, and the held pair restarts from there
-    model, agents, top = path3_setup(delta=(50.0, 50.0, 50.0))
-    A, Q = model.A_at(0), model.Q_at(0)
-    states = fresh_states(model, agents, np.random.default_rng(0))
-    triggers = [TriggerState(s.estimate.x, s.estimate.P, 0, a.delta)
-                for s, a in zip(states, agents)]
-    ys = [np.ones(1)] * 3
-    for k in range(1, 7):
-        states, fired = epdkf_round(states, triggers, ys, model, agents, top, k)
-        assert not fired
-    triggers[0].delta = 0.0
-    prev = states[0].estimate
-    states, fired = epdkf_round(states, triggers, ys, model, agents, top, 7)
-    assert 0 in fired and triggers[0].last_time == 7
-    # the fresh pair as the engine forms it: prediction, then the gain
-    x, P = A @ prev.x, _ensure_pd(A @ prev.P @ A.T + Q)
-    K, P_upd = kalman_gain(P, agents[0].H, agents[0].R)
-    fresh = (x + K @ (ys[0] - agents[0].H @ x), _ensure_pd(P_upd))
-    _assert_pair_equal(triggers[0].held_at(7, A, Q), fresh)
-    for k in range(8, 12):
-        _assert_pair_equal(triggers[0].held_at(k, A, Q), _from_anchor(*fresh, A, Q, k - 7))
-
-
-def test_held_at_restarts_after_assigning_anchor_fields():
-    A, Q, x0, P0 = _drift_model()
-    ts = TriggerState(x0, P0, 0, 0.1)
-    for k in range(6):
-        ts.held_at(k, A, Q)
-    ts.last_P = 2.0 * P0
-    ts.last_time = 4
-    _assert_pair_equal(ts.held_at(8, A, Q), _from_anchor(x0, 2.0 * P0, A, Q, 4))
-    ts.last_x = -x0
-    _assert_pair_equal(ts.held_at(9, A, Q), _from_anchor(-x0, 2.0 * P0, A, Q, 5))
-
+# --- the trigger state ------------------------------------------------------
 
 def test_trigger_state_copies_its_anchor():
-    A, Q, x0, P0 = _drift_model()
-    want = _from_anchor(x0.copy(), P0.copy(), A, Q, 3)
+    x0, P0 = np.arange(3.0), oracles.random_psd(np.random.default_rng(3), 3)
     ts = TriggerState(x0, P0, 0, 0.1)
+    want = (x0.copy(), P0.copy())
     x0[:] = 9.0
     P0[:] = 7.0
-    _assert_pair_equal(ts.held_at(3, A, Q), want)
+    assert np.array_equal(ts.x, want[0]) and np.array_equal(ts.P, want[1])
 
 
 def test_trigger_state_rejects_non_finite_delta():
@@ -142,14 +76,49 @@ def test_trigger_state_rejects_non_finite_delta():
         TriggerState([0.0], [[1.0]], 0, float("nan"))
 
 
-def test_held_at_behind_cache_restarts_and_behind_anchor_raises():
-    A, Q, x0, P0 = _drift_model()
-    ts = TriggerState(x0, P0, 2, 0.1)
-    ts.held_at(10, A, Q)
-    _assert_pair_equal(ts.held_at(4, A, Q), _from_anchor(x0, P0, A, Q, 2))
-    _assert_pair_equal(ts.held_at(5, A, Q), _from_anchor(x0, P0, A, Q, 3))
-    with pytest.raises(ValueError, match="ahead"):
-        ts.held_at(1, A, Q)
+@pytest.mark.parametrize("x, P, message", [
+    ([0.0], np.eye(2), r"P shape \(2, 2\) does not match the state dimension"),
+    (np.zeros(2), np.ones(2), r"P shape \(2,\) does not match the state dimension"),
+    (np.zeros(2), np.diag([1.0, np.nan]), "P has non-finite entries"),
+    ([0.0, np.inf], np.eye(2), "x has non-finite entries"),
+], ids=["P-too-big", "P-vector", "nan-P", "inf-x"])
+def test_trigger_state_rejects_a_bad_pair(x, P, message):
+    with pytest.raises(ValueError, match=message):
+        TriggerState(x, P, 0, 0.1)
+
+
+def test_held_pairs_equal_the_from_anchor_extrapolation():
+    # the rounds advance each held pair one step per round; the reference
+    # rebuilds it from the agent's last broadcast at every step
+    cfg = case1(mode="event")
+    model, agents, top = cfg.model, cfg.agents, cfg.topology
+    A, Q = model.A_at(0), model.Q_at(0)
+    pairs = cfg.initial_pairs()
+    states = [AgentState(i, ConsistentEstimate(x, P)) for i, (x, P) in enumerate(pairs)]
+    triggers = [TriggerState(x, P, 0, a.delta) for (x, P), a in zip(pairs, agents)]
+    anchors = [oracles.Anchor(x.copy(), P.copy(), 0, a.delta)
+               for (x, P), a in zip(pairs, agents)]
+    rng = np.random.default_rng(8)
+    fires = []
+    for k in range(1, 31):
+        ys = [rng.standard_normal(a.H.shape[0]) for a in agents]
+        prev = [s.estimate for s in states]
+        states, fired = epdkf_round(states, triggers, ys, model, agents, top, k)
+        fires += [i in fired for i in range(3)]
+        for i, (ts, a) in enumerate(zip(triggers, anchors)):
+            assert ts.time == k
+            if i in fired:
+                # the broadcast is the fresh pair as the engine forms it:
+                # prediction, then the gain
+                x, P = A @ prev[i].x, _ensure_pd(A @ prev[i].P @ A.T + Q)
+                if agents[i].has_measurement:
+                    K, P = kalman_gain(P, agents[i].H, agents[i].R)
+                    x, P = x + K @ (ys[i] - agents[i].H @ x), _ensure_pd(P)
+                a.x, a.P, a.time = x, P, k
+            x, P = a.held(k, A, Q)
+            assert np.array_equal(ts.x, x) and np.array_equal(ts.P, P)
+    assert any(fires) and not all(fires)
+    assert max(k - a.time for a in anchors) > 1      # some pair held over steps
 
 
 def path3_setup(delta=(0.3, 0.4, 0.8)):
@@ -311,14 +280,34 @@ def test_rounds_reject_states_out_of_agent_order():
         epdkf_round(swapped, triggers, ys, model, agents, top, 1)
     with pytest.raises(ValueError, match=r"states must have ids 0\.\.2 in order"):
         tpdkf_round(swapped, ys, model, agents, top, L=1)
-    assert all(ts.last_time == 0 for ts in triggers)
+    assert all(ts.time == 0 for ts in triggers)
 
 
 def test_epdkf_round_rejects_a_held_covariance_that_is_not_positive_definite():
     model, agents, top, states, triggers, ys = _round_args()
-    triggers[1].last_P = -100.0 * np.eye(4)
+    triggers[1].P = -100.0 * np.eye(4)
     with pytest.raises(ValueError, match="held covariance of agent 1 must be "
                                          "positive definite"):
+        epdkf_round(states, triggers, ys, model, agents, top, 1)
+
+
+@pytest.mark.parametrize("time", [0, 2])
+def test_epdkf_round_names_a_trigger_state_not_at_the_previous_step(time):
+    # a round skipped or run twice would extrapolate over the wrong gap
+    model, agents, top, states, triggers, ys = _round_args()
+    states, _ = epdkf_round(states, triggers, ys, model, agents, top, 1)
+    triggers[2].time = time
+    with pytest.raises(ValueError, match=f"^trigger state of agent 2 holds 4 states "
+                                         f"at step {time}, not 4 at step 1$"):
+        epdkf_round(states, triggers, ys, model, agents, top, 2)
+    assert [ts.time for ts in triggers] == [1, 1, time]
+
+
+def test_epdkf_round_names_an_agent_whose_held_pair_is_not_n_dimensional():
+    model, agents, top, states, triggers, ys = _round_args()
+    triggers[1] = TriggerState(np.zeros(3), np.eye(3), 0, 0.4)
+    with pytest.raises(ValueError, match="^trigger state of agent 1 holds 3 states "
+                                         "at step 0, not 4 at step 0$"):
         epdkf_round(states, triggers, ys, model, agents, top, 1)
 
 
@@ -386,15 +375,15 @@ def test_rounds_never_change_what_they_returned(mode, monkeypatch):
             states = tpdkf_round(states, ys, model, agents, top, L=2, k=k)
         else:
             states, fired = epdkf_round(states, triggers, ys, model, agents, top, k)
-            assert fired and all(triggers[i].last_time == k for i in fired)
+            assert fired and all(ts.time == k for ts in triggers)
         for arrays, copies in kept:
             assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
         arrays = [a for s in states for a in (s.estimate.x, s.estimate.P)]
         kept.append((arrays, [a.copy() for a in arrays]))
         returned = [a for arrays, _ in kept for a in arrays]
         for ts in triggers:
-            for anchor in (ts.last_x, ts.last_P):
-                assert not any(np.shares_memory(anchor, a) for a in returned + stacks)
+            for held in (ts.x, ts.P):
+                assert not any(np.shares_memory(held, a) for a in returned + stacks)
     assert len(stacks) > 0
 
 
@@ -414,8 +403,9 @@ def test_rounds_build_each_network_layout_once():
     assert (after.misses - before.misses, after.hits - before.hits) == (2, 58)
 
 
-def _copied_triggers(triggers):
-    return [TriggerState(ts.last_x.copy(), ts.last_P.copy(), ts.last_time, ts.delta)
+def _anchors(triggers):
+    """The reference's anchors for trigger states that hold step 0."""
+    return [oracles.Anchor(ts.x.copy(), ts.P.copy(), ts.time, ts.delta)
             for ts in triggers]
 
 
@@ -429,7 +419,7 @@ def test_rounds_on_interleaved_networks_match_reference_rounds():
         top = Topology(metropolis_weights(np.array(adj)))
         nets.append(dict(args=(model, agents, top), event=states, time=states,
                          trig=triggers, ref_event=states, ref_time=states,
-                         ref_trig=_copied_triggers(triggers)))
+                         ref_trig=_anchors(triggers)))
     rng = np.random.default_rng(9)
     broadcasts = 0
     for k in range(1, 21):

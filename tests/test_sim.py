@@ -265,16 +265,17 @@ def test_ckf_baseline_runs_and_diverges_without_constraint_rows():
 
 # --- engine and public rounds vs. the reference rounds -------------------------
 
-def _round_steps(cfg, tpdkf, epdkf):
+def _round_steps(cfg, tpdkf, epdkf, trigger=TriggerState):
     """Per step k = 0..T: the states and the fired set (None at k = 0 and in
     time mode) of the rounds `tpdkf`/`epdkf` on trial 0 of the engine's noise
-    stream, with the truth X."""
+    stream, with the truth X.  `epdkf` takes one `trigger(x, P, 0, delta)`
+    per agent: a `TriggerState`, or an `oracles.Anchor` for the reference."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     X, Y = generate_truth(cfg, rng)
     pairs = cfg.initial_pairs()
     states = [AgentState(i, ConsistentEstimate(x, P))
               for i, (x, P) in enumerate(pairs)]
-    trig = [TriggerState(x, P, 0, a.delta) for (x, P), a in zip(pairs, cfg.agents)]
+    trig = [trigger(x, P, 0, a.delta) for (x, P), a in zip(pairs, cfg.agents)]
     args = (cfg.model, cfg.agents, cfg.topology)
     steps = [(states, None)]
     for k in range(1, cfg.T + 1):
@@ -290,7 +291,8 @@ def _round_steps(cfg, tpdkf, epdkf):
 def _reference_run(cfg):
     """Per-step MSE, fired sets and final (error, P) per agent of the
     reference rounds `oracles.tpdkf_round`/`oracles.epdkf_round`."""
-    steps, X = _round_steps(cfg, oracles.tpdkf_round, oracles.epdkf_round)
+    steps, X = _round_steps(cfg, oracles.tpdkf_round, oracles.epdkf_round,
+                            oracles.Anchor)
     mse = [np.mean([np.sum((s.estimate.x - X[k]) ** 2) for s in states])
            for k, (states, _) in enumerate(steps)]
     fired = {k: f for k, (_, f) in enumerate(steps) if f}
@@ -804,7 +806,8 @@ def test_public_rounds_equal_the_engine_bit_for_bit(cfg):
 def test_public_rounds_match_reference_rounds(cfg):
     # the stacked rounds against the per-agent composition, step by step
     got, _ = _round_steps(cfg, tpdkf_round, epdkf_round)
-    want, _ = _round_steps(cfg, oracles.tpdkf_round, oracles.epdkf_round)
+    want, _ = _round_steps(cfg, oracles.tpdkf_round, oracles.epdkf_round,
+                           oracles.Anchor)
     for (states, fired), (ref, ref_fired) in zip(got, want):
         assert fired == ref_fired
         assert [s.id for s in states] == [s.id for s in ref]
