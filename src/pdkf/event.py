@@ -26,12 +26,13 @@ from .model import AgentSpec, SystemModel, Topology, _check_finite
 
 @dataclass
 class TriggerState:
-    """What an agent's neighbors hold of it, plus its trigger threshold: the
-    held pair (x, P) of step `time`, its last broadcast extrapolated to that
-    step.  The initial state counts as a broadcast at time 0; each event round
-    advances the pair in `filter_step` and re-anchors it where the agent
-    fires.  x and P are copied and, as in `ConsistentEstimate`, must be
-    finite with P of shape (len(x), len(x)).
+    """What an agent's neighbors hold of it, plus its trigger threshold
+    (which the rounds require to equal its `AgentSpec.delta`): the held pair
+    (x, P) of step `time`, its last broadcast extrapolated to that step.  The
+    initial state counts as a broadcast at time 0; each event round advances
+    the pair in `filter_step` and re-anchors it where the agent fires.  x and
+    P are copied and, as in `ConsistentEstimate`, must be finite with P of
+    shape (len(x), len(x)).
     """
 
     x: np.ndarray
@@ -199,13 +200,16 @@ def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
     layout = step_layout(agents, topology, triggers is not None)
     held = deltas = None
     if triggers is not None:
-        for i, ts in enumerate(triggers):
+        for i, (ts, a) in enumerate(zip(triggers, agents)):
             if ts.time != k - 1 or ts.x.shape != (len(A),):
                 raise ValueError(f"trigger state of agent {i} holds {ts.x.size} states at "
                                  f"step {ts.time}, not {len(A)} at step {k - 1}")
+            if ts.delta != a.delta:     # the rounds fire on AgentSpec.delta, as the engine does
+                raise ValueError(f"trigger state of agent {i} has delta {ts.delta}, "
+                                 f"but its AgentSpec has delta {a.delta}")
         held = (np.stack([ts.x for ts in triggers])[:, :, None],
                 np.stack([ts.P for ts in triggers]))
-        deltas = np.array([ts.delta for ts in triggers])
+        deltas = np.array([a.delta for a in agents])
     est, P, _, fired, held = filter_step(
         layout, np.stack([st.estimate.x for st in states])[:, :, None],
         np.stack([st.estimate.P for st in states]),
@@ -242,7 +246,8 @@ def epdkf_round(states: list[AgentState], trigger_states: list[TriggerState],
     own trigger and broadcast on fire.  Phase 2: fuse the own fresh pair with
     neighbor pairs (fresh if fired, extrapolated otherwise), then project once.
     One `filter_step` on the stacked states and held pairs; every trigger
-    state must hold step k − 1 and is left holding step k.
+    state must hold step k − 1 and the agent's own δ (`AgentSpec.delta`, as
+    the engine reads it), and is left holding step k.
     """
     if not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")

@@ -2,8 +2,8 @@
 
 A `SystemModel` describes the shared linear dynamics, `AgentSpec` the per-agent
 observation and equality-constraint blocks, `Topology` the directed communication
-graph with its fusion weights, and `GlobalConstraint` the stacked independent
-constraint rows that every agent's local constraint implies.
+graph with its fusion weights, and `GlobalConstraint` the orthonormal rows of
+the constraint that every agent's local constraint implies.
 
 All types are plain value objects; validation happens at construction time and
 every operation here is side-effect free.
@@ -254,7 +254,10 @@ class Topology:
 
 @dataclass(frozen=True)
 class GlobalConstraint:
-    """Stacked independent constraint rows Dbar x = dbar implied by all agents."""
+    """The constraint Dbar x = dbar implied by all agents, with orthonormal
+    rows: Dbar·Dbarᵀ = I within 1e-12.  So I − DbarᵀDbar projects onto the
+    constraint set's tangent space and Dbar·e holds the constrained
+    coordinates of an error e (`build_global_constraint` makes such rows)."""
 
     Dbar: np.ndarray
     dbar: np.ndarray
@@ -267,10 +270,10 @@ class GlobalConstraint:
         object.__setattr__(self, "dbar", np.asarray(self.dbar, dtype=float).ravel())
         if Dbar.shape[0] != self.dbar.shape[0]:
             raise ValueError("Dbar and dbar disagree on the number of rows")
-        if self.s_bar == 0:
-            return
-        if matrix_rank(Dbar) < Dbar.shape[0]:
-            raise ValueError("Dbar must have full row rank")
+        off = np.abs(Dbar @ Dbar.T - np.eye(self.s_bar)).max(initial=0.0)
+        if not off <= 1e-12:            # NaN included
+            raise ValueError(f"Dbar must have orthonormal rows (so full row rank): "
+                             f"|Dbar·Dbarᵀ − I| reaches {off:.3g}")
 
     @property
     def s_bar(self) -> int:
@@ -307,49 +310,31 @@ def metropolis_weights(adjacency) -> np.ndarray:
 
 
 def build_global_constraint(agents: list[AgentSpec]) -> GlobalConstraint:
-    """Stack all agents' nonzero constraint rows into one independent system.
+    """The global constraint D̄x = d̄ that all agents' constraint rows imply.
 
-    Linearly dependent rows are dropped after a consistency check (a dependent
-    row whose right-hand side disagrees with the rows that span it makes the
-    constraint set empty → rejected).  Kept rows are normalized to unit norm
-    and the stacked pair rescaled so Dbar·Dbarᵀ ≤ I.
+    The agents' rows, each normalized to unit norm, are stacked and split by
+    one SVD: D̄ is the orthonormal basis of their row space (D̄D̄ᵀ = I) and
+    d̄ = D̄x*, with x* the stack's least-norm common solution.  A normalized
+    row that x* misses by more than 1e-8 (relative) makes the constraint set
+    empty; the error starts with ``agents:`` and names the agents whose rows
+    x* misses.
     """
-    rows, rhs = [], []
-    for a in agents:
-        if a.has_constraint:
-            for r, c in zip(a.D, a.d):
-                rows.append(np.asarray(r, dtype=float))
-                rhs.append(float(c))
-    if not rows:
+    held = [i for i, a in enumerate(agents) if a.has_constraint]
+    if not held:
         n = agents[0].H.shape[1] if agents else 0
         return GlobalConstraint(np.zeros((0, n)), np.zeros(0))
-
-    kept_rows: list[np.ndarray] = []
-    kept_rhs: list[float] = []
-    for r, c in zip(rows, rhs):
-        if kept_rows:
-            stacked = np.vstack(kept_rows + [r])
-            if matrix_rank(stacked) == len(kept_rows):
-                # r is spanned by the kept rows; its rhs must agree
-                coeff, *_ = np.linalg.lstsq(np.vstack(kept_rows).T, r, rcond=None)
-                implied = float(coeff @ np.asarray(kept_rhs))
-                scale = max(1.0, abs(c), abs(implied))
-                if abs(implied - c) > 1e-8 * scale:
-                    raise ValueError(
-                        "inconsistent constraints: a dependent row has "
-                        f"right-hand side {c} but the spanning rows imply {implied}"
-                    )
-                continue
-        norm = np.linalg.norm(r)
-        if norm < 1e-300:
-            continue
-        kept_rows.append(r / norm)
-        kept_rhs.append(c / norm)
-
-    Dbar = np.vstack(kept_rows)
-    dbar = np.asarray(kept_rhs)
-    smax = np.linalg.svd(Dbar, compute_uv=False)[0]
-    if smax > 1.0:
-        Dbar = Dbar / smax
-        dbar = dbar / smax
+    D = np.vstack([agents[i].D for i in held])
+    d = np.concatenate([agents[i].d for i in held])
+    owner = np.repeat(held, [agents[i].D.shape[0] for i in held])
+    norm = np.linalg.norm(D, axis=1)
+    D, d = D / norm[:, None], d / norm
+    U, s, Vt = np.linalg.svd(D, full_matrices=False)
+    r = int(np.sum(s > _RANK_RTOL * s[0]))
+    Dbar, dbar = Vt[:r], (U[:, :r].T @ d) / s[:r]     # d̄ = D̄x* for x* = D̄ᵀd̄
+    Dx = D @ (Dbar.T @ dbar)
+    missed = np.abs(Dx - d) > 1e-8 * np.maximum(1.0, np.maximum(np.abs(d), np.abs(Dx)))
+    if missed.any():
+        raise ValueError(f"agents: inconsistent constraints: the constraint set is "
+                         f"empty, as no state meets every row of agents "
+                         f"{np.unique(owner[missed]).tolist()}")
     return GlobalConstraint(Dbar, dbar)

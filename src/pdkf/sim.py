@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import filter as filt
-from .analysis import (constraint_error, pilot_contraction_factors,
-                       space_decomposition)
+from .analysis import pilot_contraction_factors
 from .event import _grouped, filter_step, step_layout
 from .model import (AgentSpec, GlobalConstraint, SystemModel, Topology,
                     _check_covariance, _check_finite,
@@ -68,6 +67,8 @@ class ScenarioConfig:
     sim_r: list | None = None            # actual measurement noise; None -> agent R
     checkpoints: tuple = (50, 150, 250)
     name: str = "scenario"
+    # derived from `agents` on construction; raises on an empty constraint set
+    global_constraint: GlobalConstraint = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.name, str):
@@ -92,6 +93,7 @@ class ScenarioConfig:
         for i, a in enumerate(self.agents):
             if a.H.shape[1] != n or a.D.shape[1] != n:
                 raise ValueError(f"agent {i}: H and D need {n} columns")
+        self.global_constraint = build_global_constraint(self.agents)
         for attr in ("x0_hat", "P0_init", "x0_cov", "sim_q"):
             v = getattr(self, attr)
             if v is not None:
@@ -195,8 +197,7 @@ def _affine(M: np.ndarray, X: np.ndarray, c) -> np.ndarray:
 
 
 def generate_truth(cfg: ScenarioConfig,
-                   rng: np.random.Generator | Sequence[np.random.Generator],
-                   gc: GlobalConstraint | None = None):
+                   rng: np.random.Generator | Sequence[np.random.Generator]):
     """True trajectories and all agent measurements, of one trial or a block.
 
     With one Generator `rng`: one trial, (states (T+1, n), [per-agent
@@ -205,16 +206,15 @@ def generate_truth(cfg: ScenarioConfig,
     same code on a block of one, so it equals column j of a block drawn on
     the same generators bit for bit.  Each trial draws from its own generator
     in the order of the module docstring.  x0 is drawn from the configured
-    initial distribution and projected onto the global constraint set;
+    initial distribution and projected onto `cfg.global_constraint`;
     process noise is projected onto the constraint tangent space so
-    D̄·x_k = d̄ holds at every step.  Measurement row k-1 belongs to step k;
-    an agent without a measurement gets exact zeros.
+    D̄·x_k = d̄ holds at every step.  D̄ has orthonormal rows, so the
+    projection is x ↦ (I − D̄ᵀD̄)x + D̄ᵀd̄, with no inverse.  Measurement row
+    k-1 belongs to step k; an agent without a measurement gets exact zeros.
     """
     single = hasattr(rng, "standard_normal")
     rngs = [rng] if single else list(rng)
-    model, T, n = cfg.model, cfg.T, cfg.model.n
-    if gc is None:
-        gc = build_global_constraint(cfg.agents)
+    model, T, n, gc = cfg.model, cfg.T, cfg.model.n, cfg.global_constraint
     X = np.empty((T + 1, n, len(rngs)))
     Y = [np.empty((T, a.H.shape[0], len(rngs))) for a in cfg.agents]
     for j, r in enumerate(rngs):        # the raw draws, straight into the blocks
@@ -223,11 +223,9 @@ def generate_truth(cfg: ScenarioConfig,
         for Yi in Y:                    # drawn even if unused: fixed stream order
             Yi[:, :, j] = r.standard_normal(Yi.shape[:2])
 
-    # the projection x ↦ tangent x + c, folded into each noise factor and A_k
-    tangent, c = np.eye(n), np.zeros((n, 1))
-    if not gc.empty:
-        G = gc.Dbar.T @ np.linalg.inv(gc.Dbar @ gc.Dbar.T)
-        tangent, c = tangent - G @ gc.Dbar, G @ gc.dbar[:, None]
+    # the projection x ↦ tangent x + c, folded into each noise factor and A_k;
+    # without constraint rows it is exactly x ↦ I x + 0
+    tangent, c = np.eye(n) - gc.Dbar.T @ gc.Dbar, gc.Dbar.T @ gc.dbar[:, None]
     x0_cov = cfg.x0_cov if cfg.x0_cov is not None else model.P0
     X[0] = _affine(tangent @ _psd_sqrt(x0_cov), X[0],
                    tangent @ model.x0_mean[:, None] + c)
@@ -246,9 +244,8 @@ def _noise_blocks(cfg: ScenarioConfig, trials: int, seed: int,
                   truth_cfg: ScenarioConfig | None = None):
     """Stacked truth/measurement blocks: X (T+1, n, trials), Y_i (T, m_i, trials)."""
     src = truth_cfg if truth_cfg is not None else cfg
-    gc = build_global_constraint(src.agents)
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(trials)]
-    return (*generate_truth(src, rngs, gc), gc)
+    return (*generate_truth(src, rngs), src.global_constraint)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +301,9 @@ class _Recorder:
     def __init__(self, cfg: ScenarioConfig, trials: int, seed: int,
                  gc: GlobalConstraint, constraints: list, event: bool = False):
         """`constraints` holds one (D, d) pair or None per recorded estimate;
-        residuals are evaluated against these.  `event` keeps trigger rows."""
+        residuals are evaluated against these.  `event` keeps trigger rows.
+        At each checkpoint `constraint_sq` takes the constrained coordinates
+        of each agent's error block e as D̄·e (`gc` has orthonormal rows)."""
         T, topo = cfg.T, cfg.topology
         rows = (T if event else 0, topo.N)
         self.constraints = _grouped(constraints)
@@ -317,7 +316,6 @@ class _Recorder:
             trace_p_agent=np.zeros((T + 1, len(constraints))))
         self.out_deg = np.array([topo.out_degree0(i) for i in range(topo.N)])
         self.gc = gc
-        self.F = None if gc.empty else space_decomposition(gc.Dbar)[0]
 
     def record(self, k: int, est: np.ndarray, x_k: np.ndarray, P: np.ndarray,
                g=None, fired=None):
@@ -338,8 +336,8 @@ class _Recorder:
             for i, e in enumerate(errs):
                 m.sample_moment[(k, i)] = e @ e.T / est.shape[2]
                 m.P_checkpoint[(k, i)] = P[i].copy()
-                if self.F is not None:
-                    comp = constraint_error(est[i], x_k, self.F, self.gc.s_bar)
+                if not self.gc.empty:
+                    comp = self.gc.Dbar @ e
                     m.constraint_sq[(k, i)] = float(np.mean(np.sum(comp * comp, axis=0)))
 
     def finish(self) -> RunMetrics:
@@ -416,9 +414,10 @@ def ckf_baseline(cfg: ScenarioConfig) -> RunMetrics:
     x0, P = cfg.initial_pairs()[0]      # a new array; each step rebinds P
     x = np.tile(x0.reshape(-1, 1), (1, trials))
 
-    # report residuals against the global constraint set, exposing the
-    # violation the unconstrained filter accumulates
-    pairs = [None if gc.empty else (gc.Dbar, gc.dbar)]
+    # report residuals against every agent's own (D_i, d_i), as the other
+    # drivers do, exposing the violation the unconstrained filter accumulates
+    rows = [(a.D, a.d) for a in cfg.agents if a.has_constraint]
+    pairs = [tuple(map(np.concatenate, zip(*rows))) if rows else None]
     rec = _Recorder(cfg, trials, cfg.seed, gc, pairs)
     rec.record(0, x[None], X[0], P[None])
     for k in range(1, T + 1):

@@ -290,7 +290,7 @@ def test_space_decomposition_properties():
 
 
 def test_space_decomposition_accepts_global_constraint():
-    gc = GlobalConstraint(Dbar=np.array([[0.0, 0.6]]), dbar=np.zeros(1))
+    gc = GlobalConstraint(Dbar=np.array([[0.0, 1.0]]), dbar=np.zeros(1))
     F, Dt = space_decomposition(gc)
     assert np.allclose(np.abs(F), np.eye(2))
     with pytest.raises(ValueError, match="row rank"):

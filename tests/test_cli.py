@@ -255,6 +255,27 @@ def test_bad_scenario_values_exit_two(case1_file, tmp_path, capsys, path,
     assert not (tmp_path / "mc" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eco-check"], ["threshold-bound"], ["rate-bound", "--delta", "1.2", "--horizon", "50"],
+    ["mc"], ["run-tpdkf"], ["run-epdkf"],
+], ids=lambda argv: argv[0])
+def test_contradictory_constraints_exit_two_before_any_output(case1_file, tmp_path,
+                                                              capsys, argv):
+    # agent 0 keeps the road through the origin; agent 2's is moved off it
+    with open(case1_file) as fh:
+        raw = json.load(fh)
+    raw["agents"][2]["d"] = [1.0, 0.0]
+    bad = tmp_path / "bad.scn"
+    bad.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    rc = cli.main([argv[0], str(bad), *argv[1:], "--out", str(out)])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: malformed scenario file {str(bad)!r}: agents: inconsistent constraints: "
+        f"the constraint set is empty, as no state meets every row of agents [0, 2]\n")
+    assert not out.exists()
+
+
 def test_scenario_numbers_need_no_decimal_point(case1_file, tmp_path):
     # a real field may hold a JSON integer: it loads as that float
     with open(case1_file) as fh:

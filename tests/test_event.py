@@ -303,6 +303,21 @@ def test_epdkf_round_names_a_trigger_state_not_at_the_previous_step(time):
     assert [ts.time for ts in triggers] == [1, 1, time]
 
 
+def test_epdkf_round_names_a_trigger_state_whose_delta_is_not_the_agents():
+    # the engine fires on AgentSpec.delta; a round firing on another δ (case1
+    # at T = 10: 0 broadcasts at δ = 100, 11 at the agents' δ) would disagree
+    cfg = case1(mode="event", T=10)
+    pairs = cfg.initial_pairs()
+    states = [AgentState(i, ConsistentEstimate(x, P)) for i, (x, P) in enumerate(pairs)]
+    triggers = [TriggerState(x, P, 0, a.delta) for (x, P), a in zip(pairs, cfg.agents)]
+    triggers[1] = TriggerState(*pairs[1], 0, 100.0)
+    ys = [np.zeros(a.H.shape[0]) for a in cfg.agents]
+    with pytest.raises(ValueError, match=r"^trigger state of agent 1 has delta 100\.0, "
+                                         r"but its AgentSpec has delta 0\.4$"):
+        epdkf_round(states, triggers, ys, cfg.model, cfg.agents, cfg.topology, 1)
+    assert [ts.time for ts in triggers] == [0, 0, 0]
+
+
 def test_epdkf_round_names_an_agent_whose_held_pair_is_not_n_dimensional():
     model, agents, top, states, triggers, ys = _round_args()
     triggers[1] = TriggerState(np.zeros(3), np.eye(3), 0, 0.4)

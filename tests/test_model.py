@@ -306,8 +306,9 @@ def test_build_global_constraint_keeps_feasible_point():
 def test_build_global_constraint_rejects_contradiction():
     a1 = make_agent(D=np.array([[1.0, 0, 0, 0]]), d=np.array([1.0]))
     a2 = make_agent(D=np.array([[2.0, 0, 0, 0]]), d=np.array([5.0]))
-    with pytest.raises(ValueError, match="[Ii]nconsistent|empty"):
-        build_global_constraint([a1, a2])
+    with pytest.raises(ValueError, match=r"^agents: inconsistent constraints: the "
+                                         r"constraint set is empty, .* agents \[0, 2\]$"):
+        build_global_constraint([a1, make_agent(), a2])
 
 
 def test_build_global_constraint_empty():
@@ -319,6 +320,84 @@ def test_build_global_constraint_empty():
 def test_global_constraint_validates_rank():
     with pytest.raises(ValueError, match="full row rank"):
         GlobalConstraint(Dbar=np.array([[1.0, 0], [2.0, 0]]), dbar=np.zeros(2))
+
+
+@pytest.mark.parametrize("Dbar", [
+    [[0.0, 0.6]],
+    np.array([[1.0, 0.0], [1.0, 1.0]]) / np.array([[1.0], [np.sqrt(2.0)]]),
+    [[0.0, np.nan]],
+], ids=["short-row", "unit-rows-not-orthogonal", "nan"])
+def test_global_constraint_rejects_rows_that_are_not_orthonormal(Dbar):
+    # its consumers read I − DbarᵀDbar as the tangent projector
+    with pytest.raises(ValueError, match=r"orthonormal rows \(so full row rank\)"):
+        GlobalConstraint(Dbar=Dbar, dbar=np.zeros(len(Dbar)))
+
+
+def _floats(draw, *shape, lo, hi):
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
+def _full_row_rank(draw, s, k):
+    """(s, k), s ≤ k: a diagonal leading block in ±[0.5, 2] keeps every
+    singular value at least 0.5."""
+    M = _floats(draw, s, k, lo=-5.0, hi=5.0)
+    M[:, :s] = np.diag(_floats(draw, s, lo=0.5, hi=2.0)
+                       * draw(st.sampled_from([1.0, -1.0])))
+    return M
+
+
+@st.composite
+def consistent_stacks(draw):
+    """(agents, base, B, point): a block B (k × n, full row rank), a point x*,
+    and 1–5 agents whose rows all lie in B's row space, each with
+    d_i = D_i x*.  Agent `base` holds B's rows rescaled; every other holds no
+    rows, rescaled copies of some of B's rows, or combinations C·B."""
+    n = draw(st.integers(1, 4))
+    B = _full_row_rank(draw, draw(st.integers(1, n)), n)
+    point = _floats(draw, n, lo=-10.0, hi=10.0)
+    blocks = [B]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["none", "copy", "combination"]))
+        if kind == "copy":
+            rows = draw(st.lists(st.integers(0, len(B) - 1), min_size=1,
+                                 max_size=len(B), unique=True))
+            blocks.append(B[rows])
+        elif kind == "combination":
+            blocks.append(_full_row_rank(draw, draw(st.integers(1, len(B))), len(B)) @ B)
+        else:
+            blocks.append(np.zeros((0, n)))
+    order = draw(st.permutations(range(len(blocks))))
+    scaled = [blocks[j] * _floats(draw, len(blocks[j]), 1, lo=0.1, hi=10.0) for j in order]
+    return [make_agent(D=D, d=D @ point, n=n) for D in scaled], order.index(0), B, point
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=consistent_stacks(), data=st.data())
+def test_build_global_constraint_is_one_orthonormal_basis_of_the_set(stack, data):
+    agents, base, B, point = stack
+    gc = build_global_constraint(agents)
+    n = B.shape[1]
+    assert np.abs(gc.Dbar @ gc.Dbar.T - np.eye(gc.s_bar)).max() <= 1e-12
+    assert gc.s_bar == matrix_rank(np.vstack([a.D for a in agents]))
+    # points of the set: x* plus steps along B's null space
+    null = np.linalg.svd(B)[2][len(B):]
+    for z in data.draw(st.lists(st.lists(st.floats(-10.0, 10.0), min_size=len(null),
+                                         max_size=len(null)), min_size=1, max_size=3)):
+        x = point + np.asarray(z) @ null.reshape(-1, n)
+        assert np.abs(gc.Dbar @ x - gc.dbar).max() <= 1e-10
+    # an agent other than `base` holds rows that `base` spans, so moving one
+    # of its right-hand sides leaves no state that meets every row
+    movable = [i for i, a in enumerate(agents) if a.has_constraint and i != base]
+    if movable:
+        i = data.draw(st.sampled_from(movable))
+        moved = agents[i].d.copy()
+        moved[data.draw(st.integers(0, len(moved) - 1))] += (
+            1.0 + np.abs(moved).max()) * np.abs(agents[i].D).max()
+        agents[i] = make_agent(D=agents[i].D, d=moved, n=n)
+        with pytest.raises(ValueError, match=rf"^agents: .*\b{i}\b"):
+            build_global_constraint(agents)
 
 
 # --- matrix_rank --------------------------------------------------------

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdkf import sim
-from pdkf.analysis import pilot_contraction_factors
+from pdkf.analysis import constraint_error, pilot_contraction_factors, space_decomposition
 from pdkf.event import TriggerState, epdkf_round, tpdkf_round
 from pdkf.filter import AgentState, ConsistentEstimate
-from pdkf.model import AgentSpec, SystemModel, Topology, build_global_constraint
+from pdkf.model import (AgentSpec, GlobalConstraint, SystemModel, Topology,
+                        build_global_constraint)
 from pdkf.sim import (
     ROAD_D,
     ScenarioConfig,
@@ -98,8 +99,13 @@ def test_sim_r_needs_one_entry_per_agent():
     (dict(sim_r=[None, np.array([[-1.0]]), None]), r"sim_r\[1\]"),
     (dict(seed=-1), "seed"),
     (dict(agents=[]), "agents"),
+    # agent 2's road moved off agent 0's: no state meets both
+    (dict(agents=case1().agents[:2] + [dataclasses.replace(case1().agents[2],
+                                                           d=np.array([1.0, 0.0]))]),
+     r"^agents: inconsistent constraints: .*every row of agents \[0, 2\]$"),
 ], ids=["nan-x0_hat", "short-x0_hat", "indefinite-P0_init", "asymmetric-x0_cov",
-        "inf-sim_q", "small-sim_q", "negative-sim_r", "negative-seed", "no-agents"])
+        "inf-sim_q", "small-sim_q", "negative-sim_r", "negative-seed", "no-agents",
+        "contradictory-d"])
 def test_scenario_rejects_bad_overrides(override, field):
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(case1(), **override)
@@ -118,7 +124,7 @@ def test_scenario_rejects_agent_of_other_width():
 def test_truth_respects_heading_constraint():
     cfg = case1(T=80)
     gc = build_global_constraint(cfg.agents)
-    X, _ = generate_truth(cfg, np.random.default_rng(1), gc)
+    X, _ = generate_truth(cfg, np.random.default_rng(1))
     assert np.abs(gc.Dbar @ X.T - gc.dbar[:, None]).max() < 1e-9
     # the 60-degree road: position and velocity components keep a sqrt(3) ratio
     assert np.allclose(X[:, 0], SQRT3 * X[:, 1], atol=1e-9)
@@ -185,14 +191,14 @@ def _close(a, b, rtol):
 def test_truth_blocks_match_the_per_trial_generator(cfg):
     children = np.random.SeedSequence(cfg.seed).spawn(3)
     gc = build_global_constraint(cfg.agents)
-    X, Y = generate_truth(cfg, [np.random.default_rng(c) for c in children], gc)
+    X, Y = generate_truth(cfg, [np.random.default_rng(c) for c in children])
     for j, child in enumerate(children):
         Xo, Yo = oracles.generate_truth(cfg, np.random.default_rng(child), gc)
         assert _close(X[..., j], Xo, 1e-12)
         for Yi, Yoi in zip(Y, Yo):
             assert _close(Yi[..., j], Yoi, 1e-12)
         # the one-trial form is the block code on a block of one
-        Xs, Ys = generate_truth(cfg, np.random.default_rng(child), gc)
+        Xs, Ys = generate_truth(cfg, np.random.default_rng(child))
         assert np.array_equal(Xs, X[..., j])
         assert all(np.array_equal(a, b[..., j]) for a, b in zip(Ys, Y))
     for a, Yi in zip(cfg.agents, Y):
@@ -251,6 +257,25 @@ def test_consensus_baseline_equals_filter_when_unconstrained():
     assert np.array_equal(a.trace_p, b.trace_p)
 
 
+@pytest.mark.parametrize("cfg", [case1(trials=200), case2(T=150, trials=20)],
+                         ids=["case1", "case2"])
+def test_constraint_sq_is_the_public_constraint_error(cfg):
+    # the recorder reads D̄·e; the public definition is the last s̄ coordinates
+    # of Fᵀe, summed over coordinates, with F from space_decomposition
+    rm = monte_carlo(cfg)
+    X, Y, gc = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
+    F = space_decomposition(gc)[0]
+    assert rm.checkpoints == tuple(k for k in (50, 150, 250) if k <= cfg.T)
+    for k, (est, *_) in enumerate(sim._filter_path(cfg, cfg.mode, Y)):
+        if k not in rm.checkpoints:
+            continue
+        want = np.array([np.mean(np.sum(constraint_error(e, X[k], F, gc.s_bar) ** 2, axis=0))
+                         for e in est])
+        got = np.array([rm.constraint_sq[(k, i)] for i in range(len(est))])
+        # per agent against the agent mean: an agent on the set has rounding noise
+        assert np.abs(got - want).max() <= 1e-10 * want.mean()
+
+
 def test_constraint_residuals_tiny_on_case1():
     rm = run_time_based(case1(mode="time", T=60))
     assert rm.constraint_residuals.max() < 1e-9
@@ -261,6 +286,44 @@ def test_ckf_baseline_runs_and_diverges_without_constraint_rows():
     # its covariance keeps growing on the marginally stable vehicle model
     rm = ckf_baseline(case1(mode="time", T=120))
     assert rm.trace_p[120] > 3 * rm.trace_p[40]
+
+
+def test_ckf_residual_does_not_depend_on_the_constraint_basis(monkeypatch):
+    # D̄ is one orthonormal basis of the row space, chosen by the SVD; the
+    # baseline's residual is taken against the agents' own (D_i, d_i), so a
+    # rotated D̄ moves it only through the truth's last bits, and rows scaled
+    # by 3 in every constrained agent scale it by 3
+    cfg = case1(mode="time", T=60, trials=5)
+    a = ckf_baseline(cfg).constraint_residuals
+    c, s = np.cos(0.7), np.sin(0.7)
+    R = np.array([[c, -s], [s, c]])
+
+    def rotated_basis(agents):
+        gc = build_global_constraint(agents)
+        return GlobalConstraint(Dbar=R @ gc.Dbar, dbar=R @ gc.dbar)
+    with monkeypatch.context() as mp:
+        mp.setattr(sim, "build_global_constraint", rotated_basis)
+        rotated = dataclasses.replace(cfg)
+    assert not np.allclose(rotated.global_constraint.Dbar, cfg.global_constraint.Dbar)
+    b = ckf_baseline(rotated).constraint_residuals
+    assert a[1:].min() > 0
+    assert np.allclose(b, a, rtol=1e-9, atol=0)
+    scaled = dataclasses.replace(cfg, agents=[
+        dataclasses.replace(ag, D=3 * ag.D, d=3 * ag.d) for ag in cfg.agents])
+    assert np.allclose(ckf_baseline(scaled).constraint_residuals, 3 * a, rtol=1e-9, atol=0)
+
+
+def test_runs_read_the_constraint_their_config_built(monkeypatch):
+    # ScenarioConfig builds D̄ once; the truth, the recorder and the baseline
+    # read that one instead of building it again
+    cfg = case1(mode="time", T=20, trials=3)
+    event = dataclasses.replace(cfg, mode="event")
+    built = []
+    monkeypatch.setattr(sim, "build_global_constraint", built.append)
+    monte_carlo(cfg)
+    run_event(event)
+    ckf_baseline(cfg)
+    assert built == []
 
 
 # --- engine and public rounds vs. the reference rounds -------------------------
@@ -466,6 +529,7 @@ def scenario_configs(draw):
     model = SystemModel(A=A, Q=Q, x0_mean=_array(draw, n, min_value=-1e3, max_value=1e3),
                         P0=_covariance(draw, n))
     agents = []
+    point = _array(draw, n, min_value=-10.0, max_value=10.0)  # every agent's d meets it
     for _ in range(N):
         m, s = draw(st.integers(1, 2)), draw(st.integers(0, n))
         # full row rank: the leading s × s block is diagonal and nonsingular
@@ -475,7 +539,7 @@ def scenario_configs(draw):
         R[np.diag_indices(m)] += 1.0
         agents.append(AgentSpec(
             H=_array(draw, m, n, min_value=-10.0, max_value=10.0), R=R,
-            D=D, d=_array(draw, s, min_value=-10.0, max_value=10.0),
+            D=D, d=D @ point,
             eps=draw(_floats(min_value=1e-6, max_value=1.0)),
             delta=draw(_floats(min_value=0.0, max_value=10.0))))
     # a cycle keeps every network strongly connected; extra edges at random
