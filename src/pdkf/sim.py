@@ -8,8 +8,9 @@ stack and the (N, n, trials) state stack together: each step runs every
 `filter`/`event` kernel once on the agent stack, fusing the pairs gathered
 over the network's real edges (the cached, slot-major `event.step_layout`,
 each agent's neighbors in order), applies the maps to all trials at once,
-then drops them.  The Monte Carlo runs and the design pilot
-(`pilot_betas`, on zero trials) share that pass.
+then drops them.  The runs, the Monte Carlo, both baselines (the centralized
+one as a one-agent network) and the design pilot (`pilot_betas`, on zero
+trials) share that pass, and `_run_core` alone records it.
 
 Reproducibility contract: the master seed is split with
 ``np.random.SeedSequence(seed).spawn(trials)`` and trial j draws from
@@ -240,12 +241,10 @@ def generate_truth(cfg: ScenarioConfig,
     return (X[..., 0], [Yi[..., 0] for Yi in Y]) if single else (X, Y)
 
 
-def _noise_blocks(cfg: ScenarioConfig, trials: int, seed: int,
-                  truth_cfg: ScenarioConfig | None = None):
+def _noise_blocks(cfg: ScenarioConfig, trials: int, seed: int):
     """Stacked truth/measurement blocks: X (T+1, n, trials), Y_i (T, m_i, trials)."""
-    src = truth_cfg if truth_cfg is not None else cfg
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(trials)]
-    return (*generate_truth(src, rngs), src.global_constraint)
+    return generate_truth(cfg, rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +353,37 @@ class _Recorder:
 # simulation drivers
 
 
-def _run_core(cfg: ScenarioConfig, mode: str, trials: int, seed: int,
-              truth_cfg: ScenarioConfig | None = None) -> RunMetrics:
-    X, Y, gc = _noise_blocks(cfg, trials, seed, truth_cfg)
-    own = [(a.D, a.d) if a.has_constraint else None for a in cfg.agents]
-    rec = _Recorder(cfg, trials, seed, gc, own, event=mode == "event")
+def _own_rows(agents: list) -> list:
+    """Each agent's own (D_i, d_i), or None for an unconstrained agent."""
+    return [(a.D, a.d) if a.has_constraint else None for a in agents]
+
+
+def _run_core(cfg: ScenarioConfig, mode: str, seed: int, X: np.ndarray, Y: list,
+              gc: GlobalConstraint, rows: list) -> RunMetrics:
+    """One pass of cfg's network over the measurement blocks Y, recorded
+    against the truth X: the one place a `_filter_path` is recorded.  The
+    truth's constraint `gc` and the residual `rows`, one (D, d) or None per
+    agent of cfg, come from the scenario X and Y were drawn from."""
+    rec = _Recorder(cfg, X.shape[2], seed, gc, rows, event=mode == "event")
     for k, (est, P, g, fired) in enumerate(_filter_path(cfg, mode, Y)):
         rec.record(k, est, X[k], P, g, fired)
     return rec.finish()
 
 
+def _run(cfg: ScenarioConfig, mode: str, trials: int, seed: int) -> RunMetrics:
+    """The filter of `mode` on truth drawn from cfg itself."""
+    return _run_core(cfg, mode, seed, *_noise_blocks(cfg, trials, seed),
+                     cfg.global_constraint, _own_rows(cfg.agents))
+
+
 def run_time_based(cfg: ScenarioConfig) -> RunMetrics:
     """Single-trial run of the time-based filter over the full horizon."""
-    return _run_core(cfg, "time", 1, cfg.seed)
+    return _run(cfg, "time", 1, cfg.seed)
 
 
 def run_event(cfg: ScenarioConfig) -> RunMetrics:
     """Single-trial run of the event-triggered filter; λ is the measured rate."""
-    return _run_core(cfg, "event", 1, cfg.seed)
+    return _run(cfg, "event", 1, cfg.seed)
 
 
 def monte_carlo(cfg: ScenarioConfig, trials: int | None = None,
@@ -381,7 +393,7 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None,
     s = cfg.seed if seed is None else int(seed)
     if t < 1:
         raise ValueError("trials must be at least 1")
-    return _run_core(cfg, cfg.mode, t, s)
+    return _run(cfg, cfg.mode, t, s)
 
 
 def pilot_betas(cfg: ScenarioConfig) -> tuple:
@@ -399,47 +411,35 @@ def pilot_betas(cfg: ScenarioConfig) -> tuple:
 
 def ckf_baseline(cfg: ScenarioConfig) -> RunMetrics:
     """Centralized Kalman filter on the stacked measurement model (no
-    constraint information).  Shares the truth draws with the other drivers."""
-    X, Y, gc = _noise_blocks(cfg, cfg.trials, cfg.seed)
-    model, n, T, trials = cfg.model, cfg.model.n, cfg.T, cfg.trials
-    idx = [i for i, a in enumerate(cfg.agents) if a.has_measurement]
-    Hs = np.vstack([cfg.agents[i].H for i in idx]) if idx else np.zeros((0, n))
-    Rs = np.zeros((Hs.shape[0],) * 2)
-    at = 0
-    for i in idx:
-        m = cfg.agents[i].R.shape[0]
-        Rs[at:at + m, at:at + m] = cfg.agents[i].R
-        at += m
-
-    x0, P = cfg.initial_pairs()[0]      # a new array; each step rebinds P
-    x = np.tile(x0.reshape(-1, 1), (1, trials))
-
-    # report residuals against every agent's own (D_i, d_i), as the other
-    # drivers do, exposing the violation the unconstrained filter accumulates
+    constraint information): the engine on a one-agent network whose agent
+    holds every measuring agent's H, stacked, with the block-diagonal R.
+    Shares the truth draws with the other drivers; the residual of its one
+    estimate is taken against every agent's own (D_i, d_i), stacked."""
+    X, Y = _noise_blocks(cfg, cfg.trials, cfg.seed)
+    n, idx = cfg.model.n, [i for i, a in enumerate(cfg.agents) if a.has_measurement]
+    H = np.vstack([cfg.agents[i].H for i in idx] or [np.zeros((0, n))])
+    owner = np.repeat(idx, [len(cfg.agents[i].R) for i in idx])   # each row's agent
+    R = np.zeros((len(H), len(H)))      # block-diagonal: its blocks, row-major, in order
+    R[owner[:, None] == owner] = np.concatenate([cfg.agents[i].R.ravel() for i in idx] or [[]])
+    one = dataclasses.replace(cfg, agents=[AgentSpec(H, R, np.zeros((0, n)), np.zeros(0))],
+                              topology=Topology(np.ones((1, 1))), L=1, sim_r=None,
+                              x0_hat=cfg.x0_hat_matrix()[0])
+    Yc = np.concatenate([Y[i] for i in idx] or [np.zeros((cfg.T, 0, X.shape[2]))], axis=1)
     rows = [(a.D, a.d) for a in cfg.agents if a.has_constraint]
-    pairs = [tuple(map(np.concatenate, zip(*rows))) if rows else None]
-    rec = _Recorder(cfg, trials, cfg.seed, gc, pairs)
-    rec.record(0, x[None], X[0], P[None])
-    for k in range(1, T + 1):
-        A, Q = model.A_at(k - 1), model.Q_at(k - 1)
-        x = A @ x
-        P = filt.symmetrize(A @ P @ A.T + Q)
-        if idx:
-            K, P = filt.kalman_gain(P, Hs, Rs)
-            x = x + K @ (np.vstack([Y[i][k - 1] for i in idx]) - Hs @ x)
-        rec.record(k, x[None], X[k], P[None])
-    return rec.finish()
+    stacked = [tuple(map(np.concatenate, zip(*rows))) if rows else None]
+    return _run_core(one, "time", cfg.seed, X, [Yc], cfg.global_constraint, stacked)
 
 
 def consensus_baseline(cfg: ScenarioConfig) -> RunMetrics:
     """The identical time-based pipeline with every constraint removed
     (pure covariance-intersection consensus on posteriors).  The truth is
-    still generated from the original, constrained scenario."""
-    n = cfg.model.n
-    stripped = [AgentSpec(a.H, a.R, np.zeros((0, n)), np.zeros(0), a.eps, a.delta)
+    still generated from the original, constrained scenario, and each
+    agent's residual is taken against its own (D_i, d_i) there."""
+    stripped = [dataclasses.replace(a, D=np.zeros((0, cfg.model.n)), d=np.zeros(0))
                 for a in cfg.agents]
     cfg2 = dataclasses.replace(cfg, agents=stripped, mode="time")
-    return _run_core(cfg2, "time", cfg.trials, cfg.seed, truth_cfg=cfg)
+    return _run_core(cfg2, "time", cfg.seed, *_noise_blocks(cfg, cfg.trials, cfg.seed),
+                     cfg.global_constraint, _own_rows(cfg.agents))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Import hygiene: the filters and the Monte Carlo run without scipy's
-submodules; only the design commands' eigenproblems load `scipy.linalg`.
+"""Import hygiene: the filters, the Monte Carlo and the baselines run without
+scipy's submodules; only the design commands' eigenproblems load `scipy.linalg`.
 No step loads a third-party package that numpy and scipy do not load
 themselves: the scenario file is JSON, read by the standard library.
 
@@ -24,6 +24,11 @@ import pdkf
 seen["import pdkf"] = sorted(sys.modules)
 from pdkf import cli
 seen["import pdkf.cli"] = sorted(sys.modules)
+# before the design commands, which load scipy.linalg
+short = pdkf.case1(mode="time", trials=2, T=20)
+for baseline in (pdkf.ckf_baseline, pdkf.consensus_baseline):
+    baseline(short)
+    seen[baseline.__name__] = sorted(sys.modules)
 for argv in (["case1", "--trials", "2", "--horizon", "20", "--out", "a"],
              ["mc", "a/scenario.scn", "--trials", "2", "--out", "b"],
              ["run-epdkf", "a/scenario.scn", "--out", "c"],
@@ -60,7 +65,7 @@ def test_filters_and_monte_carlo_load_no_scipy_submodule(loaded_after_each_step)
     seen = {step: [m for m in mods if m.startswith(("scipy.sparse", "scipy.linalg"))]
             for step, mods in loaded_after_each_step.items()}
     for step in ("import pdkf", "import pdkf.cli", "case1", "mc", "run-epdkf",
-                 "eco-check"):
+                 "eco-check", "ckf_baseline", "consensus_baseline"):
         assert seen[step] == [], f"{step} loaded {seen[step][:5]}"
     # the design eigenproblems do load it, so the check above can see a load
     assert "scipy.linalg" in seen["threshold-bound"]

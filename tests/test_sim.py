@@ -210,8 +210,8 @@ def test_truth_blocks_match_the_per_trial_generator(cfg):
 
 @pytest.mark.parametrize("cfg", TRUTH_CASES.values(), ids=TRUTH_CASES.keys())
 def test_truth_trial_does_not_depend_on_the_block_size(cfg):
-    X3, Y3, _ = sim._noise_blocks(cfg, 3, 7)
-    X50, Y50, _ = sim._noise_blocks(cfg, 50, 7)
+    X3, Y3 = sim._noise_blocks(cfg, 3, 7)
+    X50, Y50 = sim._noise_blocks(cfg, 50, 7)
     assert X50.shape[2] == 50
     assert np.array_equal(X50[..., :3], X3)
     assert all(np.array_equal(a[..., :3], b) for a, b in zip(Y50, Y3))
@@ -263,7 +263,8 @@ def test_constraint_sq_is_the_public_constraint_error(cfg):
     # the recorder reads D̄·e; the public definition is the last s̄ coordinates
     # of Fᵀe, summed over coordinates, with F from space_decomposition
     rm = monte_carlo(cfg)
-    X, Y, gc = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
+    X, Y = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
+    gc = cfg.global_constraint
     F = space_decomposition(gc)[0]
     assert rm.checkpoints == tuple(k for k in (50, 150, 250) if k <= cfg.T)
     for k, (est, *_) in enumerate(sim._filter_path(cfg, cfg.mode, Y)):
@@ -314,16 +315,74 @@ def test_ckf_residual_does_not_depend_on_the_constraint_basis(monkeypatch):
 
 
 def test_runs_read_the_constraint_their_config_built(monkeypatch):
-    # ScenarioConfig builds D̄ once; the truth, the recorder and the baseline
-    # read that one instead of building it again
+    # ScenarioConfig builds D̄ once; the truth, the recorder and the baselines
+    # read that one instead of building it again.  A baseline's own network
+    # (the CKF's one agent, the stripped agents) builds its own, so no call
+    # may be handed the scenario's agents
     cfg = case1(mode="time", T=20, trials=3)
     event = dataclasses.replace(cfg, mode="event")
-    built = []
-    monkeypatch.setattr(sim, "build_global_constraint", built.append)
+    own = {id(a) for a in cfg.agents}
+    handed = []
+
+    def recording(agents):
+        handed.append([id(a) for a in agents])
+        return build_global_constraint(agents)
+    monkeypatch.setattr(sim, "build_global_constraint", recording)
     monte_carlo(cfg)
     run_event(event)
     ckf_baseline(cfg)
-    assert built == []
+    consensus_baseline(cfg)
+    assert handed and not any(own & set(ids) for ids in handed)
+
+
+def test_consensus_residual_is_taken_against_the_truths_agents():
+    # the stripped agents filter; the residual rows are the scenario's own,
+    # so the estimates that never see the road show how far they leave it
+    cfg = case1(mode="time", trials=5, T=60)
+    rm = consensus_baseline(cfg)
+    assert rm.constraint_residuals.max() > 1
+    # the filtered numbers are those of a time-based run on stripped agents
+    stripped = dataclasses.replace(cfg, agents=[
+        dataclasses.replace(a, D=np.zeros((0, 4)), d=np.zeros(0)) for a in cfg.agents])
+    X, Y = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
+    last = list(sim._filter_path(stripped, "time", Y))[-1][0]
+    errs = last - X[-1]
+    assert rm.mse[-1] == np.mean(np.mean(np.sum(errs * errs, axis=1), axis=1))
+    want = max(np.abs(a.D @ last[i] - a.d[:, None]).max()
+               for i, a in enumerate(cfg.agents) if a.has_constraint)
+    assert np.isclose(rm.constraint_residuals[-1], want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("cfg", [case1(mode="time", trials=20), case2(mode="time", trials=20)],
+                         ids=["case1", "case2"])
+def test_ckf_baseline_is_the_stacked_kalman_filter(cfg):
+    # the centralized filter is the engine on one agent; the reference is a
+    # plain predict/update loop on the stacked measuring agents
+    rm = ckf_baseline(cfg)
+    X, Y = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
+    meas = [i for i, a in enumerate(cfg.agents) if a.has_measurement]
+    H = np.vstack([cfg.agents[i].H for i in meas])
+    R = np.diag([cfg.agents[i].R.item() for i in meas])     # every R is 1×1 here
+    rows = [a for a in cfg.agents if a.has_constraint]
+    D, d = np.vstack([a.D for a in rows]), np.concatenate([a.d for a in rows])
+    x0, P = cfg.initial_pairs()[0]
+    x = np.tile(x0[:, None], (1, cfg.trials))
+    want = {f: np.zeros(cfg.T + 1) for f in ("mse", "trace_p", "mean_error_norm",
+                                              "constraint_residuals")}
+    for k in range(cfg.T + 1):
+        if k:
+            A, Q = cfg.model.A_at(k - 1), cfg.model.Q_at(k - 1)
+            x, P = A @ x, A @ P @ A.T + Q
+            y = np.concatenate([Y[i][k - 1] for i in meas])
+            cols = [oracles.kf_update(x[:, j], P, y[:, j], H, R) for j in range(cfg.trials)]
+            x, P = np.stack([c[0] for c in cols], axis=1), cols[0][1]
+        e = x - X[k]
+        want["mse"][k] = np.mean(np.sum(e * e, axis=0))
+        want["trace_p"][k] = np.trace(P)
+        want["mean_error_norm"][k] = np.linalg.norm(e.mean(axis=1))
+        want["constraint_residuals"][k] = np.abs(D @ x - d[:, None]).max()
+    for f, v in want.items():
+        assert np.allclose(getattr(rm, f), v, rtol=1e-12, atol=0), f
 
 
 # --- engine and public rounds vs. the reference rounds -------------------------
@@ -800,7 +859,7 @@ def test_filter_path_never_changes_what_it_yielded(mode):
     # pilot_betas keeps every yielded covariance, and the recorder reads each
     # step's stacks only after the next step may have started
     cfg = heterogeneous_cfg(mode, T=12)
-    _X, Y, _gc = sim._noise_blocks(cfg, 2, 3)
+    _X, Y = sim._noise_blocks(cfg, 2, 3)
     kept = []
     for out in sim._filter_path(cfg, mode, Y):
         for arrays, copies in kept:
@@ -825,7 +884,7 @@ PADDED_CASES = {
 @pytest.mark.parametrize("cfg", PADDED_CASES.values(), ids=PADDED_CASES.keys())
 def test_filter_path_equals_the_padded_fusion_bit_for_bit(cfg):
     # the slot-major edge list adds each agent's terms in the padded order
-    _X, Y, _gc = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
+    _X, Y = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
     got = list(sim._filter_path(cfg, cfg.mode, Y))
     want = list(padded.padded_filter_path(cfg, cfg.mode, Y))
     assert len(got) == len(want) == cfg.T + 1
@@ -852,7 +911,7 @@ def test_public_rounds_equal_the_engine_bit_for_bit(cfg):
     # the rounds and a one-trial engine pass are one program: same kernels,
     # same held-pair recursion, so every step's numbers are the same bits
     steps, _X = _round_steps(cfg, tpdkf_round, epdkf_round)
-    _X, Y, _gc = sim._noise_blocks(cfg, 1, cfg.seed)
+    _X, Y = sim._noise_blocks(cfg, 1, cfg.seed)
     path = list(sim._filter_path(cfg, cfg.mode, Y))
     assert len(steps) == len(path) == cfg.T + 1
     for (states, fired), (est, P, _g, engine_fired) in zip(steps[1:], path[1:]):
