@@ -23,6 +23,8 @@ from .filter import (AgentState, _check_pd, _ensure_pd, _estimate, ci_maps,
                      kalman_gain, projection_map, slot_sum, symmetrize)
 from .model import AgentSpec, SystemModel, Topology, _check_finite
 
+_COV = "covariance of agent"
+
 
 @dataclass
 class TriggerState:
@@ -141,8 +143,11 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
     the trigger score g against them exceeds deltas, fuses each neighbor's
     held pair (fresh if it fired) and returns the pairs then held.  Guards,
     once per stack and bit-neutral where Cholesky succeeds: `_ensure_pd` on
-    every covariance stack made, definiteness before each inverse, cond(S) ≤
-    1e14 before each gain.  A LinAlgError carries `covariances` = (P, held P).
+    every covariance stack made, whose one Cholesky is also the definiteness
+    check before its inverse; `_check_pd` on the held stack, which
+    `_ensure_pd` does not make; cond(S) ≤ 1e14 before each gain.  A
+    LinAlgError carries `covariances` = (P, held P), P bound before it is
+    checked.
     """
     event = held is not None
     hx, hP = held if event else (None, None)
@@ -154,12 +159,14 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
     try:
         if event:
             hx, hP = A @ hx, A @ hP @ A.T + Q
-        est, P = A @ est, _ensure_pd(A @ P @ A.T + Q)
+        # each new stack is bound before `_ensure_pd` can raise on it
+        est, P = A @ est, A @ P @ A.T + Q
+        P = _ensure_pd(P, _COV)
         for (idx, H, R), y in zip(layout.meas, ys):
             K, P_upd = kalman_gain(P[idx], H, R)
             est[idx] += K @ (y - H @ est[idx])
-            P[idx] = _ensure_pd(P_upd)
-        info = np.linalg.inv(_check_pd(P, "covariance of agent"))
+            P[idx] = _ensure_pd(P_upd, _COV, idx)
+        info = np.linalg.inv(P)
         if event:
             hinfo = np.linalg.inv(_check_pd(hP, "held covariance of agent"))
             g, fired = trigger_from_info(info, hinfo, deltas)
@@ -169,25 +176,48 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
                              np.where(f, info, hinfo))
         for r in range(rounds):
             if r:
-                info = np.linalg.inv(_check_pd(P, "covariance of agent"))
+                info = np.linalg.inv(P)
             Pc, C = ci_maps(gather(info, hinfo), layout.weights, layout.slots)
             # rows follow the layout's order until this one un-permutation
-            x = slot_sum(gather(est, hx), layout.slots[0], C)[layout.rank]
-            Pc = _ensure_pd(Pc[layout.rank])
+            est = slot_sum(gather(est, hx), layout.slots[0], C)[layout.rank]
+            P = Pc[layout.rank]
+            P = _ensure_pd(P, _COV)
             for idx, D, d, eps in layout.proj:
-                G, c, P_proj = projection_map(Pc[idx], D, d, eps)
-                Pc[idx] = _ensure_pd(P_proj)
-                x[idx] = G @ x[idx] + c
-            est, P = x, Pc
+                G, c, P_proj = projection_map(P[idx], D, d, eps)
+                P[idx] = _ensure_pd(P_proj, _COV, idx)
+                est[idx] = G @ est[idx] + c
     except np.linalg.LinAlgError as exc:
         exc.covariances = (P, hP)
         raise
     return est, P, g, fired, (hx, hP) if event else None
 
 
+def _measurement_block(measurements, idx, m: int) -> np.ndarray:
+    """The (g, m, 1) block of the measurements of one H group's agents idx,
+    each of any shape with m finite entries; an agent whose measurement has
+    another size or a non-finite entry is named."""
+    ys = [measurements[i] for i in idx.tolist()]
+    try:
+        block = np.array(ys, dtype=float).reshape(len(idx), -1)
+    except ValueError:          # shapes differ: ragged, or (m,) beside (m, 1)
+        block = None
+    if block is None or block.shape[1] != m or not np.isfinite(block).all():
+        for i, y in zip(idx, ys):
+            y = np.ravel(np.asarray(y, dtype=float))
+            if y.size != m:
+                raise ValueError(f"measurement of agent {i} has {y.size} entries "
+                                 f"for the {m} rows of its H")
+            if not np.isfinite(y).all():
+                raise ValueError(f"measurement of agent {i} is not finite")
+        block = np.array([np.ravel(y) for y in ys], dtype=float)
+    return block[:, :, None]
+
+
 def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
            k=None) -> tuple:
-    """`filter_step` on the stacked arguments of a round: (states, fired)."""
+    """`filter_step` on the stacked arguments of a round: (states, fired).
+    Each input is stacked once; the returned states hold rows of the new
+    stacks, and the trigger states rows of one copy of each held stack."""
     N = topology.N
     named = dict(states=states, measurements=measurements, agents=agents,
                  **({} if triggers is None else {"trigger_states": triggers}))
@@ -207,17 +237,18 @@ def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
             if ts.delta != a.delta:     # the rounds fire on AgentSpec.delta, as the engine does
                 raise ValueError(f"trigger state of agent {i} has delta {ts.delta}, "
                                  f"but its AgentSpec has delta {a.delta}")
-        held = (np.stack([ts.x for ts in triggers])[:, :, None],
-                np.stack([ts.P for ts in triggers]))
+        held = (np.array([ts.x for ts in triggers])[:, :, None],
+                np.array([ts.P for ts in triggers]))
         deltas = np.array([a.delta for a in agents])
     est, P, _, fired, held = filter_step(
-        layout, np.stack([st.estimate.x for st in states])[:, :, None],
-        np.stack([st.estimate.P for st in states]),
-        [np.array([np.ravel(measurements[i]) for i in idx], dtype=float)[:, :, None]
-         for idx, *_ in layout.meas], A, Q, rounds, held, deltas)
-    for i, ts in enumerate(triggers or ()):     # copies: shared with nothing returned
-        ts.x, ts.P, ts.time = held[0][i, :, 0].copy(), held[1][i].copy(), k
-    return ([AgentState(i, _estimate(x[:, 0], p)) for i, (x, p) in enumerate(zip(est, P))],
+        layout, np.array([st.estimate.x for st in states])[:, :, None],
+        np.array([st.estimate.P for st in states]),
+        [_measurement_block(measurements, idx, H.shape[1]) for idx, H, _ in layout.meas],
+        A, Q, rounds, held, deltas)
+    if triggers is not None:    # one copy each: shared with nothing returned
+        for ts, x, p in zip(triggers, held[0][:, :, 0].copy(), held[1].copy()):
+            ts.x, ts.P, ts.time = x, p, k
+    return ([AgentState(i, _estimate(x, p)) for i, (x, p) in enumerate(zip(est[:, :, 0], P))],
             set(np.flatnonzero(fired).tolist()))
 
 

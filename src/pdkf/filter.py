@@ -25,35 +25,51 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def _ensure_pd(P: np.ndarray) -> np.ndarray:
-    """Symmetrize a matrix, or each of a stack, and add jitter where Cholesky
-    fails: one Cholesky over the stack, and one per member only if that fails."""
+def _ensure_pd(P: np.ndarray, name: str, ids=None) -> np.ndarray:
+    """P symmetrized, or each matrix of a stack, once made and checked
+    positive definite.  One Cholesky over the stack is both: a finite factor
+    proves every member positive definite.  Only if it fails or is not finite
+    does each member get its own Cholesky, and 1e-9·I where that fails; then
+    `_check_pd` names the first member that is not finite (LinAlgError) or
+    still not positive definite (ValueError), by its index or by ids[index]
+    for a stack of some agents."""
     P = symmetrize(P)
     try:
-        np.linalg.cholesky(P)
+        if np.isfinite(np.linalg.cholesky(P)).all():
+            return P
     except np.linalg.LinAlgError:
-        for M in P.reshape(-1, *P.shape[-2:]):
-            try:
-                np.linalg.cholesky(M)
-            except np.linalg.LinAlgError:
-                M += _JITTER * np.eye(len(M))
-    return P
+        pass
+    for M in P.reshape(-1, *P.shape[-2:]):
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            M += _JITTER * np.eye(len(M))
+    return _check_pd(P, name, ids)
 
 
-def _check_pd(M, name: str) -> np.ndarray:
+def _check_pd(M, name: str, ids=None) -> np.ndarray:
     """M symmetrized, or each matrix of a stack, once checked positive
-    definite: one Cholesky over the stack, and `eigvalsh` (LinAlgError on NaN)
-    only if that fails or gives a non-finite factor, as it does on NaN input."""
+    definite: one Cholesky over the stack, and only if that fails or gives a
+    non-finite factor, as it does on NaN input, a LinAlgError for a member
+    that is not finite or `eigvalsh` for one that is not positive definite.
+    A stack's member is named by its index, or by ids[index] if given."""
     M = symmetrize(np.asarray(M, dtype=float))
     try:
         ok = np.isfinite(np.linalg.cholesky(M)).all()
     except np.linalg.LinAlgError:
         ok = False
-    if not ok:
-        bad = np.flatnonzero(np.linalg.eigvalsh(M)[..., 0] <= 0)   # ascending
-        if bad.size:
-            which = f" {bad[0]}" if M.ndim > 2 else ""
-            raise ValueError(f"{name}{which} must be positive definite")
+    if ok:
+        return M
+
+    def which(bad) -> str:
+        return "" if M.ndim == 2 else f" {bad[0] if ids is None else ids[bad[0]]}"
+
+    bad = np.flatnonzero(~np.isfinite(M).all(axis=(-2, -1)))
+    if bad.size:
+        raise np.linalg.LinAlgError(f"{name}{which(bad)} is not finite")
+    bad = np.flatnonzero(np.linalg.eigvalsh(M)[..., 0] <= 0)   # ascending
+    if bad.size:
+        raise ValueError(f"{name}{which(bad)} must be positive definite")
     return M
 
 
@@ -65,8 +81,8 @@ def pinv(M: np.ndarray) -> np.ndarray:
 @dataclass
 class ConsistentEstimate:
     """State estimate x with parameter matrix P dominating the error moment.
-    A non-finite x or P is rejected: numpy's Cholesky returns a NaN factor for
-    it instead of raising, so `_ensure_pd` would let it through."""
+    A non-finite x or P is rejected, as is a P that the 1e-9·I jitter of
+    `_ensure_pd` does not make positive definite."""
 
     x: np.ndarray
     P: np.ndarray
@@ -76,9 +92,9 @@ class ConsistentEstimate:
         P = np.asarray(self.P, dtype=float)
         _check_finite(self.x, "x")
         _check_finite(P, "P")
-        self.P = _ensure_pd(P)
-        if self.P.shape != (self.x.size, self.x.size):
+        if P.shape != (self.x.size, self.x.size):
             raise ValueError("P shape does not match the state dimension")
+        self.P = _ensure_pd(P, "P")
 
 
 def _estimate(x: np.ndarray, P: np.ndarray) -> ConsistentEstimate:

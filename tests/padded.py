@@ -61,8 +61,11 @@ def padded_filter_step(layout: tuple, est, P, ys: list, A, Q, rounds: int = 1,
     the trigger score g against them exceeds deltas, fuses each neighbor's
     held pair (fresh if it fired) and returns the pairs then held.  Guards,
     once per stack and bit-neutral where Cholesky succeeds: `_ensure_pd` on
-    every covariance stack made, definiteness before each inverse, cond(S) ≤
-    1e14 before each gain.  A LinAlgError carries `covariances` = (P, held P).
+    every covariance stack made, whose one Cholesky is also the definiteness
+    check before its inverse; `_check_pd` on the held stack, which
+    `_ensure_pd` does not make; cond(S) ≤ 1e14 before each gain.  A
+    LinAlgError carries `covariances` = (P, held P), P bound before it is
+    checked.
     """
     meas, proj, slot, weights = layout
     event = held is not None
@@ -75,12 +78,13 @@ def padded_filter_step(layout: tuple, est, P, ys: list, A, Q, rounds: int = 1,
     try:
         if event:
             hx, hP = A @ hx, A @ hP @ A.T + Q
-        est, P = A @ est, _ensure_pd(A @ P @ A.T + Q)
+        est, P = A @ est, A @ P @ A.T + Q
+        P = _ensure_pd(P, "covariance of agent")
         for (idx, H, R), y in zip(meas, ys):
             K, P_upd = kalman_gain(P[idx], H, R)
             est[idx] += K @ (y - H @ est[idx])
-            P[idx] = _ensure_pd(P_upd)
-        info = np.linalg.inv(_check_pd(P, "covariance of agent"))
+            P[idx] = _ensure_pd(P_upd, "covariance of agent", idx)
+        info = np.linalg.inv(P)
         if event:
             hinfo = np.linalg.inv(_check_pd(hP, "held covariance of agent"))
             g, fired = trigger_from_info(info, hinfo, deltas)
@@ -90,15 +94,14 @@ def padded_filter_step(layout: tuple, est, P, ys: list, A, Q, rounds: int = 1,
                              np.where(f, info, hinfo))
         for r in range(rounds):
             if r:
-                info = np.linalg.inv(_check_pd(P, "covariance of agent"))
-            Pc, C = padded_ci_maps(gather(info, hinfo), weights)
-            x = (C @ gather(est, hx)).sum(axis=1)    # slot by slot, in order
-            Pc = _ensure_pd(Pc)
+                info = np.linalg.inv(P)
+            P, C = padded_ci_maps(gather(info, hinfo), weights)
+            est = (C @ gather(est, hx)).sum(axis=1)    # slot by slot, in order
+            P = _ensure_pd(P, "covariance of agent")
             for idx, D, d, eps in proj:
-                G, c, P_proj = projection_map(Pc[idx], D, d, eps)
-                Pc[idx] = _ensure_pd(P_proj)
-                x[idx] = G @ x[idx] + c
-            est, P = x, Pc
+                G, c, P_proj = projection_map(P[idx], D, d, eps)
+                P[idx] = _ensure_pd(P_proj, "covariance of agent", idx)
+                est[idx] = G @ est[idx] + c
     except np.linalg.LinAlgError as exc:
         exc.covariances = (P, hP)
         raise

@@ -7,7 +7,7 @@ from pdkf import event
 from pdkf.event import TriggerState, epdkf_round, tpdkf_round, trigger_from_info
 from pdkf.filter import AgentState, ConsistentEstimate, _check_pd, _ensure_pd, kalman_gain
 from pdkf.model import AgentSpec, SystemModel, Topology, metropolis_weights
-from pdkf.sim import case1
+from pdkf.sim import case1, case2
 
 import oracles
 
@@ -110,10 +110,10 @@ def test_held_pairs_equal_the_from_anchor_extrapolation():
             if i in fired:
                 # the broadcast is the fresh pair as the engine forms it:
                 # prediction, then the gain
-                x, P = A @ prev[i].x, _ensure_pd(A @ prev[i].P @ A.T + Q)
+                x, P = A @ prev[i].x, _ensure_pd(A @ prev[i].P @ A.T + Q, "P")
                 if agents[i].has_measurement:
                     K, P = kalman_gain(P, agents[i].H, agents[i].R)
-                    x, P = x + K @ (ys[i] - agents[i].H @ x), _ensure_pd(P)
+                    x, P = x + K @ (ys[i] - agents[i].H @ x), _ensure_pd(P, "P")
                 a.x, a.P, a.time = x, P, k
             x, P = a.held(k, A, Q)
             assert np.array_equal(ts.x, x) and np.array_equal(ts.P, P)
@@ -356,6 +356,89 @@ def test_rounds_reject_a_numerically_singular_innovation():
     with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
         epdkf_round(states, [TriggerState(np.zeros(2), model.P0, 0, 0.5)], y,
                     model, [agent], top, 1)
+
+
+def _two_row_case1():
+    """case1 in event mode with a second row [0, 0, 1, 0] (R = I₂) in agent
+    0's H: its states, trigger states and arguments after the model."""
+    cfg = case1(mode="event", T=10)
+    agents = list(cfg.agents)
+    agents[0] = dataclasses.replace(agents[0], H=np.vstack([agents[0].H, [0, 0, 1, 0]]),
+                                    R=np.eye(2))
+    pairs = cfg.initial_pairs()
+    states = [AgentState(i, ConsistentEstimate(x, P)) for i, (x, P) in enumerate(pairs)]
+    triggers = [TriggerState(x, P, 0, a.delta) for (x, P), a in zip(pairs, agents)]
+    return states, triggers, (cfg.model, agents, cfg.topology)
+
+
+@pytest.mark.parametrize("ys, message", [
+    # one entry used to broadcast over the two rows of agent 0's H
+    ([[1.0], None, [0.0]], "measurement of agent 0 has 1 entries for the 2 rows of its H$"),
+    ([[1.0, 2.0], None, [0.0, 3.0]], "measurement of agent 2 has 2 entries for the 1 rows"),
+    # a NaN used to reach the estimates of agents 0 and 1
+    ([[np.nan, 0.0], None, [0.0]], "measurement of agent 0 is not finite$"),
+    ([[1.0, 0.0], None, [np.inf]], "measurement of agent 2 is not finite$"),
+], ids=["short", "long", "nan", "inf"])
+def test_rounds_name_an_agent_whose_measurement_does_not_fit_its_H(ys, message):
+    # agent 1 of case1 does not measure, so its entry is not read
+    states, triggers, args = _two_row_case1()
+    with pytest.raises(ValueError, match=f"^{message}"):
+        epdkf_round(states, triggers, ys, *args, 1)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        tpdkf_round(states, ys, *args, L=1)
+    assert [ts.time for ts in triggers] == [0, 0, 0]
+
+
+def test_rounds_name_an_agent_whose_measurement_is_ragged_in_its_group():
+    # agents 0 and 2 of the path share one H group of one row
+    model, agents, top, states, triggers, _ = _round_args()
+    ys = [np.ones(1), None, np.ones(2)]
+    with pytest.raises(ValueError, match="^measurement of agent 2 has 2 entries "
+                                         "for the 1 rows of its H$"):
+        epdkf_round(states, triggers, ys, model, agents, top, 1)
+    with pytest.raises(ValueError, match="^measurement of agent 2 has 2 entries"):
+        tpdkf_round(states, ys, model, agents, top, L=1)
+
+
+def test_rounds_take_measurements_of_any_shape_with_the_H_rows():
+    # agents 0 and 2 of the path share one H group of one row: a (1,)
+    # vector, a (1, 1) column, a list and a float, mixed within the group,
+    # give the same round
+    model, agents, top, states, _, _ = _round_args()
+    got = [tpdkf_round(states, ys, model, agents, top, L=1) for ys in
+           ([np.array([0.5]), None, np.array([-1.0])],
+            [np.array([[0.5]]), None, -1.0],
+            [[0.5], None, np.array([[-1.0]])])]
+    for other in got[1:]:
+        for s, t in zip(got[0], other):
+            assert np.array_equal(s.estimate.x, t.estimate.x)
+            assert np.array_equal(s.estimate.P, t.estimate.P)
+
+
+@pytest.mark.parametrize("mode, rounds, calls", [("event", 1, 5), ("time", 2, 6)])
+def test_filter_step_factors_each_covariance_stack_once(mode, rounds, calls, monkeypatch):
+    # one Cholesky per stack made: predict, each H group, then per round the
+    # fused stack and each D group; in event mode also the held stack, the
+    # only one `_ensure_pd` does not make.  A second factor before each
+    # inverse would add one call per round.
+    cfg = case2(mode=mode, N=20, T=1, trials=1)
+    layout = event.step_layout(cfg.agents, cfg.topology, mode == "event")
+    assert (len(layout.meas), len(layout.proj)) == (1, 1)
+    x0, P = map(np.stack, zip(*cfg.initial_pairs()))
+    held = (x0[:, :, None], P) if mode == "event" else None
+    ys = [np.zeros((len(idx), H.shape[1], 1)) for idx, H, _ in layout.meas]
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def spy(M):
+        factored.append(M.shape)
+        return cholesky(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0), cfg.model.Q_at(0),
+                      rounds, held, np.array([a.delta for a in cfg.agents]))
+    assert len(factored) == calls
+    assert all(len(shape) == 3 for shape in factored)     # stacks, never one member
 
 
 def _arrays(obj):

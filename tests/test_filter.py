@@ -39,6 +39,14 @@ def test_consistent_estimate_rejects_non_finite(x, P, field):
         ConsistentEstimate(x, P)
 
 
+@pytest.mark.parametrize("P", [np.zeros((2, 3)), np.zeros(2), np.eye(3)],
+                         ids=["non-square", "vector", "other-size"])
+def test_consistent_estimate_rejects_a_P_of_another_shape(P):
+    # checked before the Cholesky, which would fail on it with numpy's message
+    with pytest.raises(ValueError, match="^P shape does not match the state dimension$"):
+        ConsistentEstimate(np.zeros(2), P)
+
+
 # --- initialization ------------------------------------------------------
 
 def test_init_no_bias_doubles_prior():
@@ -107,7 +115,7 @@ def test_predict_update_matches_textbook_kf(seed):
     y = rng.standard_normal(m)
 
     # the engine's prediction, then its gain
-    x_got, P_got = A @ x, _ensure_pd(A @ P @ A.T + Q)
+    x_got, P_got = A @ x, _ensure_pd(A @ P @ A.T + Q, "P")
     K, P_got = kalman_gain(P_got, H, R)
     x_got = x_got + K @ (y - H @ x_got)
     xe, Pe = oracles.kf_predict(x, P, A, Q)
@@ -417,12 +425,36 @@ def test_stacked_ensure_pd_equals_single_calls():
     stack = np.stack([oracles.random_psd(rng, 3) for _ in range(5)])
     stack[2] = np.diag([1.0, -1e-12, 2.0])
     stack[4, 0, 1] += 1e-13                        # slightly asymmetric
-    got = _ensure_pd(stack)
-    assert np.array_equal(got, np.stack([_ensure_pd(M) for M in stack]))
+    got = _ensure_pd(stack, "P")
+    assert np.array_equal(got, np.stack([_ensure_pd(M, "P") for M in stack]))
     assert np.array_equal(got[2], symmetrize(stack[2]) + 1e-9 * np.eye(3))
     for i in (0, 1, 3, 4):
         assert np.array_equal(got[i], symmetrize(stack[i]))
     assert not np.shares_memory(got, stack)
+
+
+def test_ensure_pd_names_a_member_that_jitter_cannot_fix():
+    # its one Cholesky is the definiteness check: -I stays indefinite under
+    # the jitter, and the member is named by its index or by its agent id
+    stack = np.stack([np.eye(3)] * 4)
+    stack[2] = -np.eye(3)
+    with pytest.raises(ValueError, match="^covariance of agent 2 must be positive definite$"):
+        _ensure_pd(stack, "covariance of agent")
+    with pytest.raises(ValueError, match="^covariance of agent 7 must be positive definite$"):
+        _ensure_pd(stack, "covariance of agent", np.array([1, 4, 7, 9]))
+    with pytest.raises(ValueError, match="^P must be positive definite$"):
+        ConsistentEstimate(np.zeros(3), -np.eye(3))
+
+
+def test_ensure_pd_rejects_a_member_that_is_not_finite():
+    # numpy's Cholesky returns a NaN factor here instead of raising
+    stack = np.stack([np.eye(3)] * 3)
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="^covariance of agent 1 is not finite$"):
+        _ensure_pd(stack, "covariance of agent")
+    stack[1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="^covariance of agent 5 is not finite$"):
+        _ensure_pd(stack, "covariance of agent", np.array([2, 5, 8]))
 
 
 def test_innovation_guard_checks_every_stack_member():
