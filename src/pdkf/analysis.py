@@ -10,8 +10,9 @@ Contents:
   * worst-case information recursions under successive triggering / silence,
     built in one pass over t as stacked (T+1, N, n, n) tables
     (`_rate_tables`) whose neighbour sums run over the real in-edges only,
-    and the communication-rate bound (`rate_bound`), which scans the tables
-    one agent at a time for T1 and T2 (`_scan_agent`).
+    and the communication-rate bound (`rate_bound`), which reads each
+    agent's T1 and T2 off the tables from the ends of the horizon, in chunks
+    of doubling length that stop once the answer is known (`_scan_agent`).
 
 Everything here is a pure function of the model/topology; nothing simulates.
 pdkf computes with scipy only here: the generalized symmetric eigenproblems
@@ -352,34 +353,68 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
     return _RateTables(f, zbar, S, beta_pow, Ainv_pow, info_y)
 
 
+def _first_step(test, steps: int, last: bool = False) -> int | None:
+    """The first t < steps (the last, if `last`) at which the boolean stack
+    test(a, b) over t ∈ [a, b) is True, or None; test runs on chunks of 8,
+    16, 32, … steps from that end and stops at the first chunk that holds
+    one."""
+    lo, hi, size = 0, steps, 8
+    while lo < hi:
+        a, b = (max(lo, hi - size), hi) if last else (lo, min(hi, lo + size))
+        found = np.flatnonzero(test(a, b))
+        if found.size:
+            return a + int(found[-1] if last else found[0])
+        if last:
+            hi = a
+        else:
+            lo = b
+        size *= 2
+    return None
+
+
 def _scan_agent(tables: _RateTables, delta: float, i: int) -> tuple:
     """(T1, T2) of agent i at threshold δ, each an int ≤ T or None.
 
     T1 is the largest t at which successive triggering cannot yet be
-    excluded: the scan of the necessary condition
-    λ_max(f_t − [z̄_t + δ(I − S_t)]₊) > 0 for a run of consecutive broadcasts.
-    It is None when the condition holds through the whole horizon (no finite
-    bound), and 0 when it fails everywhere (triggering excluded outright).
-    T2 is the largest t such that silence is guaranteed at every step up to
-    t (prefix semantics): the sufficient condition
-    λ_max(f_s − β^{s+1}(A^{-(s+1)})ᵀH_iᵀR_i⁻¹H_i A^{-(s+1)}) ≤ δ must hold for
-    every s ≤ t.  It is None when not even one silent step is guaranteed.
+    excluded: the necessary condition λ_max(f_t − [z̄_t + δ(I − S_t)]₊) > 0
+    for a run of consecutive broadcasts holds there (a hit).  It is None
+    when every t ≤ T hits (no finite bound), and 0 when none does
+    (triggering excluded outright).  T2 is the largest t such that silence
+    is guaranteed at every step up to t (prefix semantics): the sufficient
+    condition λ_max(f_s − β^{s+1}(A^{-(s+1)})ᵀH_iᵀR_i⁻¹H_i A^{-(s+1)}) ≤ δ
+    must hold for every s ≤ t.  It is None when not even one silent step is
+    guaranteed.
+
+    Both are read from the ends of the horizon (`_first_step`): T2 from the
+    first failing step, T1 from the last hit, and only when that hit is at T
+    from the first step that does not hit.  The answers are those of the
+    scan over every t, because each matrix gets the same stacked `eig_pos`
+    and `eigvalsh` call and LAPACK treats each matrix of a stack on its
+    own.  `eig_pos`'s symmetry guard sees only the matrices scanned; it
+    cannot fire on the others, which are exactly symmetric by construction
+    (z̄ and S are symmetrized, and the correction is elementwise).
     """
     T = len(tables.S) - 1
-    corr = tables.zbar[:, i] + delta * (np.eye(tables.S.shape[-1]) - tables.S)
-    proof = np.linalg.eigvalsh(tables.f[:, i] - eig_pos(corr)).max(axis=-1)
-    hits = np.flatnonzero(proof > 0.0)
-    if hits.size == T + 1:
+    f, eye = tables.f[:, i], np.eye(tables.S.shape[-1])
+
+    def hit(a, b):
+        corr = tables.zbar[a:b, i] + delta * (eye - tables.S[a:b])
+        return np.linalg.eigvalsh(f[a:b] - eig_pos(corr)).max(axis=-1) > 0.0
+
+    def fails(a, b):
+        Ap = tables.Ainv_pow[a:b]
+        l = tables.beta_pow[a:b, None, None] * (Ap.swapaxes(-1, -2) @ tables.info_y[i] @ Ap)
+        return np.linalg.eigvalsh(f[a:b] - l).max(axis=-1) - delta > 0.0
+
+    t1 = _first_step(hit, T + 1, last=True)
+    if t1 is None:
+        t1 = 0
+    elif t1 == T and _first_step(lambda a, b: ~hit(a, b), T + 1) is None:
         t1 = None
-    else:
-        t1 = int(hits[-1]) if hits.size else 0
-    Ap = tables.Ainv_pow
-    l = tables.beta_pow[:, None, None] * (Ap.swapaxes(-1, -2) @ tables.info_y[i] @ Ap)
-    gbar = np.linalg.eigvalsh(tables.f[:, i] - l).max(axis=-1) - delta
-    fails = np.flatnonzero(gbar > 0.0)
-    if not fails.size:
+    fail = _first_step(fails, T + 1)
+    if fail is None:
         return t1, T
-    return t1, int(fails[0]) - 1 if fails[0] > 0 else None
+    return t1, fail - 1 if fail > 0 else None
 
 
 def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],

@@ -151,19 +151,25 @@ def _load_config(args) -> tuple:
     return cfg, overrides
 
 
+def _beta_values(args) -> list | None:
+    """The one or two values of --beta, checked, or None without it."""
+    if args.beta is None:
+        return None
+    vals = _numbers("--beta", args.beta)
+    if not all(0.0 < v < 1.0 for v in vals):
+        raise ValueError(f"--beta values must be finite and lie in (0, 1), "
+                         f"got {args.beta!r}")
+    if len(vals) > 2:
+        raise ValueError("--beta takes one or two comma-separated values")
+    return vals
+
+
 def _parse_beta(args, cfg) -> tuple:
     """(beta, beta_bar) from --beta or from a pilot covariance run."""
-    if args.beta is not None:
-        vals = _numbers("--beta", args.beta)
-        if not all(0.0 < v < 1.0 for v in vals):
-            raise ValueError(f"--beta values must be finite and lie in (0, 1), "
-                             f"got {args.beta!r}")
-        if len(vals) == 1:
-            return vals[0], sim.pilot_betas(cfg)[1]
-        if len(vals) == 2:
-            return vals[0], vals[1]
-        raise ValueError("--beta takes one or two comma-separated values")
-    return sim.pilot_betas(cfg)
+    vals = _beta_values(args)
+    if vals is None:
+        return sim.pilot_betas(cfg)
+    return vals[0], (vals[1] if len(vals) == 2 else sim.pilot_betas(cfg)[1])
 
 
 def _emit(out, cfg, overrides, metrics=None) -> None:
@@ -207,7 +213,8 @@ def _cmd_threshold(args, cfg, overrides, out) -> int:
     kstar = args.kstar if args.kstar is not None else least
     if kstar < least:
         raise ValueError(f"--kstar must be at least N + n = {least}, got {kstar}")
-    beta, _ = _parse_beta(args, cfg)
+    vals = _beta_values(args)       # the threshold design reads β only
+    beta = vals[0] if vals else sim.pilot_betas(cfg)[0]
     try:
         rep = analysis.threshold_bounds(cfg.model, cfg.agents, cfg.topology,
                                         beta, kstar)

@@ -213,6 +213,24 @@ def _measurement_block(measurements, idx, m: int) -> np.ndarray:
     return block[:, :, None]
 
 
+def _estimate_stacks(states, n: int) -> tuple:
+    """The (N, n, 1) stack of the agents' estimated states and the (N, n, n)
+    stack of their covariances.  The stacked shape is checked once; only
+    when it is wrong, or the states do not stack, is the first agent whose
+    state does not hold n entries looked for and named.  Each estimate's P
+    matches its x, so the covariances then stack."""
+    try:
+        x = np.array([st.estimate.x for st in states])
+    except ValueError:          # ragged: some estimate holds another size
+        x = None
+    if x is None or x.shape != (len(states), n):
+        for i, st in enumerate(states):
+            if st.estimate.x.shape != (n,):
+                raise ValueError(f"state of agent {i} holds {st.estimate.x.size} "
+                                 f"states, not {n}")
+    return x[:, :, None], np.array([st.estimate.P for st in states])
+
+
 def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
            k=None) -> tuple:
     """`filter_step` on the stacked arguments of a round: (states, fired).
@@ -241,8 +259,7 @@ def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
                 np.array([ts.P for ts in triggers]))
         deltas = np.array([a.delta for a in agents])
     est, P, _, fired, held = filter_step(
-        layout, np.array([st.estimate.x for st in states])[:, :, None],
-        np.array([st.estimate.P for st in states]),
+        layout, *_estimate_stacks(states, len(A)),
         [_measurement_block(measurements, idx, H.shape[1]) for idx, H, _ in layout.meas],
         A, Q, rounds, held, deltas)
     if triggers is not None:    # one copy each: shared with nothing returned

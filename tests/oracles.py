@@ -20,13 +20,15 @@ stepped row by row.  It is the differential reference for `sim.generate_truth`.
 
 `dense_rate_tables` is the rate analysis's tables with each neighbour sum
 taken over all N² pairs by `analysis._nbr_sum`, the reference the edge-list
-sums of `analysis._rate_tables` must equal bit for bit.
+sums of `analysis._rate_tables` must equal bit for bit.  `full_scan` reads T1
+and T2 off those tables with one stacked scan over every t, the reference
+the early-exit scans of `analysis._scan_agent` must equal.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from pdkf.analysis import _info_blocks, _nbr_sum
+from pdkf.analysis import _info_blocks, _nbr_sum, eig_pos
 from pdkf.filter import AgentState, ConsistentEstimate, symmetrize
 from pdkf.model import build_global_constraint
 
@@ -216,6 +218,25 @@ def dense_rate_tables(T, model, agents, topology, beta, beta_bar):
         u = symmetrize(beta * (Ainv.T @ (_nbr_sum((W, u)) + info_d) @ Ainv)
                        + info_y)
     return f, zbar, S
+
+
+def full_scan(tables, delta, i):
+    """(T1, T2) of `analysis._scan_agent`, every t of the horizon scanned."""
+    T = len(tables.S) - 1
+    corr = tables.zbar[:, i] + delta * (np.eye(tables.S.shape[-1]) - tables.S)
+    proof = np.linalg.eigvalsh(tables.f[:, i] - eig_pos(corr)).max(axis=-1)
+    hits = np.flatnonzero(proof > 0.0)
+    if hits.size == T + 1:
+        t1 = None
+    else:
+        t1 = int(hits[-1]) if hits.size else 0
+    Ap = tables.Ainv_pow
+    l = tables.beta_pow[:, None, None] * (Ap.swapaxes(-1, -2) @ tables.info_y[i] @ Ap)
+    gbar = np.linalg.eigvalsh(tables.f[:, i] - l).max(axis=-1) - delta
+    fails = np.flatnonzero(gbar > 0.0)
+    if not fails.size:
+        return t1, T
+    return t1, int(fails[0]) - 1 if fails[0] > 0 else None
 
 
 def random_psd(rng, n, scale=1.0, jitter=1e-3):

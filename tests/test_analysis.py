@@ -24,6 +24,7 @@ from pdkf.model import (
 )
 
 import oracles
+from networks import directed_scenarios
 
 
 # --- tiny builders --------------------------------------------------------
@@ -567,6 +568,59 @@ def check_scans_against_the_oracle_recursions(model, agents, top):
                     t2 = t - 1 if t > 0 else None
                     break
             assert analysis._scan_agent(tb, delta, i) == (t1, t2)
+
+
+@pytest.mark.parametrize("blind, T, delta, expect", [
+    (True, 250, 0.01, (23, None)),    # last hit in the fifth chunk from T
+    (True, 24, 0.01, (23, None)),     # last hit one below T, in the first chunk
+    (True, 31, 0.01, (23, None)),     # last hit the top step of the second chunk
+    (True, 23, 0.01, (None, None)),   # every step hits
+    (True, 8, 0.5, (6, None)),        # last hit in the first chunk from T
+    (True, 17, 1.2, (0, 17)),         # no hit; no failing step
+    (True, 0, 1.2, (0, 0)),
+    (True, 0, 0.5, (None, None)),
+    (False, 250, 4.9, (250, 15)),     # first failing step inside the second chunk
+    (False, 250, 4.99, (250, 25)),    # ... inside the third
+    (False, 250, 4.4, (250, 7)),      # ... the first step of the second
+    (False, 16, 4.9, (16, 15)),
+    (False, 9, 2.0, (9, 0)),
+    (False, 1, 5.0, (0, 1)),
+    (False, 7, 1e4, (0, 7)),
+])
+def test_scans_from_the_ends_pin_every_outcome(blind, T, delta, expect):
+    # T1 ∈ {None, 0, interior, T} and T2 ∈ {None, 0, interior, T}, found in
+    # the first, a middle or the last of the doubling chunks
+    agents = BLIND if blind else [scalar_agent()]
+    tb = analysis._rate_tables(T, scalar_model(), agents, SINGLE, 0.5, 0.8)
+    assert analysis._scan_agent(tb, delta, 0) == oracles.full_scan(tb, delta, 0) == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=directed_scenarios(modes=("event",)),
+       T=st.sampled_from([0, 1, 7, 8, 9, 15, 16, 17, 250]),
+       delta=st.sampled_from([0.0, 0.05, 1.0, 1e4]),
+       betas=st.sampled_from([(0.4, 0.7), (0.5, 0.9), (0.2, 0.95)]))
+def test_scans_from_the_ends_equal_the_full_scan_on_random_networks(cfg, T, delta, betas):
+    tb = analysis._rate_tables(T, cfg.model, cfg.agents, cfg.topology, *betas)
+    for i in range(cfg.topology.N):
+        assert analysis._scan_agent(tb, delta, i) == oracles.full_scan(tb, delta, i)
+
+
+@pytest.mark.parametrize("make, deltas", [
+    (sim.case1, (0.0, 0.3, 1.0, 5.0, 100.0, 1e4)),
+    (lambda: sim.case2(N=20), (0.0, 0.4, 1.2, 5.0, 100.0, 1e4)),
+    (lambda: sim.case2(N=60), (0.0, 0.4, 1.2, 5.0, 100.0, 1e4)),
+], ids=["case1", "case2", "case2-N60"])
+def test_rate_bound_reports_equal_the_full_scan_reports(make, deltas, monkeypatch):
+    cfg = make()
+    net, betas = (cfg.model, cfg.agents, cfg.topology), sim.pilot_betas(cfg)
+    tb = analysis._rate_tables(250, *net, *betas)
+    monkeypatch.setattr(analysis, "_rate_tables", lambda *a: tb)   # built once
+    for delta in deltas:
+        fast = rate_bound(delta, *net, 250, *betas)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_scan_agent", oracles.full_scan)
+            assert rate_bound(delta, *net, 250, *betas) == fast
 
 
 # --- silence-rate bound -----------------------------------------------------------

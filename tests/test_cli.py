@@ -114,6 +114,25 @@ def test_threshold_bound_reports_per_agent(scalar_file, tmp_path, capsys):
     assert "network uniform bound:" in outtext
 
 
+def test_design_commands_run_the_pilot_pass_only_for_a_missing_beta(case1_file, tmp_path,
+                                                                   capsys, monkeypatch):
+    # threshold-bound reads β only, so one --beta value leaves nothing for the
+    # pilot pass to give; rate-bound still takes β̄ from it
+    calls, pilot = [], sim.pilot_betas
+    monkeypatch.setattr(sim, "pilot_betas", lambda cfg: calls.append(cfg) or pilot(cfg))
+    outs = []
+    for argv, runs in ((["threshold-bound", "--beta", "0.5"], 0),
+                       (["threshold-bound", "--beta", "0.5,0.9"], 0),
+                       (["threshold-bound"], 1),
+                       (["rate-bound", "--delta", "1.0", "--beta", "0.5"], 1)):
+        calls.clear()
+        out = tmp_path / str(len(outs))
+        assert cli.main([argv[0], case1_file, *argv[1:], "--out", str(out)]) == cli.EXIT_OK
+        assert len(calls) == runs, argv
+        outs.append((capsys.readouterr().out, (out / "manifest.json").read_text()))
+    assert outs[0] == outs[1]
+
+
 def test_rate_bound_feasible_scalar(scalar_file, tmp_path, capsys):
     rc = cli.main(["rate-bound", scalar_file, "--beta", "0.5,0.8",
                    "--out", str(tmp_path / "rb")])

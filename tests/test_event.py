@@ -326,6 +326,21 @@ def test_epdkf_round_names_an_agent_whose_held_pair_is_not_n_dimensional():
         epdkf_round(states, triggers, ys, model, agents, top, 1)
 
 
+@pytest.mark.parametrize("bad", [[1], [0, 1, 2]], ids=["one", "all"])
+def test_rounds_name_an_agent_whose_estimate_is_not_n_dimensional(bad):
+    # one such agent leaves states that do not stack, all of them a stack of
+    # another shape: either way the first of them is named
+    model, agents, top, states, triggers, ys = _round_args()
+    for i in bad:
+        states[i] = AgentState(i, ConsistentEstimate(np.zeros(3), np.eye(3)))
+    message = f"^state of agent {bad[0]} holds 3 states, not 4$"
+    with pytest.raises(ValueError, match=message):
+        epdkf_round(states, triggers, ys, model, agents, top, 1)
+    with pytest.raises(ValueError, match=message):
+        tpdkf_round(states, ys, model, agents, top, L=1)
+    assert [ts.time for ts in triggers] == [0, 0, 0]
+
+
 @pytest.mark.parametrize("mode", ["time", "event"])
 def test_rounds_reject_a_covariance_that_is_not_finite(mode):
     # numpy's Cholesky returns NaN for a NaN matrix instead of raising, so the
