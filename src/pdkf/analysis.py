@@ -316,6 +316,8 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
     powers (β^τ, A^{-τ}) feed both S and the silence scan of `_scan_agent`.
     Σ_j a_ij runs over agent i's in-edges in neighbour order (the filters'
     step layout and `slot_sum`), bit for bit a loop over its neighbours.
+    Raises a ValueError naming the first step at which f, z̄ or S is not
+    finite: the scans cannot read T1 or T2 off such tables.
     """
     if not (0.0 < beta < 1.0 and 0.0 < beta_bar < 1.0):
         raise ValueError("beta and beta_bar must lie in (0, 1)")
@@ -332,24 +334,31 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
 
     beta_pow = np.empty(T + 1)
     Ainv_pow = np.empty((T + 1, n, n))
-    beta_pow[0], Ainv_pow[0] = beta, Ainv
-    for tau in range(1, T + 1):
-        beta_pow[tau] = beta_pow[tau - 1] * beta
-        Ainv_pow[tau] = Ainv_pow[tau - 1] @ Ainv
     S = np.zeros((T + 1, n, n))
-    terms = beta_pow[1:T, None, None] * (Ainv_pow[1:T].swapaxes(-1, -2)
-                                         @ Ainv_pow[1:T])
-    S[2:] = symmetrize(np.cumsum(terms, axis=0))
-
     f = np.empty((T + 1, N, n, n))
     zbar = np.zeros((T + 1, N, n, n))
-    f[0] = symmetrize(Qinv + info_y)
-    u = info_y                         # lower bound on the updated information
-    for t in range(1, T + 1):
-        f[t] = symmetrize(beta_bar * (Ainv.T @ (nbr_sum(f[t - 1]) + info_d)
-                                      @ Ainv) + info_y)
-        zbar[t] = symmetrize(beta * (Ainv.T @ u @ Ainv))
-        u = symmetrize(beta * (Ainv.T @ (nbr_sum(u) + info_d) @ Ainv) + info_y)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        beta_pow[0], Ainv_pow[0] = beta, Ainv
+        for tau in range(1, T + 1):
+            beta_pow[tau] = beta_pow[tau - 1] * beta
+            Ainv_pow[tau] = Ainv_pow[tau - 1] @ Ainv
+        terms = beta_pow[1:T, None, None] * (Ainv_pow[1:T].swapaxes(-1, -2)
+                                             @ Ainv_pow[1:T])
+        S[2:] = symmetrize(np.cumsum(terms, axis=0))
+        f[0] = symmetrize(Qinv + info_y)
+        u = info_y                     # lower bound on the updated information
+        for t in range(1, T + 1):
+            f[t] = symmetrize(beta_bar * (Ainv.T @ (nbr_sum(f[t - 1]) + info_d)
+                                          @ Ainv) + info_y)
+            zbar[t] = symmetrize(beta * (Ainv.T @ u @ Ainv))
+            u = symmetrize(beta * (Ainv.T @ (nbr_sum(u) + info_d) @ Ainv) + info_y)
+    first = {name: int(np.isfinite(X.reshape(T + 1, -1)).all(axis=1).argmin())
+             for name, X in (("f", f), ("zbar", zbar), ("S", S)) if not np.isfinite(X).all()}
+    if first:
+        t = min(first.values())
+        names = " and ".join(name for name, at in first.items() if at == t)
+        raise ValueError(f"the rate tables overflow: {names} not finite from "
+                         f"step {t} of the horizon; try a shorter one")
     return _RateTables(f, zbar, S, beta_pow, Ainv_pow, info_y)
 
 

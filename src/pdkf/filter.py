@@ -18,6 +18,7 @@ from .model import _check_finite
 
 _JITTER = 1e-9
 _PINV_RTOL = 1e-9
+_PINV_COND = 1e8     # below 1/_PINV_RTOL, so a certified inverse cuts nothing
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
@@ -74,8 +75,24 @@ def _check_pd(M, name: str, ids=None) -> np.ndarray:
 
 
 def pinv(M: np.ndarray) -> np.ndarray:
-    """Moore–Penrose inverse with singular values cut at 1e-9·σ_max."""
-    return np.linalg.pinv(M, rcond=_PINV_RTOL)
+    """Moore–Penrose inverse with singular values cut at 1e-9·σ_max, of a
+    matrix or of each matrix of a stack.
+
+    A member keeps its `np.linalg.inv` when ‖M‖_F·‖M⁻¹‖_F ≤ 1e8: that
+    product bounds cond₂(M) from above, so the cut would remove nothing and
+    the inverse is the pseudo-inverse.  Every other member (exactly singular,
+    not finite, or cond above 1e8) gets the SVD of `np.linalg.pinv`.  Each
+    member's result is the same alone or in a stack."""
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:      # an exactly singular member
+        if M.ndim == 2:
+            return np.linalg.pinv(M, rcond=_PINV_RTOL)
+        return np.stack([pinv(m) for m in M])
+    ok = (M * M).sum(axis=(-2, -1)) * (inv * inv).sum(axis=(-2, -1)) <= _PINV_COND ** 2
+    if not ok.all():                   # NaN fails the test too
+        inv[~ok] = np.linalg.pinv(M[~ok], rcond=_PINV_RTOL)
+    return inv
 
 
 @dataclass

@@ -30,6 +30,7 @@ import json
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -319,15 +320,19 @@ class _Recorder:
     def record(self, k: int, est: np.ndarray, x_k: np.ndarray, P: np.ndarray,
                g=None, fired=None):
         """Step k from the (N, n, trials) state and (N, n, n) covariance stacks
-        and, in event mode, the step's (N,) trigger scores and decisions."""
+        and, in event mode, the step's (N,) trigger scores and decisions.
+        Means are sums over their count, which is what `np.mean` computes,
+        bit for bit; every reduction is numpy's own, none a BLAS dot."""
         m = self.metrics
         if k and len(m.fired):
             m.g[k - 1], m.fired[k - 1] = g, fired
         errs = est - x_k
-        m.mse[k] = np.mean(np.mean(np.sum(errs * errs, axis=1), axis=1))
-        m.trace_p_agent[k] = np.trace(P, axis1=1, axis2=2)
-        m.trace_p[k] = np.mean(m.trace_p_agent[k])
-        m.mean_error_norm[k] = np.linalg.norm(np.mean(np.mean(errs, axis=2), axis=0))
+        N, _, trials = errs.shape
+        m.mse[k] = ((errs * errs).sum(axis=1).sum(axis=1) / trials).sum() / N
+        m.trace_p_agent[k] = P.trace(axis1=1, axis2=2)
+        m.trace_p[k] = m.trace_p_agent[k].sum() / N
+        mean = (errs.sum(axis=2) / trials).sum(axis=0) / N
+        m.mean_error_norm[k] = np.sqrt((mean * mean).sum())
         m.constraint_residuals[k] = max(
             [0.0] + [float(np.abs(D @ est[idx] - d[..., None]).max())
                      for idx, D, d in self.constraints])
@@ -687,11 +692,12 @@ def _require_finite(rm: RunMetrics) -> None:
 
 
 def _write_csv(path: str, cols: dict) -> None:
-    row = ",".join("%.17g" if v.dtype.kind == "f" else "%d" for v in cols.values())
-    values = zip(*(v.tolist() for v in cols.values()))
+    """The columns as CSV rows, formatted by one `%` over the whole block."""
+    row = ",".join("%.17g" if v.dtype.kind == "f" else "%d" for v in cols.values()) + "\n"
+    values = [v.tolist() for v in cols.values()]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        fh.write("".join([(row + "\n") % r for r in values]))
+        fh.write(row * len(values[0]) % tuple(chain.from_iterable(zip(*values))))
 
 
 def write_metrics_csv(path: str, rm: RunMetrics) -> None:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -695,3 +697,22 @@ def test_rate_analysis_rejects_factors_outside_unit_interval(beta, beta_bar):
                    beta=beta, beta_bar=beta_bar)
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         analysis._rate_tables(20, scalar_model(), BLIND, SINGLE, beta, beta_bar)
+
+
+def _overflowing():
+    # A = 0.1: A⁻ᵀ(·)A⁻¹ multiplies the information by 100 per step, so
+    # (A^{-τ})ᵀA^{-τ} overflows at τ = 154 (S from step 155) and f soon after
+    return scalar_model(a=0.1, q=1.0), [scalar_agent(delta=1.2)]
+
+
+def test_rate_tables_that_overflow_name_their_first_step():
+    model, agents = _overflowing()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning on the way
+        with pytest.raises(ValueError, match=r"^the rate tables overflow: S not "
+                                             r"finite from step 155 of the horizon"):
+            analysis._rate_tables(250, model, agents, SINGLE, 0.5, 0.9)
+        with pytest.raises(ValueError, match="from step 155"):
+            rate_bound(1.2, model, agents, SINGLE, T=250, beta=0.5, beta_bar=0.9)
+        tb = analysis._rate_tables(154, model, agents, SINGLE, 0.5, 0.9)
+    assert all(np.isfinite(X).all() for X in (tb.f, tb.zbar, tb.S))

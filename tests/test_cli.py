@@ -148,6 +148,25 @@ def test_rate_bound_infeasible_exits_three(case1_file, tmp_path, capsys):
     assert "infeasible:" in capsys.readouterr().err
 
 
+def test_rate_bound_on_overflowing_tables_exits_three_with_one_message(tmp_path, capsys):
+    # one scalar agent with A = 0.1: the information bounds grow 100-fold a
+    # step, and the tables stop being finite at step 155 of 250
+    model = SystemModel(A=[[0.1]], Q=[[1.0]], x0_mean=[0.0], P0=[[1.0]])
+    agents = [AgentSpec(H=[[1.0]], R=[[1.0]], D=np.zeros((0, 1)), d=np.zeros(0))]
+    path = tmp_path / "fast.scn"
+    save_scenario(ScenarioConfig(model=model, agents=agents,
+                                 topology=Topology(np.ones((1, 1))), T=250), str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["rate-bound", str(path), "--delta", "1.2", "--beta", "0.5,0.9",
+                       "--out", str(tmp_path / "rb")])
+    assert rc == cli.EXIT_INFEASIBLE
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err == ("infeasible: the rate tables overflow: S not finite from "
+                       "step 155 of the horizon; try a shorter one\n")
+
+
 @pytest.mark.parametrize("kstar", ["-5", "0", "2"])
 def test_threshold_bound_kstar_below_n_plus_n_exits_two(scalar_file, tmp_path,
                                                         capsys, kstar):

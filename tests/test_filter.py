@@ -358,6 +358,72 @@ def test_pinv_cuts_tiny_singular_values():
     assert Mi[1, 1] == 0.0
 
 
+def _svd_pinv(M):
+    return np.linalg.pinv(M, rcond=1e-9)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 5])
+def test_pinv_of_well_conditioned_stacks_is_the_svd_pseudo_inverse(s):
+    # the inverse it keeps differs from the SVD's only in the last bits
+    rng = np.random.default_rng(s)
+    stacks = [np.stack([oracles.random_psd(rng, s, scale=10.0 ** e) for e in
+                        rng.uniform(-6, 6, 12)]),
+              rng.standard_normal((12, s, s)) + 3 * s * np.eye(s)]    # unsymmetric
+    for M in stacks:
+        got, want = pinv(M), _svd_pinv(M)
+        err = np.abs(got - want).max(axis=(-2, -1))
+        assert (err <= 1e-12 * np.abs(want).max(axis=(-2, -1))).all()
+        assert s == 1 or err.max() > 0      # the inverse, not the SVD, ran
+
+
+def _ill_rotated(cond):
+    """A 2×2 SPD matrix of condition number `cond` in rotated axes, whose
+    inverse and SVD pseudo-inverse differ in their last bits."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    U = np.array([[c, -s], [s, c]])
+    return U @ np.diag([1.0, 1.0 / cond]) @ U.T
+
+
+# members that must take the SVD, and an unsymmetric one whose inverse is
+# exact in binary, so that the inverse and the SVD agree bit for bit
+PINV_MEMBERS = {"cut": np.diag([1.0, 1e-12]), "cond-3e8": _ill_rotated(3e8),
+                "zero": np.zeros((2, 2)), "unsymmetric": np.array([[0.0, 2.0], [-4.0, 0.0]])}
+
+
+@pytest.mark.parametrize("name", list(PINV_MEMBERS))
+def test_pinv_member_equals_the_svd_bit_for_bit(name):
+    M = PINV_MEMBERS[name]
+    assert np.array_equal(pinv(M), _svd_pinv(M))
+    if name == "cond-3e8":      # a certificate loosened to 1e9 would keep this
+        assert not np.array_equal(np.linalg.inv(M), _svd_pinv(M))
+
+
+def test_pinv_of_a_mixed_stack_equals_single_calls():
+    rng = np.random.default_rng(7)
+    members = [*PINV_MEMBERS.values(), oracles.random_psd(rng, 2), rng.standard_normal((2, 2))]
+    for order in (members, members[::-1], members[3:] + members[:3]):
+        M = np.stack(order)
+        got = pinv(M)
+        for Mi, Gi in zip(M, got):
+            assert np.array_equal(Gi, pinv(Mi))
+        # the same members once more, with no exactly singular one in the stack
+        kept = np.stack([m for m in order if m.any()])
+        assert all(np.array_equal(Gi, pinv(Mi)) for Mi, Gi in zip(kept, pinv(kept)))
+
+
+@pytest.mark.parametrize("others", [None, [np.eye(2)], [np.eye(2), np.zeros((2, 2))]],
+                         ids=["single", "stacked", "stacked-with-a-singular-member"])
+def test_pinv_of_a_nan_member_raises_as_the_svd_does(others):
+    M = np.array([[1.0, np.nan], [0.0, 1.0]])
+    if others is not None:
+        M = np.stack([*others, M])
+    with pytest.raises(np.linalg.LinAlgError) as svd:
+        _svd_pinv(M)
+    with pytest.raises(np.linalg.LinAlgError) as ours:
+        pinv(M)
+    assert str(ours.value) == str(svd.value)
+
+
 # --- the kernels on stacks over an agent axis, against single-matrix calls ----
 
 def _stack(rng, N, rows):

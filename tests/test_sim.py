@@ -719,6 +719,59 @@ def test_triggers_csv_content(tmp_path):
     assert (int(k), int(i)) == (1, 0) and fired in ("0", "1")
 
 
+@pytest.mark.parametrize("mode", ["time", "event"])
+def test_csv_block_equals_the_row_by_row_format(tmp_path, mode):
+    # one `%` over the whole block writes the bytes a format per row wrote
+    rm = run_event(case1(mode=mode, T=40)) if mode == "event" else \
+        run_time_based(case1(T=40))
+    for name, cols in sim._csv_tables(rm).items():
+        p = tmp_path / name
+        (write_metrics_csv if name == "metrics.csv" else write_triggers_csv)(str(p), rm)
+        row = ",".join("%.17g" if v.dtype.kind == "f" else "%d" for v in cols.values())
+        want = ",".join(cols) + "\n" + "".join(
+            (row + "\n") % r for r in zip(*(v.tolist() for v in cols.values())))
+        assert p.read_text() == want
+        assert len(want.splitlines()) == 1 + len(next(iter(cols.values())))
+
+
+def _recorder_cfg(N, n, trials):
+    """N agents on a complete graph, every other one constrained (one row, or
+    two from the third agent on); the constraints agree with each other."""
+    model = SystemModel(A=np.eye(n), Q=np.eye(n), x0_mean=np.zeros(n), P0=np.eye(n))
+    rows = [0 if i % 2 else min(n, 1 + (i >= 2)) for i in range(N)]
+    agents = [AgentSpec(H=np.eye(1, n), R=np.eye(1), D=np.eye(s, n),
+                        d=np.array([0.5, -1.0][:s])) for s in rows]
+    return ScenarioConfig(model=model, agents=agents, topology=Topology(np.full((N, N), 1 / N)),
+                          T=30, trials=trials, checkpoints=(2,))
+
+
+@pytest.mark.parametrize("N, n, trials", [(1, 1, 1), (1, 4, 9), (3, 4, 1), (4, 2, 200),
+                                          (20, 4, 20)])
+def test_recorder_equals_the_np_mean_formulas_bit_for_bit(N, n, trials):
+    rng = np.random.default_rng(1000 * N + 10 * n + trials)
+    cfg = _recorder_cfg(N, n, trials)
+    rows = sim._own_rows(cfg.agents)
+    rec = sim._Recorder(cfg, trials, 0, cfg.global_constraint, rows)
+    for k in range(cfg.T + 1):
+        scale = 10.0 ** rng.uniform(-3, 3, (N, 1, trials))
+        est, x_k = scale * rng.standard_normal((2, N, n, trials))
+        P = np.stack([oracles.random_psd(rng, n, scale=10.0 ** rng.uniform(-3, 3))
+                      for _ in range(N)])
+        rec.record(k, est, x_k, P)
+        m, errs = rec.metrics, est - x_k
+        assert m.mse[k] == np.mean(np.mean(np.sum(errs * errs, axis=1), axis=1))
+        assert np.array_equal(m.trace_p_agent[k], np.trace(P, axis1=1, axis2=2))
+        assert m.trace_p[k] == np.mean(np.trace(P, axis1=1, axis2=2))
+        mean = np.mean(np.mean(errs, axis=2), axis=0)
+        # the norm is a numpy sum of squares, where np.linalg.norm takes a
+        # BLAS dot, which may round the last bit differently
+        assert m.mean_error_norm[k] == np.sqrt(np.sum(mean * mean))
+        assert m.mean_error_norm[k] == pytest.approx(np.linalg.norm(mean), rel=5e-16)
+        want = max([0.0] + [float(np.abs(r[0] @ est[i] - r[1][:, None]).max())
+                            for i, r in enumerate(rows) if r is not None])
+        assert m.constraint_residuals[k] == want
+
+
 def test_manifest_deterministic_and_complete(tmp_path):
     cfg = case1(mode="event", trials=2, seed=4)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
