@@ -327,7 +327,7 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
     info_y, info_d = _info_blocks(model, agents)
     info_d = info_d / np.reshape([a.eps for a in agents], (-1, 1, 1))
     layout = step_layout(agents, topology, False)
-    weights = layout.weights[:, None, None]
+    weights = layout.weights[:, None, None, None]
 
     def nbr_sum(X):
         return slot_sum(weights * X[layout.src], layout.slots[0])[layout.rank]
@@ -344,14 +344,23 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
             Ainv_pow[tau] = Ainv_pow[tau - 1] @ Ainv
         terms = beta_pow[1:T, None, None] * (Ainv_pow[1:T].swapaxes(-1, -2)
                                              @ Ainv_pow[1:T])
+        # (A^{-τ})ᵀA^{-τ} overflows before β^τ brings it back into range:
+        # only such terms are formed again as (β^{τ/2}A^{-τ})ᵀ(β^{τ/2}A^{-τ})
+        big = ~np.isfinite(terms).all(axis=(-2, -1))
+        if big.any():
+            B = np.sqrt(beta_pow[1:T][big])[:, None, None] * Ainv_pow[1:T][big]
+            terms[big] = B.swapaxes(-1, -2) @ B
         S[2:] = symmetrize(np.cumsum(terms, axis=0))
-        f[0] = symmetrize(Qinv + info_y)
-        u = info_y                     # lower bound on the updated information
+        # f and u (the lower bound on the updated information) advance as one
+        # (N, 2, n, n) stack, scaled by β̄ and β; z̄ reads u before its update
+        scale = np.array([beta_bar, beta])[:, None, None]
+        fu = np.stack([symmetrize(Qinv + info_y), info_y], axis=1)
+        f[0] = fu[:, 0]
         for t in range(1, T + 1):
-            f[t] = symmetrize(beta_bar * (Ainv.T @ (nbr_sum(f[t - 1]) + info_d)
-                                          @ Ainv) + info_y)
-            zbar[t] = symmetrize(beta * (Ainv.T @ u @ Ainv))
-            u = symmetrize(beta * (Ainv.T @ (nbr_sum(u) + info_d) @ Ainv) + info_y)
+            zbar[t] = symmetrize(beta * (Ainv.T @ fu[:, 1] @ Ainv))
+            fu = symmetrize(scale * (Ainv.T @ (nbr_sum(fu) + info_d[:, None]) @ Ainv)
+                            + info_y[:, None])
+            f[t] = fu[:, 0]
     first = {name: int(np.isfinite(X.reshape(T + 1, -1)).all(axis=1).argmin())
              for name, X in (("f", f), ("zbar", zbar), ("S", S)) if not np.isfinite(X).all()}
     if first:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter import (AgentState, _check_pd, _ensure_pd, _estimate, ci_maps,
-                     kalman_gain, projection_map, slot_sum, symmetrize)
+from .filter import (AgentState, _check_pd, _ensure_pd, _estimate, _kalman_gain,
+                     _projection_map, ci_maps, slot_sum, symmetrize)
 from .model import AgentSpec, SystemModel, Topology, _check_finite
 
 _COV = "covariance of agent"
@@ -82,8 +82,10 @@ def _grouped(entries: list) -> list:
 class StepLayout:
     """What `filter_step` needs of a network.
 
-    meas holds (indices, H, R) and proj (indices, D, d, eps) per H, or D,
-    shape group of measuring, or constrained, agents.  The fusion runs over
+    meas holds (indices, H, R) and proj (indices, D, d, eps·I) per H, or D,
+    shape group of measuring, or constrained, agents; eye is the n×n
+    identity.  eps·I and eye, the constants of the gain and the projection,
+    are made once per network instead of once per step.  The fusion runs over
     the E in-edges only, as a slot-major edge list: with the agents ordered
     by in-degree (descending, stable), slot s holds the s-th in-neighbor of
     each of the first sizes[s] agents, and rank[i] is agent i's row in that
@@ -94,6 +96,7 @@ class StepLayout:
 
     meas: list
     proj: list
+    eye: np.ndarray
     rank: np.ndarray
     src: np.ndarray
     weights: np.ndarray
@@ -103,7 +106,7 @@ class StepLayout:
 @functools.lru_cache(maxsize=4)
 def _build_layout(event: bool, topology: Topology, *agents: AgentSpec) -> StepLayout:
     meas = _grouped([(a.H, a.R) if a.has_measurement else None for a in agents])
-    proj = _grouped([(a.D, a.d[:, None], np.full((1, 1), a.eps)) if a.has_constraint
+    proj = _grouped([(a.D, a.d[:, None], a.eps * np.eye(len(a.D))) if a.has_constraint
                      else None for a in agents])
     N, edges = topology.N, topology.edges
     deg = edges.sum(axis=1)
@@ -120,7 +123,8 @@ def _build_layout(event: bool, topology: Topology, *agents: AgentSpec) -> StepLa
     weights = topology.weights[receiver, src]
     if event:
         src = np.where(src != receiver, N + src, src)
-    return StepLayout(meas, proj, np.argsort(order), src, weights, (sizes, dst))
+    return StepLayout(meas, proj, np.eye(agents[0].H.shape[1]), np.argsort(order), src,
+                      weights, (sizes, dst))
 
 
 def step_layout(agents: list[AgentSpec], topology: Topology, event: bool) -> StepLayout:
@@ -141,13 +145,14 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
     takes held = (hx, hP), the pairs held after the previous step, advances
     them to this step (x ← A x, P ← A P Aᵀ + Q, not symmetrized), fires where
     the trigger score g against them exceeds deltas, fuses each neighbor's
-    held pair (fresh if it fired) and returns the pairs then held.  Guards,
-    once per stack and bit-neutral where Cholesky succeeds: `_ensure_pd` on
-    every covariance stack made, whose one Cholesky is also the definiteness
-    check before its inverse; `_check_pd` on the held stack, which
-    `_ensure_pd` does not make; cond(S) ≤ 1e14 before each gain.  A
-    LinAlgError carries `covariances` = (P, held P), P bound before it is
-    checked.
+    held pair (fresh if it fired) and returns the pairs then held.  Each
+    covariance stack made is symmetrized once, where it is made (the
+    prediction here, the others inside the kernels).  Guards, once per stack
+    and bit-neutral where Cholesky succeeds: `_ensure_pd` on every covariance
+    stack made, whose one Cholesky is also the definiteness check before its
+    inverse; `_check_pd` on the held stack, which `_ensure_pd` does not make;
+    cond(S) ≤ 1e14 before each gain.  A LinAlgError carries `covariances` =
+    (P, held P), P bound before it is checked.
     """
     event = held is not None
     hx, hP = held if event else (None, None)
@@ -160,10 +165,10 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
         if event:
             hx, hP = A @ hx, A @ hP @ A.T + Q
         # each new stack is bound before `_ensure_pd` can raise on it
-        est, P = A @ est, A @ P @ A.T + Q
+        est, P = A @ est, symmetrize(A @ P @ A.T + Q)
         P = _ensure_pd(P, _COV)
         for (idx, H, R), y in zip(layout.meas, ys):
-            K, P_upd = kalman_gain(P[idx], H, R)
+            K, P_upd = _kalman_gain(P[idx], H, R, layout.eye)
             est[idx] += K @ (y - H @ est[idx])
             P[idx] = _ensure_pd(P_upd, _COV, idx)
         info = np.linalg.inv(P)
@@ -182,8 +187,8 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
             est = slot_sum(gather(est, hx), layout.slots[0], C)[layout.rank]
             P = Pc[layout.rank]
             P = _ensure_pd(P, _COV)
-            for idx, D, d, eps in layout.proj:
-                G, c, P_proj = projection_map(P[idx], D, d, eps)
+            for idx, D, d, eps_I in layout.proj:
+                G, c, P_proj = _projection_map(P[idx], D, d, eps_I, layout.eye)
                 P[idx] = _ensure_pd(P_proj, _COV, idx)
                 est[idx] = G @ est[idx] + c
     except np.linalg.LinAlgError as exc:

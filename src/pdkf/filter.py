@@ -27,19 +27,20 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
 
 
 def _ensure_pd(P: np.ndarray, name: str, ids=None) -> np.ndarray:
-    """P symmetrized, or each matrix of a stack, once made and checked
-    positive definite.  One Cholesky over the stack is both: a finite factor
-    proves every member positive definite.  Only if it fails or is not finite
-    does each member get its own Cholesky, and 1e-9·I where that fails; then
-    `_check_pd` names the first member that is not finite (LinAlgError) or
-    still not positive definite (ValueError), by its index or by ids[index]
-    for a stack of some agents."""
-    P = symmetrize(P)
+    """P, a symmetric matrix or stack of them, once checked positive
+    definite: P itself when one Cholesky over the stack gives a finite
+    factor, which proves every member positive definite.  Only if it fails
+    or is not finite does each member of a copy get its own Cholesky, and
+    1e-9·I where that fails; then `_check_pd` names the first member that is
+    not finite (LinAlgError) or still not positive definite (ValueError), by
+    its index or by ids[index] for a stack of some agents.  The caller
+    symmetrizes P where it makes it; P itself is never written."""
     try:
         if np.isfinite(np.linalg.cholesky(P)).all():
             return P
     except np.linalg.LinAlgError:
         pass
+    P = P.copy()
     for M in P.reshape(-1, *P.shape[-2:]):
         try:
             np.linalg.cholesky(M)
@@ -111,7 +112,7 @@ class ConsistentEstimate:
         _check_finite(P, "P")
         if P.shape != (self.x.size, self.x.size):
             raise ValueError("P shape does not match the state dimension")
-        self.P = _ensure_pd(P, "P")
+        self.P = _ensure_pd(symmetrize(P), "P")
 
 
 def _estimate(x: np.ndarray, P: np.ndarray) -> ConsistentEstimate:
@@ -148,16 +149,23 @@ def kalman_gain(P, H, R) -> tuple[np.ndarray, np.ndarray]:
     P⁺ = (I − K H) P symmetrized; the updated state is x + K (y − H x).
     P, H and R may be single matrices or stacks over a leading agent axis.
     Raises LinAlgError if an innovation matrix S has cond(S) > 1e14."""
+    return _kalman_gain(P, H, R, np.eye(P.shape[-1]))
+
+
+def _kalman_gain(P, H, R, I):
+    """`kalman_gain` with the n×n identity I given (the step layout's)."""
     Ht = H.swapaxes(-1, -2)
     S = H @ P @ Ht + R
-    # a 1×1 S has cond 1 unless it is 0 or not finite: no SVD per agent for it
-    cond = np.max(np.linalg.cond(S) if S.shape[-1] > 1 else
-                  np.where(np.isfinite(S) & (S != 0), 1.0, np.inf), initial=0.0)
+    if S.shape[-1] > 1:
+        cond = np.max(np.linalg.cond(S), initial=0.0)
+    else:   # a 1×1 S has cond 1 unless it is 0 or not finite: no SVD per agent
+        a = np.abs(S)
+        cond = 1.0 if a.min(initial=np.inf) > 0.0 and a.max(initial=0.0) < np.inf else np.inf
     if not cond <= 1e14:
         raise np.linalg.LinAlgError(
             f"innovation matrix is numerically singular (cond={cond:.3e})")
     K = np.linalg.solve(S.swapaxes(-1, -2), (P @ Ht).swapaxes(-1, -2)).swapaxes(-1, -2)
-    return K, symmetrize((np.eye(P.shape[-1]) - K @ H) @ P)
+    return K, symmetrize((I - K @ H) @ P)
 
 
 def slot_sum(terms: np.ndarray, sizes, maps=None) -> np.ndarray:
@@ -202,10 +210,16 @@ def projection_map(P, D, d, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     carry a leading agent axis, d is (N, s, 1) and eps (N, 1, 1); c is then
     (N, n, 1), a column for each agent.
     """
+    return _projection_map(P, D, d, eps * np.eye(D.shape[-2]), np.eye(P.shape[-1]))
+
+
+def _projection_map(P, D, d, eps_I, I):
+    """`projection_map` with eps·I (s×s, or one per agent) and the n×n
+    identity I given (the step layout's)."""
     Dt = D.swapaxes(-1, -2)
     PDt = P @ Dt
     DP = D @ P
     S = DP @ Dt  # s×s, PD because P is
     M = PDt @ pinv(S)
-    P_new = symmetrize(P - PDt @ np.linalg.solve(S + eps * np.eye(S.shape[-1]), DP))
-    return np.eye(P.shape[-1]) - M @ D, M @ d, P_new
+    P_new = symmetrize(P - PDt @ np.linalg.solve(S + eps_I, DP))
+    return I - M @ D, M @ d, P_new

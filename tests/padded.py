@@ -3,17 +3,62 @@
 a slot-major edge list.  Every agent fuses over as many slots as the largest
 in-degree, a spare slot is the agent itself at weight 0, and the layout is
 built on every call.  The held pairs advance inside the step, as they do in
-`event.filter_step`.  It runs the package's kernels, so it is the
-differential reference for the slot-major fusion bit for bit, not for the
-formulas (`oracles.py` holds those).
+`event.filter_step`.  The guard `_ensure_pd`, the gain and the projection are
+copies of the package's as they were before the step did each piece of work
+once: `_ensure_pd` symmetrizes every stack it is given, and the gain and the
+projection build their identities on every call.  So this is the
+differential reference for the slot-major fusion and for that work, bit for
+bit, not for the formulas (`oracles.py` holds those).
 """
 import numpy as np
 
 from pdkf import sim
 from pdkf.event import _grouped, trigger_from_info
-from pdkf.filter import _check_pd, _ensure_pd, kalman_gain, projection_map, symmetrize
+from pdkf.filter import _check_pd, pinv, symmetrize
 from pdkf.model import AgentSpec, Topology
 from pdkf.sim import ScenarioConfig
+
+
+def _ensure_pd(P: np.ndarray, name: str, ids=None) -> np.ndarray:
+    """P symmetrized, or each matrix of a stack, once checked positive
+    definite by one Cholesky over the stack; only where that fails does each
+    member get its own, and 1e-9·I where that fails too."""
+    P = symmetrize(P)
+    try:
+        if np.isfinite(np.linalg.cholesky(P)).all():
+            return P
+    except np.linalg.LinAlgError:
+        pass
+    for M in P.reshape(-1, *P.shape[-2:]):
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            M += 1e-9 * np.eye(len(M))
+    return _check_pd(P, name, ids)
+
+
+def kalman_gain(P, H, R) -> tuple[np.ndarray, np.ndarray]:
+    """(K, P⁺) of one Kalman update on a stack, cond(S) ≤ 1e14 checked."""
+    Ht = H.swapaxes(-1, -2)
+    S = H @ P @ Ht + R
+    cond = np.max(np.linalg.cond(S) if S.shape[-1] > 1 else
+                  np.where(np.isfinite(S) & (S != 0), 1.0, np.inf), initial=0.0)
+    if not cond <= 1e14:
+        raise np.linalg.LinAlgError(
+            f"innovation matrix is numerically singular (cond={cond:.3e})")
+    K = np.linalg.solve(S.swapaxes(-1, -2), (P @ Ht).swapaxes(-1, -2)).swapaxes(-1, -2)
+    return K, symmetrize((np.eye(P.shape[-1]) - K @ H) @ P)
+
+
+def projection_map(P, D, d, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, c, P⁺) of the constraint projection on a stack."""
+    Dt = D.swapaxes(-1, -2)
+    PDt = P @ Dt
+    DP = D @ P
+    S = DP @ Dt
+    M = PDt @ pinv(S)
+    P_new = symmetrize(P - PDt @ np.linalg.solve(S + eps * np.eye(S.shape[-1]), DP))
+    return np.eye(P.shape[-1]) - M @ D, M @ d, P_new
 
 
 def padded_layout(agents: list[AgentSpec], topology: Topology, event: bool) -> tuple:

@@ -468,6 +468,20 @@ def test_edge_list_tables_are_bit_identical_to_the_dense_sums(setup):
         assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
+@pytest.mark.parametrize("make", [sim.case1, lambda: sim.case2(N=20),
+                                  lambda: sim.case2(N=60)], ids=["case1", "case2", "case2-N60"])
+def test_rate_tables_equal_the_dense_recursion_over_the_design_horizon(make):
+    # f and u advance as one stack, and S's terms are formed again only
+    # where they overflow: at the design's factors and horizon nothing moves
+    cfg = make()
+    net = (cfg.model, cfg.agents, cfg.topology)
+    betas = sim.pilot_betas(cfg)
+    tb = analysis._rate_tables(250, *net, *betas)
+    for got, ref in zip((tb.f, tb.zbar, tb.S), oracles.dense_rate_tables(250, *net, *betas)):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 def test_rate_tables_powers_feed_the_silence_term():
     model, agents, top = path3_setup()
     info_y, _ = info_blocks(model, agents)
@@ -700,8 +714,9 @@ def test_rate_analysis_rejects_factors_outside_unit_interval(beta, beta_bar):
 
 
 def _overflowing():
-    # A = 0.1: A⁻ᵀ(·)A⁻¹ multiplies the information by 100 per step, so
-    # (A^{-τ})ᵀA^{-τ} overflows at τ = 154 (S from step 155) and f soon after
+    # A = 0.1: A⁻ᵀ(·)A⁻¹ multiplies the information by 100 per step, so with
+    # β̄ = 0.9 f grows 90-fold and overflows at step 158; (A^{-τ})ᵀA^{-τ}
+    # overflows from τ = 155 on, but the term β^τ·(A^{-τ})ᵀA^{-τ} of S is 50^τ
     return scalar_model(a=0.1, q=1.0), [scalar_agent(delta=1.2)]
 
 
@@ -709,10 +724,26 @@ def test_rate_tables_that_overflow_name_their_first_step():
     model, agents = _overflowing()
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no RuntimeWarning on the way
-        with pytest.raises(ValueError, match=r"^the rate tables overflow: S not "
-                                             r"finite from step 155 of the horizon"):
+        with pytest.raises(ValueError, match=r"^the rate tables overflow: f not "
+                                             r"finite from step 158 of the horizon"):
             analysis._rate_tables(250, model, agents, SINGLE, 0.5, 0.9)
-        with pytest.raises(ValueError, match="from step 155"):
+        with pytest.raises(ValueError, match="from step 158"):
             rate_bound(1.2, model, agents, SINGLE, T=250, beta=0.5, beta_bar=0.9)
-        tb = analysis._rate_tables(154, model, agents, SINGLE, 0.5, 0.9)
+        tb = analysis._rate_tables(157, model, agents, SINGLE, 0.5, 0.9)
     assert all(np.isfinite(X).all() for X in (tb.f, tb.zbar, tb.S))
+
+
+def test_rate_tables_keep_S_whose_unscaled_terms_overflow():
+    # with β̄ = 0.5, f grows 50-fold and stays finite up to step 181, and so
+    # does S[t] = Σ_{τ=2..t} 50^τ, though (A^{-τ})ᵀA^{-τ} = 100^τ overflows
+    # from τ = 155 on
+    model, agents = _overflowing()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tb = analysis._rate_tables(181, model, agents, SINGLE, 0.5, 0.5)
+        with pytest.raises(ValueError, match="not finite from step 182 "):
+            analysis._rate_tables(182, model, agents, SINGLE, 0.5, 0.5)
+    assert all(np.isfinite(X).all() for X in (tb.f, tb.zbar, tb.S))
+    want = float(sum(50 ** tau for tau in range(2, 156)))
+    assert tb.S[155, 0, 0] == pytest.approx(want, rel=1e-12)
+    assert tb.S[154, 0, 0] == pytest.approx(want - 50.0 ** 155, rel=1e-12)

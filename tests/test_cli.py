@@ -149,8 +149,8 @@ def test_rate_bound_infeasible_exits_three(case1_file, tmp_path, capsys):
 
 
 def test_rate_bound_on_overflowing_tables_exits_three_with_one_message(tmp_path, capsys):
-    # one scalar agent with A = 0.1: the information bounds grow 100-fold a
-    # step, and the tables stop being finite at step 155 of 250
+    # one scalar agent with A = 0.1: with β̄ = 0.9 the information bound f
+    # grows 90-fold a step, and stops being finite at step 158 of 250
     model = SystemModel(A=[[0.1]], Q=[[1.0]], x0_mean=[0.0], P0=[[1.0]])
     agents = [AgentSpec(H=[[1.0]], R=[[1.0]], D=np.zeros((0, 1)), d=np.zeros(0))]
     path = tmp_path / "fast.scn"
@@ -163,8 +163,8 @@ def test_rate_bound_on_overflowing_tables_exits_three_with_one_message(tmp_path,
     assert rc == cli.EXIT_INFEASIBLE
     err = capsys.readouterr()
     assert err.out == ""
-    assert err.err == ("infeasible: the rate tables overflow: S not finite from "
-                       "step 155 of the horizon; try a shorter one\n")
+    assert err.err == ("infeasible: the rate tables overflow: f not finite from "
+                       "step 158 of the horizon; try a shorter one\n")
 
 
 @pytest.mark.parametrize("kstar", ["-5", "0", "2"])

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from pdkf import event
+from pdkf import filter as filter_module
 from pdkf.event import TriggerState, epdkf_round, tpdkf_round, trigger_from_info
-from pdkf.filter import AgentState, ConsistentEstimate, _check_pd, _ensure_pd, kalman_gain
+from pdkf.filter import (AgentState, ConsistentEstimate, _check_pd, _ensure_pd, kalman_gain,
+                         symmetrize)
 from pdkf.model import AgentSpec, SystemModel, Topology, metropolis_weights
 from pdkf.sim import case1, case2
 
@@ -110,7 +112,7 @@ def test_held_pairs_equal_the_from_anchor_extrapolation():
             if i in fired:
                 # the broadcast is the fresh pair as the engine forms it:
                 # prediction, then the gain
-                x, P = A @ prev[i].x, _ensure_pd(A @ prev[i].P @ A.T + Q, "P")
+                x, P = A @ prev[i].x, _ensure_pd(symmetrize(A @ prev[i].P @ A.T + Q), "P")
                 if agents[i].has_measurement:
                     K, P = kalman_gain(P, agents[i].H, agents[i].R)
                     x, P = x + K @ (ys[i] - agents[i].H @ x), _ensure_pd(P, "P")
@@ -454,6 +456,41 @@ def test_filter_step_factors_each_covariance_stack_once(mode, rounds, calls, mon
                       rounds, held, np.array([a.delta for a in cfg.agents]))
     assert len(factored) == calls
     assert all(len(shape) == 3 for shape in factored)     # stacks, never one member
+
+
+@pytest.mark.parametrize("case, mode, rounds", [(case1, "time", 2), (case2, "event", 1)],
+                         ids=["case1-time-L2", "case2-event"])
+def test_filter_step_symmetrizes_each_stack_once_and_makes_no_identity(case, mode, rounds,
+                                                                       monkeypatch):
+    # six stacks each: the prediction, the gain's, and per round the fused
+    # and the projected stack; in event mode, with one round, the held stack
+    # (`_check_pd`) and the trigger's information difference instead of a
+    # second round.  `_ensure_pd` does not symmetrize them again, and the
+    # identities come from the layout, built before the step.
+    cfg = case(mode=mode, T=1, trials=1)
+    layout = event.step_layout(cfg.agents, cfg.topology, mode == "event")
+    assert (len(layout.meas), len(layout.proj)) == (1, 1)
+    x0, P = map(np.stack, zip(*cfg.initial_pairs()))
+    held = (x0[:, :, None], P) if mode == "event" else None
+    ys = [np.zeros((len(idx), H.shape[1], 1)) for idx, H, _ in layout.meas]
+    shapes, eyes = [], []
+    eye = np.eye
+
+    def spy(M):
+        shapes.append(M.shape)
+        return symmetrize(M)
+
+    def eye_spy(*args, **kwargs):
+        eyes.append(args)
+        return eye(*args, **kwargs)
+
+    monkeypatch.setattr(filter_module, "symmetrize", spy)
+    monkeypatch.setattr(event, "symmetrize", spy)
+    monkeypatch.setattr(np, "eye", eye_spy)
+    event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0), cfg.model.Q_at(0),
+                      rounds, held, np.array([a.delta for a in cfg.agents]))
+    assert len(shapes) == 6 and eyes == []
+    assert all(len(shape) == 3 for shape in shapes)       # stacks, never one member
 
 
 def _arrays(obj):

@@ -115,7 +115,7 @@ def test_predict_update_matches_textbook_kf(seed):
     y = rng.standard_normal(m)
 
     # the engine's prediction, then its gain
-    x_got, P_got = A @ x, _ensure_pd(A @ P @ A.T + Q, "P")
+    x_got, P_got = A @ x, _ensure_pd(symmetrize(A @ P @ A.T + Q), "P")
     K, P_got = kalman_gain(P_got, H, R)
     x_got = x_got + K @ (y - H @ x_got)
     xe, Pe = oracles.kf_predict(x, P, A, Q)
@@ -486,17 +486,30 @@ def test_stacked_ci_maps_equals_single_calls_on_slot_major_edges(N):
 
 
 def test_stacked_ensure_pd_equals_single_calls():
-    # member 2 is indefinite, so its Cholesky fails and only it gets jitter
+    # member 2 is indefinite, so its Cholesky fails and only it gets jitter,
+    # on a copy: neither the stack nor a member passed alone is written
     rng = np.random.default_rng(8)
-    stack = np.stack([oracles.random_psd(rng, 3) for _ in range(5)])
+    stack = symmetrize(np.stack([oracles.random_psd(rng, 3) for _ in range(5)]))
     stack[2] = np.diag([1.0, -1e-12, 2.0])
-    stack[4, 0, 1] += 1e-13                        # slightly asymmetric
+    before = stack.copy()
     got = _ensure_pd(stack, "P")
     assert np.array_equal(got, np.stack([_ensure_pd(M, "P") for M in stack]))
-    assert np.array_equal(got[2], symmetrize(stack[2]) + 1e-9 * np.eye(3))
+    assert np.array_equal(stack, before)
+    assert np.array_equal(got[2], stack[2] + 1e-9 * np.eye(3))
     for i in (0, 1, 3, 4):
-        assert np.array_equal(got[i], symmetrize(stack[i]))
+        assert np.array_equal(got[i], stack[i])
     assert not np.shares_memory(got, stack)
+    # where no member needs jitter, the stack checked is the stack returned
+    fine = stack[[0, 1, 3, 4]]
+    assert _ensure_pd(fine, "P") is fine
+
+
+def test_consistent_estimate_symmetrizes_its_P():
+    P = np.diag([2.0, 3.0])
+    P[0, 1] = 1e-13
+    est = ConsistentEstimate(np.zeros(2), P)
+    assert np.array_equal(est.P, symmetrize(P)) and est.P[1, 0] == est.P[0, 1]
+    assert not np.shares_memory(est.P, P)
 
 
 def test_ensure_pd_names_a_member_that_jitter_cannot_fix():
