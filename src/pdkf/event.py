@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter import (AgentState, _check_pd, _ensure_pd, _estimate, _kalman_gain,
+from .filter import (AgentState, _check_pd, _ensure_pd, _estimate, _inv, _kalman_gain,
                      _projection_map, ci_maps, slot_sum, symmetrize)
 from .model import AgentSpec, SystemModel, Topology, _check_finite
 
@@ -171,9 +171,9 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
             K, P_upd = _kalman_gain(P[idx], H, R, layout.eye)
             est[idx] += K @ (y - H @ est[idx])
             P[idx] = _ensure_pd(P_upd, _COV, idx)
-        info = np.linalg.inv(P)
+        info = _inv(P)
         if event:
-            hinfo = np.linalg.inv(_check_pd(hP, "held covariance of agent"))
+            hinfo = _inv(_check_pd(hP, "held covariance of agent"))
             g, fired = trigger_from_info(info, hinfo, deltas)
             # a broadcast becomes the anchor every receiver extrapolates
             f = fired[:, None, None]
@@ -181,7 +181,7 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
                              np.where(f, info, hinfo))
         for r in range(rounds):
             if r:
-                info = np.linalg.inv(P)
+                info = _inv(P)
             Pc, C = ci_maps(gather(info, hinfo), layout.weights, layout.slots)
             # rows follow the layout's order until this one un-permutation
             est = slot_sum(gather(est, hx), layout.slots[0], C)[layout.rank]

@@ -10,6 +10,7 @@ these kernels on the stack of all agents.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,39 @@ _PINV_RTOL = 1e-9
 _PINV_COND = 1e8     # below 1/_PINV_RTOL, so a certified inverse cuts nothing
 
 
+def _member_nan(f):
+    """f, an `np.linalg` function, giving NaN for each member of a stack (and
+    of solve's right-hand stack, with the same leading axes) it fails on."""
+    def call(*args):
+        try:
+            return f(*args)
+        except np.linalg.LinAlgError:
+            if np.ndim(args[0]) == 2:
+                return np.full(np.shape(args[-1]), np.nan)
+            return np.stack([call(*member) for member in zip(*args)])
+    return call
+
+
+def _kernels() -> tuple:
+    """The (inv, cholesky, solve) of the filter step: the LAPACK gufuncs that
+    `np.linalg` calls inside its Python wrapper, called directly with their
+    float64 signatures, which gives `np.linalg`'s bits.  A member they fail
+    on comes back as NaN and raises nothing; the guards read it as not
+    finite.  Each call ignores the floating-point flags in one `np.errstate`,
+    as `np.linalg` does, so no RuntimeWarning escapes.  Where numpy lacks the
+    gufuncs or a signature: `np.linalg`, with a failing member made NaN."""
+    lapack = getattr(np.linalg, "_umath_linalg", None)
+    found = [(getattr(lapack, name, None), sig)
+             for name, sig in (("inv", "d->d"), ("cholesky_lo", "d->d"), ("solve", "dd->d"))]
+    if all(sig in getattr(g, "types", ()) for g, sig in found):
+        quiet = np.errstate(all="ignore")       # as a decorator: one context per call
+        return tuple(quiet(functools.partial(g, signature=sig)) for g, sig in found)
+    return tuple(map(_member_nan, (np.linalg.inv, np.linalg.cholesky, np.linalg.solve)))
+
+
+_inv, _cholesky, _solve = _kernels()
+
+
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix of a stack."""
     return 0.5 * (M + M.swapaxes(-1, -2))
@@ -29,38 +63,28 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
 def _ensure_pd(P: np.ndarray, name: str, ids=None) -> np.ndarray:
     """P, a symmetric matrix or stack of them, once checked positive
     definite: P itself when one Cholesky over the stack gives a finite
-    factor, which proves every member positive definite.  Only if it fails
-    or is not finite does each member of a copy get its own Cholesky, and
-    1e-9·I where that fails; then `_check_pd` names the first member that is
+    factor, which proves every member positive definite.  Otherwise each
+    member whose factor is not finite (NaN where Cholesky failed) gets
+    1e-9·I added, in a copy; then `_check_pd` names the first member that is
     not finite (LinAlgError) or still not positive definite (ValueError), by
     its index or by ids[index] for a stack of some agents.  The caller
     symmetrizes P where it makes it; P itself is never written."""
-    try:
-        if np.isfinite(np.linalg.cholesky(P)).all():
-            return P
-    except np.linalg.LinAlgError:
-        pass
+    F = _cholesky(P)
+    if np.isfinite(F).all():
+        return P
     P = P.copy()
-    for M in P.reshape(-1, *P.shape[-2:]):
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            M += _JITTER * np.eye(len(M))
+    P[~np.isfinite(F).all(axis=(-2, -1))] += _JITTER * np.eye(P.shape[-1])
     return _check_pd(P, name, ids)
 
 
 def _check_pd(M, name: str, ids=None) -> np.ndarray:
     """M symmetrized, or each matrix of a stack, once checked positive
-    definite: one Cholesky over the stack, and only if that fails or gives a
-    non-finite factor, as it does on NaN input, a LinAlgError for a member
-    that is not finite or `eigvalsh` for one that is not positive definite.
-    A stack's member is named by its index, or by ids[index] if given."""
+    definite: one Cholesky over the stack, and only if its factor is not
+    finite (NaN input, or a member Cholesky failed on), a LinAlgError for a
+    member that is not finite or `eigvalsh` for one that is not positive
+    definite.  A stack's member is named by its index, or by ids[index]."""
     M = symmetrize(np.asarray(M, dtype=float))
-    try:
-        ok = np.isfinite(np.linalg.cholesky(M)).all()
-    except np.linalg.LinAlgError:
-        ok = False
-    if ok:
+    if np.isfinite(_cholesky(M)).all():
         return M
 
     def which(bad) -> str:
@@ -79,17 +103,12 @@ def pinv(M: np.ndarray) -> np.ndarray:
     """Moore–Penrose inverse with singular values cut at 1e-9·σ_max, of a
     matrix or of each matrix of a stack.
 
-    A member keeps its `np.linalg.inv` when ‖M‖_F·‖M⁻¹‖_F ≤ 1e8: that
-    product bounds cond₂(M) from above, so the cut would remove nothing and
-    the inverse is the pseudo-inverse.  Every other member (exactly singular,
-    not finite, or cond above 1e8) gets the SVD of `np.linalg.pinv`.  Each
-    member's result is the same alone or in a stack."""
-    try:
-        inv = np.linalg.inv(M)
-    except np.linalg.LinAlgError:      # an exactly singular member
-        if M.ndim == 2:
-            return np.linalg.pinv(M, rcond=_PINV_RTOL)
-        return np.stack([pinv(m) for m in M])
+    A member keeps its `_inv` when ‖M‖_F·‖M⁻¹‖_F ≤ 1e8: that product
+    bounds cond₂(M) from above, so the cut would remove nothing and the
+    inverse is the pseudo-inverse.  Every other member (exactly singular,
+    with a NaN inverse, not finite, or cond above 1e8) gets the SVD of
+    `np.linalg.pinv`.  Each member's result is the same alone or in a stack."""
+    inv = _inv(M)
     ok = (M * M).sum(axis=(-2, -1)) * (inv * inv).sum(axis=(-2, -1)) <= _PINV_COND ** 2
     if not ok.all():                   # NaN fails the test too
         inv[~ok] = np.linalg.pinv(M[~ok], rcond=_PINV_RTOL)
@@ -164,7 +183,7 @@ def _kalman_gain(P, H, R, I):
     if not cond <= 1e14:
         raise np.linalg.LinAlgError(
             f"innovation matrix is numerically singular (cond={cond:.3e})")
-    K = np.linalg.solve(S.swapaxes(-1, -2), (P @ Ht).swapaxes(-1, -2)).swapaxes(-1, -2)
+    K = _solve(S.swapaxes(-1, -2), (P @ Ht).swapaxes(-1, -2)).swapaxes(-1, -2)
     return K, symmetrize((I - K @ H) @ P)
 
 
@@ -196,7 +215,7 @@ def ci_maps(infos, weights, slots) -> tuple[np.ndarray, np.ndarray]:
     """
     terms = np.asarray(weights)[:, None, None] * np.asarray(infos)
     sizes, dst = slots
-    P = symmetrize(np.linalg.inv(slot_sum(terms, sizes)))
+    P = symmetrize(_inv(slot_sum(terms, sizes)))
     return P, P[dst] @ terms
 
 
@@ -221,5 +240,5 @@ def _projection_map(P, D, d, eps_I, I):
     DP = D @ P
     S = DP @ Dt  # s×s, PD because P is
     M = PDt @ pinv(S)
-    P_new = symmetrize(P - PDt @ np.linalg.solve(S + eps_I, DP))
+    P_new = symmetrize(P - PDt @ _solve(S + eps_I, DP))
     return I - M @ D, M @ d, P_new

@@ -1,4 +1,6 @@
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -747,3 +749,44 @@ def test_rate_tables_keep_S_whose_unscaled_terms_overflow():
     want = float(sum(50 ** tau for tau in range(2, 156)))
     assert tb.S[155, 0, 0] == pytest.approx(want, rel=1e-12)
     assert tb.S[154, 0, 0] == pytest.approx(want - 50.0 ** 155, rel=1e-12)
+
+
+def _exact_scalar_scan(a, delta, T, beta, beta_bar):
+    """(T1, T2) of the one-agent scalar model with q = h = r = 1, in exact
+    arithmetic: the recursions of `_rate_tables` and the scans of
+    `_scan_agent` over every step, with Fractions of the floats given."""
+    a, delta, beta, beta_bar = map(Fraction, (a, delta, beta, beta_bar))
+    grow = 1 / (a * a)                       # A⁻ᵀ(·)A⁻¹ of a scalar
+    f, u, zbar, S = [Fraction(2)], Fraction(1), [Fraction(0)], [Fraction(0)]
+    for t in range(1, T + 1):
+        zbar.append(beta * grow * u)
+        u = beta * grow * u + 1
+        f.append(beta_bar * grow * f[-1] + 1)
+        S.append(S[-1] + (beta * grow) ** t if t >= 2 else Fraction(0))
+    hits = [f[t] - max(zbar[t] + delta * (1 - S[t]), Fraction(0)) > 0 for t in range(T + 1)]
+    t1 = None if all(hits) else max((t for t, h in enumerate(hits) if h), default=0)
+    fails = [t for t in range(T + 1) if f[t] - (beta * grow) ** (t + 1) - delta > 0]
+    t2 = T if not fails else (fails[0] - 1 if fails[0] else None)
+    return t1, t2
+
+
+@pytest.mark.parametrize("T", [120, 150, 154, 160, 181])
+@pytest.mark.parametrize("delta", [1.2, 1e100])
+def test_rate_scans_decide_exactly_or_name_their_overflow(T, delta):
+    # A = 0.1: the silence term β^{s+1}(A^{-(s+1)})ᵀHᵀR⁻¹HA^{-(s+1)} = 50^{s+1}
+    # is formed unscaled as 100^{s+1}, which overflows from s = 154 on, and
+    # δ·(I − S) overflows at δ = 1e100 once S passes 1.8e208 (step 123).  The
+    # scans read no term that is not finite: each answer is the exact one,
+    # or the tables' ValueError names the term, the step and δ.
+    model, agents = _overflowing()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rep = rate_bound(delta, model, agents, SINGLE, T=T, beta=0.5, beta_bar=0.5)
+        except ValueError as exc:
+            assert re.match(r"the rate tables overflow: (the silence term|zbar \+ delta\*\(I "
+                            r"- S\)) not finite at step \d+ for delta \S+; try a shorter "
+                            r"horizon$", str(exc))
+            assert delta == 1e100 or T == 181      # the only terms out of range
+            return
+    assert (rep.T1[0], rep.T2[0]) == _exact_scalar_scan(0.1, delta, T, 0.5, 0.5)

@@ -13,6 +13,10 @@ from pdkf.sim import case1, case2
 
 import oracles
 
+# the guards run singular, indefinite and non-finite stacks through the
+# LAPACK kernels: no numpy warning may reach the caller
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def trigger_one(P_tilde, P_bar_tilde, delta):
     """The engine's trigger on one pair: `_check_pd` and `inv` of each
@@ -445,13 +449,13 @@ def test_filter_step_factors_each_covariance_stack_once(mode, rounds, calls, mon
     held = (x0[:, :, None], P) if mode == "event" else None
     ys = [np.zeros((len(idx), H.shape[1], 1)) for idx, H, _ in layout.meas]
     factored = []
-    cholesky = np.linalg.cholesky
+    cholesky = filter_module._cholesky
 
     def spy(M):
         factored.append(M.shape)
         return cholesky(M)
 
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    monkeypatch.setattr(filter_module, "_cholesky", spy)
     event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0), cfg.model.Q_at(0),
                       rounds, held, np.array([a.delta for a in cfg.agents]))
     assert len(factored) == calls

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdkf import filter as filter_module
 from pdkf.filter import (
     AgentState,
     ConsistentEstimate,
@@ -19,6 +20,10 @@ from pdkf.model import AgentSpec, SystemModel, Topology, metropolis_weights
 import oracles
 
 RNG_PROPERTY_RUNS = 100
+
+# a failing LAPACK member comes back as NaN inside a quiet `np.errstate`: no
+# numpy warning may reach the caller, here or through the guards
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def ci_one(infos, weights):
@@ -422,6 +427,74 @@ def test_pinv_of_a_nan_member_raises_as_the_svd_does(others):
     with pytest.raises(np.linalg.LinAlgError) as ours:
         pinv(M)
     assert str(ours.value) == str(svd.value)
+
+
+# --- the private LAPACK kernels against np.linalg --------------------------
+
+# (N, n): one covariance per agent for every state size the scenarios use,
+# one-member and empty stacks, and the case2 N = 60 stack
+KERNEL_STACKS = [(0, 4), (1, 1), (1, 4), (3, 2), (3, 4), (20, 4), (60, 4), (5, 3)]
+
+
+def _spd_stack(rng, N, n):
+    return symmetrize(np.array([oracles.random_psd(rng, n) for _ in range(N)]).reshape(N, n, n))
+
+
+@pytest.mark.parametrize("N, n", KERNEL_STACKS)
+def test_kernels_give_the_bits_of_np_linalg(N, n):
+    rng = np.random.default_rng(100 * N + n)
+    P = _spd_stack(rng, N, n)
+    for stack in (P, *P[:1]):               # the stack, and one matrix alone
+        assert np.array_equal(filter_module._inv(stack), np.linalg.inv(stack))
+        assert np.array_equal(filter_module._cholesky(stack), np.linalg.cholesky(stack))
+    for rows in (1, 2):                     # the gain's S and the projection's S + εI
+        S = _spd_stack(rng, N, rows)
+        B = rng.standard_normal((N, rows, n))
+        assert np.array_equal(filter_module._solve(S, B), np.linalg.solve(S, B))
+
+
+def _failing_stack():
+    """An SPD member, a singular one and an indefinite one."""
+    return np.stack([np.diag([2.0, 3.0]), np.zeros((2, 2)), np.diag([1.0, -1.0])])
+
+
+def test_kernels_give_nan_for_each_failing_member_only():
+    # and raise nothing, where np.linalg raises for the whole stack
+    M = _failing_stack()
+    inv, chol = filter_module._inv(M), filter_module._cholesky(M)
+    assert np.array_equal(inv[[0, 2]], np.linalg.inv(M[[0, 2]]))
+    assert np.array_equal(chol[0], np.linalg.cholesky(M[0]))
+    assert np.isnan(inv[1]).all() and np.isnan(chol[1:]).all()
+    assert np.isnan(filter_module._solve(M[1], np.ones((2, 1)))).all()
+
+
+@pytest.mark.parametrize("hide", ["module", "signature"])
+def test_kernels_fall_back_to_np_linalg_without_the_gufuncs(hide, monkeypatch):
+    gufuncs = np.linalg._umath_linalg
+    if hide == "module":
+        monkeypatch.delattr(np.linalg, "_umath_linalg")
+    else:       # a numpy whose inv has no d->d loop
+        monkeypatch.setattr(gufuncs, "inv", np.isnan)
+    calls = []
+    for name in ("inv", "cholesky", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    inv, chol, solve = filter_module._kernels()
+    monkeypatch.undo()
+    rng = np.random.default_rng(3)
+    P, S = _spd_stack(rng, 20, 4), _spd_stack(rng, 20, 2)
+    B = rng.standard_normal((20, 2, 4))
+    assert np.array_equal(inv(P), filter_module._inv(P))
+    assert np.array_equal(chol(P), filter_module._cholesky(P))
+    assert np.array_equal(solve(S, B), filter_module._solve(S, B))
+    assert calls == ["inv", "cholesky", "solve"]
+    # a failing member is NaN there too, the others keep their bits
+    M = _failing_stack()
+    for fallback, kernel in ((inv, filter_module._inv), (chol, filter_module._cholesky)):
+        assert np.array_equal(fallback(M), kernel(M), equal_nan=True)
+    Bs = np.ones((3, 2, 1))
+    assert np.array_equal(solve(M, Bs), filter_module._solve(M, Bs), equal_nan=True)
 
 
 # --- the kernels on stacks over an agent axis, against single-matrix calls ----

@@ -849,6 +849,22 @@ def test_engine_matches_reference_rounds_on_random_directed_networks(cfg):
     assert rm.lambda_running.tolist() == lam
 
 
+@pytest.mark.parametrize("mode", ["time", "event"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_constrained_agents_meet_their_constraints_on_random_networks(mode, data):
+    # the paper's satisfied SEC: from step 1 on, each constrained agent's
+    # estimate lies on its own constraint set D_i x = d_i to rounding, for
+    # every trial (step 0 holds the initial estimates, which are not projected)
+    cfg = data.draw(directed_scenarios(T=30, modes=(mode,)))
+    _X, Y = sim._noise_blocks(cfg, 3, cfg.seed)
+    for k, (est, *_) in enumerate(sim._filter_path(cfg, mode, Y)):
+        for a, x in zip(cfg.agents, est) if k else ():
+            if a.has_constraint:
+                scale = np.abs(a.D) @ np.abs(x) + np.abs(a.d)[:, None]
+                assert (np.abs(a.D @ x - a.d[:, None]) <= 1e-12 * scale).all(), k
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="known defect: at δ = 0 a score that is zero in exact "
                           "arithmetic fires on the sign of its rounding error")
