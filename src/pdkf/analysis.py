@@ -303,23 +303,21 @@ class _RateTables(NamedTuple):
     info_y: np.ndarray     # (N, n, n)
 
 
-def _scaled(scale, X=None, M=None) -> np.ndarray:
-    """scale·MᵀXM for each step of a stack, X or M the identity where None,
-    scale one value per step (or one for all, where M is None).  A finite
-    term keeps the bits of the product formed unscaled, then scaled.  Where
-    that overflows, as (A^{-τ})ᵀA^{-τ} does before β^τ brings it back into
-    range, the term is formed again as (√scale·M)ᵀX(√scale·M).  A term still
-    not finite is left so, for the caller to report."""
+def _scaled(scale, M, X=None) -> np.ndarray:
+    """scale·MᵀXM for each step of a stack, X the identity where None and
+    scale one value per step.  A finite term keeps the bits of the product
+    formed unscaled, then scaled.  Where that overflows, as (A^{-τ})ᵀA^{-τ}
+    does before β^τ brings it back into range, the term is formed again as
+    (√scale·M)ᵀX(√scale·M).  A term still not finite is left so, for the
+    caller to report."""
     def form(M):
-        if M is None:
-            return X
         return M.swapaxes(-1, -2) @ M if X is None else M.swapaxes(-1, -2) @ X @ M
 
     s = np.asarray(scale, dtype=float)[..., None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         terms = s * form(M)
         big = ~np.isfinite(terms).all(axis=(-2, -1))
-        if M is not None and big.any():
+        if big.any():
             terms[big] = form(np.sqrt(s[big]) * M[big])
     return terms
 
@@ -363,7 +361,7 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
         for tau in range(1, T + 1):
             beta_pow[tau] = beta_pow[tau - 1] * beta
             Ainv_pow[tau] = Ainv_pow[tau - 1] @ Ainv
-        S[2:] = symmetrize(np.cumsum(_scaled(beta_pow[1:T], M=Ainv_pow[1:T]), axis=0))
+        S[2:] = symmetrize(np.cumsum(_scaled(beta_pow[1:T], Ainv_pow[1:T]), axis=0))
         # f and u (the lower bound on the updated information) advance as one
         # (N, 2, n, n) stack, scaled by β̄ and β; z̄ reads u before its update
         scale = np.array([beta_bar, beta])[:, None, None]
@@ -423,10 +421,10 @@ def _scan_agent(tables: _RateTables, delta: float, i: int) -> tuple:
     and `eigvalsh` call and LAPACK treats each matrix of a stack on its
     own.  `eig_pos`'s symmetry guard sees only the matrices scanned; it
     cannot fire on the others, which are exactly symmetric by construction
-    (z̄ and S are symmetrized, and the correction is elementwise).  Both
-    tests form their terms with `_scaled`; a term that is not finite even so
-    raises the tables' ValueError, naming it, the step and δ, so that no
-    answer is read off an overflow.
+    (z̄ and S are symmetrized, and the correction is elementwise).  The
+    silence term is formed with `_scaled`, as S is; a test's term that is
+    not finite even so raises the tables' ValueError, naming it, the step
+    and δ, so that no answer is read off an overflow.
     """
     T = len(tables.S) - 1
     f, eye = tables.f[:, i], np.eye(tables.S.shape[-1])
@@ -439,12 +437,14 @@ def _scan_agent(tables: _RateTables, delta: float, i: int) -> tuple:
         return X
 
     def hit(a, b):
-        corr = tables.zbar[a:b, i] + _scaled(delta, eye - tables.S[a:b])
-        corr = finite(corr, a, "zbar + delta*(I - S)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            corr = finite(tables.zbar[a:b, i] + delta * (eye - tables.S[a:b]), a,
+                          "zbar + delta*(I - S)")
         return np.linalg.eigvalsh(f[a:b] - eig_pos(corr)).max(axis=-1) > 0.0
 
     def fails(a, b):
-        l = f[a:b] - _scaled(tables.beta_pow[a:b], tables.info_y[i], tables.Ainv_pow[a:b])
+        with np.errstate(over="ignore", invalid="ignore"):
+            l = f[a:b] - _scaled(tables.beta_pow[a:b], tables.Ainv_pow[a:b], tables.info_y[i])
         return np.linalg.eigvalsh(finite(l, a, "the silence term")).max(axis=-1) - delta > 0.0
 
     t1 = _first_step(hit, T + 1, last=True)

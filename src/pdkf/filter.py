@@ -14,6 +14,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .model import _check_finite
 
@@ -22,37 +23,22 @@ _PINV_RTOL = 1e-9
 _PINV_COND = 1e8     # below 1/_PINV_RTOL, so a certified inverse cuts nothing
 
 
-def _member_nan(f):
-    """f, an `np.linalg` function, giving NaN for each member of a stack (and
-    of solve's right-hand stack, with the same leading axes) it fails on."""
-    def call(*args):
-        try:
-            return f(*args)
-        except np.linalg.LinAlgError:
-            if np.ndim(args[0]) == 2:
-                return np.full(np.shape(args[-1]), np.nan)
-            return np.stack([call(*member) for member in zip(*args)])
-    return call
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
 
 
-def _kernels() -> tuple:
-    """The (inv, cholesky, solve) of the filter step: the LAPACK gufuncs that
-    `np.linalg` calls inside its Python wrapper, called directly with their
-    float64 signatures, which gives `np.linalg`'s bits.  A member they fail
-    on comes back as NaN and raises nothing; the guards read it as not
-    finite.  Each call ignores the floating-point flags in one `np.errstate`,
-    as `np.linalg` does, so no RuntimeWarning escapes.  Where numpy lacks the
-    gufuncs or a signature: `np.linalg`, with a failing member made NaN."""
-    lapack = getattr(np.linalg, "_umath_linalg", None)
-    found = [(getattr(lapack, name, None), sig)
-             for name, sig in (("inv", "d->d"), ("cholesky_lo", "d->d"), ("solve", "dd->d"))]
-    if all(sig in getattr(g, "types", ()) for g, sig in found):
-        quiet = np.errstate(all="ignore")       # as a decorator: one context per call
-        return tuple(quiet(functools.partial(g, signature=sig)) for g, sig in found)
-    return tuple(map(_member_nan, (np.linalg.inv, np.linalg.cholesky, np.linalg.solve)))
-
-
-_inv, _cholesky, _solve = _kernels()
+# LAPACK gufuncs that `np.linalg` wraps, called with their float64 signatures:
+# `np.linalg`'s bits without its Python wrapper, in one `np.errstate` per call.
+# `_inv` and `_solve` raise `np.linalg`'s "Singular matrix" for a failing
+# member; the guards' `_cholesky` and `_inv_or_nan` give NaN there and warn
+# nothing, and the guards read it as not finite.
+_as_linalg = np.errstate(call=_singular, invalid="call", over="ignore",
+                         divide="ignore", under="ignore")
+_quiet = np.errstate(all="ignore")
+_inv = _as_linalg(functools.partial(_umath_linalg.inv, signature="d->d"))
+_solve = _as_linalg(functools.partial(_umath_linalg.solve, signature="dd->d"))
+_inv_or_nan = _quiet(functools.partial(_umath_linalg.inv, signature="d->d"))
+_cholesky = _quiet(functools.partial(_umath_linalg.cholesky_lo, signature="d->d"))
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
@@ -103,12 +89,12 @@ def pinv(M: np.ndarray) -> np.ndarray:
     """Moore–Penrose inverse with singular values cut at 1e-9·σ_max, of a
     matrix or of each matrix of a stack.
 
-    A member keeps its `_inv` when ‖M‖_F·‖M⁻¹‖_F ≤ 1e8: that product
+    A member keeps its LU inverse when ‖M‖_F·‖M⁻¹‖_F ≤ 1e8: that product
     bounds cond₂(M) from above, so the cut would remove nothing and the
     inverse is the pseudo-inverse.  Every other member (exactly singular,
     with a NaN inverse, not finite, or cond above 1e8) gets the SVD of
     `np.linalg.pinv`.  Each member's result is the same alone or in a stack."""
-    inv = _inv(M)
+    inv = _inv_or_nan(M)
     ok = (M * M).sum(axis=(-2, -1)) * (inv * inv).sum(axis=(-2, -1)) <= _PINV_COND ** 2
     if not ok.all():                   # NaN fails the test too
         inv[~ok] = np.linalg.pinv(M[~ok], rcond=_PINV_RTOL)

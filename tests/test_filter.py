@@ -446,6 +446,7 @@ def test_kernels_give_the_bits_of_np_linalg(N, n):
     P = _spd_stack(rng, N, n)
     for stack in (P, *P[:1]):               # the stack, and one matrix alone
         assert np.array_equal(filter_module._inv(stack), np.linalg.inv(stack))
+        assert np.array_equal(filter_module._inv_or_nan(stack), np.linalg.inv(stack))
         assert np.array_equal(filter_module._cholesky(stack), np.linalg.cholesky(stack))
     for rows in (1, 2):                     # the gain's S and the projection's S + εI
         S = _spd_stack(rng, N, rows)
@@ -458,43 +459,26 @@ def _failing_stack():
     return np.stack([np.diag([2.0, 3.0]), np.zeros((2, 2)), np.diag([1.0, -1.0])])
 
 
-def test_kernels_give_nan_for_each_failing_member_only():
-    # and raise nothing, where np.linalg raises for the whole stack
+def test_kernels_raise_or_give_nan_as_their_callers_need():
+    # _inv and _solve raise np.linalg's error for the whole stack; the
+    # guards' _cholesky and _inv_or_nan give NaN for each failing member only
     M = _failing_stack()
-    inv, chol = filter_module._inv(M), filter_module._cholesky(M)
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        filter_module._inv(M)
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        filter_module._solve(M, np.ones((3, 2, 1)))
+    inv, chol = filter_module._inv_or_nan(M), filter_module._cholesky(M)
     assert np.array_equal(inv[[0, 2]], np.linalg.inv(M[[0, 2]]))
     assert np.array_equal(chol[0], np.linalg.cholesky(M[0]))
     assert np.isnan(inv[1]).all() and np.isnan(chol[1:]).all()
-    assert np.isnan(filter_module._solve(M[1], np.ones((2, 1)))).all()
 
 
-@pytest.mark.parametrize("hide", ["module", "signature"])
-def test_kernels_fall_back_to_np_linalg_without_the_gufuncs(hide, monkeypatch):
-    gufuncs = np.linalg._umath_linalg
-    if hide == "module":
-        monkeypatch.delattr(np.linalg, "_umath_linalg")
-    else:       # a numpy whose inv has no d->d loop
-        monkeypatch.setattr(gufuncs, "inv", np.isnan)
-    calls = []
-    for name in ("inv", "cholesky", "solve"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
-    inv, chol, solve = filter_module._kernels()
-    monkeypatch.undo()
-    rng = np.random.default_rng(3)
-    P, S = _spd_stack(rng, 20, 4), _spd_stack(rng, 20, 2)
-    B = rng.standard_normal((20, 2, 4))
-    assert np.array_equal(inv(P), filter_module._inv(P))
-    assert np.array_equal(chol(P), filter_module._cholesky(P))
-    assert np.array_equal(solve(S, B), filter_module._solve(S, B))
-    assert calls == ["inv", "cholesky", "solve"]
-    # a failing member is NaN there too, the others keep their bits
-    M = _failing_stack()
-    for fallback, kernel in ((inv, filter_module._inv), (chol, filter_module._cholesky)):
-        assert np.array_equal(fallback(M), kernel(M), equal_nan=True)
-    Bs = np.ones((3, 2, 1))
-    assert np.array_equal(solve(M, Bs), filter_module._solve(M, Bs), equal_nan=True)
+def test_public_maps_raise_on_a_singular_input_as_np_linalg_does():
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        ci_one([np.zeros((2, 2))], [1.0])                   # zero information sum
+    D = np.array([[1.0, 0.0], [2.0, 0.0]])                  # dependent rows
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        projection_map(np.eye(2), D, np.zeros((2, 1)), 0.0)
 
 
 # --- the kernels on stacks over an agent axis, against single-matrix calls ----
