@@ -180,7 +180,10 @@ def threshold_bounds(model: SystemModel, agents: list[AgentSpec],
     the measurement/constraint information along the same weighting; the
     per-agent admissible uniform threshold is λ_min(M_i^{-1/2} Mbar_i
     M_i^{-1/2}) with M_i = Σ_j M[i, j], and the network bound is the minimum
-    over agents.
+    over agents.  Each term is formed with `_scaled`, as the rate tables'
+    are, so a term whose unscaled product (A^{1-τ})ᵀA^{1-τ} overflows is
+    still summed; where M or Mbar is not finite even so, a ValueError names
+    the first τ at which it is not.
     """
     if not model.time_invariant:
         raise ValueError("threshold design requires a time-invariant model")
@@ -201,14 +204,19 @@ def threshold_bounds(model: SystemModel, agents: list[AgentSpec],
     W_pow = topology.weights.copy()    # 𝒜^τ, starting at τ = 1
     W_prev = np.eye(N)                 # 𝒜^{τ-1}
     coef = 1.0                         # β^{τ-1}
-    for _tau in range(1, kstar + 1):
-        M += (coef * W_pow)[:, :, None, None] * (A_pow.T @ A_pow)
-        mid = _nbr_sum((W_pow, info_y), (W_prev, info_d))
-        Mbar += coef * (A_pow.T @ mid @ A_pow)
-        A_pow = A_pow @ Ainv
-        W_prev = W_pow
-        W_pow = W_pow @ topology.weights
-        coef *= beta
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        for tau in range(1, kstar + 1):
+            M += _scaled(coef * W_pow, A_pow)
+            mid = _nbr_sum((W_pow, info_y), (W_prev, info_d))
+            Mbar += _scaled(coef, A_pow, mid)
+            bad = [name for name, X in (("M", M), ("Mbar", Mbar)) if not np.isfinite(X).all()]
+            if bad:
+                raise ValueError(f"the threshold sums overflow: {' and '.join(bad)} not "
+                                 f"finite at tau {tau}; try a smaller kstar")
+            A_pow = A_pow @ Ainv
+            W_prev = W_pow
+            W_pow = W_pow @ topology.weights
+            coef *= beta
 
     M_sum, Mbar_sym = symmetrize(M.sum(axis=1)), symmetrize(Mbar)
     mbar_pos = np.linalg.eigvalsh(Mbar_sym)[:, 0] > 0          # ascending
@@ -304,21 +312,26 @@ class _RateTables(NamedTuple):
 
 
 def _scaled(scale, M, X=None) -> np.ndarray:
-    """scale·MᵀXM for each step of a stack, X the identity where None and
-    scale one value per step.  A finite term keeps the bits of the product
-    formed unscaled, then scaled.  Where that overflows, as (A^{-τ})ᵀA^{-τ}
-    does before β^τ brings it back into range, the term is formed again as
-    (√scale·M)ᵀX(√scale·M).  A term still not finite is left so, for the
-    caller to report."""
-    def form(M):
+    """scale·MᵀXM for each term of a stack, X the identity where None;
+    scale, M and X broadcast against each other over the leading axes (one
+    scale per step, or per agent pair).  A finite term keeps the bits of the
+    product formed unscaled, then scaled.  Where that overflows, as
+    (A^{-τ})ᵀA^{-τ} does before β^τ brings it back into range, the term is
+    formed again as (√scale·M)ᵀX(√scale·M), with the operands broadcast to
+    the terms' shape only there.  A term still not finite is left so, for
+    the caller to report."""
+    def form(M, X):
         return M.swapaxes(-1, -2) @ M if X is None else M.swapaxes(-1, -2) @ X @ M
 
     s = np.asarray(scale, dtype=float)[..., None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = s * form(M)
+        terms = s * form(M, X)
         big = ~np.isfinite(terms).all(axis=(-2, -1))
         if big.any():
-            terms[big] = form(np.sqrt(s[big]) * M[big])
+            def at(Y):      # the members of Y, broadcast to the terms, at big
+                return np.broadcast_to(Y, big.shape + np.shape(Y)[-2:])[big]
+
+            terms[big] = form(np.sqrt(at(s)) * at(M), None if X is None else at(X))
     return terms
 
 
@@ -479,7 +492,7 @@ def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
         cond1 = t1 is not None
         if t1 is not None and t1 >= 2:
             cond1 = bool(np.linalg.eigvalsh(tables.S[t1]).max() <= 1.0 + 1e-12)
-        cond2 = t1 is not None and t2 is not None and 0 <= t2
+        cond2 = t1 is not None and t2 is not None
         report.T1.append(t1)
         report.T2.append(t2)
         report.condition1_ok.append(cond1)

@@ -23,7 +23,7 @@ from .filter import (AgentState, _check_pd, _ensure_pd, _estimate, _inv, _kalman
                      _projection_map, ci_maps, slot_sum, symmetrize)
 from .model import AgentSpec, SystemModel, Topology, _check_finite
 
-_COV = "covariance of agent"
+_COV = "the covariance of agent"
 
 
 @dataclass
@@ -91,7 +91,8 @@ class StepLayout:
     each of the first sizes[s] agents, and rank[i] is agent i's row in that
     order.  src is each edge's sender j, or N + j for j's held pair in event
     mode, and weights its fusion weight; slots = (sizes, dst), with dst the
-    receiver's row, is what `ci_maps` takes.
+    receiver's row, is what `ci_maps` takes.  deltas holds each agent's
+    trigger threshold δ_i (`AgentSpec.delta`), which event mode fires on.
     """
 
     meas: list
@@ -101,6 +102,7 @@ class StepLayout:
     src: np.ndarray
     weights: np.ndarray
     slots: tuple
+    deltas: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
@@ -124,35 +126,38 @@ def _build_layout(event: bool, topology: Topology, *agents: AgentSpec) -> StepLa
     if event:
         src = np.where(src != receiver, N + src, src)
     return StepLayout(meas, proj, np.eye(agents[0].H.shape[1]), np.argsort(order), src,
-                      weights, (sizes, dst))
+                      weights, (sizes, dst), np.array([a.delta for a in agents]))
 
 
 def step_layout(agents: list[AgentSpec], topology: Topology, event: bool) -> StepLayout:
     """The `StepLayout` of a network, built once per agent objects, topology
     object and mode and then returned from a cache of the four networks used
-    last.  `AgentSpec` and `Topology` compare by identity and hold read-only
-    arrays, so a cached layout cannot go stale."""
+    last.  `AgentSpec` and `Topology` are frozen, compare by identity and
+    hold read-only arrays, so a cached layout, its thresholds included,
+    cannot go stale."""
     return _build_layout(event, topology, *agents)
 
 
 def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
-                held: tuple | None = None, deltas=None) -> tuple:
+                held: tuple | None = None) -> tuple:
     """One step of either filter on the agent stack: new (est, P, g, fired, held).
 
     est (N, n, c) holds c state columns (trials) per agent, P the (N, n, n)
-    covariances, ys one (g, m, c) block per H group.  Time mode (held None)
-    runs `rounds` fusion-projection rounds on the fresh pairs.  Event mode
-    takes held = (hx, hP), the pairs held after the previous step, advances
-    them to this step (x ← A x, P ← A P Aᵀ + Q, not symmetrized), fires where
-    the trigger score g against them exceeds deltas, fuses each neighbor's
-    held pair (fresh if it fired) and returns the pairs then held.  Each
-    covariance stack made is symmetrized once, where it is made (the
-    prediction here, the others inside the kernels).  Guards, once per stack
-    and bit-neutral where Cholesky succeeds: `_ensure_pd` on every covariance
-    stack made, whose one Cholesky is also the definiteness check before its
-    inverse; `_check_pd` on the held stack, which `_ensure_pd` does not make;
-    cond(S) ≤ 1e14 before each gain.  A LinAlgError carries `covariances` =
-    (P, held P), P bound before it is checked.
+    covariance stack, ys one (g, m, c) block per H group; every fact about the
+    network, the thresholds included, is read from the layout.  Time mode
+    (held None) runs `rounds` fusion-projection rounds on the fresh pairs.
+    Event mode takes held = (hx, hP), the pairs held after the previous step,
+    advances them to this step (x ← A x, P ← A P Aᵀ + Q, not symmetrized),
+    fires where the trigger score g against them exceeds the layout's
+    deltas, fuses each neighbor's held pair (fresh if it fired) and returns
+    the pairs then held.  Each covariance stack made is symmetrized once,
+    where it is made (the prediction here, the others inside the kernels).
+    Guards, once per stack and bit-neutral where Cholesky succeeds:
+    `_ensure_pd` on every covariance stack made, whose one Cholesky is also
+    the definiteness check before its inverse; `_check_pd` on the held
+    stack, which `_ensure_pd` does not make; cond(S) ≤ 1e14 before each
+    gain.  The guards' errors name the failing agent: "the covariance of
+    agent i …" or "the held covariance of agent i …".
     """
     event = held is not None
     hx, hP = held if event else (None, None)
@@ -161,39 +166,33 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
     def gather(fresh, kept):
         return np.take(np.concatenate([fresh, kept]) if event else fresh, layout.src, 0)
 
-    try:
-        if event:
-            hx, hP = A @ hx, A @ hP @ A.T + Q
-        # each new stack is bound before `_ensure_pd` can raise on it
-        est, P = A @ est, symmetrize(A @ P @ A.T + Q)
-        P = _ensure_pd(P, _COV)
-        for (idx, H, R), y in zip(layout.meas, ys):
-            K, P_upd = _kalman_gain(P[idx], H, R, layout.eye)
-            est[idx] += K @ (y - H @ est[idx])
-            P[idx] = _ensure_pd(P_upd, _COV, idx)
-        info = _inv(P)
-        if event:
-            hinfo = _inv(_check_pd(hP, "held covariance of agent"))
-            g, fired = trigger_from_info(info, hinfo, deltas)
-            # a broadcast becomes the anchor every receiver extrapolates
-            f = fired[:, None, None]
-            hx, hP, hinfo = (np.where(f, est, hx), np.where(f, P, hP),
-                             np.where(f, info, hinfo))
-        for r in range(rounds):
-            if r:
-                info = _inv(P)
-            Pc, C = ci_maps(gather(info, hinfo), layout.weights, layout.slots)
-            # rows follow the layout's order until this one un-permutation
-            est = slot_sum(gather(est, hx), layout.slots[0], C)[layout.rank]
-            P = Pc[layout.rank]
-            P = _ensure_pd(P, _COV)
-            for idx, D, d, eps_I in layout.proj:
-                G, c, P_proj = _projection_map(P[idx], D, d, eps_I, layout.eye)
-                P[idx] = _ensure_pd(P_proj, _COV, idx)
-                est[idx] = G @ est[idx] + c
-    except np.linalg.LinAlgError as exc:
-        exc.covariances = (P, hP)
-        raise
+    if event:
+        hx, hP = A @ hx, A @ hP @ A.T + Q
+    est, P = A @ est, symmetrize(A @ P @ A.T + Q)
+    P = _ensure_pd(P, _COV)
+    for (idx, H, R), y in zip(layout.meas, ys):
+        K, P_upd = _kalman_gain(P[idx], H, R, layout.eye)
+        est[idx] += K @ (y - H @ est[idx])
+        P[idx] = _ensure_pd(P_upd, _COV, idx)
+    info = _inv(P)
+    if event:
+        hinfo = _inv(_check_pd(hP, "the held covariance of agent"))
+        g, fired = trigger_from_info(info, hinfo, layout.deltas)
+        # a broadcast becomes the anchor every receiver extrapolates
+        f = fired[:, None, None]
+        hx, hP, hinfo = (np.where(f, est, hx), np.where(f, P, hP),
+                         np.where(f, info, hinfo))
+    for r in range(rounds):
+        if r:
+            info = _inv(P)
+        Pc, C = ci_maps(gather(info, hinfo), layout.weights, layout.slots)
+        # rows follow the layout's order until this one un-permutation
+        est = slot_sum(gather(est, hx), layout.slots[0], C)[layout.rank]
+        P = _ensure_pd(Pc[layout.rank], _COV)
+        for idx, D, d, eps_I in layout.proj:
+            G, c, P_proj = _projection_map(P[idx], D, d, eps_I, layout.eye)
+            P[idx] = _ensure_pd(P_proj, _COV, idx)
+            est[idx] = G @ est[idx] + c
     return est, P, g, fired, (hx, hP) if event else None
 
 
@@ -220,10 +219,10 @@ def _measurement_block(measurements, idx, m: int) -> np.ndarray:
 
 def _estimate_stacks(states, n: int) -> tuple:
     """The (N, n, 1) stack of the agents' estimated states and the (N, n, n)
-    stack of their covariances.  The stacked shape is checked once; only
+    stack of their covariance matrices.  The stacked shape is checked once; only
     when it is wrong, or the states do not stack, is the first agent whose
     state does not hold n entries looked for and named.  Each estimate's P
-    matches its x, so the covariances then stack."""
+    matches its x, so the covariance matrices then stack."""
     try:
         x = np.array([st.estimate.x for st in states])
     except ValueError:          # ragged: some estimate holds another size
@@ -251,7 +250,7 @@ def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
         raise ValueError(f"states must have ids 0..{N - 1} in order, "
                          f"got {[st.id for st in states]}")
     layout = step_layout(agents, topology, triggers is not None)
-    held = deltas = None
+    held = None
     if triggers is not None:
         for i, (ts, a) in enumerate(zip(triggers, agents)):
             if ts.time != k - 1 or ts.x.shape != (len(A),):
@@ -262,11 +261,10 @@ def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
                                  f"but its AgentSpec has delta {a.delta}")
         held = (np.array([ts.x for ts in triggers])[:, :, None],
                 np.array([ts.P for ts in triggers]))
-        deltas = np.array([a.delta for a in agents])
     est, P, _, fired, held = filter_step(
         layout, *_estimate_stacks(states, len(A)),
         [_measurement_block(measurements, idx, H.shape[1]) for idx, H, _ in layout.meas],
-        A, Q, rounds, held, deltas)
+        A, Q, rounds, held)
     if triggers is not None:    # one copy each: shared with nothing returned
         for ts, x, p in zip(triggers, held[0][:, :, 0].copy(), held[1].copy()):
             ts.x, ts.P, ts.time = x, p, k

@@ -261,15 +261,15 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     k = 0.  Y holds the (T, m_i, trials) measurement blocks; trials may be 0.
     Each step is one `event.filter_step`, which also advances the held pairs
     it returned the step before, as it does for the rounds, so a one-trial
-    pass is the rounds' arithmetic bit for bit; a LinAlgError from an
-    overflowed covariance becomes a ValueError naming agent and step.
+    pass is the rounds' arithmetic bit for bit; a LinAlgError of the step,
+    such as its guard's "the covariance of agent i is not finite", becomes
+    the ValueError "the run diverged: <that message> at step k".
     """
     model, agents, event = cfg.model, cfg.agents, mode == "event"
     if event and not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")
     layout = step_layout(agents, cfg.topology, event)
     Ys = [np.stack([Y[i] for i in idx]) for idx, *_ in layout.meas]
-    deltas = np.array([a.delta for a in agents])
     x0, P = map(np.stack, zip(*cfg.initial_pairs()))
     est = np.repeat(x0[:, :, None], Y[0].shape[2], axis=2)
     held = (est, P) if event else None     # the initial time is a broadcast
@@ -278,19 +278,10 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
         try:
             est, P, g, fired, held = filter_step(
                 layout, est, P, [Yg[:, k - 1] for Yg in Ys], model.A_at(k - 1),
-                model.Q_at(k - 1), 1 if event else cfg.L, held, deltas)
+                model.Q_at(k - 1), 1 if event else cfg.L, held)
         except np.linalg.LinAlgError as exc:
-            raise _diverged(k, *exc.covariances, exc) from None
+            raise ValueError(f"the run diverged: {exc} at step {k}") from None
         yield est, P, g, fired
-
-
-def _diverged(k: int, P, held_P, exc: Exception) -> ValueError:
-    """The error for step k, whose matrix algebra failed: it names the first
-    agent whose covariance or held covariance is not finite."""
-    bad = [f"the {kind}covariance of agent {i} is not finite"
-           for kind, Ps in (("", P), ("held ", () if held_P is None else held_P))
-           for i, p in enumerate(Ps) if not np.isfinite(p).all()]
-    return ValueError(f"the run diverged: {bad[0] if bad else exc} at step {k}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ bit, not for the formulas (`oracles.py` holds those).
 """
 import numpy as np
 
-from pdkf import sim
 from pdkf.event import _grouped, trigger_from_info
 from pdkf.filter import _check_pd, pinv, symmetrize
 from pdkf.model import AgentSpec, Topology
@@ -108,9 +107,8 @@ def padded_filter_step(layout: tuple, est, P, ys: list, A, Q, rounds: int = 1,
     once per stack and bit-neutral where Cholesky succeeds: `_ensure_pd` on
     every covariance stack made, whose one Cholesky is also the definiteness
     check before its inverse; `_check_pd` on the held stack, which
-    `_ensure_pd` does not make; cond(S) ≤ 1e14 before each gain.  A
-    LinAlgError carries `covariances` = (P, held P), P bound before it is
-    checked.
+    `_ensure_pd` does not make; cond(S) ≤ 1e14 before each gain.  The
+    guards' errors name the failing agent.
     """
     meas, proj, slot, weights = layout
     event = held is not None
@@ -120,36 +118,32 @@ def padded_filter_step(layout: tuple, est, P, ys: list, A, Q, rounds: int = 1,
     def gather(fresh, kept):
         return np.take(np.concatenate([fresh, kept]) if event else fresh, slot, 0)
 
-    try:
-        if event:
-            hx, hP = A @ hx, A @ hP @ A.T + Q
-        est, P = A @ est, A @ P @ A.T + Q
-        P = _ensure_pd(P, "covariance of agent")
-        for (idx, H, R), y in zip(meas, ys):
-            K, P_upd = kalman_gain(P[idx], H, R)
-            est[idx] += K @ (y - H @ est[idx])
-            P[idx] = _ensure_pd(P_upd, "covariance of agent", idx)
-        info = np.linalg.inv(P)
-        if event:
-            hinfo = np.linalg.inv(_check_pd(hP, "held covariance of agent"))
-            g, fired = trigger_from_info(info, hinfo, deltas)
-            # a broadcast becomes the anchor every receiver extrapolates
-            f = fired[:, None, None]
-            hx, hP, hinfo = (np.where(f, est, hx), np.where(f, P, hP),
-                             np.where(f, info, hinfo))
-        for r in range(rounds):
-            if r:
-                info = np.linalg.inv(P)
-            P, C = padded_ci_maps(gather(info, hinfo), weights)
-            est = (C @ gather(est, hx)).sum(axis=1)    # slot by slot, in order
-            P = _ensure_pd(P, "covariance of agent")
-            for idx, D, d, eps in proj:
-                G, c, P_proj = projection_map(P[idx], D, d, eps)
-                P[idx] = _ensure_pd(P_proj, "covariance of agent", idx)
-                est[idx] = G @ est[idx] + c
-    except np.linalg.LinAlgError as exc:
-        exc.covariances = (P, hP)
-        raise
+    if event:
+        hx, hP = A @ hx, A @ hP @ A.T + Q
+    est, P = A @ est, A @ P @ A.T + Q
+    P = _ensure_pd(P, "the covariance of agent")
+    for (idx, H, R), y in zip(meas, ys):
+        K, P_upd = kalman_gain(P[idx], H, R)
+        est[idx] += K @ (y - H @ est[idx])
+        P[idx] = _ensure_pd(P_upd, "the covariance of agent", idx)
+    info = np.linalg.inv(P)
+    if event:
+        hinfo = np.linalg.inv(_check_pd(hP, "the held covariance of agent"))
+        g, fired = trigger_from_info(info, hinfo, deltas)
+        # a broadcast becomes the anchor every receiver extrapolates
+        f = fired[:, None, None]
+        hx, hP, hinfo = (np.where(f, est, hx), np.where(f, P, hP),
+                         np.where(f, info, hinfo))
+    for r in range(rounds):
+        if r:
+            info = np.linalg.inv(P)
+        P, C = padded_ci_maps(gather(info, hinfo), weights)
+        est = (C @ gather(est, hx)).sum(axis=1)    # slot by slot, in order
+        P = _ensure_pd(P, "the covariance of agent")
+        for idx, D, d, eps in proj:
+            G, c, P_proj = projection_map(P[idx], D, d, eps)
+            P[idx] = _ensure_pd(P_proj, "the covariance of agent", idx)
+            est[idx] = G @ est[idx] + c
     return est, P, g, fired, (hx, hP) if event else None
 
 
@@ -161,8 +155,8 @@ def padded_filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     and decisions of step k in event mode, and are empty otherwise and at
     k = 0.  Y holds the (T, m_i, trials) measurement blocks; trials may be 0.
     Each step is one `padded_filter_step`, which advances the held pairs; a
-    LinAlgError from an overflowed covariance becomes a ValueError naming
-    agent and step.
+    LinAlgError of the step becomes "the run diverged: <its message> at step
+    k".
     """
     model, agents, event = cfg.model, cfg.agents, mode == "event"
     if event and not model.time_invariant:
@@ -181,5 +175,5 @@ def padded_filter_path(cfg: ScenarioConfig, mode: str, Y: list):
                 model.A_at(k - 1), model.Q_at(k - 1),
                 1 if event else cfg.L, held, deltas)
         except np.linalg.LinAlgError as exc:
-            raise sim._diverged(k, *exc.covariances, exc) from None
+            raise ValueError(f"the run diverged: {exc} at step {k}") from None
         yield est, P, g.tolist(), fired.tolist()

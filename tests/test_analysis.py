@@ -254,6 +254,24 @@ def test_threshold_matches_direct_matrix_powers():
         assert rep.per_agent_bound[i] == pytest.approx(max(lam, 0.0), abs=1e-9)
 
 
+@pytest.mark.parametrize("kstar", [150, 154, 160, 181, 200])
+def test_threshold_sums_keep_terms_whose_unscaled_products_overflow(kstar):
+    # A = 0.1, β = 0.5: M = Σ_{τ=1..k*} 50^{τ-1} = (50^{k*} − 1)/49, though
+    # (A^{1-τ})ᵀA^{1-τ} = 100^{τ-1} overflows from τ = 156 on; M̄ equals M, so
+    # the bound is 1.  From τ = 183 on even 50^{τ-1} overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning on the way
+        if kstar == 200:
+            with pytest.raises(ValueError, match=r"^the threshold sums overflow: M and "
+                                                 r"Mbar not finite at tau 183; "):
+                threshold_bounds(scalar_model(a=0.1), [scalar_agent()], SINGLE, 0.5, kstar)
+            return
+        rep = threshold_bounds(scalar_model(a=0.1), [scalar_agent()], SINGLE, 0.5, kstar)
+    want = (Fraction(50) ** kstar - 1) / 49
+    assert abs(Fraction(float(rep.M[0, 0, 0, 0])) / want - 1) <= 1e-12
+    assert rep.network_bound == pytest.approx(1.0, abs=1e-12)
+
+
 def test_threshold_case1_network_bound_positive():
     # The designed bound is deliberately conservative: with contraction
     # factors taken from the actual filter covariances (whose constrained

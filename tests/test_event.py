@@ -457,7 +457,7 @@ def test_filter_step_factors_each_covariance_stack_once(mode, rounds, calls, mon
 
     monkeypatch.setattr(filter_module, "_cholesky", spy)
     event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0), cfg.model.Q_at(0),
-                      rounds, held, np.array([a.delta for a in cfg.agents]))
+                      rounds, held)
     assert len(factored) == calls
     assert all(len(shape) == 3 for shape in factored)     # stacks, never one member
 
@@ -492,7 +492,7 @@ def test_filter_step_symmetrizes_each_stack_once_and_makes_no_identity(case, mod
     monkeypatch.setattr(event, "symmetrize", spy)
     monkeypatch.setattr(np, "eye", eye_spy)
     event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0), cfg.model.Q_at(0),
-                      rounds, held, np.array([a.delta for a in cfg.agents]))
+                      rounds, held)
     assert len(shapes) == 6 and eyes == []
     assert all(len(shape) == 3 for shape in shapes)       # stacks, never one member
 
@@ -555,6 +555,25 @@ def test_rounds_build_each_network_layout_once():
     after = event._build_layout.cache_info()
     # one build per mode, every later round a hit
     assert (after.misses - before.misses, after.hits - before.hits) == (2, 58)
+
+
+def test_layout_holds_each_agents_threshold():
+    model, agents, top, *_ = _round_args(delta=(0.3, 0.4, 0.8))
+    assert event.step_layout(agents, top, True).deltas.tolist() == [0.3, 0.4, 0.8]
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_filter_step_names_the_held_covariance_that_is_not_finite(j):
+    cfg = case1(mode="event", T=1, trials=1)
+    layout = event.step_layout(cfg.agents, cfg.topology, True)
+    x0, P = map(np.stack, zip(*cfg.initial_pairs()))
+    held_P = P.copy()
+    held_P[j, 1, 1] = np.nan
+    ys = [np.zeros((len(idx), H.shape[1], 1)) for idx, H, _ in layout.meas]
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=rf"^the held covariance of agent {j} is not finite$"):
+        event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0),
+                          cfg.model.Q_at(0), 1, (x0[:, :, None], held_P))
 
 
 def _anchors(triggers):

@@ -898,6 +898,22 @@ def test_filter_path_never_changes_what_it_yielded(mode):
     assert len(kept) == cfg.T + 1
 
 
+def test_filter_path_names_the_guard_and_the_step_of_a_failure():
+    # A scaled by 50: the covariances are data-free, so a pass on no trials
+    # fails where a run does, at the step guard that names agent 1; the
+    # padded reference fails with the same message
+    cfg = case1(mode="event", T=120, delta=(0.4, 0.4, 0.4))
+    m = cfg.model
+    cfg.model = SystemModel(50 * m.A[0], m.Q[0], m.x0_mean, m.P0)
+    Y = [np.zeros((cfg.T, a.H.shape[0], 0)) for a in cfg.agents]
+    for path in (sim._filter_path, padded.padded_filter_path):
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=r"^the run diverged: the covariance of agent 1 is not "
+                                  r"finite at step 90$"):
+            for _ in path(cfg, "event", Y):
+                pass
+
+
 PADDED_CASES = {
     "case1-time": case1(mode="time", L=2, T=60, trials=5, seed=5),
     "case1-event": case1(mode="event", T=60, trials=5, seed=5),
