@@ -358,7 +358,7 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
     N, n = topology.N, model.n
     info_y, info_d = _info_blocks(model, agents)
     info_d = info_d / np.reshape([a.eps for a in agents], (-1, 1, 1))
-    layout = step_layout(agents, topology, False)
+    layout = step_layout(agents, topology)
     weights = layout.weights[:, None, None, None]
 
     def nbr_sum(X):
@@ -511,8 +511,8 @@ def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
     for i in report.V1:
         t1 = report.T1[i]
         # Any prefix of the guaranteed silent run is also a valid certificate,
-        # so cap T2 at T - T1 to stay inside the admissible range.
-        t2 = min(report.T2[i], max(T - t1, 0))
+        # so cap T2 at T - T1 (≥ 0, as T1 ≤ T) to stay in the admissible range.
+        t2 = min(report.T2[i], T - t1)
         if t2 == 0:
             continue
         cycle = t1 + t2

@@ -89,10 +89,13 @@ class StepLayout:
     the E in-edges only, as a slot-major edge list: with the agents ordered
     by in-degree (descending, stable), slot s holds the s-th in-neighbor of
     each of the first sizes[s] agents, and rank[i] is agent i's row in that
-    order.  src is each edge's sender j, or N + j for j's held pair in event
-    mode, and weights its fusion weight; slots = (sizes, dst), with dst the
-    receiver's row, is what `ci_maps` takes.  deltas holds each agent's
-    trigger threshold δ_i (`AgentSpec.delta`), which event mode fires on.
+    order.  src is each edge's sender j, which a time step gathers with from
+    the fresh pairs; held_src is N + j where the sender is a neighbor and the
+    receiver's own index on its own edge, which an event step gathers with
+    from [fresh; held].  weights holds each edge's fusion weight; slots =
+    (sizes, dst), with dst the receiver's row, is what `ci_maps` takes.
+    deltas holds each agent's trigger threshold δ_i (`AgentSpec.delta`),
+    which an event step fires on.
     """
 
     meas: list
@@ -100,13 +103,14 @@ class StepLayout:
     eye: np.ndarray
     rank: np.ndarray
     src: np.ndarray
+    held_src: np.ndarray
     weights: np.ndarray
     slots: tuple
     deltas: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
-def _build_layout(event: bool, topology: Topology, *agents: AgentSpec) -> StepLayout:
+def _build_layout(topology: Topology, *agents: AgentSpec) -> StepLayout:
     meas = _grouped([(a.H, a.R) if a.has_measurement else None for a in agents])
     proj = _grouped([(a.D, a.d[:, None], a.eps * np.eye(len(a.D))) if a.has_constraint
                      else None for a in agents])
@@ -122,20 +126,18 @@ def _build_layout(event: bool, topology: Topology, *agents: AgentSpec) -> StepLa
     slot, dst = np.nonzero(in_slot.T)
     src = nbr[dst, slot]
     receiver = order[dst]
-    weights = topology.weights[receiver, src]
-    if event:
-        src = np.where(src != receiver, N + src, src)
     return StepLayout(meas, proj, np.eye(agents[0].H.shape[1]), np.argsort(order), src,
-                      weights, (sizes, dst), np.array([a.delta for a in agents]))
+                      np.where(src != receiver, N + src, src), topology.weights[receiver, src],
+                      (sizes, dst), np.array([a.delta for a in agents]))
 
 
-def step_layout(agents: list[AgentSpec], topology: Topology, event: bool) -> StepLayout:
-    """The `StepLayout` of a network, built once per agent objects, topology
-    object and mode and then returned from a cache of the four networks used
-    last.  `AgentSpec` and `Topology` are frozen, compare by identity and
-    hold read-only arrays, so a cached layout, its thresholds included,
-    cannot go stale."""
-    return _build_layout(event, topology, *agents)
+def step_layout(agents: list[AgentSpec], topology: Topology) -> StepLayout:
+    """The `StepLayout` of a network, built once per agent and topology
+    objects and then returned from a cache of the four networks used last;
+    one layout serves time and event steps alike.  `AgentSpec` and
+    `Topology` are frozen, compare by identity and hold read-only arrays, so
+    a cached layout, its thresholds included, cannot go stale."""
+    return _build_layout(topology, *agents)
 
 
 def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
@@ -144,14 +146,16 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
 
     est (N, n, c) holds c state columns (trials) per agent, P the (N, n, n)
     covariance stack, ys one (g, m, c) block per H group; every fact about the
-    network, the thresholds included, is read from the layout.  Time mode
-    (held None) runs `rounds` fusion-projection rounds on the fresh pairs.
-    Event mode takes held = (hx, hP), the pairs held after the previous step,
-    advances them to this step (x ← A x, P ← A P Aᵀ + Q, not symmetrized),
-    fires where the trigger score g against them exceeds the layout's
-    deltas, fuses each neighbor's held pair (fresh if it fired) and returns
-    the pairs then held.  Each covariance stack made is symmetrized once,
-    where it is made (the prediction here, the others inside the kernels).
+    network, the thresholds included, is read from the layout, and the mode
+    from held alone.  Time mode (held None) runs `rounds` fusion-projection
+    rounds on the fresh pairs, gathered by the layout's src.  Event mode
+    takes held = (hx, hP), the pairs held after the previous step, advances
+    them to this step (x ← A x, P ← A P Aᵀ + Q, not symmetrized), fires
+    where the trigger score g against them exceeds the layout's deltas,
+    fuses each neighbor's held pair (fresh if it fired), gathered by the
+    layout's held_src, and returns the pairs then held.  Each covariance
+    stack made is symmetrized once, where it is made (the prediction here,
+    the others inside the kernels).
     Guards, once per stack and bit-neutral where Cholesky succeeds:
     `_ensure_pd` on every covariance stack made, whose one Cholesky is also
     the definiteness check before its inverse; `_check_pd` on the held
@@ -164,7 +168,8 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
     hinfo, g, fired = None, np.zeros(0), np.zeros(0, dtype=bool)
 
     def gather(fresh, kept):
-        return np.take(np.concatenate([fresh, kept]) if event else fresh, layout.src, 0)
+        return (np.take(np.concatenate([fresh, kept]), layout.held_src, 0) if event
+                else np.take(fresh, layout.src, 0))
 
     if event:
         hx, hP = A @ hx, A @ hP @ A.T + Q
@@ -249,7 +254,7 @@ def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
     if [st.id for st in states] != list(range(N)):
         raise ValueError(f"states must have ids 0..{N - 1} in order, "
                          f"got {[st.id for st in states]}")
-    layout = step_layout(agents, topology, triggers is not None)
+    layout = step_layout(agents, topology)
     held = None
     if triggers is not None:
         for i, (ts, a) in enumerate(zip(triggers, agents)):

@@ -47,6 +47,8 @@ def _check_symmetric(M: np.ndarray, name: str, tol: float = 1e-8) -> None:
 
 
 def _is_psd(M: np.ndarray, tol: float = 1e-10) -> bool:
+    if M.size == 0:                 # the (0, 0) covariance of no measurement rows
+        return True
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
     return bool(w.min() >= -tol * max(1.0, abs(w.max())))
 
@@ -295,7 +297,7 @@ def metropolis_weights(adjacency) -> np.ndarray:
     adj = np.asarray(adjacency, dtype=bool)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ValueError("adjacency must be a square matrix")
-    if adj.T is not adj and not np.array_equal(adj, adj.T):
+    if not np.array_equal(adj, adj.T):
         raise ValueError("adjacency must be symmetric (undirected graph)")
     if np.any(np.diag(adj)):
         raise ValueError("adjacency must not contain self-loops")

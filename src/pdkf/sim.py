@@ -268,7 +268,7 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     model, agents, event = cfg.model, cfg.agents, mode == "event"
     if event and not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")
-    layout = step_layout(agents, cfg.topology, event)
+    layout = step_layout(agents, cfg.topology)
     Ys = [np.stack([Y[i] for i in idx]) for idx, *_ in layout.meas]
     x0, P = map(np.stack, zip(*cfg.initial_pairs()))
     est = np.repeat(x0[:, :, None], Y[0].shape[2], axis=2)
@@ -554,6 +554,12 @@ def _floats(v) -> np.ndarray:
     return out
 
 
+def _covariance(v) -> np.ndarray:
+    """A covariance as `_floats` reads it; [] is the (0, 0) one of an agent
+    without measurement rows."""
+    return np.zeros((0, 0)) if v == [] else _floats(v)
+
+
 def _optional(convert):
     return lambda v: None if v is None else convert(v)
 
@@ -629,7 +635,9 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ValueError(f"{bad}: section 'agents' must be a list of mappings")
     model = build("model: ", SystemModel, **fields(md, "model", {
         "A": _floats, "Q": _floats, "x0_mean": _floats, "P0": _floats}))
-    agent_fields = {"H": _floats, "R": _floats,
+    # no measurement rows: H and R are [], read as the (0, n) and (0, 0) blocks
+    agent_fields = {"H": lambda v: np.zeros((0, model.n)) if v == [] else _floats(v),
+                    "R": _covariance,
                     # no constraint: D and d absent, null or []
                     "D": lambda v: np.zeros((0, model.n)) if v in (None, []) else _floats(v),
                     "d": lambda v: _floats([] if v is None else v),
@@ -639,11 +647,11 @@ def load_scenario(path: str) -> ScenarioConfig:
               for i, spec in enumerate(specs)]
     topo = build("topology: ", Topology,
                  **fields(section("topology"), "topology", {"weights": _floats}))
-    matrix = _optional(_floats)
+    matrix, covariance = _optional(_floats), _optional(_covariance)
     run = fields({"T": 250, **sim}, "sim", {
         "T": _integer, "L": _integer, "mode": str, "trials": _integer, "seed": _integer,
         "theta": _real, "x0_hat": matrix, "P0_init": matrix, "x0_cov": matrix,
-        "sim_q": matrix, "sim_r": _optional(lambda v: [matrix(r) for r in v]),
+        "sim_q": matrix, "sim_r": _optional(lambda v: [covariance(r) for r in v]),
         "checkpoints": lambda v: tuple(map(_integer, v))})
     # ScenarioConfig's own messages name the field they reject
     return build("", ScenarioConfig, model=model, agents=agents, topology=topo,

@@ -443,7 +443,7 @@ def test_filter_step_factors_each_covariance_stack_once(mode, rounds, calls, mon
     # only one `_ensure_pd` does not make.  A second factor before each
     # inverse would add one call per round.
     cfg = case2(mode=mode, N=20, T=1, trials=1)
-    layout = event.step_layout(cfg.agents, cfg.topology, mode == "event")
+    layout = event.step_layout(cfg.agents, cfg.topology)
     assert (len(layout.meas), len(layout.proj)) == (1, 1)
     x0, P = map(np.stack, zip(*cfg.initial_pairs()))
     held = (x0[:, :, None], P) if mode == "event" else None
@@ -472,7 +472,7 @@ def test_filter_step_symmetrizes_each_stack_once_and_makes_no_identity(case, mod
     # second round.  `_ensure_pd` does not symmetrize them again, and the
     # identities come from the layout, built before the step.
     cfg = case(mode=mode, T=1, trials=1)
-    layout = event.step_layout(cfg.agents, cfg.topology, mode == "event")
+    layout = event.step_layout(cfg.agents, cfg.topology)
     assert (len(layout.meas), len(layout.proj)) == (1, 1)
     x0, P = map(np.stack, zip(*cfg.initial_pairs()))
     held = (x0[:, :, None], P) if mode == "event" else None
@@ -553,19 +553,33 @@ def test_rounds_build_each_network_layout_once():
         st_e, _ = epdkf_round(st_e, triggers, ys, model, agents, top, k)
         st_t = tpdkf_round(st_t, ys, model, agents, top, L=2, k=k)
     after = event._build_layout.cache_info()
-    # one build per mode, every later round a hit
-    assert (after.misses - before.misses, after.hits - before.hits) == (2, 58)
+    # one build serves both modes, every later round a hit
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 59)
+
+
+@pytest.mark.parametrize("case", [case1, case2], ids=["case1", "case2"])
+def test_layout_gathers_each_agents_own_fresh_pair_and_its_neighbors_held_pairs(case):
+    cfg = case(T=1)
+    N, layout = cfg.topology.N, event.step_layout(cfg.agents, cfg.topology)
+    receiver = np.argsort(layout.rank)[layout.slots[1]]
+    for i in range(N):     # src runs over each agent's in-neighbors, itself included
+        assert sorted(layout.src[receiver == i]) == np.flatnonzero(
+            cfg.topology.edges[i]).tolist()
+    own = layout.src == receiver
+    assert np.count_nonzero(own) == N
+    assert np.array_equal(layout.held_src[own], layout.src[own])
+    assert np.array_equal(layout.held_src[~own], N + layout.src[~own])
 
 
 def test_layout_holds_each_agents_threshold():
     model, agents, top, *_ = _round_args(delta=(0.3, 0.4, 0.8))
-    assert event.step_layout(agents, top, True).deltas.tolist() == [0.3, 0.4, 0.8]
+    assert event.step_layout(agents, top).deltas.tolist() == [0.3, 0.4, 0.8]
 
 
 @pytest.mark.parametrize("j", [0, 2])
 def test_filter_step_names_the_held_covariance_that_is_not_finite(j):
     cfg = case1(mode="event", T=1, trials=1)
-    layout = event.step_layout(cfg.agents, cfg.topology, True)
+    layout = event.step_layout(cfg.agents, cfg.topology)
     x0, P = map(np.stack, zip(*cfg.initial_pairs()))
     held_P = P.copy()
     held_P[j, 1, 1] = np.nan

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdkf import sim
+from pdkf import event, sim
 from pdkf.analysis import constraint_error, pilot_contraction_factors, space_decomposition
 from pdkf.event import TriggerState, epdkf_round, tpdkf_round
 from pdkf.filter import AgentState, ConsistentEstimate
@@ -556,6 +556,37 @@ def test_scenario_roundtrip_preserves_overrides(tmp_path):
     assert scenario_hash(loaded) == scenario_hash(cfg)
 
 
+def _rowless_blind(cfg):
+    """cfg with its blind agent 1 given no measurement rows: H (0, n), R (0, 0)."""
+    a, agents = cfg.agents[1], list(cfg.agents)
+    agents[1] = AgentSpec(np.zeros((0, cfg.model.n)), np.zeros((0, 0)), a.D, a.d, a.eps,
+                          a.delta)
+    return dataclasses.replace(cfg, agents=agents)
+
+
+def test_sim_r_takes_the_empty_block_of_an_agent_without_measurement_rows(tmp_path):
+    cfg = _rowless_blind(case1(mode="event", T=20, trials=2, seed=4))
+    with_r = dataclasses.replace(cfg, sim_r=[None, np.zeros((0, 0)), None])
+    save_scenario(with_r, str(tmp_path / "a.scn"))
+    loaded = load_scenario(str(tmp_path / "a.scn"))
+    assert loaded.sim_r[1].shape == (0, 0)
+    assert scenario_hash(loaded) == scenario_hash(with_r)
+    assert np.array_equal(monte_carlo(loaded).mse, monte_carlo(cfg).mse)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=directed_scenarios(T=8))
+def test_random_scenarios_round_trip_through_a_file(tmp_path_factory, cfg):
+    # most draws hold an agent without measurement rows, H (0, n) and R (0, 0)
+    path = str(tmp_path_factory.mktemp("random") / "a.scn")
+    save_scenario(cfg, path)
+    loaded = load_scenario(path)
+    assert scenario_hash(loaded) == scenario_hash(cfg)
+    a, b = monte_carlo(cfg, trials=2), monte_carlo(loaded, trials=2)
+    for key in ("mse", "trace_p", "fired"):
+        assert np.array_equal(getattr(a, key), getattr(b, key)), key
+
+
 def _floats(**kw):
     return st.floats(allow_nan=False, allow_infinity=False, **kw)
 
@@ -926,18 +957,32 @@ PADDED_CASES = {
 }
 
 
-@pytest.mark.parametrize("cfg", PADDED_CASES.values(), ids=PADDED_CASES.keys())
-def test_filter_path_equals_the_padded_fusion_bit_for_bit(cfg):
-    # the slot-major edge list adds each agent's terms in the padded order
+def _assert_padded_path(cfg, mode):
     _X, Y = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
-    got = list(sim._filter_path(cfg, cfg.mode, Y))
-    want = list(padded.padded_filter_path(cfg, cfg.mode, Y))
+    got = list(sim._filter_path(cfg, mode, Y))
+    want = list(padded.padded_filter_path(cfg, mode, Y))
     assert len(got) == len(want) == cfg.T + 1
     for step, ref in zip(got, want):
         for a, b in zip(step, ref):
             a, b = np.asarray(a), np.asarray(b)
             assert np.array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("cfg", PADDED_CASES.values(), ids=PADDED_CASES.keys())
+def test_filter_path_equals_the_padded_fusion_bit_for_bit(cfg):
+    # the slot-major edge list adds each agent's terms in the padded order
+    _assert_padded_path(cfg, cfg.mode)
+
+
+def test_time_and_event_passes_share_one_layout_and_equal_the_padded_fusion():
+    # the step's mode comes from its held pairs, not from the layout
+    cfg = case1(mode="event", L=2, T=40, trials=3, seed=8)
+    before = event._build_layout.cache_info()
+    for mode in ("time", "event"):
+        _assert_padded_path(cfg, mode)
+    after = event._build_layout.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 ENGINE_CASES = {
