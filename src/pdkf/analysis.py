@@ -29,7 +29,7 @@ import numpy as np
 
 from .event import step_layout
 from .filter import _check_pd, slot_sum, symmetrize
-from .model import AgentSpec, SystemModel, Topology, matrix_rank
+from .model import AgentSpec, SystemModel, Topology, _check_symmetric, matrix_rank
 
 _OBS_TOL = 1e-10
 
@@ -269,12 +269,8 @@ def constraint_error(x_hat, x, F, s_bar: int) -> np.ndarray:
 
 def eig_pos(M) -> np.ndarray:
     """Positive part V·diag(max(λ, 0))·Vᵀ ⪰ M of a symmetric matrix, or of each
-    matrix of a stack."""
-    M = np.asarray(M, dtype=float)
-    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
-    if np.any(np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-8 * scale):
-        raise ValueError("eig_pos requires a symmetric matrix")
-    w, V = np.linalg.eigh(symmetrize(M))
+    matrix of a stack, from the symmetric part that `_check_symmetric` returns."""
+    w, V = np.linalg.eigh(_check_symmetric(np.asarray(M, dtype=float), "eig_pos's matrix"))
     return (V * np.maximum(w, 0.0)[..., None, :]) @ V.swapaxes(-1, -2)
 
 

@@ -10,6 +10,9 @@ either filter on the stack of all agents, serves the Monte Carlo engine and
 the step-by-step rounds `tpdkf_round` and `epdkf_round` alike; both read the
 network's `step_layout`, built once per network and fused over its real
 edges only.  `filter_step` also holds the one held-pair recursion they share.
+The rounds check each per-agent list whole, stacking every x and
+measurement list by one helper, `_rows`, which checks widths and
+finiteness; a single agent is looked at only to name a failing one.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .filter import (AgentState, _check_pd, _ensure_pd, _estimate, _inv, _kalman_gain,
                      _projection_map, ci_maps, slot_sum, symmetrize)
-from .model import AgentSpec, SystemModel, Topology, _check_finite
+from .model import AgentSpec, SystemModel, Topology, _check_finite, _check_symmetric
 
 _COV = "the covariance of agent"
 
@@ -57,13 +60,10 @@ def trigger_from_info(info, info_held, delta):
     """Trigger scores g = λ_max(Ω − Ω̄) − δ from the information matrices of
     the fresh pairs (Ω = P̃⁻¹) and of the held extrapolations (Ω̄ = P̄̃⁻¹),
     stacks over a leading agent axis with δ one value per agent; an agent
-    fires only on a strictly positive score.  Returns (g, fired) arrays."""
-    diff = info - info_held
-    sym = symmetrize(diff)
-    scale = np.abs(sym).max(axis=(-2, -1), initial=1.0)
-    if np.count_nonzero(np.abs(diff - diff.swapaxes(-1, -2)).max(axis=(-2, -1))
-                        > 1e-8 * scale):
-        raise ValueError("information difference lost symmetry beyond tolerance")
+    fires only on a strictly positive score; Ω − Ω̄ must pass the shared
+    symmetry check, whose symmetric part the eigen-solver reads.  Returns
+    (g, fired) arrays."""
+    sym = _check_symmetric(info - info_held, "the information difference")
     g = np.linalg.eigvalsh(sym)[..., -1] - delta     # eigvalsh sorts ascending
     return g, g > 0.0
 
@@ -201,51 +201,33 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
     return est, P, g, fired, (hx, hP) if event else None
 
 
-def _measurement_block(measurements, idx, m: int) -> np.ndarray:
-    """The (g, m, 1) block of the measurements of one H group's agents idx,
-    each of any shape with m finite entries; an agent whose measurement has
-    another size or a non-finite entry is named."""
-    ys = [measurements[i] for i in idx.tolist()]
+def _rows(values, ids, size: int, what: str) -> np.ndarray:
+    """The (len(values), size, 1) stack of per-agent values of any shape,
+    made and checked once; only a failed check looks for the first agent
+    ids[j] whose value has another size or is not finite, and names it."""
     try:
-        block = np.array(ys, dtype=float).reshape(len(idx), -1)
+        block = np.array(values, dtype=float).reshape(len(values), -1)
     except ValueError:          # shapes differ: ragged, or (m,) beside (m, 1)
         block = None
-    if block is None or block.shape[1] != m or not np.isfinite(block).all():
-        for i, y in zip(idx, ys):
-            y = np.ravel(np.asarray(y, dtype=float))
-            if y.size != m:
-                raise ValueError(f"measurement of agent {i} has {y.size} entries "
-                                 f"for the {m} rows of its H")
-            if not np.isfinite(y).all():
-                raise ValueError(f"measurement of agent {i} is not finite")
-        block = np.array([np.ravel(y) for y in ys], dtype=float)
+    if block is None or block.shape[1] != size or not np.isfinite(block).all():
+        for i, v in zip(ids, values):
+            v = np.ravel(np.asarray(v, dtype=float))
+            if v.size != size:
+                raise ValueError(f"{what} of agent {i} has {v.size} entries, not {size}")
+            if not np.isfinite(v).all():
+                raise ValueError(f"{what} of agent {i} is not finite")
+        block = np.array([np.ravel(v) for v in values], dtype=float)
     return block[:, :, None]
-
-
-def _estimate_stacks(states, n: int) -> tuple:
-    """The (N, n, 1) stack of the agents' estimated states and the (N, n, n)
-    stack of their covariance matrices.  The stacked shape is checked once; only
-    when it is wrong, or the states do not stack, is the first agent whose
-    state does not hold n entries looked for and named.  Each estimate's P
-    matches its x, so the covariance matrices then stack."""
-    try:
-        x = np.array([st.estimate.x for st in states])
-    except ValueError:          # ragged: some estimate holds another size
-        x = None
-    if x is None or x.shape != (len(states), n):
-        for i, st in enumerate(states):
-            if st.estimate.x.shape != (n,):
-                raise ValueError(f"state of agent {i} holds {st.estimate.x.size} "
-                                 f"states, not {n}")
-    return x[:, :, None], np.array([st.estimate.P for st in states])
 
 
 def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
            k=None) -> tuple:
     """`filter_step` on the stacked arguments of a round: (states, fired).
-    Each input is stacked once; the returned states hold rows of the new
-    stacks, and the trigger states rows of one copy of each held stack."""
-    N = topology.N
+    Each per-agent list is checked whole, and only a failed check names the
+    first bad agent; every x and measurement is stacked by `_rows`.  The
+    returned states hold rows of the new stacks, and the trigger states rows
+    of one copy of each held stack."""
+    N, n = topology.N, len(A)
     named = dict(states=states, measurements=measurements, agents=agents,
                  **({} if triggers is None else {"trigger_states": triggers}))
     for name, seq in named.items():
@@ -257,19 +239,23 @@ def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
     layout = step_layout(agents, topology)
     held = None
     if triggers is not None:
-        for i, (ts, a) in enumerate(zip(triggers, agents)):
-            if ts.time != k - 1 or ts.x.shape != (len(A),):
-                raise ValueError(f"trigger state of agent {i} holds {ts.x.size} states at "
-                                 f"step {ts.time}, not {len(A)} at step {k - 1}")
-            if ts.delta != a.delta:     # the rounds fire on AgentSpec.delta, as the engine does
-                raise ValueError(f"trigger state of agent {i} has delta {ts.delta}, "
-                                 f"but its AgentSpec has delta {a.delta}")
-        held = (np.array([ts.x for ts in triggers])[:, :, None],
-                np.array([ts.P for ts in triggers]))
+        if [ts.time for ts in triggers] != [k - 1] * N:
+            i = next(i for i, ts in enumerate(triggers) if ts.time != k - 1)
+            raise ValueError(f"trigger state of agent {i} holds step {triggers[i].time}, "
+                             f"not {k - 1}")
+        hx = _rows([ts.x for ts in triggers], range(N), n, "trigger state")
+        if [ts.delta for ts in triggers] != layout.deltas.tolist():
+            # the rounds fire on AgentSpec.delta, as the engine does
+            i = next(i for i, (ts, a) in enumerate(zip(triggers, agents))
+                     if ts.delta != a.delta)
+            raise ValueError(f"trigger state of agent {i} has delta {triggers[i].delta}, "
+                             f"but its AgentSpec has delta {agents[i].delta}")
+        held = (hx, np.array([ts.P for ts in triggers]))
+    est = _rows([st.estimate.x for st in states], range(N), n, "state")
+    ys = [_rows([measurements[i] for i in idx.tolist()], idx.tolist(), H.shape[1],
+                "measurement") for idx, H, _ in layout.meas]
     est, P, _, fired, held = filter_step(
-        layout, *_estimate_stacks(states, len(A)),
-        [_measurement_block(measurements, idx, H.shape[1]) for idx, H, _ in layout.meas],
-        A, Q, rounds, held)
+        layout, est, np.array([st.estimate.P for st in states]), ys, A, Q, rounds, held)
     if triggers is not None:    # one copy each: shared with nothing returned
         for ts, x, p in zip(triggers, held[0][:, :, 0].copy(), held[1].copy()):
             ts.x, ts.P, ts.time = x, p, k

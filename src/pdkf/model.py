@@ -38,19 +38,15 @@ def _check_finite(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} has non-finite entries")
 
 
-def _check_symmetric(M: np.ndarray, name: str, tol: float = 1e-8) -> None:
-    if M.size == 0:
-        return
-    scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - M.T).max() > tol * scale:
+def _check_symmetric(M: np.ndarray, name: str, tol: float = 1e-8) -> np.ndarray:
+    """The symmetric part ½(M + Mᵀ) of a matrix, or of each matrix of a stack,
+    once each is checked: |M − Mᵀ| ≤ tol·max(1, max|½(M + Mᵀ)|), else
+    "{name} is not symmetric".  NaN passes, so check finiteness first."""
+    sym = 0.5 * (M + M.swapaxes(-1, -2))
+    scale = np.abs(sym).max(axis=(-2, -1), initial=1.0)
+    if np.any(np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0) > tol * scale):
         raise ValueError(f"{name} is not symmetric")
-
-
-def _is_psd(M: np.ndarray, tol: float = 1e-10) -> bool:
-    if M.size == 0:                 # the (0, 0) covariance of no measurement rows
-        return True
-    w = np.linalg.eigvalsh(0.5 * (M + M.T))
-    return bool(w.min() >= -tol * max(1.0, abs(w.max())))
+    return sym
 
 
 def _check_covariance(M: np.ndarray, name: str, m: int) -> None:
@@ -59,8 +55,8 @@ def _check_covariance(M: np.ndarray, name: str, m: int) -> None:
     if M.shape != (m, m):
         raise ValueError(f"{name} must be ({m}, {m}), got {M.shape}")
     _check_finite(M, name)
-    _check_symmetric(M, name)
-    if not _is_psd(M):
+    w = np.linalg.eigvalsh(_check_symmetric(M, name))   # empty for no measurement rows
+    if w.size and w.min() < -1e-10 * max(1.0, abs(w.max())):
         raise ValueError(f"{name} must be positive semidefinite")
 
 
@@ -208,7 +204,7 @@ class Topology:
     """Directed communication graph with row-stochastic fusion weights.
 
     `weights[i, j] > 0` means agent i uses (receives) agent j's estimate.  The
-    matrix must be non-empty, the diagonal positive and the off-diagonal
+    matrix must be finite and non-empty, the diagonal positive and the off-diagonal
     support strongly connected: every agent reaches agent 0 and is reached
     from it (numpy reachability, no graph library).  `edges` holds the
     boolean support of `weights`; both are read-only and `weights` is a copy
@@ -220,6 +216,7 @@ class Topology:
 
     def __post_init__(self):
         W = _as_matrix(self.weights, "weights")
+        _check_finite(W, "weights")     # a NaN passes every comparison below
         if W.shape[0] != W.shape[1]:
             raise ValueError("weights must be square")
         if W.size == 0:

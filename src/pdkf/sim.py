@@ -53,6 +53,11 @@ ROAD_D = np.array([[1.0, -np.sqrt(3.0), 0.0, 0.0],
 
 @dataclass
 class ScenarioConfig:
+    """A scenario: model, agents and topology, with the settings of its runs.
+    T, L, trials, seed and each checkpoint take a Python or numpy integer,
+    not a bool, and are stored as Python ints; any other value raises a
+    ValueError that names the field."""
+
     model: SystemModel
     agents: list
     topology: Topology
@@ -75,6 +80,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
+        for attr in ("T", "L", "trials", "seed"):
+            setattr(self, attr, _integer(getattr(self, attr), attr))
+        self.checkpoints = tuple(_integer(k, f"checkpoints[{i}]")
+                                 for i, k in enumerate(self.checkpoints))
         if self.T < 1:
             raise ValueError("horizon T must be at least 1")
         if self.trials < 1:
@@ -110,7 +119,6 @@ class ScenarioConfig:
         for name, M, m in covs:
             if M is not None:
                 _check_covariance(M, name, m)
-        self.checkpoints = tuple(int(k) for k in self.checkpoints)
 
     # -- derived pieces ----------------------------------------------------
 
@@ -385,8 +393,8 @@ def run_event(cfg: ScenarioConfig) -> RunMetrics:
 def monte_carlo(cfg: ScenarioConfig, trials: int | None = None,
                 seed: int | None = None) -> RunMetrics:
     """Monte Carlo aggregation: MSE_k = (1/N)Σ_i (1/trials)Σ_j ||error||²."""
-    t = cfg.trials if trials is None else int(trials)
-    s = cfg.seed if seed is None else int(seed)
+    t = cfg.trials if trials is None else _integer(trials, "trials")
+    s = cfg.seed if seed is None else _integer(seed, "seed")
     if t < 1:
         raise ValueError("trials must be at least 1")
     return _run(cfg, cfg.mode, t, s)
@@ -564,10 +572,13 @@ def _optional(convert):
     return lambda v: None if v is None else convert(v)
 
 
-def _integer(v) -> int:
-    if type(v) is not int:              # rejects a bool, a float and a string
-        raise TypeError(f"expected an integer, got {v!r}")
-    return v
+def _integer(v, name: str | None = None) -> int:
+    """v as a Python int, from a Python or numpy integer but not a bool; any
+    other value raises a ValueError, which names the field `name` if given."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"expected an integer, got {v!r}" if name is None
+                         else f"{name} must be an integer, got {v!r}")
+    return int(v)
 
 
 def _real(v) -> float:

@@ -259,6 +259,8 @@ def test_short_sim_r_exits_two(case1_file, tmp_path, capsys):
     (("model", "x0_mean"), [True, 0, "0", 0.0], "model.x0_mean: expected a number "
                                                 "or a list of numbers, got True"),
     (("topology", "weights", 0, 0), False, "topology.weights: expected a number"),
+    # json reads NaN; a NaN self-weight used to run and exit 0
+    (("topology", "weights", 0, 0), float("nan"), "topology: weights has non-finite entries"),
     (("sim", "x0_hat"), [0, 0, "0", 0], "sim.x0_hat: expected a number"),
     (("sim", "sim_r"), [[[True]], None, [[90.0]]], "sim.sim_r: expected a number"),
     # an unconstrained agent's D and d are absent, null or [], never another
@@ -274,7 +276,7 @@ def test_short_sim_r_exits_two(case1_file, tmp_path, capsys):
         "unknown-topology", "unknown-top-level", "float-T", "quoted-T", "float-L",
         "bool-trials", "float-seed", "float-checkpoint", "quoted-checkpoint",
         "quoted-theta", "bool-theta", "quoted-eps", "bool-delta", "quoted-R",
-        "mixed-x0_mean", "bool-weight", "quoted-x0_hat", "bool-sim_r", "zero-D",
+        "mixed-x0_mean", "bool-weight", "nan-weight", "quoted-x0_hat", "bool-sim_r", "zero-D",
         "false-D", "false-d", "number-name"])
 def test_bad_scenario_values_exit_two(case1_file, tmp_path, capsys, path,
                                       value, field):

@@ -62,7 +62,7 @@ def test_trigger_from_info_matches_trigger_eval(seed):
 
 
 def test_trigger_from_info_rejects_asymmetric_difference():
-    with pytest.raises(ValueError, match="symmetry"):
+    with pytest.raises(ValueError, match="^the information difference is not symmetric$"):
         trigger_from_info(np.array([[[1.0, 1.0], [0.0, 1.0]]]), np.eye(2)[None], np.zeros(1))
 
 
@@ -242,7 +242,7 @@ def test_stacked_trigger_equals_single_calls(N):
 def test_stacked_trigger_rejects_one_asymmetric_member():
     info = np.stack([np.eye(2)] * 3)
     info[1, 0, 1] = 1.0
-    with pytest.raises(ValueError, match="symmetry"):
+    with pytest.raises(ValueError, match="^the information difference is not symmetric$"):
         trigger_from_info(info, np.stack([np.eye(2)] * 3), np.zeros(3))
 
 
@@ -303,8 +303,8 @@ def test_epdkf_round_names_a_trigger_state_not_at_the_previous_step(time):
     model, agents, top, states, triggers, ys = _round_args()
     states, _ = epdkf_round(states, triggers, ys, model, agents, top, 1)
     triggers[2].time = time
-    with pytest.raises(ValueError, match=f"^trigger state of agent 2 holds 4 states "
-                                         f"at step {time}, not 4 at step 1$"):
+    with pytest.raises(ValueError, match=f"^trigger state of agent 2 holds step {time}, "
+                                         f"not 1$"):
         epdkf_round(states, triggers, ys, model, agents, top, 2)
     assert [ts.time for ts in triggers] == [1, 1, time]
 
@@ -327,8 +327,7 @@ def test_epdkf_round_names_a_trigger_state_whose_delta_is_not_the_agents():
 def test_epdkf_round_names_an_agent_whose_held_pair_is_not_n_dimensional():
     model, agents, top, states, triggers, ys = _round_args()
     triggers[1] = TriggerState(np.zeros(3), np.eye(3), 0, 0.4)
-    with pytest.raises(ValueError, match="^trigger state of agent 1 holds 3 states "
-                                         "at step 0, not 4 at step 0$"):
+    with pytest.raises(ValueError, match="^trigger state of agent 1 has 3 entries, not 4$"):
         epdkf_round(states, triggers, ys, model, agents, top, 1)
 
 
@@ -339,11 +338,26 @@ def test_rounds_name_an_agent_whose_estimate_is_not_n_dimensional(bad):
     model, agents, top, states, triggers, ys = _round_args()
     for i in bad:
         states[i] = AgentState(i, ConsistentEstimate(np.zeros(3), np.eye(3)))
-    message = f"^state of agent {bad[0]} holds 3 states, not 4$"
+    message = f"^state of agent {bad[0]} has 3 entries, not 4$"
     with pytest.raises(ValueError, match=message):
         epdkf_round(states, triggers, ys, model, agents, top, 1)
     with pytest.raises(ValueError, match=message):
         tpdkf_round(states, ys, model, agents, top, L=1)
+    assert [ts.time for ts in triggers] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("what", ["state", "trigger state"])
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_rounds_name_an_agent_whose_x_is_not_finite(what, entry):
+    # x is checked on construction, not when edited in place; a NaN state
+    # used to run through both rounds into NaN states without an error
+    model, agents, top, states, triggers, ys = _round_args()
+    (states[1].estimate if what == "state" else triggers[1]).x[0] = entry
+    with pytest.raises(ValueError, match=f"^{what} of agent 1 is not finite$"):
+        epdkf_round(states, triggers, ys, model, agents, top, 1)
+    if what == "state":
+        with pytest.raises(ValueError, match="^state of agent 1 is not finite$"):
+            tpdkf_round(states, ys, model, agents, top, L=1)
     assert [ts.time for ts in triggers] == [0, 0, 0]
 
 
@@ -394,8 +408,8 @@ def _two_row_case1():
 
 @pytest.mark.parametrize("ys, message", [
     # one entry used to broadcast over the two rows of agent 0's H
-    ([[1.0], None, [0.0]], "measurement of agent 0 has 1 entries for the 2 rows of its H$"),
-    ([[1.0, 2.0], None, [0.0, 3.0]], "measurement of agent 2 has 2 entries for the 1 rows"),
+    ([[1.0], None, [0.0]], "measurement of agent 0 has 1 entries, not 2$"),
+    ([[1.0, 2.0], None, [0.0, 3.0]], "measurement of agent 2 has 2 entries, not 1$"),
     # a NaN used to reach the estimates of agents 0 and 1
     ([[np.nan, 0.0], None, [0.0]], "measurement of agent 0 is not finite$"),
     ([[1.0, 0.0], None, [np.inf]], "measurement of agent 2 is not finite$"),
@@ -414,8 +428,7 @@ def test_rounds_name_an_agent_whose_measurement_is_ragged_in_its_group():
     # agents 0 and 2 of the path share one H group of one row
     model, agents, top, states, triggers, _ = _round_args()
     ys = [np.ones(1), None, np.ones(2)]
-    with pytest.raises(ValueError, match="^measurement of agent 2 has 2 entries "
-                                         "for the 1 rows of its H$"):
+    with pytest.raises(ValueError, match="^measurement of agent 2 has 2 entries, not 1$"):
         epdkf_round(states, triggers, ys, model, agents, top, 1)
     with pytest.raises(ValueError, match="^measurement of agent 2 has 2 entries"):
         tpdkf_round(states, ys, model, agents, top, L=1)
@@ -468,9 +481,10 @@ def test_filter_step_symmetrizes_each_stack_once_and_makes_no_identity(case, mod
                                                                        monkeypatch):
     # six stacks each: the prediction, the gain's, and per round the fused
     # and the projected stack; in event mode, with one round, the held stack
-    # (`_check_pd`) and the trigger's information difference instead of a
-    # second round.  `_ensure_pd` does not symmetrize them again, and the
-    # identities come from the layout, built before the step.
+    # (`_check_pd`) and the trigger's information difference (whose
+    # symmetric part `_check_symmetric` returns) instead of a second round.
+    # `_ensure_pd` does not symmetrize them again, and the identities come
+    # from the layout, built before the step.
     cfg = case(mode=mode, T=1, trials=1)
     layout = event.step_layout(cfg.agents, cfg.topology)
     assert (len(layout.meas), len(layout.proj)) == (1, 1)
@@ -488,8 +502,13 @@ def test_filter_step_symmetrizes_each_stack_once_and_makes_no_identity(case, mod
         eyes.append(args)
         return eye(*args, **kwargs)
 
+    def check_spy(M, name, check=event._check_symmetric):
+        shapes.append(M.shape)
+        return check(M, name)
+
     monkeypatch.setattr(filter_module, "symmetrize", spy)
     monkeypatch.setattr(event, "symmetrize", spy)
+    monkeypatch.setattr(event, "_check_symmetric", check_spy)
     monkeypatch.setattr(np, "eye", eye_spy)
     event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0), cfg.model.Q_at(0),
                       rounds, held)

@@ -164,7 +164,12 @@ def test_topology_rejects_an_empty_matrix():
 @pytest.mark.parametrize("weights, message", [
     ([[0.5, 0.6], [0.5, 0.5]], "weight rows must each sum to 1"),
     ([[1.5, -0.5], [0.5, 0.5]], "weights must be nonnegative"),
-], ids=["row-sum", "negative"])
+    # a NaN passes the row-sum and diagonal tests: a NaN self-weight loaded,
+    # and its agent fused without its own estimate
+    ([[np.nan, 0.5], [0.5, 0.5]], "^weights has non-finite entries$"),
+    ([[0.5, np.nan], [0.5, 0.5]], "^weights has non-finite entries$"),
+    ([[np.inf, 0.5], [0.5, 0.5]], "^weights has non-finite entries$"),
+], ids=["row-sum", "negative", "nan-self", "nan-off-diagonal", "inf"])
 def test_topology_rejects_fusion_weights_that_are_not_convex(weights, message):
     # the fusion weights are checked here, where they enter the program
     with pytest.raises(ValueError, match=message):

@@ -104,9 +104,15 @@ def test_sim_r_needs_one_entry_per_agent():
     (dict(agents=case1().agents[:2] + [dataclasses.replace(case1().agents[2],
                                                            d=np.array([1.0, 0.0]))]),
      r"^agents: inconsistent constraints: .*every row of agents \[0, 2\]$"),
+    # the integer settings take what the scenario file can hold: a bool used
+    # to save as true and a float to run truncated, or to fail in the step
+    (dict(L=True), "^L must be an integer, got True$"),
+    (dict(T=2.5), r"^T must be an integer, got 2\.5$"),
+    (dict(trials=True), "^trials must be an integer, got True$"),
+    (dict(checkpoints=(2.7,)), r"^checkpoints\[0\] must be an integer, got 2\.7$"),
 ], ids=["nan-x0_hat", "short-x0_hat", "indefinite-P0_init", "asymmetric-x0_cov",
         "inf-sim_q", "small-sim_q", "negative-sim_r", "negative-seed", "no-agents",
-        "contradictory-d"])
+        "contradictory-d", "bool-L", "float-T", "bool-trials", "float-checkpoint"])
 def test_scenario_rejects_bad_overrides(override, field):
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(case1(), **override)
@@ -543,6 +549,22 @@ def test_scenario_roundtrip(tmp_path):
     assert scenario_hash(loaded) == scenario_hash(cfg)
     a, b = monte_carlo(cfg), monte_carlo(loaded)
     assert np.array_equal(a.mse, b.mse)
+
+
+def test_numpy_integer_settings_save_reload_and_run_as_python_ints(tmp_path):
+    # a numpy seed used to run but fail to save (int64 is not JSON serializable)
+    cfg = case1(mode="event", T=np.int64(20), trials=np.int32(2), seed=np.int64(3))
+    twin = case1(mode="event", T=20, trials=2, seed=3)
+    assert all(type(getattr(cfg, f)) is int for f in ("T", "L", "trials", "seed"))
+    save_scenario(cfg, str(tmp_path / "a.scn"))
+    loaded = load_scenario(str(tmp_path / "a.scn"))
+    assert scenario_hash(loaded) == scenario_hash(twin)
+    runs = [monte_carlo(c) for c in (cfg, loaded, twin)]
+    assert all(np.array_equal(r.mse, runs[2].mse) for r in runs)
+    assert np.array_equal(monte_carlo(twin, trials=np.int64(2), seed=np.uint8(3)).mse,
+                          runs[2].mse)
+    with pytest.raises(ValueError, match=r"^trials must be an integer, got 2\.5$"):
+        monte_carlo(twin, trials=2.5)
 
 
 def test_scenario_roundtrip_preserves_overrides(tmp_path):
