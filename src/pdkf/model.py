@@ -44,7 +44,8 @@ def _check_symmetric(M: np.ndarray, name: str, tol: float = 1e-8) -> np.ndarray:
     "{name} is not symmetric".  NaN passes, so check finiteness first."""
     sym = 0.5 * (M + M.swapaxes(-1, -2))
     scale = np.abs(sym).max(axis=(-2, -1), initial=1.0)
-    if np.any(np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0) > tol * scale):
+    if np.count_nonzero(np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+                        > tol * scale):
         raise ValueError(f"{name} is not symmetric")
     return sym
 
