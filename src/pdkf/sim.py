@@ -10,7 +10,8 @@ over the network's real edges (the cached, slot-major `event.step_layout`,
 each agent's neighbors in order), applies the maps to all trials at once,
 then drops them.  The runs, the Monte Carlo, both baselines (the centralized
 one as a one-agent network) and the design pilot (`pilot_betas`, on zero
-trials) share that pass, and `_run_core` alone records it.
+trials) share that pass, and `_run_core` alone records it, a chunk of steps
+per `_Recorder.record` call.
 
 Reproducibility contract: the master seed is split with
 ``np.random.SeedSequence(seed).spawn(trials)`` and trial j draws from
@@ -18,8 +19,9 @@ Reproducibility contract: the master seed is split with
 block (T, n), then one measurement-noise block (T, m_i) per agent in agent
 order.  Identical config + seed therefore reproduces bit-identical output.
 The draw order per trial is that of a per-trial loop; the transforms run on
-(n, trials) blocks for all trials at once (`generate_truth`), so states may
-differ from a per-trial loop in the last bit, never a trigger decision.
+(n, trials) blocks for all trials at once (`generate_truth`, three numpy
+calls per step), so states may differ from a per-trial loop in the last bit,
+never a trigger decision.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ ROAD_D = np.array([[1.0, -np.sqrt(3.0), 0.0, 0.0],
 class ScenarioConfig:
     """A scenario: model, agents and topology, with the settings of its runs.
     T, L, trials, seed and each checkpoint take a Python or numpy integer,
-    not a bool, and are stored as Python ints; any other value raises a
+    not a bool, and are stored as Python ints; theta takes a Python or numpy
+    integer or float, not a bool, stored as a Python float.  A checkpoint is
+    nonnegative; one above T is not recorded.  Any other value raises a
     ValueError that names the field."""
 
     model: SystemModel
@@ -82,8 +86,12 @@ class ScenarioConfig:
             raise ValueError(f"name must be a string, got {self.name!r}")
         for attr in ("T", "L", "trials", "seed"):
             setattr(self, attr, _integer(getattr(self, attr), attr))
+        self.theta = _real(self.theta, "theta")
         self.checkpoints = tuple(_integer(k, f"checkpoints[{i}]")
                                  for i, k in enumerate(self.checkpoints))
+        for i, k in enumerate(self.checkpoints):
+            if k < 0:
+                raise ValueError(f"checkpoints[{i}] must be nonnegative, got {k}")
         if self.T < 1:
             raise ValueError("horizon T must be at least 1")
         if self.trials < 1:
@@ -221,6 +229,9 @@ def generate_truth(cfg: ScenarioConfig,
     D̄·x_k = d̄ holds at every step.  D̄ has orthonormal rows, so the
     projection is x ↦ (I − D̄ᵀD̄)x + D̄ᵀd̄, with no inverse.  Measurement row
     k-1 belongs to step k; an agent without a measurement gets exact zeros.
+    A step adds to c = D̄ᵀd̄ each T_A[:, b]·x_k[b], then each T_S[:, b]·z_k[b],
+    in index order (T_A, T_S: the projected A_k, Q^½), as one sum over the
+    outer axis of a (2n + 1, n, trials) block of those terms.
     """
     single = hasattr(rng, "standard_normal")
     rngs = [rng] if single else list(rng)
@@ -241,9 +252,12 @@ def generate_truth(cfg: ScenarioConfig,
                    tangent @ model.x0_mean[:, None] + c)
     qs = [cfg.sim_q] if cfg.sim_q is not None else model.Q
     TA, TS = [tangent @ A for A in model.A], [tangent @ _psd_sqrt(q) for q in qs]
-    for k in range(T):                  # X[k + 1] holds z_k until it is overwritten
-        x = _affine(TA[min(k, len(TA) - 1)], X[k], c)
-        X[k + 1] = _affine(TS[min(k, len(TS) - 1)], X[k + 1], x)
+    terms = np.empty((2 * n + 1, n, len(rngs)))     # c, then each column's term
+    terms[0] = c
+    for k in range(T):                  # X[k + 1] holds z_k until the sum overwrites it
+        np.multiply(TA[min(k, len(TA) - 1)].T[:, :, None], X[k][:, None], out=terms[1:n + 1])
+        np.multiply(TS[min(k, len(TS) - 1)].T[:, :, None], X[k + 1][:, None], out=terms[n + 1:])
+        terms.sum(axis=0, out=X[k + 1])
     for i, (a, Yi) in enumerate(zip(cfg.agents, Y)):
         Yi[...] = (_affine(_psd_sqrt(cfg.sim_r_of(i)), Yi, _affine(a.H, X[1:], 0.0))
                    if a.has_measurement else 0.0)
@@ -295,6 +309,9 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
 # ---------------------------------------------------------------------------
 # metrics accumulation
 
+# the recorder's chunk: the bytes of its buffered state and covariance stacks
+_CHUNK_BYTES = 1 << 18
+
 
 class _Recorder:
     def __init__(self, cfg: ScenarioConfig, trials: int, seed: int,
@@ -316,32 +333,32 @@ class _Recorder:
         self.out_deg = np.array([topo.out_degree0(i) for i in range(topo.N)])
         self.gc = gc
 
-    def record(self, k: int, est: np.ndarray, x_k: np.ndarray, P: np.ndarray,
-               g=None, fired=None):
-        """Step k from the (N, n, trials) state and (N, n, n) covariance stacks
-        and, in event mode, the step's (N,) trigger scores and decisions.
-        Means are sums over their count, which is what `np.mean` computes,
-        bit for bit; every reduction is numpy's own, none a BLAS dot."""
-        m = self.metrics
-        if k and len(m.fired):
-            m.g[k - 1], m.fired[k - 1] = g, fired
-        errs = est - x_k
-        N, _, trials = errs.shape
-        m.mse[k] = ((errs * errs).sum(axis=1).sum(axis=1) / trials).sum() / N
-        m.trace_p_agent[k] = P.trace(axis1=1, axis2=2)
-        m.trace_p[k] = m.trace_p_agent[k].sum() / N
-        mean = (errs.sum(axis=2) / trials).sum(axis=0) / N
-        m.mean_error_norm[k] = np.sqrt((mean * mean).sum())
-        m.constraint_residuals[k] = max(
-            [0.0] + [float(np.abs(D @ est[idx] - d[..., None]).max())
-                     for idx, D, d in self.constraints])
-        if k in m.checkpoints:
-            for i, e in enumerate(errs):
-                m.sample_moment[(k, i)] = e @ e.T / est.shape[2]
-                m.P_checkpoint[(k, i)] = P[i].copy()
+    def record(self, k0: int, est: np.ndarray, X: np.ndarray, P: np.ndarray):
+        """Steps k0..k0 + K − 1 from one chunk, sized by `_CHUNK_BYTES`: the
+        (K, N, n, trials) state, (K, N, n, n) covariance and (K, n, trials)
+        truth blocks.  Each reduction is a step's, with the step as a leading
+        axis, so a chunk of K steps has the bits of K chunks of one; the
+        errors, then their squares, overwrite `est`.  Means are sums over their
+        count, as `np.mean` computes them; every reduction is numpy's own."""
+        m, ks, (K, N, _, trials) = self.metrics, slice(k0, k0 + len(est)), est.shape
+        res = np.zeros(K)
+        for idx, D, d in self.constraints:      # fmax skips a group whose residual is NaN
+            res = np.fmax(res, np.abs(D @ est[:, idx] - d[..., None]).max(axis=(1, 2, 3)))
+        m.constraint_residuals[ks] = res
+        errs = np.subtract(est, X[:, None], out=est)
+        mean = (errs.sum(axis=3) / trials).sum(axis=1) / N
+        m.mean_error_norm[ks] = np.sqrt((mean * mean).sum(axis=1))
+        for k in [k for k in range(k0, k0 + K) if k in m.checkpoints]:
+            for i, e in enumerate(errs[k - k0]):
+                m.sample_moment[(k, i)] = e @ e.T / trials
+                m.P_checkpoint[(k, i)] = P[k - k0, i].copy()
                 if not self.gc.empty:
                     comp = self.gc.Dbar @ e
                     m.constraint_sq[(k, i)] = float(np.mean(np.sum(comp * comp, axis=0)))
+        sq = np.multiply(errs, errs, out=errs)
+        m.mse[ks] = (sq.sum(axis=2).sum(axis=2) / trials).sum(axis=1) / N
+        m.trace_p_agent[ks] = P.trace(axis1=2, axis2=3)
+        m.trace_p[ks] = m.trace_p_agent[ks].sum(axis=1) / N
 
     def finish(self) -> RunMetrics:
         """The metrics, with λ_k = 1 − (out-edges silent over steps 1..k) / (k ·
@@ -367,10 +384,20 @@ def _run_core(cfg: ScenarioConfig, mode: str, seed: int, X: np.ndarray, Y: list,
     """One pass of cfg's network over the measurement blocks Y, recorded
     against the truth X: the one place a `_filter_path` is recorded.  The
     truth's constraint `gc` and the residual `rows`, one (D, d) or None per
-    agent of cfg, come from the scenario X and Y were drawn from."""
-    rec = _Recorder(cfg, X.shape[2], seed, gc, rows, event=mode == "event")
+    agent of cfg, come from the scenario X and Y were drawn from.  The steps'
+    stacks are copied into chunks of K steps, as many as fit both buffers in
+    `_CHUNK_BYTES` (1 ≤ K ≤ T + 1), each recorded, as is the rest, by one call."""
+    (T1, n, trials), N = X.shape, cfg.topology.N
+    rec = _Recorder(cfg, trials, seed, gc, rows, event=mode == "event")
+    K = max(1, min(T1, _CHUNK_BYTES // (8 * N * n * (trials + n))))
+    ests, Ps, m = np.empty((K, N, n, trials)), np.empty((K, N, n, n)), rec.metrics
     for k, (est, P, g, fired) in enumerate(_filter_path(cfg, mode, Y)):
-        rec.record(k, est, X[k], P, g, fired)
+        if k and len(m.fired):
+            m.g[k - 1], m.fired[k - 1] = g, fired
+        j = k % K
+        ests[j], Ps[j] = est, P
+        if j == K - 1 or k == T1 - 1:
+            rec.record(k - j, ests[:j + 1], X[k - j:k + 1], Ps[:j + 1])
     return rec.finish()
 
 
@@ -581,9 +608,13 @@ def _integer(v, name: str | None = None) -> int:
     return int(v)
 
 
-def _real(v) -> float:
-    if type(v) not in (int, float):     # rejects a bool and a string
-        raise TypeError(f"expected a number, got {v!r}")
+def _real(v, name: str | None = None) -> float:
+    """v as a Python float, from a Python or numpy integer or float but not a
+    bool; any other value raises a ValueError, which names the field `name`
+    if given."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise ValueError(f"expected a number, got {v!r}" if name is None
+                         else f"{name} must be a number, got {v!r}")
     return float(v)
 
 

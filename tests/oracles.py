@@ -17,6 +17,10 @@ and the batch engine run.
 `generate_truth`, last, is the per-trial truth generator the package ran
 before it drew all trials on one block: one generator, one trial, the state
 stepped row by row.  It is the differential reference for `sim.generate_truth`.
+`affine_truth` is the block recursion that followed it, one `_affine` pair per
+step, and `StepRecorder` the recorder that reduced one step per call: the
+references the block sum of the truth and the chunked recorder must equal bit
+for bit.
 
 `dense_rate_tables` is the rate analysis's tables with each neighbour sum
 taken over all N² pairs by `analysis._nbr_sum`, the reference the edge-list
@@ -31,6 +35,7 @@ import numpy as np
 from pdkf.analysis import _info_blocks, _nbr_sum, eig_pos
 from pdkf.filter import AgentState, ConsistentEstimate, symmetrize
 from pdkf.model import build_global_constraint
+from pdkf.sim import _filter_path, _Recorder
 
 
 def kf_predict(x, P, A, Q):
@@ -387,3 +392,75 @@ def generate_truth(cfg, rng, gc=None):
         else:
             Y.append(np.zeros((T, m)))
     return X, Y
+
+
+# --- the truth recursion and the recorder a step at a time -----------------------
+# `sim.generate_truth`'s block recursion as it ran before its terms were summed
+# as one block: one `_affine` pair per step.  And `sim._Recorder.record` as it
+# reduced one step per call, with the loop of `sim._run_core` that called it.
+# Both are the bit-for-bit references of the block forms.
+
+def _affine(M, X, c):
+    out = c + M[:, 0, None] * X[..., 0, None, :]
+    for b in range(1, M.shape[1]):
+        out += M[:, b, None] * X[..., b, None, :]
+    return out
+
+
+def affine_truth(cfg, rngs):
+    """((T+1, n, trials), [(T, m_i, trials)]) from one generator per trial."""
+    model, T, n, gc = cfg.model, cfg.T, cfg.model.n, cfg.global_constraint
+    X = np.empty((T + 1, n, len(rngs)))
+    Y = [np.empty((T, a.H.shape[0], len(rngs))) for a in cfg.agents]
+    for j, r in enumerate(rngs):
+        X[0, :, j] = r.standard_normal(n)
+        X[1:, :, j] = r.standard_normal((T, n))
+        for Yi in Y:
+            Yi[:, :, j] = r.standard_normal(Yi.shape[:2])
+    tangent, c = np.eye(n) - gc.Dbar.T @ gc.Dbar, gc.Dbar.T @ gc.dbar[:, None]
+    x0_cov = cfg.x0_cov if cfg.x0_cov is not None else model.P0
+    X[0] = _affine(tangent @ _psd_sqrt(x0_cov), X[0], tangent @ model.x0_mean[:, None] + c)
+    qs = [cfg.sim_q] if cfg.sim_q is not None else model.Q
+    TA, TS = [tangent @ A for A in model.A], [tangent @ _psd_sqrt(q) for q in qs]
+    for k in range(T):
+        x = _affine(TA[min(k, len(TA) - 1)], X[k], c)
+        X[k + 1] = _affine(TS[min(k, len(TS) - 1)], X[k + 1], x)
+    for i, (a, Yi) in enumerate(zip(cfg.agents, Y)):
+        Yi[...] = (_affine(_psd_sqrt(cfg.sim_r_of(i)), Yi, _affine(a.H, X[1:], 0.0))
+                   if a.has_measurement else 0.0)
+    return X, Y
+
+
+class StepRecorder(_Recorder):
+    """`sim._Recorder` with its per-step `record`."""
+
+    def record(self, k: int, est: np.ndarray, x_k: np.ndarray, P: np.ndarray,
+               g=None, fired=None):
+        m = self.metrics
+        if k and len(m.fired):
+            m.g[k - 1], m.fired[k - 1] = g, fired
+        errs = est - x_k
+        N, _, trials = errs.shape
+        m.mse[k] = ((errs * errs).sum(axis=1).sum(axis=1) / trials).sum() / N
+        m.trace_p_agent[k] = P.trace(axis1=1, axis2=2)
+        m.trace_p[k] = m.trace_p_agent[k].sum() / N
+        mean = (errs.sum(axis=2) / trials).sum(axis=0) / N
+        m.mean_error_norm[k] = np.sqrt((mean * mean).sum())
+        m.constraint_residuals[k] = max(
+            [0.0] + [float(np.abs(D @ est[idx] - d[..., None]).max())
+                     for idx, D, d in self.constraints])
+        if k in m.checkpoints:
+            for i, e in enumerate(errs):
+                m.sample_moment[(k, i)] = e @ e.T / est.shape[2]
+                m.P_checkpoint[(k, i)] = P[i].copy()
+                if not self.gc.empty:
+                    comp = self.gc.Dbar @ e
+                    m.constraint_sq[(k, i)] = float(np.mean(np.sum(comp * comp, axis=0)))
+
+
+def step_recorded_run(cfg, mode, seed, X, Y, gc, rows):
+    """`sim._run_core`, recording each step as the engine yields it."""
+    rec = StepRecorder(cfg, X.shape[2], seed, gc, rows, event=mode == "event")
+    for k, (est, P, g, fired) in enumerate(_filter_path(cfg, mode, Y)):
+        rec.record(k, est, X[k], P, g, fired)
+    return rec.finish()

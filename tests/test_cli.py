@@ -12,6 +12,8 @@ from pdkf import analysis, cli, sim
 from pdkf.model import AgentSpec, SystemModel, Topology
 from pdkf.sim import ScenarioConfig, save_scenario
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture()
 def case1_file(tmp_path):
@@ -248,6 +250,8 @@ def test_short_sim_r_exits_two(case1_file, tmp_path, capsys):
     (("sim", "seed"), 3.5, "sim.seed: expected an integer, got 3.5"),
     (("sim", "checkpoints"), [2.9, "3"], "sim.checkpoints: expected an integer, got 2.9"),
     (("sim", "checkpoints"), [2, "3"], "sim.checkpoints: expected an integer, got '3'"),
+    # a negative checkpoint used to run and record nothing at it
+    (("sim", "checkpoints"), [50, -3], ": checkpoints[1] must be nonnegative, got -3"),
     (("sim", "theta"), "1.0", "sim.theta: expected a number, got '1.0'"),
     (("sim", "theta"), False, "sim.theta: expected a number, got False"),
     (("agents", 0, "eps"), "0.5", "agents[0].eps: expected a number, got '0.5'"),
@@ -275,7 +279,8 @@ def test_short_sim_r_exits_two(case1_file, tmp_path, capsys):
         "text-theta", "text-A", "unknown-sim", "unknown-agent", "unknown-model",
         "unknown-topology", "unknown-top-level", "float-T", "quoted-T", "float-L",
         "bool-trials", "float-seed", "float-checkpoint", "quoted-checkpoint",
-        "quoted-theta", "bool-theta", "quoted-eps", "bool-delta", "quoted-R",
+        "negative-checkpoint", "quoted-theta", "bool-theta", "quoted-eps", "bool-delta",
+        "quoted-R",
         "mixed-x0_mean", "bool-weight", "nan-weight", "quoted-x0_hat", "bool-sim_r", "zero-D",
         "false-D", "false-d", "number-name"])
 def test_bad_scenario_values_exit_two(case1_file, tmp_path, capsys, path,

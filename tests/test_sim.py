@@ -35,6 +35,8 @@ import oracles
 import padded
 from networks import directed_scenarios
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SQRT3 = np.sqrt(3.0)
 
 
@@ -110,9 +112,15 @@ def test_sim_r_needs_one_entry_per_agent():
     (dict(T=2.5), r"^T must be an integer, got 2\.5$"),
     (dict(trials=True), "^trials must be an integer, got True$"),
     (dict(checkpoints=(2.7,)), r"^checkpoints\[0\] must be an integer, got 2\.7$"),
+    # θ is a real setting: a bool used to run as 1 and save as true
+    (dict(theta=True), "^theta must be a number, got True$"),
+    (dict(theta="0.5"), "^theta must be a number, got '0.5'$"),
+    # a negative checkpoint was never recorded, and nothing said so
+    (dict(checkpoints=(5, -3)), r"^checkpoints\[1\] must be nonnegative, got -3$"),
 ], ids=["nan-x0_hat", "short-x0_hat", "indefinite-P0_init", "asymmetric-x0_cov",
         "inf-sim_q", "small-sim_q", "negative-sim_r", "negative-seed", "no-agents",
-        "contradictory-d", "bool-L", "float-T", "bool-trials", "float-checkpoint"])
+        "contradictory-d", "bool-L", "float-T", "bool-trials", "float-checkpoint",
+        "bool-theta", "str-theta", "negative-checkpoint"])
 def test_scenario_rejects_bad_overrides(override, field):
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(case1(), **override)
@@ -539,6 +547,28 @@ def test_pilot_betas_cover_the_first_fifty_steps_of_a_time_run():
     assert sim.pilot_betas(cfg) == expect
 
 
+def scalar_cfg(T=25, seed=8):
+    """A one-state model on two agents, one of which measures it."""
+    model = SystemModel(A=[[0.9]], Q=[[0.5]], x0_mean=[1.0], P0=[[2.0]])
+    agents = [AgentSpec(H=[[1.0]], R=[[0.3]], D=np.zeros((0, 1)), d=np.zeros(0)),
+              AgentSpec(H=[[0.0]], R=[[1.0]], D=np.zeros((0, 1)), d=np.zeros(0))]
+    return ScenarioConfig(model=model, agents=agents,
+                          topology=Topology(np.full((2, 2), 0.5)), T=T, seed=seed)
+
+
+@pytest.mark.parametrize("trials", [1, 3, 200])
+@pytest.mark.parametrize("cfg", [*TRUTH_CASES.values(), scalar_cfg()],
+                         ids=[*TRUTH_CASES.keys(), "scalar"])
+def test_truth_equals_the_affine_recursion_bit_for_bit(cfg, trials):
+    # one block sum per step adds the terms in the order of two _affine calls;
+    # at n = 1 and one trial the sum's inner shape is degenerate
+    children = np.random.SeedSequence(cfg.seed).spawn(trials)
+    X, Y = generate_truth(cfg, [np.random.default_rng(c) for c in children])
+    Xo, Yo = oracles.affine_truth(cfg, [np.random.default_rng(c) for c in children])
+    assert np.array_equal(X, Xo)
+    assert len(Y) == len(Yo) and all(np.array_equal(a, b) for a, b in zip(Y, Yo))
+
+
 # --- persistence ------------------------------------------------------------------
 
 def test_scenario_roundtrip(tmp_path):
@@ -565,6 +595,19 @@ def test_numpy_integer_settings_save_reload_and_run_as_python_ints(tmp_path):
                           runs[2].mse)
     with pytest.raises(ValueError, match=r"^trials must be an integer, got 2\.5$"):
         monte_carlo(twin, trials=2.5)
+
+
+@pytest.mark.parametrize("theta", [np.float32(0.5), np.float64(0.5)], ids=["float32", "float64"])
+def test_numpy_theta_saves_reloads_and_hashes_as_the_python_float(tmp_path, theta):
+    # a float32 θ used to fail to save (float32 is not JSON serializable)
+    cfg = dataclasses.replace(case1(T=20, trials=2), theta=theta)
+    twin = dataclasses.replace(case1(T=20, trials=2), theta=0.5)
+    assert type(cfg.theta) is float and cfg.theta == 0.5
+    save_scenario(cfg, str(tmp_path / "a.scn"))
+    loaded = load_scenario(str(tmp_path / "a.scn"))
+    assert type(loaded.theta) is float
+    assert scenario_hash(cfg) == scenario_hash(loaded) == scenario_hash(twin)
+    assert (tmp_path / "a.scn").read_text() == sim._scenario_text(twin)
 
 
 def test_scenario_roundtrip_preserves_overrides(tmp_path):
@@ -801,16 +844,23 @@ def _recorder_cfg(N, n, trials):
 @pytest.mark.parametrize("N, n, trials", [(1, 1, 1), (1, 4, 9), (3, 4, 1), (4, 2, 200),
                                           (20, 4, 20)])
 def test_recorder_equals_the_np_mean_formulas_bit_for_bit(N, n, trials):
+    # the steps reach the recorder as blocks: step 0 as a chunk of one step,
+    # steps 1..T as one chunk
     rng = np.random.default_rng(1000 * N + 10 * n + trials)
     cfg = _recorder_cfg(N, n, trials)
     rows = sim._own_rows(cfg.agents)
     rec = sim._Recorder(cfg, trials, 0, cfg.global_constraint, rows)
+    steps = []
     for k in range(cfg.T + 1):
         scale = 10.0 ** rng.uniform(-3, 3, (N, 1, trials))
-        est, x_k = scale * rng.standard_normal((2, N, n, trials))
+        est = scale * rng.standard_normal((N, n, trials))
+        x_k = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((n, trials))
         P = np.stack([oracles.random_psd(rng, n, scale=10.0 ** rng.uniform(-3, 3))
                       for _ in range(N)])
-        rec.record(k, est, x_k, P)
+        steps.append((est, x_k, P))
+    for k0, k1 in [(0, 1), (1, cfg.T + 1)]:
+        rec.record(k0, *(np.stack(v) for v in zip(*steps[k0:k1])))
+    for k, (est, x_k, P) in enumerate(steps):
         m, errs = rec.metrics, est - x_k
         assert m.mse[k] == np.mean(np.mean(np.sum(errs * errs, axis=1), axis=1))
         assert np.array_equal(m.trace_p_agent[k], np.trace(P, axis1=1, axis2=2))
@@ -823,6 +873,91 @@ def test_recorder_equals_the_np_mean_formulas_bit_for_bit(N, n, trials):
         want = max([0.0] + [float(np.abs(r[0] @ est[i] - r[1][:, None]).max())
                             for i, r in enumerate(rows) if r is not None])
         assert m.constraint_residuals[k] == want
+
+
+def _assert_same_metrics(got, want):
+    for f in dataclasses.fields(sim.RunMetrics):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, dict):
+            assert list(a) == list(b), f.name
+            assert all(np.array_equal(a[key], b[key], equal_nan=True) for key in b), f.name
+        else:
+            assert np.array_equal(a, b, equal_nan=True), f.name
+
+
+def test_recorder_reads_a_nan_estimate_as_the_per_step_recorder():
+    # a NaN in a constrained agent's estimate: its group's residual is NaN,
+    # which the step's max over groups skips
+    cfg = _recorder_cfg(3, 4, 5)
+    rows, rng = sim._own_rows(cfg.agents), np.random.default_rng(7)
+    est, X = rng.standard_normal((cfg.T + 1, 3, 4, 5)), rng.standard_normal((cfg.T + 1, 4, 5))
+    est[2, 0, 1, 3] = np.nan
+    P = np.stack([[oracles.random_psd(rng, 4) for _ in range(3)] for _ in range(cfg.T + 1)])
+    ref = oracles.StepRecorder(cfg, 5, 0, cfg.global_constraint, rows)
+    for k in range(cfg.T + 1):
+        ref.record(k, est[k], X[k], P[k])
+    rec = sim._Recorder(cfg, 5, 0, cfg.global_constraint, rows)
+    rec.record(0, est.copy(), X, P)
+    assert np.isnan(rec.metrics.mse[2]) and rec.metrics.constraint_residuals[2] > 0.0
+    _assert_same_metrics(rec.finish(), ref.finish())
+
+
+def ring_cfg(N, n, mode, T=30):
+    """N agents on a ring (a path below three) with a time-invariant model;
+    agent i measures coordinate i mod n, and from n = 2 on every other agent
+    knows x_0 = 0.5."""
+    model = SystemModel(A=np.eye(n) + 0.1 * np.eye(n, k=1), Q=np.eye(n),
+                        x0_mean=np.zeros(n), P0=4.0 * np.eye(n))
+    rows = [int(n > 1 and i % 2 == 0) for i in range(N)]
+    agents = [AgentSpec(np.eye(1, n, i % n), [[1.0 + i % 3]], np.eye(r, n), [0.5] * r,
+                        0.01, 0.3) for i, r in enumerate(rows)]
+    adj = np.zeros((N, N))
+    for i in range(N - 1 if N < 3 else N):
+        adj[i, (i + 1) % N] = adj[(i + 1) % N, i] = 1.0
+    return ScenarioConfig(model=model, agents=agents,
+                          topology=Topology(sim.metropolis_weights(adj) if N > 1 else [[1.0]]),
+                          T=T, mode=mode, seed=4)
+
+
+# name -> (scenario, its run, the agents of the network its pass records)
+CHUNK_CASES = {
+    "scalar-time": (ring_cfg(1, 1, "time"), monte_carlo, 1),
+    "scalar-event": (ring_cfg(1, 1, "event"), monte_carlo, 1),
+    "case1-time": (case1(mode="time", L=2, T=30), monte_carlo, 3),
+    "case1-event": (case1(mode="event", T=30), monte_carlo, 3),
+    "ring13-time": (ring_cfg(13, 2, "time"), monte_carlo, 13),
+    "ring13-event": (ring_cfg(13, 2, "event"), monte_carlo, 13),
+    "ckf": (case1(mode="time", T=30), ckf_baseline, 1),
+    "consensus": (case1(mode="time", T=30), consensus_baseline, 3),
+}
+
+
+@pytest.mark.parametrize("K", [1, 7, 40])
+@pytest.mark.parametrize("trials", [1, 5])
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_chunked_recording_equals_the_per_step_recorder_bit_for_bit(monkeypatch, case,
+                                                                   trials, K):
+    # checkpoints at the prior, at the last step of a chunk of 7, at the first
+    # step of the next chunk and at T; 7 does not divide T + 1 = 31
+    cfg, run, N = CHUNK_CASES[case]
+    cfg = dataclasses.replace(cfg, trials=trials, checkpoints=(0, 6, 7, 30))
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "_run_core", oracles.step_recorded_run)
+        want = run(cfg)
+    chunks, record = [], sim._Recorder.record
+
+    def spy(rec, k0, est, X, P):
+        chunks.append((k0, len(est)))
+        return record(rec, k0, est, X, P)
+
+    n = cfg.model.n
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", K * 8 * N * n * (trials + n))
+    monkeypatch.setattr(sim._Recorder, "record", spy)
+    got = run(cfg)
+    K = min(K, cfg.T + 1)
+    assert chunks == [(k0, min(K, cfg.T + 1 - k0)) for k0 in range(0, cfg.T + 1, K)]
+    _assert_same_metrics(got, want)
+    assert set(got.sample_moment) == {(k, i) for k in (0, 6, 7, 30) for i in range(N)}
 
 
 def test_manifest_deterministic_and_complete(tmp_path):
