@@ -29,7 +29,8 @@ import numpy as np
 
 from .event import step_layout
 from .filter import _check_pd, slot_sum, symmetrize
-from .model import AgentSpec, SystemModel, Topology, _check_symmetric, matrix_rank
+from .model import (AgentSpec, SystemModel, Topology, _check_symmetric, _integer,
+                    _threshold, matrix_rank)
 
 _OBS_TOL = 1e-10
 
@@ -87,10 +88,9 @@ def eco_check(model: SystemModel, agents: list[AgentSpec], N_bar: int,
     Accumulates Φᵀ(Σ HᵀR⁻¹H + Σ DᵀD)Φ over the window [k0, k0+N_bar] with Φ
     the state transition product; alpha is its smallest eigenvalue.  The
     constraint-free variant distinguishes the extended condition from the
-    classical one.
+    classical one.  N_bar and k0 go through `model._integer` (≥ 0).
     """
-    if N_bar < 0:
-        raise ValueError("window length must be nonnegative")
+    N_bar, k0 = _integer(N_bar, "N_bar", 0), _integer(k0, "k0", 0)
     n = model.n
     info_y, info_d = (blocks.sum(axis=0) for blocks in _info_blocks(model, agents))
     G, G0, Phi = np.zeros((n, n)), np.zeros((n, n)), np.eye(n)
@@ -183,13 +183,15 @@ def threshold_bounds(model: SystemModel, agents: list[AgentSpec],
     over agents.  Each term is formed with `_scaled`, as the rate tables'
     are, so a term whose unscaled product (A^{1-τ})ᵀA^{1-τ} overflows is
     still summed; where M or Mbar is not finite even so, a ValueError names
-    the first τ at which it is not.
+    the first τ at which it is not.  M̄ sums over j in index order (`slot_sum`
+    on the complete slot list); kstar is an integer (`model._integer`) ≥ N + n.
     """
     if not model.time_invariant:
         raise ValueError("threshold design requires a time-invariant model")
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     N, n = topology.N, model.n
+    kstar = _integer(kstar, "kstar")
     if kstar < N + n:
         raise ValueError(f"kstar must be at least N + n = {N + n} for the information "
                          f"sum to be provably positive definite; got {kstar}")
@@ -207,8 +209,9 @@ def threshold_bounds(model: SystemModel, agents: list[AgentSpec],
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         for tau in range(1, kstar + 1):
             M += _scaled(coef * W_pow, A_pow)
-            mid = _nbr_sum((W_pow, info_y), (W_prev, info_d))
-            Mbar += _scaled(coef, A_pow, mid)
+            per_j = (W_pow.T[:, :, None, None] * info_y[:, None]
+                     + W_prev.T[:, :, None, None] * info_d[:, None])
+            Mbar += _scaled(coef, A_pow, slot_sum(per_j.reshape(-1, n, n), (N,) * N))
             bad = [name for name, X in (("M", M), ("Mbar", Mbar)) if not np.isfinite(X).all()]
             if bad:
                 raise ValueError(f"the threshold sums overflow: {' and '.join(bad)} not "
@@ -282,20 +285,6 @@ def _info_blocks(model, agents):
               else np.zeros((n, n)) for a in agents]
     info_d = [a.D.T @ a.D if a.has_constraint else np.zeros((n, n)) for a in agents]
     return np.array(info_y), np.array(info_d)
-
-
-def _nbr_sum(*terms) -> np.ndarray:
-    """Row i of Σ_j Σ_(W, X) W[i, j]·X[j] for every agent i at once.
-
-    The sum over j runs in index order, and zero weights add exact zeros,
-    so each row is bit-identical to agent i's own loop over its neighbours
-    (W @ X, or numpy's pairwise reduction, would reorder the sum).  It runs
-    over all N² pairs because `threshold_bounds`' powers W^τ are dense.
-    """
-    per_j = sum(W.T[:, :, None, None] * X[:, None] for W, X in terms)
-    for term in per_j[1:]:      # into per_j[0], a new array: its zeros keep their sign
-        per_j[0] += term
-    return per_j[0]
 
 
 class _RateTables(NamedTuple):
@@ -474,11 +463,11 @@ def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
     For each agent with a bounded triggering-run length T1 and a guaranteed
     silent prefix T2, credits T2 silent steps per cycle of length T1 + T2:
     λ0 = 1 − Σ_{V1} T2·⌊T/(T1+T2)⌋·outdeg / (T·Σ outdeg).
+    δ goes through `model._threshold`, and T through `model._integer` (≥ 1).
     """
     if not model.time_invariant:
         raise ValueError("rate analysis requires a time-invariant model")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    delta, T = _threshold(delta), _integer(T, "T", 1)
     N = topology.N
     tables = _rate_tables(T, model, agents, topology, beta, beta_bar)
 
@@ -498,7 +487,7 @@ def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
 
     out_deg = np.array([topology.out_degree0(i) for i in range(N)], dtype=float)
     total = out_deg.sum()
-    if not report.V1 or total == 0 or T <= 0:
+    if not report.V1 or total == 0:
         report.status = "no bound available"
         return report
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filter import (AgentState, _check_pd, _ensure_pd, _estimate, _inv, _kalman_gain,
-                     _projection_map, ci_maps, slot_sum, symmetrize)
-from .model import AgentSpec, SystemModel, Topology, _check_finite, _check_symmetric
+                     _pair, _projection_map, ci_maps, slot_sum, symmetrize)
+from .model import AgentSpec, SystemModel, Topology, _check_symmetric, _integer, _threshold
 
 _COV = "the covariance of agent"
 
@@ -36,8 +36,8 @@ class TriggerState:
     (x, P) of step `time`, its last broadcast extrapolated to that step.  The
     initial state counts as a broadcast at time 0; each event round advances
     the pair in `filter_step` and re-anchors it where the agent fires.  x and
-    P are copied and, as in `ConsistentEstimate`, must be finite with P of
-    shape (len(x), len(x)).
+    P are copied and checked by `filter._pair`, as in `ConsistentEstimate`;
+    delta is checked by `model._threshold` and stored as a Python float.
     """
 
     x: np.ndarray
@@ -46,14 +46,8 @@ class TriggerState:
     delta: float
 
     def __post_init__(self):
-        self.x = np.array(self.x, dtype=float).ravel()
-        self.P = np.array(self.P, dtype=float)
-        _check_finite(self.x, "x")
-        _check_finite(self.P, "P")
-        if self.P.shape != (self.x.size, self.x.size):
-            raise ValueError(f"P shape {self.P.shape} does not match the state dimension")
-        if not 0 <= self.delta < np.inf:
-            raise ValueError("delta must be finite and nonnegative")
+        self.x, self.P = _pair(self.x, self.P)
+        self.delta = _threshold(self.delta)
 
 
 def trigger_from_info(info, info_held, delta):
@@ -271,10 +265,10 @@ def tpdkf_round(states: list[AgentState], measurements, model: SystemModel,
     measurements: per-agent measurement vectors (entries for zero-H agents are
     ignored and may be None).  The L fusion-projection rounds are barrier
     synchronized: round l of every agent consumes round-l outputs of its
-    in-neighbors, never mixed rounds.  One `filter_step` on the stacked states.
+    in-neighbors, never mixed rounds.  One `filter_step` on the stacked states,
+    with L checked as `ScenarioConfig` checks it, and A and Q of step k − 1.
     """
-    if L < 1:
-        raise ValueError("L must be at least 1")
+    L = _integer(L, "L", 1)
     return _round(states, measurements, agents, topology, model.A_at(k - 1),
                   model.Q_at(k - 1), L)[0]
 

@@ -101,22 +101,28 @@ def pinv(M: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _pair(x, P) -> tuple[np.ndarray, np.ndarray]:
+    """Checked copies of an estimate's or a held pair (x flattened): both finite,
+    P (len(x), len(x)) ("P shape (2, 3) does not match the state dimension 2")."""
+    x, P = np.array(x, dtype=float).ravel(), np.array(P, dtype=float)
+    _check_finite(x, "x")
+    _check_finite(P, "P")
+    if P.shape != (x.size, x.size):
+        raise ValueError(f"P shape {P.shape} does not match the state dimension {x.size}")
+    return x, P
+
+
 @dataclass
 class ConsistentEstimate:
     """State estimate x with parameter matrix P dominating the error moment.
-    A non-finite x or P is rejected, as is a P that the 1e-9·I jitter of
-    `_ensure_pd` does not make positive definite."""
+    The pair is copied and checked by `_pair`; a P that the 1e-9·I jitter of
+    `_ensure_pd` does not make positive definite is rejected too."""
 
     x: np.ndarray
     P: np.ndarray
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float).ravel()
-        P = np.asarray(self.P, dtype=float)
-        _check_finite(self.x, "x")
-        _check_finite(P, "P")
-        if P.shape != (self.x.size, self.x.size):
-            raise ValueError("P shape does not match the state dimension")
+        self.x, P = _pair(self.x, self.P)
         self.P = _ensure_pd(symmetrize(P), "P")
 
 

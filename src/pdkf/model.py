@@ -33,19 +33,49 @@ def _readonly(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def _integer(v, name: str | None = None, least: int | None = None) -> int:
+    """v as a Python int, from a Python or numpy integer but not a bool, of at least
+    `least` if given; else a ValueError naming `name` ("L must be at least 1, got 0")."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"expected an integer, got {v!r}" if name is None
+                         else f"{name} must be an integer, got {v!r}")
+    if least is not None and v < least:
+        raise ValueError(f"{name} must be "
+                         f"{'nonnegative' if least == 0 else f'at least {least}'}, got {v}")
+    return int(v)
+
+
+def _real(v, name: str | None = None) -> float:
+    """v as a Python float, from a Python or numpy integer or float but not a
+    bool; any other value raises a ValueError, which names the field `name`
+    if given."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise ValueError(f"expected a number, got {v!r}" if name is None
+                         else f"{name} must be a number, got {v!r}")
+    return float(v)
+
+
+def _threshold(v) -> float:
+    """A trigger threshold δ: a number (`_real`), finite and nonnegative."""
+    v = _real(v, "delta")
+    if not 0 <= v < np.inf:
+        raise ValueError("delta must be finite and nonnegative")
+    return v
+
+
 def _check_finite(M: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} has non-finite entries")
 
 
-def _check_symmetric(M: np.ndarray, name: str, tol: float = 1e-8) -> np.ndarray:
+def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     """The symmetric part ½(M + Mᵀ) of a matrix, or of each matrix of a stack,
-    once each is checked: |M − Mᵀ| ≤ tol·max(1, max|½(M + Mᵀ)|), else
+    once each is checked: |M − Mᵀ| ≤ 1e-8·max(1, max|½(M + Mᵀ)|), else
     "{name} is not symmetric".  NaN passes, so check finiteness first."""
     sym = 0.5 * (M + M.swapaxes(-1, -2))
     scale = np.abs(sym).max(axis=(-2, -1), initial=1.0)
     if np.count_nonzero(np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-                        > tol * scale):
+                        > 1e-8 * scale):
         raise ValueError(f"{name} is not symmetric")
     return sym
 
@@ -115,18 +145,16 @@ class SystemModel:
         object.__setattr__(self, "x0_mean", np.asarray(self.x0_mean, dtype=float).ravel())
         object.__setattr__(self, "P0", _as_matrix(self.P0, "P0"))
         n = self.n
-        for name, seq in (("A", A_seq), ("Q", Q_seq)):
-            for k, M in enumerate(seq):
-                _check_finite(M, f"{name}[{k}]")
-                if M.shape != (n, n):
-                    raise ValueError(f"{name}[{k}] must be ({n}, {n}), got {M.shape}")
+        for k, Ak in enumerate(A_seq):
+            _check_finite(Ak, f"A[{k}]")
+            if Ak.shape != (n, n):
+                raise ValueError(f"A[{k}] must be ({n}, {n}), got {Ak.shape}")
+            if abs(np.linalg.det(Ak)) < 1e-300:
+                raise ValueError(f"A[{k}] is singular")
         _check_finite(self.x0_mean, "x0_mean")
         if self.x0_mean.shape != (n,):
             raise ValueError("x0_mean length does not match state dimension")
         _check_covariance(self.P0, "P0", n)
-        for k, Ak in enumerate(A_seq):
-            if abs(np.linalg.det(Ak)) < 1e-300:
-                raise ValueError(f"A[{k}] is singular")
         for k, Qk in enumerate(Q_seq):
             _check_covariance(Qk, f"Q[{k}]", n)
 
@@ -148,10 +176,22 @@ class SystemModel:
         return len(self.A) == 1 and len(self.Q) == 1
 
     def A_at(self, k: int) -> np.ndarray:
-        return self.A[0] if len(self.A) == 1 else self.A[min(k, len(self.A) - 1)]
+        """A_k, read by `_at`."""
+        return _at(self.A, k)
 
     def Q_at(self, k: int) -> np.ndarray:
-        return self.Q[0] if len(self.Q) == 1 else self.Q[min(k, len(self.Q) - 1)]
+        """Q_k, read by `_at`."""
+        return _at(self.Q, k)
+
+
+def _at(seq: list, k: int) -> np.ndarray:
+    """Step k's matrix of a per-step sequence: its one matrix at any k, else
+    entry k, the last one from there on; a ValueError at k < 0."""
+    if len(seq) == 1:
+        return seq[0]
+    if k < 0:
+        raise ValueError(f"a time-varying model starts at step 0, got step {k}")
+    return seq[min(k, len(seq) - 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,9 +199,10 @@ class AgentSpec:
     """Per-agent observation (H, R) and equality constraint (D, d, eps) blocks.
 
     H may be all-zero (a blind agent) and D may be all-zero (unconstrained).
-    `eps` regularizes the covariance projection; `delta` is the event trigger
-    threshold used by the event-triggered filter.  H, R, D and d are read-only
-    copies of the arrays passed in; specs compare and hash by identity.
+    `eps` (`_real`, finite and positive) regularizes the covariance
+    projection; `delta` (`_threshold`) is the event trigger threshold; both
+    are stored as Python floats.  H, R, D and d are read-only copies of the
+    arrays passed in; specs compare and hash by identity.
     """
 
     H: np.ndarray
@@ -186,10 +227,10 @@ class AgentSpec:
             raise ValueError("D and d disagree on constraint dimension")
         if self.has_constraint and matrix_rank(self.D) < self.D.shape[0]:
             raise ValueError("D must be all-zero or have full row rank")
+        object.__setattr__(self, "eps", _real(self.eps, "eps"))
         if not 0 < self.eps < np.inf:
             raise ValueError("eps must be finite and positive")
-        if not 0 <= self.delta < np.inf:
-            raise ValueError("delta must be finite and nonnegative")
+        object.__setattr__(self, "delta", _threshold(self.delta))
 
     @property
     def has_constraint(self) -> bool:

@@ -39,8 +39,8 @@ import numpy as np
 from . import filter as filt
 from .analysis import pilot_contraction_factors
 from .event import _grouped, filter_step, step_layout
-from .model import (AgentSpec, GlobalConstraint, SystemModel, Topology,
-                    _check_covariance, _check_finite,
+from .model import (AgentSpec, GlobalConstraint, SystemModel, Topology, _at,
+                    _check_covariance, _check_finite, _integer, _real,
                     build_global_constraint, metropolis_weights)
 
 # Road alignment used by the vehicle scenarios: heading 60 degrees, so
@@ -56,11 +56,10 @@ ROAD_D = np.array([[1.0, -np.sqrt(3.0), 0.0, 0.0],
 @dataclass
 class ScenarioConfig:
     """A scenario: model, agents and topology, with the settings of its runs.
-    T, L, trials, seed and each checkpoint take a Python or numpy integer,
-    not a bool, and are stored as Python ints; theta takes a Python or numpy
-    integer or float, not a bool, stored as a Python float.  A checkpoint is
-    nonnegative; one above T is not recorded.  Any other value raises a
-    ValueError that names the field."""
+    T, L and trials (at least 1), the seed and each checkpoint (nonnegative;
+    one above T is not recorded) go through `model._integer`, and theta
+    through `model._real`; any other value raises a ValueError that names
+    the field ("T must be at least 1, got 0")."""
 
     model: SystemModel
     agents: list
@@ -84,27 +83,16 @@ class ScenarioConfig:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        for attr in ("T", "L", "trials", "seed"):
-            setattr(self, attr, _integer(getattr(self, attr), attr))
+        for attr, least in (("T", 1), ("L", 1), ("trials", 1), ("seed", 0)):
+            setattr(self, attr, _integer(getattr(self, attr), attr, least))
         self.theta = _real(self.theta, "theta")
-        self.checkpoints = tuple(_integer(k, f"checkpoints[{i}]")
+        self.checkpoints = tuple(_integer(k, f"checkpoints[{i}]", 0)
                                  for i, k in enumerate(self.checkpoints))
-        for i, k in enumerate(self.checkpoints):
-            if k < 0:
-                raise ValueError(f"checkpoints[{i}] must be nonnegative, got {k}")
-        if self.T < 1:
-            raise ValueError("horizon T must be at least 1")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
         if self.mode not in ("time", "event"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.L < 1:
-            raise ValueError(f"L must be at least 1, got {self.L}")
         if len(self.agents) != self.topology.N:
             raise ValueError(f"agents: one AgentSpec per topology node required "
                              f"({self.topology.N}), got {len(self.agents)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.sim_r is not None and len(self.sim_r) != len(self.agents):
             raise ValueError(f"sim_r needs one entry per agent ({len(self.agents)}), "
                              f"got {len(self.sim_r)}")
@@ -255,8 +243,8 @@ def generate_truth(cfg: ScenarioConfig,
     terms = np.empty((2 * n + 1, n, len(rngs)))     # c, then each column's term
     terms[0] = c
     for k in range(T):                  # X[k + 1] holds z_k until the sum overwrites it
-        np.multiply(TA[min(k, len(TA) - 1)].T[:, :, None], X[k][:, None], out=terms[1:n + 1])
-        np.multiply(TS[min(k, len(TS) - 1)].T[:, :, None], X[k + 1][:, None], out=terms[n + 1:])
+        np.multiply(_at(TA, k).T[:, :, None], X[k][:, None], out=terms[1:n + 1])
+        np.multiply(_at(TS, k).T[:, :, None], X[k + 1][:, None], out=terms[n + 1:])
         terms.sum(axis=0, out=X[k + 1])
     for i, (a, Yi) in enumerate(zip(cfg.agents, Y)):
         Yi[...] = (_affine(_psd_sqrt(cfg.sim_r_of(i)), Yi, _affine(a.H, X[1:], 0.0))
@@ -339,11 +327,12 @@ class _Recorder:
         truth blocks.  Each reduction is a step's, with the step as a leading
         axis, so a chunk of K steps has the bits of K chunks of one; the
         errors, then their squares, overwrite `est`.  Means are sums over their
-        count, as `np.mean` computes them; every reduction is numpy's own."""
+        count, as `np.mean` computes them; every reduction is numpy's own.  A
+        residual is the groups' largest, NaN if any group's is NaN."""
         m, ks, (K, N, _, trials) = self.metrics, slice(k0, k0 + len(est)), est.shape
         res = np.zeros(K)
-        for idx, D, d in self.constraints:      # fmax skips a group whose residual is NaN
-            res = np.fmax(res, np.abs(D @ est[:, idx] - d[..., None]).max(axis=(1, 2, 3)))
+        for idx, D, d in self.constraints:
+            res = np.maximum(res, np.abs(D @ est[:, idx] - d[..., None]).max(axis=(1, 2, 3)))
         m.constraint_residuals[ks] = res
         errs = np.subtract(est, X[:, None], out=est)
         mean = (errs.sum(axis=3) / trials).sum(axis=1) / N
@@ -419,11 +408,10 @@ def run_event(cfg: ScenarioConfig) -> RunMetrics:
 
 def monte_carlo(cfg: ScenarioConfig, trials: int | None = None,
                 seed: int | None = None) -> RunMetrics:
-    """Monte Carlo aggregation: MSE_k = (1/N)Σ_i (1/trials)Σ_j ||error||²."""
-    t = cfg.trials if trials is None else _integer(trials, "trials")
-    s = cfg.seed if seed is None else _integer(seed, "seed")
-    if t < 1:
-        raise ValueError("trials must be at least 1")
+    """Monte Carlo aggregation: MSE_k = (1/N)Σ_i (1/trials)Σ_j ||error||².
+    trials and seed override cfg's, checked as `ScenarioConfig` checks them."""
+    t = cfg.trials if trials is None else _integer(trials, "trials", 1)
+    s = cfg.seed if seed is None else _integer(seed, "seed", 0)
     return _run(cfg, cfg.mode, t, s)
 
 
@@ -597,25 +585,6 @@ def _covariance(v) -> np.ndarray:
 
 def _optional(convert):
     return lambda v: None if v is None else convert(v)
-
-
-def _integer(v, name: str | None = None) -> int:
-    """v as a Python int, from a Python or numpy integer but not a bool; any
-    other value raises a ValueError, which names the field `name` if given."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"expected an integer, got {v!r}" if name is None
-                         else f"{name} must be an integer, got {v!r}")
-    return int(v)
-
-
-def _real(v, name: str | None = None) -> float:
-    """v as a Python float, from a Python or numpy integer or float but not a
-    bool; any other value raises a ValueError, which names the field `name`
-    if given."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-        raise ValueError(f"expected a number, got {v!r}" if name is None
-                         else f"{name} must be a number, got {v!r}")
-    return float(v)
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -23,7 +23,7 @@ references the block sum of the truth and the chunked recorder must equal bit
 for bit.
 
 `dense_rate_tables` is the rate analysis's tables with each neighbour sum
-taken over all N² pairs by `analysis._nbr_sum`, the reference the edge-list
+taken over all N² pairs by `_nbr_sum`, the reference the edge-list
 sums of `analysis._rate_tables` must equal bit for bit.  `full_scan` reads T1
 and T2 off those tables with one stacked scan over every t, the reference
 the early-exit scans of `analysis._scan_agent` must equal.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pdkf.analysis import _info_blocks, _nbr_sum, eig_pos
+from pdkf.analysis import _info_blocks, eig_pos
 from pdkf.filter import AgentState, ConsistentEstimate, symmetrize
 from pdkf.model import build_global_constraint
 from pdkf.sim import _filter_path, _Recorder
@@ -193,6 +193,20 @@ def threshold_matrices(i, A, weights, info_y, info_d_raw, beta, kstar):
                   for j in range(N))
         Mbar = Mbar + beta ** (tau - 1) * Ap.T @ mid @ Ap
     return M, Mbar
+
+
+def _nbr_sum(*terms) -> np.ndarray:
+    """Row i of Σ_j Σ_(W, X) W[i, j]·X[j] for every agent i at once.
+
+    The sum over j runs in index order, and zero weights add exact zeros,
+    so each row is bit-identical to agent i's own loop over its neighbours
+    (W @ X, or numpy's pairwise reduction, would reorder the sum).  It runs
+    over all N² pairs because `threshold_bounds`' powers W^τ are dense.
+    """
+    per_j = sum(W.T[:, :, None, None] * X[:, None] for W, X in terms)
+    for term in per_j[1:]:      # into per_j[0], a new array: its zeros keep their sign
+        per_j[0] += term
+    return per_j[0]
 
 
 def dense_rate_tables(T, model, agents, topology, beta, beta_bar):
@@ -446,7 +460,7 @@ class StepRecorder(_Recorder):
         m.trace_p[k] = m.trace_p_agent[k].sum() / N
         mean = (errs.sum(axis=2) / trials).sum(axis=0) / N
         m.mean_error_norm[k] = np.sqrt((mean * mean).sum())
-        m.constraint_residuals[k] = max(
+        m.constraint_residuals[k] = np.max(      # NaN if any group's is NaN
             [0.0] + [float(np.abs(D @ est[idx] - d[..., None]).max())
                      for idx, D, d in self.constraints])
         if k in m.checkpoints:

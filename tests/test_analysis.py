@@ -18,6 +18,7 @@ from pdkf.analysis import (
     space_decomposition,
     threshold_bounds,
 )
+from pdkf.filter import slot_sum
 from pdkf.model import (
     AgentSpec,
     GlobalConstraint,
@@ -152,6 +153,21 @@ def test_eco_start_index_shifts_window():
         eco_check(model, [agent], N_bar=-1)
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(N_bar=2.5), r"^N_bar must be an integer, got 2\.5$"),
+    (dict(N_bar=-1), "^N_bar must be nonnegative, got -1$"),
+    (dict(N_bar=1, k0=-1), "^k0 must be nonnegative, got -1$"),
+    (dict(N_bar=1, k0=True), "^k0 must be an integer, got True$"),
+], ids=["float-window", "negative-window", "negative-k0", "bool-k0"])
+def test_eco_check_names_a_bad_window_or_start(kw, message):
+    # on a time-varying model k0 = -1 used to return the Gramian of k0 = 2
+    A_seq = [np.eye(2) * s for s in (2.0, 3.0, 4.0)]
+    model = SystemModel(A=A_seq, Q=np.eye(2), x0_mean=np.zeros(2), P0=np.eye(2))
+    agent = AgentSpec(H=np.eye(2), R=np.eye(2), D=np.zeros((0, 2)), d=np.zeros(0))
+    with pytest.raises(ValueError, match=message):
+        eco_check(model, [agent], **kw)
+
+
 # --- contraction factors ----------------------------------------------------
 
 def test_compute_beta_scalar_half():
@@ -235,6 +251,12 @@ def test_threshold_requires_long_enough_window():
     with pytest.raises(ValueError, match="kstar"):
         threshold_bounds(scalar_model(), [scalar_agent()], SINGLE,
                          beta=0.5, kstar=1)
+
+
+def test_threshold_requires_an_integer_window():
+    # 30.5 passes the N + n check, then used to fail in range() with a TypeError
+    with pytest.raises(ValueError, match=r"^kstar must be an integer, got 30\.5$"):
+        threshold_bounds(scalar_model(), [scalar_agent()], SINGLE, beta=0.5, kstar=30.5)
 
 
 def test_threshold_matches_direct_matrix_powers():
@@ -454,16 +476,19 @@ def test_delta_correction_zero_below_two_steps():
 
 @pytest.mark.parametrize("n", [4, 1])
 def test_neighbourhood_sum_is_bit_identical_to_the_per_agent_loop(n):
-    # zero weights must add exact zeros and j must run in index order, so
-    # that T1/T2 cannot move with the stacking; for a scalar state numpy's
-    # own reduction would sum N ≥ 8 terms pairwise
+    # threshold_bounds' all-pairs sums: slot_sum over the complete slot list,
+    # slot j holding agent j's term for every receiver.  Zero weights must
+    # add exact zeros and j must run in index order, so that the bounds
+    # cannot move with the stacking; for a scalar state numpy's own
+    # reduction would sum N ≥ 8 terms pairwise
     rng = np.random.default_rng(11)
     N = 20
     Ws = [np.where(rng.random((N, N)) < 0.5, rng.random((N, N)), 0.0)
           for _ in range(2)]
     Xs = [rng.standard_normal((N, n, n)) * 10.0 ** rng.integers(-3, 4, (N, 1, 1))
           for _ in range(2)]
-    got = analysis._nbr_sum(*zip(Ws, Xs))
+    per_j = sum(W.T[:, :, None, None] * X[:, None] for W, X in zip(Ws, Xs))
+    got = slot_sum(per_j.reshape(-1, n, n), (N,) * N)
     for i in range(N):
         acc = np.zeros((n, n))
         for j in range(N):
@@ -684,6 +709,24 @@ def test_rate_bound_zero_T2_is_vacuous(monkeypatch):
     rep = rate_bound(0.7, scalar_model(), two_scalar_agents(), PAIR, T=100,
                      beta=0.5, beta_bar=0.8)
     assert rep.lambda0 == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("delta, T, message", [
+    (float("inf"), 20, "^delta must be finite and nonnegative$"),
+    (float("nan"), 20, "^delta must be finite and nonnegative$"),
+    (-0.5, 20, "^delta must be finite and nonnegative$"),
+    (True, 20, "^delta must be a number, got True$"),
+    (0.7, -1, "^T must be at least 1, got -1$"),
+    (0.7, 0, "^T must be at least 1, got 0$"),
+    (0.7, 2.5, r"^T must be an integer, got 2\.5$"),
+], ids=["inf-delta", "nan-delta", "negative-delta", "bool-delta", "negative-T", "zero-T",
+        "float-T"])
+def test_rate_bound_names_a_bad_threshold_or_horizon(delta, T, message):
+    # δ = inf or NaN used to be reported as an overflow of the rate tables,
+    # and T = 0 as "no bound available"
+    with pytest.raises(ValueError, match=message):
+        rate_bound(delta, scalar_model(), two_scalar_agents(), PAIR, T=T,
+                   beta=0.5, beta_bar=0.8)
 
 
 def test_rate_bound_no_qualifying_agent():

@@ -12,8 +12,6 @@ from pdkf import analysis, cli, sim
 from pdkf.model import AgentSpec, SystemModel, Topology
 from pdkf.sim import ScenarioConfig, save_scenario
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture()
 def case1_file(tmp_path):

