@@ -29,8 +29,8 @@ import numpy as np
 
 from .event import step_layout
 from .filter import _check_pd, slot_sum, symmetrize
-from .model import (AgentSpec, SystemModel, Topology, _check_symmetric, _integer,
-                    _threshold, matrix_rank)
+from .model import (AgentSpec, SystemModel, Topology, _check_symmetric, _integer, _real,
+                    matrix_rank)
 
 _OBS_TOL = 1e-10
 
@@ -184,12 +184,12 @@ def threshold_bounds(model: SystemModel, agents: list[AgentSpec],
     are, so a term whose unscaled product (A^{1-τ})ᵀA^{1-τ} overflows is
     still summed; where M or Mbar is not finite even so, a ValueError names
     the first τ at which it is not.  M̄ sums over j in index order (`slot_sum`
-    on the complete slot list); kstar is an integer (`model._integer`) ≥ N + n.
+    on the complete slot list); kstar is an integer (`model._integer`) ≥ N + n,
+    and β a real in (0, 1) (`model._real`).
     """
     if not model.time_invariant:
         raise ValueError("threshold design requires a time-invariant model")
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
+    beta = _real(beta, "beta", "unit")
     N, n = topology.N, model.n
     kstar = _integer(kstar, "kstar")
     if kstar < N + n:
@@ -336,8 +336,7 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
     Raises a ValueError naming the first step at which f, z̄ or S is not
     finite: the scans cannot read T1 or T2 off such tables.
     """
-    if not (0.0 < beta < 1.0 and 0.0 < beta_bar < 1.0):
-        raise ValueError("beta and beta_bar must lie in (0, 1)")
+    beta, beta_bar = _real(beta, "beta", "unit"), _real(beta_bar, "beta_bar", "unit")
     Ainv = np.linalg.inv(model.A_at(0))
     Qinv = np.linalg.inv(model.Q_at(0))
     N, n = topology.N, model.n
@@ -463,11 +462,12 @@ def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
     For each agent with a bounded triggering-run length T1 and a guaranteed
     silent prefix T2, credits T2 silent steps per cycle of length T1 + T2:
     λ0 = 1 − Σ_{V1} T2·⌊T/(T1+T2)⌋·outdeg / (T·Σ outdeg).
-    δ goes through `model._threshold`, and T through `model._integer` (≥ 1).
+    δ goes through `model._real` (finite, ≥ 0) and T through `model._integer`
+    (≥ 1); `_rate_tables` takes β and β̄ through `model._real` (in (0, 1)).
     """
     if not model.time_invariant:
         raise ValueError("rate analysis requires a time-invariant model")
-    delta, T = _threshold(delta), _integer(T, "T", 1)
+    delta, T = _real(delta, "delta", "nonnegative"), _integer(T, "T", 1)
     N = topology.N
     tables = _rate_tables(T, model, agents, topology, beta, beta_bar)
 

@@ -25,6 +25,7 @@ import sys
 import numpy as np
 
 from . import analysis, sim
+from .model import _real
 
 EXIT_OK = 0
 EXIT_CRASH = 1
@@ -111,9 +112,7 @@ def _parse_delta(text: str, N: int) -> list:
         vals = vals * N
     if len(vals) != N:
         raise ValueError(f"--delta needs 1 or {N} values, got {len(vals)}")
-    if any(v < 0 for v in vals):
-        raise ValueError("--delta values must be nonnegative")
-    return vals
+    return [_real(v, "--delta", "nonnegative") for v in vals]
 
 
 def _load_config(args) -> tuple:
@@ -155,10 +154,7 @@ def _beta_values(args) -> list | None:
     """The one or two values of --beta, checked, or None without it."""
     if args.beta is None:
         return None
-    vals = _numbers("--beta", args.beta)
-    if not all(0.0 < v < 1.0 for v in vals):
-        raise ValueError(f"--beta values must be finite and lie in (0, 1), "
-                         f"got {args.beta!r}")
+    vals = [_real(v, "--beta", "unit") for v in _numbers("--beta", args.beta)]
     if len(vals) > 2:
         raise ValueError("--beta takes one or two comma-separated values")
     return vals

@@ -24,7 +24,7 @@ import numpy as np
 
 from .filter import (AgentState, _check_pd, _ensure_pd, _estimate, _inv, _kalman_gain,
                      _pair, _projection_map, ci_maps, slot_sum, symmetrize)
-from .model import AgentSpec, SystemModel, Topology, _check_symmetric, _integer, _threshold
+from .model import AgentSpec, SystemModel, Topology, _check_symmetric, _integer, _real
 
 _COV = "the covariance of agent"
 
@@ -37,7 +37,7 @@ class TriggerState:
     initial state counts as a broadcast at time 0; each event round advances
     the pair in `filter_step` and re-anchors it where the agent fires.  x and
     P are copied and checked by `filter._pair`, as in `ConsistentEstimate`;
-    delta is checked by `model._threshold` and stored as a Python float.
+    time and delta go through `model._integer` and `model._real`, each ≥ 0.
     """
 
     x: np.ndarray
@@ -47,7 +47,8 @@ class TriggerState:
 
     def __post_init__(self):
         self.x, self.P = _pair(self.x, self.P)
-        self.delta = _threshold(self.delta)
+        self.time = _integer(self.time, "time", 0)
+        self.delta = _real(self.delta, "delta", "nonnegative")
 
 
 def trigger_from_info(info, info_held, delta):
@@ -266,9 +267,9 @@ def tpdkf_round(states: list[AgentState], measurements, model: SystemModel,
     ignored and may be None).  The L fusion-projection rounds are barrier
     synchronized: round l of every agent consumes round-l outputs of its
     in-neighbors, never mixed rounds.  One `filter_step` on the stacked states,
-    with L checked as `ScenarioConfig` checks it, and A and Q of step k − 1.
+    with L and k checked by `model._integer` (L ≥ 1), and A and Q of step k − 1.
     """
-    L = _integer(L, "L", 1)
+    L, k = _integer(L, "L", 1), _integer(k, "k")
     return _round(states, measurements, agents, topology, model.A_at(k - 1),
                   model.Q_at(k - 1), L)[0]
 
@@ -281,10 +282,11 @@ def epdkf_round(states: list[AgentState], trigger_states: list[TriggerState],
     Phase 1 (all agents, then barrier): predict, measurement-update, evaluate
     own trigger and broadcast on fire.  Phase 2: fuse the own fresh pair with
     neighbor pairs (fresh if fired, extrapolated otherwise), then project once.
-    One `filter_step` on the stacked states and held pairs; every trigger
-    state must hold step k − 1 and the agent's own δ (`AgentSpec.delta`, as
-    the engine reads it), and is left holding step k.
+    One `filter_step` on the stacked states and held pairs; k is an integer;
+    every trigger state must hold step k − 1 and the agent's own δ
+    (`AgentSpec.delta`, as the engine reads it), and is left holding step k.
     """
+    k = _integer(k, "k")
     if not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")
     return _round(states, measurements, agents, topology, model.A_at(0),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .model import _check_finite
+from .model import _check_finite, _check_symmetric, _real
 
 _JITTER = 1e-9
 _PINV_RTOL = 1e-9
@@ -103,12 +103,14 @@ def pinv(M: np.ndarray) -> np.ndarray:
 
 def _pair(x, P) -> tuple[np.ndarray, np.ndarray]:
     """Checked copies of an estimate's or a held pair (x flattened): both finite,
-    P (len(x), len(x)) ("P shape (2, 3) does not match the state dimension 2")."""
+    P (len(x), len(x)) ("P shape (2, 3) does not match the state dimension 2")
+    and symmetric (`model._check_symmetric`); P is returned as given."""
     x, P = np.array(x, dtype=float).ravel(), np.array(P, dtype=float)
     _check_finite(x, "x")
     _check_finite(P, "P")
     if P.shape != (x.size, x.size):
         raise ValueError(f"P shape {P.shape} does not match the state dimension {x.size}")
+    _check_symmetric(P, "P")
     return x, P
 
 
@@ -143,10 +145,9 @@ def init_consistent(x0_hat, P0, theta: float, x0_mean) -> ConsistentEstimate:
     """Initial pair covering both prior covariance and initialization bias.
 
     P = (1+θ)·P0 + ((θ+1)/θ)·(x̂0−x̄0)(x̂0−x̄0)ᵀ, which dominates the second
-    moment of x̂0 − x0 for any θ > 0.
+    moment of x̂0 − x0 for any θ > 0, checked by `model._real` (finite).
     """
-    if not theta > 0:
-        raise ValueError("theta must be positive")
+    theta = _real(theta, "theta", "positive")
     x0_hat = np.asarray(x0_hat, dtype=float).ravel()
     x0_mean = np.asarray(x0_mean, dtype=float).ravel()
     bias = (x0_hat - x0_mean).reshape(-1, 1)

@@ -45,21 +45,22 @@ def _integer(v, name: str | None = None, least: int | None = None) -> int:
     return int(v)
 
 
-def _real(v, name: str | None = None) -> float:
+_WITHIN = {"nonnegative": (lambda v: 0 <= v < np.inf, "be finite and nonnegative"),
+           "positive": (lambda v: 0 < v < np.inf, "be finite and positive"),
+           "unit": (lambda v: 0 < v < 1, "lie in (0, 1)")}
+
+
+def _real(v, name: str | None = None, within: str | None = None) -> float:
     """v as a Python float, from a Python or numpy integer or float but not a
-    bool; any other value raises a ValueError, which names the field `name`
-    if given."""
+    bool, in the interval `within` if given: "nonnegative" [0, ∞) (δ),
+    "positive" (0, ∞) (ε, θ) or "unit" (0, 1) (β, β̄), which NaN fails; else a
+    ValueError naming `name` ("beta must lie in (0, 1), got 1.0")."""
     if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
         raise ValueError(f"expected a number, got {v!r}" if name is None
                          else f"{name} must be a number, got {v!r}")
-    return float(v)
-
-
-def _threshold(v) -> float:
-    """A trigger threshold δ: a number (`_real`), finite and nonnegative."""
-    v = _real(v, "delta")
-    if not 0 <= v < np.inf:
-        raise ValueError("delta must be finite and nonnegative")
+    v = float(v)
+    if within is not None and not _WITHIN[within][0](v):
+        raise ValueError(f"{name} must {_WITHIN[within][1]}, got {v}")
     return v
 
 
@@ -200,9 +201,9 @@ class AgentSpec:
 
     H may be all-zero (a blind agent) and D may be all-zero (unconstrained).
     `eps` (`_real`, finite and positive) regularizes the covariance
-    projection; `delta` (`_threshold`) is the event trigger threshold; both
-    are stored as Python floats.  H, R, D and d are read-only copies of the
-    arrays passed in; specs compare and hash by identity.
+    projection; `delta` (`_real`, finite and nonnegative) is the event
+    trigger threshold; both are stored as Python floats.  H, R, D and d are
+    read-only copies of the arrays passed in; specs compare and hash by identity.
     """
 
     H: np.ndarray
@@ -227,10 +228,8 @@ class AgentSpec:
             raise ValueError("D and d disagree on constraint dimension")
         if self.has_constraint and matrix_rank(self.D) < self.D.shape[0]:
             raise ValueError("D must be all-zero or have full row rank")
-        object.__setattr__(self, "eps", _real(self.eps, "eps"))
-        if not 0 < self.eps < np.inf:
-            raise ValueError("eps must be finite and positive")
-        object.__setattr__(self, "delta", _threshold(self.delta))
+        object.__setattr__(self, "eps", _real(self.eps, "eps", "positive"))
+        object.__setattr__(self, "delta", _real(self.delta, "delta", "nonnegative"))
 
     @property
     def has_constraint(self) -> bool:

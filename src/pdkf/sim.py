@@ -58,8 +58,8 @@ class ScenarioConfig:
     """A scenario: model, agents and topology, with the settings of its runs.
     T, L and trials (at least 1), the seed and each checkpoint (nonnegative;
     one above T is not recorded) go through `model._integer`, and theta
-    through `model._real`; any other value raises a ValueError that names
-    the field ("T must be at least 1, got 0")."""
+    through `model._real` (finite and positive); any other value raises a
+    ValueError that names the field ("T must be at least 1, got 0")."""
 
     model: SystemModel
     agents: list
@@ -85,7 +85,7 @@ class ScenarioConfig:
             raise ValueError(f"name must be a string, got {self.name!r}")
         for attr, least in (("T", 1), ("L", 1), ("trials", 1), ("seed", 0)):
             setattr(self, attr, _integer(getattr(self, attr), attr, least))
-        self.theta = _real(self.theta, "theta")
+        self.theta = _real(self.theta, "theta", "positive")
         self.checkpoints = tuple(_integer(k, f"checkpoints[{i}]", 0)
                                  for i, k in enumerate(self.checkpoints))
         if self.mode not in ("time", "event"):

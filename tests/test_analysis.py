@@ -712,9 +712,9 @@ def test_rate_bound_zero_T2_is_vacuous(monkeypatch):
 
 
 @pytest.mark.parametrize("delta, T, message", [
-    (float("inf"), 20, "^delta must be finite and nonnegative$"),
-    (float("nan"), 20, "^delta must be finite and nonnegative$"),
-    (-0.5, 20, "^delta must be finite and nonnegative$"),
+    (float("inf"), 20, "^delta must be finite and nonnegative, got inf$"),
+    (float("nan"), 20, "^delta must be finite and nonnegative, got nan$"),
+    (-0.5, 20, r"^delta must be finite and nonnegative, got -0\.5$"),
     (True, 20, "^delta must be a number, got True$"),
     (0.7, -1, "^T must be at least 1, got -1$"),
     (0.7, 0, "^T must be at least 1, got 0$"),
@@ -774,6 +774,23 @@ def test_rate_analysis_rejects_factors_outside_unit_interval(beta, beta_bar):
                    beta=beta, beta_bar=beta_bar)
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         analysis._rate_tables(20, scalar_model(), BLIND, SINGLE, beta, beta_bar)
+
+
+@pytest.mark.parametrize("tool, beta, beta_bar, message", [
+    ("threshold", "0.5", None, "^beta must be a number, got '0.5'$"),
+    ("rate", "0.5", 0.8, "^beta must be a number, got '0.5'$"),
+    ("rate", 0.5, True, "^beta_bar must be a number, got True$"),
+    ("rate", 0.5, 1.0, r"^beta_bar must lie in \(0, 1\), got 1\.0$"),
+], ids=["threshold-str-beta", "rate-str-beta", "rate-bool-beta_bar", "rate-one-beta_bar"])
+def test_design_tools_name_a_contraction_factor_that_is_not_a_real_in_the_unit_interval(
+        tool, beta, beta_bar, message):
+    # a string used to raise a raw TypeError from the interval check
+    with pytest.raises(ValueError, match=message):
+        if tool == "threshold":
+            threshold_bounds(scalar_model(), [scalar_agent()], SINGLE, beta=beta, kstar=30)
+        else:
+            rate_bound(0.7, scalar_model(), two_scalar_agents(), PAIR, T=20,
+                       beta=beta, beta_bar=beta_bar)
 
 
 def _overflowing():

@@ -416,6 +416,15 @@ def test_bad_delta_text_exits_two(case1_file, tmp_path, capsys, argv):
     assert not (tmp_path / "d" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_delta_names_the_flag(case1_file, tmp_path, capsys, value):
+    # it used to pass the flag's check and fail in AgentSpec, naming no flag
+    rc = cli.main(["mc", case1_file, "--delta", value, "--out", str(tmp_path / "d")])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"--delta must be finite and nonnegative, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "d" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("command", ["run-tpdkf", "mc"])
 def test_diverging_run_exits_two_before_writing(tmp_path, capsys, command):
     # A scaled by 50: the state overflows near step 95 and the MSE turns NaN

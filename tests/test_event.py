@@ -89,12 +89,25 @@ def test_trigger_state_names_a_delta_that_is_not_a_number(delta, message):
     assert type(TriggerState([0.0], [[1.0]], 0, np.float32(0.5)).delta) is float
 
 
+@pytest.mark.parametrize("time, message", [
+    (True, "^time must be an integer, got True$"),
+    (0.0, r"^time must be an integer, got 0\.0$"),
+    (-1, "^time must be nonnegative, got -1$"),
+], ids=["bool", "float", "negative"])
+def test_trigger_state_checks_its_step_as_an_integer(time, message):
+    # True used to be held as step 1, and 0.0 to pass the rounds' step check
+    with pytest.raises(ValueError, match=message):
+        TriggerState([0.0], [[1.0]], time, 0.1)
+
+
 @pytest.mark.parametrize("x, P, message", [
     ([0.0], np.eye(2), r"P shape \(2, 2\) does not match the state dimension"),
     (np.zeros(2), np.ones(2), r"P shape \(2,\) does not match the state dimension"),
     (np.zeros(2), np.diag([1.0, np.nan]), "P has non-finite entries"),
     ([0.0, np.inf], np.eye(2), "x has non-finite entries"),
-], ids=["P-too-big", "P-vector", "nan-P", "inf-x"])
+    # it used to be stored as given, and symmetrized only where a step read it
+    (np.zeros(2), [[2.0, 1.0], [0.0, 2.0]], "^P is not symmetric$"),
+], ids=["P-too-big", "P-vector", "nan-P", "inf-x", "asymmetric-P"])
 def test_trigger_state_rejects_a_bad_pair(x, P, message):
     with pytest.raises(ValueError, match=message):
         TriggerState(x, P, 0, 0.1)
@@ -295,6 +308,16 @@ def test_tpdkf_round_checks_L_as_the_scenario_does(L, message):
     model, agents, top, states, _, ys = _round_args()
     with pytest.raises(ValueError, match=message):
         tpdkf_round(states, ys, model, agents, top, L=L)
+
+
+def test_rounds_check_the_step_as_an_integer():
+    # k = 1.5 used to run on a time-invariant model, and k = 1.0 to match
+    # trigger states of step 0
+    model, agents, top, states, triggers, ys = _round_args()
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 1\.5$"):
+        tpdkf_round(states, ys, model, agents, top, L=1, k=1.5)
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 1\.0$"):
+        epdkf_round(states, triggers, ys, model, agents, top, 1.0)
 
 
 def test_tpdkf_round_refuses_a_step_before_a_time_varying_model_starts():

@@ -80,6 +80,18 @@ def test_init_rejects_bad_theta():
         init_consistent([0.0], [[1.0]], theta=0.0, x0_mean=[0.0])
 
 
+@pytest.mark.parametrize("theta, message", [
+    ("1", "^theta must be a number, got '1'$"),
+    (True, "^theta must be a number, got True$"),
+    (float("inf"), "^theta must be finite and positive, got inf$"),
+], ids=["str", "bool", "inf"])
+def test_init_names_a_theta_that_is_not_a_finite_positive_real(theta, message):
+    # a string used to raise a raw TypeError, and inf to fail as "P has
+    # non-finite entries"
+    with pytest.raises(ValueError, match=message):
+        init_consistent([0.0], [[1.0]], theta=theta, x0_mean=[0.0])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=0.05, max_value=20.0),
        st.integers(min_value=0, max_value=10_000))
@@ -568,6 +580,12 @@ def test_stacked_ensure_pd_equals_single_calls():
     # where no member needs jitter, the stack checked is the stack returned
     fine = stack[[0, 1, 3, 4]]
     assert _ensure_pd(fine, "P") is fine
+
+
+def test_consistent_estimate_rejects_an_asymmetric_P():
+    # it used to store the symmetric part, [[2, .5], [.5, 2]]
+    with pytest.raises(ValueError, match="^P is not symmetric$"):
+        ConsistentEstimate([0.0, 0.0], [[2.0, 1.0], [0.0, 2.0]])
 
 
 def test_consistent_estimate_symmetrizes_its_P():

@@ -113,6 +113,12 @@ def test_sim_r_needs_one_entry_per_agent():
     # θ is a real setting: a bool used to run as 1 and save as true
     (dict(theta=True), "^theta must be a number, got True$"),
     (dict(theta="0.5"), "^theta must be a number, got '0.5'$"),
+    # case1 sets P0_init, which the consistent-initialization rule's own θ
+    # check never saw: θ ≤ 0 used to be stored, saved and run
+    (dict(theta=-1), r"^theta must be finite and positive, got -1\.0$"),
+    (dict(theta=0), r"^theta must be finite and positive, got 0\.0$"),
+    (dict(theta=float("inf")), "^theta must be finite and positive, got inf$"),
+    (dict(theta=float("nan")), "^theta must be finite and positive, got nan$"),
     # a negative checkpoint was never recorded, and nothing said so
     (dict(checkpoints=(5, -3)), r"^checkpoints\[1\] must be nonnegative, got -3$"),
     # the lower bounds share one message form, which names the value
@@ -121,7 +127,8 @@ def test_sim_r_needs_one_entry_per_agent():
 ], ids=["nan-x0_hat", "short-x0_hat", "indefinite-P0_init", "asymmetric-x0_cov",
         "inf-sim_q", "small-sim_q", "negative-sim_r", "negative-seed", "no-agents",
         "contradictory-d", "bool-L", "float-T", "bool-trials", "float-checkpoint",
-        "bool-theta", "str-theta", "negative-checkpoint", "zero-T", "zero-trials"])
+        "bool-theta", "str-theta", "negative-theta", "zero-theta", "inf-theta",
+        "nan-theta", "negative-checkpoint", "zero-T", "zero-trials"])
 def test_scenario_rejects_bad_overrides(override, field):
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(case1(), **override)
@@ -730,7 +737,7 @@ def scenario_configs(draw):
         T=draw(st.integers(1, 500)), L=draw(st.integers(1, 5)),
         mode=draw(st.sampled_from(["time", "event"])),
         trials=draw(st.integers(1, 1000)), seed=draw(st.integers(0, 2 ** 63)),
-        theta=draw(_floats(min_value=-10.0, max_value=10.0)),
+        theta=draw(_floats(min_value=0.0, max_value=10.0, exclude_min=True)),
         checkpoints=tuple(draw(st.lists(st.integers(0, 500), max_size=4))),
         name=draw(st.text(max_size=12)), **opt)
 
