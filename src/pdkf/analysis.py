@@ -28,9 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .event import step_layout
-from .filter import _check_pd, slot_sum, symmetrize
-from .model import (AgentSpec, SystemModel, Topology, _check_symmetric, _integer, _real,
-                    matrix_rank)
+from .filter import slot_sum, symmetrize
+from .model import (AgentSpec, SystemModel, Topology, _check_covariance, _check_symmetric,
+                    _integer, _real, matrix_rank)
 
 _OBS_TOL = 1e-10
 
@@ -124,9 +124,11 @@ def _eigh_pencil(X, Y) -> np.ndarray:
 
 
 def _prediction_spectrum(P_ref, A, Q) -> np.ndarray:
-    """Eigenvalues of X(X+Q)⁻¹ with X = A·P_ref·Aᵀ (all lie in [0, 1])."""
-    A, Q = np.asarray(A, dtype=float), symmetrize(np.asarray(Q, dtype=float))
-    X = symmetrize(A @ _check_pd(P_ref, "P_ref") @ A.T)
+    """Eigenvalues of X(X+Q)⁻¹, X = A·P_ref·Aᵀ (all in [0, 1]); Q PSD, P_ref PD."""
+    A = np.asarray(A, dtype=float)
+    Q = symmetrize(_check_covariance(Q, "Q", len(A)))
+    P_ref = symmetrize(_check_covariance(P_ref, "P_ref", len(A), definite=True))
+    X = symmetrize(A @ P_ref @ A.T)
     return _eigh_pencil(X, X + Q)
 
 
@@ -137,7 +139,7 @@ def compute_beta(P_lo, A, Q) -> float:
     (1e-6, 1 - 1e-6).  The inequality (A P Aᵀ + Q)⁻¹ ⪰ β·A⁻ᵀP⁻¹A⁻¹ then holds
     for every parameter matrix P ⪰ P_lo, so P_lo should be a *lower* bound on
     the matrices encountered (e.g. the smallest eigenvalue seen in a pilot
-    run, times identity).
+    run, times identity).  Q and P_lo are checked as `_prediction_spectrum`'s.
     """
     lam = float(_prediction_spectrum(P_lo, A, Q).min())
     return float(np.clip(lam, 1e-6, 1.0 - 1e-6))
@@ -146,8 +148,8 @@ def compute_beta(P_lo, A, Q) -> float:
 def compute_beta_bar(P_hi, A, Q) -> float:
     """Expansion counterpart of `compute_beta`.
 
-    Returns β̄ = λ_max((A·P_hi·Aᵀ)(A·P_hi·Aᵀ + Q)⁻¹) clamped into
-    (1e-6, 1 - 1e-6); (A P Aᵀ + Q)⁻¹ ⪯ β̄·A⁻ᵀP⁻¹A⁻¹ holds for every P ⪯ P_hi.
+    Returns β̄ = λ_max((A·P_hi·Aᵀ)(A·P_hi·Aᵀ + Q)⁻¹) clamped into (1e-6, 1 - 1e-6), Q and
+    P_hi checked as in `compute_beta`; (A P Aᵀ + Q)⁻¹ ⪯ β̄·A⁻ᵀP⁻¹A⁻¹ holds for every P ⪯ P_hi.
     """
     lam = float(_prediction_spectrum(P_hi, A, Q).max())
     return float(np.clip(lam, 1e-6, 1.0 - 1e-6))
@@ -197,8 +199,7 @@ def threshold_bounds(model: SystemModel, agents: list[AgentSpec],
                          f"sum to be provably positive definite; got {kstar}")
     A = model.A_at(0)
     Ainv = np.linalg.inv(A)
-    info_y, info_d = _info_blocks(model, agents)
-    info_d = info_d / np.reshape([a.eps for a in agents], (-1, 1, 1))
+    info_y, info_d = _design_blocks(model, agents, topology)
 
     M = np.zeros((N, N, n, n))
     Mbar = np.zeros((N, n, n))
@@ -287,6 +288,15 @@ def _info_blocks(model, agents):
     return np.array(info_y), np.array(info_d)
 
 
+def _design_blocks(model, agents, topology):
+    """`_info_blocks` of one agent per node of the topology ("agents has 2
+    entries for 3 agents"), D_iᵀD_i weighed by 1/ε_i, as the design reads them."""
+    if len(agents) != topology.N:
+        raise ValueError(f"agents has {len(agents)} entries for {topology.N} agents")
+    info_y, info_d = _info_blocks(model, agents)
+    return info_y, info_d / np.reshape([a.eps for a in agents], (-1, 1, 1))
+
+
 class _RateTables(NamedTuple):
     f: np.ndarray          # (T+1, N, n, n)
     zbar: np.ndarray       # (T+1, N, n, n)
@@ -340,8 +350,7 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
     Ainv = np.linalg.inv(model.A_at(0))
     Qinv = np.linalg.inv(model.Q_at(0))
     N, n = topology.N, model.n
-    info_y, info_d = _info_blocks(model, agents)
-    info_d = info_d / np.reshape([a.eps for a in agents], (-1, 1, 1))
+    info_y, info_d = _design_blocks(model, agents, topology)
     layout = step_layout(agents, topology)
     weights = layout.weights[:, None, None, None]
 

@@ -36,7 +36,7 @@ class TriggerState:
     (x, P) of step `time`, its last broadcast extrapolated to that step.  The
     initial state counts as a broadcast at time 0; each event round advances
     the pair in `filter_step` and re-anchors it where the agent fires.  x and
-    P are copied and checked by `filter._pair`, as in `ConsistentEstimate`;
+    P are checked copies (`filter._pair`, P PSD, as in `ConsistentEstimate`);
     time and delta go through `model._integer` and `model._real`, each ≥ 0.
     """
 

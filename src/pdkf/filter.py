@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .model import _check_finite, _check_symmetric, _real
+from .model import _check_covariance, _check_finite, _real
 
 _JITTER = 1e-9
 _PINV_RTOL = 1e-9
@@ -102,23 +102,19 @@ def pinv(M: np.ndarray) -> np.ndarray:
 
 
 def _pair(x, P) -> tuple[np.ndarray, np.ndarray]:
-    """Checked copies of an estimate's or a held pair (x flattened): both finite,
-    P (len(x), len(x)) ("P shape (2, 3) does not match the state dimension 2")
-    and symmetric (`model._check_symmetric`); P is returned as given."""
+    """Checked copies of an estimate's or a held pair (x flattened): x finite, P a
+    PSD (len(x), len(x)) matrix by `model._check_covariance` ("P must be (2, 2),
+    got (2, 3)"); P is returned as given."""
     x, P = np.array(x, dtype=float).ravel(), np.array(P, dtype=float)
     _check_finite(x, "x")
-    _check_finite(P, "P")
-    if P.shape != (x.size, x.size):
-        raise ValueError(f"P shape {P.shape} does not match the state dimension {x.size}")
-    _check_symmetric(P, "P")
-    return x, P
+    return x, _check_covariance(P, "P", x.size)
 
 
 @dataclass
 class ConsistentEstimate:
     """State estimate x with parameter matrix P dominating the error moment.
-    The pair is copied and checked by `_pair`; a P that the 1e-9·I jitter of
-    `_ensure_pd` does not make positive definite is rejected too."""
+    The pair is copied and checked by `_pair` (P PSD); a PSD P that the 1e-9·I
+    jitter of `_ensure_pd` does not make positive definite is rejected too."""
 
     x: np.ndarray
     P: np.ndarray
@@ -145,14 +141,18 @@ def init_consistent(x0_hat, P0, theta: float, x0_mean) -> ConsistentEstimate:
     """Initial pair covering both prior covariance and initialization bias.
 
     P = (1+θ)·P0 + ((θ+1)/θ)·(x̂0−x̄0)(x̂0−x̄0)ᵀ, which dominates the second
-    moment of x̂0 − x0 for any θ > 0, checked by `model._real` (finite).
+    moment of x̂0 − x0 for any θ > 0, checked by `model._real` (finite).  x̄0 is
+    finite and as long as x̂0; P0 passes `model._check_covariance` (PSD).
     """
     theta = _real(theta, "theta", "positive")
     x0_hat = np.asarray(x0_hat, dtype=float).ravel()
     x0_mean = np.asarray(x0_mean, dtype=float).ravel()
+    _check_finite(x0_mean, "x0_mean")
+    if x0_mean.size != x0_hat.size:
+        raise ValueError(f"x0_mean must have {x0_hat.size} entries, got {x0_mean.size}")
+    P0 = _check_covariance(P0, "P0", x0_hat.size)
     bias = (x0_hat - x0_mean).reshape(-1, 1)
-    P = (1.0 + theta) * np.asarray(P0, dtype=float) \
-        + ((theta + 1.0) / theta) * (bias @ bias.T)
+    P = (1.0 + theta) * P0 + ((theta + 1.0) / theta) * (bias @ bias.T)
     return ConsistentEstimate(x0_hat, P)
 
 

@@ -81,15 +81,17 @@ def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     return sym
 
 
-def _check_covariance(M: np.ndarray, name: str, m: int) -> None:
-    """A finite, symmetric positive semidefinite (m, m) matrix; zero is legal."""
+def _check_covariance(M, name: str, m: int, definite: bool = False) -> np.ndarray:
+    """M as a float array once it is an (m, m) finite symmetric PSD matrix, λ_min ≥
+    −1e-10·max(1, |λ_max|), or with `definite` λ_min > 0; else a ValueError naming `name`."""
     M = np.asarray(M, dtype=float)
     if M.shape != (m, m):
         raise ValueError(f"{name} must be ({m}, {m}), got {M.shape}")
     _check_finite(M, name)
     w = np.linalg.eigvalsh(_check_symmetric(M, name))   # empty for no measurement rows
-    if w.size and w.min() < -1e-10 * max(1.0, abs(w.max())):
-        raise ValueError(f"{name} must be positive semidefinite")
+    if w.size and not (w[0] > 0 if definite else w[0] >= -1e-10 * max(1.0, abs(w[-1]))):
+        raise ValueError(f"{name} must be positive {'' if definite else 'semi'}definite")
+    return M
 
 
 def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
@@ -199,11 +201,12 @@ def _at(seq: list, k: int) -> np.ndarray:
 class AgentSpec:
     """Per-agent observation (H, R) and equality constraint (D, d, eps) blocks.
 
-    H may be all-zero (a blind agent) and D may be all-zero (unconstrained).
-    `eps` (`_real`, finite and positive) regularizes the covariance
-    projection; `delta` (`_real`, finite and nonnegative) is the event
-    trigger threshold; both are stored as Python floats.  H, R, D and d are
-    read-only copies of the arrays passed in; specs compare and hash by identity.
+    H may be all-zero (a blind agent) and D may be all-zero (unconstrained);
+    R passes `_check_covariance`, positive definite.  `eps` (`_real`, finite
+    and positive) regularizes the covariance projection; `delta` (`_real`,
+    finite and nonnegative) is the event trigger threshold; both are stored as
+    Python floats.  H, R, D and d are read-only copies of the arrays passed
+    in; specs compare and hash by identity.
     """
 
     H: np.ndarray
@@ -217,13 +220,11 @@ class AgentSpec:
         for name in ("H", "R", "D"):
             object.__setattr__(self, name, _readonly(_as_matrix(getattr(self, name), name)))
         object.__setattr__(self, "d", _readonly(np.asarray(self.d, dtype=float).ravel()))
-        for name in ("H", "R", "D", "d"):
+        for name in ("H", "D", "d"):
             _check_finite(getattr(self, name), name)
         if self.H.shape[0] != self.R.shape[0]:
             raise ValueError("H and R disagree on measurement dimension")
-        _check_symmetric(self.R, "R")
-        if self.R.shape[0] and np.linalg.eigvalsh(self.R).min() <= 0:
-            raise ValueError("R must be positive definite")
+        _check_covariance(self.R, "R", self.H.shape[0], definite=True)
         if self.D.shape[0] != self.d.shape[0]:
             raise ValueError("D and d disagree on constraint dimension")
         if self.has_constraint and matrix_rank(self.D) < self.D.shape[0]:

@@ -184,10 +184,9 @@ class RunMetrics:
 
 
 def _psd_sqrt(M: np.ndarray) -> np.ndarray:
+    """V·diag(√max(λ, 0))·Vᵀ of M's symmetric part, M passed by `_check_covariance`."""
     M = 0.5 * (M + M.T)
     w, V = np.linalg.eigh(M)
-    if w.min() < -1e-10 * max(w.max(), 1.0):
-        raise ValueError("covariance matrix must be positive semidefinite")
     return (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
 
 

@@ -186,6 +186,25 @@ def test_compute_beta_rejects_indefinite():
         compute_beta([[-1.0]], np.eye(1), [[1.0]])
 
 
+I2 = np.eye(2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: compute_beta(I2, I2, [[1.0, 2.0], [0.0, 1.0]]), "^Q is not symmetric$"),
+    (lambda: compute_beta(I2, I2, -I2), "^Q must be positive semidefinite$"),
+    (lambda: pilot_contraction_factors([I2], I2, -I2), "^Q must be positive semidefinite$"),
+    (lambda: compute_beta(I2, I2, np.eye(3)), r"^Q must be \(2, 2\), got \(3, 3\)$"),
+    (lambda: compute_beta_bar(I2, I2, np.diag([1.0, np.nan])), "^Q has non-finite entries$"),
+    (lambda: compute_beta([[1.0, 1.0], [0.0, 1.0]], I2, I2), "^P_ref is not symmetric$"),
+], ids=["asymmetric-Q", "indefinite-Q", "pilot-indefinite-Q", "Q-too-big", "nan-Q",
+        "asymmetric-P_ref"])
+def test_contraction_factors_check_Q_and_P_ref_as_covariances(call, message):
+    # an asymmetric Q or P_ref used to give β = 1/3, an indefinite Q a raw
+    # scipy LinAlgError, a Q of another size a numpy broadcast error
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_contraction_inequalities_hold_above_and_below(seed):
@@ -791,6 +810,20 @@ def test_design_tools_name_a_contraction_factor_that_is_not_a_real_in_the_unit_i
         else:
             rate_bound(0.7, scalar_model(), two_scalar_agents(), PAIR, T=20,
                        beta=beta, beta_bar=beta_bar)
+
+
+@pytest.mark.parametrize("tool", ["threshold", "rate"])
+@pytest.mark.parametrize("count", [2, 4])
+def test_design_tools_count_the_agents(tool, count):
+    # one agent short or one too many on case1's 3-node topology used to
+    # raise a raw numpy broadcast error
+    cfg = sim.case1()
+    agents = (cfg.agents + cfg.agents)[:count]
+    with pytest.raises(ValueError, match=f"^agents has {count} entries for 3 agents$"):
+        if tool == "threshold":
+            threshold_bounds(cfg.model, agents, cfg.topology, beta=0.5, kstar=10)
+        else:
+            rate_bound(0.7, cfg.model, agents, cfg.topology, T=20, beta=0.5, beta_bar=0.8)
 
 
 def _overflowing():

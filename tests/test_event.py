@@ -101,13 +101,15 @@ def test_trigger_state_checks_its_step_as_an_integer(time, message):
 
 
 @pytest.mark.parametrize("x, P, message", [
-    ([0.0], np.eye(2), r"P shape \(2, 2\) does not match the state dimension"),
-    (np.zeros(2), np.ones(2), r"P shape \(2,\) does not match the state dimension"),
+    ([0.0], np.eye(2), r"^P must be \(1, 1\), got \(2, 2\)$"),
+    (np.zeros(2), np.ones(2), r"^P must be \(2, 2\), got \(2,\)$"),
     (np.zeros(2), np.diag([1.0, np.nan]), "P has non-finite entries"),
     ([0.0, np.inf], np.eye(2), "x has non-finite entries"),
     # it used to be stored as given, and symmetrized only where a step read it
     (np.zeros(2), [[2.0, 1.0], [0.0, 2.0]], "^P is not symmetric$"),
-], ids=["P-too-big", "P-vector", "nan-P", "inf-x", "asymmetric-P"])
+    # it used to be accepted, and to fail only at its first round
+    (np.zeros(2), -np.eye(2), "^P must be positive semidefinite$"),
+], ids=["P-too-big", "P-vector", "nan-P", "inf-x", "asymmetric-P", "indefinite-P"])
 def test_trigger_state_rejects_a_bad_pair(x, P, message):
     with pytest.raises(ValueError, match=message):
         TriggerState(x, P, 0, 0.1)

@@ -46,9 +46,8 @@ def test_consistent_estimate_rejects_non_finite(x, P, field):
                          ids=["non-square", "vector", "other-size"])
 def test_consistent_estimate_rejects_a_P_of_another_shape(P):
     # checked before the Cholesky, which would fail on it with numpy's message;
-    # the message is TriggerState's too (one check, filter._pair)
-    with pytest.raises(ValueError, match=rf"^P shape {re.escape(str(P.shape))} does not "
-                                         rf"match the state dimension 2$"):
+    # the message is TriggerState's too (one rule, model._check_covariance)
+    with pytest.raises(ValueError, match=rf"^P must be \(2, 2\), got {re.escape(str(P.shape))}$"):
         ConsistentEstimate(np.zeros(2), P)
 
 
@@ -90,6 +89,20 @@ def test_init_names_a_theta_that_is_not_a_finite_positive_real(theta, message):
     # non-finite entries"
     with pytest.raises(ValueError, match=message):
         init_consistent([0.0], [[1.0]], theta=theta, x0_mean=[0.0])
+
+
+@pytest.mark.parametrize("P0, x0_mean, message", [
+    ([[1.0, 1.0], [0.0, 1.0]], [0.0, 0.0], "^P0 is not symmetric$"),
+    (np.eye(3), [0.0, 0.0], r"^P0 must be \(2, 2\), got \(3, 3\)$"),
+    (np.diag([-1.0, 1.0]), [0.0, 0.0], "^P0 must be positive semidefinite$"),
+    (np.eye(2), [0.0, 0.0, 0.0], "^x0_mean must have 2 entries, got 3$"),
+    (np.eye(2), [0.0, np.nan], "^x0_mean has non-finite entries$"),
+], ids=["asymmetric-P0", "P0-too-big", "indefinite-P0", "long-x0_mean", "nan-x0_mean"])
+def test_init_names_a_bad_P0_or_x0_mean(P0, x0_mean, message):
+    # each used to fail in the P built from them ("P is not symmetric", "P must
+    # be positive definite", "P has non-finite entries") or in numpy's broadcast
+    with pytest.raises(ValueError, match=message):
+        init_consistent([0.0, 0.0], P0, 1.0, x0_mean)
 
 
 @settings(max_examples=50, deadline=None)
@@ -605,7 +618,8 @@ def test_ensure_pd_names_a_member_that_jitter_cannot_fix():
         _ensure_pd(stack, "covariance of agent")
     with pytest.raises(ValueError, match="^covariance of agent 7 must be positive definite$"):
         _ensure_pd(stack, "covariance of agent", np.array([1, 4, 7, 9]))
-    with pytest.raises(ValueError, match="^P must be positive definite$"):
+    # an indefinite P fails the covariance rule before it gets there
+    with pytest.raises(ValueError, match="^P must be positive semidefinite$"):
         ConsistentEstimate(np.zeros(3), -np.eye(3))
 
 

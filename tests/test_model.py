@@ -438,6 +438,17 @@ def test_agent_spec_rejects_non_finite(field):
         AgentSpec(**kw)
 
 
+@pytest.mark.parametrize("R, message", [
+    ([[90.0, 1.0]], r"^R must be \(1, 1\), got \(1, 2\)$"),
+    ([[]], r"^R must be \(1, 1\), got \(1, 0\)$"),
+], ids=["R-row", "R-empty-row"])
+def test_agent_spec_checks_R_by_the_covariance_rule(R, message):
+    # they used to fail as "R is not symmetric" and as numpy's "Last 2
+    # dimensions of the array must be square"
+    with pytest.raises(ValueError, match=message):
+        AgentSpec(H=np.ones((1, 4)), R=np.array(R), D=np.zeros((0, 4)), d=np.zeros(0))
+
+
 @pytest.mark.parametrize("delta", [np.nan, np.inf])
 def test_agent_spec_rejects_non_finite_delta(delta):
     with pytest.raises(ValueError, match="delta must be finite"):
