@@ -29,8 +29,8 @@ import numpy as np
 
 from .event import step_layout
 from .filter import slot_sum, symmetrize
-from .model import (AgentSpec, SystemModel, Topology, _check_covariance, _check_symmetric,
-                    _integer, _real, matrix_rank)
+from .model import (AgentSpec, SystemModel, Topology, _check_covariance, _check_square,
+                    _check_symmetric, _integer, _real, matrix_rank)
 
 _OBS_TOL = 1e-10
 
@@ -124,8 +124,9 @@ def _eigh_pencil(X, Y) -> np.ndarray:
 
 
 def _prediction_spectrum(P_ref, A, Q) -> np.ndarray:
-    """Eigenvalues of X(X+Q)⁻¹, X = A·P_ref·Aᵀ (all in [0, 1]); Q PSD, P_ref PD."""
-    A = np.asarray(A, dtype=float)
+    """Eigenvalues of X(X+Q)⁻¹, X = A·P_ref·Aᵀ (all in [0, 1]); A finite and square
+    (`model._check_square`), Q PSD, P_ref PD."""
+    A = _check_square(A, "A", len(np.atleast_1d(A)))
     Q = symmetrize(_check_covariance(Q, "Q", len(A)))
     P_ref = symmetrize(_check_covariance(P_ref, "P_ref", len(A), definite=True))
     X = symmetrize(A @ P_ref @ A.T)
@@ -165,7 +166,7 @@ def pilot_contraction_factors(P_mats, A, Q) -> tuple[float, float]:
     c_lo, c_hi = float(eigs.min()), float(eigs.max())
     if c_lo <= 0:
         raise ValueError("pilot matrices must be positive definite")
-    n = np.asarray(A).shape[0]
+    n = len(np.atleast_1d(A))     # checked as `_prediction_spectrum` checks it
     return (compute_beta(c_lo * np.eye(n), A, Q),
             compute_beta_bar(c_hi * np.eye(n), A, Q))
 
@@ -344,12 +345,14 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
     Σ_j a_ij runs over agent i's in-edges in neighbour order (the filters'
     step layout and `slot_sum`), bit for bit a loop over its neighbours.
     Raises a ValueError naming the first step at which f, z̄ or S is not
-    finite: the scans cannot read T1 or T2 off such tables.
+    finite: the scans cannot read T1 or T2 off such tables.  The seed inverts
+    Q, so Q must be positive definite (`model._check_covariance`), not only
+    semidefinite as `SystemModel` takes it: "Q must be positive definite".
     """
     beta, beta_bar = _real(beta, "beta", "unit"), _real(beta_bar, "beta_bar", "unit")
-    Ainv = np.linalg.inv(model.A_at(0))
-    Qinv = np.linalg.inv(model.Q_at(0))
     N, n = topology.N, model.n
+    Ainv = np.linalg.inv(model.A_at(0))
+    Qinv = np.linalg.inv(_check_covariance(model.Q_at(0), "Q", n, definite=True))
     info_y, info_d = _design_blocks(model, agents, topology)
     layout = step_layout(agents, topology)
     weights = layout.weights[:, None, None, None]

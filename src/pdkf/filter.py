@@ -4,8 +4,13 @@ One step per agent is: predict → measurement update → L synchronized rounds
 of {covariance-intersection fusion over in-neighbors; constraint projection}.
 The carried pair (x̂, P) is kept *consistent*: the true error second moment
 stays dominated by P in the PSD order, which covariance intersection
-preserves under unknown cross-correlations.  `event.filter_step` composes
-these kernels on the stack of all agents.
+preserves under unknown cross-correlations.  `event.covariance_step` and
+`event.state_step` compose these kernels on the stack of all agents: the
+fusion and the projection are each two private kernels, one for the
+covariance side (`_ci_information`, `_projection_cov`) and one that forms the
+state map from its outputs (`_ci_gains`, `_projection_state`, the only caller
+of `pinv` in a step), and the public `ci_maps` and `projection_map` are both
+halves in turn.
 """
 
 from __future__ import annotations
@@ -204,12 +209,22 @@ def ci_maps(infos, weights, slots) -> tuple[np.ndarray, np.ndarray]:
     (`slot_sum`), slots = (sizes, dst) with dst the row of each edge's
     receiver; P is one matrix per row and C one per edge.  Each row's sum
     runs over its edges in order, so an agent's P is the same fused alone or
-    in a stack.
+    in a stack.  P and the terms a_j Ω_j are `_ci_information`'s, the
+    covariance side of a filter step, and C is `_ci_gains`', its state side.
     """
+    P, terms = _ci_information(infos, weights, slots[0])
+    return P, _ci_gains(P, terms, slots[1])
+
+
+def _ci_information(infos, weights, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """(P, terms) of `ci_maps`: the terms a_j Ω_j and P = (Σ a_j Ω_j)⁻¹."""
     terms = np.asarray(weights)[:, None, None] * np.asarray(infos)
-    sizes, dst = slots
-    P = symmetrize(_inv(slot_sum(terms, sizes)))
-    return P, P[dst] @ terms
+    return symmetrize(_inv(slot_sum(terms, sizes))), terms
+
+
+def _ci_gains(P, terms, dst) -> np.ndarray:
+    """The maps C_j = P a_j Ω_j of `ci_maps`, one per edge."""
+    return P[dst] @ terms
 
 
 def projection_map(P, D, d, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,18 +235,25 @@ def projection_map(P, D, d, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shrunk through (D P Dᵀ + eps·I)⁻¹, which keeps it positive definite and
     equals information addition DᵀD/eps.  For a stack of N agents, P and D
     carry a leading agent axis, d is (N, s, 1) and eps (N, 1, 1); c is then
-    (N, n, 1), a column for each agent.
+    (N, n, 1), a column for each agent.  P⁺ is `_projection_cov`'s, the
+    covariance side of a filter step, and (G, c) `_projection_state`'s.
     """
-    return _projection_map(P, D, d, eps * np.eye(D.shape[-2]), np.eye(P.shape[-1]))
+    PDt, S, P_new = _projection_cov(P, D, eps * np.eye(D.shape[-2]))
+    return (*_projection_state(PDt, S, D, d, np.eye(P.shape[-1])), P_new)
 
 
-def _projection_map(P, D, d, eps_I, I):
-    """`projection_map` with eps·I (s×s, or one per agent) and the n×n
-    identity I given (the step layout's)."""
+def _projection_cov(P, D, eps_I) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P·Dᵀ, S = D P Dᵀ, P⁺) of `projection_map`, with eps·I (s×s, or one
+    per agent) given (the step layout's)."""
     Dt = D.swapaxes(-1, -2)
     PDt = P @ Dt
     DP = D @ P
     S = DP @ Dt  # s×s, PD because P is
+    return PDt, S, symmetrize(P - PDt @ _solve(S + eps_I, DP))
+
+
+def _projection_state(PDt, S, D, d, I) -> tuple[np.ndarray, np.ndarray]:
+    """(G, c) of `projection_map` from `_projection_cov`'s P·Dᵀ and S, with
+    the n×n identity I given: M = P·Dᵀ·pinv(S), G = I − M D and c = M d."""
     M = PDt @ pinv(S)
-    P_new = symmetrize(P - PDt @ _solve(S + eps_I, DP))
-    return I - M @ D, M @ d, P_new
+    return I - M @ D, M @ d

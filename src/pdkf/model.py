@@ -81,13 +81,21 @@ def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     return sym
 
 
-def _check_covariance(M, name: str, m: int, definite: bool = False) -> np.ndarray:
-    """M as a float array once it is an (m, m) finite symmetric PSD matrix, λ_min ≥
-    −1e-10·max(1, |λ_max|), or with `definite` λ_min > 0; else a ValueError naming `name`."""
+def _check_square(M, name: str, m: int) -> np.ndarray:
+    """M as a float array once it is a finite (m, m) matrix; else a ValueError
+    naming `name` ("A must be (2, 2), got (2, 3)", "A has non-finite entries")."""
     M = np.asarray(M, dtype=float)
     if M.shape != (m, m):
         raise ValueError(f"{name} must be ({m}, {m}), got {M.shape}")
     _check_finite(M, name)
+    return M
+
+
+def _check_covariance(M, name: str, m: int, definite: bool = False) -> np.ndarray:
+    """M as a float array once it is an (m, m) finite (`_check_square`) symmetric PSD
+    matrix, λ_min ≥ −1e-10·max(1, |λ_max|), or with `definite` λ_min > 0; else a
+    ValueError naming `name`."""
+    M = _check_square(M, name, m)
     w = np.linalg.eigvalsh(_check_symmetric(M, name))   # empty for no measurement rows
     if w.size and not (w[0] > 0 if definite else w[0] >= -1e-10 * max(1.0, abs(w[-1]))):
         raise ValueError(f"{name} must be positive {'' if definite else 'semi'}definite")
@@ -149,9 +157,7 @@ class SystemModel:
         object.__setattr__(self, "P0", _as_matrix(self.P0, "P0"))
         n = self.n
         for k, Ak in enumerate(A_seq):
-            _check_finite(Ak, f"A[{k}]")
-            if Ak.shape != (n, n):
-                raise ValueError(f"A[{k}] must be ({n}, {n}), got {Ak.shape}")
+            _check_square(Ak, f"A[{k}]", n)
             if abs(np.linalg.det(Ak)) < 1e-300:
                 raise ValueError(f"A[{k}] is singular")
         _check_finite(self.x0_mean, "x0_mean")

@@ -205,6 +205,24 @@ def test_contraction_factors_check_Q_and_P_ref_as_covariances(call, message):
         call()
 
 
+@pytest.mark.parametrize("A, message", [
+    (np.ones((2, 3)), r"^A must be \(2, 2\), got \(2, 3\)$"),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), "^A has non-finite entries$"),
+    (2.0, r"^A must be \(1, 1\), got \(\)$"),
+], ids=["wide-A", "nan-A", "scalar-A"])
+@pytest.mark.parametrize("tool", [
+    lambda A: compute_beta(I2, A, I2),
+    lambda A: compute_beta_bar(I2, A, I2),
+    lambda A: pilot_contraction_factors([I2], A, I2),
+], ids=["compute_beta", "compute_beta_bar", "pilot_contraction_factors"])
+def test_contraction_factors_check_A_as_SystemModel_does(tool, A, message):
+    # a (2, 3) A used to raise numpy's matmul "mismatch in its core
+    # dimension", a NaN in A scipy's "array must not contain infs or NaNs",
+    # and a scalar A a raw IndexError in the pilot's factors
+    with pytest.raises(ValueError, match=message):
+        tool(A)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_contraction_inequalities_hold_above_and_below(seed):
@@ -745,6 +763,14 @@ def test_rate_bound_names_a_bad_threshold_or_horizon(delta, T, message):
     # and T = 0 as "no bound available"
     with pytest.raises(ValueError, match=message):
         rate_bound(delta, scalar_model(), two_scalar_agents(), PAIR, T=T,
+                   beta=0.5, beta_bar=0.8)
+
+
+def test_rate_bound_names_a_Q_that_is_not_positive_definite():
+    # the tables' seed inverts Q, which SystemModel takes as semidefinite:
+    # Q = 0 used to raise numpy's raw "Singular matrix"
+    with pytest.raises(ValueError, match="^Q must be positive definite$"):
+        rate_bound(1.2, scalar_model(q=0.0), two_scalar_agents(), PAIR, T=20,
                    beta=0.5, beta_bar=0.8)
 
 

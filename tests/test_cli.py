@@ -148,6 +148,22 @@ def test_rate_bound_infeasible_exits_three(case1_file, tmp_path, capsys):
     assert "infeasible:" in capsys.readouterr().err
 
 
+def test_rate_bound_on_a_semidefinite_Q_exits_three_naming_Q(tmp_path, capsys):
+    # case1 with Q = 0: the threshold design runs, and the rate tables,
+    # which invert Q, used to exit 3 with numpy's "Singular matrix"
+    cfg = sim.case1()
+    m = cfg.model
+    cfg.model = SystemModel(m.A[0], np.zeros((4, 4)), m.x0_mean, m.P0)
+    path = str(tmp_path / "q0.scn")
+    save_scenario(cfg, path)
+    assert cli.main(["threshold-bound", path, "--out", str(tmp_path / "th")]) == cli.EXIT_OK
+    capsys.readouterr()
+    rc = cli.main(["rate-bound", path, "--delta", "1.0", "--horizon", "50",
+                   "--out", str(tmp_path / "rb")])
+    assert rc == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "infeasible: Q must be positive definite\n"
+
+
 def test_rate_bound_on_overflowing_tables_exits_three_with_one_message(tmp_path, capsys):
     # one scalar agent with A = 0.1: with β̄ = 0.9 the information bound f
     # grows 90-fold a step, and stops being finite at step 158 of 250

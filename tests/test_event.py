@@ -511,9 +511,7 @@ def test_filter_step_factors_each_covariance_stack_once(mode, rounds, calls, mon
     cfg = case2(mode=mode, N=20, T=1, trials=1)
     layout = event.step_layout(cfg.agents, cfg.topology)
     assert (len(layout.meas), len(layout.proj)) == (1, 1)
-    x0, P = map(np.stack, zip(*cfg.initial_pairs()))
-    held = (x0[:, :, None], P) if mode == "event" else None
-    ys = [np.zeros((len(idx), H.shape[1], 1)) for idx, H, _ in layout.meas]
+    P = np.stack([P for _, P in cfg.initial_pairs()])
     factored = []
     cholesky = filter_module._cholesky
 
@@ -522,8 +520,8 @@ def test_filter_step_factors_each_covariance_stack_once(mode, rounds, calls, mon
         return cholesky(M)
 
     monkeypatch.setattr(filter_module, "_cholesky", spy)
-    event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0), cfg.model.Q_at(0),
-                      rounds, held)
+    event.covariance_step(layout, P, cfg.model.A_at(0), cfg.model.Q_at(0), rounds,
+                          P if mode == "event" else None)
     assert len(factored) == calls
     assert all(len(shape) == 3 for shape in factored)     # stacks, never one member
 
@@ -537,12 +535,12 @@ def test_filter_step_symmetrizes_each_stack_once_and_makes_no_identity(case, mod
     # (`_check_pd`) and the trigger's information difference (whose
     # symmetric part `_check_symmetric` returns) instead of a second round.
     # `_ensure_pd` does not symmetrize them again, and the identities come
-    # from the layout, built before the step.
+    # from the layout, built before the step.  The state step, which forms
+    # the state maps, adds neither.
     cfg = case(mode=mode, T=1, trials=1)
     layout = event.step_layout(cfg.agents, cfg.topology)
     assert (len(layout.meas), len(layout.proj)) == (1, 1)
     x0, P = map(np.stack, zip(*cfg.initial_pairs()))
-    held = (x0[:, :, None], P) if mode == "event" else None
     ys = [np.zeros((len(idx), H.shape[1], 1)) for idx, H, _ in layout.meas]
     shapes, eyes = [], []
     eye = np.eye
@@ -563,8 +561,12 @@ def test_filter_step_symmetrizes_each_stack_once_and_makes_no_identity(case, mod
     monkeypatch.setattr(event, "symmetrize", spy)
     monkeypatch.setattr(event, "_check_symmetric", check_spy)
     monkeypatch.setattr(np, "eye", eye_spy)
-    event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0), cfg.model.Q_at(0),
-                      rounds, held)
+    event_mode = mode == "event"
+    _P, _g, fired, _hP, maps = event.covariance_step(
+        layout, P, cfg.model.A_at(0), cfg.model.Q_at(0), rounds, P if event_mode else None)
+    assert len(shapes) == 6 and eyes == []
+    event.state_step(layout, maps, fired, x0[:, :, None], ys, cfg.model.A_at(0),
+                     x0[:, :, None] if event_mode else None)
     assert len(shapes) == 6 and eyes == []
     assert all(len(shape) == 3 for shape in shapes)       # stacks, never one member
 
@@ -585,14 +587,16 @@ def test_rounds_never_change_what_they_returned(mode, monkeypatch):
     # at delta 0 nearly every agent broadcasts, so anchors move every round
     model, agents, top, states, triggers, _ = _round_args(delta=(0.0, 0.0, 0.0))
     stacks = []
-    step = event.filter_step
 
-    def spy(*args):
-        out = step(*args)
-        stacks.extend(_arrays(args) + _arrays(out))
-        return out
+    def spying(step):
+        def spy(*args):
+            out = step(*args)
+            stacks.extend(_arrays(args) + _arrays(out))
+            return out
+        return spy
 
-    monkeypatch.setattr(event, "filter_step", spy)
+    for name in ("covariance_step", "state_step"):
+        monkeypatch.setattr(event, name, spying(getattr(event, name)))
     rng = np.random.default_rng(4)
     kept = []
     for k in range(1, 7):
@@ -652,14 +656,12 @@ def test_layout_holds_each_agents_threshold():
 def test_filter_step_names_the_held_covariance_that_is_not_finite(j):
     cfg = case1(mode="event", T=1, trials=1)
     layout = event.step_layout(cfg.agents, cfg.topology)
-    x0, P = map(np.stack, zip(*cfg.initial_pairs()))
+    P = np.stack([P for _, P in cfg.initial_pairs()])
     held_P = P.copy()
     held_P[j, 1, 1] = np.nan
-    ys = [np.zeros((len(idx), H.shape[1], 1)) for idx, H, _ in layout.meas]
     with pytest.raises(np.linalg.LinAlgError,
                        match=rf"^the held covariance of agent {j} is not finite$"):
-        event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0),
-                          cfg.model.Q_at(0), 1, (x0[:, :, None], held_P))
+        event.covariance_step(layout, P, cfg.model.A_at(0), cfg.model.Q_at(0), 1, held_P)
 
 
 def _anchors(triggers):

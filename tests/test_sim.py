@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdkf import event, sim
+from pdkf import event, filter as filt, sim
 from pdkf.analysis import constraint_error, pilot_contraction_factors, space_decomposition
 from pdkf.event import TriggerState, epdkf_round, tpdkf_round
 from pdkf.filter import AgentState, ConsistentEstimate
@@ -546,13 +546,75 @@ def test_covariance_side_does_not_depend_on_trials(cfg):
     assert len(one.trigger_log) == (cfg.T * cfg.topology.N if cfg.mode == "event" else 0)
 
 
-def test_pilot_betas_cover_the_first_fifty_steps_of_a_time_run():
-    cfg = case1(mode="event")
+@pytest.mark.parametrize("cfg", [case1(mode="event"), case2(), case2(N=60)],
+                         ids=["case1", "case2", "case2-n60"])
+def test_pilot_betas_cover_the_first_fifty_steps_of_a_time_run(cfg):
+    # the pilot's pass holds no trials and runs no state step; its
+    # covariances are those of a one-trial run
     rm = run_time_based(dataclasses.replace(cfg, checkpoints=range(1, 51)))
     mats = [P for _, P in cfg.initial_pairs()]
-    mats += [rm.P_checkpoint[(k, i)] for k in range(1, 51) for i in range(3)]
+    mats += [rm.P_checkpoint[(k, i)] for k in range(1, 51) for i in range(cfg.topology.N)]
     expect = pilot_contraction_factors(mats, cfg.model.A_at(0), cfg.model.Q_at(0))
     assert sim.pilot_betas(cfg) == expect
+
+
+SPLIT_CASES = {
+    "case1-time-L2": case1(mode="time", L=2, T=60),
+    "case1-event": case1(mode="event", T=60),
+    "case2-event": case2(mode="event", T=60, delta=0.4),
+    "case2-n60-event": case2(mode="event", N=60, T=30),
+}
+
+
+def _assert_covariance_side_without_trials(cfg):
+    _X, Y = sim._noise_blocks(cfg, 5, cfg.seed)
+    empty = [np.zeros((cfg.T, a.H.shape[0], 0)) for a in cfg.agents]
+    bare = list(sim._filter_path(cfg, cfg.mode, empty))
+    full = list(sim._filter_path(cfg, cfg.mode, Y))
+    assert len(bare) == len(full) == cfg.T + 1
+    for (est, *side), (_est, *ref) in zip(bare, full):
+        assert est.shape == (cfg.topology.N, cfg.model.n, 0)
+        for a, b in zip(side, ref):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("cfg", SPLIT_CASES.values(), ids=SPLIT_CASES.keys())
+def test_a_pass_without_trials_yields_the_covariance_side_of_a_pass_with_them(cfg):
+    _assert_covariance_side_without_trials(cfg)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=directed_scenarios())
+def test_a_pass_without_trials_yields_the_covariance_side_on_random_networks(cfg):
+    _assert_covariance_side_without_trials(cfg)
+
+
+@pytest.mark.parametrize("cfg", [SPLIT_CASES["case1-time-L2"], SPLIT_CASES["case2-event"]],
+                         ids=["case1-time-L2", "case2-event"])
+def test_a_pass_without_trials_forms_no_state_map(cfg, monkeypatch):
+    # no pinv of a projection's S, and the fusion's sums without the CI maps
+    calls = []
+    pinv, slot_sum = filt.pinv, filt.slot_sum
+
+    def pinv_spy(M):
+        calls.append("pinv")
+        return pinv(M)
+
+    def sum_spy(terms, sizes, maps=None):
+        calls.append("slot_sum" if maps is None else "slot_sum with maps")
+        return slot_sum(terms, sizes, maps)
+
+    monkeypatch.setattr(filt, "pinv", pinv_spy)
+    for module in (filt, event):
+        monkeypatch.setattr(module, "slot_sum", sum_spy)
+    for trials, want in ((0, {"slot_sum"}), (1, {"pinv", "slot_sum", "slot_sum with maps"})):
+        calls.clear()
+        Y = [np.zeros((cfg.T, a.H.shape[0], trials)) for a in cfg.agents]
+        for _ in sim._filter_path(cfg, cfg.mode, Y):
+            pass
+        assert set(calls) == want
+        assert calls.count("slot_sum") == cfg.T * (1 if cfg.mode == "event" else cfg.L)
 
 
 def scalar_cfg(T=25, seed=8):
