@@ -42,9 +42,9 @@ class TriggerState:
     (x, P) of step `time`, its last broadcast extrapolated to that step.  The
     initial state counts as a broadcast at time 0; each event round advances
     the pair (P in `covariance_step`, x in `state_step`) and re-anchors it
-    where the agent fires.  x and
-    P are checked copies (`filter._pair`, P PSD, as in `ConsistentEstimate`);
-    time and delta go through `model._integer` and `model._real`, each ≥ 0.
+    where the agent fires.  x and P are checked copies (`filter._pair`, P
+    PSD, as in `ConsistentEstimate`); time and delta go through
+    `model._integer` and `model._real`, each ≥ 0.
     """
 
     x: np.ndarray
