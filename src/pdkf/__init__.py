@@ -16,4 +16,5 @@ from .sim import (RunMetrics, ScenarioConfig, case1, case2, ckf_baseline,
                   consensus_baseline, generate_truth, load_scenario,
                   monte_carlo, run_event, run_time_based, save_scenario)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the classes and functions, not the submodules: a star import shadows no builtin (`filter`)
+__all__ = [name for name in dir() if not name.startswith("_") and callable(globals()[name])]

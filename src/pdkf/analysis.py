@@ -149,8 +149,9 @@ def compute_beta(P_lo, A, Q) -> float:
 def compute_beta_bar(P_hi, A, Q) -> float:
     """Expansion counterpart of `compute_beta`.
 
-    Returns β̄ = λ_max((A·P_hi·Aᵀ)(A·P_hi·Aᵀ + Q)⁻¹) clamped into (1e-6, 1 - 1e-6), Q and
-    P_hi checked as in `compute_beta`; (A P Aᵀ + Q)⁻¹ ⪯ β̄·A⁻ᵀP⁻¹A⁻¹ holds for every P ⪯ P_hi.
+    Returns β̄ = λ_max((A·P_hi·Aᵀ)(A·P_hi·Aᵀ + Q)⁻¹) clamped into
+    (1e-6, 1 - 1e-6), Q and P_hi checked as in `compute_beta`;
+    (A P Aᵀ + Q)⁻¹ ⪯ β̄·A⁻ᵀP⁻¹A⁻¹ holds for every P ⪯ P_hi.
     """
     lam = float(_prediction_spectrum(P_hi, A, Q).max())
     return float(np.clip(lam, 1e-6, 1.0 - 1e-6))

@@ -1,20 +1,17 @@
-"""Event-triggered communication layer and the stacked filter step, in two halves.
+"""Event-triggered communication layer and the stacked filter step.
 
 An agent broadcasts its measurement-updated pair only when the information
 gain over what its neighbors can already extrapolate exceeds a threshold:
 g = λ_max(P̃⁻¹ − P̄̃⁻¹) − δ with P̄̃ the multi-step prediction of the last
 broadcast.  Silent neighbors are substituted by that same extrapolation, so
 the whole communication pattern is a deterministic function of the model and
-thresholds — it never depends on measured data.  A step of either filter on
-the stack of all agents is two functions, each the one implementation of its
-half: `covariance_step` runs every covariance kernel, guard and the trigger,
-and returns the inputs of the state maps; `state_step` forms those maps and
-applies them to the state block.  Both serve the Monte Carlo engine and the
-step-by-step rounds `tpdkf_round` and `epdkf_round` alike, and a pass on no
-trials runs the covariance step alone; all read the network's
-`step_layout`, built once per network and fused over its real edges only.
-The two steps hold the one held-pair recursion, P in the covariance step
-and x in the state step.
+thresholds — it never depends on measured data.  `filter_step`, a step of
+either filter on the stack of all agents, serves the Monte Carlo engine and
+the step-by-step rounds `tpdkf_round` and `epdkf_round` alike; both read the
+network's `step_layout`, built once per network and fused over its real
+edges only.  `filter_step` also holds the one held-pair recursion they
+share, and on a state block of no columns (a pass on no trials) it does
+covariance work only.
 The rounds check each per-agent list whole, stacking every x and
 measurement list by one helper, `_rows`, which checks widths and
 finiteness; a single agent is looked at only to name a failing one.
@@ -41,10 +38,9 @@ class TriggerState:
     (which the rounds require to equal its `AgentSpec.delta`): the held pair
     (x, P) of step `time`, its last broadcast extrapolated to that step.  The
     initial state counts as a broadcast at time 0; each event round advances
-    the pair (P in `covariance_step`, x in `state_step`) and re-anchors it
-    where the agent fires.  x and P are checked copies (`filter._pair`, P
-    PSD, as in `ConsistentEstimate`); time and delta go through
-    `model._integer` and `model._real`, each ≥ 0.
+    the pair in `filter_step` and re-anchors it where the agent fires.  x and
+    P are checked copies (`filter._pair`, P PSD, as in `ConsistentEstimate`);
+    time and delta go through `model._integer` and `model._real`, each ≥ 0.
     """
 
     x: np.ndarray
@@ -82,7 +78,7 @@ def _grouped(entries: list) -> list:
 
 @dataclass(frozen=True)
 class StepLayout:
-    """What `covariance_step` and `state_step` need of a network.
+    """What `filter_step` needs of a network.
 
     meas holds (indices, H, R) and proj (indices, D, d, eps·I) per H, or D,
     shape group of measuring, or constrained, agents; eye is the n×n
@@ -142,33 +138,30 @@ def step_layout(agents: list[AgentSpec], topology: Topology) -> StepLayout:
     return _build_layout(topology, *agents)
 
 
-def _gather(layout: StepLayout, fresh, kept):
-    """Each in-edge's sender, slot-major: from the fresh stack by the layout's
-    src (time mode, kept None), or from [fresh; kept] by its held_src."""
-    if kept is None:
-        return np.take(fresh, layout.src, 0)
-    return np.take(np.concatenate([fresh, kept]), layout.held_src, 0)
+def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
+                held: tuple | None = None) -> tuple:
+    """One step of either filter on the agent stack, in the paper's order
+    (predict, update, trigger in event mode, then per round CI-fuse and
+    project): new (est, P, g, fired, held).
 
-
-def covariance_step(layout: StepLayout, P, A, Q, rounds: int = 1,
-                    hP: np.ndarray | None = None) -> tuple:
-    """The covariance side of one step of either filter on the agent stack:
-    new (P, g, fired, hP, maps).  It reads no state: the covariances and the
-    trigger pattern never depend on measured data.
-
-    P is the (N, n, n) covariance stack; every fact about the network, the
-    thresholds included, is read from the layout, and the mode from hP
-    alone.  Time mode (hP None) runs `rounds` fusion-projection rounds on
-    the fresh stack, gathered by the layout's src.  Event mode takes hP, the
-    covariances held after the previous step, advances them to this step
-    (P ← A P Aᵀ + Q, not symmetrized), fires where the trigger score g
-    against them exceeds the layout's deltas, fuses each neighbor's held
-    covariance (fresh if it fired), gathered by the layout's held_src, and
-    returns those then held.  maps = (gains, fusions) holds the inputs of
-    the state maps that `state_step` forms: each H group's gain K, and per
-    round the fused stack in layout order, its terms a_j Ω_j and each D
-    group's (P·Dᵀ, S).  Each covariance stack made is symmetrized once,
-    where it is made (the prediction here, the others inside the kernels).
+    est (N, n, c) holds c state columns (trials) per agent, P is the
+    (N, n, n) covariance stack and ys one (g, m, c) block per H group; every
+    fact about the network, the thresholds included, is read from the
+    layout, and the mode from held alone.  Time mode (held None) runs
+    `rounds` fusion-projection rounds on the fresh pairs, gathered by the
+    layout's src.  Event mode takes held = (hx, hP), the pairs held after
+    the previous step, advances them (x ← A x, P ← A P Aᵀ + Q, not
+    symmetrized), fires where the trigger score g against them exceeds the
+    layout's deltas, re-anchors the pairs of the agents that fired, fuses
+    each neighbor's held pair (fresh if it fired), gathered by the layout's
+    held_src, and returns the pairs then held.  The covariances and the
+    trigger never read a state, and every state line (the predictions, the
+    update, hx's re-anchor, and the CI maps C = P[dst]·terms and, per D
+    group, M = P·Dᵀ·`pinv`(S), G = I − M D and c = M d, applied) runs only
+    where est holds columns: on zero columns the step does covariance work
+    only and returns est and hx as given.  Each covariance stack made is
+    symmetrized once, where it is made (the prediction here, the others
+    inside the kernels).
     Guards, once per stack and bit-neutral where Cholesky succeeds:
     `_ensure_pd` on every covariance stack made, whose one Cholesky is also
     the definiteness check before its inverse; `_check_pd` on the held
@@ -176,15 +169,25 @@ def covariance_step(layout: StepLayout, P, A, Q, rounds: int = 1,
     gain.  The guards' errors name the failing agent: "the covariance of
     agent i …" or "the held covariance of agent i …".
     """
-    event = hP is not None
+    event, states = held is not None, est.shape[2] > 0
+    hx, hP = held if event else (None, None)
     hinfo, g, fired = None, np.zeros(0), np.zeros(0, dtype=bool)
+    src = layout.held_src if event else layout.src
+
+    def gather(fresh, kept):    # each in-edge's sender, slot-major
+        return np.take(fresh if kept is None else np.concatenate([fresh, kept]), src, 0)
+
     if event:
         hP = A @ hP @ A.T + Q
+        if states:
+            hx = A @ hx
     P = _ensure_pd(symmetrize(A @ P @ A.T + Q), _COV)
-    gains = []
-    for idx, H, R in layout.meas:
+    if states:
+        est = A @ est
+    for (idx, H, R), y in zip(layout.meas, ys):
         K, P_upd = _kalman_gain(P[idx], H, R, layout.eye)
-        gains.append(K)
+        if states:
+            est[idx] += K @ (y - H @ est[idx])
         P[idx] = _ensure_pd(P_upd, _COV, idx)
     info = _inv(P)
     if event:
@@ -193,53 +196,24 @@ def covariance_step(layout: StepLayout, P, A, Q, rounds: int = 1,
         # a broadcast becomes the anchor every receiver extrapolates
         f = fired[:, None, None]
         hP, hinfo = np.where(f, P, hP), np.where(f, info, hinfo)
-    fusions = []
+        if states:
+            hx = np.where(f, est, hx)
     for r in range(rounds):
         if r:
             info = _inv(P)
-        Pc, terms = _ci_information(_gather(layout, info, hinfo), layout.weights,
-                                    layout.slots[0])
+        Pc, terms = _ci_information(gather(info, hinfo), layout.weights, layout.slots[0])
+        if states:
+            est = slot_sum(gather(est, hx), layout.slots[0],
+                           _ci_gains(Pc, terms, layout.slots[1]))[layout.rank]
         # rows follow the layout's order until this one un-permutation
         P = _ensure_pd(Pc[layout.rank], _COV)
-        projs = []
-        for idx, D, _, eps_I in layout.proj:
+        for idx, D, d, eps_I in layout.proj:
             PDt, S, P_proj = _projection_cov(P[idx], D, eps_I)
-            projs.append((PDt, S))
+            if states:
+                G, c = _projection_state(PDt, S, D, d, layout.eye)
+                est[idx] = G @ est[idx] + c
             P[idx] = _ensure_pd(P_proj, _COV, idx)
-        fusions.append((Pc, terms, projs))
-    return P, g, fired, hP, (gains, fusions)
-
-
-def state_step(layout: StepLayout, maps: tuple, fired, est, ys: list, A,
-               hx: np.ndarray | None = None) -> tuple:
-    """The state side of the step whose `covariance_step` returned maps and
-    fired: new (est, hx).
-
-    est (N, n, c) holds c state columns (trials) per agent and ys one
-    (g, m, c) block per H group.  The state maps are formed here alone, from
-    their inputs in maps: the CI maps C = P[dst]·terms, and per D group
-    M = P·Dᵀ·`pinv`(S), G = I − M D and c = M d.  Event mode (hx given)
-    advances the held states (x ← A x), re-anchors those of the agents that
-    fired on their updated states and gathers them by the layout's held_src;
-    it returns the states then held, and None in time mode.  The states go
-    through the filter's order: predict, update, re-anchor, then per round
-    fuse and project.
-    """
-    gains, fusions = maps
-    if hx is not None:
-        hx = A @ hx
-    est = A @ est
-    for (idx, H, _), K, y in zip(layout.meas, gains, ys):
-        est[idx] += K @ (y - H @ est[idx])
-    if hx is not None:
-        hx = np.where(fired[:, None, None], est, hx)
-    for Pc, terms, projs in fusions:
-        C = _ci_gains(Pc, terms, layout.slots[1])
-        est = slot_sum(_gather(layout, est, hx), layout.slots[0], C)[layout.rank]
-        for (idx, D, d, _), (PDt, S) in zip(layout.proj, projs):
-            G, c = _projection_state(PDt, S, D, d, layout.eye)
-            est[idx] = G @ est[idx] + c
-    return est, hx
+    return est, P, g, fired, (hx, hP) if event else None
 
 
 def _rows(values, ids, size: int, what: str) -> np.ndarray:
@@ -263,12 +237,12 @@ def _rows(values, ids, size: int, what: str) -> np.ndarray:
 
 def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
            k=None) -> tuple:
-    """`covariance_step`, then `state_step`, on the stacked arguments of a
-    round: (states, fired).
+    """One `filter_step` on the stacked arguments of a round: (states, fired).
     Each per-agent list is checked whole, and only a failed check names the
     first bad agent; every x and measurement is stacked by `_rows`.  The
-    returned states hold rows of the new stacks, and the trigger states rows
-    of one copy of each held stack."""
+    trigger states' pairs go in as the step's held pair; the returned states
+    hold rows of the new stacks, and the trigger states rows of one copy of
+    each held stack the step returns."""
     N, n = topology.N, len(A)
     named = dict(states=states, measurements=measurements, agents=agents,
                  **({} if triggers is None else {"trigger_states": triggers}))
@@ -279,7 +253,7 @@ def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
         raise ValueError(f"states must have ids 0..{N - 1} in order, "
                          f"got {[st.id for st in states]}")
     layout = step_layout(agents, topology)
-    hx = hP = None
+    held = None
     if triggers is not None:
         if [ts.time for ts in triggers] != [k - 1] * N:
             i = next(i for i, ts in enumerate(triggers) if ts.time != k - 1)
@@ -292,15 +266,14 @@ def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
                      if ts.delta != a.delta)
             raise ValueError(f"trigger state of agent {i} has delta {triggers[i].delta}, "
                              f"but its AgentSpec has delta {agents[i].delta}")
-        hP = np.array([ts.P for ts in triggers])
+        held = (hx, np.array([ts.P for ts in triggers]))
     est = _rows([st.estimate.x for st in states], range(N), n, "state")
     ys = [_rows([measurements[i] for i in idx.tolist()], idx.tolist(), H.shape[1],
                 "measurement") for idx, H, _ in layout.meas]
-    P, _, fired, hP, maps = covariance_step(
-        layout, np.array([st.estimate.P for st in states]), A, Q, rounds, hP)
-    est, hx = state_step(layout, maps, fired, est, ys, A, hx)
+    est, P, _, fired, held = filter_step(
+        layout, est, np.array([st.estimate.P for st in states]), ys, A, Q, rounds, held)
     if triggers is not None:    # one copy each: shared with nothing returned
-        for ts, x, p in zip(triggers, hx[:, :, 0].copy(), hP.copy()):
+        for ts, x, p in zip(triggers, held[0][:, :, 0].copy(), held[1].copy()):
             ts.x, ts.P, ts.time = x, p, k
     return ([AgentState(i, _estimate(x, p)) for i, (x, p) in enumerate(zip(est[:, :, 0], P))],
             set(np.flatnonzero(fired).tolist()))
@@ -314,8 +287,8 @@ def tpdkf_round(states: list[AgentState], measurements, model: SystemModel,
     measurements: per-agent measurement vectors (entries for zero-H agents are
     ignored and may be None).  The L fusion-projection rounds are barrier
     synchronized: round l of every agent consumes round-l outputs of its
-    in-neighbors, never mixed rounds.  One `covariance_step` and one
-    `state_step` on the stacked states, with L and k checked by `model._integer` (L ≥ 1), and A and Q of step k − 1.
+    in-neighbors, never mixed rounds.  One `filter_step` on the stacked states,
+    with L and k checked by `model._integer` (L ≥ 1), and A and Q of step k − 1.
     """
     L, k = _integer(L, "L", 1), _integer(k, "k")
     return _round(states, measurements, agents, topology, model.A_at(k - 1),
@@ -330,8 +303,7 @@ def epdkf_round(states: list[AgentState], trigger_states: list[TriggerState],
     Phase 1 (all agents, then barrier): predict, measurement-update, evaluate
     own trigger and broadcast on fire.  Phase 2: fuse the own fresh pair with
     neighbor pairs (fresh if fired, extrapolated otherwise), then project once.
-    One `covariance_step` and one `state_step` on the stacked states and held
-    pairs; k is an integer;
+    One `filter_step` on the stacked states and held pairs; k is an integer;
     every trigger state must hold step k − 1 and the agent's own δ
     (`AgentSpec.delta`, as the engine reads it), and is left holding step k.
     """

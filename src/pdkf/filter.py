@@ -4,13 +4,13 @@ One step per agent is: predict → measurement update → L synchronized rounds
 of {covariance-intersection fusion over in-neighbors; constraint projection}.
 The carried pair (x̂, P) is kept *consistent*: the true error second moment
 stays dominated by P in the PSD order, which covariance intersection
-preserves under unknown cross-correlations.  `event.covariance_step` and
-`event.state_step` compose these kernels on the stack of all agents: the
-fusion and the projection are each two private kernels, one for the
-covariance side (`_ci_information`, `_projection_cov`) and one that forms the
-state map from its outputs (`_ci_gains`, `_projection_state`, the only caller
-of `pinv` in a step), and the public `ci_maps` and `projection_map` are both
-halves in turn.
+preserves under unknown cross-correlations.  `event.filter_step` composes
+these kernels on the stack of all agents: the fusion and the projection are
+each two private kernels, one for the covariance side (`_ci_information`,
+`_projection_cov`) and one that forms the state map from its outputs
+(`_ci_gains`, `_projection_state`, the only caller of `pinv` in a step),
+which the step skips on a block of no states; the public `ci_maps` and
+`projection_map` are both halves in turn.
 """
 
 from __future__ import annotations

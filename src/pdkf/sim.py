@@ -4,15 +4,15 @@ The engine exploits the fact that, once the covariance recursion and the
 trigger pattern (which never depends on measured data) are fixed, every
 filter step is an affine map of the previous estimates and the current
 measurements.  One pass, `_filter_path`, advances the (N, n, n) covariance
-stack and the (N, n, trials) state stack together: each step runs every
-covariance kernel once on the agent stack (`event.covariance_step`), fusing
+stack and the (N, n, trials) state stack together: each step is one
+`event.filter_step`, which runs every kernel once on the agent stack, fusing
 the pairs gathered over the network's real edges (the cached, slot-major
-`event.step_layout`, each agent's neighbors in order), then forms the state
-maps and applies them to all trials at once (`event.state_step`), and drops
-them.  A pass on zero trials runs the covariance step alone.  The runs, the
-Monte Carlo, both baselines (the centralized one as a one-agent network) and
-the design pilot (`pilot_betas`, on zero trials) share that pass, and
-`_run_core` alone records it, a chunk of steps per `_Recorder.record` call.
+`event.step_layout`, each agent's neighbors in order), applies the state
+maps to all trials at once, then drops them; on zero trials it forms no
+state map.  The runs, the Monte Carlo, both baselines (the centralized one
+as a one-agent network) and the design pilot (`pilot_betas`, on zero
+trials) share that pass, and `_run_core` alone records it, a chunk of steps
+per `_Recorder.record` call.
 
 Reproducibility contract: the master seed is split with
 ``np.random.SeedSequence(seed).spawn(trials)`` and trial j draws from
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import filter as filt
 from .analysis import pilot_contraction_factors
-from .event import _grouped, covariance_step, state_step, step_layout
+from .event import _grouped, filter_step, step_layout
 from .model import (AgentSpec, GlobalConstraint, SystemModel, Topology, _at,
                     _check_covariance, _check_finite, _integer, _real,
                     build_global_constraint, metropolis_weights)
@@ -186,8 +186,7 @@ class RunMetrics:
 
 def _psd_sqrt(M: np.ndarray) -> np.ndarray:
     """V·diag(√max(λ, 0))·Vᵀ of M's symmetric part, M passed by `_check_covariance`."""
-    M = 0.5 * (M + M.T)
-    w, V = np.linalg.eigh(M)
+    w, V = np.linalg.eigh(filt.symmetrize(M))
     return (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
 
 
@@ -269,14 +268,14 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     block and covariance after step k; g and fired are the (N,) trigger
     scores and decisions of step k in event mode, and empty otherwise and at
     k = 0.  Y holds the (T, m_i, trials) measurement blocks; trials may be 0.
-    Each step is one `event.covariance_step`, then one `event.state_step` on
-    the maps it returned; each advances the held covariances or states it
-    returned the step before, as for the rounds, so a one-trial pass is the
-    rounds' arithmetic bit for bit.  Blocks of no trials get no state step:
-    est stays the empty (N, n, 0) block, and P, g and fired are those of any
-    other number of trials.  A LinAlgError of the step, such as its guard's
-    "the covariance of agent i is not finite", becomes the ValueError "the
-    run diverged: <that message> at step k".
+    Each step is one `event.filter_step`, which also advances the held pairs
+    it returned the step before, as it does for the rounds, so a one-trial
+    pass is the rounds' arithmetic bit for bit.  On blocks of no trials the
+    step does covariance work only: est stays the empty (N, n, 0) block, and
+    P, g and fired are those of any other number of trials.  A LinAlgError
+    of the step, such as its guard's "the covariance of agent i is not
+    finite", becomes the ValueError "the run diverged: <that message> at
+    step k".
     """
     model, agents, event = cfg.model, cfg.agents, mode == "event"
     if event and not model.time_invariant:
@@ -285,17 +284,13 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     Ys = [np.stack([Y[i] for i in idx]) for idx, *_ in layout.meas]
     x0, P = map(np.stack, zip(*cfg.initial_pairs()))
     est = np.repeat(x0[:, :, None], Y[0].shape[2], axis=2)
-    trials = est.shape[2]
-    hx, hP = (est, P) if event else (None, None)     # the initial time is a broadcast
+    held = (est, P) if event else None     # the initial time is a broadcast
     yield est, P, np.zeros(0), np.zeros(0, dtype=bool)
     for k in range(1, cfg.T + 1):
         try:
-            A = model.A_at(k - 1)
-            P, g, fired, hP, maps = covariance_step(
-                layout, P, A, model.Q_at(k - 1), 1 if event else cfg.L, hP)
-            if trials:
-                est, hx = state_step(layout, maps, fired, est, [Yg[:, k - 1] for Yg in Ys],
-                                     A, hx)
+            est, P, g, fired, held = filter_step(
+                layout, est, P, [Yg[:, k - 1] for Yg in Ys], model.A_at(k - 1),
+                model.Q_at(k - 1), 1 if event else cfg.L, held)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"the run diverged: {exc} at step {k}") from None
         yield est, P, g, fired
@@ -425,8 +420,8 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None,
 def pilot_betas(cfg: ScenarioConfig) -> tuple:
     """Default (β, β̄) for the design tools: contraction factors covering every
     covariance of a time-based pilot pass over the first min(T, 50) steps.
-    The pass holds no trials, so it runs `event.covariance_step` alone: its
-    covariances are those of a run on any number of trials, bit for bit."""
+    The pass holds no trials, so its `event.filter_step`s form no state map:
+    its covariances are those of a run on any number of trials, bit for bit."""
     pilot = dataclasses.replace(cfg, T=min(cfg.T, 50), mode="time")
     Y = [np.zeros((pilot.T, a.H.shape[0], 0)) for a in cfg.agents]
     mats = np.concatenate([P for _, P, _, _ in _filter_path(pilot, "time", Y)])

@@ -73,8 +73,10 @@ def test_criterion_03_eco_gate():
           and stable < 0.01 and growth_ckf >= 10 and growth_cons >= 10
           and elapsed < 30.0)
     assert _verdict(3, "observability gate", ok,
-                    f"alpha {rep.alpha:.3e}>0, without {rep.alpha_without_constraints:.1e}<1e-10, "
-                    f"filter drift {stable:.2%}<1%, baselines x{growth_ckf:.1f}/x{growth_cons:.1f}>=10, "
+                    f"alpha {rep.alpha:.3e}>0, "
+                    f"without {rep.alpha_without_constraints:.1e}<1e-10, "
+                    f"filter drift {stable:.2%}<1%, "
+                    f"baselines x{growth_ckf:.1f}/x{growth_cons:.1f}>=10, "
                     f"{elapsed:.1f}s (<30s)")
 
 

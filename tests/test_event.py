@@ -511,7 +511,8 @@ def test_filter_step_factors_each_covariance_stack_once(mode, rounds, calls, mon
     cfg = case2(mode=mode, N=20, T=1, trials=1)
     layout = event.step_layout(cfg.agents, cfg.topology)
     assert (len(layout.meas), len(layout.proj)) == (1, 1)
-    P = np.stack([P for _, P in cfg.initial_pairs()])
+    x0, P = map(np.stack, zip(*cfg.initial_pairs()))
+    ys = [np.zeros((len(idx), H.shape[1], 1)) for idx, H, _ in layout.meas]
     factored = []
     cholesky = filter_module._cholesky
 
@@ -520,8 +521,8 @@ def test_filter_step_factors_each_covariance_stack_once(mode, rounds, calls, mon
         return cholesky(M)
 
     monkeypatch.setattr(filter_module, "_cholesky", spy)
-    event.covariance_step(layout, P, cfg.model.A_at(0), cfg.model.Q_at(0), rounds,
-                          P if mode == "event" else None)
+    event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0), cfg.model.Q_at(0),
+                      rounds, (x0[:, :, None], P) if mode == "event" else None)
     assert len(factored) == calls
     assert all(len(shape) == 3 for shape in factored)     # stacks, never one member
 
@@ -535,8 +536,8 @@ def test_filter_step_symmetrizes_each_stack_once_and_makes_no_identity(case, mod
     # (`_check_pd`) and the trigger's information difference (whose
     # symmetric part `_check_symmetric` returns) instead of a second round.
     # `_ensure_pd` does not symmetrize them again, and the identities come
-    # from the layout, built before the step.  The state step, which forms
-    # the state maps, adds neither.
+    # from the layout, built before the step; forming the state maps adds
+    # neither.
     cfg = case(mode=mode, T=1, trials=1)
     layout = event.step_layout(cfg.agents, cfg.topology)
     assert (len(layout.meas), len(layout.proj)) == (1, 1)
@@ -561,12 +562,8 @@ def test_filter_step_symmetrizes_each_stack_once_and_makes_no_identity(case, mod
     monkeypatch.setattr(event, "symmetrize", spy)
     monkeypatch.setattr(event, "_check_symmetric", check_spy)
     monkeypatch.setattr(np, "eye", eye_spy)
-    event_mode = mode == "event"
-    _P, _g, fired, _hP, maps = event.covariance_step(
-        layout, P, cfg.model.A_at(0), cfg.model.Q_at(0), rounds, P if event_mode else None)
-    assert len(shapes) == 6 and eyes == []
-    event.state_step(layout, maps, fired, x0[:, :, None], ys, cfg.model.A_at(0),
-                     x0[:, :, None] if event_mode else None)
+    event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0), cfg.model.Q_at(0),
+                      rounds, (x0[:, :, None], P) if mode == "event" else None)
     assert len(shapes) == 6 and eyes == []
     assert all(len(shape) == 3 for shape in shapes)       # stacks, never one member
 
@@ -595,8 +592,7 @@ def test_rounds_never_change_what_they_returned(mode, monkeypatch):
             return out
         return spy
 
-    for name in ("covariance_step", "state_step"):
-        monkeypatch.setattr(event, name, spying(getattr(event, name)))
+    monkeypatch.setattr(event, "filter_step", spying(event.filter_step))
     rng = np.random.default_rng(4)
     kept = []
     for k in range(1, 7):
@@ -656,12 +652,42 @@ def test_layout_holds_each_agents_threshold():
 def test_filter_step_names_the_held_covariance_that_is_not_finite(j):
     cfg = case1(mode="event", T=1, trials=1)
     layout = event.step_layout(cfg.agents, cfg.topology)
-    P = np.stack([P for _, P in cfg.initial_pairs()])
+    x0, P = map(np.stack, zip(*cfg.initial_pairs()))
+    ys = [np.zeros((len(idx), H.shape[1], 1)) for idx, H, _ in layout.meas]
     held_P = P.copy()
     held_P[j, 1, 1] = np.nan
     with pytest.raises(np.linalg.LinAlgError,
                        match=rf"^the held covariance of agent {j} is not finite$"):
-        event.covariance_step(layout, P, cfg.model.A_at(0), cfg.model.Q_at(0), 1, held_P)
+        event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0), cfg.model.Q_at(0),
+                          1, (x0[:, :, None], held_P))
+
+
+@pytest.mark.parametrize("case", [case1, case2], ids=["case1", "case2"])
+def test_filter_step_advances_the_held_covariances_of_a_block_without_states(case):
+    # the held x is advanced and re-anchored only where est holds columns;
+    # the held P is advanced and re-anchored whatever est holds
+    cfg = case(mode="event", T=40)
+    layout = event.step_layout(cfg.agents, cfg.topology)
+    x0, P0 = map(np.stack, zip(*cfg.initial_pairs()))
+    A, Q = cfg.model.A_at(0), cfg.model.Q_at(0)
+    rng = np.random.default_rng(11)
+    ys = [[rng.standard_normal((len(idx), H.shape[1], 1)) for idx, H, _ in layout.meas]
+          for _ in range(cfg.T)]
+    held_P, broadcasts = {}, 0
+    for width in (0, 1):
+        est = x0[:, :, None].repeat(width, axis=2)
+        P, held, held_P[width] = P0, (est, P0), []
+        for y in ys:
+            est, P, _, fired, held = event.filter_step(
+                layout, est, P, [b[..., :width] for b in y], A, Q, 1, held)
+            assert held[0].shape == (cfg.topology.N, cfg.model.n, width)
+            held_P[width].append(held[1])
+            broadcasts += np.count_nonzero(fired)
+    # some agents re-anchor and some extrapolate
+    assert 0 < broadcasts < 2 * cfg.T * cfg.topology.N
+    for bare, full in zip(held_P[0], held_P[1], strict=True):
+        assert np.array_equal(bare, full)
+        assert np.array_equal(np.signbit(bare), np.signbit(full))
 
 
 def _anchors(triggers):

@@ -80,3 +80,25 @@ def test_no_step_loads_a_package_beyond_numpy_and_scipy(loaded_after_each_step,
                | set(sys.stdlib_module_names))
     for step, mods in loaded_after_each_step.items():
         assert packages(mods) - allowed == set(), step
+
+
+# every class and function `from pdkf import *` binds
+PUBLIC = ["AgentSpec", "AgentState", "ConsistentEstimate", "EcoReport", "GlobalConstraint",
+          "RateReport", "RunMetrics", "ScenarioConfig", "SystemModel", "ThresholdReport",
+          "Topology", "TriggerState", "build_global_constraint", "case1", "case2", "ci_maps",
+          "ckf_baseline", "compute_beta", "compute_beta_bar", "consensus_baseline",
+          "constraint_error", "eco_check", "eig_pos", "epdkf_round", "generate_truth",
+          "init_consistent", "kalman_gain", "load_scenario", "metropolis_weights",
+          "monte_carlo", "pilot_contraction_factors", "projection_map", "rate_bound",
+          "run_event", "run_time_based", "save_scenario", "space_decomposition",
+          "threshold_bounds", "tpdkf_round", "trigger_from_info"]
+
+
+def test_star_import_binds_the_public_names_and_no_submodule():
+    ns = {}
+    exec("from pdkf import *", ns)
+    for module in ("filter", "model", "event", "analysis", "sim"):
+        assert module not in ns, module
+    assert sorted(set(ns) - {"__builtins__"}) == sorted(PUBLIC)
+    # the builtin `filter` is not shadowed by the submodule
+    assert list(eval("filter(None, [0, 1])", ns)) == [1]
