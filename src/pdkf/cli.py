@@ -76,13 +76,19 @@ class _Infeasible(Exception):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list) -> argparse.ArgumentParser:
+    """The parser of every command, or of argv's command alone when argv
+    names one first; its usage line still lists every command, so its help
+    and error output is the whole parser's."""
     p = argparse.ArgumentParser(
         prog="pdkf",
         description="Distributed Kalman filtering with state equality "
                     "constraints: simulation and design tools.")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _COMMANDS.items():
+    named = argv[:1] if argv[:1] and argv[0] in _COMMANDS else list(_COMMANDS)
+    usage = {"metavar": "{" + ",".join(_COMMANDS) + "}"} if len(named) == 1 else {}
+    sub = p.add_subparsers(dest="command", required=True, **usage)
+    for name in named:
+        help_text, flags = _COMMANDS[name]
         sp = sub.add_parser(name, help=help_text)
         if name not in _BUILTIN:
             sp.add_argument("scenario", metavar="SCENARIO", help="scenario file")
@@ -254,7 +260,8 @@ def _cmd_rate(args, cfg, overrides, out) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         cfg, overrides = _load_config(args)
         run = {"eco-check": _cmd_eco_check, "threshold-bound": _cmd_threshold,

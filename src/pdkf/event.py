@@ -59,11 +59,27 @@ def trigger_from_info(info, info_held, delta):
     the fresh pairs (Ω = P̃⁻¹) and of the held extrapolations (Ω̄ = P̄̃⁻¹),
     stacks over a leading agent axis with δ one value per agent; an agent
     fires only on a strictly positive score; Ω − Ω̄ must pass the shared
-    symmetry check, whose symmetric part the eigen-solver reads.  Returns
-    (g, fired) arrays."""
-    sym = _check_symmetric(info - info_held, "the information difference")
+    symmetry check, scaled by max|Ω| and max|Ω̄| where it fails at its own
+    scale (Ω and Ω̄ may nearly cancel), and the eigen-solver reads its
+    symmetric part.  Returns (g, fired) arrays."""
+    sym = _check_symmetric(info - info_held, "the information difference", (info, info_held))
     g = np.linalg.eigvalsh(sym)[..., -1] - delta     # eigvalsh sorts ascending
     return g, g > 0.0
+
+
+def _named(stage: str, ids, kernel, *stacks):
+    """kernel(*stacks), on stacks whose first axis holds one member per agent
+    ids[j].  Only if it raises is each member run alone, and the first that
+    fails is named: "the {stage} of agent {ids[j]}: {its message}"."""
+    try:
+        return kernel(*stacks)
+    except ValueError as exc:           # a LinAlgError is one
+        for j, i in enumerate(ids):
+            try:
+                kernel(*(s[j:j + 1] for s in stacks))
+            except ValueError as one:
+                raise type(exc)(f"the {stage} of agent {i}: {one}") from exc
+        raise
 
 
 def _grouped(entries: list) -> list:
@@ -167,7 +183,9 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
     the definiteness check before its inverse; `_check_pd` on the held
     stack, which `_ensure_pd` does not make; cond(S) ≤ 1e14 before each
     gain.  The guards' errors name the failing agent: "the covariance of
-    agent i …" or "the held covariance of agent i …".
+    agent i …" or "the held covariance of agent i …"; any other error of a
+    kernel on a stack is named by `_named` as "the {update, inverse, held
+    inverse, trigger, fusion, projection} of agent i: …".
     """
     event, states = held is not None, est.shape[2] > 0
     hx, hP = held if event else (None, None)
@@ -185,14 +203,15 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
     if states:
         est = A @ est
     for (idx, H, R), y in zip(layout.meas, ys):
-        K, P_upd = _kalman_gain(P[idx], H, R, layout.eye)
+        K, P_upd = _named("update", idx, lambda *s: _kalman_gain(*s, layout.eye), P[idx], H, R)
         if states:
             est[idx] += K @ (y - H @ est[idx])
         P[idx] = _ensure_pd(P_upd, _COV, idx)
-    info = _inv(P)
+    agents = range(len(P))
+    info = _named("inverse", agents, _inv, P)
     if event:
-        hinfo = _inv(_check_pd(hP, "the held covariance of agent"))
-        g, fired = trigger_from_info(info, hinfo, layout.deltas)
+        hinfo = _named("held inverse", agents, _inv, _check_pd(hP, "the held covariance of agent"))
+        g, fired = _named("trigger", agents, trigger_from_info, info, hinfo, layout.deltas)
         # a broadcast becomes the anchor every receiver extrapolates
         f = fired[:, None, None]
         hP, hinfo = np.where(f, P, hP), np.where(f, info, hinfo)
@@ -200,15 +219,21 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
             hx = np.where(f, est, hx)
     for r in range(rounds):
         if r:
-            info = _inv(P)
-        Pc, terms = _ci_information(gather(info, hinfo), layout.weights, layout.slots[0])
+            info = _named("inverse", agents, _inv, P)
+        infos = gather(info, hinfo)
+        try:
+            Pc, terms = _ci_information(infos, layout.weights, layout.slots[0])
+        except np.linalg.LinAlgError:   # name the row whose information sum is singular
+            _named("fusion", np.argsort(layout.rank), _inv,
+                   slot_sum(layout.weights[:, None, None] * infos, layout.slots[0]))
+            raise
         if states:
             est = slot_sum(gather(est, hx), layout.slots[0],
                            _ci_gains(Pc, terms, layout.slots[1]))[layout.rank]
         # rows follow the layout's order until this one un-permutation
         P = _ensure_pd(Pc[layout.rank], _COV)
         for idx, D, d, eps_I in layout.proj:
-            PDt, S, P_proj = _projection_cov(P[idx], D, eps_I)
+            PDt, S, P_proj = _named("projection", idx, _projection_cov, P[idx], D, eps_I)
             if states:
                 G, c = _projection_state(PDt, S, D, d, layout.eye)
                 est[idx] = G @ est[idx] + c

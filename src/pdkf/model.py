@@ -69,15 +69,21 @@ def _check_finite(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} has non-finite entries")
 
 
-def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
+def _check_symmetric(M: np.ndarray, name: str, operands: tuple = ()) -> np.ndarray:
     """The symmetric part ½(M + Mᵀ) of a matrix, or of each matrix of a stack,
     once each is checked: |M − Mᵀ| ≤ 1e-8·max(1, max|½(M + Mᵀ)|), else
-    "{name} is not symmetric".  NaN passes, so check finiteness first."""
+    "{name} is not symmetric".  Where M is a difference of `operands`, which
+    may nearly cancel and leave M asymmetric at their scale rather than at
+    its own, a matrix that fails is checked again with max|·| of each operand
+    in the max.  NaN passes, so check finiteness first."""
     sym = 0.5 * (M + M.swapaxes(-1, -2))
     scale = np.abs(sym).max(axis=(-2, -1), initial=1.0)
-    if np.count_nonzero(np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-                        > 1e-8 * scale):
-        raise ValueError(f"{name} is not symmetric")
+    asym = np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if np.count_nonzero(asym > 1e-8 * scale):
+        for op in operands:             # read only on this failure path
+            scale = np.maximum(scale, np.abs(op).max(axis=(-2, -1)))
+        if np.count_nonzero(asym > 1e-8 * scale):
+            raise ValueError(f"{name} is not symmetric")
     return sym
 
 

@@ -12,17 +12,19 @@ maps to all trials at once, then drops them; on zero trials it forms no
 state map.  The runs, the Monte Carlo, both baselines (the centralized one
 as a one-agent network) and the design pilot (`pilot_betas`, on zero
 trials) share that pass, and `_run_core` alone records it, a chunk of steps
-per `_Recorder.record` call.
+per `_Recorder.record` call.  The truth holds the measurements once, one
+block per row count, which the pass reads in place.
 
 Reproducibility contract: the master seed is split with
 ``np.random.SeedSequence(seed).spawn(trials)`` and trial j draws from
 ``default_rng(children[j])`` in a fixed order: x0 (n,), the process-noise
 block (T, n), then one measurement-noise block (T, m_i) per agent in agent
 order.  Identical config + seed therefore reproduces bit-identical output.
-The draw order per trial is that of a per-trial loop; the transforms run on
-(n, trials) blocks for all trials at once (`generate_truth`, three numpy
-calls per step), so states may differ from a per-trial loop in the last bit,
-never a trigger decision.
+`generate_truth` draws that stream with one `standard_normal` call per
+trial, which returns the values of those consecutive draws, so the order is
+that of a per-trial loop; the transforms run on (n, trials) blocks for all
+trials at once (three numpy calls per step), so states may differ from a
+per-trial loop in the last bit, never a trigger decision.
 """
 
 from __future__ import annotations
@@ -183,21 +185,26 @@ class RunMetrics:
 # ---------------------------------------------------------------------------
 # truth and measurement generation
 
+# the trial side's chunk: the bytes of the truth's draw buffer and of each of
+# its measurement temporaries, and of the recorder's buffered stacks
+_CHUNK_BYTES = 1 << 18
+
 
 def _psd_sqrt(M: np.ndarray) -> np.ndarray:
-    """V·diag(√max(λ, 0))·Vᵀ of M's symmetric part, M passed by `_check_covariance`."""
+    """V·diag(√max(λ, 0))·Vᵀ of M's symmetric part, M passed by `_check_covariance`,
+    or of each matrix of a stack."""
     w, V = np.linalg.eigh(filt.symmetrize(M))
-    return (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
+    return (V * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ V.swapaxes(-1, -2)
 
 
 def _affine(M: np.ndarray, X: np.ndarray, c) -> np.ndarray:
     """c + M @ X on a (…, columns of M, trials) block, as one multiply and one
     add per column of M in index order: each trial gets the same exactly
     rounded operations whatever the number of trials, where BLAS rounds a GEMV
-    and a GEMM differently."""
-    out = c + M[:, 0, None] * X[..., 0, None, :]
-    for b in range(1, M.shape[1]):
-        out += M[:, b, None] * X[..., b, None, :]
+    and a GEMM differently.  M may be a stack that broadcasts against X."""
+    out = c + M[..., 0, None] * X[..., 0, None, :]
+    for b in range(1, M.shape[-1]):
+        out += M[..., b, None] * X[..., b, None, :]
     return out
 
 
@@ -209,27 +216,48 @@ def generate_truth(cfg: ScenarioConfig,
     measurements (T, m_i)]).  With a sequence of Generators: one trial each,
     ((T+1, n, trials), [(T, m_i, trials)]) blocks.  The one-trial form is the
     same code on a block of one, so it equals column j of a block drawn on
-    the same generators bit for bit.  Each trial draws from its own generator
-    in the order of the module docstring.  x0 is drawn from the configured
-    initial distribution and projected onto `cfg.global_constraint`;
-    process noise is projected onto the constraint tangent space so
-    D̄·x_k = d̄ holds at every step.  D̄ has orthonormal rows, so the
-    projection is x ↦ (I − D̄ᵀD̄)x + D̄ᵀd̄, with no inverse.  Measurement row
-    k-1 belongs to step k; an agent without a measurement gets exact zeros.
-    A step adds to c = D̄ᵀd̄ each T_A[:, b]·x_k[b], then each T_S[:, b]·z_k[b],
+    the same generators bit for bit.  Each trial draws its whole stream, in
+    the order of the module docstring, with one `standard_normal` call into a
+    buffer of as many trials as fit `_CHUNK_BYTES` (at least one), which is
+    freed before the transforms.  The measurements are held in one
+    (g, T, m, trials) block per row count m, its g agents in agent order, and
+    each returned Y[i] is a view of its agent's row of that block.  x0 is
+    drawn from the configured initial distribution and projected onto
+    `cfg.global_constraint`; process noise is projected onto the constraint
+    tangent space so D̄·x_k = d̄ holds at every step.  D̄ has orthonormal
+    rows, so the projection is x ↦ (I − D̄ᵀD̄)x + D̄ᵀd̄, with no inverse.  A
+    step adds to c = D̄ᵀd̄ each T_A[:, b]·x_k[b], then each T_S[:, b]·z_k[b],
     in index order (T_A, T_S: the projected A_k, Q^½), as one sum over the
-    outer axis of a (2n + 1, n, trials) block of those terms.
+    outer axis of a (2n + 1, n, trials) block of those terms.  Measurement
+    row k-1 belongs to step k: y = H x + R^½ v, formed per block with the
+    stacked H and R^½, a chunk of steps at a time; an agent without a
+    measurement gets exact zeros.
     """
     single = hasattr(rng, "standard_normal")
     rngs = [rng] if single else list(rng)
-    model, T, n, gc = cfg.model, cfg.T, cfg.model.n, cfg.global_constraint
-    X = np.empty((T + 1, n, len(rngs)))
-    Y = [np.empty((T, a.H.shape[0], len(rngs))) for a in cfg.agents]
-    for j, r in enumerate(rngs):        # the raw draws, straight into the blocks
-        X[0, :, j] = r.standard_normal(n)
-        X[1:, :, j] = r.standard_normal((T, n))
-        for Yi in Y:                    # drawn even if unused: fixed stream order
-            Yi[:, :, j] = r.standard_normal(Yi.shape[:2])
+    model, T, n, gc, trials = cfg.model, cfg.T, cfg.model.n, cfg.global_constraint, len(rngs)
+    # (agents, H, R) per row count, each block's agents in agent order
+    groups = _grouped([(a.H, cfg.sim_r_of(i)) for i, a in enumerate(cfg.agents)])
+    rows = np.array([a.H.shape[0] for a in cfg.agents])
+    starts = n + T * n + T * np.concatenate([[0], np.cumsum(rows)])   # each agent's draws
+    X = np.empty((T + 1, n, trials))
+    blocks = [np.empty((len(idx), T, H.shape[1], trials)) for idx, H, _ in groups]
+    # where a block's agents are consecutive, their draws are one slice of the stream
+    cols = [slice(starts[idx[0]], starts[idx[-1] + 1]) if idx[-1] - idx[0] == len(idx) - 1
+            else (starts[idx][:, None] + np.arange(T * len(H[0]))).ravel()
+            for idx, H, _ in groups]
+    per_buffer = max(1, _CHUNK_BYTES // (8 * starts[-1]))
+    buf = np.empty((min(trials, per_buffer), starts[-1]))
+    for j0 in range(0, trials, per_buffer):     # the raw draws, then into the blocks
+        js = slice(j0, min(trials, j0 + per_buffer))
+        w = js.stop - j0
+        for j, r in enumerate(rngs[js]):
+            r.standard_normal(out=buf[j])
+        X[0, :, js] = buf[:w, :n].T
+        X[1:, :, js] = buf[:w, n:n + T * n].reshape(w, T, n).transpose(1, 2, 0)
+        for c, V in zip(cols, blocks):
+            V[..., js] = buf[:w, c].reshape(w, *V.shape[:3]).transpose(1, 2, 3, 0)
+    del buf
 
     # the projection x ↦ tangent x + c, folded into each noise factor and A_k;
     # without constraint rows it is exactly x ↦ I x + 0
@@ -239,15 +267,23 @@ def generate_truth(cfg: ScenarioConfig,
                    tangent @ model.x0_mean[:, None] + c)
     qs = [cfg.sim_q] if cfg.sim_q is not None else model.Q
     TA, TS = [tangent @ A for A in model.A], [tangent @ _psd_sqrt(q) for q in qs]
-    terms = np.empty((2 * n + 1, n, len(rngs)))     # c, then each column's term
+    terms = np.empty((2 * n + 1, n, trials))     # c, then each column's term
     terms[0] = c
     for k in range(T):                  # X[k + 1] holds z_k until the sum overwrites it
         np.multiply(_at(TA, k).T[:, :, None], X[k][:, None], out=terms[1:n + 1])
         np.multiply(_at(TS, k).T[:, :, None], X[k + 1][:, None], out=terms[n + 1:])
         terms.sum(axis=0, out=X[k + 1])
-    for i, (a, Yi) in enumerate(zip(cfg.agents, Y)):
-        Yi[...] = (_affine(_psd_sqrt(cfg.sim_r_of(i)), Yi, _affine(a.H, X[1:], 0.0))
-                   if a.has_measurement else 0.0)
+    measures = np.array([a.has_measurement for a in cfg.agents])
+    for (idx, H, R), V in zip(groups, blocks):
+        if measures[idx].any():         # a rowless block's agents never measure
+            H, S = H[:, None], _psd_sqrt(R)[:, None]
+            steps = max(1, _CHUNK_BYTES // (8 * max(1, V[:, 0].size)))
+            for t in range(0, T, steps):
+                v = V[:, t:t + steps]
+                v[...] = _affine(S, v, _affine(H, X[None, t + 1:t + 1 + steps], 0.0))
+        V[~measures[idx]] = 0.0
+    rows_of = {i: v for (idx, *_), V in zip(groups, blocks) for i, v in zip(idx.tolist(), V)}
+    Y = [rows_of[i] for i in range(len(cfg.agents))]
     return (X[..., 0], [Yi[..., 0] for Yi in Y]) if single else (X, Y)
 
 
@@ -268,20 +304,22 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     block and covariance after step k; g and fired are the (N,) trigger
     scores and decisions of step k in event mode, and empty otherwise and at
     k = 0.  Y holds the (T, m_i, trials) measurement blocks; trials may be 0.
-    Each step is one `event.filter_step`, which also advances the held pairs
-    it returned the step before, as it does for the rounds, so a one-trial
-    pass is the rounds' arithmetic bit for bit.  On blocks of no trials the
-    step does covariance work only: est stays the empty (N, n, 0) block, and
-    P, g and fired are those of any other number of trials.  A LinAlgError
-    of the step, such as its guard's "the covariance of agent i is not
-    finite", becomes the ValueError "the run diverged: <that message> at
-    step k".
+    Each step reads its H groups' measurements by `_member_rows`, with no
+    copy of the horizon where Y is `generate_truth`'s.  Each step is one
+    `event.filter_step`, which also advances the held pairs it returned the
+    step before, as it does for the rounds, so a one-trial pass is the
+    rounds' arithmetic bit for bit.  On blocks of no trials the step does
+    covariance work only: est stays the empty (N, n, 0) block, and P, g and
+    fired are those of any other number of trials.  Every failure of the
+    step, which names its agent ("the covariance of agent i is not finite",
+    "the fusion of agent i: Singular matrix"), becomes the ValueError "the
+    run diverged: <that message> at step k".
     """
     model, agents, event = cfg.model, cfg.agents, mode == "event"
     if event and not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")
     layout = step_layout(agents, cfg.topology)
-    Ys = [np.stack([Y[i] for i in idx]) for idx, *_ in layout.meas]
+    reads = [_member_rows(Y, idx) for idx, *_ in layout.meas]
     x0, P = map(np.stack, zip(*cfg.initial_pairs()))
     est = np.repeat(x0[:, :, None], Y[0].shape[2], axis=2)
     held = (est, P) if event else None     # the initial time is a broadcast
@@ -289,27 +327,42 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     for k in range(1, cfg.T + 1):
         try:
             est, P, g, fired, held = filter_step(
-                layout, est, P, [Yg[:, k - 1] for Yg in Ys], model.A_at(k - 1),
-                model.Q_at(k - 1), 1 if event else cfg.L, held)
-        except np.linalg.LinAlgError as exc:
+                layout, est, P, [block[rows, k - 1] for block, rows in reads],
+                model.A_at(k - 1), model.Q_at(k - 1), 1 if event else cfg.L, held)
+        except ValueError as exc:       # a LinAlgError is one
             raise ValueError(f"the run diverged: {exc} at step {k}") from None
         yield est, P, g, fired
 
 
+def _member_rows(Y: list, idx: np.ndarray) -> tuple:
+    """(block, rows), with block[rows] the stack of the blocks Y[i], i in idx.
+    Where each Y[i] is a row of one (g, T, m, trials) block, as
+    `generate_truth` returns them, that block is read in place, and rows is
+    a slice where they are consecutive rows, else their row numbers (so a
+    step's read is a view or one take); other blocks are stacked once."""
+    views = [Y[i] for i in idx]
+    block = views[0].base
+    if (block is not None and block.ndim == 4 and block.size
+            and all(v.base is block and v.shape == block.shape[1:]
+                    and v.strides == block.strides[1:] for v in views)):
+        rows = (np.array([v.ctypes.data for v in views]) - block.ctypes.data) // block.strides[0]
+        if np.array_equal(rows, np.arange(len(rows)) + rows[0]):
+            return block, slice(rows[0], rows[0] + len(rows))
+        return block, rows
+    return np.stack(views), slice(None)
+
+
 # ---------------------------------------------------------------------------
 # metrics accumulation
-
-# the recorder's chunk: the bytes of its buffered state and covariance stacks
-_CHUNK_BYTES = 1 << 18
-
 
 class _Recorder:
     def __init__(self, cfg: ScenarioConfig, trials: int, seed: int,
                  gc: GlobalConstraint, constraints: list, event: bool = False):
         """`constraints` holds one (D, d) pair or None per recorded estimate;
         residuals are evaluated against these.  `event` keeps trigger rows.
-        At each checkpoint `constraint_sq` takes the constrained coordinates
-        of each agent's error block e as D̄·e (`gc` has orthonormal rows)."""
+        At each checkpoint the moments e·eᵀ/trials, the P copies and
+        `constraint_sq`, from the constrained coordinates D̄·e (`gc` has
+        orthonormal rows), are formed once over the stack of error blocks e."""
         T, topo = cfg.T, cfg.topology
         rows = (T if event else 0, topo.N)
         self.constraints = _grouped(constraints)
@@ -320,7 +373,8 @@ class _Recorder:
             fired=np.zeros(rows, dtype=bool), trials=trials, seed=seed,
             checkpoints=tuple(k for k in cfg.checkpoints if k <= T),
             trace_p_agent=np.zeros((T + 1, len(constraints))))
-        self.out_deg = np.array([topo.out_degree0(i) for i in range(topo.N)])
+        # each agent's out-neighbors, itself excluded: a column sum of the edges
+        self.out_deg = topo.edges.sum(axis=0) - topo.edges.diagonal()
         self.gc = gc
 
     def record(self, k0: int, est: np.ndarray, X: np.ndarray, P: np.ndarray):
@@ -340,12 +394,13 @@ class _Recorder:
         mean = (errs.sum(axis=3) / trials).sum(axis=1) / N
         m.mean_error_norm[ks] = np.sqrt((mean * mean).sum(axis=1))
         for k in [k for k in range(k0, k0 + K) if k in m.checkpoints]:
-            for i, e in enumerate(errs[k - k0]):
-                m.sample_moment[(k, i)] = e @ e.T / trials
-                m.P_checkpoint[(k, i)] = P[k - k0, i].copy()
-                if not self.gc.empty:
-                    comp = self.gc.Dbar @ e
-                    m.constraint_sq[(k, i)] = float(np.mean(np.sum(comp * comp, axis=0)))
+            e, keys = errs[k - k0], [(k, i) for i in range(N)]
+            m.sample_moment.update(zip(keys, e @ e.swapaxes(1, 2) / trials))
+            m.P_checkpoint.update(zip(keys, P[k - k0].copy()))
+            if not self.gc.empty:
+                comp = self.gc.Dbar @ e
+                m.constraint_sq.update(zip(keys, np.mean(np.sum(comp * comp, axis=1),
+                                                         axis=1).tolist()))
         sq = np.multiply(errs, errs, out=errs)
         m.mse[ks] = (sq.sum(axis=2).sum(axis=2) / trials).sum(axis=1) / N
         m.trace_p_agent[ks] = P.trace(axis1=2, axis2=3)
@@ -447,10 +502,12 @@ def ckf_baseline(cfg: ScenarioConfig) -> RunMetrics:
     one = dataclasses.replace(cfg, agents=[AgentSpec(H, R, np.zeros((0, n)), np.zeros(0))],
                               topology=Topology(np.ones((1, 1))), L=1, sim_r=None,
                               x0_hat=cfg.x0_hat_matrix()[0])
-    Yc = np.concatenate([Y[i] for i in idx] or [np.zeros((cfg.T, 0, X.shape[2]))], axis=1)
+    Yc = np.zeros((1, cfg.T, len(H), X.shape[2]))    # a block the engine reads in place
+    if idx:
+        np.concatenate([Y[i] for i in idx], axis=1, out=Yc[0])
     rows = [(a.D, a.d) for a in cfg.agents if a.has_constraint]
     stacked = [tuple(map(np.concatenate, zip(*rows))) if rows else None]
-    return _run_core(one, "time", cfg.seed, X, [Yc], cfg.global_constraint, stacked)
+    return _run_core(one, "time", cfg.seed, X, [Yc[0]], cfg.global_constraint, stacked)
 
 
 def consensus_baseline(cfg: ScenarioConfig) -> RunMetrics:

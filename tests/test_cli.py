@@ -479,6 +479,44 @@ def test_diverging_run_reports_once_naming_the_step(tmp_path, capsys, argv, mess
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+def test_event_run_on_a_tiny_process_noise_exits_zero(tmp_path, capsys):
+    # Q = 1e-14·I: the fresh and held information matrices (entries ~1e7)
+    # nearly cancel, so their difference is asymmetric at their scale, not
+    # at its own; the trigger's symmetry check scales by the operands
+    cfg = sim.case1(mode="event", T=250, trials=20)
+    m = cfg.model
+    cfg.model = SystemModel(m.A[0], 1e-14 * np.eye(4), m.x0_mean, m.P0)
+    scn = tmp_path / "tiny-q.scn"
+    save_scenario(cfg, str(scn))
+    rc = cli.main(["mc", str(scn), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_OK, capsys.readouterr().err
+    assert "lambda: 0.994\n" in capsys.readouterr().out
+    residual = np.loadtxt(tmp_path / "o" / "metrics.csv", delimiter=",", skiprows=1)[:, 4]
+    assert residual.max() < 1e-12
+
+
+def _parse(parser, argv) -> tuple:
+    """(exit code, stdout, stderr) of a parse that exits, as help and errors do."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nope"], ["--out", "o", "mc"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    ["mc"], ["mc", "s.scn", "--bogus"], ["mc", "s.scn", "--L", "two"], ["case1", "extra"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_a_parser_of_the_named_command_prints_what_the_whole_parser_does(argv):
+    parser = cli._build_parser(argv)
+    commands = parser._subparsers._group_actions[0].choices
+    assert list(commands) == (argv[:1] if argv[:1] and argv[0] in cli._COMMANDS
+                              else list(cli._COMMANDS))
+    assert _parse(parser, argv) == _parse(cli._build_parser([]), argv)
+
+
 @pytest.mark.parametrize("command", ["run-tpdkf", "run-epdkf"])
 def test_single_run_rejects_trials(case1_file, tmp_path, capsys, command):
     # a single run makes one trial, so its parser has no --trials

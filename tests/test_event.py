@@ -554,9 +554,9 @@ def test_filter_step_symmetrizes_each_stack_once_and_makes_no_identity(case, mod
         eyes.append(args)
         return eye(*args, **kwargs)
 
-    def check_spy(M, name, check=event._check_symmetric):
+    def check_spy(M, name, operands=(), check=event._check_symmetric):
         shapes.append(M.shape)
-        return check(M, name)
+        return check(M, name, operands)
 
     monkeypatch.setattr(filter_module, "symmetrize", spy)
     monkeypatch.setattr(event, "symmetrize", spy)

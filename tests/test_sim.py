@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pdkf import event, filter as filt, sim
 from pdkf.analysis import constraint_error, pilot_contraction_factors, space_decomposition
@@ -1181,6 +1181,98 @@ def test_filter_path_names_the_guard_and_the_step_of_a_failure():
                                   r"finite at step 90$"):
             for _ in path(cfg, "event", Y):
                 pass
+
+
+def _tiny_eps(cfg, eps):
+    return dataclasses.replace(cfg, agents=[dataclasses.replace(a, eps=eps) if a.has_constraint
+                                            else a for a in cfg.agents])
+
+
+def _stiff_cfg():
+    """One agent whose two measurement rows are 1e20 more precise than its
+    process noise: the update's covariance loses definiteness to rounding."""
+    model = SystemModel(A=np.eye(2), Q=1e8 * np.array([[2.0, 1.0], [1.0, 2.0]]),
+                        x0_mean=np.zeros(2), P0=np.eye(2))
+    agent = AgentSpec(H=np.array([[1.0, 0.5], [0.3, 1.0]]), R=1e-12 * np.eye(2),
+                      D=np.zeros((0, 2)), d=np.zeros(0))
+    return ScenarioConfig(model=model, agents=[agent], topology=Topology(np.ones((1, 1))),
+                          T=20, trials=2)
+
+
+@pytest.mark.parametrize("cfg, message", [
+    # ε = 1e-14: the blind agent's information sum is singular (a LinAlgError
+    # inside a kernel, which names no agent of its own)
+    (_tiny_eps(case1(mode="time", L=2, T=100, trials=20), 1e-14),
+     r"the fusion of agent 1: Singular matrix at step 42"),
+    # a guard's ValueError, not a LinAlgError
+    (_stiff_cfg(), r"the covariance of agent 0 must be positive definite at step \d+"),
+], ids=["kernel", "guard"])
+def test_every_failure_of_a_step_names_its_agent_and_step(cfg, message):
+    with pytest.raises(ValueError, match=rf"^the run diverged: {message}$"):
+        monte_carlo(cfg)
+
+
+def test_truth_holds_each_row_count_in_one_block_that_the_engine_reads_in_place():
+    # agents with 1, 2, 1, 2 and 1 rows, agent 2 blind: the engine's 1-row
+    # group (agents 0 and 4) is rows 0 and 2 of its block, a take; the
+    # 2-row group (agents 1 and 3) is rows 0 and 1, a view
+    cfg = heterogeneous_cfg("time", T=10)
+    X, Y = sim._noise_blocks(cfg, 3, cfg.seed)
+    for m, members in ((1, [0, 2, 4]), (2, [1, 3])):
+        block = Y[members[0]].base
+        assert block.shape == (len(members), cfg.T, m, 3)
+        for row, i in enumerate(members):
+            assert Y[i].base is block
+            assert Y[i].ctypes.data == block[row].ctypes.data
+    reads = [sim._member_rows(Y, idx) for idx, *_ in event.step_layout(cfg.agents,
+                                                                      cfg.topology).meas]
+    assert [rows if isinstance(rows, slice) else rows.tolist() for _, rows in reads] == [
+        [0, 2], slice(0, 2)]
+    for (idx, *_), (block, rows) in zip(event.step_layout(cfg.agents, cfg.topology).meas,
+                                        reads):
+        assert block is Y[idx[0]].base
+        assert np.array_equal(block[rows], np.stack([Y[i] for i in idx]))
+    # blocks the truth did not draw are stacked once
+    copies = [Yi.copy() for Yi in Y]
+    block, rows = sim._member_rows(copies, [1, 3])
+    assert rows == slice(None) and np.array_equal(block, np.stack([Y[1], Y[3]]))
+
+
+def _constrained_blocks(cfg, ks=(10, 50, 100), Ls=(1, 2, 4, 8)):
+    """{(L, k): max over agents of tr(D̄ P D̄ᵀ)} from zero-trial time passes."""
+    Dbar, out = cfg.global_constraint.Dbar, {}
+    for L in Ls:
+        run = dataclasses.replace(cfg, L=L, mode="time", T=max(ks))
+        Y = [np.zeros((run.T, a.H.shape[0], 0)) for a in run.agents]
+        for k, (_, P, _, _) in enumerate(sim._filter_path(run, "time", Y)):
+            if k in ks:
+                out[(L, k)] = np.trace(Dbar @ P @ Dbar.T, axis1=1, axis2=2).max()
+    return out
+
+
+def _assert_consensus_steps_shrink_the_constrained_block(cfg):
+    blocks = _constrained_blocks(cfg)
+    for k in (10, 50, 100):
+        for L, L2 in ((1, 2), (2, 4), (4, 8)):
+            assert blocks[(L2, k)] <= blocks[(L, k)], (k, L, L2, blocks)
+    return blocks
+
+
+def test_consensus_steps_shrink_the_constrained_covariance_of_the_bundled_cases():
+    # the abstract: the error covariance in the constraint set can be made
+    # arbitrarily small by a large enough consensus step L
+    for cfg, at_100 in ((case1(mode="time"), (6.09, 7.48e-3, 2.50e-3, 1.07e-3)),
+                        (case2(mode="time"), (24.1, 9.03, 5.02e-2, 6.45e-3))):
+        blocks = _assert_consensus_steps_shrink_the_constrained_block(cfg)
+        got = [blocks[(L, 100)] for L in (1, 2, 4, 8)]
+        assert np.allclose(got, at_100, rtol=5e-3), got
+
+
+@settings(max_examples=12, deadline=None)
+@given(cfg=directed_scenarios(T=100, modes=("time",)))
+def test_consensus_steps_shrink_the_constrained_covariance_on_random_networks(cfg):
+    assume(not cfg.global_constraint.empty)
+    _assert_consensus_steps_shrink_the_constrained_block(cfg)
 
 
 PADDED_CASES = {
