@@ -10,9 +10,9 @@ Contents:
   * worst-case information recursions under successive triggering / silence,
     built in one pass over t as stacked (T+1, N, n, n) tables
     (`_rate_tables`) whose neighbour sums run over the real in-edges only,
-    and the communication-rate bound (`rate_bound`), which reads each
+    and the communication-rate bound (`rate_bound`), which reads every
     agent's T1 and T2 off the tables from the ends of the horizon, in chunks
-    of doubling length that stop once the answer is known (`_scan_agent`).
+    of doubling length tested on the stack of the open agents (`_scan_agents`).
 
 Everything here is a pure function of the model/topology; nothing simulates.
 pdkf computes with scipy only here: the generalized symmetric eigenproblems
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .event import step_layout
+from .event import _grouped, step_layout
 from .filter import slot_sum, symmetrize
 from .model import (AgentSpec, SystemModel, Topology, _check_covariance, _check_square,
                     _check_symmetric, _integer, _real, matrix_rank)
@@ -187,9 +187,10 @@ def threshold_bounds(model: SystemModel, agents: list[AgentSpec],
     over agents.  Each term is formed with `_scaled`, as the rate tables'
     are, so a term whose unscaled product (A^{1-τ})ᵀA^{1-τ} overflows is
     still summed; where M or Mbar is not finite even so, a ValueError names
-    the first τ at which it is not.  M̄ sums over j in index order (`slot_sum`
-    on the complete slot list); kstar is an integer (`model._integer`) ≥ N + n,
-    and β a real in (0, 1) (`model._real`).
+    the first τ at which it is not.  M̄ sums over j in index order, by one sum
+    over the leading axis of a C-ordered (N, N, n, n) block, bit for bit
+    `slot_sum` on the complete slot list; kstar is an integer
+    (`model._integer`) ≥ N + n, and β a real in (0, 1) (`model._real`).
     """
     if not model.time_invariant:
         raise ValueError("threshold design requires a time-invariant model")
@@ -212,9 +213,10 @@ def threshold_bounds(model: SystemModel, agents: list[AgentSpec],
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         for tau in range(1, kstar + 1):
             M += _scaled(coef * W_pow, A_pow)
-            per_j = (W_pow.T[:, :, None, None] * info_y[:, None]
-                     + W_prev.T[:, :, None, None] * info_d[:, None])
-            Mbar += _scaled(coef, A_pow, slot_sum(per_j.reshape(-1, n, n), (N,) * N))
+            # j leads per_j in memory, so numpy sums over it in index order
+            per_j = (np.ascontiguousarray(W_pow.T)[:, :, None, None] * info_y[:, None]
+                     + np.ascontiguousarray(W_prev.T)[:, :, None, None] * info_d[:, None])
+            Mbar += _scaled(coef, A_pow, per_j.sum(axis=0))
             bad = [name for name, X in (("M", M), ("Mbar", Mbar)) if not np.isfinite(X).all()]
             if bad:
                 raise ValueError(f"the threshold sums overflow: {' and '.join(bad)} not "
@@ -281,13 +283,15 @@ def eig_pos(M) -> np.ndarray:
 
 
 def _info_blocks(model, agents):
-    """(N, n, n) stacks of H_iᵀR_i⁻¹H_i and D_iᵀD_i (zero where absent); the
-    design recursions weigh D_iᵀD_i by 1/ε_i."""
-    n = model.n
-    info_y = [a.H.T @ np.linalg.solve(a.R, a.H) if a.has_measurement
-              else np.zeros((n, n)) for a in agents]
-    info_d = [a.D.T @ a.D if a.has_constraint else np.zeros((n, n)) for a in agents]
-    return np.array(info_y), np.array(info_d)
+    """(N, n, n) stacks of H_iᵀR_i⁻¹H_i and D_iᵀD_i (zero where absent), each
+    formed once per shape group (`event._grouped`) by one stacked solve and
+    one product; the design recursions weigh D_iᵀD_i by 1/ε_i."""
+    info_y, info_d = np.zeros((2, len(agents), model.n, model.n))
+    for idx, H, R in _grouped([(a.H, a.R) if a.has_measurement else None for a in agents]):
+        info_y[idx] = H.swapaxes(-1, -2) @ np.linalg.solve(R, H)
+    for idx, D in _grouped([(a.D,) if a.has_constraint else None for a in agents]):
+        info_d[idx] = D.swapaxes(-1, -2) @ D
+    return info_y, info_d
 
 
 def _design_blocks(model, agents, topology):
@@ -300,8 +304,8 @@ def _design_blocks(model, agents, topology):
 
 
 class _RateTables(NamedTuple):
-    f: np.ndarray          # (T+1, N, n, n)
-    zbar: np.ndarray       # (T+1, N, n, n)
+    f: np.ndarray          # (T+1, N, n, n) view of the tables' (T+1, N, 2, n, n) block
+    zbar: np.ndarray       # (T+1, N, n, n) view of the same block
     S: np.ndarray          # (T+1, n, n)
     beta_pow: np.ndarray   # (T+1,): β^τ for τ = 1..T+1
     Ainv_pow: np.ndarray   # (T+1, n, n): A^{-τ} for τ = 1..T+1
@@ -342,9 +346,12 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
     lower bound on the extrapolated information after t silent steps (zero at
     t = 0); at threshold δ the bound is zbar[t, i] − δ·S[t], with
     S[t] = Σ_{τ=2..t} β^τ (A^{-τ})ᵀ A^{-τ} (zero for t < 2).  The running
-    powers (β^τ, A^{-τ}) feed both S and the silence scan of `_scan_agent`.
+    powers (β^τ, A^{-τ}) feed both S and the silence test of `_scan_agents`.
     Σ_j a_ij runs over agent i's in-edges in neighbour order (the filters'
     step layout and `slot_sum`), bit for bit a loop over its neighbours.
+    f and u, the lower bound on the updated information, advance into one
+    (T+1, N, 2, n, n) block; after the loop z̄_t = β·A⁻ᵀu_{t−1}A⁻¹ is formed
+    16 steps at a time, from the top down, over u_t.
     Raises a ValueError naming the first step at which f, z̄ or S is not
     finite: the scans cannot read T1 or T2 off such tables.  The seed inverts
     Q, so Q must be positive definite (`model._check_covariance`), not only
@@ -364,26 +371,26 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
     beta_pow = np.empty(T + 1)
     Ainv_pow = np.empty((T + 1, n, n))
     S = np.zeros((T + 1, n, n))
-    f = np.empty((T + 1, N, n, n))
-    zbar = np.zeros((T + 1, N, n, n))
+    fu = np.empty((T + 1, N, 2, n, n))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         beta_pow[0], Ainv_pow[0] = beta, Ainv
         for tau in range(1, T + 1):
             beta_pow[tau] = beta_pow[tau - 1] * beta
             Ainv_pow[tau] = Ainv_pow[tau - 1] @ Ainv
         S[2:] = symmetrize(np.cumsum(_scaled(beta_pow[1:T], Ainv_pow[1:T]), axis=0))
-        # f and u (the lower bound on the updated information) advance as one
-        # (N, 2, n, n) stack, scaled by β̄ and β; z̄ reads u before its update
         scale = np.array([beta_bar, beta])[:, None, None]
-        fu = np.stack([symmetrize(Qinv + info_y), info_y], axis=1)
-        f[0] = fu[:, 0]
+        fu[0] = np.stack([symmetrize(Qinv + info_y), info_y], axis=1)
         for t in range(1, T + 1):
-            zbar[t] = symmetrize(beta * (Ainv.T @ fu[:, 1] @ Ainv))
-            fu = symmetrize(scale * (Ainv.T @ (nbr_sum(fu) + info_d[:, None]) @ Ainv)
-                            + info_y[:, None])
-            f[t] = fu[:, 0]
-    first = {name: int(np.isfinite(X.reshape(T + 1, -1)).all(axis=1).argmin())
-             for name, X in (("f", f), ("zbar", zbar), ("S", S)) if not np.isfinite(X).all()}
+            fu[t] = symmetrize(scale * (Ainv.T @ (nbr_sum(fu[t - 1]) + info_d[:, None]) @ Ainv)
+                               + info_y[:, None])
+        for b in range(T + 1, 1, -16):      # top down: u below b is still in place
+            a = max(1, b - 16)
+            fu[a:b, :, 1] = symmetrize(beta * (Ainv.T @ fu[a - 1:b - 1, :, 1] @ Ainv))
+        fu[0, :, 1] = 0.0
+    f, zbar = fu[:, :, 0], fu[:, :, 1]
+    ok = {name: np.isfinite(X).reshape(T + 1, -1).all(axis=1)
+          for name, X in (("f", f), ("zbar", zbar), ("S", S))}
+    first = {name: int(steps.argmin()) for name, steps in ok.items() if not steps.all()}
     if first:
         t = min(first.values())
         names = " and ".join(name for name, at in first.items() if at == t)
@@ -392,27 +399,8 @@ def _rate_tables(T: int, model: SystemModel, agents, topology: Topology,
     return _RateTables(f, zbar, S, beta_pow, Ainv_pow, info_y)
 
 
-def _first_step(test, steps: int, last: bool = False) -> int | None:
-    """The first t < steps (the last, if `last`) at which the boolean stack
-    test(a, b) over t ∈ [a, b) is True, or None; test runs on chunks of 8,
-    16, 32, … steps from that end and stops at the first chunk that holds
-    one."""
-    lo, hi, size = 0, steps, 8
-    while lo < hi:
-        a, b = (max(lo, hi - size), hi) if last else (lo, min(hi, lo + size))
-        found = np.flatnonzero(test(a, b))
-        if found.size:
-            return a + int(found[-1] if last else found[0])
-        if last:
-            hi = a
-        else:
-            lo = b
-        size *= 2
-    return None
-
-
-def _scan_agent(tables: _RateTables, delta: float, i: int) -> tuple:
-    """(T1, T2) of agent i at threshold δ, each an int ≤ T or None.
+def _scan_agents(tables: _RateTables, delta: float) -> tuple[list, list]:
+    """(T1, T2) at threshold δ: two lists with each agent's int ≤ T or None.
 
     T1 is the largest t at which successive triggering cannot yet be
     excluded: the necessary condition λ_max(f_t − [z̄_t + δ(I − S_t)]₊) > 0
@@ -424,48 +412,65 @@ def _scan_agent(tables: _RateTables, delta: float, i: int) -> tuple:
     must hold for every s ≤ t.  It is None when not even one silent step is
     guaranteed.
 
-    Both are read from the ends of the horizon (`_first_step`): T2 from the
-    first failing step, T1 from the last hit, and only when that hit is at T
-    from the first step that does not hit.  The answers are those of the
-    scan over every t, because each matrix gets the same stacked `eig_pos`
-    and `eigvalsh` call and LAPACK treats each matrix of a stack on its
-    own.  `eig_pos`'s symmetry guard sees only the matrices scanned; it
-    cannot fire on the others, which are exactly symmetric by construction
-    (z̄ and S are symmetrized, and the correction is elementwise).  The
-    silence term is formed with `_scaled`, as S is; a test's term that is
-    not finite even so raises the tables' ValueError, naming it, the step
-    and δ, so that no answer is read off an overflow.
+    Both are read from the ends of the horizon, on chunks of 8, 16, 32, …
+    steps from that end: T2 from the first failing step, T1 from the last
+    hit, and only when that hit is at T from the first step that does not
+    hit.  Each chunk is tested at once for every agent whose answer is still
+    open, by one `eig_pos` and one `eigvalsh` over the (steps × open agents)
+    stack, and each agent keeps the answer of its own first chunk that
+    settles it.  The answers are those of a scan over every t, because each
+    matrix gets the same stacked call and LAPACK treats each matrix of a
+    stack on its own.  `eig_pos`'s symmetry guard sees only the matrices
+    scanned; it cannot fire on the others, which are exactly symmetric by
+    construction (z̄ and S are symmetrized, and the correction is
+    elementwise).  The silence term is formed with `_scaled`, as S is; a
+    test's term that is not finite even so raises the tables' ValueError,
+    naming it, the step and δ, so that no answer is read off an overflow.
     """
-    T = len(tables.S) - 1
-    f, eye = tables.f[:, i], np.eye(tables.S.shape[-1])
+    T, N = len(tables.S) - 1, tables.f.shape[1]
+    eye = np.eye(tables.S.shape[-1])
 
     def finite(X, a, what):
-        bad = np.flatnonzero(~np.isfinite(X).all(axis=(-2, -1)))
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=(-3, -2, -1)))
         if bad.size:
             raise ValueError(f"the rate tables overflow: {what} not finite at step "
                              f"{a + bad[0]} for delta {delta:.6g}; try a shorter horizon")
         return X
 
-    def hit(a, b):
+    def hit(a, b, idx):
         with np.errstate(over="ignore", invalid="ignore"):
-            corr = finite(tables.zbar[a:b, i] + delta * (eye - tables.S[a:b]), a,
+            corr = finite(tables.zbar[a:b, idx] + delta * (eye - tables.S[a:b, None]), a,
                           "zbar + delta*(I - S)")
-        return np.linalg.eigvalsh(f[a:b] - eig_pos(corr)).max(axis=-1) > 0.0
+        return np.linalg.eigvalsh(tables.f[a:b, idx] - eig_pos(corr)).max(axis=-1) > 0.0
 
-    def fails(a, b):
+    def fails(a, b, idx):
         with np.errstate(over="ignore", invalid="ignore"):
-            l = f[a:b] - _scaled(tables.beta_pow[a:b], tables.Ainv_pow[a:b], tables.info_y[i])
+            l = tables.f[a:b, idx] - _scaled(tables.beta_pow[a:b, None],
+                                             tables.Ainv_pow[a:b, None], tables.info_y[idx])
         return np.linalg.eigvalsh(finite(l, a, "the silence term")).max(axis=-1) - delta > 0.0
 
-    t1 = _first_step(hit, T + 1, last=True)
-    if t1 is None:
-        t1 = 0
-    elif t1 == T and _first_step(lambda a, b: ~hit(a, b), T + 1) is None:
-        t1 = None
-    fail = _first_step(fails, T + 1)
-    if fail is None:
-        return t1, T
-    return t1, fail - 1 if fail > 0 else None
+    def first(test, idx, last=False):
+        """Per agent of idx, the first t ≤ T (the last, if `last`) at which the
+        (steps, agents) test(a, b, idx) over t ∈ [a, b) holds, or -1."""
+        at, todo = np.full(len(idx), -1), np.arange(len(idx))
+        lo, hi, size = 0, T + 1, 8
+        while lo < hi and todo.size:
+            a, b = (max(lo, hi - size), hi) if last else (lo, min(hi, lo + size))
+            held = test(a, b, idx[todo])
+            row = len(held) - 1 - held[::-1].argmax(axis=0) if last else held.argmax(axis=0)
+            done = held.any(axis=0)
+            at[todo[done]] = a + row[done]
+            todo = todo[~done]
+            lo, hi, size = (lo, a, 2 * size) if last else (b, hi, 2 * size)
+        return at
+
+    agents = np.arange(N)
+    last_hit = first(hit, agents, last=True)
+    top = agents[last_hit == T]
+    unbounded = np.isin(agents, top[first(lambda a, b, idx: ~hit(a, b, idx), top) < 0])
+    fail = first(fails, agents)
+    return ([None if u else max(int(t), 0) for t, u in zip(last_hit, unbounded)],
+            [T if t < 0 else int(t) - 1 if t > 0 else None for t in fail])
 
 
 def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
@@ -481,41 +486,35 @@ def rate_bound(delta: float, model: SystemModel, agents: list[AgentSpec],
     if not model.time_invariant:
         raise ValueError("rate analysis requires a time-invariant model")
     delta, T = _real(delta, "delta", "nonnegative"), _integer(T, "T", 1)
-    N = topology.N
     tables = _rate_tables(T, model, agents, topology, beta, beta_bar)
 
     report = RateReport(delta=delta, horizon=T, beta=beta, beta_bar=beta_bar)
-    for i in range(N):
-        t1, t2 = _scan_agent(tables, delta, i)
-        cond1 = t1 is not None
-        if t1 is not None and t1 >= 2:
-            cond1 = bool(np.linalg.eigvalsh(tables.S[t1]).max() <= 1.0 + 1e-12)
-        cond2 = t1 is not None and t2 is not None
-        report.T1.append(t1)
-        report.T2.append(t2)
-        report.condition1_ok.append(cond1)
-        report.condition2_ok.append(cond2)
-        if t1 is not None and t2 is not None and cond1:
-            report.V1.append(i)
+    report.T1, report.T2 = _scan_agents(tables, delta)
+    t1, t2 = (np.array([-1 if t is None else t for t in ts]) for ts in (report.T1, report.T2))
+    # condition 1, λ_max(S[T1]) ≤ 1 + 1e-12, for every agent; S[0] = S[1] = 0
+    lam = np.linalg.eigvalsh(tables.S[np.maximum(t1, 0)]).max(axis=-1)
+    cond1, cond2 = (t1 >= 0) & (lam <= 1.0 + 1e-12), (t1 >= 0) & (t2 >= 0)
+    report.condition1_ok, report.condition2_ok = cond1.tolist(), cond2.tolist()
+    report.V1 = np.flatnonzero(cond1 & cond2).tolist()
 
-    out_deg = np.array([topology.out_degree0(i) for i in range(N)], dtype=float)
+    # each agent's out-neighbors, itself excluded: a column sum of the edges
+    out_deg = (topology.edges.sum(axis=0) - topology.edges.diagonal()).astype(float)
     total = out_deg.sum()
     if not report.V1 or total == 0:
         report.status = "no bound available"
         return report
 
-    credited = 0.0
-    asympt = 0.0
-    for i in report.V1:
-        t1 = report.T1[i]
-        # Any prefix of the guaranteed silent run is also a valid certificate,
-        # so cap T2 at T - T1 (≥ 0, as T1 ≤ T) to stay in the admissible range.
-        t2 = min(report.T2[i], T - t1)
-        if t2 == 0:
-            continue
-        cycle = t1 + t2
-        credited += t2 * (T // cycle) * out_deg[i]
-        asympt += (t2 / cycle) * out_deg[i]
+    # Any prefix of the guaranteed silent run is also a valid certificate, so
+    # cap T2 at T - T1 (≥ 0, as T1 ≤ T) to stay in the admissible range; an
+    # agent left with no silent step credits nothing.
+    v = np.array(report.V1)
+    silent = np.minimum(t2[v], T - t1[v])
+    v, silent = v[silent > 0], silent[silent > 0]
+    cycle = t1[v] + silent
+    # the credits are whole numbers, which sum exactly in any order; the
+    # asymptotic shares are added in agent order, a running sum from 0.0
+    credited = (silent * (T // cycle) * out_deg[v]).sum()
+    asympt = np.cumsum(np.append(0.0, silent / cycle * out_deg[v]))[-1]
     report.lambda0 = float(1.0 - credited / (T * total))
     report.lambda0_asymptotic = float(1.0 - asympt / total)
     return report

@@ -303,9 +303,10 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     est (N, n, trials) and P (N, n, n) are new stacks of each agent's state
     block and covariance after step k; g and fired are the (N,) trigger
     scores and decisions of step k in event mode, and empty otherwise and at
-    k = 0.  Y holds the (T, m_i, trials) measurement blocks; trials may be 0.
-    Each step reads its H groups' measurements by `_member_rows`, with no
-    copy of the horizon where Y is `generate_truth`'s.  Each step is one
+    k = 0.  Y holds the (T, m_i, trials) blocks of measurements, whose rows
+    set T (cfg.T is not read); trials may be 0.  Each step reads its H groups'
+    measurements by `_member_rows`, with no copy of the horizon where Y is
+    `generate_truth`'s.  Each step is one
     `event.filter_step`, which also advances the held pairs it returned the
     step before, as it does for the rounds, so a one-trial pass is the
     rounds' arithmetic bit for bit.  On blocks of no trials the step does
@@ -324,7 +325,7 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     est = np.repeat(x0[:, :, None], Y[0].shape[2], axis=2)
     held = (est, P) if event else None     # the initial time is a broadcast
     yield est, P, np.zeros(0), np.zeros(0, dtype=bool)
-    for k in range(1, cfg.T + 1):
+    for k in range(1, len(Y[0]) + 1):
         try:
             est, P, g, fired, held = filter_step(
                 layout, est, P, [block[rows, k - 1] for block, rows in reads],
@@ -476,10 +477,10 @@ def pilot_betas(cfg: ScenarioConfig) -> tuple:
     """Default (β, β̄) for the design tools: contraction factors covering every
     covariance of a time-based pilot pass over the first min(T, 50) steps.
     The pass holds no trials, so its `event.filter_step`s form no state map:
-    its covariances are those of a run on any number of trials, bit for bit."""
-    pilot = dataclasses.replace(cfg, T=min(cfg.T, 50), mode="time")
-    Y = [np.zeros((pilot.T, a.H.shape[0], 0)) for a in cfg.agents]
-    mats = np.concatenate([P for _, P, _, _ in _filter_path(pilot, "time", Y)])
+    its covariances are those of a run on any number of trials, bit for bit,
+    and its blocks' rows, not the scenario's T, set its horizon."""
+    Y = [np.zeros((min(cfg.T, 50), a.H.shape[0], 0)) for a in cfg.agents]
+    mats = np.concatenate([P for _, P, _, _ in _filter_path(cfg, "time", Y)])
     return pilot_contraction_factors(mats, cfg.model.A_at(0), cfg.model.Q_at(0))
 
 

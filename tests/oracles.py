@@ -22,17 +22,21 @@ step, and `StepRecorder` the recorder that reduced one step per call: the
 references the block sum of the truth and the chunked recorder must equal bit
 for bit.
 
+`info_blocks` forms each agent's information blocks on its own, the
+reference for the grouped `analysis._info_blocks`.  `threshold_mbar` is
+`threshold_bounds`' M̄ summed one receiver and one sender at a time.
 `dense_rate_tables` is the rate analysis's tables with each neighbour sum
 taken over all N² pairs by `_nbr_sum`, the reference the edge-list
-sums of `analysis._rate_tables` must equal bit for bit.  `full_scan` reads T1
-and T2 off those tables with one stacked scan over every t, the reference
-the early-exit scans of `analysis._scan_agent` must equal.
+sums of `analysis._rate_tables` must equal bit for bit.  `full_scan` reads one
+agent's T1 and T2 off those tables with one stacked scan over every t, the
+reference the early-exit agent-stacked scan of `analysis._scan_agents` must
+equal (`full_scans`, every agent's).
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from pdkf.analysis import _info_blocks, eig_pos
+from pdkf.analysis import eig_pos
 from pdkf.filter import AgentState, ConsistentEstimate, symmetrize
 from pdkf.model import build_global_constraint
 from pdkf.sim import _filter_path, _Recorder
@@ -195,6 +199,35 @@ def threshold_matrices(i, A, weights, info_y, info_d_raw, beta, kstar):
     return M, Mbar
 
 
+def info_blocks(model, agents):
+    """(N, n, n) stacks of H_iᵀR_i⁻¹H_i and D_iᵀD_i (zero where absent), one
+    agent at a time."""
+    n = model.n
+    info_y = [a.H.T @ np.linalg.solve(a.R, a.H) if a.has_measurement
+              else np.zeros((n, n)) for a in agents]
+    info_d = [a.D.T @ a.D if a.has_constraint else np.zeros((n, n)) for a in agents]
+    return np.array(info_y), np.array(info_d)
+
+
+def threshold_mbar(model, agents, topology, beta, kstar):
+    """M̄ of `analysis.threshold_bounds`, one receiver i and one sender j at a
+    time, the sum over j in index order: the order its stacked sum keeps."""
+    W, N, n = topology.weights, topology.N, model.n
+    info_y, info_d = info_blocks(model, agents)
+    info_d = info_d / np.reshape([a.eps for a in agents], (-1, 1, 1))
+    Ainv = np.linalg.inv(model.A_at(0))
+    Mbar = np.zeros((N, n, n))
+    A_pow, W_pow, W_prev, coef = np.eye(n), W.copy(), np.eye(N), 1.0
+    for _ in range(kstar):
+        for i in range(N):
+            acc = W_pow[i, 0] * info_y[0] + W_prev[i, 0] * info_d[0]
+            for j in range(1, N):
+                acc += W_pow[i, j] * info_y[j] + W_prev[i, j] * info_d[j]
+            Mbar[i] += coef * (A_pow.T @ acc @ A_pow)
+        A_pow, W_prev, W_pow, coef = A_pow @ Ainv, W_pow, W_pow @ W, coef * beta
+    return Mbar
+
+
 def _nbr_sum(*terms) -> np.ndarray:
     """Row i of Σ_j Σ_(W, X) W[i, j]·X[j] for every agent i at once.
 
@@ -214,7 +247,7 @@ def dense_rate_tables(T, model, agents, topology, beta, beta_bar):
     Ainv = np.linalg.inv(model.A_at(0))
     Qinv = np.linalg.inv(model.Q_at(0))
     W, N, n = topology.weights, topology.N, model.n
-    info_y, info_d = _info_blocks(model, agents)
+    info_y, info_d = info_blocks(model, agents)
     info_d = info_d / np.reshape([a.eps for a in agents], (-1, 1, 1))
     beta_pow = np.empty(T + 1)
     Ainv_pow = np.empty((T + 1, n, n))
@@ -239,8 +272,15 @@ def dense_rate_tables(T, model, agents, topology, beta, beta_bar):
     return f, zbar, S
 
 
+def full_scans(tables, delta):
+    """The (T1, T2) lists of `analysis._scan_agents`, by `full_scan` per agent."""
+    pairs = [full_scan(tables, delta, i) for i in range(tables.f.shape[1])]
+    return [t1 for t1, _ in pairs], [t2 for _, t2 in pairs]
+
+
 def full_scan(tables, delta, i):
-    """(T1, T2) of `analysis._scan_agent`, every t of the horizon scanned."""
+    """Agent i's (T1, T2) of `analysis._scan_agents`, every t of the horizon
+    scanned."""
     T = len(tables.S) - 1
     corr = tables.zbar[:, i] + delta * (np.eye(tables.S.shape[-1]) - tables.S)
     proof = np.linalg.eigvalsh(tables.f[:, i] - eig_pos(corr)).max(axis=-1)

@@ -1,3 +1,4 @@
+import collections
 import re
 import warnings
 from fractions import Fraction
@@ -18,7 +19,6 @@ from pdkf.analysis import (
     space_decomposition,
     threshold_bounds,
 )
-from pdkf.filter import slot_sum
 from pdkf.model import (
     AgentSpec,
     GlobalConstraint,
@@ -511,26 +511,57 @@ def test_delta_correction_zero_below_two_steps():
                            atol=1e-12)
 
 
+def _scalar_network(N=20, seed=11):
+    """N scalar-state agents that measure, know the constraint x = 0.3, or
+    both or neither, on a ring with random extra edges and random weights."""
+    rng = np.random.default_rng(seed)
+    agents = []
+    for i in range(N):
+        h, c = rng.uniform(0.5, 2.0, 2)
+        measures, knows = i % 4 < 2, i % 2 == 1
+        agents.append(AgentSpec(H=[[h]] if measures else np.zeros((0, 1)),
+                                R=np.eye(1) if measures else np.zeros((0, 0)),
+                                D=[[c]] if knows else np.zeros((0, 1)),
+                                d=[0.3 * c] if knows else np.zeros(0), eps=0.05))
+    support = np.eye(N, dtype=bool) | np.roll(np.eye(N, dtype=bool), 1, axis=1)
+    raw = (support | (rng.random((N, N)) < 0.3)) * rng.uniform(0.1, 1.0, (N, N))
+    top = Topology(raw / raw.sum(axis=1, keepdims=True))
+    return SystemModel(A=[[0.95]], Q=[[1.0]], x0_mean=[0.0], P0=[[10.0]]), agents, top
+
+
 @pytest.mark.parametrize("n", [4, 1])
 def test_neighbourhood_sum_is_bit_identical_to_the_per_agent_loop(n):
-    # threshold_bounds' all-pairs sums: slot_sum over the complete slot list,
-    # slot j holding agent j's term for every receiver.  Zero weights must
-    # add exact zeros and j must run in index order, so that the bounds
-    # cannot move with the stacking; for a scalar state numpy's own
-    # reduction would sum N ≥ 8 terms pairwise
-    rng = np.random.default_rng(11)
-    N = 20
-    Ws = [np.where(rng.random((N, N)) < 0.5, rng.random((N, N)), 0.0)
-          for _ in range(2)]
-    Xs = [rng.standard_normal((N, n, n)) * 10.0 ** rng.integers(-3, 4, (N, 1, 1))
-          for _ in range(2)]
-    per_j = sum(W.T[:, :, None, None] * X[:, None] for W, X in zip(Ws, Xs))
-    got = slot_sum(per_j.reshape(-1, n, n), (N,) * N)
-    for i in range(N):
-        acc = np.zeros((n, n))
-        for j in range(N):
-            acc += Ws[0][i, j] * Xs[0][j] + Ws[1][i, j] * Xs[1][j]
-        assert np.array_equal(got[i], acc)
+    # threshold_bounds sums M̄'s all-pairs terms over the senders j at once;
+    # j must run in index order, and zero weights add exact zeros, so that
+    # the bounds cannot move with the stacking.  For a scalar state, numpy
+    # would sum a block laid out as Wᵀ is, j innermost, pairwise
+    model, agents, top = case2_setup() if n == 4 else _scalar_network()
+    rep = threshold_bounds(model, agents, top, beta=0.5, kstar=top.N + n)
+    want = oracles.threshold_mbar(model, agents, top, 0.5, top.N + n)
+    assert np.array_equal(rep.Mbar, want)
+    assert np.array_equal(np.signbit(rep.Mbar), np.signbit(want))
+
+
+def check_info_blocks_against_the_per_agent_reference(cfg):
+    for got, want in zip(analysis._info_blocks(cfg.model, cfg.agents),
+                         oracles.info_blocks(cfg.model, cfg.agents)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("make", [sim.case1, lambda: sim.case2(N=20)], ids=["case1", "case2"])
+def test_info_blocks_equal_the_per_agent_reference(make):
+    check_info_blocks_against_the_per_agent_reference(make())
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=directed_scenarios().filter(
+    lambda cfg: {a.H.shape[0] for a in cfg.agents} == {0, 1, 2}))
+def test_info_blocks_equal_the_per_agent_reference_on_random_networks(cfg):
+    # agents with no measurement row (H of shape (0, n)) beside agents of 1
+    # and 2 rows, and constraint sets of 0–2 rows: one solve and one product
+    # per shape group give each agent's own blocks
+    check_info_blocks_against_the_per_agent_reference(cfg)
 
 
 def case2_setup():
@@ -582,10 +613,14 @@ BLIND = [AgentSpec(H=np.zeros((1, 1)), R=np.eye(1),
                    D=np.zeros((0, 1)), d=np.zeros(0))]
 
 
+def scans(tb, delta):
+    """Each agent's (T1, T2), from the agent-stacked scan."""
+    return list(zip(*analysis._scan_agents(tb, delta)))
+
+
 def scan(delta, i, model, agents, top, T, beta, beta_bar):
     """(T1, T2) of agent i from freshly built tables."""
-    return analysis._scan_agent(analysis._rate_tables(T, model, agents, top, beta,
-                                                      beta_bar), delta, i)
+    return scans(analysis._rate_tables(T, model, agents, top, beta, beta_bar), delta)[i]
 
 
 def test_solve_T1_blind_scalar_exact():
@@ -651,6 +686,7 @@ def check_scans_against_the_oracle_recursions(model, agents, top):
         return V @ np.diag(np.maximum(w, 0.0)) @ V.T
 
     for delta in (0.8, 5.0, 500.0, 2000.0, 1e4):
+        got = scans(tb, delta)
         for i in range(len(agents)):
             f = [oracles.f_recursion(t, i, A, model.Q_at(0), W, info_y, info_d, 0.7)
                  for t in range(T + 1)]
@@ -665,7 +701,7 @@ def check_scans_against_the_oracle_recursions(model, agents, top):
                 if np.linalg.eigvalsh(f[t] - l_t).max() - delta > 0:
                     t2 = t - 1 if t > 0 else None
                     break
-            assert analysis._scan_agent(tb, delta, i) == (t1, t2)
+            assert got[i] == (t1, t2)
 
 
 @pytest.mark.parametrize("blind, T, delta, expect", [
@@ -690,7 +726,7 @@ def test_scans_from_the_ends_pin_every_outcome(blind, T, delta, expect):
     # the first, a middle or the last of the doubling chunks
     agents = BLIND if blind else [scalar_agent()]
     tb = analysis._rate_tables(T, scalar_model(), agents, SINGLE, 0.5, 0.8)
-    assert analysis._scan_agent(tb, delta, 0) == oracles.full_scan(tb, delta, 0) == expect
+    assert scans(tb, delta) == [oracles.full_scan(tb, delta, 0)] == [expect]
 
 
 @settings(max_examples=60, deadline=None)
@@ -700,8 +736,7 @@ def test_scans_from_the_ends_pin_every_outcome(blind, T, delta, expect):
        betas=st.sampled_from([(0.4, 0.7), (0.5, 0.9), (0.2, 0.95)]))
 def test_scans_from_the_ends_equal_the_full_scan_on_random_networks(cfg, T, delta, betas):
     tb = analysis._rate_tables(T, cfg.model, cfg.agents, cfg.topology, *betas)
-    for i in range(cfg.topology.N):
-        assert analysis._scan_agent(tb, delta, i) == oracles.full_scan(tb, delta, i)
+    assert scans(tb, delta) == [oracles.full_scan(tb, delta, i) for i in range(cfg.topology.N)]
 
 
 @pytest.mark.parametrize("make, deltas", [
@@ -717,8 +752,30 @@ def test_rate_bound_reports_equal_the_full_scan_reports(make, deltas, monkeypatc
     for delta in deltas:
         fast = rate_bound(delta, *net, 250, *betas)
         with monkeypatch.context() as m:
-            m.setattr(analysis, "_scan_agent", oracles.full_scan)
+            m.setattr(analysis, "_scan_agents", oracles.full_scans)
             assert rate_bound(delta, *net, 250, *betas) == fast
+
+
+def test_rate_bound_makes_the_same_eigen_solves_for_any_number_of_agents(monkeypatch):
+    # each chunk of the scan is one eig_pos and one eigvalsh over every open
+    # agent, and condition 1 one eigvalsh over all of them: at δ = 1.2 the
+    # first chunk from each end settles every agent of the bundled networks,
+    # so 3 agents and 60 make the same calls (a loop over the agents made
+    # 6 and 120 eig_pos calls)
+    counts = []
+    for cfg in (sim.case1(), sim.case2(N=20), sim.case2(N=60)):
+        net, betas = (cfg.model, cfg.agents, cfg.topology), sim.pilot_betas(cfg)
+        calls = collections.Counter()
+        with monkeypatch.context() as m:
+            for owner, name in ((analysis, "eig_pos"), (np.linalg, "eigvalsh")):
+                def spy(*a, _name=name, _fn=getattr(owner, name), **k):
+                    calls[_name] += 1
+                    return _fn(*a, **k)
+                m.setattr(owner, name, spy)
+            rate_bound(1.2, *net, 250, *betas)
+        counts.append(calls)
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0]["eig_pos"] == 2 and counts[0]["eigvalsh"] <= 5
 
 
 # --- silence-rate bound -----------------------------------------------------------
@@ -732,7 +789,7 @@ def two_scalar_agents():
 def test_rate_bound_formula_plugin(monkeypatch):
     # pin the crediting formula itself: T1 = T2 = 1 on both agents of a
     # two-node graph with T = 100 must yield exactly one half
-    monkeypatch.setattr(analysis, "_scan_agent", lambda *a, **k: (1, 1))
+    monkeypatch.setattr(analysis, "_scan_agents", lambda tables, delta: ([1, 1], [1, 1]))
     rep = rate_bound(0.7, scalar_model(), two_scalar_agents(), PAIR, T=100,
                      beta=0.5, beta_bar=0.8)
     assert rep.lambda0 == pytest.approx(0.5)
@@ -742,7 +799,7 @@ def test_rate_bound_formula_plugin(monkeypatch):
 
 
 def test_rate_bound_zero_T2_is_vacuous(monkeypatch):
-    monkeypatch.setattr(analysis, "_scan_agent", lambda *a, **k: (1, 0))
+    monkeypatch.setattr(analysis, "_scan_agents", lambda tables, delta: ([1, 1], [0, 0]))
     rep = rate_bound(0.7, scalar_model(), two_scalar_agents(), PAIR, T=100,
                      beta=0.5, beta_bar=0.8)
     assert rep.lambda0 == pytest.approx(1.0)
@@ -891,7 +948,7 @@ def test_rate_tables_keep_S_whose_unscaled_terms_overflow():
 def _exact_scalar_scan(a, delta, T, beta, beta_bar):
     """(T1, T2) of the one-agent scalar model with q = h = r = 1, in exact
     arithmetic: the recursions of `_rate_tables` and the scans of
-    `_scan_agent` over every step, with Fractions of the floats given."""
+    `_scan_agents` over every step, with Fractions of the floats given."""
     a, delta, beta, beta_bar = map(Fraction, (a, delta, beta, beta_bar))
     grow = 1 / (a * a)                       # A⁻ᵀ(·)A⁻¹ of a scalar
     f, u, zbar, S = [Fraction(2)], Fraction(1), [Fraction(0)], [Fraction(0)]

@@ -558,6 +558,27 @@ def test_pilot_betas_cover_the_first_fifty_steps_of_a_time_run(cfg):
     assert sim.pilot_betas(cfg) == expect
 
 
+def test_pilot_betas_build_no_second_scenario(monkeypatch):
+    # the pilot's blocks hold min(T, 50) rows, which set the horizon of its
+    # pass, so it runs on the scenario itself and checks none of it again
+    # (a copy with T = 50 re-ran the global-constraint SVD)
+    cfg, calls = case2(), []
+    monkeypatch.setattr(sim, "build_global_constraint", calls.append)
+    sim.pilot_betas(cfg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["time", "event"])
+def test_filter_path_runs_as_many_steps_as_its_blocks_hold_rows(mode):
+    cfg = case1(mode=mode, T=30)
+    full, short = (list(sim._filter_path(cfg, mode, [np.zeros((T, a.H.shape[0], 0))
+                                                     for a in cfg.agents]))
+                   for T in (30, 7))
+    assert len(full) == 31 and len(short) == 8
+    for got, want in zip(short, full):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 SPLIT_CASES = {
     "case1-time-L2": case1(mode="time", L=2, T=60),
     "case1-event": case1(mode="event", T=60),
