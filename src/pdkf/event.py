@@ -161,7 +161,8 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
     project): new (est, P, g, fired, held).
 
     est (N, n, c) holds c state columns (trials) per agent, P is the
-    (N, n, n) covariance stack and ys one (g, m, c) block per H group; every
+    (N, n, n) covariance stack and ys one (g, m, c) block per H group of
+    the layout, read only where est holds columns (it may be [] on none); every
     fact about the network, the thresholds included, is read from the
     layout, and the mode from held alone.  Time mode (held None) runs
     `rounds` fusion-projection rounds on the fresh pairs, gathered by the
@@ -202,10 +203,10 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
     P = _ensure_pd(symmetrize(A @ P @ A.T + Q), _COV)
     if states:
         est = A @ est
-    for (idx, H, R), y in zip(layout.meas, ys):
+    for j, (idx, H, R) in enumerate(layout.meas):
         K, P_upd = _named("update", idx, lambda *s: _kalman_gain(*s, layout.eye), P[idx], H, R)
         if states:
-            est[idx] += K @ (y - H @ est[idx])
+            est[idx] += K @ (ys[j] - H @ est[idx])
         P[idx] = _ensure_pd(P_upd, _COV, idx)
     agents = range(len(P))
     info = _named("inverse", agents, _inv, P)

@@ -12,8 +12,9 @@ maps to all trials at once, then drops them; on zero trials it forms no
 state map.  The runs, the Monte Carlo, both baselines (the centralized one
 as a one-agent network) and the design pilot (`pilot_betas`, on zero
 trials) share that pass, and `_run_core` alone records it, a chunk of steps
-per `_Recorder.record` call.  The truth holds the measurements once, one
-block per row count, which the pass reads in place.
+per `_Recorder.record` call.  The truth (`_truth`) holds the measurements
+once, in the format every step reads: one block per H group of the layout,
+its rows the group's measuring agents, so each step's read is a view.
 
 Reproducibility contract: the master seed is split with
 ``np.random.SeedSequence(seed).spawn(trials)`` and trial j draws from
@@ -208,21 +209,15 @@ def _affine(M: np.ndarray, X: np.ndarray, c) -> np.ndarray:
     return out
 
 
-def generate_truth(cfg: ScenarioConfig,
-                   rng: np.random.Generator | Sequence[np.random.Generator]):
-    """True trajectories and all agent measurements, of one trial or a block.
-
-    With one Generator `rng`: one trial, (states (T+1, n), [per-agent
-    measurements (T, m_i)]).  With a sequence of Generators: one trial each,
-    ((T+1, n, trials), [(T, m_i, trials)]) blocks.  The one-trial form is the
-    same code on a block of one, so it equals column j of a block drawn on
-    the same generators bit for bit.  Each trial draws its whole stream, in
-    the order of the module docstring, with one `standard_normal` call into a
-    buffer of as many trials as fit `_CHUNK_BYTES` (at least one), which is
-    freed before the transforms.  The measurements are held in one
-    (g, T, m, trials) block per row count m, its g agents in agent order, and
-    each returned Y[i] is a view of its agent's row of that block.  x0 is
-    drawn from the configured initial distribution and projected onto
+def _truth(cfg: ScenarioConfig, rngs: list) -> tuple:
+    """The truth of one trial per generator: X (T+1, n, trials) and ys, one
+    (g, T, m, trials) block per H group of the `step_layout`, its rows the
+    group's measuring agents, the format every `filter_step` reads.  Each
+    trial draws its whole stream, in the order of the module docstring, with
+    one `standard_normal` call into a buffer of as many trials as fit
+    `_CHUNK_BYTES` (at least one), which is freed before the transforms; the
+    draws of an agent that does not measure are not copied.  x0 is drawn
+    from the configured initial distribution and projected onto
     `cfg.global_constraint`; process noise is projected onto the constraint
     tangent space so D̄·x_k = d̄ holds at every step.  D̄ has orthonormal
     rows, so the projection is x ↦ (I − D̄ᵀD̄)x + D̄ᵀd̄, with no inverse.  A
@@ -230,22 +225,18 @@ def generate_truth(cfg: ScenarioConfig,
     in index order (T_A, T_S: the projected A_k, Q^½), as one sum over the
     outer axis of a (2n + 1, n, trials) block of those terms.  Measurement
     row k-1 belongs to step k: y = H x + R^½ v, formed per block with the
-    stacked H and R^½, a chunk of steps at a time; an agent without a
-    measurement gets exact zeros.
+    stacked H and R^½ (R from `cfg.sim_r_of`), a chunk of steps at a time.
     """
-    single = hasattr(rng, "standard_normal")
-    rngs = [rng] if single else list(rng)
     model, T, n, gc, trials = cfg.model, cfg.T, cfg.model.n, cfg.global_constraint, len(rngs)
-    # (agents, H, R) per row count, each block's agents in agent order
-    groups = _grouped([(a.H, cfg.sim_r_of(i)) for i, a in enumerate(cfg.agents)])
+    meas = step_layout(cfg.agents, cfg.topology).meas
     rows = np.array([a.H.shape[0] for a in cfg.agents])
     starts = n + T * n + T * np.concatenate([[0], np.cumsum(rows)])   # each agent's draws
     X = np.empty((T + 1, n, trials))
-    blocks = [np.empty((len(idx), T, H.shape[1], trials)) for idx, H, _ in groups]
+    ys = [np.empty((len(idx), T, H.shape[1], trials)) for idx, H, _ in meas]
     # where a block's agents are consecutive, their draws are one slice of the stream
     cols = [slice(starts[idx[0]], starts[idx[-1] + 1]) if idx[-1] - idx[0] == len(idx) - 1
             else (starts[idx][:, None] + np.arange(T * len(H[0]))).ravel()
-            for idx, H, _ in groups]
+            for idx, H, _ in meas]
     per_buffer = max(1, _CHUNK_BYTES // (8 * starts[-1]))
     buf = np.empty((min(trials, per_buffer), starts[-1]))
     for j0 in range(0, trials, per_buffer):     # the raw draws, then into the blocks
@@ -255,7 +246,7 @@ def generate_truth(cfg: ScenarioConfig,
             r.standard_normal(out=buf[j])
         X[0, :, js] = buf[:w, :n].T
         X[1:, :, js] = buf[:w, n:n + T * n].reshape(w, T, n).transpose(1, 2, 0)
-        for c, V in zip(cols, blocks):
+        for c, V in zip(cols, ys):
             V[..., js] = buf[:w, c].reshape(w, *V.shape[:3]).transpose(1, 2, 3, 0)
     del buf
 
@@ -273,45 +264,65 @@ def generate_truth(cfg: ScenarioConfig,
         np.multiply(_at(TA, k).T[:, :, None], X[k][:, None], out=terms[1:n + 1])
         np.multiply(_at(TS, k).T[:, :, None], X[k + 1][:, None], out=terms[n + 1:])
         terms.sum(axis=0, out=X[k + 1])
-    measures = np.array([a.has_measurement for a in cfg.agents])
-    for (idx, H, R), V in zip(groups, blocks):
-        if measures[idx].any():         # a rowless block's agents never measure
-            H, S = H[:, None], _psd_sqrt(R)[:, None]
-            steps = max(1, _CHUNK_BYTES // (8 * max(1, V[:, 0].size)))
-            for t in range(0, T, steps):
-                v = V[:, t:t + steps]
-                v[...] = _affine(S, v, _affine(H, X[None, t + 1:t + 1 + steps], 0.0))
-        V[~measures[idx]] = 0.0
-    rows_of = {i: v for (idx, *_), V in zip(groups, blocks) for i, v in zip(idx.tolist(), V)}
-    Y = [rows_of[i] for i in range(len(cfg.agents))]
+    for (idx, H, _), V in zip(meas, ys):
+        H, S = H[:, None], _psd_sqrt(np.stack([cfg.sim_r_of(i) for i in idx]))[:, None]
+        steps = max(1, _CHUNK_BYTES // (8 * max(1, V[:, 0].size)))
+        for t in range(0, T, steps):
+            v = V[:, t:t + steps]
+            v[...] = _affine(S, v, _affine(H, X[None, t + 1:t + 1 + steps], 0.0))
+    return X, ys
+
+
+def _agent_rows(cfg: ScenarioConfig, ys: list) -> dict:
+    """Each measuring agent's (T, m_i, trials) row of the truth's blocks ys, a view."""
+    meas = step_layout(cfg.agents, cfg.topology).meas
+    return {i: y for (idx, *_), block in zip(meas, ys) for i, y in zip(idx.tolist(), block)}
+
+
+def generate_truth(cfg: ScenarioConfig,
+                   rng: np.random.Generator | Sequence[np.random.Generator]):
+    """True trajectories and all agent measurements, of one trial or a block.
+
+    With one Generator `rng`: one trial, (states (T+1, n), [per-agent
+    measurements (T, m_i)]).  With a sequence of Generators: one trial each,
+    ((T+1, n, trials), [(T, m_i, trials)]) blocks.  The one-trial form is the
+    same code on a block of one, so it equals column j of a block drawn on
+    the same generators bit for bit.  The draws and transforms are
+    `_truth`'s; each Y[i] of a measuring agent is a view of its row of
+    `_truth`'s blocks, and an agent without a measurement gets exact zeros.
+    """
+    single = hasattr(rng, "standard_normal")
+    X, ys = _truth(cfg, [rng] if single else list(rng))
+    own = _agent_rows(cfg, ys)
+    Y = [own[i] if i in own else np.zeros((cfg.T, a.H.shape[0], X.shape[2]))
+         for i, a in enumerate(cfg.agents)]
     return (X[..., 0], [Yi[..., 0] for Yi in Y]) if single else (X, Y)
 
 
 def _noise_blocks(cfg: ScenarioConfig, trials: int, seed: int):
-    """Stacked truth/measurement blocks: X (T+1, n, trials), Y_i (T, m_i, trials)."""
+    """`_truth`'s X (T+1, n, trials) and measurement blocks on the documented stream."""
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(trials)]
-    return generate_truth(cfg, rngs)
+    return _truth(cfg, rngs)
 
 
 # ---------------------------------------------------------------------------
 # the filter pass
 
 
-def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
+def _filter_path(cfg: ScenarioConfig, mode: str, ys: list, T: int, trials: int):
     """One pass of either filter: yields (est, P, g, fired) for k = 0..T.
 
     est (N, n, trials) and P (N, n, n) are new stacks of each agent's state
     block and covariance after step k; g and fired are the (N,) trigger
     scores and decisions of step k in event mode, and empty otherwise and at
-    k = 0.  Y holds the (T, m_i, trials) blocks of measurements, whose rows
-    set T (cfg.T is not read); trials may be 0.  Each step reads its H groups'
-    measurements by `_member_rows`, with no copy of the horizon where Y is
-    `generate_truth`'s.  Each step is one
-    `event.filter_step`, which also advances the held pairs it returned the
-    step before, as it does for the rounds, so a one-trial pass is the
-    rounds' arithmetic bit for bit.  On blocks of no trials the step does
-    covariance work only: est stays the empty (N, n, 0) block, and P, g and
-    fired are those of any other number of trials.  Every failure of the
+    k = 0.  ys holds one (g, ≥ T, m, trials) block per H group of the
+    network's `step_layout`, as `_truth` draws them, and step k reads row
+    k − 1 of each, a view.  Each step is one `event.filter_step`, which also
+    advances the held pairs it returned the step before, as it does for the
+    rounds, so a one-trial pass is the rounds' arithmetic bit for bit.  On
+    zero trials the step reads no ys (which may be []) and does covariance
+    work only: est stays the empty (N, n, 0) block, and P, g and fired are
+    those of any other number of trials.  Every failure of the
     step, which names its agent ("the covariance of agent i is not finite",
     "the fusion of agent i: Singular matrix"), becomes the ValueError "the
     run diverged: <that message> at step k".
@@ -320,37 +331,18 @@ def _filter_path(cfg: ScenarioConfig, mode: str, Y: list):
     if event and not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")
     layout = step_layout(agents, cfg.topology)
-    reads = [_member_rows(Y, idx) for idx, *_ in layout.meas]
     x0, P = map(np.stack, zip(*cfg.initial_pairs()))
-    est = np.repeat(x0[:, :, None], Y[0].shape[2], axis=2)
+    est = np.repeat(x0[:, :, None], trials, axis=2)
     held = (est, P) if event else None     # the initial time is a broadcast
     yield est, P, np.zeros(0), np.zeros(0, dtype=bool)
-    for k in range(1, len(Y[0]) + 1):
+    for k in range(1, T + 1):
         try:
             est, P, g, fired, held = filter_step(
-                layout, est, P, [block[rows, k - 1] for block, rows in reads],
+                layout, est, P, [y[:, k - 1] for y in ys],
                 model.A_at(k - 1), model.Q_at(k - 1), 1 if event else cfg.L, held)
         except ValueError as exc:       # a LinAlgError is one
             raise ValueError(f"the run diverged: {exc} at step {k}") from None
         yield est, P, g, fired
-
-
-def _member_rows(Y: list, idx: np.ndarray) -> tuple:
-    """(block, rows), with block[rows] the stack of the blocks Y[i], i in idx.
-    Where each Y[i] is a row of one (g, T, m, trials) block, as
-    `generate_truth` returns them, that block is read in place, and rows is
-    a slice where they are consecutive rows, else their row numbers (so a
-    step's read is a view or one take); other blocks are stacked once."""
-    views = [Y[i] for i in idx]
-    block = views[0].base
-    if (block is not None and block.ndim == 4 and block.size
-            and all(v.base is block and v.shape == block.shape[1:]
-                    and v.strides == block.strides[1:] for v in views)):
-        rows = (np.array([v.ctypes.data for v in views]) - block.ctypes.data) // block.strides[0]
-        if np.array_equal(rows, np.arange(len(rows)) + rows[0]):
-            return block, slice(rows[0], rows[0] + len(rows))
-        return block, rows
-    return np.stack(views), slice(None)
 
 
 # ---------------------------------------------------------------------------
@@ -426,19 +418,20 @@ def _own_rows(agents: list) -> list:
     return [(a.D, a.d) if a.has_constraint else None for a in agents]
 
 
-def _run_core(cfg: ScenarioConfig, mode: str, seed: int, X: np.ndarray, Y: list,
+def _run_core(cfg: ScenarioConfig, mode: str, seed: int, X: np.ndarray, ys: list,
               gc: GlobalConstraint, rows: list) -> RunMetrics:
-    """One pass of cfg's network over the measurement blocks Y, recorded
-    against the truth X: the one place a `_filter_path` is recorded.  The
-    truth's constraint `gc` and the residual `rows`, one (D, d) or None per
-    agent of cfg, come from the scenario X and Y were drawn from.  The steps'
-    stacks are copied into chunks of K steps, as many as fit both buffers in
-    `_CHUNK_BYTES` (1 ≤ K ≤ T + 1), each recorded, as is the rest, by one call."""
+    """One pass of cfg's network over the measurement blocks ys, recorded
+    against the truth X, whose shape gives T and the trials: the one place a
+    `_filter_path` is recorded.  The truth's constraint `gc` and the residual
+    `rows`, one (D, d) or None per agent of cfg, come from the scenario X and
+    ys were drawn from.  The steps' stacks are copied into chunks of K steps,
+    as many as fit both buffers in `_CHUNK_BYTES` (1 ≤ K ≤ T + 1), each
+    recorded, as is the rest, by one call."""
     (T1, n, trials), N = X.shape, cfg.topology.N
     rec = _Recorder(cfg, trials, seed, gc, rows, event=mode == "event")
     K = max(1, min(T1, _CHUNK_BYTES // (8 * N * n * (trials + n))))
     ests, Ps, m = np.empty((K, N, n, trials)), np.empty((K, N, n, n)), rec.metrics
-    for k, (est, P, g, fired) in enumerate(_filter_path(cfg, mode, Y)):
+    for k, (est, P, g, fired) in enumerate(_filter_path(cfg, mode, ys, T1 - 1, trials)):
         if k and len(m.fired):
             m.g[k - 1], m.fired[k - 1] = g, fired
         j = k % K
@@ -476,11 +469,11 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None,
 def pilot_betas(cfg: ScenarioConfig) -> tuple:
     """Default (β, β̄) for the design tools: contraction factors covering every
     covariance of a time-based pilot pass over the first min(T, 50) steps.
-    The pass holds no trials, so its `event.filter_step`s form no state map:
-    its covariances are those of a run on any number of trials, bit for bit,
-    and its blocks' rows, not the scenario's T, set its horizon."""
-    Y = [np.zeros((min(cfg.T, 50), a.H.shape[0], 0)) for a in cfg.agents]
-    mats = np.concatenate([P for _, P, _, _ in _filter_path(cfg, "time", Y)])
+    The pass holds no trials and no measurement blocks, so its
+    `event.filter_step`s form no state map and read no measurement: its
+    covariances are those of a run on any number of trials, bit for bit."""
+    path = _filter_path(cfg, "time", [], min(cfg.T, 50), 0)
+    mats = np.concatenate([P for _, P, _, _ in path])
     return pilot_contraction_factors(mats, cfg.model.A_at(0), cfg.model.Q_at(0))
 
 
@@ -492,10 +485,13 @@ def ckf_baseline(cfg: ScenarioConfig) -> RunMetrics:
     """Centralized Kalman filter on the stacked measurement model (no
     constraint information): the engine on a one-agent network whose agent
     holds every measuring agent's H, stacked, with the block-diagonal R.
-    Shares the truth draws with the other drivers; the residual of its one
-    estimate is taken against every agent's own (D_i, d_i), stacked."""
-    X, Y = _noise_blocks(cfg, cfg.trials, cfg.seed)
-    n, idx = cfg.model.n, [i for i, a in enumerate(cfg.agents) if a.has_measurement]
+    Shares the truth draws with the other drivers: its one block, (1, T, M,
+    trials), is the measuring agents' rows side by side, or none when no
+    agent measures.  The residual of its one estimate is taken against
+    every agent's own (D_i, d_i), stacked."""
+    X, ys = _noise_blocks(cfg, cfg.trials, cfg.seed)
+    own = _agent_rows(cfg, ys)
+    n, idx = cfg.model.n, sorted(own)
     H = np.vstack([cfg.agents[i].H for i in idx] or [np.zeros((0, n))])
     owner = np.repeat(idx, [len(cfg.agents[i].R) for i in idx])   # each row's agent
     R = np.zeros((len(H), len(H)))      # block-diagonal: its blocks, row-major, in order
@@ -503,12 +499,10 @@ def ckf_baseline(cfg: ScenarioConfig) -> RunMetrics:
     one = dataclasses.replace(cfg, agents=[AgentSpec(H, R, np.zeros((0, n)), np.zeros(0))],
                               topology=Topology(np.ones((1, 1))), L=1, sim_r=None,
                               x0_hat=cfg.x0_hat_matrix()[0])
-    Yc = np.zeros((1, cfg.T, len(H), X.shape[2]))    # a block the engine reads in place
-    if idx:
-        np.concatenate([Y[i] for i in idx], axis=1, out=Yc[0])
+    block = [np.concatenate([own[i] for i in idx], axis=1)[None]] if idx else []
     rows = [(a.D, a.d) for a in cfg.agents if a.has_constraint]
     stacked = [tuple(map(np.concatenate, zip(*rows))) if rows else None]
-    return _run_core(one, "time", cfg.seed, X, [Yc[0]], cfg.global_constraint, stacked)
+    return _run_core(one, "time", cfg.seed, X, block, cfg.global_constraint, stacked)
 
 
 def consensus_baseline(cfg: ScenarioConfig) -> RunMetrics:

@@ -512,9 +512,11 @@ class StepRecorder(_Recorder):
                     m.constraint_sq[(k, i)] = float(np.mean(np.sum(comp * comp, axis=0)))
 
 
-def step_recorded_run(cfg, mode, seed, X, Y, gc, rows):
-    """`sim._run_core`, recording each step as the engine yields it."""
-    rec = StepRecorder(cfg, X.shape[2], seed, gc, rows, event=mode == "event")
-    for k, (est, P, g, fired) in enumerate(_filter_path(cfg, mode, Y)):
+def step_recorded_run(cfg, mode, seed, X, ys, gc, rows):
+    """`sim._run_core`, recording each step as the engine yields it: the pass
+    over the blocks ys, with T and the trials from X's shape."""
+    (T1, _, trials) = X.shape
+    rec = StepRecorder(cfg, trials, seed, gc, rows, event=mode == "event")
+    for k, (est, P, g, fired) in enumerate(_filter_path(cfg, mode, ys, T1 - 1, trials)):
         rec.record(k, est, X[k], P, g, fired)
     return rec.finish()

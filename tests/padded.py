@@ -147,31 +147,31 @@ def padded_filter_step(layout: tuple, est, P, ys: list, A, Q, rounds: int = 1,
     return est, P, g, fired, (hx, hP) if event else None
 
 
-def padded_filter_path(cfg: ScenarioConfig, mode: str, Y: list):
-    """One pass of either filter: yields (est, P, g, fired) for k = 0..T.
+def padded_filter_path(cfg: ScenarioConfig, mode: str, ys: list, T: int, trials: int):
+    """One pass of either filter over T steps: yields (est, P, g, fired) for
+    k = 0..T.
 
     est (N, n, trials) and P (N, n, n) are new stacks of each agent's state
     block and covariance after step k; g and fired list the trigger scores
     and decisions of step k in event mode, and are empty otherwise and at
-    k = 0.  Y holds the (T, m_i, trials) measurement blocks; trials may be 0.
-    Each step is one `padded_filter_step`, which advances the held pairs; a
-    LinAlgError of the step becomes "the run diverged: <its message> at step
-    k".
+    k = 0.  ys holds one (g, ≥ T, m, trials) measurement block per H group,
+    as `sim._truth` draws them; trials may be 0.  Each step is one
+    `padded_filter_step`, which advances the held pairs; a LinAlgError of
+    the step becomes "the run diverged: <its message> at step k".
     """
     model, agents, event = cfg.model, cfg.agents, mode == "event"
     if event and not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")
     layout = padded_layout(agents, cfg.topology, event)
-    Ys = [np.stack([Y[i] for i in idx]) for idx, *_ in layout[0]]
     deltas = np.array([a.delta for a in agents])
     x0, P = map(np.stack, zip(*cfg.initial_pairs()))
-    est = np.repeat(x0[:, :, None], Y[0].shape[2], axis=2)
+    est = np.repeat(x0[:, :, None], trials, axis=2)
     held = (est, P) if event else None     # the initial time is a broadcast
     yield est, P, [], []
-    for k in range(1, cfg.T + 1):
+    for k in range(1, T + 1):
         try:
             est, P, g, fired, held = padded_filter_step(
-                layout, est, P, [Yg[:, k - 1] for Yg in Ys],
+                layout, est, P, [y[:, k - 1] for y in ys],
                 model.A_at(k - 1), model.Q_at(k - 1),
                 1 if event else cfg.L, held, deltas)
         except np.linalg.LinAlgError as exc:

@@ -286,11 +286,11 @@ def test_constraint_sq_is_the_public_constraint_error(cfg):
     # the recorder reads D̄·e; the public definition is the last s̄ coordinates
     # of Fᵀe, summed over coordinates, with F from space_decomposition
     rm = monte_carlo(cfg)
-    X, Y = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
+    X, ys = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
     gc = cfg.global_constraint
     F = space_decomposition(gc)[0]
     assert rm.checkpoints == tuple(k for k in (50, 150, 250) if k <= cfg.T)
-    for k, (est, *_) in enumerate(sim._filter_path(cfg, cfg.mode, Y)):
+    for k, (est, *_) in enumerate(sim._filter_path(cfg, cfg.mode, ys, cfg.T, cfg.trials)):
         if k not in rm.checkpoints:
             continue
         want = np.array([np.mean(np.sum(constraint_error(e, X[k], F, gc.s_bar) ** 2, axis=0))
@@ -367,8 +367,8 @@ def test_consensus_residual_is_taken_against_the_truths_agents():
     # the filtered numbers are those of a time-based run on stripped agents
     stripped = dataclasses.replace(cfg, agents=[
         dataclasses.replace(a, D=np.zeros((0, 4)), d=np.zeros(0)) for a in cfg.agents])
-    X, Y = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
-    last = list(sim._filter_path(stripped, "time", Y))[-1][0]
+    X, ys = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
+    last = list(sim._filter_path(stripped, "time", ys, cfg.T, cfg.trials))[-1][0]
     errs = last - X[-1]
     assert rm.mse[-1] == np.mean(np.mean(np.sum(errs * errs, axis=1), axis=1))
     want = max(np.abs(a.D @ last[i] - a.d[:, None]).max()
@@ -382,7 +382,8 @@ def test_ckf_baseline_is_the_stacked_kalman_filter(cfg):
     # the centralized filter is the engine on one agent; the reference is a
     # plain predict/update loop on the stacked measuring agents
     rm = ckf_baseline(cfg)
-    X, Y = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    X, Y = generate_truth(cfg, [np.random.default_rng(c) for c in children])
     meas = [i for i, a in enumerate(cfg.agents) if a.has_measurement]
     H = np.vstack([cfg.agents[i].H for i in meas])
     R = np.diag([cfg.agents[i].R.item() for i in meas])     # every R is 1×1 here
@@ -569,14 +570,19 @@ def test_pilot_betas_build_no_second_scenario(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["time", "event"])
-def test_filter_path_runs_as_many_steps_as_its_blocks_hold_rows(mode):
+def test_filter_path_runs_the_steps_it_is_told_to_run(mode):
     cfg = case1(mode=mode, T=30)
-    full, short = (list(sim._filter_path(cfg, mode, [np.zeros((T, a.H.shape[0], 0))
-                                                     for a in cfg.agents]))
-                   for T in (30, 7))
+    full, short = (list(sim._filter_path(cfg, mode, [], T, 0)) for T in (30, 7))
     assert len(full) == 31 and len(short) == 8
     for got, want in zip(short, full):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _zero_blocks(cfg, trials):
+    """Zero measurements in the truth's format: one (g, T, m, trials) block
+    per H group of cfg's step layout."""
+    return [np.zeros((len(idx), cfg.T, H.shape[1], trials))
+            for idx, H, _ in event.step_layout(cfg.agents, cfg.topology).meas]
 
 
 SPLIT_CASES = {
@@ -588,10 +594,9 @@ SPLIT_CASES = {
 
 
 def _assert_covariance_side_without_trials(cfg):
-    _X, Y = sim._noise_blocks(cfg, 5, cfg.seed)
-    empty = [np.zeros((cfg.T, a.H.shape[0], 0)) for a in cfg.agents]
-    bare = list(sim._filter_path(cfg, cfg.mode, empty))
-    full = list(sim._filter_path(cfg, cfg.mode, Y))
+    _X, ys = sim._noise_blocks(cfg, 5, cfg.seed)
+    bare = list(sim._filter_path(cfg, cfg.mode, [], cfg.T, 0))
+    full = list(sim._filter_path(cfg, cfg.mode, ys, cfg.T, 5))
     assert len(bare) == len(full) == cfg.T + 1
     for (est, *side), (_est, *ref) in zip(bare, full):
         assert est.shape == (cfg.topology.N, cfg.model.n, 0)
@@ -631,8 +636,7 @@ def test_a_pass_without_trials_forms_no_state_map(cfg, monkeypatch):
         monkeypatch.setattr(module, "slot_sum", sum_spy)
     for trials, want in ((0, {"slot_sum"}), (1, {"pinv", "slot_sum", "slot_sum with maps"})):
         calls.clear()
-        Y = [np.zeros((cfg.T, a.H.shape[0], trials)) for a in cfg.agents]
-        for _ in sim._filter_path(cfg, cfg.mode, Y):
+        for _ in sim._filter_path(cfg, cfg.mode, _zero_blocks(cfg, trials), cfg.T, trials):
             pass
         assert set(calls) == want
         assert calls.count("slot_sum") == cfg.T * (1 if cfg.mode == "event" else cfg.L)
@@ -1147,8 +1151,8 @@ def test_constrained_agents_meet_their_constraints_on_random_networks(mode, data
     # estimate lies on its own constraint set D_i x = d_i to rounding, for
     # every trial (step 0 holds the initial estimates, which are not projected)
     cfg = data.draw(directed_scenarios(T=30, modes=(mode,)))
-    _X, Y = sim._noise_blocks(cfg, 3, cfg.seed)
-    for k, (est, *_) in enumerate(sim._filter_path(cfg, mode, Y)):
+    _X, ys = sim._noise_blocks(cfg, 3, cfg.seed)
+    for k, (est, *_) in enumerate(sim._filter_path(cfg, mode, ys, cfg.T, 3)):
         for a, x in zip(cfg.agents, est) if k else ():
             if a.has_constraint:
                 scale = np.abs(a.D) @ np.abs(x) + np.abs(a.d)[:, None]
@@ -1178,9 +1182,9 @@ def test_filter_path_never_changes_what_it_yielded(mode):
     # pilot_betas keeps every yielded covariance, and the recorder reads each
     # step's stacks only after the next step may have started
     cfg = heterogeneous_cfg(mode, T=12)
-    _X, Y = sim._noise_blocks(cfg, 2, 3)
+    _X, ys = sim._noise_blocks(cfg, 2, 3)
     kept = []
-    for out in sim._filter_path(cfg, mode, Y):
+    for out in sim._filter_path(cfg, mode, ys, cfg.T, 2):
         for arrays, copies in kept:
             assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
         arrays = [np.asarray(v) for v in out]
@@ -1195,12 +1199,12 @@ def test_filter_path_names_the_guard_and_the_step_of_a_failure():
     cfg = case1(mode="event", T=120, delta=(0.4, 0.4, 0.4))
     m = cfg.model
     cfg.model = SystemModel(50 * m.A[0], m.Q[0], m.x0_mean, m.P0)
-    Y = [np.zeros((cfg.T, a.H.shape[0], 0)) for a in cfg.agents]
+    ys = _zero_blocks(cfg, 0)
     for path in (sim._filter_path, padded.padded_filter_path):
         with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match=r"^the run diverged: the covariance of agent 1 is not "
                                   r"finite at step 90$"):
-            for _ in path(cfg, "event", Y):
+            for _ in path(cfg, "event", ys, cfg.T, 0):
                 pass
 
 
@@ -1233,30 +1237,72 @@ def test_every_failure_of_a_step_names_its_agent_and_step(cfg, message):
         monte_carlo(cfg)
 
 
-def test_truth_holds_each_row_count_in_one_block_that_the_engine_reads_in_place():
-    # agents with 1, 2, 1, 2 and 1 rows, agent 2 blind: the engine's 1-row
-    # group (agents 0 and 4) is rows 0 and 2 of its block, a take; the
-    # 2-row group (agents 1 and 3) is rows 0 and 1, a view
-    cfg = heterogeneous_cfg("time", T=10)
-    X, Y = sim._noise_blocks(cfg, 3, cfg.seed)
-    for m, members in ((1, [0, 2, 4]), (2, [1, 3])):
-        block = Y[members[0]].base
-        assert block.shape == (len(members), cfg.T, m, 3)
-        for row, i in enumerate(members):
-            assert Y[i].base is block
-            assert Y[i].ctypes.data == block[row].ctypes.data
-    reads = [sim._member_rows(Y, idx) for idx, *_ in event.step_layout(cfg.agents,
-                                                                      cfg.topology).meas]
-    assert [rows if isinstance(rows, slice) else rows.tolist() for _, rows in reads] == [
-        [0, 2], slice(0, 2)]
-    for (idx, *_), (block, rows) in zip(event.step_layout(cfg.agents, cfg.topology).meas,
-                                        reads):
-        assert block is Y[idx[0]].base
-        assert np.array_equal(block[rows], np.stack([Y[i] for i in idx]))
-    # blocks the truth did not draw are stacked once
-    copies = [Yi.copy() for Yi in Y]
-    block, rows = sim._member_rows(copies, [1, 3])
-    assert rows == slice(None) and np.array_equal(block, np.stack([Y[1], Y[3]]))
+def test_the_truth_draws_the_layouts_blocks_and_every_step_reads_them_as_views(monkeypatch):
+    # one (g, T, m, trials) block per H group of the step layout, its rows the
+    # group's measuring agents; case1's group is agents 0 and 2 around the
+    # blind agent 1, and the mixed network's 1-row group agents 0 and 4
+    reads, step = [], sim.filter_step
+
+    def spy(layout, est, P, ys, *args):
+        reads.append(ys)
+        return step(layout, est, P, ys, *args)
+
+    monkeypatch.setattr(sim, "filter_step", spy)
+    for cfg, blind in ((heterogeneous_cfg("time", T=10), [2]), (case1(mode="time", T=10), [1]),
+                       (_rowless_blind(case1(mode="event", T=10)), [1])):
+        meas = event.step_layout(cfg.agents, cfg.topology).meas
+        _X, ys = sim._noise_blocks(cfg, 3, cfg.seed)
+        assert [y.shape for y in ys] == [(len(idx), cfg.T, H.shape[1], 3) for idx, H, _ in meas]
+        reads.clear()
+        for _ in sim._filter_path(cfg, cfg.mode, ys, cfg.T, 3):
+            pass
+        assert len(reads) == cfg.T
+        for k, got in enumerate(reads, 1):
+            assert len(got) == len(ys)
+            for y, block in zip(got, ys):
+                assert np.shares_memory(y, block) and np.array_equal(y, block[:, k - 1])
+        # the public form: a measuring agent's Y[i] is its row of one block, a
+        # view; an agent that does not measure gets exact zeros
+        children = np.random.SeedSequence(cfg.seed).spawn(3)
+        _X, Y = generate_truth(cfg, [np.random.default_rng(c) for c in children])
+        for (idx, *_), block in zip(meas, ys):
+            base = Y[idx[0]].base
+            assert base.shape == block.shape
+            for row, i in enumerate(idx):
+                assert Y[i].base is base and np.shares_memory(Y[i], base[row])
+                assert np.array_equal(Y[i], block[row])
+        for i in blind:
+            assert Y[i].shape == (cfg.T, cfg.agents[i].H.shape[0], 3)
+            assert not Y[i].any() and not np.signbit(Y[i]).any()
+
+
+def _measuring_none(cfg, rowless):
+    """cfg with every agent's H a zero row (R kept), or no rows at all."""
+    n = cfg.model.n
+    return dataclasses.replace(cfg, agents=[
+        dataclasses.replace(a, H=np.zeros((0, n)), R=np.zeros((0, 0))) if rowless
+        else dataclasses.replace(a, H=np.zeros((1, n))) for a in cfg.agents])
+
+
+@pytest.mark.parametrize("mode", ["time", "event"])
+@pytest.mark.parametrize("rowless", [False, True], ids=["zero-rows", "rowless"])
+def test_a_network_where_no_agent_measures_runs_every_driver(mode, rowless):
+    # the layout has no H group, so the truth draws no block and the pass is
+    # told T and the trials; the drivers still filter on the constraints alone
+    cfg = _measuring_none(case1(mode=mode, T=30, trials=4), rowless)
+    assert event.step_layout(cfg.agents, cfg.topology).meas == []
+    _X, ys = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
+    assert ys == []
+    steps = list(sim._filter_path(cfg, mode, ys, cfg.T, cfg.trials))
+    assert len(steps) == cfg.T + 1
+    for est, P, *_ in steps:
+        assert est.shape == (3, cfg.model.n, cfg.trials)
+        assert np.isfinite(est).all() and np.isfinite(P).all()
+    for rm in (monte_carlo(cfg), ckf_baseline(cfg), consensus_baseline(cfg)):
+        for f in ("mse", "trace_p", "lambda_running", "constraint_residuals",
+                  "mean_error_norm", "g"):
+            assert np.isfinite(getattr(rm, f)).all(), f
+    assert np.isfinite(sim.pilot_betas(cfg)).all()
 
 
 def _constrained_blocks(cfg, ks=(10, 50, 100), Ls=(1, 2, 4, 8)):
@@ -1264,8 +1310,7 @@ def _constrained_blocks(cfg, ks=(10, 50, 100), Ls=(1, 2, 4, 8)):
     Dbar, out = cfg.global_constraint.Dbar, {}
     for L in Ls:
         run = dataclasses.replace(cfg, L=L, mode="time", T=max(ks))
-        Y = [np.zeros((run.T, a.H.shape[0], 0)) for a in run.agents]
-        for k, (_, P, _, _) in enumerate(sim._filter_path(run, "time", Y)):
+        for k, (_, P, _, _) in enumerate(sim._filter_path(run, "time", [], run.T, 0)):
             if k in ks:
                 out[(L, k)] = np.trace(Dbar @ P @ Dbar.T, axis1=1, axis2=2).max()
     return out
@@ -1309,9 +1354,9 @@ PADDED_CASES = {
 
 
 def _assert_padded_path(cfg, mode):
-    _X, Y = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
-    got = list(sim._filter_path(cfg, mode, Y))
-    want = list(padded.padded_filter_path(cfg, mode, Y))
+    _X, ys = sim._noise_blocks(cfg, cfg.trials, cfg.seed)
+    got = list(sim._filter_path(cfg, mode, ys, cfg.T, cfg.trials))
+    want = list(padded.padded_filter_path(cfg, mode, ys, cfg.T, cfg.trials))
     assert len(got) == len(want) == cfg.T + 1
     for step, ref in zip(got, want):
         for a, b in zip(step, ref):
@@ -1327,13 +1372,15 @@ def test_filter_path_equals_the_padded_fusion_bit_for_bit(cfg):
 
 
 def test_time_and_event_passes_share_one_layout_and_equal_the_padded_fusion():
-    # the step's mode comes from its held pairs, not from the layout
+    # the step's mode comes from its held pairs, not from the layout: one
+    # build, by the first truth, which reads the layout's H groups, then a
+    # cache hit for its pass and for the second mode's truth and pass
     cfg = case1(mode="event", L=2, T=40, trials=3, seed=8)
     before = event._build_layout.cache_info()
     for mode in ("time", "event"):
         _assert_padded_path(cfg, mode)
     after = event._build_layout.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 3)
 
 
 ENGINE_CASES = {
@@ -1352,8 +1399,8 @@ def test_public_rounds_equal_the_engine_bit_for_bit(cfg):
     # the rounds and a one-trial engine pass are one program: same kernels,
     # same held-pair recursion, so every step's numbers are the same bits
     steps, _X = _round_steps(cfg, tpdkf_round, epdkf_round)
-    _X, Y = sim._noise_blocks(cfg, 1, cfg.seed)
-    path = list(sim._filter_path(cfg, cfg.mode, Y))
+    _X, ys = sim._noise_blocks(cfg, 1, cfg.seed)
+    path = list(sim._filter_path(cfg, cfg.mode, ys, cfg.T, 1))
     assert len(steps) == len(path) == cfg.T + 1
     for (states, fired), (est, P, _g, engine_fired) in zip(steps[1:], path[1:]):
         if cfg.mode == "event":
