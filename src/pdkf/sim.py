@@ -280,7 +280,8 @@ def _agent_rows(cfg: ScenarioConfig, ys: list) -> dict:
 
 
 def generate_truth(cfg: ScenarioConfig,
-                   rng: np.random.Generator | Sequence[np.random.Generator]):
+                   rng: np.random.Generator | Sequence[np.random.Generator],
+                   *, _blocks: bool = False):
     """True trajectories and all agent measurements, of one trial or a block.
 
     With one Generator `rng`: one trial, (states (T+1, n), [per-agent
@@ -290,9 +291,12 @@ def generate_truth(cfg: ScenarioConfig,
     the same generators bit for bit.  The draws and transforms are
     `_truth`'s; each Y[i] of a measuring agent is a view of its row of
     `_truth`'s blocks, and an agent without a measurement gets exact zeros.
+    The private `_blocks` returns `_truth`'s (X, ys), which the drivers read.
     """
     single = hasattr(rng, "standard_normal")
     X, ys = _truth(cfg, [rng] if single else list(rng))
+    if _blocks:
+        return X, ys
     own = _agent_rows(cfg, ys)
     Y = [own[i] if i in own else np.zeros((cfg.T, a.H.shape[0], X.shape[2]))
          for i, a in enumerate(cfg.agents)]
@@ -300,9 +304,9 @@ def generate_truth(cfg: ScenarioConfig,
 
 
 def _noise_blocks(cfg: ScenarioConfig, trials: int, seed: int):
-    """`_truth`'s X (T+1, n, trials) and measurement blocks on the documented stream."""
+    """X (T+1, n, trials) and `_truth`'s blocks on the documented stream, via `generate_truth`."""
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(trials)]
-    return _truth(cfg, rngs)
+    return generate_truth(cfg, rngs, _blocks=True)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +319,14 @@ def _filter_path(cfg: ScenarioConfig, mode: str, ys: list, T: int, trials: int):
     est (N, n, trials) and P (N, n, n) are new stacks of each agent's state
     block and covariance after step k; g and fired are the (N,) trigger
     scores and decisions of step k in event mode, and empty otherwise and at
-    k = 0.  ys holds one (g, ≥ T, m, trials) block per H group of the
-    network's `step_layout`, as `_truth` draws them, and step k reads row
-    k − 1 of each, a view.  Each step is one `event.filter_step`, which also
-    advances the held pairs it returned the step before, as it does for the
-    rounds, so a one-trial pass is the rounds' arithmetic bit for bit.  On
-    zero trials the step reads no ys (which may be []) and does covariance
-    work only: est stays the empty (N, n, 0) block, and P, g and fired are
-    those of any other number of trials.  Every failure of the
+    k = 0.  ys must hold one block per H group of the network's
+    `step_layout`, each (g, ≥ T, m, trials) as `_truth` draws them, and step
+    k reads row k − 1 of each, a view.  Each step is one `event.filter_step`,
+    which also advances the held pairs it returned the step before, as it
+    does for the rounds, so a one-trial pass is the rounds' arithmetic bit
+    for bit.  On zero trials the step reads no ys (which may be []) and does
+    covariance work only: est stays the empty (N, n, 0) block, and P, g and
+    fired are those of any other number of trials.  Every failure of the
     step, which names its agent ("the covariance of agent i is not finite",
     "the fusion of agent i: Singular matrix"), becomes the ValueError "the
     run diverged: <that message> at step k".

@@ -1276,6 +1276,24 @@ def test_the_truth_draws_the_layouts_blocks_and_every_step_reads_them_as_views(m
             assert not Y[i].any() and not np.signbit(Y[i]).any()
 
 
+def test_every_driver_draws_its_truth_through_generate_truth(monkeypatch):
+    # the drivers read `_truth`'s blocks, but draw them inside the public
+    # generate_truth, so a profile of a run finds its truth under that name
+    calls, draw = [], sim.generate_truth
+
+    def spy(cfg, rng, **kw):
+        calls.append(kw)
+        return draw(cfg, rng, **kw)
+
+    monkeypatch.setattr(sim, "generate_truth", spy)
+    cfg = case1(mode="event", T=20, trials=3)
+    for run in (monte_carlo, sim.run_event, sim.ckf_baseline, sim.consensus_baseline):
+        run(cfg)
+    assert calls == [{"_blocks": True}] * 4
+    X, ys = draw(cfg, [np.random.default_rng(0)], _blocks=True)
+    assert X.shape == (21, 4, 1) and [y.shape[:2] for y in ys] == [(2, 20)]
+
+
 def _measuring_none(cfg, rowless):
     """cfg with every agent's H a zero row (R kept), or no rows at all."""
     n = cfg.model.n
