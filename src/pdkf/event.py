@@ -5,13 +5,17 @@ gain over what its neighbors can already extrapolate exceeds a threshold:
 g = λ_max(P̃⁻¹ − P̄̃⁻¹) − δ with P̄̃ the multi-step prediction of the last
 broadcast.  Silent neighbors are substituted by that same extrapolation, so
 the whole communication pattern is a deterministic function of the model and
-thresholds — it never depends on measured data.  `filter_step`, a step of
-either filter on the stack of all agents, serves the Monte Carlo engine and
-the step-by-step rounds `tpdkf_round` and `epdkf_round` alike; both read the
+thresholds — it never depends on measured data.  `filter_step`, a chunk
+of steps of either filter on the stack of all agents, serves the Monte
+Carlo engine (chunks of many steps) and the step-by-step rounds
+`tpdkf_round` and `epdkf_round` (chunks of one) alike; both read the
 network's `step_layout`, built once per network and fused over its real
-edges only.  `filter_step` also holds the one held-pair recursion they
-share, and on a state block of no columns (a pass on no trials) it does
-covariance work only.
+edges only.  Because the covariances and the trigger never read a state,
+a chunk runs the covariance side of all its steps first, forms the state
+maps they fix in one call per kind, then applies them step by step.
+`filter_step` also holds the one held-pair recursion they share, and on a
+state block of no columns (a pass on no trials) it does covariance work
+only.
 The rounds check each per-agent list whole, stacking every x and
 measurement list by one helper, `_rows`, which checks widths and
 finiteness; a single agent is looked at only to name a failing one.
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter import (AgentState, _check_pd, _ci_gains, _ci_information, _ensure_pd,
-                     _estimate, _inv, _kalman_gain, _pair, _projection_cov,
+from .filter import (AgentState, _check_pd, _ci_gains, _ci_information, _eigvalsh,
+                     _ensure_pd, _estimate, _inv, _kalman_gain, _pair, _projection_cov,
                      _projection_state, slot_sum, symmetrize)
 from .model import AgentSpec, SystemModel, Topology, _check_symmetric, _integer, _real
 
@@ -63,7 +67,7 @@ def trigger_from_info(info, info_held, delta):
     scale (Ω and Ω̄ may nearly cancel), and the eigen-solver reads its
     symmetric part.  Returns (g, fired) arrays."""
     sym = _check_symmetric(info - info_held, "the information difference", (info, info_held))
-    g = np.linalg.eigvalsh(sym)[..., -1] - delta     # eigvalsh sorts ascending
+    g = _eigvalsh(sym)[..., -1] - delta     # eigvalsh sorts ascending
     return g, g > 0.0
 
 
@@ -154,30 +158,41 @@ def step_layout(agents: list[AgentSpec], topology: Topology) -> StepLayout:
     return _build_layout(topology, *agents)
 
 
-def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
+def filter_step(layout: StepLayout, est, P, ys: list, As, Qs, rounds: int = 1,
                 held: tuple | None = None) -> tuple:
-    """One step of either filter on the agent stack, in the paper's order
-    (predict, update, trigger in event mode, then per round CI-fuse and
-    project): new (est, P, g, fired, held).
+    """A chunk of K = len(As) ≥ 1 steps of either filter on the agent stack,
+    each in the paper's order (predict, update, trigger in event mode, then
+    per round CI-fuse and project): (est, P, g, fired, held), the first
+    four lists of K new arrays, one per step.
 
-    est (N, n, c) holds c state columns (trials) per agent, P is the
-    (N, n, n) covariance stack and ys one (g, m, c) block per H group of
-    the layout, read only where est holds columns (it may be [] on none); every
-    fact about the network, the thresholds included, is read from the
-    layout, and the mode from held alone.  Time mode (held None) runs
-    `rounds` fusion-projection rounds on the fresh pairs, gathered by the
-    layout's src.  Event mode takes held = (hx, hP), the pairs held after
-    the previous step, advances them (x ← A x, P ← A P Aᵀ + Q, not
-    symmetrized), fires where the trigger score g against them exceeds the
-    layout's deltas, re-anchors the pairs of the agents that fired, fuses
-    each neighbor's held pair (fresh if it fired), gathered by the layout's
-    held_src, and returns the pairs then held.  The covariances and the
-    trigger never read a state, and every state line (the predictions, the
-    update, hx's re-anchor, and the CI maps C = P[dst]·terms and, per D
-    group, M = P·Dᵀ·`pinv`(S), G = I − M D and c = M d, applied) runs only
-    where est holds columns: on zero columns the step does covariance work
-    only and returns est and hx as given.  Each covariance stack made is
-    symmetrized once, where it is made (the prediction here, the others
+    est (N, n, c) holds c state columns (trials) per agent and P is the
+    (N, n, n) covariance stack before the chunk; As and Qs hold each step's
+    A and Q, and ys one (g, K, m, c) block per H group of the layout, row t
+    the measurements of step t, read only where est holds columns (ys may
+    be [] on none).  Each step returns est (N, n, c), P (N, n, n), and g and
+    fired (N,) in event mode, empty in time mode.  Every fact about the
+    network, the thresholds included, is read from the layout, and the mode
+    from held alone.  Time mode (held None) runs `rounds` fusion-projection
+    rounds on the fresh pairs, gathered by the layout's src.  Event mode
+    takes held = (hx, hP), the pairs held before the chunk, advances them
+    each step (x ← A x, P ← A P Aᵀ + Q, not symmetrized), fires where the
+    trigger score g against them exceeds the layout's deltas, re-anchors
+    the pairs of the agents that fired, fuses each neighbor's held pair
+    (fresh if it fired), gathered by the layout's held_src, and returns the
+    pairs held after the chunk.
+
+    The covariances and the trigger never read a state, so each step's
+    state update is an affine map that they fix.  The step runs in two
+    loops: first the covariance side of every step of the chunk, keeping
+    each gain, each round's fused P and terms and each D group's P·Dᵀ and
+    S; then, only where est holds columns, the state side, step by step.
+    Between them the state maps are formed once per chunk, over its
+    (steps × rounds) stack: the CI maps C = P[dst]·terms, and per D group
+    M = P·Dᵀ·`pinv`(S), G = I − M D and c = M d.  Each member of those
+    stacks has the bits it has alone, so a chunk of K steps has the bits of
+    K chunks of one.  On zero columns the step keeps nothing for the state
+    side, forms no map and returns est and hx as given.  Each covariance stack made
+    is symmetrized once, where it is made (the prediction here, the others
     inside the kernels).
     Guards, once per stack and bit-neutral where Cholesky succeeds:
     `_ensure_pd` on every covariance stack made, whose one Cholesky is also
@@ -190,56 +205,85 @@ def filter_step(layout: StepLayout, est, P, ys: list, A, Q, rounds: int = 1,
     """
     event, states = held is not None, est.shape[2] > 0
     hx, hP = held if event else (None, None)
-    hinfo, g, fired = None, np.zeros(0), np.zeros(0, dtype=bool)
+    hinfo, agents, (sizes, dst) = None, range(len(P)), layout.slots
     src = layout.held_src if event else layout.src
+    Ps, ests, g, fired = [], [], [], []
+    if not event:
+        g, fired = [np.zeros(0)] * len(As), [np.zeros(0, dtype=bool)] * len(As)
+    # what the state side reads: the gains, and per (step, round) the fused
+    # P, its terms and each D group's (P·Dᵀ, S)
+    gains, fused, terms, proj = [], [], [], [([], []) for _ in layout.proj]
 
     def gather(fresh, kept):    # each in-edge's sender, slot-major
-        return np.take(fresh if kept is None else np.concatenate([fresh, kept]), src, 0)
+        return (fresh if kept is None else np.concatenate([fresh, kept])).take(src, 0)
 
-    if event:
-        hP = A @ hP @ A.T + Q
-        if states:
-            hx = A @ hx
-    P = _ensure_pd(symmetrize(A @ P @ A.T + Q), _COV)
-    if states:
-        est = A @ est
-    for j, (idx, H, R) in enumerate(layout.meas):
-        K, P_upd = _named("update", idx, lambda *s: _kalman_gain(*s, layout.eye), P[idx], H, R)
-        if states:
-            est[idx] += K @ (ys[j] - H @ est[idx])
-        P[idx] = _ensure_pd(P_upd, _COV, idx)
-    agents = range(len(P))
-    info = _named("inverse", agents, _inv, P)
-    if event:
-        hinfo = _named("held inverse", agents, _inv, _check_pd(hP, "the held covariance of agent"))
-        g, fired = _named("trigger", agents, trigger_from_info, info, hinfo, layout.deltas)
-        # a broadcast becomes the anchor every receiver extrapolates
-        f = fired[:, None, None]
-        hP, hinfo = np.where(f, P, hP), np.where(f, info, hinfo)
-        if states:
-            hx = np.where(f, est, hx)
-    for r in range(rounds):
-        if r:
-            info = _named("inverse", agents, _inv, P)
-        infos = gather(info, hinfo)
-        try:
-            Pc, terms = _ci_information(infos, layout.weights, layout.slots[0])
-        except np.linalg.LinAlgError:   # name the row whose information sum is singular
-            _named("fusion", np.argsort(layout.rank), _inv,
-                   slot_sum(layout.weights[:, None, None] * infos, layout.slots[0]))
-            raise
-        if states:
-            est = slot_sum(gather(est, hx), layout.slots[0],
-                           _ci_gains(Pc, terms, layout.slots[1]))[layout.rank]
-        # rows follow the layout's order until this one un-permutation
-        P = _ensure_pd(Pc[layout.rank], _COV)
-        for idx, D, d, eps_I in layout.proj:
-            PDt, S, P_proj = _named("projection", idx, _projection_cov, P[idx], D, eps_I)
+    for t, (A, Q) in enumerate(zip(As, Qs)):
+        if event:
+            hP = A @ hP @ A.T + Q
+        P = _ensure_pd(symmetrize(A @ P @ A.T + Q), _COV)
+        for idx, H, R in layout.meas:
+            K, P_upd = _named("update", idx, lambda *s: _kalman_gain(*s, layout.eye), P[idx], H, R)
             if states:
-                G, c = _projection_state(PDt, S, D, d, layout.eye)
-                est[idx] = G @ est[idx] + c
-            P[idx] = _ensure_pd(P_proj, _COV, idx)
-    return est, P, g, fired, (hx, hP) if event else None
+                gains.append(K)
+            P[idx] = _ensure_pd(P_upd, _COV, idx)
+        info = _named("inverse", agents, _inv, P)
+        if event:
+            hinfo = _named("held inverse", agents, _inv,
+                           _check_pd(hP, "the held covariance of agent"))
+            g_t, fired_t = _named("trigger", agents, trigger_from_info, info, hinfo,
+                                  layout.deltas)
+            g.append(g_t)
+            fired.append(fired_t)
+            # a broadcast becomes the anchor every receiver extrapolates
+            f = fired_t[:, None, None]
+            hP, hinfo = np.where(f, P, hP), np.where(f, info, hinfo)
+        for r in range(rounds):
+            if r:
+                info = _named("inverse", agents, _inv, P)
+            infos = gather(info, hinfo)
+            try:
+                Pc, a_info = _ci_information(infos, layout.weights, sizes)
+            except np.linalg.LinAlgError:   # name the row whose information sum is singular
+                _named("fusion", np.argsort(layout.rank), _inv,
+                       slot_sum(layout.weights[:, None, None] * infos, sizes))
+                raise
+            if states:
+                fused.append(Pc)
+                terms.append(a_info)
+            # rows follow the layout's order until this one un-permutation
+            P = _ensure_pd(Pc[layout.rank], _COV)
+            for (PDts, Ss), (idx, D, d, eps_I) in zip(proj, layout.proj):
+                PDt, S, P_proj = _named("projection", idx, _projection_cov, P[idx], D, eps_I)
+                if states:
+                    PDts.append(PDt)
+                    Ss.append(S)
+                P[idx] = _ensure_pd(P_proj, _COV, idx)
+        Ps.append(P)
+    if not states:
+        return [est] * len(As), Ps, g, fired, (hx, hP) if event else None
+    C = _ci_gains(_stack(fused), _stack(terms), dst)
+    maps = [_projection_state(_stack(PDts), _stack(Ss), D, d, layout.eye)
+            for (PDts, Ss), (_, D, d, _) in zip(proj, layout.proj)]
+    gains = iter(gains)
+    for t, A in enumerate(As):
+        if event:
+            hx = A @ hx
+        est = A @ est
+        for j, (idx, H, _) in enumerate(layout.meas):
+            est[idx] += next(gains) @ (ys[j][:, t] - H @ est[idx])
+        if event:
+            hx = np.where(fired[t][:, None, None], est, hx)
+        for i in range(t * rounds, (t + 1) * rounds):
+            est = slot_sum(gather(est, hx), sizes, C[i])[layout.rank]
+            for (G, c), (idx, *_) in zip(maps, layout.proj):
+                est[idx] = G[i] @ est[idx] + c[i]
+        ests.append(est)
+    return ests, Ps, g, fired, (hx, hP) if event else None
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """The arrays as one stack over a new leading axis; a lone array's is a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def _rows(values, ids, size: int, what: str) -> np.ndarray:
@@ -263,7 +307,8 @@ def _rows(values, ids, size: int, what: str) -> np.ndarray:
 
 def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
            k=None) -> tuple:
-    """One `filter_step` on the stacked arguments of a round: (states, fired).
+    """One `filter_step` on a chunk of one step, the stacked arguments of a
+    round: (states, fired).
     Each per-agent list is checked whole, and only a failed check names the
     first bad agent; every x and measurement is stacked by `_rows`.  The
     trigger states' pairs go in as the step's held pair; the returned states
@@ -295,9 +340,9 @@ def _round(states, measurements, agents, topology, A, Q, rounds, triggers=None,
         held = (hx, np.array([ts.P for ts in triggers]))
     est = _rows([st.estimate.x for st in states], range(N), n, "state")
     ys = [_rows([measurements[i] for i in idx.tolist()], idx.tolist(), H.shape[1],
-                "measurement") for idx, H, _ in layout.meas]
-    est, P, _, fired, held = filter_step(
-        layout, est, np.array([st.estimate.P for st in states]), ys, A, Q, rounds, held)
+                "measurement")[:, None] for idx, H, _ in layout.meas]
+    (est,), (P,), _, (fired,), held = filter_step(
+        layout, est, np.array([st.estimate.P for st in states]), ys, [A], [Q], rounds, held)
     if triggers is not None:    # one copy each: shared with nothing returned
         for ts, x, p in zip(triggers, held[0][:, :, 0].copy(), held[1].copy()):
             ts.x, ts.P, ts.time = x, p, k

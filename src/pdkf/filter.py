@@ -9,7 +9,8 @@ these kernels on the stack of all agents: the fusion and the projection are
 each two private kernels, one for the covariance side (`_ci_information`,
 `_projection_cov`) and one that forms the state map from its outputs
 (`_ci_gains`, `_projection_state`, the only caller of `pinv` in a step),
-which the step skips on a block of no states; the public `ci_maps` and
+which the step calls once per chunk of steps, on the stack of the chunk's
+outputs, and skips on a block of no states; the public `ci_maps` and
 `projection_map` are both halves in turn.
 """
 
@@ -32,16 +33,24 @@ def _singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+def _no_convergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 # LAPACK gufuncs that `np.linalg` wraps, called with their float64 signatures:
 # `np.linalg`'s bits without its Python wrapper, in one `np.errstate` per call.
 # `_inv` and `_solve` raise `np.linalg`'s "Singular matrix" for a failing
-# member; the guards' `_cholesky` and `_inv_or_nan` give NaN there and warn
-# nothing, and the guards read it as not finite.
+# member, and `_eigvalsh` its "Eigenvalues did not converge"; the guards'
+# `_cholesky` and `_inv_or_nan` give NaN there and warn nothing, and the
+# guards read it as not finite.
 _as_linalg = np.errstate(call=_singular, invalid="call", over="ignore",
                          divide="ignore", under="ignore")
+_as_eigen = np.errstate(call=_no_convergence, invalid="call", over="ignore",
+                        divide="ignore", under="ignore")
 _quiet = np.errstate(all="ignore")
 _inv = _as_linalg(functools.partial(_umath_linalg.inv, signature="d->d"))
 _solve = _as_linalg(functools.partial(_umath_linalg.solve, signature="dd->d"))
+_eigvalsh = _as_eigen(functools.partial(_umath_linalg.eigvalsh_lo, signature="d->d"))
 _inv_or_nan = _quiet(functools.partial(_umath_linalg.inv, signature="d->d"))
 _cholesky = _quiet(functools.partial(_umath_linalg.cholesky_lo, signature="d->d"))
 
@@ -223,8 +232,9 @@ def _ci_information(infos, weights, sizes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ci_gains(P, terms, dst) -> np.ndarray:
-    """The maps C_j = P a_j Ω_j of `ci_maps`, one per edge."""
-    return P[dst] @ terms
+    """The maps C_j = P a_j Ω_j of `ci_maps`, one per edge, or of each
+    member of a stack of (P, terms) over leading axes."""
+    return P.take(dst, -3) @ terms
 
 
 def projection_map(P, D, d, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,17 +4,19 @@ The engine exploits the fact that, once the covariance recursion and the
 trigger pattern (which never depends on measured data) are fixed, every
 filter step is an affine map of the previous estimates and the current
 measurements.  One pass, `_filter_path`, advances the (N, n, n) covariance
-stack and the (N, n, trials) state stack together: each step is one
-`event.filter_step`, which runs every kernel once on the agent stack, fusing
-the pairs gathered over the network's real edges (the cached, slot-major
-`event.step_layout`, each agent's neighbors in order), applies the state
-maps to all trials at once, then drops them; on zero trials it forms no
-state map.  The runs, the Monte Carlo, both baselines (the centralized one
-as a one-agent network) and the design pilot (`pilot_betas`, on zero
-trials) share that pass, and `_run_core` alone records it, a chunk of steps
-per `_Recorder.record` call.  The truth (`_truth`) holds the measurements
-once, in the format every step reads: one block per H group of the layout,
-its rows the group's measuring agents, so each step's read is a view.
+stack and the (N, n, trials) state stack together, a chunk of steps at a
+time.  Each chunk is one `event.filter_step`, which runs every kernel on
+the agent stack, fusing the pairs gathered over the network's real edges
+(the cached, slot-major `event.step_layout`, each agent's neighbors in
+order): first the covariance side of every step of the chunk, then the
+chunk's state maps, formed in one call per kind, applied to all trials at
+once step by step; on zero trials it forms no state map.  The runs, the
+Monte Carlo, both baselines (the centralized one as a one-agent network)
+and the design pilot (`pilot_betas`, on zero trials) share that pass, and
+`_run_core` alone records it, a chunk of steps per `_Recorder.record`
+call.  The truth (`_truth`) holds the measurements once, in the format
+every chunk reads: one block per H group of the layout, its rows the
+group's measuring agents, so each chunk's read is a view.
 
 Reproducibility contract: the master seed is split with
 ``np.random.SeedSequence(seed).spawn(trials)`` and trial j draws from
@@ -187,7 +189,8 @@ class RunMetrics:
 # truth and measurement generation
 
 # the trial side's chunk: the bytes of the truth's draw buffer and of each of
-# its measurement temporaries, and of the recorder's buffered stacks
+# its measurement temporaries, of the recorder's buffered stacks, and of all
+# the stacks that one chunk of the engine pass holds at once
 _CHUNK_BYTES = 1 << 18
 
 
@@ -316,37 +319,68 @@ def _noise_blocks(cfg: ScenarioConfig, trials: int, seed: int):
 def _filter_path(cfg: ScenarioConfig, mode: str, ys: list, T: int, trials: int):
     """One pass of either filter: yields (est, P, g, fired) for k = 0..T.
 
-    est (N, n, trials) and P (N, n, n) are new stacks of each agent's state
-    block and covariance after step k; g and fired are the (N,) trigger
-    scores and decisions of step k in event mode, and empty otherwise and at
-    k = 0.  ys must hold one block per H group of the network's
-    `step_layout`, each (g, ≥ T, m, trials) as `_truth` draws them, and step
-    k reads row k − 1 of each, a view.  Each step is one `event.filter_step`,
-    which also advances the held pairs it returned the step before, as it
-    does for the rounds, so a one-trial pass is the rounds' arithmetic bit
-    for bit.  On zero trials the step reads no ys (which may be []) and does
-    covariance work only: est stays the empty (N, n, 0) block, and P, g and
-    fired are those of any other number of trials.  Every failure of the
-    step, which names its agent ("the covariance of agent i is not finite",
-    "the fusion of agent i: Singular matrix"), becomes the ValueError "the
-    run diverged: <that message> at step k".
+    est (N, n, trials) and P (N, n, n) are each agent's state block and
+    covariance after step k; g and fired are the (N,) trigger scores and
+    decisions of step k in event mode, and empty otherwise and at k = 0.
+    Each is new, and the pass never writes it again.  ys must hold one
+    block per H group of the network's `step_layout`, each (g, ≥ T, m,
+    trials) as `_truth` draws them, which is checked once, before the first
+    step; on zero trials ys may be [].  The steps run in chunks of K, each
+    one `event.filter_step` that reads the chunk's rows of each block, a
+    view, and forms the chunk's state maps once.  K is the most steps (at
+    least one) for which the arrays the chunk holds (the states and
+    covariances it returns and, on trials, the fusion's terms and maps)
+    fit `_CHUNK_BYTES` together.  The step also advances the held pairs it
+    returned for the chunk before, as it does for the rounds, and a chunk
+    of K steps has the bits of K chunks of one, so a one-trial pass is the
+    rounds' arithmetic bit for bit.  On zero trials the step reads no ys
+    and does covariance work only: est stays the empty (N, n, 0) block,
+    and P, g and fired are those of any other number of trials.  A chunk
+    that fails is run again one step at a time, and the failure of the
+    first step that fails, which names its agent ("the covariance of agent
+    i is not finite", "the fusion of agent i: Singular matrix"), becomes
+    the ValueError "the run diverged: <that message> at step k".
     """
     model, agents, event = cfg.model, cfg.agents, mode == "event"
     if event and not model.time_invariant:
         raise ValueError("event-triggered mode requires a time-invariant model")
     layout = step_layout(agents, cfg.topology)
+    if trials and len(ys) != len(layout.meas):
+        raise ValueError(f"ys holds {len(ys)} blocks for {len(layout.meas)} H groups")
+    for j, y in enumerate(ys):
+        if y.ndim != 4 or y.shape[1] < T or y.shape[3] != trials:
+            raise ValueError(f"the measurement block of H group {j} is {y.shape}, "
+                             f"not (g, at least {T} steps, m, {trials} trials)")
+    rounds, (N, n), E = 1 if event else cfg.L, (cfg.topology.N, model.n), len(layout.src)
+    # the floats a chunk holds per step: the states and covariances it
+    # returns and, on trials, per round the fused covariances and their
+    # stack, the terms, their stack and gather and the maps C, and the
+    # projection maps G
+    per_step = n * (N * (trials + n) + (rounds * (3 * N + 4 * E) * n if trials else 0))
+    K = max(1, min(T, _CHUNK_BYTES // (8 * per_step)))
     x0, P = map(np.stack, zip(*cfg.initial_pairs()))
     est = np.repeat(x0[:, :, None], trials, axis=2)
     held = (est, P) if event else None     # the initial time is a broadcast
     yield est, P, np.zeros(0), np.zeros(0, dtype=bool)
-    for k in range(1, T + 1):
+
+    def steps(k0, k1, est, P, held):    # steps k0..k1 - 1
+        return filter_step(layout, est, P, [y[:, k0 - 1:k1 - 1] for y in ys],
+                           [model.A_at(k - 1) for k in range(k0, k1)],
+                           [model.Q_at(k - 1) for k in range(k0, k1)], rounds, held)
+
+    for k0 in range(1, T + 1, K):
+        k1 = min(T + 1, k0 + K)
         try:
-            est, P, g, fired, held = filter_step(
-                layout, est, P, [y[:, k - 1] for y in ys],
-                model.A_at(k - 1), model.Q_at(k - 1), 1 if event else cfg.L, held)
-        except ValueError as exc:       # a LinAlgError is one
-            raise ValueError(f"the run diverged: {exc} at step {k}") from None
-        yield est, P, g, fired
+            ests, Ps, g, fired, held_after = steps(k0, k1, est, P, held)
+        except ValueError:              # a LinAlgError is one
+            for k in range(k0, k1):     # name the first step that fails alone
+                try:
+                    (est,), (P,), _, _, held = steps(k, k + 1, est, P, held)
+                except ValueError as exc:
+                    raise ValueError(f"the run diverged: {exc} at step {k}") from None
+            raise
+        yield from zip(ests, Ps, g, fired)
+        est, P, held = ests[-1], Ps[-1], held_after
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pdkf import event
+from pdkf import event, sim
 from pdkf import filter as filter_module
 from pdkf.event import TriggerState, epdkf_round, tpdkf_round, trigger_from_info
 from pdkf.filter import (AgentState, ConsistentEstimate, _check_pd, _ensure_pd, kalman_gain,
@@ -268,6 +268,34 @@ def test_stacked_trigger_rejects_one_asymmetric_member():
         trigger_from_info(info, np.stack([np.eye(2)] * 3), np.zeros(3))
 
 
+@pytest.mark.parametrize("N", [20, 60])
+def test_trigger_scores_equal_numpys_eigvalsh_bit_for_bit(N, monkeypatch):
+    # the trigger calls LAPACK's eigen-solver without numpy's wrapper; on the
+    # stacks of a case2 event pass its scores keep numpy's bits
+    cfg, seen = case2(mode="event", N=N, T=20), []
+
+    def spy(info, info_held, delta, trigger=event.trigger_from_info):
+        seen.append((info, info_held, delta, trigger(info, info_held, delta)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(event, "trigger_from_info", spy)
+    for _ in sim._filter_path(cfg, "event", [], cfg.T, 0):
+        pass
+    assert len(seen) == cfg.T
+    for info, info_held, delta, (g, fired) in seen:
+        sym = event._check_symmetric(info - info_held, "the information difference")
+        want = np.linalg.eigvalsh(sym)[..., -1] - delta
+        assert np.array_equal(g, want) and np.array_equal(np.signbit(g), np.signbit(want))
+        assert np.array_equal(fired, want > 0.0)
+
+
+def test_the_trigger_solver_keeps_numpys_error_for_a_failed_solve():
+    # LAPACK flags a member it cannot solve as invalid, and the solver's
+    # errstate turns that into numpy's LinAlgError, which `_named` names
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        filter_module._as_eigen(np.sqrt)(-np.ones(1))
+
+
 # --- the rounds' arguments and guards ------------------------------------------
 
 def _round_args(delta=(0.3, 0.4, 0.8)):
@@ -502,17 +530,24 @@ def test_rounds_take_measurements_of_any_shape_with_the_H_rows():
             assert np.array_equal(s.estimate.P, t.estimate.P)
 
 
+def _chunk_inputs(cfg, K):
+    """A chunk of K steps of cfg from its initial pairs: (layout, est, P, ys,
+    As, Qs, held), with zero measurements and one state column."""
+    layout = event.step_layout(cfg.agents, cfg.topology)
+    x0, P = map(np.stack, zip(*cfg.initial_pairs()))
+    ys = [np.zeros((len(idx), K, H.shape[1], 1)) for idx, H, _ in layout.meas]
+    held = (x0[:, :, None], P) if cfg.mode == "event" else None
+    return layout, x0[:, :, None], P, ys, [cfg.model.A_at(0)] * K, [cfg.model.Q_at(0)] * K, held
+
+
 @pytest.mark.parametrize("mode, rounds, calls", [("event", 1, 5), ("time", 2, 6)])
 def test_filter_step_factors_each_covariance_stack_once(mode, rounds, calls, monkeypatch):
     # one Cholesky per stack made: predict, each H group, then per round the
     # fused stack and each D group; in event mode also the held stack, the
     # only one `_ensure_pd` does not make.  A second factor before each
-    # inverse would add one call per round.
+    # inverse would add one call per round; a chunk of K steps makes K times
+    # the calls of one, and forming its state maps adds none.
     cfg = case2(mode=mode, N=20, T=1, trials=1)
-    layout = event.step_layout(cfg.agents, cfg.topology)
-    assert (len(layout.meas), len(layout.proj)) == (1, 1)
-    x0, P = map(np.stack, zip(*cfg.initial_pairs()))
-    ys = [np.zeros((len(idx), H.shape[1], 1)) for idx, H, _ in layout.meas]
     factored = []
     cholesky = filter_module._cholesky
 
@@ -521,10 +556,13 @@ def test_filter_step_factors_each_covariance_stack_once(mode, rounds, calls, mon
         return cholesky(M)
 
     monkeypatch.setattr(filter_module, "_cholesky", spy)
-    event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0), cfg.model.Q_at(0),
-                      rounds, (x0[:, :, None], P) if mode == "event" else None)
-    assert len(factored) == calls
-    assert all(len(shape) == 3 for shape in factored)     # stacks, never one member
+    for K in (1, 3):
+        layout, est, P, ys, As, Qs, held = _chunk_inputs(cfg, K)
+        assert (len(layout.meas), len(layout.proj)) == (1, 1)
+        factored.clear()
+        event.filter_step(layout, est, P, ys, As, Qs, rounds, held)
+        assert len(factored) == K * calls
+        assert all(len(shape) == 3 for shape in factored)     # stacks, never one member
 
 
 @pytest.mark.parametrize("case, mode, rounds", [(case1, "time", 2), (case2, "event", 1)],
@@ -537,12 +575,10 @@ def test_filter_step_symmetrizes_each_stack_once_and_makes_no_identity(case, mod
     # symmetric part `_check_symmetric` returns) instead of a second round.
     # `_ensure_pd` does not symmetrize them again, and the identities come
     # from the layout, built before the step; forming the state maps adds
-    # neither.
+    # neither, and a chunk of K steps makes K times the stacks of one.
     cfg = case(mode=mode, T=1, trials=1)
-    layout = event.step_layout(cfg.agents, cfg.topology)
-    assert (len(layout.meas), len(layout.proj)) == (1, 1)
-    x0, P = map(np.stack, zip(*cfg.initial_pairs()))
-    ys = [np.zeros((len(idx), H.shape[1], 1)) for idx, H, _ in layout.meas]
+    chunks = {K: _chunk_inputs(cfg, K) for K in (1, 3)}
+    assert (len(chunks[1][0].meas), len(chunks[1][0].proj)) == (1, 1)
     shapes, eyes = [], []
     eye = np.eye
 
@@ -562,10 +598,11 @@ def test_filter_step_symmetrizes_each_stack_once_and_makes_no_identity(case, mod
     monkeypatch.setattr(event, "symmetrize", spy)
     monkeypatch.setattr(event, "_check_symmetric", check_spy)
     monkeypatch.setattr(np, "eye", eye_spy)
-    event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0), cfg.model.Q_at(0),
-                      rounds, (x0[:, :, None], P) if mode == "event" else None)
-    assert len(shapes) == 6 and eyes == []
-    assert all(len(shape) == 3 for shape in shapes)       # stacks, never one member
+    for K, (layout, est, P, ys, As, Qs, held) in chunks.items():
+        shapes.clear()
+        event.filter_step(layout, est, P, ys, As, Qs, rounds, held)
+        assert len(shapes) == 6 * K and eyes == []
+        assert all(len(shape) == 3 for shape in shapes)       # stacks, never one member
 
 
 def _arrays(obj):
@@ -651,15 +688,12 @@ def test_layout_holds_each_agents_threshold():
 @pytest.mark.parametrize("j", [0, 2])
 def test_filter_step_names_the_held_covariance_that_is_not_finite(j):
     cfg = case1(mode="event", T=1, trials=1)
-    layout = event.step_layout(cfg.agents, cfg.topology)
-    x0, P = map(np.stack, zip(*cfg.initial_pairs()))
-    ys = [np.zeros((len(idx), H.shape[1], 1)) for idx, H, _ in layout.meas]
+    layout, est, P, ys, As, Qs, (hx, _) = _chunk_inputs(cfg, 1)
     held_P = P.copy()
     held_P[j, 1, 1] = np.nan
     with pytest.raises(np.linalg.LinAlgError,
                        match=rf"^the held covariance of agent {j} is not finite$"):
-        event.filter_step(layout, x0[:, :, None], P, ys, cfg.model.A_at(0), cfg.model.Q_at(0),
-                          1, (x0[:, :, None], held_P))
+        event.filter_step(layout, est, P, ys, As, Qs, 1, (hx, held_P))
 
 
 @pytest.mark.parametrize("case", [case1, case2], ids=["case1", "case2"])
@@ -671,15 +705,15 @@ def test_filter_step_advances_the_held_covariances_of_a_block_without_states(cas
     x0, P0 = map(np.stack, zip(*cfg.initial_pairs()))
     A, Q = cfg.model.A_at(0), cfg.model.Q_at(0)
     rng = np.random.default_rng(11)
-    ys = [[rng.standard_normal((len(idx), H.shape[1], 1)) for idx, H, _ in layout.meas]
+    ys = [[rng.standard_normal((len(idx), 1, H.shape[1], 1)) for idx, H, _ in layout.meas]
           for _ in range(cfg.T)]
     held_P, broadcasts = {}, 0
     for width in (0, 1):
         est = x0[:, :, None].repeat(width, axis=2)
         P, held, held_P[width] = P0, (est, P0), []
         for y in ys:
-            est, P, _, fired, held = event.filter_step(
-                layout, est, P, [b[..., :width] for b in y], A, Q, 1, held)
+            (est,), (P,), _, fired, held = event.filter_step(
+                layout, est, P, [b[..., :width] for b in y], [A], [Q], 1, held)
             assert held[0].shape == (cfg.topology.N, cfg.model.n, width)
             held_P[width].append(held[1])
             broadcasts += np.count_nonzero(fired)

@@ -1232,9 +1232,120 @@ def _stiff_cfg():
     # a guard's ValueError, not a LinAlgError
     (_stiff_cfg(), r"the covariance of agent 0 must be positive definite at step \d+"),
 ], ids=["kernel", "guard"])
-def test_every_failure_of_a_step_names_its_agent_and_step(cfg, message):
+def test_every_failure_of_a_step_names_its_agent_and_step(cfg, message, monkeypatch):
+    # the failing step lies inside a chunk, which is run again step by step
+    calls, step = [], sim.filter_step
+
+    def spy(layout, est, P, ys, As, *args):
+        calls.append([len(As), "raised"])
+        out = step(layout, est, P, ys, As, *args)
+        calls[-1][1] = "ran"
+        return out
+
+    monkeypatch.setattr(sim, "filter_step", spy)
     with pytest.raises(ValueError, match=rf"^the run diverged: {message}$"):
         monte_carlo(cfg)
+    first = [status for _, status in calls].index("raised")
+    k0, K = 1 + sum(K for K, _ in calls[:first]), calls[first][0]
+    if "step 42" in message:
+        assert k0 < 42 < k0 + K - 1
+    assert K > 1 and all(K == 1 for K, _ in calls[first + 1:])
+    assert [status for _, status in calls[first + 1:]][-1] == "raised"
+
+
+def _chunk_bytes(cfg, trials, K):
+    """The `_CHUNK_BYTES` at which `_filter_path` runs cfg in chunks of K steps."""
+    layout = event.step_layout(cfg.agents, cfg.topology)
+    N, n, E = cfg.topology.N, cfg.model.n, len(layout.src)
+    rounds = 1 if cfg.mode == "event" else cfg.L
+    return K * 8 * n * (N * (trials + n) + (rounds * (3 * N + 4 * E) * n if trials else 0))
+
+
+def _assert_chunks_equal_single_steps(cfg, trials=3, Ks=(2, 7)):
+    """Every yielded (est, P, g, fired) of passes in chunks of each K equals a
+    pass of one-step chunks bit for bit, signbit included; cfg.T is a
+    multiple of no K."""
+    _X, ys = sim._noise_blocks(cfg, trials, cfg.seed)
+    passes, step = {}, sim.filter_step
+    for K in (1, *Ks):
+        chunks = []
+
+        def spy(layout, est, P, ys, As, *args):
+            chunks.append(len(As))
+            return step(layout, est, P, ys, As, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_CHUNK_BYTES", _chunk_bytes(cfg, trials, K))
+            patch.setattr(sim, "filter_step", spy)
+            passes[K] = list(sim._filter_path(cfg, cfg.mode, ys, cfg.T, trials))
+        assert chunks == [min(K, cfg.T + 1 - k0) for k0 in range(1, cfg.T + 1, K)]
+    for K in Ks:
+        assert len(passes[K]) == cfg.T + 1
+        for got, want in zip(passes[K], passes[1], strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+CHUNKED_PASSES = {
+    "case1-time-L2": case1(mode="time", L=2, T=23),
+    "case1-event": case1(mode="event", T=23),
+    "case2-time-L2": case2(mode="time", L=2, T=23),
+    "case2-event": case2(mode="event", T=23, delta=0.4),
+    "case2-n60-event": case2(mode="event", N=60, T=23, delta=0.4),
+    "mixed-time-varying-A": heterogeneous_cfg("time", T=23),
+    "mixed-event": heterogeneous_cfg("event", T=23),
+}
+
+
+@pytest.mark.parametrize("cfg", CHUNKED_PASSES.values(), ids=CHUNKED_PASSES.keys())
+def test_a_pass_in_chunks_equals_a_pass_step_by_step_bit_for_bit(cfg):
+    _assert_chunks_equal_single_steps(cfg)
+
+
+@settings(max_examples=10, deadline=None)
+@given(cfg=directed_scenarios(T=23))
+def test_a_pass_in_chunks_equals_a_pass_step_by_step_on_random_networks(cfg):
+    _assert_chunks_equal_single_steps(cfg)
+
+
+def test_a_chunk_forms_its_projection_maps_with_one_pinv_per_D_group(monkeypatch):
+    # case1 time L=2: one D group, so one pinv per chunk over its (steps ×
+    # rounds) stack, not one per step and round
+    cfg = case1(mode="time", L=2)
+    _X, ys = sim._noise_blocks(cfg, 200, cfg.seed)
+    chunks, stacks, step, pinv = [], [], sim.filter_step, filt.pinv
+
+    def step_spy(layout, est, P, ys, As, *args):
+        chunks.append(len(As))
+        return step(layout, est, P, ys, As, *args)
+
+    def pinv_spy(M):
+        stacks.append(M.shape)
+        return pinv(M)
+
+    monkeypatch.setattr(sim, "filter_step", step_spy)
+    monkeypatch.setattr(filt, "pinv", pinv_spy)
+    for _ in sim._filter_path(cfg, "time", ys, cfg.T, 200):
+        pass
+    assert len(event.step_layout(cfg.agents, cfg.topology).proj) == 1
+    assert sum(chunks) == cfg.T and max(chunks) > 1
+    assert [shape[0] for shape in stacks] == [cfg.L * K for K in chunks]
+
+
+@pytest.mark.parametrize("T, trials, blocks, message", [
+    (31, 3, None, r"the measurement block of H group 0 is \(2, 30, 1, 3\), "
+                  r"not \(g, at least 31 steps, m, 3 trials\)"),
+    (30, 2, None, r"the measurement block of H group 0 is \(2, 30, 1, 3\), "
+                  r"not \(g, at least 30 steps, m, 2 trials\)"),
+    (30, 3, [], r"ys holds 0 blocks for 1 H groups"),
+], ids=["short", "trials", "missing"])
+def test_filter_path_checks_its_blocks_before_the_first_step(T, trials, blocks, message):
+    # a block shorter than T, of other trials or missing used to fail inside
+    # a step (an IndexError, or a broadcast error read as a divergence)
+    cfg = case1(mode="time", T=30)
+    ys = _zero_blocks(cfg, 3) if blocks is None else blocks
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        next(sim._filter_path(cfg, "time", ys, T, trials))
 
 
 def test_the_truth_draws_the_layouts_blocks_and_every_step_reads_them_as_views(monkeypatch):
@@ -1243,9 +1354,9 @@ def test_the_truth_draws_the_layouts_blocks_and_every_step_reads_them_as_views(m
     # blind agent 1, and the mixed network's 1-row group agents 0 and 4
     reads, step = [], sim.filter_step
 
-    def spy(layout, est, P, ys, *args):
-        reads.append(ys)
-        return step(layout, est, P, ys, *args)
+    def spy(layout, est, P, ys, As, *args):
+        reads.append((ys, len(As)))
+        return step(layout, est, P, ys, As, *args)
 
     monkeypatch.setattr(sim, "filter_step", spy)
     for cfg, blind in ((heterogeneous_cfg("time", T=10), [2]), (case1(mode="time", T=10), [1]),
@@ -1256,11 +1367,13 @@ def test_the_truth_draws_the_layouts_blocks_and_every_step_reads_them_as_views(m
         reads.clear()
         for _ in sim._filter_path(cfg, cfg.mode, ys, cfg.T, 3):
             pass
-        assert len(reads) == cfg.T
-        for k, got in enumerate(reads, 1):
+        k0 = 0      # each chunk reads its rows of every block, each step once
+        for got, K in reads:
             assert len(got) == len(ys)
             for y, block in zip(got, ys):
-                assert np.shares_memory(y, block) and np.array_equal(y, block[:, k - 1])
+                assert np.shares_memory(y, block) and np.array_equal(y, block[:, k0:k0 + K])
+            k0 += K
+        assert k0 == cfg.T
         # the public form: a measuring agent's Y[i] is its row of one block, a
         # view; an agent that does not measure gets exact zeros
         children = np.random.SeedSequence(cfg.seed).spawn(3)
